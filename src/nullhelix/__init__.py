@@ -1,7 +1,4 @@
 """Null Frenet frames, curvature extraction, helix synthesis and submanifold
 diagnostics on low-dimensional semi-Riemannian coordinate charts."""
 
-from ._backend import BACKEND
-
-__all__ = ["BACKEND"]
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from . import exprparse
 from . import helix as helixmod
 from . import nullframe as nfmod
 from . import semimetric, submanifold
@@ -340,6 +341,14 @@ def _cmd_synth(doc: SpecDocument, args) -> int:
     cfg = _resolve(doc.config, args, "synth")
     spec, domain, step = _build_helix_spec(doc, cfg)
     grid = _grid(domain, cfg["samples"])
+    stride, _ = helixmod.decimation(grid)
+    kept = len(grid[::stride])
+    if kept < helixmod.CUBIC_MIN_SAMPLES:
+        raise SpecError(
+            f"synth grid keeps {kept} samples after decimation to spacing "
+            f"{helixmod.FD_SPACING}; the three chained 7-point stencils need "
+            f"at least {helixmod.CUBIC_MIN_SAMPLES}"
+        )
     trace = helixmod.synthesize(spec, grid, step,
                                 project_every=cfg["project_every"],
                                 drift_limit=cfg["drift_limit"])
@@ -540,10 +549,7 @@ def run(argv) -> int:
                 f"got {doc.kind!r}"
             )
         return handler(doc, args)
-    except (SpecError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError, exprparse.DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

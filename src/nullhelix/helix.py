@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from . import semimetric
-from ._backend import kernels as _K
 from .jets import const_term
 from .nullframe import (
     CurvatureSample,
@@ -113,8 +112,6 @@ def _rhs(metric: SemiMetric, h, k1, k2, state):
 
 
 def _rk4_steps(metric, h, k1, k2, state, dt, nsteps):
-    if metric.is_constant and _K is not None:
-        return list(_K.rk4_frame_flat(tuple(state), h, k1, k2, dt, nsteps))
     y = list(state)
     for _ in range(nsteps):
         a = _rhs(metric, h, k1, k2, y)
@@ -304,6 +301,13 @@ def constancy_report(samples) -> dict:
 _D1_OFFSETS = (-3, -2, -1, 1, 2, 3)
 _D1_WEIGHTS = (-1.0 / 60.0, 3.0 / 20.0, -3.0 / 4.0, 3.0 / 4.0, -3.0 / 20.0, 1.0 / 60.0)
 FD_RADIUS = 3
+# Traces are decimated to about this spacing before differencing: each stencil
+# layer amplifies roundoff by 1/spacing, and frames of helices with a positive
+# cubic factor grow exponentially.  Near 1e-2 the extraction noise sits at its
+# floor while stencil truncation stays far below it.
+FD_SPACING = 0.01
+# the cubic identity chains three stencils, each trimming FD_RADIUS per side
+CUBIC_MIN_SAMPLES = 6 * FD_RADIUS + 1
 
 
 def _uniform_spacing(times) -> float:
@@ -312,6 +316,13 @@ def _uniform_spacing(times) -> float:
         if abs((b - a) - dt) > 1e-9 * max(1.0, abs(dt)):
             raise ValueError("finite-difference extraction needs a uniform grid")
     return dt
+
+
+def decimation(times):
+    """``(stride, spacing)`` that thin a uniform grid to about FD_SPACING."""
+    dt = _uniform_spacing(times)
+    stride = max(1, round(FD_SPACING / dt))
+    return stride, dt * stride
 
 
 def fd_derivative(values, dt):
@@ -359,19 +370,14 @@ def extract_curvatures(trace: HelixTrace, policy: ScreenPolicy | None = None,
     the requested constants.  With ``reseed=True`` the transversal and screen
     vectors are rebuilt per sample from the tangent via the screen policy;
     h and k2 are then policy-relative quantities, |k1| remains invariant.
-
-    Frames of helices with a positive cubic factor grow exponentially, and the
-    stencil's roundoff scales with (frame size)/(spacing); differencing at an
-    effective spacing near 1e-2 keeps the extraction noise at its floor.
+    The trace is decimated to about FD_SPACING first.
     """
     policy = policy or ScreenPolicy()
     metric = trace.spec.metric
-    dt = _uniform_spacing(trace.times)
-    stride = max(1, round(0.01 / dt))
+    stride, dt = decimation(trace.times)
     times = trace.times[::stride]
     points = trace.points[::stride]
     zetas = trace.zetas[::stride]
-    dt = dt * stride
     if reseed:
         ns, ws = _reseeded_frames(metric, points, zetas, policy)
     else:
@@ -448,17 +454,15 @@ def _reseeded_frames(metric: SemiMetric, points, zetas, policy: ScreenPolicy):
 def cubic_residuals_from_trace(trace: HelixTrace, factor: float | None = None):
     """(t, residual) pairs for the cubic identity, finite-differenced.
 
-    Three chained first-derivative stencils amplify roundoff by 1/dt per
-    layer, so the trace is decimated to an effective spacing of about 1e-2
-    before differencing; stencil truncation stays far below the noise floor.
+    Three chained first-derivative stencils run on the trace decimated to
+    about FD_SPACING, so at least CUBIC_MIN_SAMPLES decimated samples are
+    needed for one residual.
     """
     metric = trace.spec.metric
-    dt = _uniform_spacing(trace.times)
-    stride = max(1, round(0.01 / dt))
+    stride, dt = decimation(trace.times)
     times = trace.times[::stride]
     points = trace.points[::stride]
     zetas = trace.zetas[::stride]
-    dt = dt * stride
     if factor is None:
         factor = trace.spec.cubic_factor
     c1 = _covariant_sequence(metric, points, zetas, zetas, dt)
@@ -476,13 +480,11 @@ def cubic_residuals_from_trace(trace: HelixTrace, factor: float | None = None):
 def identity_reports_from_trace(trace: HelixTrace):
     """Metric-identity reports along a trace, targets from extracted samples."""
     metric = trace.spec.metric
-    dt = _uniform_spacing(trace.times)
-    stride = max(1, round(0.01 / dt))
+    stride, dt = decimation(trace.times)
     points = trace.points[::stride]
     zetas = trace.zetas[::stride]
     ns = trace.ns[::stride]
     ws = trace.ws[::stride]
-    dt = dt * stride
     cz = _covariant_sequence(metric, points, zetas, zetas, dt)
     cn = _covariant_sequence(metric, points, zetas, ns, dt)
     cw = _covariant_sequence(metric, points, zetas, ws, dt)

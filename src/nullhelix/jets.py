@@ -5,19 +5,16 @@ the evaluation point; coefficient ``k`` equals the k-th derivative divided by
 ``k!``, so multiplication is a plain coefficient convolution.  The conversion
 factor ``k!`` is applied only by :meth:`Jet.derivative`.
 
-Coefficients are usually floats, in which case arithmetic dispatches to the
-compiled kernels when available.  Coefficients may themselves be jets: nesting
+Coefficients are usually floats, but they may themselves be jets: nesting
 one parameter inside another is how the rest of the package obtains spatial
 partial derivatives of composed fields (a first-order jet seeded in one
-coordinate whose coefficients are jets in another parameter).  The generic
-code paths below therefore only assume ring arithmetic on coefficients.
+coordinate whose coefficients are jets in another parameter).  The code below
+therefore only assumes ring arithmetic on coefficients.
 """
 
 from __future__ import annotations
 
 import math
-
-from ._backend import kernels as _K
 
 MAX_ORDER = 5
 
@@ -25,21 +22,13 @@ MAX_ORDER = 5
 class Jet:
     """Truncated Taylor series: ``coeffs[k]`` is the k-th derivative over k!."""
 
-    __slots__ = ("coeffs", "_flat")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if not 1 <= len(coeffs) <= MAX_ORDER + 1:
             raise ValueError(f"jet order must be in [0, {MAX_ORDER}]")
-        flat = True
-        for c in coeffs:
-            if not isinstance(c, (int, float)):
-                flat = False
-                break
-        if flat:
-            coeffs = tuple(float(c) for c in coeffs)
         self.coeffs = coeffs
-        self._flat = flat
 
     @classmethod
     def constant(cls, value, order: int) -> "Jet":
@@ -114,8 +103,6 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self._align(other)
-            if _K is not None and self._flat and other._flat:
-                return Jet(_K.mul(a, b))
             return Jet(
                 tuple(
                     sum(a[i] * b[k - i] for i in range(k + 1))
@@ -131,9 +118,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             a, b = self._align(other)
-            if _K is not None and self._flat and other._flat:
-                return Jet(_K.div(a, b))
-            return Jet(_div_generic(a, b))
+            return Jet(_div_coeffs(a, b))
         if isinstance(other, (int, float)):
             return Jet(tuple(c / other for c in self.coeffs))
         return NotImplemented
@@ -149,7 +134,7 @@ class Jet:
         return powi(self, n)
 
 
-def _div_generic(a, b):
+def _div_coeffs(a, b):
     b0 = b[0]
     if const_term(b0) == 0.0:
         raise ZeroDivisionError("division by zero constant term")
@@ -192,8 +177,6 @@ def exp(x):
     if isinstance(x, (int, float)):
         return math.exp(x)
     a = x.coeffs
-    if _K is not None and x._flat:
-        return Jet(_K.exp_(a))
     out = [exp(a[0])]
     for k in range(1, len(a)):
         acc = 1 * a[1] * out[k - 1]
@@ -211,8 +194,6 @@ def log(x):
     a = x.coeffs
     if const_term(a[0]) <= 0.0:
         raise ValueError("log of non-positive value")
-    if _K is not None and x._flat:
-        return Jet(_K.log_(a))
     out = [log(a[0])]
     for k in range(1, len(a)):
         acc = k * a[k]
@@ -233,8 +214,6 @@ def sqrt(x):
         raise ValueError("sqrt of negative value")
     if c0 == 0.0 and len(a) > 1:
         raise ValueError("sqrt of zero has no truncated series")
-    if _K is not None and x._flat:
-        return Jet(_K.sqrt_(a))
     out = [sqrt(a[0])]
     for k in range(1, len(a)):
         acc = a[k]
@@ -246,9 +225,6 @@ def sqrt(x):
 
 def _sincos(x: Jet):
     a = x.coeffs
-    if _K is not None and x._flat:
-        s, c = _K.sincos(a)
-        return Jet(s), Jet(c)
     a0 = a[0]
     if isinstance(a0, Jet):
         s0, c0 = _sincos(a0)
@@ -268,9 +244,6 @@ def _sincos(x: Jet):
 
 def _sinhcosh(x: Jet):
     a = x.coeffs
-    if _K is not None and x._flat:
-        s, c = _K.sinhcosh(a)
-        return Jet(s), Jet(c)
     a0 = a[0]
     if isinstance(a0, Jet):
         s0, c0 = _sinhcosh(a0)

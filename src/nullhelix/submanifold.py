@@ -772,7 +772,7 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
         raise ValueError("helix transfer needs a 3-dimensional intrinsic chart")
     trace = helixmod.synthesize(spec, grid, step)
     pull = PullbackMetric(F)
-    dt = helixmod._uniform_spacing(trace.times)
+    stride, dt = helixmod.decimation(trace.times)
 
     iso_max = 0.0
     for u in trace.points[:: max(1, len(trace.points) // 64)]:
@@ -795,11 +795,9 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     n = amb.dim
     # the ambient frames are measured at the same decimated spacing as the
     # intrinsic trace extraction (stencil noise scales with frame/spacing)
-    stride = max(1, round(0.01 / dt))
     times_d = trace.times[::stride]
     upoints = trace.points[::stride]
     uzetas = trace.zetas[::stride]
-    dt = dt * stride
     points = [tuple(const_term(c) for c in F.map_values(list(u)))
               for u in upoints]
     zetas = []
@@ -819,18 +817,14 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     ns, ws = _ambient_frames(amb, inner_pts, inner_z, cz_seq, policy)
     cn_seq = helixmod.fd_derivative(ns, dt)
     if not amb.is_constant:
-        cn_seq = [
-            tuple(
-                cn_seq[k][a]
-                + sum(
-                    amb.christoffel(list(inner_pts[k + r]))[a][b][c]
-                    * inner_z[k + r][b] * ns[k + r][c]
-                    for b in range(n) for c in range(n)
-                )
+        for k, dn in enumerate(cn_seq):
+            gamma = amb.christoffel(list(inner_pts[k + r]))
+            z, nv = inner_z[k + r], ns[k + r]
+            cn_seq[k] = tuple(
+                dn[a] + sum(gamma[a][b][c] * z[b] * nv[c]
+                            for b in range(n) for c in range(n))
                 for a in range(n)
             )
-            for k in range(len(cn_seq))
-        ]
 
     times, hs, k1s, k2s = [], [], [], []
     for k in range(len(cn_seq)):

@@ -123,6 +123,32 @@ def test_synth_step_zero_is_usage_error(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_synth_grid_too_short_for_stencils_is_usage_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(HELIX_DOC))
+    doc["helix"]["domain"] = [0.0, 1.0]
+    doc["config"] = {"samples": 11}
+    spec = _write(tmp_path, "h.json", doc)
+    assert run(["synth", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "at least 19" in err
+
+
+def test_frame_domain_error_is_usage_error(tmp_path, capsys):
+    doc = {
+        "kind": "curve",
+        "metric": FLAT3,
+        "curve": {"mode": "position",
+                  "components": ["cos(log(t))", "sin(log(t))", "log(t)"],
+                  "domain": [-1.0, 1.0]},
+    }
+    spec = _write(tmp_path, "log.json", doc)
+    assert run(["frame", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "log" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run(["verify", "--spec", "/nonexistent.json"]) == 2
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,32 @@ def test_nested_jets_give_mixed_partials():
     assert f.coeffs[1].coeffs[0] == pytest.approx(2.0 * u0 * v0)
     assert f.coeffs[0].coeffs[0] == pytest.approx(u0 * u0 * v0)
     assert f.coeffs[0].coeffs[1] == pytest.approx(u0 * u0)
+
+
+def test_nested_coefficients_reproduce_float_results():
+    """Jets whose coefficients are constant jets compute the float results bitwise."""
+    rng = random.Random(4)
+
+    def lift(x):
+        return Jet(tuple(Jet.constant(c, 0) for c in x.coeffs))
+
+    def unlift(x):
+        return tuple(c.coeffs[0] for c in x.coeffs)
+
+    for _ in range(25):
+        n = rng.randrange(1, 6)
+        coeffs = [rng.uniform(0.3, 2.0)] + [rng.uniform(-1, 1) for _ in range(n)]
+        x = Jet(coeffs)
+        assert unlift(jets.exp(lift(x))) == jets.exp(x).coeffs
+        assert unlift(jets.log(lift(x))) == jets.log(x).coeffs
+        assert unlift(jets.sqrt(lift(x))) == jets.sqrt(x).coeffs
+        assert unlift(jets.sin(lift(x))) == jets.sin(x).coeffs
+        assert unlift(jets.cos(lift(x))) == jets.cos(x).coeffs
+        assert unlift(jets.sinh(lift(x))) == jets.sinh(x).coeffs
+        assert unlift(jets.cosh(lift(x))) == jets.cosh(x).coeffs
+        y = Jet([rng.uniform(-2, 2) for _ in range(n + 1)])
+        assert unlift(lift(y) / lift(x)) == (y / x).coeffs
+        assert unlift(lift(y) * lift(x)) == (y * x).coeffs
 
 
 def test_scalar_mixing():
