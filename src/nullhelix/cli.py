@@ -10,7 +10,8 @@ transfer     push an intrinsic helix through an immersion and re-measure it
 
 Reports are deterministic JSON (byte-identical for identical spec + flags);
 traces can additionally be written as CSV.  Exit codes: 0 all residuals within
-tolerance, 1 residual failure, 2 usage or spec error.
+tolerance, 1 residual failure, 2 usage or spec error (including expression
+domain errors, Gram-drift aborts and grids too short for the stencils).
 """
 
 from __future__ import annotations
@@ -341,8 +342,7 @@ def _cmd_synth(doc: SpecDocument, args) -> int:
     cfg = _resolve(doc.config, args, "synth")
     spec, domain, step = _build_helix_spec(doc, cfg)
     grid = _grid(domain, cfg["samples"])
-    stride, _ = helixmod.decimation(grid)
-    kept = len(grid[::stride])
+    kept = helixmod.decimated_count(grid)
     if kept < helixmod.CUBIC_MIN_SAMPLES:
         raise SpecError(
             f"synth grid keeps {kept} samples after decimation to spacing "
@@ -549,7 +549,8 @@ def run(argv) -> int:
                 f"got {doc.kind!r}"
             )
         return handler(doc, args)
-    except (OSError, ValueError, exprparse.DomainError) as exc:
+    except (OSError, ValueError, exprparse.DomainError,
+            helixmod.GramDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

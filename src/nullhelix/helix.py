@@ -28,6 +28,7 @@ from .nullframe import (
     ScreenPolicy,
     euclid_norm,
     _aligned_frame_jets,
+    _frame_jets,
 )
 from .semimetric import SemiMetric, bilinear
 
@@ -248,11 +249,8 @@ def cubic_identity_residual(curve, frame: NullFrame,
             )
         return value
     policy = policy or ScreenPolicy()
-    fj = _aligned_frame_jets(curve, frame, policy, order=5)
-    metric = curve.metric
-    c1 = semimetric.covariant_jets(fj.pos, fj.zeta, metric)
-    c2 = semimetric.covariant_jets(fj.pos, c1, metric)
-    c3 = semimetric.covariant_jets(fj.pos, c2, metric)
+    fj = _frame_jets(curve, frame.t, policy)
+    c1, c3 = fj.cov("zeta"), fj.cov("zeta", 3)
     resid = [const_term(c3[i]) - factor * const_term(c1[i]) for i in range(3)]
     return euclid_norm(resid)
 
@@ -262,12 +260,9 @@ def metric_identity_suite(curve: NullCurve, frame: NullFrame,
                           policy: ScreenPolicy | None = None) -> IdentityReport:
     """The four frame-equation metric scalars, their targets, and deviations."""
     policy = policy or ScreenPolicy()
-    fj = _aligned_frame_jets(curve, frame, policy, order=5)
-    metric = curve.metric
-    w = fj.oriented_w()
-    cz = semimetric.covariant_jets(fj.pos, fj.zeta, metric)
-    cn = semimetric.covariant_jets(fj.pos, fj.n, metric)
-    cw = semimetric.covariant_jets(fj.pos, w, metric)
+    fj, sign = _aligned_frame_jets(curve, frame, policy)
+    cz, cn = fj.cov("zeta"), fj.cov("n")
+    cw = [sign * c for c in fj.cov("w")]
     scalars = (
         const_term(bilinear(fj.gmat, cz, cz)),
         const_term(bilinear(fj.gmat, cn, cn)),
@@ -325,9 +320,22 @@ def decimation(times):
     return stride, dt * stride
 
 
+def decimated_count(times) -> int:
+    """Number of samples a uniform grid keeps after ``decimation``."""
+    if len(times) < 2:
+        return len(times)
+    stride, _ = decimation(times)
+    return len(times[::stride])
+
+
 def fd_derivative(values, dt):
-    """Stencil first derivative of a sequence of vectors (interior only)."""
+    """Stencil first derivative of a sequence of vectors (interior only).
+
+    Sequences shorter than one stencil have no interior and give ``[]``.
+    """
     m = len(values)
+    if m < 2 * FD_RADIUS + 1:
+        return []
     dim = len(values[0])
     out = []
     for i in range(FD_RADIUS, m - FD_RADIUS):

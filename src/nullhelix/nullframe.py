@@ -118,7 +118,13 @@ class NullCurve:
 
     ``position`` mode stores the coordinate components as expressions in t;
     ``tangent`` mode stores the tangent components and recovers positions by
-    quadrature from an initial point (classical RK4 with step ``quad_step``).
+    quadrature from an initial point: Simpson steps between the fixed nodes
+    ``t0 + k * quad_step``, each node computed once per curve, then one partial
+    Simpson step from the last node to t.  A position therefore depends on t
+    alone, not on which parameters were queried before.
+
+    Frame bundles (see ``_frame_jets``) are memoized on the curve per
+    parameter value and screen seed order.
     """
 
     def __init__(self, metric: SemiMetric, mode: str, components, domain,
@@ -141,6 +147,8 @@ class NullCurve:
         self.initial = None if initial is None else tuple(float(c) for c in initial)
         self.quad_step = float(quad_step)
         self._pos_cache: dict = {}
+        self._nodes: list = []  # (t_k, position, tangent) at t0 + k * quad_step
+        self._bundles: dict = {}
         p0 = self.position_at(t0)
         if metric.index_at(p0) != 2:
             raise ScreenSignatureError(
@@ -185,30 +193,32 @@ class NullCurve:
         if self.mode == "position":
             tj = Jet.variable(float(t), 0)
             return tuple(const_term(jets_eval(c, tj, 0)) for c in self.components)
-        key = round(float(t), 15)
-        if key in self._pos_cache:
-            return self._pos_cache[key]
-        pos = self._quadrature(float(t))
-        self._pos_cache[key] = pos
+        t = float(t)
+        pos = self._pos_cache.get(t)
+        if pos is None:
+            pos = self._pos_cache[t] = self._quadrature(t)
         return pos
 
     def _quadrature(self, t: float):
-        t0 = self.domain[0]
-        pos = list(self.initial)
-        span = t - t0
-        if span == 0.0:
-            return tuple(pos)
-        nsteps = max(1, int(math.ceil(abs(span) / self.quad_step)))
-        dt = span / nsteps
-        s = t0
-        for _ in range(nsteps):
-            k1 = self._zeta_value(s)
-            kmid = self._zeta_value(s + 0.5 * dt)
-            k4 = self._zeta_value(s + dt)
-            for i in range(3):
-                pos[i] += dt * (k1[i] + 4.0 * kmid[i] + k4[i]) / 6.0
-            s += dt
-        return tuple(pos)
+        t0, step = self.domain[0], self.quad_step
+        k = max(0, int(math.floor((t - t0) / step)))
+        nodes = self._nodes
+        if not nodes:
+            nodes.append((t0, self.initial, self._zeta_value(t0)))
+        while len(nodes) <= k:
+            nodes.append(self._simpson(nodes[-1], t0 + len(nodes) * step))
+        node = nodes[k]
+        return node[1] if t == node[0] else self._simpson(node, t)[1]
+
+    def _simpson(self, node, t: float):
+        """One Simpson step from ``node`` to t, as a (t, position, tangent) node."""
+        ta, pos, za = node
+        dt = t - ta
+        zm = self._zeta_value(ta + 0.5 * dt)
+        zb = self._zeta_value(t)
+        return t, tuple(
+            pos[i] + dt * (za[i] + 4.0 * zm[i] + zb[i]) / 6.0 for i in range(3)
+        ), zb
 
     def _zeta_value(self, t: float):
         tj = Jet.variable(t, 0)
@@ -239,11 +249,18 @@ def _cross(a, b):
 
 
 class _FrameJets:
-    """Jet-valued frame data at one parameter value (internal)."""
+    """Jet-valued frame data at one parameter value (internal).
 
-    __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "seed_index", "sign")
+    ``w`` is the screen vector as constructed, before orientation: the bundle
+    is shared by every caller at this parameter value, so each caller carries
+    its own orientation sign.  Flipping a jet's sign is exact, so the
+    covariant derivative of the oriented W is ``sign * cov("w")``.
+    """
 
-    def __init__(self, t, pos, zeta, n, w, gmat, seed_index):
+    __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "seed_index", "metric",
+                 "_covs")
+
+    def __init__(self, t, pos, zeta, n, w, gmat, seed_index, metric):
         self.t = t
         self.pos = pos
         self.zeta = zeta
@@ -251,28 +268,55 @@ class _FrameJets:
         self.w = w
         self.gmat = gmat
         self.seed_index = seed_index
-        self.sign = 1.0
+        self.metric = metric
+        self._covs = {}
 
-    def oriented_w(self):
-        return [self.sign * c for c in self.w]
+    def cov(self, field: str, times: int = 1):
+        """``times``-fold covariant derivative of "zeta", "n" or "w" along the
+        curve; each layer is computed once and kept."""
+        key = (field, times)
+        out = self._covs.get(key)
+        if out is None:
+            inner = getattr(self, field) if times == 1 else self.cov(field, times - 1)
+            out = self._covs[key] = semimetric.covariant_jets(self.pos, inner,
+                                                              self.metric)
+        return out
 
-    def frame(self) -> NullFrame:
+    def raw_k1(self) -> float:
+        """k1 of the unoriented frame."""
+        return -const_term(bilinear(self.gmat, self.cov("zeta"), self.w))
+
+    def frame(self, sign: float) -> NullFrame:
         return NullFrame(
             t=self.t,
             point=tuple(const_term(c) for c in self.pos),
             zeta=tuple(const_term(c) for c in self.zeta),
             n=tuple(const_term(c) for c in self.n),
-            w=tuple(self.sign * const_term(c) for c in self.w),
+            w=tuple(sign * const_term(c) for c in self.w),
         )
 
 
-def _frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy,
-                order: int = 4, null_tol: float = NULL_TOL) -> _FrameJets:
+# Jet order of a bundle's positions: each covariant derivative drops one
+# order, so order 4 leaves exactly the constant term of cov^3 zeta.
+BUNDLE_ORDER = 4
+
+
+def _frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _FrameJets:
+    """The curve's frame bundle at t, built once per (t, seed order)."""
+    key = (t, policy.seeds)
+    fj = curve._bundles.get(key)
+    if fj is None:
+        fj = curve._bundles[key] = _build_frame_jets(curve, t, policy)
+    return fj
+
+
+def _build_frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _FrameJets:
+    order = BUNDLE_ORDER
     pos = curve.position_jets(t, order)
     zeta = [jets.dt(p) for p in pos]
     gmat = curve.metric.entry_values([p.truncated(order - 1) for p in pos])
     zz = const_term(bilinear(gmat, zeta, zeta))
-    if abs(zz) > null_tol:
+    if abs(zz) > NULL_TOL:
         raise NotNullError(f"g(zeta, zeta) = {zz:.3e} at t = {t}: curve not null")
     znorm = sum(const_term(z) ** 2 for z in zeta)
     if znorm < 1e-24:
@@ -300,26 +344,19 @@ def _frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy,
         )
     scale = jets.sqrt(w2)
     w_vec = [w_raw[i] / scale for i in range(3)]
-    return _FrameJets(t, pos, zeta, n_vec, w_vec, gmat, seed_index)
+    return _FrameJets(t, pos, zeta, n_vec, w_vec, gmat, seed_index, curve.metric)
 
 
-def _raw_k1(fj: _FrameJets, metric: SemiMetric) -> float:
-    cz = semimetric.covariant_jets(fj.pos, fj.zeta, metric)
-    return -const_term(bilinear(fj.gmat, cz, fj.w))
-
-
-def _orient_single(fj: _FrameJets, metric: SemiMetric, policy: ScreenPolicy):
-    k1 = _raw_k1(fj, metric)
+def _orientation(fj: _FrameJets, policy: ScreenPolicy) -> float:
+    """Sign making k1 >= 0, or else W's first significant component positive."""
+    k1 = fj.raw_k1()
     if abs(k1) > policy.orient_tol:
-        if k1 < 0.0:
-            fj.sign = -1.0
-        return
+        return -1.0 if k1 < 0.0 else 1.0
     for c in fj.w:
         v = const_term(c)
         if abs(v) > 1e-9:
-            if v < 0.0:
-                fj.sign = -1.0
-            return
+            return -1.0 if v < 0.0 else 1.0
+    return 1.0
 
 
 def build_frame(curve: NullCurve, t: float, policy: ScreenPolicy | None = None,
@@ -327,8 +364,7 @@ def build_frame(curve: NullCurve, t: float, policy: ScreenPolicy | None = None,
     """Construct the frame at one parameter value (deterministic per policy)."""
     policy = policy or ScreenPolicy()
     fj = _frame_jets(curve, t, policy)
-    _orient_single(fj, curve.metric, policy)
-    frame = fj.frame()
+    frame = fj.frame(_orientation(fj, policy))
     res = frame.max_gram_residual(curve.metric)
     if res > tol:
         raise ValueError(f"frame Gram residual {res:.3e} exceeds {tol} at t = {t}")
@@ -344,30 +380,24 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None,
         return []
     states = [_frame_jets(curve, t, policy) for t in grid]
     # continuity: undo sign flips of W between neighbours
+    signs = [1.0]
     for prev, cur in zip(states, states[1:]):
         rawdot = sum(
             const_term(a) * const_term(b) for a, b in zip(prev.w, cur.w)
         )
-        cur.sign = prev.sign if rawdot >= 0.0 else -prev.sign
-    # global orientation: k1 >= 0 at the first generic sample
-    flip = None
-    for st in states:
-        k1 = st.sign * _raw_k1(st, curve.metric)
+        signs.append(signs[-1] if rawdot >= 0.0 else -signs[-1])
+    # global orientation: k1 >= 0 at the first generic sample, else the
+    # single-sample rule at the first sample (whose sign is still +1)
+    for st, sign in zip(states, signs):
+        k1 = sign * st.raw_k1()
         if abs(k1) > policy.orient_tol:
             flip = k1 < 0.0
             break
-    if flip is None:
-        first = states[0]
-        for c in first.w:
-            v = first.sign * const_term(c)
-            if abs(v) > 1e-9:
-                flip = v < 0.0
-                break
-        flip = bool(flip)
+    else:
+        flip = _orientation(states[0], policy) < 0.0
     if flip:
-        for st in states:
-            st.sign = -st.sign
-    frames = [st.frame() for st in states]
+        signs = [-sign for sign in signs]
+    frames = [st.frame(sign) for st, sign in zip(states, signs)]
     for a, b in zip(frames, frames[1:]):
         if sum(x * y for x, y in zip(a.w, b.w)) <= 0.0:
             raise FrameDiscontinuityError(
@@ -382,12 +412,11 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None,
     return frames
 
 
-def _aligned_frame_jets(curve: NullCurve, frame: NullFrame,
-                        policy: ScreenPolicy, order: int = 4) -> _FrameJets:
-    fj = _frame_jets(curve, frame.t, policy, order=order)
+def _aligned_frame_jets(curve: NullCurve, frame: NullFrame, policy: ScreenPolicy):
+    """The curve's bundle at frame.t and the sign orienting its W like frame.w."""
+    fj = _frame_jets(curve, frame.t, policy)
     dot = sum(const_term(a) * b for a, b in zip(fj.w, frame.w))
-    fj.sign = 1.0 if dot >= 0.0 else -1.0
-    return fj
+    return fj, (1.0 if dot >= 0.0 else -1.0)
 
 
 def curvatures_at(curve: NullCurve, frame: NullFrame, t: float,
@@ -396,11 +425,9 @@ def curvatures_at(curve: NullCurve, frame: NullFrame, t: float,
     policy = policy or ScreenPolicy()
     if abs(frame.t - t) > 1e-12:
         raise ValueError("frame was built at a different parameter value")
-    fj = _aligned_frame_jets(curve, frame, policy)
-    metric = curve.metric
-    w = fj.oriented_w()
-    cz = semimetric.covariant_jets(fj.pos, fj.zeta, metric)
-    cn = semimetric.covariant_jets(fj.pos, fj.n, metric)
+    fj, sign = _aligned_frame_jets(curve, frame, policy)
+    w = [sign * c for c in fj.w]
+    cz, cn = fj.cov("zeta"), fj.cov("n")
     h = const_term(bilinear(fj.gmat, cz, fj.n))
     k1 = -const_term(bilinear(fj.gmat, cz, w))
     k2 = -const_term(bilinear(fj.gmat, cn, w))
@@ -417,12 +444,9 @@ def frenet_residuals(curve: NullCurve, frame: NullFrame, sample: CurvatureSample
     given frame's vectors, so a corrupted frame shows up in the residuals.
     """
     policy = policy or ScreenPolicy()
-    fj = _aligned_frame_jets(curve, frame, policy)
-    metric = curve.metric
-    w = fj.oriented_w()
-    cz = semimetric.covariant_jets(fj.pos, fj.zeta, metric)
-    cn = semimetric.covariant_jets(fj.pos, fj.n, metric)
-    cw = semimetric.covariant_jets(fj.pos, w, metric)
+    fj, sign = _aligned_frame_jets(curve, frame, policy)
+    cz, cn = fj.cov("zeta"), fj.cov("n")
+    cw = [sign * c for c in fj.cov("w")]
     h, k1, k2 = sample.h, sample.k1, sample.k2
     r1 = tuple(
         const_term(cz[i]) - h * frame.zeta[i] - k1 * frame.w[i]

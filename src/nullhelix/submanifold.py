@@ -28,6 +28,9 @@ from .semimetric import SemiMetric, bilinear, mat_det, mat_inverse, mat_vec
 RANK_TOL = 1e-9
 NORMAL_TOL = 1e-10
 FRAME_PIVOT_TOL = 1e-10
+# helix transfer chains two stencils (the acceleration, then cov N), each
+# trimming FD_RADIUS samples per side, and its constancy check needs two samples
+TRANSFER_MIN_SAMPLES = 4 * helixmod.FD_RADIUS + 2
 
 
 class RankDeficiencyError(ValueError):
@@ -770,6 +773,14 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     policy = policy or ScreenPolicy()
     if F.m != 3:
         raise ValueError("helix transfer needs a 3-dimensional intrinsic chart")
+    grid = [float(t) for t in grid]
+    kept = helixmod.decimated_count(grid)
+    if kept < TRANSFER_MIN_SAMPLES:
+        raise ValueError(
+            f"transfer grid keeps {kept} samples after decimation to spacing "
+            f"{helixmod.FD_SPACING}; the two chained 7-point stencils need at "
+            f"least {TRANSFER_MIN_SAMPLES}"
+        )
     trace = helixmod.synthesize(spec, grid, step)
     pull = PullbackMetric(F)
     stride, dt = helixmod.decimation(trace.times)
@@ -837,8 +848,6 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
         hs.append(h)
         k1s.append(k1)
         k2s.append(k2)
-    if len(times) < 2:
-        raise ValueError("transfer grid too short for finite-difference extraction")
     constancy = {
         "h": max(abs(v - hs[0]) for v in hs),
         "k1": max(abs(v - k1s[0]) for v in k1s),

@@ -134,6 +134,27 @@ def test_synth_grid_too_short_for_stencils_is_usage_error(tmp_path, capsys):
     assert "at least 19" in err
 
 
+def test_synth_drift_abort_is_usage_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(HELIX_DOC))
+    doc["helix"].update({"h": 3.0, "k1": 5.0, "k2": 4.0, "step": 0.05,
+                         "domain": [0.0, 5.0]})
+    spec = _write(tmp_path, "drift.json", doc)
+    assert run(["synth", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Gram drift" in err
+
+
+def test_transfer_grid_too_short_is_usage_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(TRANSFER_DOC))
+    doc["helix"]["domain"] = [0.0, 1.0]
+    spec = _write(tmp_path, "t.json", doc)
+    assert run(["transfer", "--spec", spec, "--samples", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "at least 14" in err
+
+
 def test_frame_domain_error_is_usage_error(tmp_path, capsys):
     doc = {
         "kind": "curve",

@@ -15,6 +15,7 @@ from nullhelix.helix import (
     synthesize,
 )
 from nullhelix.nullframe import NullCurve, build_frame, curvatures_at, frame_field
+from nullhelix.semimetric import MetricField
 
 from conftest import random_helix_spec, uniform_grid
 
@@ -178,6 +179,61 @@ def test_cubic_identity_accepts_trace_input(flat3, c1_spec):
     assert res <= 1e-6
     with pytest.raises(ValueError, match="interior"):
         cubic_identity_residual(trace, None, mid, -5.0)
+
+
+def test_fd_derivative_without_interior_is_empty():
+    assert hx.fd_derivative([], 0.01) == []
+    assert hx.fd_derivative([(0.0, 1.0)] * (2 * hx.FD_RADIUS), 0.01) == []
+    assert len(hx.fd_derivative([(0.0, 1.0)] * (2 * hx.FD_RADIUS + 1), 0.01)) == 1
+
+
+def test_cubic_identity_rejects_short_trace(c1_spec):
+    trace = synthesize(c1_spec, uniform_grid(0.0, 0.09, 10), step=1e-3)
+    assert hx.cubic_residuals_from_trace(trace) == []
+    sample = nf.CurvatureSample(t=0.05, h=0.0, k1=1.0, k2=-0.5)
+    with pytest.raises(ValueError, match="too short for the cubic stencil"):
+        cubic_identity_residual(trace, None, sample, 0.05)
+
+
+def _conformal_metric():
+    e = "exp(0.4*x3)"
+    return MetricField.from_texts(3, [[f"-{e}", "0", "0"], ["0", f"-{e}", "0"],
+                                      ["0", "0", e]])
+
+
+def _sample_results(curve, frame, policy=None):
+    """Every per-sample result the frame and verify commands derive."""
+    t = frame.t
+    cs = curvatures_at(curve, frame, t, policy)
+    return (cs, nf.frenet_residuals(curve, frame, cs, t, policy),
+            metric_identity_suite(curve, frame, cs, t, policy),
+            cubic_identity_residual(curve, frame, cs, t, policy))
+
+
+@pytest.mark.parametrize("conformal", [False, True])
+def test_memoized_bundles_match_a_fresh_curve(flat3, conformal):
+    metric = _conformal_metric() if conformal else flat3
+    texts = ["cos(t)", "sin(t)", "t"]
+    served = NullCurve.position(metric, texts, (0.0, TWO_PI))
+    frames = frame_field(served, uniform_grid(0.0, TWO_PI, 12))
+    for fr in frames[::3]:
+        fresh = NullCurve.position(metric, texts, (0.0, TWO_PI))
+        first = _sample_results(served, fr)
+        assert first == _sample_results(fresh, fr)
+        assert _sample_results(served, fr) == first
+
+
+def test_flipped_frame_leaves_shared_bundle_untouched(c1_curve):
+    t = 1.3
+    frame = build_frame(c1_curve, t)
+    before = _sample_results(c1_curve, frame)
+    # past any k1, orientation falls back to W's first component: here -W
+    flip_policy = nf.ScreenPolicy(orient_tol=10.0)
+    flipped = build_frame(c1_curve, t, flip_policy)
+    assert flipped.w == tuple(-c for c in frame.w)
+    assert curvatures_at(c1_curve, flipped, t, flip_policy).k1 == -before[0].k1
+    _sample_results(c1_curve, flipped, flip_policy)
+    assert _sample_results(c1_curve, frame) == before
 
 
 def test_constancy_report(c1_curve, flat3):

@@ -197,6 +197,22 @@ def test_tangent_mode_positions_match_quadrature(flat3):
         assert p[2] == pytest.approx(t, abs=1e-12)
 
 
+def test_tangent_mode_positions_do_not_depend_on_query_order(flat3, rng):
+    def curve():
+        return NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"],
+                                 (0.1, -0.2, 0.3), (0.0, 3.0))
+
+    # 1.0 is a quadrature node; its neighbouring float is not
+    ts = [2.7, 0.3, 1.0, math.nextafter(1.0, 2.0), 0.0, 2.9995, 1.7, 3.0]
+    alone = {t: curve().position_at(t) for t in ts}
+    shuffled = list(ts)
+    rng.shuffle(shuffled)
+    for order in (ts, sorted(ts), sorted(ts, reverse=True), shuffled):
+        c = curve()
+        for t in order:
+            assert c.position_at(t) == alone[t]
+
+
 def test_policy_names_roundtrip():
     pol = ScreenPolicy.from_names("e1,e3,e2")
     assert pol.seeds == (0, 2, 1)
