@@ -8,10 +8,11 @@ verify       cubic + metric identity suites on a closed-form/tangent curve
 submanifold  fundamental forms, classification residuals and diagnostics
 transfer     push an intrinsic helix through an immersion and re-measure it
 
-Reports are deterministic JSON (byte-identical for identical spec + flags);
-traces can additionally be written as CSV.  Exit codes: 0 all residuals within
-tolerance, 1 residual failure, 2 usage or spec error (including expression
-domain errors, Gram-drift aborts and grids too short for the stencils).
+Reports are deterministic, strict JSON (byte-identical for identical spec +
+flags; undefined values are null, never NaN); traces can additionally be
+written as CSV.  Exit codes: 0 all residuals within tolerance, 1 residual
+failure, 2 usage or spec error (including expression domain errors, Gram-drift
+aborts, grids too short for the stencils and non-finite results).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import nullframe as nfmod
 from . import semimetric, submanifold
 from .nullframe import NullCurve, ScreenPolicy
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 DEFAULT_TOL = {
     "frame_gram": 1e-9,
@@ -241,7 +242,7 @@ def _grid(domain, samples: int):
 
 
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -353,17 +354,18 @@ def _cmd_synth(doc: SpecDocument, args) -> int:
                                 project_every=cfg["project_every"],
                                 drift_limit=cfg["drift_limit"])
     reports = helixmod.identity_reports_from_trace(trace)
-    cubics = dict(helixmod.cubic_residuals_from_trace(trace))
+    cubics = {r.t: r.cubic_residual for r in reports if r.cubic_residual is not None}
     rows = []
     for i, t in enumerate(trace.times):
         rows.append({
             "t": t, "point": list(trace.points[i]), "zeta": list(trace.zetas[i]),
             "n": list(trace.ns[i]), "w": list(trace.ws[i]),
             "gram_drift": trace.gram_drift[i], "err_est": trace.err_est[i],
-            "cubic_residual": cubics.get(t, math.nan),
+            "cubic_residual": cubics.get(t),
         })
-    max_dev = max(max(r.deviations) for r in reports) if reports else math.nan
-    max_cubic = max(cubics.values()) if cubics else math.nan
+    # the grid check above guarantees at least one cubic residual
+    max_dev = max(max(r.deviations) for r in reports)
+    max_cubic = max(cubics.values())
     ok = max_dev <= cfg["tol"] and max_cubic <= cfg["tol"]
     summary = {
         "pass": ok,
@@ -380,7 +382,7 @@ def _cmd_synth(doc: SpecDocument, args) -> int:
                   "cubic_residual"]
         _write_csv(args.csv, header, [
             [r["t"], *r["point"], *r["zeta"], *r["n"], *r["w"],
-             r["gram_drift"], r["cubic_residual"]]
+             r["gram_drift"], cubics.get(r["t"], math.nan)]
             for r in rows
         ])
     return 0 if ok else 1
@@ -485,7 +487,9 @@ def _cmd_transfer(doc: SpecDocument, args) -> int:
     spec, domain, step = _build_helix_spec(doc, cfg)
     F = doc.payload["immersion"]
     grid = _grid(domain, cfg["samples"])
-    rep = submanifold.helix_transfer(F, spec, grid, step, policy=policy)
+    rep = submanifold.helix_transfer(F, spec, grid, step, policy=policy,
+                                     project_every=cfg["project_every"],
+                                     drift_limit=cfg["drift_limit"])
     rows = [
         {"t": rep.times[i], "h": rep.h[i], "k1": rep.k1[i], "k2": rep.k2[i]}
         for i in range(len(rep.times))

@@ -19,14 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import semimetric
 from .jets import const_term
 from .nullframe import (
     CurvatureSample,
     NullCurve,
     NullFrame,
     ScreenPolicy,
+    continuity_signs,
     euclid_norm,
+    first_generic_sign,
+    null_transversal,
+    screen_vector,
     _aligned_frame_jets,
     _frame_jets,
 )
@@ -218,7 +221,8 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Cubic residual plus the four metric scalars against their targets."""
+    """Cubic residual (None where a trace's cubic stencils do not reach) plus
+    the four metric scalars against their targets."""
 
     t: float
     cubic_residual: float
@@ -403,60 +407,28 @@ def extract_curvatures(trace: HelixTrace, policy: ScreenPolicy | None = None,
             t=times[i], h=h, k1=k1, k2=k2,
             geodesic_type=abs(k1) < 1e-9,
         ))
-    if reseed:
-        # orientation rule: k1 >= 0 at the first generic sample
-        for s in samples:
-            if abs(s.k1) > policy.orient_tol:
-                if s.k1 < 0.0:
-                    samples = [
-                        CurvatureSample(t=x.t, h=x.h, k1=-x.k1, k2=-x.k2,
-                                        geodesic_type=x.geodesic_type)
-                        for x in samples
-                    ]
-                break
+    # orientation rule: k1 >= 0 at the first generic sample
+    if reseed and first_generic_sign((s.k1 for s in samples), policy.orient_tol) == -1:
+        samples = [
+            CurvatureSample(t=x.t, h=x.h, k1=-x.k1, k2=-x.k2,
+                            geodesic_type=x.geodesic_type)
+            for x in samples
+        ]
     return samples
 
 
 def _reseeded_frames(metric: SemiMetric, points, zetas, policy: ScreenPolicy):
-    """Rebuild N, W per sample from the tangent alone (policy construction)."""
-    from . import nullframe as nfmod
-
+    """Rebuild N, W per sample from the tangent alone (policy construction),
+    with W's sign made continuous along the samples."""
+    seeds = policy.seed_indices(3)
     ns, ws = [], []
     for p, z in zip(points, zetas):
         g = metric.matrix_at(p)
-        gz = semimetric.mat_vec(g, list(z))
-        seed = None
-        for idx in policy.seed_indices(3):
-            if abs(gz[idx]) > nfmod.SEED_TOL:
-                seed = idx
-                break
-        if seed is None:
-            raise nfmod.NoUsableSeedError("no usable screen seed along trace")
-        phi = gz[seed]
-        ntilde = [(1.0 if i == seed else 0.0) / phi for i in range(3)]
-        nn = bilinear(g, ntilde, ntilde)
-        n = [ntilde[i] - 0.5 * nn * z[i] for i in range(3)]
-        gn = semimetric.mat_vec(g, n)
-        w = [
-            gz[1] * gn[2] - gz[2] * gn[1],
-            gz[2] * gn[0] - gz[0] * gn[2],
-            gz[0] * gn[1] - gz[1] * gn[0],
-        ]
-        w2 = -bilinear(g, w, w)
-        if w2 <= 0.0:
-            raise nfmod.ScreenSignatureError("screen not timelike along trace")
-        scale = 1.0 / math.sqrt(w2)
-        w = [c * scale for c in w]
+        _, gz, n = null_transversal(g, z, seeds, "along the trace")
         ns.append(tuple(n))
-        ws.append(tuple(w))
-    # continuity of the screen direction, then orientation by first sample
-    sign = 1.0
-    out_ws = [ws[0]]
-    for prev, cur in zip(ws, ws[1:]):
-        if sum(a * b for a, b in zip(prev, cur)) < 0.0:
-            sign = -sign
-        out_ws.append(tuple(sign * c for c in cur))
-    return ns, out_ws
+        ws.append(screen_vector(g, gz, n, "along the trace"))
+    signs = continuity_signs(ws)
+    return ns, [tuple(sign * c for c in w) for sign, w in zip(signs, ws)]
 
 
 def cubic_residuals_from_trace(trace: HelixTrace, factor: float | None = None):
@@ -516,7 +488,7 @@ def identity_reports_from_trace(trace: HelixTrace):
         )
         reports.append(IdentityReport(
             t=sample.t,
-            cubic_residual=cubics.get(sample.t, math.nan),
+            cubic_residual=cubics.get(sample.t),
             scalars=scalars,
             targets=targets,
             deviations=tuple(abs(s - t_) for s, t_ in zip(scalars, targets)),

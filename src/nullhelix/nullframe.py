@@ -13,9 +13,14 @@ curvature functions follow from the frame equations:
 
     h  =  g(cov zeta, N),    k1 = -g(cov zeta, W),    k2 = -g(cov N, W),
 
-where cov is the covariant derivative along the curve.  All frame algebra is
-performed on jets, so the same construction yields the frame's own derivatives
-in the curve parameter.
+where cov is the covariant derivative along the curve.  The seed/N step
+(``null_transversal``), the 3D W step (``screen_vector``), the sign-continuity
+rule and the orientation rule (k1 >= 0 at the first generic sample) exist once,
+here, over duck-typed scalars: curves run them on jets, so the construction
+yields the frame's own t-derivatives; helix traces and transfer run them on
+floats.  Transfer's ambient frames extend the seed order with the unused axes
+and take W from the acceleration's screen part, the only W rule above
+dimension 3.
 """
 
 from __future__ import annotations
@@ -248,6 +253,64 @@ def _cross(a, b):
     ]
 
 
+# -- the screen construction, shared by curves, traces and transfer -------------
+
+# -g(W, W) of the raw 3D screen vector must exceed this for W to be timelike
+SCREEN_TOL = 1e-18
+
+
+def null_transversal(g, zeta, seeds, where: str):
+    """``(i, g.zeta, N)`` for the first seed axis e_i in ``seeds`` with
+    |g(zeta, e_i)| > SEED_TOL, in any dimension; ``where`` locates the sample
+    in the error message."""
+    gz = mat_vec(g, zeta)
+    for idx in seeds:
+        if abs(const_term(gz[idx])) > SEED_TOL:
+            break
+    else:
+        raise NoUsableSeedError(
+            f"no policy seed with |g(zeta, e_i)| > {SEED_TOL} {where}"
+        )
+    phi = gz[idx]
+    dim = len(zeta)
+    ntilde = [(1.0 if i == idx else 0.0) / phi for i in range(dim)]
+    nn = bilinear(g, ntilde, ntilde)
+    return idx, gz, [ntilde[i] - 0.5 * nn * zeta[i] for i in range(dim)]
+
+
+def screen_vector(g, gz, n_vec, where: str):
+    """The 3D screen vector W: g.zeta x g.N, normalised to g(W, W) = -1."""
+    w_raw = _cross(gz, mat_vec(g, n_vec))
+    w2 = -bilinear(g, w_raw, w_raw)
+    if const_term(w2) <= SCREEN_TOL:
+        raise ScreenSignatureError(
+            f"screen complement not timelike {where}: metric is not index 2"
+        )
+    scale = jets.sqrt(w2)
+    return [c / scale for c in w_raw]
+
+
+def continuity_signs(ws):
+    """Per-sample signs, starting at +1, that undo W's flips between neighbours."""
+    signs = [1.0]
+    for prev, cur in zip(ws, ws[1:]):
+        dot = sum(const_term(a) * const_term(b) for a, b in zip(prev, cur))
+        signs.append(signs[-1] if dot >= 0.0 else -signs[-1])
+    return signs
+
+
+def first_generic_sign(values, tol: float):
+    """Sign of the first value with |value| > tol, or None if there is none.
+
+    Applied to the k1 values along a curve, this is the orientation rule:
+    flipping W by it makes k1 >= 0 at the first generic sample.
+    """
+    for v in values:
+        if abs(v) > tol:
+            return -1.0 if v < 0.0 else 1.0
+    return None
+
+
 class _FrameJets:
     """Jet-valued frame data at one parameter value (internal).
 
@@ -321,42 +384,17 @@ def _build_frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _Fram
     znorm = sum(const_term(z) ** 2 for z in zeta)
     if znorm < 1e-24:
         raise ValueError(f"vanishing tangent at t = {t}")
-    gz = mat_vec(gmat, zeta)
-    seed_index = None
-    for idx in policy.seed_indices(3):
-        if abs(const_term(gz[idx])) > SEED_TOL:
-            seed_index = idx
-            break
-    if seed_index is None:
-        raise NoUsableSeedError(
-            f"no policy seed with |g(zeta, e_i)| > {SEED_TOL} at t = {t}"
-        )
-    phi = gz[seed_index]
-    ntilde = [(1.0 if i == seed_index else 0.0) / phi for i in range(3)]
-    nn = bilinear(gmat, ntilde, ntilde)
-    n_vec = [ntilde[i] - 0.5 * nn * zeta[i] for i in range(3)]
-    gn = mat_vec(gmat, n_vec)
-    w_raw = _cross(gz, gn)
-    w2 = -bilinear(gmat, w_raw, w_raw)
-    if const_term(w2) <= 1e-18:
-        raise ScreenSignatureError(
-            f"screen complement not timelike at t = {t}: metric is not index 2"
-        )
-    scale = jets.sqrt(w2)
-    w_vec = [w_raw[i] / scale for i in range(3)]
+    where = f"at t = {t}"
+    seed_index, gz, n_vec = null_transversal(gmat, zeta, policy.seed_indices(3), where)
+    w_vec = screen_vector(gmat, gz, n_vec, where)
     return _FrameJets(t, pos, zeta, n_vec, w_vec, gmat, seed_index, curve.metric)
 
 
 def _orientation(fj: _FrameJets, policy: ScreenPolicy) -> float:
     """Sign making k1 >= 0, or else W's first significant component positive."""
-    k1 = fj.raw_k1()
-    if abs(k1) > policy.orient_tol:
-        return -1.0 if k1 < 0.0 else 1.0
-    for c in fj.w:
-        v = const_term(c)
-        if abs(v) > 1e-9:
-            return -1.0 if v < 0.0 else 1.0
-    return 1.0
+    return (first_generic_sign([fj.raw_k1()], policy.orient_tol)
+            or first_generic_sign([const_term(c) for c in fj.w], 1e-9)
+            or 1.0)
 
 
 def build_frame(curve: NullCurve, t: float, policy: ScreenPolicy | None = None,
@@ -379,23 +417,13 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None,
     if not grid:
         return []
     states = [_frame_jets(curve, t, policy) for t in grid]
-    # continuity: undo sign flips of W between neighbours
-    signs = [1.0]
-    for prev, cur in zip(states, states[1:]):
-        rawdot = sum(
-            const_term(a) * const_term(b) for a, b in zip(prev.w, cur.w)
-        )
-        signs.append(signs[-1] if rawdot >= 0.0 else -signs[-1])
+    signs = continuity_signs([st.w for st in states])
     # global orientation: k1 >= 0 at the first generic sample, else the
     # single-sample rule at the first sample (whose sign is still +1)
-    for st, sign in zip(states, signs):
-        k1 = sign * st.raw_k1()
-        if abs(k1) > policy.orient_tol:
-            flip = k1 < 0.0
-            break
-    else:
-        flip = _orientation(states[0], policy) < 0.0
-    if flip:
+    k1s = (sign * st.raw_k1() for st, sign in zip(states, signs))
+    orient = (first_generic_sign(k1s, policy.orient_tol)
+              or _orientation(states[0], policy))
+    if orient < 0.0:
         signs = [-sign for sign in signs]
     frames = [st.frame(sign) for st, sign in zip(states, signs)]
     for a, b in zip(frames, frames[1:]):

@@ -22,7 +22,7 @@ from . import helix as helixmod
 from . import jets, semimetric
 from .exprparse import parse
 from .jets import Jet, const_term
-from .nullframe import ScreenPolicy, euclid_norm
+from .nullframe import ScreenPolicy, continuity_signs, euclid_norm, null_transversal
 from .semimetric import SemiMetric, bilinear, mat_det, mat_inverse, mat_vec
 
 RANK_TOL = 1e-9
@@ -707,10 +707,12 @@ class TransferReport:
 def _ambient_frames(metric: SemiMetric, points, zetas, czetas, policy: ScreenPolicy):
     """Seed-built transversal and first-normal screen direction per sample.
 
-    N comes from the first usable policy seed.  W is the screen projection of
-    the acceleration, normalised to g(W, W) = -1; where the acceleration's
-    screen part degenerates, the next unused policy seed is projected instead.
-    Sign continuity along the samples is restored afterwards.
+    N is ``nullframe.null_transversal`` over the policy seeds followed by the
+    axes the policy leaves out.  W is the screen projection of the
+    acceleration, normalised to g(W, W) = -1; where the acceleration's screen
+    part degenerates, a seed axis is projected instead.  This W rule is the
+    only one for ambient dimensions above 3.  Sign continuity along the
+    samples is restored by ``nullframe.continuity_signs``.
     """
     n = metric.dim
     seed_order = policy.seed_indices(n)
@@ -718,18 +720,7 @@ def _ambient_frames(metric: SemiMetric, points, zetas, czetas, policy: ScreenPol
     ns, ws = [], []
     for p, z, cz in zip(points, zetas, czetas):
         g = metric.matrix_at(p)
-        gz = mat_vec(g, list(z))
-        seed = None
-        for idx in seed_order:
-            if abs(gz[idx]) > 1e-8:
-                seed = idx
-                break
-        if seed is None:
-            raise ValueError("no usable transversal seed along the ambient curve")
-        phi = gz[seed]
-        ntilde = [(1.0 if i == seed else 0.0) / phi for i in range(n)]
-        nn = bilinear(g, ntilde, ntilde)
-        nv = [ntilde[i] - 0.5 * nn * z[i] for i in range(n)]
+        _, _, nv = null_transversal(g, z, seed_order, "along the ambient curve")
         w = None
         cand = list(cz)
         for attempt in range(n + 1):
@@ -750,25 +741,22 @@ def _ambient_frames(metric: SemiMetric, points, zetas, czetas, policy: ScreenPol
             raise ValueError("no timelike screen direction along the ambient curve")
         ns.append(tuple(nv))
         ws.append(tuple(w))
-    sign = 1.0
-    out_ws = [ws[0]]
-    for prev, cur in zip(ws, ws[1:]):
-        if sum(a * b for a, b in zip(prev, cur)) < 0.0:
-            sign = -sign
-        out_ws.append(tuple(sign * c for c in cur))
-    return ns, out_ws
+    signs = continuity_signs(ws)
+    return ns, [tuple(sign * c for c in w) for sign, w in zip(signs, ws)]
 
 
 def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
                    policy: ScreenPolicy | None = None,
-                   isometry_tol: float = 1e-6) -> TransferReport:
+                   isometry_tol: float = 1e-6, project_every: int = 0,
+                   drift_limit: float = helixmod.DRIFT_LIMIT) -> TransferReport:
     """Push an intrinsic helix into the ambient chart and re-measure it there.
 
     The helix is synthesized on its own (intrinsic) metric, which is checked
     against the pullback of the immersion along the curve; the pushed-forward
     curve is framed in the ambient chart with the ambient screen policy, and
     the per-sample ambient curvature functions plus the immersion's geodesic
-    residual are reported.
+    residual are reported.  ``project_every`` and ``drift_limit`` go to
+    ``helix.synthesize``.
     """
     policy = policy or ScreenPolicy()
     if F.m != 3:
@@ -781,7 +769,8 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
             f"{helixmod.FD_SPACING}; the two chained 7-point stencils need at "
             f"least {TRANSFER_MIN_SAMPLES}"
         )
-    trace = helixmod.synthesize(spec, grid, step)
+    trace = helixmod.synthesize(spec, grid, step, project_every=project_every,
+                                drift_limit=drift_limit)
     pull = PullbackMetric(F)
     stride, dt = helixmod.decimation(trace.times)
 
@@ -803,7 +792,6 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
         raise ValueError(f"induced metric has index {idx0} along the curve, need 2")
 
     amb = F.ambient
-    n = amb.dim
     # the ambient frames are measured at the same decimated spacing as the
     # intrinsic trace extraction (stencil noise scales with frame/spacing)
     times_d = trace.times[::stride]
@@ -826,16 +814,7 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     inner_pts = points[r:-r]
     inner_z = zetas[r:-r]
     ns, ws = _ambient_frames(amb, inner_pts, inner_z, cz_seq, policy)
-    cn_seq = helixmod.fd_derivative(ns, dt)
-    if not amb.is_constant:
-        for k, dn in enumerate(cn_seq):
-            gamma = amb.christoffel(list(inner_pts[k + r]))
-            z, nv = inner_z[k + r], ns[k + r]
-            cn_seq[k] = tuple(
-                dn[a] + sum(gamma[a][b][c] * z[b] * nv[c]
-                            for b in range(n) for c in range(n))
-                for a in range(n)
-            )
+    cn_seq = helixmod._covariant_sequence(amb, inner_pts, inner_z, ns, dt)
 
     times, hs, k1s, k2s = [], [], [], []
     for k in range(len(cn_seq)):

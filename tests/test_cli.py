@@ -101,7 +101,7 @@ def test_verify_exit_zero_and_values(tmp_path, capsys):
     code = run(["verify", "--spec", spec, "--tol", "1e-8", "--out", out])
     assert code == 0
     rep = json.loads(open(out).read())
-    assert rep["format_version"] == 1
+    assert rep["format_version"] == 2
     assert rep["summary"]["pass"] is True
     row = rep["rows"][0]
     assert row["h"] == pytest.approx(0.0, abs=1e-12)
@@ -143,6 +143,14 @@ def test_synth_drift_abort_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Gram drift" in err
+
+
+def test_transfer_drift_abort_is_usage_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(TRANSFER_DOC))
+    doc["config"] = {"drift_limit": 1e-30}
+    spec = _write(tmp_path, "t.json", doc)
+    assert run(["transfer", "--spec", spec]) == 2
+    assert capsys.readouterr().err.startswith("error: Gram drift")
 
 
 def test_transfer_grid_too_short_is_usage_error(tmp_path, capsys):
@@ -286,6 +294,27 @@ def test_synth_project_flag(tmp_path):
     assert code == 0
     rep = json.loads(open(out).read())
     assert rep["config"]["project_every"] == 100
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_reports_are_strict_json(tmp_path):
+    reports = {}
+    for command, doc in (("frame", C1_DOC), ("synth", HELIX_DOC),
+                         ("transfer", TRANSFER_DOC)):
+        spec = _write(tmp_path, f"{command}.json", doc)
+        out = tmp_path / f"{command}-report.json"
+        assert run([command, "--spec", spec, "--samples", "201",
+                    "--out", str(out)]) == 0
+        reports[command] = json.loads(out.read_text(),
+                                      parse_constant=_reject_constant)
+        assert reports[command]["format_version"] == 2
+    # the cubic stencils do not reach a synth trace's edge samples
+    cubic = [row["cubic_residual"] for row in reports["synth"]["rows"]]
+    assert cubic[0] is None and cubic[-1] is None
+    assert isinstance(cubic[100], float)
 
 
 def test_reports_are_byte_identical(tmp_path):

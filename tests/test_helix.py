@@ -14,6 +14,7 @@ from nullhelix.helix import (
     metric_identity_suite,
     synthesize,
 )
+from nullhelix.jets import const_term
 from nullhelix.nullframe import NullCurve, build_frame, curvatures_at, frame_field
 from nullhelix.semimetric import MetricField
 
@@ -234,6 +235,23 @@ def test_flipped_frame_leaves_shared_bundle_untouched(c1_curve):
     assert curvatures_at(c1_curve, flipped, t, flip_policy).k1 == -before[0].k1
     _sample_results(c1_curve, flipped, flip_policy)
     assert _sample_results(c1_curve, frame) == before
+
+
+@pytest.mark.parametrize("conformal", [False, True])
+def test_reseeded_trace_frames_match_curve_frame_jets(flat3, conformal):
+    """Floats and jets run one construction: re-seeding the C1 curve's own
+    samples gives the constant terms of its frame bundles' N and W."""
+    metric = _conformal_metric() if conformal else flat3
+    curve = NullCurve.position(metric, ["cos(t)", "sin(t)", "t"], (0.0, TWO_PI))
+    policy = nf.ScreenPolicy()
+    bundles = [nf._frame_jets(curve, t, policy) for t in uniform_grid(0.0, TWO_PI, 25)]
+    points = [tuple(const_term(c) for c in fj.pos) for fj in bundles]
+    zetas = [tuple(const_term(c) for c in fj.zeta) for fj in bundles]
+    ns, ws = hx._reseeded_frames(metric, points, zetas, policy)
+    signs = nf.continuity_signs([fj.w for fj in bundles])
+    for fj, sign, n, w in zip(bundles, signs, ns, ws):
+        assert n == pytest.approx(tuple(const_term(c) for c in fj.n), abs=1e-12)
+        assert w == pytest.approx(tuple(sign * const_term(c) for c in fj.w), abs=1e-12)
 
 
 def test_constancy_report(c1_curve, flat3):
