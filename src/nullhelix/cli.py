@@ -85,14 +85,43 @@ def _domain(obj, where):
     return (lo, hi)
 
 
-_CONFIG_KEYS = ("tol", "step", "samples", "project_every", "seed_order",
-                "gram_tol", "quad_step", "drift_limit")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """A number, not a bool, whose value is a finite float."""
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):
+        return False
+
+
+_NON_NEGATIVE = (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
+_POSITIVE = (lambda v: _is_finite(v) and v > 0, "a positive finite number")
+# config key -> (rule, what the rule asks for); values are checked, never coerced
+_CONFIG_RULES = {
+    "tol": _NON_NEGATIVE,
+    "gram_tol": _NON_NEGATIVE,
+    "step": (lambda v: v is None or (_is_finite(v) and v > 0),
+             "null or a positive finite number"),
+    "samples": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "project_every": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "seed_order": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                   "a list of strings"),
+    "quad_step": _POSITIVE,
+    "drift_limit": _POSITIVE,
+}
 
 
 def _config(obj) -> dict:
     if obj is None:
         return {}
-    _check_keys(obj, (), _CONFIG_KEYS, where="config")
+    _check_keys(obj, (), _CONFIG_RULES, where="config")
+    for key, value in obj.items():
+        rule, wanted = _CONFIG_RULES[key]
+        if not rule(value):
+            raise SpecError(f"config.{key} must be {wanted}, got {json.dumps(value)}")
     return dict(obj)
 
 

@@ -165,6 +165,9 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
         raise ValueError("grid must contain at least one sample")
     if step <= 0.0:
         raise ValueError("step must be positive")
+    if isinstance(project_every, bool) or not isinstance(project_every, int) \
+            or project_every < 0:
+        raise ValueError(f"project_every must be an integer >= 0, got {project_every!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     metric = spec.metric

@@ -151,6 +151,8 @@ class NullCurve:
         self.domain = (t0, t1)
         self.initial = None if initial is None else tuple(float(c) for c in initial)
         self.quad_step = float(quad_step)
+        if not self.quad_step > 0.0:
+            raise ValueError(f"quad_step must be positive, got {quad_step!r}")
         self._pos_cache: dict = {}
         self._nodes: list = []  # (t_k, position, tangent) at t0 + k * quad_step
         self._bundles: dict = {}

@@ -222,6 +222,12 @@ class MetricField(SemiMetric):
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise ValueError("entries must form a dim x dim matrix")
         for i in range(dim):
+            for j in range(dim):
+                if not isinstance(rows[i][j], str):
+                    raise ValueError(
+                        f"metric entry ({i + 1},{j + 1}) must be an expression string"
+                    )
+        for i in range(dim):
             for j in range(i + 1, dim):
                 if rows[i][j].strip() != rows[j][i].strip():
                     raise ValueError(f"metric not symmetric at ({i + 1},{j + 1})")
@@ -240,6 +246,8 @@ class MetricField(SemiMetric):
         if not isinstance(dim, int):
             raise ValueError("'dim' must be an integer")
         spec = doc["metric"]
+        if not isinstance(spec, dict):
+            raise ValueError("'metric' must be an object with a 'type' field")
         kind = spec.get("type")
         if kind == "diag":
             if set(spec) != {"type", "signs"}:

@@ -9,21 +9,31 @@ frame.  Every construction here is written over duck-typed scalars, so
 evaluating along a jet-seeded ray yields the derivative of the construction
 itself -- that is how the covariant derivatives of B, of the shape operator
 and of H are obtained without finite differences.
+
+All forms read one memoized bundle per chart point and per jet ray
+(``_Point``): f(u), T, S, the ambient metric and connection, the induced
+metric and its inverse, the +-1 normals, the orthonormal tangent frame and the
+intrinsic connection, each computed once, on first use.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
+import weakref
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
 from . import helix as helixmod
 from . import jets, semimetric
-from .exprparse import parse
+from .exprparse import _eval, parse
 from .jets import Jet, const_term
 from .nullframe import ScreenPolicy, continuity_signs, euclid_norm, null_transversal
-from .semimetric import SemiMetric, bilinear, mat_det, mat_inverse, mat_vec
+from .semimetric import (SemiMetric, _deriv_part, bilinear, mat_det, mat_inverse,
+                         mat_vec)
 
 RANK_TOL = 1e-9
 NORMAL_TOL = 1e-10
@@ -41,10 +51,6 @@ class DegenerateNormalError(ValueError):
     """The normal space is degenerate; no +-1 orthonormal basis exists."""
 
 
-def _deriv_part(v):
-    return v.coeffs[1] if isinstance(v, Jet) else 0.0
-
-
 class Immersion:
     """Parametrized submanifold f: u-chart -> ambient chart."""
 
@@ -59,11 +65,16 @@ class Immersion:
         if len(self.components) != ambient.dim:
             raise ValueError("map needs one component per ambient coordinate")
         self._uvars = tuple(f"u{i + 1}" for i in range(intrinsic_dim))
+        self._points: dict = {}  # memo key -> _Point, see _point
 
     @classmethod
     def from_texts(cls, intrinsic_dim: int, ambient: SemiMetric, texts) -> "Immersion":
         allowed = frozenset(f"u{i + 1}" for i in range(intrinsic_dim))
-        comps = [parse(s, variables=allowed) for s in texts]
+        comps = []
+        for i, s in enumerate(texts):
+            if not isinstance(s, str):
+                raise ValueError(f"map[{i}] must be an expression string")
+            comps.append(parse(s, variables=allowed))
         return cls(intrinsic_dim, ambient, comps)
 
     @classmethod
@@ -79,7 +90,7 @@ class Immersion:
 
     def map_values(self, u):
         env = dict(zip(self._uvars, u))
-        return [eval_as_scalar(c, env) for c in self.components]
+        return [_eval(c, env) for c in self.components]
 
     def tangent_values(self, u):
         """Rows T[a] = d f / d u_a, evaluated over duck coordinates."""
@@ -87,27 +98,12 @@ class Immersion:
         for a in range(self.m):
             seeded = [Jet((u[b], 1.0 if b == a else 0.0)) for b in range(self.m)]
             env = dict(zip(self._uvars, seeded))
-            rows.append([_deriv_part(eval_as_scalar(c, env)) for c in self.components])
+            rows.append([_deriv_part(_eval(c, env)) for c in self.components])
         return rows
 
     def second_values(self, u):
         """S[a][b] = d^2 f / du_a du_b (nested jet seeding, symmetric slots)."""
-        m = self.m
-        out = [[None] * m for _ in range(m)]
-        for b in range(m):
-            seeded = [Jet((u[c], 1.0 if c == b else 0.0)) for c in range(m)]
-            rows = self.tangent_values(seeded)
-            for a in range(m):
-                col = [_deriv_part(v) for v in rows[a]]
-                out[a][b] = col
-        return out
-
-
-def eval_as_scalar(expr, env):
-    """Expression evaluation that may return a bare float for constants."""
-    from .exprparse import _eval
-
-    return _eval(expr, env)
+        return [[list(col) for col in row] for row in _point(self, u).S]
 
 
 class PullbackMetric(SemiMetric):
@@ -119,33 +115,196 @@ class PullbackMetric(SemiMetric):
         self.is_constant = False
 
     def entry_values(self, coords):
-        F = self.immersion
-        T = F.tangent_values(coords)
-        amb = F.ambient.entry_values(F.map_values(coords))
-        m, n = F.m, F.ambient.dim
-        g = [[None] * m for _ in range(m)]
-        for a in range(m):
-            for b in range(a, m):
-                acc = None
-                for k in range(n):
-                    for l in range(n):
-                        term = amb[k][l] * T[a][k] * T[b][l]
-                        acc = term if acc is None else acc + term
-                g[a][b] = acc
-                g[b][a] = acc
-        return g
+        return [list(row) for row in _point(self.immersion, coords).g]
 
 
 def pullback_metric(immersion: Immersion) -> PullbackMetric:
     return PullbackMetric(immersion)
 
 
+# -- the point bundle -----------------------------------------------------------
+
+
+def _unit(c: int, n: int):
+    return [1.0 if k == c else 0.0 for k in range(n)]
+
+
+def _unit_basis(g, count: int, tol: float, project=list):
+    """+-1 Gram-Schmidt in g over the projected coordinate axes, in order: up to
+    ``count`` (vector, g(vector, vector)) pairs, skipping vanishing or null
+    remainders; pivots use constant parts, so a jet ray keeps its base's."""
+    accepted = []
+    for c in range(len(g)):
+        if len(accepted) == count:
+            break
+        r = project(_unit(c, len(g)))
+        for vec, sign in accepted:
+            proj = bilinear(g, r, vec)
+            r = [r[k] - sign * proj * vec[k] for k in range(len(r))]
+        size = sum(const_term(x) ** 2 for x in r)
+        if size <= 1e-18:
+            continue  # the axis lies in the span already handled
+        nu = bilinear(g, r, r)
+        nu0 = const_term(nu)
+        if abs(nu0) <= tol * max(1.0, size):
+            continue  # null remainder: unusable for a +-1 basis
+        sign = 1.0 if nu0 > 0.0 else -1.0
+        scale = jets.sqrt(sign * nu)
+        accepted.append((tuple(x / scale for x in r), sign))
+    return accepted
+
+
+class _Point:
+    """Pointwise data of an immersion at u (floats, or jets along a ray), each
+    piece computed on first use.  Bundles are shared: nothing read from one is
+    written to, and public functions return copies."""
+
+    def __init__(self, F: Immersion, u):
+        # weak: F holds its bundles, so a strong reference back would make a
+        # cycle that outlives each run until the cyclic collector finds it
+        self._F = weakref.ref(F)
+        self.u = list(u)
+
+    @property
+    def F(self) -> Immersion:
+        return self._F()
+
+    @cached_property
+    def f(self):
+        return self.F.map_values(self.u)
+
+    @cached_property
+    def T(self):
+        return self.F.tangent_values(self.u)
+
+    @cached_property
+    def S(self):
+        """S[a][b] = d^2 f / du_a du_b: T[a] differentiated along the b-th axis."""
+        m = self.F.m
+        return [[_along(self, _unit(b, m), lambda q: q.T[a])[0] for b in range(m)]
+                for a in range(m)]
+
+    @cached_property
+    def amb(self):
+        """Ambient metric entries at f(u)."""
+        return self.F.ambient.entry_values(self.f)
+
+    @cached_property
+    def g(self):
+        """Induced metric g_ab = amb(T_a, T_b), summed as PullbackMetric sums it."""
+        amb, T = self.amb, self.T
+        m, n = self.F.m, self.F.ambient.dim
+        g = [[None] * m for _ in range(m)]
+        for a in range(m):
+            for b in range(a, m):
+                g[a][b] = g[b][a] = reduce(operator.add, (
+                    amb[k][l] * T[a][k] * T[b][l] for k in range(n) for l in range(n)))
+        return g
+
+    @cached_property
+    def g_inv(self):
+        """Inverse of the induced metric summed by ``bilinear`` (last bits may
+        differ from ``g``, so the projections keep this order)."""
+        m = self.F.m
+        gt = [[bilinear(self.amb, self.T[a], self.T[b]) for b in range(m)]
+              for a in range(m)]
+        det = mat_det(gt)
+        if abs(const_term(det)) <= semimetric.DET_TOL:
+            raise semimetric.DegenerateMetricError(
+                "induced metric degenerate; tangent projection undefined"
+            )
+        return mat_inverse(gt, det)
+
+    @cached_property
+    def normals(self):
+        """(vector, sign) pairs: a +-1 orthonormal basis of the normal space."""
+        m, n = self.F.m, self.F.ambient.dim
+        self.g_inv  # a degenerate induced metric fails first, even with p = 0
+
+        def normal_part(r):
+            coef = _tangential_coords(self, r)
+            for a in range(m):
+                r = [r[k] - coef[a] * self.T[a][k] for k in range(n)]
+            return r
+
+        normals = _unit_basis(self.amb, n - m, NORMAL_TOL, normal_part)
+        if len(normals) < n - m:
+            raise DegenerateNormalError(
+                f"normal space degenerate at {tuple(const_term(x) for x in self.u)}: "
+                f"found {len(normals)} of {n - m} unit normals"
+            )
+        return normals
+
+    @cached_property
+    def frame(self):
+        """(vector, sign) pairs: an orthonormal frame of the induced metric."""
+        frame = _unit_basis(self.g, self.F.m, FRAME_PIVOT_TOL)
+        if len(frame) < self.F.m:
+            raise semimetric.DegenerateMetricError(
+                "tangent frame cannot be orthonormalized (degenerate or null pivots)"
+            )
+        return frame
+
+    @cached_property
+    def christoffel(self):
+        """Connection coefficients of the induced metric at u."""
+        return PullbackMetric(self.F).christoffel(self.u)
+
+    @cached_property
+    def ambient_christoffel(self):
+        return self.F.ambient.christoffel(list(self.f))
+
+    def gamma_term(self, a, b):
+        """Ambient connection term G^k_ij a^i b^j at f(u); zero on constant charts."""
+        n = self.F.ambient.dim
+        if self.F.ambient.is_constant:
+            return [0.0] * n
+        gamma = self.ambient_christoffel
+        return [
+            sum(gamma[k][i][j] * a[i] * b[j] for i in range(n) for j in range(n))
+            for k in range(n)
+        ]
+
+
+def _point(F: Immersion, u) -> _Point:
+    """The bundle at u, memoized on F at float points and first-order jet rays
+    over floats, keyed by the floats' bytes (so -0.0 and 0.0 stay apart)."""
+    flat = u
+    if all(type(c) is Jet and len(c.coeffs) == 2 for c in u):
+        flat = [v for c in u for v in c.coeffs]
+    if len(u) != F.m or not all(type(v) is float for v in flat):
+        return _Point(F, u)
+    key = struct.pack(f"{len(flat)}d", *flat)
+    pt = F._points.get(key)
+    if pt is None:
+        pt = F._points[key] = _Point(F, u)
+    return pt
+
+
+def _at(F: Immersion, u) -> _Point:
+    """The bundle at the float point u."""
+    return _point(F, [float(c) for c in u])
+
+
+def _along(pt: _Point, x, field):
+    """(derivative, base value) of ``field``, a map from bundles to duck
+    components, on the jet ray through pt along x; the base keeps pt's nesting."""
+    vals = field(_point(pt.F, [Jet((pt.u[b], x[b])) for b in range(len(pt.u))]))
+    return ([_deriv_part(c) for c in vals],
+            [c.coeffs[0] if isinstance(c, Jet) else c for c in vals])
+
+
+def _checked(F: Immersion, u) -> _Point:
+    """The bundle at u, once the differential has full rank there."""
+    pt = _at(F, u)
+    if np.linalg.matrix_rank(np.array(pt.T, dtype=float), tol=RANK_TOL) < F.m:
+        raise RankDeficiencyError(f"differential has rank < {F.m} at {tuple(u)}")
+    return pt
+
+
 def induced_metric(F: Immersion, u):
     """Pullback metric matrix at u, with rank and degeneracy checks."""
-    T = F.tangent_values([float(c) for c in u])
-    mat = np.array(T, dtype=float)
-    if np.linalg.matrix_rank(mat, tol=RANK_TOL) < F.m:
-        raise RankDeficiencyError(f"differential has rank < {F.m} at {tuple(u)}")
+    _checked(F, u)
     return PullbackMetric(F).matrix_at(u)
 
 
@@ -164,86 +323,39 @@ class NormalBasis:
         return len(self.vectors)
 
 
-def _normal_vectors(F: Immersion, u):
-    """Duck-typed normal construction; pivot choices from constant parts."""
-    m, n = F.m, F.ambient.dim
-    p = n - m
-    T = F.tangent_values(u)
-    amb = F.ambient.entry_values(F.map_values(u))
-    gt = [[bilinear(amb, T[a], T[b]) for b in range(m)] for a in range(m)]
-    det = mat_det(gt)
-    if abs(const_term(det)) <= semimetric.DET_TOL:
-        raise semimetric.DegenerateMetricError(
-            "induced metric degenerate; tangent projection undefined"
-        )
-    gt_inv = mat_inverse(gt, det)
-    accepted = []
-    for c in range(n):
-        if len(accepted) == p:
-            break
-        cand = [1.0 if k == c else 0.0 for k in range(n)]
-        # remove the tangential part
-        coef = mat_vec(gt_inv, [bilinear(amb, cand, T[b]) for b in range(m)])
-        r = list(cand)
-        for a in range(m):
-            for k in range(n):
-                r[k] = r[k] - coef[a] * T[a][k]
-        # orthogonalize against already accepted normals
-        for vec, sign in accepted:
-            proj = bilinear(amb, r, vec)
-            for k in range(n):
-                r[k] = r[k] - sign * proj * vec[k]
-        size = sum(const_term(x) ** 2 for x in r)
-        if size <= 1e-18:
-            continue  # candidate lies in the span already handled
-        nu = bilinear(amb, r, r)
-        nu0 = const_term(nu)
-        if abs(nu0) <= NORMAL_TOL * max(1.0, size):
-            continue  # null residual direction: unusable for a +-1 basis
-        sign = 1.0 if nu0 > 0.0 else -1.0
-        scale = jets.sqrt(sign * nu)
-        accepted.append(([x / scale for x in r], sign))
-    if len(accepted) < p:
-        raise DegenerateNormalError(
-            f"normal space degenerate at {tuple(const_term(x) for x in u)}: "
-            f"found {len(accepted)} of {p} unit normals"
-        )
-    return accepted, T, amb, gt, gt_inv
-
-
 def normal_basis(F: Immersion, u) -> NormalBasis:
-    uf = [float(c) for c in u]
-    mat = np.array(F.tangent_values(uf), dtype=float)
-    if np.linalg.matrix_rank(mat, tol=RANK_TOL) < F.m:
-        raise RankDeficiencyError(f"differential has rank < {F.m} at {tuple(u)}")
+    pt = _checked(F, u)
     try:
-        accepted, *_ = _normal_vectors(F, uf)
+        normals = pt.normals
     except semimetric.DegenerateMetricError as exc:
         # tangent and normal radicals coincide: the normal space is degenerate
         raise DegenerateNormalError(
-            f"normal space degenerate at {tuple(uf)}: {exc}"
+            f"normal space degenerate at {tuple(pt.u)}: {exc}"
         ) from None
     return NormalBasis(
-        point=tuple(uf),
-        vectors=tuple(tuple(v) for v, _ in accepted),
-        signs=tuple(s for _, s in accepted),
+        point=tuple(pt.u),
+        vectors=tuple(v for v, _ in normals),
+        signs=tuple(s for _, s in normals),
     )
 
 
+def _normal_projection(pt: _Point, amb_vec):
+    n = pt.F.ambient.dim
+    out = [0.0] * n
+    for vec, sign in pt.normals:
+        proj = sign * bilinear(pt.amb, amb_vec, vec)
+        for k in range(n):
+            out[k] = out[k] + proj * vec[k]
+    return out
+
+
+def _tangential_coords(pt: _Point, amb_vec):
+    """Intrinsic coordinates of the tangential part of an ambient vector."""
+    rhs = [bilinear(pt.amb, amb_vec, pt.T[b]) for b in range(pt.F.m)]
+    return mat_vec(pt.g_inv, rhs)
+
+
 # -- fundamental forms ------------------------------------------------------------
-
-
-def _ambient_gamma_term(F: Immersion, fvals, amb_vec_a, amb_vec_b):
-    """Connection contribution G^k_ij a^i b^j of the ambient chart."""
-    if F.ambient.is_constant:
-        return [0.0] * F.ambient.dim
-    gamma = F.ambient.christoffel(list(fvals))
-    n = F.ambient.dim
-    return [
-        sum(gamma[k][i][j] * amb_vec_a[i] * amb_vec_b[j]
-            for i in range(n) for j in range(n))
-        for k in range(n)
-    ]
 
 
 def _push(T, x):
@@ -251,79 +363,57 @@ def _push(T, x):
     return [sum(x[a] * T[a][k] for a in range(len(T))) for k in range(n)]
 
 
-def _b_value(F: Immersion, u, x, y, normals=None):
+def _ambient_derivative(pt: _Point, x, field):
+    """Ambient covariant derivative along intrinsic x of an ambient-valued field."""
+    dv, base = _along(pt, x, field)
+    gam = pt.gamma_term(_push(pt.T, x), base)
+    return [dv[k] + gam[k] for k in range(pt.F.ambient.dim)]
+
+
+def _perp_derivative(pt: _Point, x, field):
+    """Normal-bundle covariant derivative of a normal field along x."""
+    return _normal_projection(pt, _ambient_derivative(pt, x, field))
+
+
+def _b_value(pt: _Point, x, y):
     """Second fundamental form B(x, y) over duck scalars (ambient components)."""
-    m, n = F.m, F.ambient.dim
-    if normals is None:
-        normals, T, amb, _, _ = _normal_vectors(F, u)
-    else:
-        normals, T, amb = normals
-    S = F.second_values(u)
+    m, n = pt.F.m, pt.F.ambient.dim
+    S = pt.S
     deriv = [
         sum(x[a] * y[b] * S[a][b][k] for a in range(m) for b in range(m))
         for k in range(n)
     ]
-    fvals = F.map_values(u)
-    gam = _ambient_gamma_term(F, fvals, _push(T, x), _push(T, y))
-    total = [deriv[k] + gam[k] for k in range(n)]
-    out = [0.0] * n
-    for vec, sign in normals:
-        proj = sign * bilinear(amb, total, vec)
-        for k in range(n):
-            out[k] = out[k] + proj * vec[k]
-    return out
+    gam = pt.gamma_term(_push(pt.T, x), _push(pt.T, y))
+    return _normal_projection(pt, [deriv[k] + gam[k] for k in range(n)])
 
 
 def second_fundamental(F: Immersion, u, X, Y):
     """B(X, Y) at u for intrinsic tangent coordinates X, Y (ambient vector)."""
-    uf = [float(c) for c in u]
-    return tuple(const_term(c) for c in _b_value(F, uf, list(X), list(Y)))
+    return tuple(const_term(c) for c in _b_value(_at(F, u), list(X), list(Y)))
 
 
-def _weingarten(F: Immersion, u, a: int, x):
+def _weingarten(pt: _Point, a: int, x):
     """Ambient derivative of the a-th normal field along intrinsic x (duck)."""
-    seeded = [Jet((u[b], x[b])) for b in range(len(u))]
-    normals_s, *_ = _normal_vectors(F, seeded)
-    nvec_s = normals_s[a][0]
-    dn = [_deriv_part(c) for c in nvec_s]
-    base = [c.coeffs[0] if isinstance(c, Jet) else c for c in nvec_s]
-    fvals = F.map_values(u)
-    T = F.tangent_values(u)
-    gam = _ambient_gamma_term(F, fvals, _push(T, x), base)
-    return [dn[k] + gam[k] for k in range(F.ambient.dim)]
+    return _ambient_derivative(pt, x, lambda q: q.normals[a][0])
 
 
-def _tangential_coords(F: Immersion, u, amb_vec, data=None):
-    """Intrinsic coordinates of the tangential part of an ambient vector."""
-    if data is None:
-        _, T, amb, gt, gt_inv = _normal_vectors(F, u)
-    else:
-        T, amb, gt_inv = data
-    rhs = [bilinear(amb, amb_vec, T[b]) for b in range(F.m)]
-    return mat_vec(gt_inv, rhs)
-
-
-def _shape_value(F: Immersion, u, a: int, y):
+def _shape_value(pt: _Point, a: int, y):
     """Shape operator A^{N_a}(y) in intrinsic coordinates, over duck scalars."""
-    dn = _weingarten(F, u, a, y)
-    coords = _tangential_coords(F, u, dn)
-    return [-c for c in coords]
+    return [-c for c in _tangential_coords(pt, _weingarten(pt, a, y))]
 
 
 def shape_operator(F: Immersion, u, a: int, X):
     """A^{N_a}(X): minus the tangential part of the normal field's derivative."""
-    uf = [float(c) for c in u]
-    return tuple(const_term(c) for c in _shape_value(F, uf, a, list(X)))
+    return tuple(const_term(c) for c in _shape_value(_at(F, u), a, list(X)))
 
 
 def duality_residual(F: Immersion, u, X, Y, a: int) -> float:
     """|g(A(X), Y) - g~(B(X, Y), N_a)|: the two computations must agree."""
-    uf = [float(c) for c in u]
-    basis = normal_basis(F, uf)
-    g = induced_metric(F, uf)
-    lhs = bilinear(g, list(shape_operator(F, uf, a, X)), list(Y))
-    b = second_fundamental(F, uf, X, Y)
-    amb = F.ambient.matrix_at(F.map_values(uf))
+    basis = normal_basis(F, u)
+    g = induced_metric(F, u)
+    lhs = bilinear(g, list(shape_operator(F, u, a, X)), list(Y))
+    b = second_fundamental(F, u, X, Y)
+    amb = F.ambient.matrix_at(_at(F, u).f)
     rhs = bilinear(amb, list(b), list(basis.vectors[a]))
     return abs(lhs - rhs)
 
@@ -344,27 +434,14 @@ class FundamentalForms:
 
 
 def fundamental_forms(F: Immersion, u) -> FundamentalForms:
-    uf = [float(c) for c in u]
-    m = F.m
-    pack = _normal_vectors(F, uf)
-    normals_pack = (pack[0], pack[1], pack[2])
-    basis = [[1.0 if b == a else 0.0 for b in range(m)] for a in range(m)]
-    b_vals = tuple(
-        tuple(
-            tuple(const_term(c) for c in
-                  _b_value(F, uf, basis[a], basis[bb], normals=normals_pack))
-            for bb in range(m)
-        )
-        for a in range(m)
-    )
-    shape = tuple(
-        tuple(tuple(const_term(c) for c in _shape_value(F, uf, d, basis[a]))
-              for a in range(m))
-        for d in range(len(pack[0]))
-    )
-    h = tuple(const_term(c) for c in _mean_curvature_value(F, uf,
-                                                           normals_pack=normals_pack))
-    return FundamentalForms(point=tuple(uf), b=b_vals, shape_ops=shape,
+    pt = _at(F, u)
+    basis = [_unit(a, F.m) for a in range(F.m)]
+    b_vals = tuple(tuple(tuple(const_term(c) for c in _b_value(pt, ea, eb))
+                         for eb in basis) for ea in basis)
+    shape = tuple(tuple(tuple(const_term(c) for c in _shape_value(pt, d, ea))
+                        for ea in basis) for d in range(len(pt.normals)))
+    h = tuple(const_term(c) for c in _mean_curvature_value(pt))
+    return FundamentalForms(point=tuple(pt.u), b=b_vals, shape_ops=shape,
                             mean_curvature=h)
 
 
@@ -389,68 +466,35 @@ def derived_form_sample(F: Immersion, u, X, Y, Z, V,
     )
 
 
-# -- orthonormal tangent frames and traces ---------------------------------------
+# -- traces over the orthonormal tangent frame ------------------------------------
 
 
-def _orthonormal_tangent_frame(F: Immersion, u):
-    """Intrinsic orthonormal frame (vectors, signs) for the induced metric."""
-    m = F.m
-    g = PullbackMetric(F).entry_values(u)
-    accepted = []
-    for c in range(m):
-        if len(accepted) == m:
-            break
-        r = [1.0 if b == c else 0.0 for b in range(m)]
-        for vec, sign in accepted:
-            proj = bilinear(g, r, vec)
-            r = [r[b] - sign * proj * vec[b] for b in range(m)]
-        nu = bilinear(g, r, r)
-        nu0 = const_term(nu)
-        size = sum(const_term(x) ** 2 for x in r)
-        if size <= 1e-18 or abs(nu0) <= FRAME_PIVOT_TOL * max(1.0, size):
-            continue
-        sign = 1.0 if nu0 > 0.0 else -1.0
-        scale = jets.sqrt(sign * nu)
-        accepted.append(([x / scale for x in r], sign))
-    if len(accepted) < m:
-        raise semimetric.DegenerateMetricError(
-            "tangent frame cannot be orthonormalized (degenerate or null pivots)"
-        )
-    return accepted
-
-
-def _mean_curvature_value(F: Immersion, u, normals_pack=None):
-    frame = _orthonormal_tangent_frame(F, u)
-    if normals_pack is None:
-        normals, T, amb, _, _ = _normal_vectors(F, u)
-        normals_pack = (normals, T, amb)
-    n = F.ambient.dim
+def _mean_curvature_value(pt: _Point):
+    frame = pt.frame
+    n = pt.F.ambient.dim
     acc = [0.0] * n
     for vec, sign in frame:
-        b = _b_value(F, u, vec, vec, normals=normals_pack)
+        b = _b_value(pt, vec, vec)
         for k in range(n):
             acc[k] = acc[k] + sign * b[k]
-    return [c / float(F.m) for c in acc]
+    return [c / float(pt.F.m) for c in acc]
 
 
 def mean_curvature(F: Immersion, u):
     """H = (1/m) sum_j eps_j B(E_j, E_j) over an orthonormal tangent frame."""
-    uf = [float(c) for c in u]
-    return tuple(const_term(c) for c in _mean_curvature_value(F, uf))
+    return tuple(const_term(c) for c in _mean_curvature_value(_at(F, u)))
 
 
 def umbilical_residual(F: Immersion, u) -> float:
     """max_{i<=j} || B(E_i, E_j) - g(E_i, E_j) H || (coordinate Euclidean)."""
-    uf = [float(c) for c in u]
-    frame = _orthonormal_tangent_frame(F, uf)
-    pack = _normal_vectors(F, uf)
-    normals_pack = (pack[0], pack[1], pack[2])
-    h = _mean_curvature_value(F, uf, normals_pack=normals_pack)
+    pt = _at(F, u)
+    frame = pt.frame
+    h = _mean_curvature_value(pt)
     worst = 0.0
     for i, (ei, si) in enumerate(frame):
         for j in range(i, len(frame)):
             ej, _ = frame[j]
-            b = _b_value(F, uf, ei, ej, normals=normals_pack)
+            b = _b_value(pt, ei, ej)
             gij = si if i == j else 0.0
             resid = euclid_norm([b[k] - gij * h[k] for k in range(F.ambient.dim)])
             worst = max(worst, resid)
@@ -459,98 +503,63 @@ def umbilical_residual(F: Immersion, u) -> float:
 
 def geodesic_residual(F: Immersion, u) -> float:
     """max over frame pairs of ||B(E_i, E_j)||; zero iff totally geodesic at u."""
-    uf = [float(c) for c in u]
-    frame = _orthonormal_tangent_frame(F, uf)
-    pack = _normal_vectors(F, uf)
-    normals_pack = (pack[0], pack[1], pack[2])
+    pt = _at(F, u)
+    frame = pt.frame
     worst = 0.0
     for i, (ei, _) in enumerate(frame):
         for j in range(i, len(frame)):
             ej, _ = frame[j]
-            b = _b_value(F, uf, ei, ej, normals=normals_pack)
+            b = _b_value(pt, ei, ej)
             worst = max(worst, euclid_norm([const_term(c) for c in b]))
     return worst
 
 
-def _normal_projection(F: Immersion, u, amb_vec, normals_pack=None):
-    if normals_pack is None:
-        normals, T, amb, _, _ = _normal_vectors(F, u)
-    else:
-        normals, T, amb = normals_pack
-    n = F.ambient.dim
-    out = [0.0] * n
-    for vec, sign in normals:
-        proj = sign * bilinear(amb, amb_vec, vec)
-        for k in range(n):
-            out[k] = out[k] + proj * vec[k]
-    return out
-
-
-def _perp_derivative(F: Immersion, u, field, x):
-    """Normal-bundle covariant derivative of a normal field along x.
-
-    ``field(u_duck)`` must return ambient components over duck scalars.  The
-    ambient covariant derivative along the pushed direction is taken on a
-    jet-seeded ray and projected back onto the normal space at u.
-    """
-    seeded = [Jet((u[b], x[b])) for b in range(len(u))]
-    vals = field(seeded)
-    dv = [_deriv_part(c) for c in vals]
-    base = [c.coeffs[0] if isinstance(c, Jet) else c for c in vals]
-    fvals = F.map_values(u)
-    T = F.tangent_values(u)
-    gam = _ambient_gamma_term(F, fvals, _push(T, x), base)
-    total = [dv[k] + gam[k] for k in range(F.ambient.dim)]
-    return _normal_projection(F, u, total)
-
-
 def parallel_H_residual(F: Immersion, u, X) -> float:
     """Norm of the normal-bundle derivative of H in direction X."""
-    uf = [float(c) for c in u]
-    val = _perp_derivative(F, uf, lambda uu: _mean_curvature_value(F, uu), list(X))
+    val = _perp_derivative(_at(F, u), list(X), _mean_curvature_value)
     return euclid_norm([const_term(c) for c in val])
 
 
 # -- covariant derivatives of B and A ---------------------------------------------
 
 
-def _intrinsic_nabla(F: Immersion, u, z, x):
+def _intrinsic_nabla(pt: _Point, z, x):
     """(nabla_z x)^a for coordinate-constant x: the pure connection term."""
-    gamma = PullbackMetric(F).christoffel(list(u))
-    m = F.m
+    gamma = pt.christoffel
+    m = pt.F.m
     return [
         sum(gamma[a][b][c] * z[b] * x[c] for b in range(m) for c in range(m))
         for a in range(m)
     ]
 
 
-def _nabla_b_value(F: Immersion, u, x, y, z):
+def _nabla_b_value(pt: _Point, x, y, z):
     """(nabla B)(x, y, z) over duck scalars (ambient components)."""
-    perp = _perp_derivative(F, u, lambda uu: _b_value(F, uu, x, y), z)
-    zx = _intrinsic_nabla(F, u, z, x)
-    zy = _intrinsic_nabla(F, u, z, y)
-    bx = _b_value(F, u, zx, y)
-    by = _b_value(F, u, zy, x)
-    return [perp[k] - bx[k] - by[k] for k in range(F.ambient.dim)]
+    perp = _perp_derivative(pt, z, lambda q: _b_value(q, x, y))
+    zx = _intrinsic_nabla(pt, z, x)
+    zy = _intrinsic_nabla(pt, z, y)
+    bx = _b_value(pt, zx, y)
+    by = _b_value(pt, zy, x)
+    return [perp[k] - bx[k] - by[k] for k in range(pt.F.ambient.dim)]
 
 
 def nabla_B(F: Immersion, u, X, Y, Z):
     """(nabla B)(X, Y, Z) for coordinate-constant intrinsic fields."""
-    uf = [float(c) for c in u]
-    return tuple(const_term(c) for c in _nabla_b_value(F, uf, list(X), list(Y), list(Z)))
+    return tuple(const_term(c) for c in
+                 _nabla_b_value(_at(F, u), list(X), list(Y), list(Z)))
 
 
-def _nabla_b_multilinear(F: Immersion, u, x, y, z):
+def _nabla_b_multilinear(pt: _Point, x, y, z):
     """(nabla B) evaluated with possibly non-constant coefficient vectors.
 
     The derivative formula above assumes coordinate-constant arguments; for
     function-coefficient slots the tensor value is recovered by expanding each
     slot over the coordinate basis.
     """
-    m = F.m
-    n = F.ambient.dim
+    m = pt.F.m
+    n = pt.F.ambient.dim
     out = [0.0] * n
-    basis = [[1.0 if b == a else 0.0 for b in range(m)] for a in range(m)]
+    basis = [_unit(a, m) for a in range(m)]
     for a in range(m):
         if const_term(x[a]) == 0.0 and not isinstance(x[a], Jet):
             continue
@@ -560,7 +569,7 @@ def _nabla_b_multilinear(F: Immersion, u, x, y, z):
             for c in range(m):
                 if const_term(z[c]) == 0.0 and not isinstance(z[c], Jet):
                     continue
-                val = _nabla_b_value(F, u, basis[a], basis[b], basis[c])
+                val = _nabla_b_value(pt, basis[a], basis[b], basis[c])
                 wgt = x[a] * y[b] * z[c]
                 for k in range(n):
                     out[k] = out[k] + wgt * val[k]
@@ -569,17 +578,15 @@ def _nabla_b_multilinear(F: Immersion, u, x, y, z):
 
 def nabla2_B(F: Immersion, u, X, Y, Z, V):
     """(nabla^2 B)(X, Y, Z, V): derivative of nabla B minus slot corrections."""
-    uf = [float(c) for c in u]
+    pt = _at(F, u)
     x, y, z, v = list(X), list(Y), list(Z), list(V)
-    perp = _perp_derivative(
-        F, uf, lambda uu: _nabla_b_value(F, uu, x, y, z), v
-    )
-    vx = _intrinsic_nabla(F, uf, v, x)
-    vy = _intrinsic_nabla(F, uf, v, y)
-    vz = _intrinsic_nabla(F, uf, v, z)
-    tx = _nabla_b_multilinear(F, uf, vx, y, z)
-    ty = _nabla_b_multilinear(F, uf, x, vy, z)
-    tz = _nabla_b_multilinear(F, uf, x, y, vz)
+    perp = _perp_derivative(pt, v, lambda q: _nabla_b_value(q, x, y, z))
+    vx = _intrinsic_nabla(pt, v, x)
+    vy = _intrinsic_nabla(pt, v, y)
+    vz = _intrinsic_nabla(pt, v, z)
+    tx = _nabla_b_multilinear(pt, vx, y, z)
+    ty = _nabla_b_multilinear(pt, x, vy, z)
+    tz = _nabla_b_multilinear(pt, x, y, vz)
     return tuple(
         const_term(perp[k] - tx[k] - ty[k] - tz[k])
         for k in range(F.ambient.dim)
@@ -588,16 +595,13 @@ def nabla2_B(F: Immersion, u, X, Y, Z, V):
 
 def nabla_shape(F: Immersion, u, a: int, X, Y):
     """(nabla_X A^N)(Y) = nabla_X(A(Y)) - A^{perp-derivative of N}(Y) - A(nabla_X Y)."""
-    uf = [float(c) for c in u]
+    pt = _at(F, u)
     x, y = list(X), list(Y)
     m = F.m
 
     # intrinsic covariant derivative of the tangent field s -> A(u + sX)(Y)
-    seeded = [Jet((uf[b], x[b])) for b in range(m)]
-    avals = _shape_value(F, seeded, a, y)
-    da = [_deriv_part(c) for c in avals]
-    abase = [c.coeffs[0] if isinstance(c, Jet) else c for c in avals]
-    gamma = PullbackMetric(F).christoffel(uf)
+    da, abase = _along(pt, x, lambda q: _shape_value(q, a, y))
+    gamma = pt.christoffel
     term1 = [
         da[al] + sum(gamma[al][b][c] * x[b] * abase[c]
                      for b in range(m) for c in range(m))
@@ -605,25 +609,21 @@ def nabla_shape(F: Immersion, u, a: int, X, Y):
     ]
 
     # A with the perp-derivative of N_a in the normal slot (pointwise linear)
-    pack = _normal_vectors(F, uf)
-    normals_pack = (pack[0], pack[1], pack[2])
-    wein = _weingarten(F, uf, a, x)
-    perp_n = _normal_projection(F, uf, wein, normals_pack=normals_pack)
-    amb = pack[2]
+    perp_n = _normal_projection(pt, _weingarten(pt, a, x))
     term2 = [0.0] * m
-    for d, (vec, sign) in enumerate(pack[0]):
-        coeff = sign * bilinear(amb, perp_n, vec)
-        advals = _shape_value(F, uf, d, y)
+    for d, (vec, sign) in enumerate(pt.normals):
+        coeff = sign * bilinear(pt.amb, perp_n, vec)
+        advals = _shape_value(pt, d, y)
         for al in range(m):
             term2[al] = term2[al] + coeff * advals[al]
 
     # A applied to nabla_X Y (linear in the tangent slot)
-    xy = _intrinsic_nabla(F, uf, x, y)
+    xy = _intrinsic_nabla(pt, x, y)
     term3 = [0.0] * m
     for b in range(m):
         if xy[b] == 0.0:
             continue
-        ab = _shape_value(F, uf, a, [1.0 if c == b else 0.0 for c in range(m)])
+        ab = _shape_value(pt, a, _unit(b, m))
         for al in range(m):
             term3[al] = term3[al] + xy[b] * ab[al]
 
@@ -641,8 +641,7 @@ def null_triple(F: Immersion, u):
     Requires the induced metric to have index 2 (signature (-, -, +)); built
     from an orthonormal tangent frame, so it is deterministic per point.
     """
-    uf = [float(c) for c in u]
-    frame = _orthonormal_tangent_frame(F, uf)
+    frame = _at(F, u).frame
     space = [vec for vec, sign in frame if sign > 0]
     time = [vec for vec, sign in frame if sign < 0]
     if len(space) != 1 or len(time) != 2:
@@ -662,8 +661,7 @@ def umbilical_diagnostic(F: Immersion, u, xi_i, xi_j, xi_k, tol: float = 1e-8):
     g(xi_i, xi_i) = g(xi_j, xi_j) = 0, g(xi_k, xi_k) = -1 and orthogonality of
     xi_k to both null directions.
     """
-    uf = [float(c) for c in u]
-    g = induced_metric(F, uf)
+    g = induced_metric(F, u)
     checks = (
         bilinear(g, list(xi_i), list(xi_i)),
         bilinear(g, list(xi_j), list(xi_j)),
@@ -675,11 +673,10 @@ def umbilical_diagnostic(F: Immersion, u, xi_i, xi_j, xi_k, tol: float = 1e-8):
     worst = max(abs(c) for c in checks)
     if worst > tol:
         raise ValueError(f"frame violates the null-triple conditions by {worst:.3e}")
-    pack = _normal_vectors(F, uf)
-    normals_pack = (pack[0], pack[1], pack[2])
-    bij = _b_value(F, uf, list(xi_i), list(xi_j), normals=normals_pack)
-    bkk = _b_value(F, uf, list(xi_k), list(xi_k), normals=normals_pack)
-    bii = _b_value(F, uf, list(xi_i), list(xi_i), normals=normals_pack)
+    pt = _at(F, u)
+    bij = _b_value(pt, list(xi_i), list(xi_j))
+    bkk = _b_value(pt, list(xi_k), list(xi_k))
+    bii = _b_value(pt, list(xi_i), list(xi_i))
     n = F.ambient.dim
     d1 = tuple(const_term(4.0 * bij[k] + 3.0 * bkk[k]) for k in range(n))
     d2 = tuple(const_term(bii[k]) for k in range(n))
@@ -799,10 +796,8 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     uzetas = trace.zetas[::stride]
     points = [tuple(const_term(c) for c in F.map_values(list(u)))
               for u in upoints]
-    zetas = []
-    for u, z in zip(upoints, uzetas):
-        T = F.tangent_values(list(u))
-        zetas.append(tuple(_push(T, list(z))))
+    zetas = [tuple(_push(F.tangent_values(list(u)), list(z)))
+             for u, z in zip(upoints, uzetas)]
 
     nullity_max = max(
         abs(bilinear(amb.matrix_at(p), list(z), list(z)))

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullhelix import cli
 from nullhelix.cli import SpecError, load_spec, run
@@ -41,6 +46,14 @@ TRANSFER_DOC = {
                   "map": ["u1", "u2", "u3", "0"]},
     "metric": FLAT3,
     "helix": HELIX_DOC["helix"],
+}
+
+
+TANGENT_DOC = {
+    "kind": "curve",
+    "metric": FLAT3,
+    "curve": {"mode": "tangent", "components": ["cos(t)", "sin(t)", "1"],
+              "initial": [1.0, 0.0, 0.0], "domain": [0.0, 0.5]},
 }
 
 
@@ -336,3 +349,72 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["summary"]["pass"] is True
+
+
+def _with(doc, config=None, **parts):
+    out = json.loads(json.dumps(doc))
+    for path, value in parts.items():
+        node = out
+        keys = path.split("__")
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    if config is not None:
+        out["config"] = config
+    return out
+
+
+NUMERIC_ENTRIES = {"dim": 3, "metric": {"type": "field",
+                                        "entries": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("synth", _with(HELIX_DOC, {"project_every": -3})),
+    ("transfer", _with(TRANSFER_DOC, {"project_every": -3})),
+    ("frame", _with(C1_DOC, {"samples": "10"})),
+    ("frame", _with(C1_DOC, {"samples": 2.5})),
+    ("frame", _with(C1_DOC, {"tol": "x"})),
+    ("frame", _with(C1_DOC, {"gram_tol": None})),
+    ("frame", _with(C1_DOC, {"seed_order": 5})),
+    ("synth", _with(HELIX_DOC, {"step": "a"})),
+    ("synth", _with(HELIX_DOC, {"project_every": 2.5})),
+    ("frame", _with(TANGENT_DOC, {"quad_step": 0})),
+    ("frame", _with(TANGENT_DOC, {"quad_step": -0.1})),
+    ("frame", _with(C1_DOC, metric={"dim": 3, "metric": ["x"]})),
+    ("frame", _with(C1_DOC, metric=NUMERIC_ENTRIES)),
+    ("submanifold", _with(SPHERE_DOC, immersion__map=[1, 2, 3])),
+], ids=["synth-project_every-negative", "transfer-project_every-negative",
+        "samples-string", "samples-float", "tol-string", "gram_tol-null",
+        "seed_order-number", "step-string", "project_every-float",
+        "quad_step-zero", "quad_step-negative", "metric-list",
+        "metric-numeric-entries", "immersion-numeric-map"])
+def test_malformed_values_are_usage_errors(tmp_path, capsys, command, doc):
+    spec = _write(tmp_path, "bad.json", doc)
+    assert run([command, "--spec", spec, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+CONFIG_KEYS = st.sampled_from(["tol", "step", "samples", "project_every", "seed_order",
+                               "gram_tol", "quad_step", "drift_limit"])
+CONFIG_VALUES = st.sampled_from([
+    None, True, False, 0, 1, 2, 5, -3, 0.0, 0.5, 1e-3, -0.1, 1e300, "x", "10",
+    [], ["e1", "e2", "e3"], ["e3", "x"], [1, 2], {},
+])
+
+
+@given(st.sampled_from(["frame", "verify"]), st.sampled_from([C1_DOC, TANGENT_DOC]),
+       st.dictionaries(CONFIG_KEYS, CONFIG_VALUES))
+@settings(max_examples=40, deadline=None)
+def test_any_config_gives_a_contract_exit_code(command, doc, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = f"{tmp}/doc.json"
+        with open(spec, "w") as fh:
+            json.dump(_with(doc, {"samples": 5, **config}), fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([command, "--spec", spec, "--out", f"{tmp}/r.json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")

@@ -54,6 +54,10 @@ def test_synthesize_argument_errors(c1_spec):
         synthesize(c1_spec, [0.0, 1.0], step=-1e-3)
     with pytest.raises(ValueError, match="increasing"):
         synthesize(c1_spec, [0.0, 1.0, 0.5], step=1e-3)
+    # a negative project_every used to make the RK4 chunk negative: no end
+    for project_every in (-3, -1, 2.5, True, "100"):
+        with pytest.raises(ValueError, match="project_every"):
+            synthesize(c1_spec, [0.0, 0.1], step=1e-2, project_every=project_every)
 
 
 def test_rk4_convergence_order(c1_spec):

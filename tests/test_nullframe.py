@@ -184,6 +184,10 @@ def test_domain_validation(flat3):
         build_frame(c, 3.0)
     with pytest.raises(ValueError):
         NullCurve.tangent(flat3, ["1", "0", "1"], None, (0.0, 1.0))
+    for quad_step in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="quad_step"):
+            NullCurve.tangent(flat3, ["cos(t)", "sin(t)", "1"], (0.0, 1.0, 0.0),
+                              (0.0, 1.0), quad_step=quad_step)
 
 
 def test_tangent_mode_positions_match_quadrature(flat3):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import random
 
@@ -157,17 +159,15 @@ def test_mean_curvature_frame_independence(sphere2):
     h_std = mean_curvature(sphere2, u)
     g = induced_metric(sphere2, u)
     # build a second orthonormal frame by rotating the first one
-    frame = sb._orthonormal_tangent_frame(sphere2, u)
-    (e1, s1), (e2, s2) = frame
+    pt = sb._point(sphere2, u)
+    (e1, s1), (e2, s2) = pt.frame
     c, s = math.cos(0.77), math.sin(0.77)
     f1 = [c * e1[i] + s * e2[i] for i in range(2)]
     f2 = [-s * e1[i] + c * e2[i] for i in range(2)]
-    pack = sb._normal_vectors(sphere2, u)
-    normals_pack = (pack[0], pack[1], pack[2])
     acc = [0.0, 0.0, 0.0]
     for vec, sign in ((f1, s1), (f2, s2)):
         nrm = bilinear(g, vec, vec)
-        b = sb._b_value(sphere2, u, vec, vec, normals=normals_pack)
+        b = sb._b_value(pt, vec, vec)
         for k in range(3):
             acc[k] += (1.0 if nrm > 0 else -1.0) * b[k]
     h_rot = [a / 2.0 for a in acc]
@@ -216,9 +216,7 @@ def _fd_nabla_b(F, u, x, y, z, h=1e-5):
     bm = second_fundamental(F, um, x, y)
     d = [(bp[k] - bm[k]) / (2.0 * h) for k in range(F.ambient.dim)]
     # ambient connection vanishes on a flat chart; project onto the normal space
-    pack = sb._normal_vectors(F, [float(c) for c in u])
-    perp = sb._normal_projection(F, [float(c) for c in u], d,
-                                 normals_pack=(pack[0], pack[1], pack[2]))
+    perp = sb._normal_projection(sb._point(F, [float(c) for c in u]), d)
     gamma = pullback_metric(F).christoffel_at(u)
     m = F.m
     zx = [sum(gamma[a][b][c] * z[b] * x[c] for b in range(m) for c in range(m))
@@ -249,16 +247,15 @@ def test_nabla2_b_against_finite_differences(graph_immersion):
     bp = nabla_B(graph_immersion, up, x, y, z)
     bm = nabla_B(graph_immersion, um, x, y, z)
     d = [(bp[k] - bm[k]) / (2.0 * h) for k in range(4)]
-    pack = sb._normal_vectors(graph_immersion, u)
-    perp = sb._normal_projection(graph_immersion, u, d,
-                                 normals_pack=(pack[0], pack[1], pack[2]))
+    pt = sb._point(graph_immersion, u)
+    perp = sb._normal_projection(pt, d)
     gamma = pullback_metric(graph_immersion).christoffel_at(u)
     corr = [0.0, 0.0, 0.0, 0.0]
     for slot in (x, y, z):
         vx = [sum(gamma[a][b][c] * v[b] * slot[c] for b in range(3) for c in range(3))
               for a in range(3)]
         args = {id(x): [vx, y, z], id(y): [x, vx, z], id(z): [x, y, vx]}[id(slot)]
-        term = sb._nabla_b_multilinear(graph_immersion, u, *args)
+        term = sb._nabla_b_multilinear(pt, *args)
         for k in range(4):
             corr[k] += sb.const_term(term[k])
     fd = [perp[k] - corr[k] for k in range(4)]
@@ -289,12 +286,11 @@ def test_nabla_shape_examples(slice_immersion, sphere2, graph_immersion):
         + sum(gamma[al][b][c] * x[b] * a0[c] for b in range(3) for c in range(3))
         for al in range(3)
     ]
-    pack = sb._normal_vectors(graph_immersion, u)
-    wein = sb._weingarten(graph_immersion, u, 0, list(x))
-    perp_n = sb._normal_projection(graph_immersion, u, wein,
-                                   normals_pack=(pack[0], pack[1], pack[2]))
-    amb = pack[2]
-    coeff = pack[0][0][1] * bilinear(amb, perp_n, pack[0][0][0])
+    pt = sb._point(graph_immersion, u)
+    wein = sb._weingarten(pt, 0, list(x))
+    perp_n = sb._normal_projection(pt, wein)
+    (n0, s0), = pt.normals
+    coeff = s0 * bilinear(pt.amb, perp_n, n0)
     term2 = [coeff * a0c for a0c in shape_operator(graph_immersion, u, 0, y)]
     xy = [sum(gamma[a][b][c] * x[b] * y[c] for b in range(3) for c in range(3))
           for a in range(3)]
@@ -381,6 +377,95 @@ def test_umbilical_diagnostic_validates_frame(slice_immersion):
 def test_null_triple_requires_index_2(sphere2):
     with pytest.raises(ValueError):
         null_triple(sphere2, [1.0, 0.5])
+
+
+# -- memoized point bundles ------------------------------------------------------------
+
+
+def _public_calls(F, u):
+    """Every public pointwise function of the module, as (name, call) pairs
+    (helix_transfer integrates a whole helix and is left out)."""
+    m = F.m
+    x = [0.3, -0.7, 0.5][:m]
+    y = [1.0, 0.25, -0.4][:m]
+    z = [0.0, 1.0, 0.6][:m]
+    v = [0.8, 0.0, -0.2][:m]
+    e0 = [1.0] + [0.0] * (m - 1)
+
+    def diagnostic():
+        return umbilical_diagnostic(F, u, *null_triple(F, u))
+
+    return [
+        ("induced_metric", lambda: induced_metric(F, u)),
+        ("pullback_matrix", lambda: pullback_metric(F).matrix_at(u)),
+        ("pullback_christoffel", lambda: pullback_metric(F).christoffel_at(u)),
+        ("second_values", lambda: F.second_values(u)),
+        ("normal_basis", lambda: normal_basis(F, u)),
+        ("second_fundamental", lambda: second_fundamental(F, u, x, y)),
+        ("shape_operator", lambda: shape_operator(F, u, 0, x)),
+        ("duality_residual", lambda: duality_residual(F, u, x, y, 0)),
+        ("fundamental_forms", lambda: sb.fundamental_forms(F, u)),
+        ("mean_curvature", lambda: mean_curvature(F, u)),
+        ("umbilical_residual", lambda: umbilical_residual(F, u)),
+        ("geodesic_residual", lambda: geodesic_residual(F, u)),
+        ("parallel_H_residual", lambda: parallel_H_residual(F, u, x)),
+        ("parallel_H_axis", lambda: parallel_H_residual(F, u, e0)),
+        ("nabla_B", lambda: nabla_B(F, u, x, y, z)),
+        ("nabla2_B", lambda: nabla2_B(F, u, e0, y, z, v)),
+        ("nabla_shape", lambda: nabla_shape(F, u, 0, x, y)),
+        ("derived_form_sample", lambda: sb.derived_form_sample(F, u, x, e0, z, v)),
+        ("null_triple", lambda: null_triple(F, u)),
+        ("umbilical_diagnostic", diagnostic),
+    ]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:  # e.g. no null triple on a Riemannian sphere
+        return (type(exc).__name__, str(exc))
+
+
+def _scribble(obj):
+    """Overwrite every float reachable through a list: a caller's worst case."""
+    if isinstance(obj, list):
+        for i, item in enumerate(obj):
+            if isinstance(item, float):
+                obj[i] = 123.0
+            else:
+                _scribble(item)
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _scribble(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            _scribble(getattr(obj, field.name))
+
+
+@pytest.mark.parametrize("name, u", [
+    ("sphere2", [1.1, 0.4]),
+    ("pseudosphere", [0.8, 0.3, 0.5]),
+    ("graph_immersion", [0.2, -0.4, 1.0]),
+])
+def test_memoized_points_match_a_fresh_immersion(request, name, u):
+    F0 = request.getfixturevalue(name)
+
+    def fresh():
+        return Immersion(F0.m, F0.ambient, F0.components)
+
+    names = [n for n, _ in _public_calls(F0, u)]
+    expected = {n: _outcome(dict(_public_calls(fresh(), list(u)))[n]) for n in names}
+    for order in (names, names[::-1]):
+        shared = fresh()
+        calls = dict(_public_calls(shared, list(u)))
+        got = {}
+        for n in order:
+            result = _outcome(calls[n])
+            got[n] = copy.deepcopy(result)
+            _scribble(result)  # nothing handed out may alias a cached bundle
+        for n in order:  # and a second round reads the bundles back
+            assert _outcome(calls[n]) == expected[n], n
+        assert got == expected
 
 
 # -- helix transfer -------------------------------------------------------------------
