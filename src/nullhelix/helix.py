@@ -11,13 +11,17 @@ system
 with G the connection coefficients, integrated by classical fixed-step RK4.
 A shadow integration at half step provides a Richardson error estimate per
 sample.  Residual norms are always coordinate-Euclidean: the indefinite metric
-can annihilate nonzero errors and must not certify smallness.
+can annihilate nonzero errors and must not certify smallness.  Trace
+measurements read one memoized decimated view (``HelixTrace.view``) that
+evaluates g and the connection once per sample; transfer's ambient samples
+use the same ``SampledCurve`` class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .jets import const_term
 from .nullframe import (
@@ -33,7 +37,7 @@ from .nullframe import (
     _aligned_frame_jets,
     _frame_jets,
 )
-from .semimetric import SemiMetric, bilinear
+from .semimetric import SemiMetric, bilinear, connection_term
 
 DRIFT_LIMIT = 1e-4
 SPEC_GRAM_TOL = 1e-10
@@ -89,12 +93,16 @@ class HelixTrace:
     gram_drift: tuple
     err_est: tuple
 
-    def frame_at(self, i: int) -> NullFrame:
-        return NullFrame(self.times[i], self.points[i], self.zetas[i],
-                         self.ns[i], self.ws[i])
-
     def __len__(self):
         return len(self.times)
+
+    @cached_property
+    def view(self) -> "SampledCurve":
+        """The trace decimated to about FD_SPACING, with fields "n" and "w"."""
+        stride, dt = decimation(self.times)
+        return SampledCurve(self.spec.metric, self.times[::stride],
+                            self.points[::stride], self.zetas[::stride], dt,
+                            n=self.ns[::stride], w=self.ws[::stride])
 
 
 def _rhs(metric: SemiMetric, h, k1, k2, state):
@@ -104,6 +112,7 @@ def _rhs(metric: SemiMetric, h, k1, k2, state):
     w = state[9:12]
     gamma = metric.christoffel(list(x))
     out = [0.0] * 12
+    # summed inline: connection_term calls slow this loop, nearly all of flat synth
     for k in range(3):
         gz_z = sum(gamma[k][i][j] * z[i] * z[j] for i in range(3) for j in range(3))
         gz_n = sum(gamma[k][i][j] * z[i] * n[j] for i in range(3) for j in range(3))
@@ -312,27 +321,22 @@ FD_SPACING = 0.01
 CUBIC_MIN_SAMPLES = 6 * FD_RADIUS + 1
 
 
-def _uniform_spacing(times) -> float:
+def decimation(times):
+    """``(stride, spacing)`` that thin a uniform grid to about FD_SPACING;
+    fewer than two samples have no spacing, hence no stencil interior."""
+    if len(times) < 2:
+        return 1, 0.0
     dt = times[1] - times[0]
     for a, b in zip(times, times[1:]):
         if abs((b - a) - dt) > 1e-9 * max(1.0, abs(dt)):
             raise ValueError("finite-difference extraction needs a uniform grid")
-    return dt
-
-
-def decimation(times):
-    """``(stride, spacing)`` that thin a uniform grid to about FD_SPACING."""
-    dt = _uniform_spacing(times)
     stride = max(1, round(FD_SPACING / dt))
     return stride, dt * stride
 
 
 def decimated_count(times) -> int:
     """Number of samples a uniform grid keeps after ``decimation``."""
-    if len(times) < 2:
-        return len(times)
-    stride, _ = decimation(times)
-    return len(times[::stride])
+    return len(times[::decimation(times)[0]])
 
 
 def fd_derivative(values, dt):
@@ -355,25 +359,46 @@ def fd_derivative(values, dt):
     return out
 
 
-def _covariant_sequence(metric: SemiMetric, points, zetas, fields, dt):
-    """One covariant-derivative layer along a sampled curve (trims the edges)."""
-    n = metric.dim
-    deriv = fd_derivative(fields, dt)
-    out = []
-    for k, dv in enumerate(deriv):
-        i = k + FD_RADIUS
-        if metric.is_constant:
-            out.append(dv)
-            continue
-        gamma = metric.christoffel(list(points[i]))
-        z = zetas[i]
-        v = fields[i]
-        out.append(tuple(
-            dv[a] + sum(gamma[a][b][c] * z[b] * v[c]
-                        for b in range(n) for c in range(n))
-            for a in range(n)
-        ))
-    return out
+class SampledCurve:
+    """Curve samples at uniform spacing ``dt``; g and the connection are
+    evaluated at most once per sample, each covariant layer once per field.
+
+    ``fields`` maps a key to a sequence aligned with the samples ("zeta" is
+    the tangent); None marks the end samples a field does not reach, and each
+    covariant layer reaches FD_RADIUS fewer per side.  Holds arrays only,
+    never the trace it came from.
+    """
+
+    def __init__(self, metric: SemiMetric, times, points, zetas, dt, **fields):
+        self.metric = metric
+        self.times = times
+        self.points = points
+        self.dt = dt
+        self.fields = {"zeta": zetas, **fields}
+        self._covs = {}
+        # g(i) and gamma(i), memoized per sample index
+        self.g = cache(lambda i: metric.matrix_at(points[i]))
+        self.gamma = cache(lambda i: metric.christoffel(list(points[i])))
+
+    def interior(self, layer: int):
+        """Samples reached by layer ``layer`` of a field that reaches them all."""
+        return range(layer * FD_RADIUS, len(self.points) - layer * FD_RADIUS)
+
+    def cov(self, key, layer: int = 1):
+        """The ``layer``-fold covariant derivative of ``fields[key]``."""
+        if (key, layer) not in self._covs:
+            values = self.fields[key] if layer == 1 else self.cov(key, layer - 1)
+            lo = next((k for k, v in enumerate(values) if v is not None), len(values))
+            out = [None] * len(values)
+            deriv = fd_derivative(values[lo:len(values) - lo], self.dt)
+            for i, dv in enumerate(deriv, lo + FD_RADIUS):
+                if not self.metric.is_constant:
+                    term = connection_term(self.gamma(i), self.fields["zeta"][i],
+                                           values[i])
+                    dv = tuple(dv[a] + term[a] for a in range(len(dv)))
+                out[i] = dv
+            self._covs[(key, layer)] = out
+        return self._covs[(key, layer)]
 
 
 def extract_curvatures(trace: HelixTrace, policy: ScreenPolicy | None = None,
@@ -385,29 +410,24 @@ def extract_curvatures(trace: HelixTrace, policy: ScreenPolicy | None = None,
     the requested constants.  With ``reseed=True`` the transversal and screen
     vectors are rebuilt per sample from the tangent via the screen policy;
     h and k2 are then policy-relative quantities, |k1| remains invariant.
-    The trace is decimated to about FD_SPACING first.
+    The trace is decimated to about FD_SPACING first (``HelixTrace.view``).
     """
     policy = policy or ScreenPolicy()
-    metric = trace.spec.metric
-    stride, dt = decimation(trace.times)
-    times = trace.times[::stride]
-    points = trace.points[::stride]
-    zetas = trace.zetas[::stride]
-    if reseed:
-        ns, ws = _reseeded_frames(metric, points, zetas, policy)
-    else:
-        ns, ws = trace.ns[::stride], trace.ws[::stride]
-    cz = _covariant_sequence(metric, points, zetas, zetas, dt)
-    cn = _covariant_sequence(metric, points, zetas, ns, dt)
+    curve = trace.view
+    n_key, w_key = (("n", policy.seeds), ("w", policy.seeds)) if reseed else ("n", "w")
+    if n_key not in curve.fields:
+        curve.fields[n_key], curve.fields[w_key] = _reseeded_frames(
+            curve.metric, curve.points, curve.fields["zeta"], policy)
+    ns, ws = curve.fields[n_key], curve.fields[w_key]
+    cz, cn = curve.cov("zeta"), curve.cov(n_key)
     samples = []
-    for k in range(len(cz)):
-        i = k + FD_RADIUS
-        g = metric.matrix_at(points[i])
-        h = bilinear(g, cz[k], ns[i])
-        k1 = -bilinear(g, cz[k], ws[i])
-        k2 = -bilinear(g, cn[k], ws[i])
+    for i in curve.interior(1):
+        g = curve.g(i)
+        h = bilinear(g, cz[i], ns[i])
+        k1 = -bilinear(g, cz[i], ws[i])
+        k2 = -bilinear(g, cn[i], ws[i])
         samples.append(CurvatureSample(
-            t=times[i], h=h, k1=k1, k2=k2,
+            t=curve.times[i], h=h, k1=k1, k2=k2,
             geodesic_type=abs(k1) < 1e-9,
         ))
     # orientation rule: k1 >= 0 at the first generic sample
@@ -441,47 +461,30 @@ def cubic_residuals_from_trace(trace: HelixTrace, factor: float | None = None):
     about FD_SPACING, so at least CUBIC_MIN_SAMPLES decimated samples are
     needed for one residual.
     """
-    metric = trace.spec.metric
-    stride, dt = decimation(trace.times)
-    times = trace.times[::stride]
-    points = trace.points[::stride]
-    zetas = trace.zetas[::stride]
+    curve = trace.view
     if factor is None:
         factor = trace.spec.cubic_factor
-    c1 = _covariant_sequence(metric, points, zetas, zetas, dt)
-    r = FD_RADIUS
-    c2 = _covariant_sequence(metric, points[r:-r], zetas[r:-r], c1, dt)
-    c3 = _covariant_sequence(metric, points[2 * r:-2 * r], zetas[2 * r:-2 * r], c2, dt)
-    out = []
-    for k in range(len(c3)):
-        i = k + 3 * r
-        resid = [c3[k][a] - factor * c1[k + 2 * r][a] for a in range(3)]
-        out.append((times[i], euclid_norm(resid)))
-    return out
+    c1, c3 = curve.cov("zeta"), curve.cov("zeta", 3)
+    return [
+        (curve.times[i], euclid_norm([c3[i][a] - factor * c1[i][a] for a in range(3)]))
+        for i in curve.interior(3)
+    ]
 
 
 def identity_reports_from_trace(trace: HelixTrace):
     """Metric-identity reports along a trace, targets from extracted samples."""
-    metric = trace.spec.metric
-    stride, dt = decimation(trace.times)
-    points = trace.points[::stride]
-    zetas = trace.zetas[::stride]
-    ns = trace.ns[::stride]
-    ws = trace.ws[::stride]
-    cz = _covariant_sequence(metric, points, zetas, zetas, dt)
-    cn = _covariant_sequence(metric, points, zetas, ns, dt)
-    cw = _covariant_sequence(metric, points, zetas, ws, dt)
+    curve = trace.view
+    cz, cn, cw = curve.cov("zeta"), curve.cov("n"), curve.cov("w")
     samples = extract_curvatures(trace)
     cubics = dict(cubic_residuals_from_trace(trace))
     reports = []
-    for k, sample in enumerate(samples):
-        i = k + FD_RADIUS
-        g = metric.matrix_at(points[i])
+    for i, sample in zip(curve.interior(1), samples):
+        g = curve.g(i)
         scalars = (
-            bilinear(g, cz[k], cz[k]),
-            bilinear(g, cn[k], cn[k]),
-            bilinear(g, cw[k], cw[k]),
-            bilinear(g, cz[k], cn[k]),
+            bilinear(g, cz[i], cz[i]),
+            bilinear(g, cn[i], cn[i]),
+            bilinear(g, cw[i], cw[i]),
+            bilinear(g, cz[i], cn[i]),
         )
         targets = (
             -sample.k1 ** 2,

@@ -20,7 +20,8 @@ here, over duck-typed scalars: curves run them on jets, so the construction
 yields the frame's own t-derivatives; helix traces and transfer run them on
 floats.  Transfer's ambient frames extend the seed order with the unused axes
 and take W from the acceleration's screen part, the only W rule above
-dimension 3.
+dimension 3.  A curve keeps one frame bundle (``_FrameJets``) per t and seed
+order, computing g, the connection and each covariant derivative once.
 """
 
 from __future__ import annotations
@@ -323,7 +324,7 @@ class _FrameJets:
     """
 
     __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "seed_index", "metric",
-                 "_covs")
+                 "_gamma", "_covs")
 
     def __init__(self, t, pos, zeta, n, w, gmat, seed_index, metric):
         self.t = t
@@ -334,17 +335,21 @@ class _FrameJets:
         self.gmat = gmat
         self.seed_index = seed_index
         self.metric = metric
+        self._gamma = None
         self._covs = {}
 
     def cov(self, field: str, times: int = 1):
         """``times``-fold covariant derivative of "zeta", "n" or "w" along the
-        curve; each layer is computed once and kept."""
+        curve; each layer, and the connection they share, is computed once."""
         key = (field, times)
         out = self._covs.get(key)
         if out is None:
+            if self._gamma is None and not self.metric.is_constant:
+                self._gamma = self.metric.christoffel(
+                    [p.truncated(p.order - 1) for p in self.pos])
             inner = getattr(self, field) if times == 1 else self.cov(field, times - 1)
-            out = self._covs[key] = semimetric.covariant_jets(self.pos, inner,
-                                                              self.metric)
+            out = self._covs[key] = semimetric.covariant_jets(
+                self.pos, inner, self.metric, self._gamma)
         return out
 
     def raw_k1(self) -> float:

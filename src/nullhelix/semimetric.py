@@ -96,6 +96,13 @@ def bilinear(g, x, y):
     return acc
 
 
+def connection_term(gamma, a, b):
+    """Connection term gamma[k][i][j] a^i b^j, summed over i then j per k."""
+    n = len(a)
+    return [sum(gamma[k][i][j] * a[i] * b[j] for i in range(n) for j in range(n))
+            for k in range(n)]
+
+
 def _deriv_part(v):
     """First coefficient of a seeded order-1 evaluation (0 for constants)."""
     return v.coeffs[1] if isinstance(v, Jet) else 0.0
@@ -301,19 +308,22 @@ def inner(g: SemiMetric, p, x, y) -> float:
     return g.inner_at(p, x, y)
 
 
-def covariant_jets(pos_jets, field_jets, metric: SemiMetric):
+def covariant_jets(pos_jets, field_jets, metric: SemiMetric, gamma=None):
     """Covariant derivative along a curve, at the jet level.
 
     ``pos_jets`` are the curve's coordinate jets in the parameter,
     ``field_jets`` the field's components along the curve.  The result's
     order drops by one; nesting therefore costs one order per application.
+    ``gamma``, if known, is ``metric.christoffel`` of the truncated positions.
     """
     n = metric.dim
     zeta = [jets.dt(x) for x in pos_jets]
     out = [jets.dt(v) for v in field_jets]
     if metric.is_constant:
         return out
-    gamma = metric.christoffel([x.truncated(x.order - 1) for x in pos_jets])
+    if gamma is None:
+        gamma = metric.christoffel([x.truncated(x.order - 1) for x in pos_jets])
+    # not connection_term: its summation order moves conformal results by 1e-16
     for k in range(n):
         acc = out[k]
         for i in range(n):

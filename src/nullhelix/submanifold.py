@@ -32,8 +32,8 @@ from . import jets, semimetric
 from .exprparse import _eval, parse
 from .jets import Jet, const_term
 from .nullframe import ScreenPolicy, continuity_signs, euclid_norm, null_transversal
-from .semimetric import (SemiMetric, _deriv_part, bilinear, mat_det, mat_inverse,
-                         mat_vec)
+from .semimetric import (SemiMetric, _deriv_part, bilinear, connection_term,
+                         mat_det, mat_inverse, mat_vec)
 
 RANK_TOL = 1e-9
 NORMAL_TOL = 1e-10
@@ -256,14 +256,9 @@ class _Point:
 
     def gamma_term(self, a, b):
         """Ambient connection term G^k_ij a^i b^j at f(u); zero on constant charts."""
-        n = self.F.ambient.dim
         if self.F.ambient.is_constant:
-            return [0.0] * n
-        gamma = self.ambient_christoffel
-        return [
-            sum(gamma[k][i][j] * a[i] * b[j] for i in range(n) for j in range(n))
-            for k in range(n)
-        ]
+            return [0.0] * self.F.ambient.dim
+        return connection_term(self.ambient_christoffel, a, b)
 
 
 def _point(F: Immersion, u) -> _Point:
@@ -525,12 +520,7 @@ def parallel_H_residual(F: Immersion, u, X) -> float:
 
 def _intrinsic_nabla(pt: _Point, z, x):
     """(nabla_z x)^a for coordinate-constant x: the pure connection term."""
-    gamma = pt.christoffel
-    m = pt.F.m
-    return [
-        sum(gamma[a][b][c] * z[b] * x[c] for b in range(m) for c in range(m))
-        for a in range(m)
-    ]
+    return connection_term(pt.christoffel, z, x)
 
 
 def _nabla_b_value(pt: _Point, x, y, z):
@@ -601,12 +591,8 @@ def nabla_shape(F: Immersion, u, a: int, X, Y):
 
     # intrinsic covariant derivative of the tangent field s -> A(u + sX)(Y)
     da, abase = _along(pt, x, lambda q: _shape_value(q, a, y))
-    gamma = pt.christoffel
-    term1 = [
-        da[al] + sum(gamma[al][b][c] * x[b] * abase[c]
-                     for b in range(m) for c in range(m))
-        for al in range(m)
-    ]
+    gam = connection_term(pt.christoffel, x, abase)
+    term1 = [da[al] + gam[al] for al in range(m)]
 
     # A with the perp-derivative of N_a in the normal slot (pointwise linear)
     perp_n = _normal_projection(pt, _weingarten(pt, a, x))
@@ -701,7 +687,7 @@ class TransferReport:
     nullity_max: float
 
 
-def _ambient_frames(metric: SemiMetric, points, zetas, czetas, policy: ScreenPolicy):
+def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
     """Seed-built transversal and first-normal screen direction per sample.
 
     N is ``nullframe.null_transversal`` over the policy seeds followed by the
@@ -709,17 +695,18 @@ def _ambient_frames(metric: SemiMetric, points, zetas, czetas, policy: ScreenPol
     acceleration, normalised to g(W, W) = -1; where the acceleration's screen
     part degenerates, a seed axis is projected instead.  This W rule is the
     only one for ambient dimensions above 3.  Sign continuity along the
-    samples is restored by ``nullframe.continuity_signs``.
+    samples the acceleration reaches is restored by ``continuity_signs``.
     """
-    n = metric.dim
+    n = curve.metric.dim
     seed_order = policy.seed_indices(n)
     seed_order += [i for i in range(n) if i not in seed_order]
+    zetas, czetas = curve.fields["zeta"], curve.cov("zeta")
     ns, ws = [], []
-    for p, z, cz in zip(points, zetas, czetas):
-        g = metric.matrix_at(p)
+    for k in curve.interior(1):
+        g, z = curve.g(k), zetas[k]
         _, _, nv = null_transversal(g, z, seed_order, "along the ambient curve")
         w = None
-        cand = list(cz)
+        cand = list(czetas[k])
         for attempt in range(n + 1):
             proj = [
                 cand[i]
@@ -738,8 +725,9 @@ def _ambient_frames(metric: SemiMetric, points, zetas, czetas, policy: ScreenPol
             raise ValueError("no timelike screen direction along the ambient curve")
         ns.append(tuple(nv))
         ws.append(tuple(w))
-    signs = continuity_signs(ws)
-    return ns, [tuple(sign * c for c in w) for sign, w in zip(signs, ws)]
+    ws = [tuple(sign * c for c in w) for sign, w in zip(continuity_signs(ws), ws)]
+    pad = [None] * helixmod.FD_RADIUS
+    return pad + ns + pad, pad + ws + pad
 
 
 def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
@@ -769,7 +757,6 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     trace = helixmod.synthesize(spec, grid, step, project_every=project_every,
                                 drift_limit=drift_limit)
     pull = PullbackMetric(F)
-    stride, dt = helixmod.decimation(trace.times)
 
     iso_max = 0.0
     for u in trace.points[:: max(1, len(trace.points) // 64)]:
@@ -788,37 +775,31 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     if idx0 != 2:
         raise ValueError(f"induced metric has index {idx0} along the curve, need 2")
 
-    amb = F.ambient
     # the ambient frames are measured at the same decimated spacing as the
     # intrinsic trace extraction (stencil noise scales with frame/spacing)
-    times_d = trace.times[::stride]
-    upoints = trace.points[::stride]
-    uzetas = trace.zetas[::stride]
+    view = trace.view
     points = [tuple(const_term(c) for c in F.map_values(list(u)))
-              for u in upoints]
+              for u in view.points]
     zetas = [tuple(_push(F.tangent_values(list(u)), list(z)))
-             for u, z in zip(upoints, uzetas)]
+             for u, z in zip(view.points, view.fields["zeta"])]
+    curve = helixmod.SampledCurve(F.ambient, view.times, points, zetas, view.dt)
 
     nullity_max = max(
-        abs(bilinear(amb.matrix_at(p), list(z), list(z)))
-        for p, z in zip(points, zetas)
+        abs(bilinear(curve.g(i), list(z), list(z))) for i, z in enumerate(zetas)
     )
 
-    cz_seq = helixmod._covariant_sequence(amb, points, zetas, zetas, dt)
-    r = helixmod.FD_RADIUS
-    inner_pts = points[r:-r]
-    inner_z = zetas[r:-r]
-    ns, ws = _ambient_frames(amb, inner_pts, inner_z, cz_seq, policy)
-    cn_seq = helixmod._covariant_sequence(amb, inner_pts, inner_z, ns, dt)
+    cz = curve.cov("zeta")
+    ns, ws = _ambient_frames(curve, policy)
+    curve.fields["n"] = ns
+    cn = curve.cov("n")
 
     times, hs, k1s, k2s = [], [], [], []
-    for k in range(len(cn_seq)):
-        i = k + r  # index into the inner arrays
-        g = amb.matrix_at(inner_pts[i])
-        h = bilinear(g, cz_seq[i], ns[i])
-        k1 = -bilinear(g, cz_seq[i], ws[i])
-        k2 = -bilinear(g, cn_seq[k], ws[i])
-        times.append(times_d[i + r])
+    for i in curve.interior(2):
+        g = curve.g(i)
+        h = bilinear(g, cz[i], ns[i])
+        k1 = -bilinear(g, cz[i], ws[i])
+        k2 = -bilinear(g, cn[i], ws[i])
+        times.append(curve.times[i])
         hs.append(h)
         k1s.append(k1)
         k2s.append(k2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -16,7 +17,7 @@ from nullhelix.helix import (
 )
 from nullhelix.jets import const_term
 from nullhelix.nullframe import NullCurve, build_frame, curvatures_at, frame_field
-from nullhelix.semimetric import MetricField
+from nullhelix.semimetric import MetricField, SemiMetric
 
 from conftest import random_helix_spec, uniform_grid
 
@@ -198,12 +199,85 @@ def test_cubic_identity_rejects_short_trace(c1_spec):
     sample = nf.CurvatureSample(t=0.05, h=0.0, k1=1.0, k2=-0.5)
     with pytest.raises(ValueError, match="too short for the cubic stencil"):
         cubic_identity_residual(trace, None, sample, 0.05)
+    # one sample has no spacing and no interior
+    single = synthesize(c1_spec, [0.0], step=1e-3)
+    assert extract_curvatures(single) == []
+    assert extract_curvatures(single, reseed=True) == []
+    assert hx.cubic_residuals_from_trace(single) == []
+    assert hx.identity_reports_from_trace(single) == []
+    with pytest.raises(ValueError, match="too short for the cubic stencil"):
+        cubic_identity_residual(single, None, sample, 0.0)
 
 
 def _conformal_metric():
     e = "exp(0.4*x3)"
     return MetricField.from_texts(3, [[f"-{e}", "0", "0"], ["0", f"-{e}", "0"],
                                       ["0", "0", e]])
+
+
+def _count_calls(monkeypatch, name):
+    """Record the first argument of every SemiMetric.<name> call."""
+    calls = []
+    original = getattr(SemiMetric, name)
+
+    def counted(self, p):
+        calls.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(SemiMetric, name, counted)
+    return calls
+
+
+def test_one_christoffel_evaluation_per_frame_bundle(monkeypatch):
+    curve = NullCurve.position(_conformal_metric(), ["cos(t)", "sin(t)", "t"],
+                               (0.0, TWO_PI))
+    calls = _count_calls(monkeypatch, "christoffel")
+    t = 0.7
+    frame = build_frame(curve, t)
+    cs = curvatures_at(curve, frame, t)
+    nf.frenet_residuals(curve, frame, cs, t)
+    metric_identity_suite(curve, frame, cs, t)
+    cubic_identity_residual(curve, frame, cs, t)
+    assert len(curve._bundles) == 1
+    assert len(calls) == 1
+
+
+def _curved_c1_trace():
+    """C1's frame at (1, 0, 0) on diag(-1, -1, 1 + x3^2), where g = diag(-1, -1, 1)."""
+    metric = MetricField.from_texts(
+        3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]])
+    spec = HelixSpec(0.0, 1.0, -0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0),
+                     (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=metric)
+    return synthesize(spec, uniform_grid(0.0, 0.3, 31), step=1e-3)
+
+
+def test_trace_view_evaluates_each_sample_once(monkeypatch):
+    trace = _curved_c1_trace()
+    gammas = _count_calls(monkeypatch, "christoffel")
+    metrics = _count_calls(monkeypatch, "matrix_at")
+    reports = hx.identity_reports_from_trace(trace)
+    kept = hx.decimated_count(trace.times)
+    assert len(reports) == kept - 2 * hx.FD_RADIUS
+    assert any(r.cubic_residual is not None for r in reports)
+    for calls in (gammas, metrics):
+        points = [tuple(p) for p in calls]
+        assert 0 < len(points) <= kept
+        assert len(set(points)) == len(points)
+
+
+def test_trace_view_results_do_not_depend_on_call_order():
+    trace = _curved_c1_trace()
+    functions = (
+        extract_curvatures,
+        lambda tr: extract_curvatures(tr, reseed=True),
+        hx.cubic_residuals_from_trace,
+        hx.identity_reports_from_trace,
+    )
+    fresh = [f(dataclasses.replace(trace)) for f in functions]
+    assert all(fresh)
+    driven = [f(trace) for f in reversed(functions)][::-1]
+    assert driven == fresh
+    assert [f(trace) for f in functions] == fresh
 
 
 def _sample_results(curve, frame, policy=None):
