@@ -67,8 +67,8 @@ def _check_keys(obj: dict, required, optional=(), where: str = "document"):
 
 
 def _number(obj, where):
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-        raise SpecError(f"{where} must be a number")
+    if not _is_finite(obj):
+        raise SpecError(f"{where} must be a finite number")
     return float(obj)
 
 
@@ -244,6 +244,9 @@ def _resolve(config: dict, args, command: str) -> dict:
     if args.tol is not None:
         cfg["tol"] = args.tol
     if args.step is not None:
+        rule, wanted = _POSITIVE
+        if not rule(args.step):
+            raise SpecError(f"--step must be {wanted}, got {args.step}")
         cfg["step"] = args.step
     if args.samples is not None:
         cfg["samples"] = args.samples

@@ -9,7 +9,10 @@ system
     dw/dt    = k2 zeta + k1 n - G(x) zeta w
 
 with G the connection coefficients, integrated by classical fixed-step RK4.
-A shadow integration at half step provides a Richardson error estimate per
+G is evaluated at every RK4 stage, except on a constant metric: there it does
+not depend on x, so each ``_rk4_steps`` call evaluates it once, and since it
+vanishes the G terms are skipped (bitwise the same: each would be +0.0).  A
+shadow integration at half step provides a Richardson error estimate per
 sample.  Residual norms are always coordinate-Euclidean: the indefinite metric
 can annihilate nonzero errors and must not certify smallness.  Trace
 measurements read one memoized decimated view (``HelixTrace.view``) that
@@ -105,18 +108,31 @@ class HelixTrace:
                             n=self.ns[::stride], w=self.ws[::stride])
 
 
-def _rhs(metric: SemiMetric, h, k1, k2, state):
+# The vanishing connection.  _rk4_steps passes this very object for an
+# all-zero one, and _rhs then skips the sums: each would be +0.0 on a finite
+# state, and a - 0.0 == a, so the result is bitwise the same.
+_ZERO_GAMMA = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+
+
+def _rhs(metric: SemiMetric, h, k1, k2, state, gamma=None):
+    """Right-hand side of the frame system; ``gamma``, if known, is the
+    connection at the state's position."""
     x = state[0:3]
     z = state[3:6]
     n = state[6:9]
     w = state[9:12]
-    gamma = metric.christoffel(list(x))
+    if gamma is None:
+        gamma = metric.christoffel(list(x))
+    flat = gamma is _ZERO_GAMMA
     out = [0.0] * 12
-    # summed inline: connection_term calls slow this loop, nearly all of flat synth
+    # summed inline: connection_term calls would slow every curved-chart stage
     for k in range(3):
-        gz_z = sum(gamma[k][i][j] * z[i] * z[j] for i in range(3) for j in range(3))
-        gz_n = sum(gamma[k][i][j] * z[i] * n[j] for i in range(3) for j in range(3))
-        gz_w = sum(gamma[k][i][j] * z[i] * w[j] for i in range(3) for j in range(3))
+        if flat:
+            gz_z = gz_n = gz_w = 0.0
+        else:
+            gz_z = sum(gamma[k][i][j] * z[i] * z[j] for i in range(3) for j in range(3))
+            gz_n = sum(gamma[k][i][j] * z[i] * n[j] for i in range(3) for j in range(3))
+            gz_w = sum(gamma[k][i][j] * z[i] * w[j] for i in range(3) for j in range(3))
         out[k] = z[k]
         out[3 + k] = h * z[k] + k1 * w[k] - gz_z
         out[6 + k] = -h * n[k] + k2 * w[k] - gz_n
@@ -126,11 +142,15 @@ def _rhs(metric: SemiMetric, h, k1, k2, state):
 
 def _rk4_steps(metric, h, k1, k2, state, dt, nsteps):
     y = list(state)
+    # a constant metric's connection does not depend on the position
+    gamma = metric.christoffel(y[0:3]) if metric.is_constant else None
+    if gamma == _ZERO_GAMMA:
+        gamma = _ZERO_GAMMA
     for _ in range(nsteps):
-        a = _rhs(metric, h, k1, k2, y)
-        b = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * a[i] for i in range(12)])
-        c = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * b[i] for i in range(12)])
-        d = _rhs(metric, h, k1, k2, [y[i] + dt * c[i] for i in range(12)])
+        a = _rhs(metric, h, k1, k2, y, gamma)
+        b = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * a[i] for i in range(12)], gamma)
+        c = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * b[i] for i in range(12)], gamma)
+        d = _rhs(metric, h, k1, k2, [y[i] + dt * c[i] for i in range(12)], gamma)
         y = [y[i] + dt * (a[i] + 2.0 * b[i] + 2.0 * c[i] + d[i]) / 6.0 for i in range(12)]
     return y
 
@@ -188,7 +208,7 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
 
     def record(t, full, half):
         drift = _gram_drift(metric, full)
-        if drift > drift_limit:
+        if not drift <= drift_limit:  # NaN included
             raise GramDriftError(
                 f"Gram drift {drift:.3e} exceeds {drift_limit} at t = {t}", t
             )

@@ -1,9 +1,11 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a PASS/FAIL line (run with ``pytest -s`` to see them all)
-and enforces the stated tolerance and runtime budget.  The stated budgets
-assume compiled kernels; the pure-Python package runs under a fixed 10x
-allowance on them.  Tolerances never change.
+and enforces the stated tolerance and runtime budget.  Criteria 1, 2 and 4-7
+hold their stated budgets as they are; the pure-Python package's slowest of
+three timed runs took under half of each.  Criterion 3 (about 4 s of 5 s) is
+too close to its budget on a shared host and keeps a fixed 10x allowance.
+Tolerances never change.
 """
 
 import math
@@ -48,12 +50,12 @@ def test_criterion_1_c1_fixture(flat3, c1_curve):
         max_resid = max(max_resid, nf.euclid_norm(r1), nf.euclid_norm(r2),
                         nf.euclid_norm(r3))
     elapsed = time.perf_counter() - start
-    ok = max_dev <= 1e-9 and max_resid <= 1e-9 and elapsed < _budget(1.0)
+    ok = max_dev <= 1e-9 and max_resid <= 1e-9 and elapsed < 1.0
     _line(1, ok, f"curvature dev {max_dev:.2e}, frenet residual {max_resid:.2e}",
           elapsed)
     assert max_dev <= 1e-9
     assert max_resid <= 1e-9
-    assert elapsed < _budget(1.0)
+    assert elapsed < 1.0
 
 
 def test_criterion_2_cubic_identity(flat3, c1_curve):
@@ -71,11 +73,11 @@ def test_criterion_2_cubic_identity(flat3, c1_curve):
     cs = curvatures_at(nonhelix, fr, 1.0)
     nh = hx.cubic_identity_residual(nonhelix, fr, cs, 1.0)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-8 and nh > 0.01 and elapsed < _budget(1.0)
+    ok = worst <= 1e-8 and nh > 0.01 and elapsed < 1.0
     _line(2, ok, f"helix residual {worst:.2e}, non-helix residual {nh:.2e}", elapsed)
     assert worst <= 1e-8
     assert nh > 0.01
-    assert elapsed < _budget(1.0)
+    assert elapsed < 1.0
 
 
 def test_criterion_3_metric_identity_block(flat3, c1_curve, rng):
@@ -121,11 +123,11 @@ def test_criterion_4_roundtrip_synthesis(flat3, c1_spec, rng):
         errors.append(max(abs(a - b) for a, b in zip(tr.points[-1], exact)))
     order = math.log2(errors[0] / errors[1])
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and order >= 3.7 and elapsed < _budget(30.0)
+    ok = worst <= 1e-6 and order >= 3.7 and elapsed < 30.0
     _line(4, ok, f"round-trip dev {worst:.2e}, RK4 order {order:.2f}", elapsed)
     assert worst <= 1e-6
     assert order >= 3.7
-    assert elapsed < _budget(30.0)
+    assert elapsed < 30.0
 
 
 def test_criterion_5_christoffel(flat3, rng):
@@ -147,10 +149,10 @@ def test_criterion_5_christoffel(flat3, rng):
             abs(ce[1, 1, 0] - 1.0 / r),
         )
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < _budget(1.0)
+    ok = worst <= 1e-9 and elapsed < 1.0
     _line(5, ok, f"polar oracle dev {worst:.2e}", elapsed)
     assert worst <= 1e-9
-    assert elapsed < _budget(1.0)
+    assert elapsed < 1.0
 
 
 def test_criterion_6_submanifold_suite(slice_immersion, sphere2, euclid3,
@@ -192,7 +194,7 @@ def test_criterion_6_submanifold_suite(slice_immersion, sphere2, euclid3,
     elapsed = time.perf_counter() - start
     ok = (slice_b <= 1e-10 and sphere_umb <= 1e-8 and h_norm_dev <= 1e-8
           and sphere_nb <= 1e-7 and cyl_umb >= 0.4 and duality <= 1e-8
-          and elapsed < _budget(5.0))
+          and elapsed < 5.0)
     _line(6, ok, f"slice B {slice_b:.1e}, sphere umb {sphere_umb:.1e}, "
                  f"|H| dev {h_norm_dev:.1e}, nablaB {sphere_nb:.1e}, "
                  f"cylinder {cyl_umb:.2f}, duality {duality:.1e}", elapsed)
@@ -202,7 +204,7 @@ def test_criterion_6_submanifold_suite(slice_immersion, sphere2, euclid3,
     assert sphere_nb <= 1e-7
     assert cyl_umb >= 0.4
     assert duality <= 1e-8
-    assert elapsed < _budget(5.0)
+    assert elapsed < 5.0
 
 
 def test_criterion_7_transfer_experiment(slice_immersion, graph_immersion,
@@ -228,7 +230,7 @@ def test_criterion_7_transfer_experiment(slice_immersion, graph_immersion,
     slice_dev = max(rep_slice.constancy.values())
     graph_dev = max(rep_graph.constancy.values())
     ok = (slice_dev <= 1e-6 and graph_dev > 1e-3 and rep_graph.geodesic_max > 0.1
-          and d1_dev <= 1e-7 and d2_norm <= 1e-8 and elapsed < _budget(10.0))
+          and d1_dev <= 1e-7 and d2_norm <= 1e-8 and elapsed < 10.0)
     _line(7, ok, f"slice constancy {slice_dev:.1e}, graph constancy "
                  f"{graph_dev:.1e}, graph geodesic {rep_graph.geodesic_max:.2f}, "
                  f"D1-H {d1_dev:.1e}, D2 {d2_norm:.1e}", elapsed)
@@ -237,7 +239,7 @@ def test_criterion_7_transfer_experiment(slice_immersion, graph_immersion,
     assert rep_graph.geodesic_max > 0.1
     assert d1_dev <= 1e-7
     assert d2_norm <= 1e-8
-    assert elapsed < _budget(10.0)
+    assert elapsed < 10.0
 
 
 def test_criterion_8_screen_policy_independence(flat3, c1_curve, rng):

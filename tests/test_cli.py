@@ -158,6 +158,14 @@ def test_synth_drift_abort_is_usage_error(tmp_path, capsys):
     assert "Gram drift" in err
 
 
+def test_synth_nan_drift_aborts_at_first_sample(tmp_path, capsys):
+    spec = _write(tmp_path, "nan.json", _with(HELIX_DOC, helix__h=1e160))
+    assert run(["synth", "--spec", spec, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Gram drift nan exceeds")
+    assert f"at t = {2.0 / 500}" in err
+
+
 def test_transfer_drift_abort_is_usage_error(tmp_path, capsys):
     doc = json.loads(json.dumps(TRANSFER_DOC))
     doc["config"] = {"drift_limit": 1e-30}
@@ -383,14 +391,24 @@ NUMERIC_ENTRIES = {"dim": 3, "metric": {"type": "field",
     ("frame", _with(C1_DOC, metric={"dim": 3, "metric": ["x"]})),
     ("frame", _with(C1_DOC, metric=NUMERIC_ENTRIES)),
     ("submanifold", _with(SPHERE_DOC, immersion__map=[1, 2, 3])),
+    ("synth", _with(HELIX_DOC, helix__step=math.inf)),
+    ("synth", _with(HELIX_DOC, helix__step=math.nan)),
+    ("synth", _with(HELIX_DOC, helix__step=10 ** 400)),
+    ("synth", _with(HELIX_DOC, helix__h=math.nan)),
+    ("transfer", _with(TRANSFER_DOC, helix__domain=[0.0, math.inf])),
+    ("synth --step nan", HELIX_DOC),
+    ("synth --step inf", HELIX_DOC),
 ], ids=["synth-project_every-negative", "transfer-project_every-negative",
         "samples-string", "samples-float", "tol-string", "gram_tol-null",
         "seed_order-number", "step-string", "project_every-float",
         "quad_step-zero", "quad_step-negative", "metric-list",
-        "metric-numeric-entries", "immersion-numeric-map"])
+        "metric-numeric-entries", "immersion-numeric-map",
+        "helix-step-infinity", "helix-step-nan", "helix-step-401-digits",
+        "helix-h-nan", "helix-domain-infinity", "flag-step-nan", "flag-step-inf"])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, command, doc):
+    command, *flags = command.split()
     spec = _write(tmp_path, "bad.json", doc)
-    assert run([command, "--spec", spec, "--out", str(tmp_path / "r.json")]) == 2
+    assert run([command, "--spec", spec, *flags, "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err

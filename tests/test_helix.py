@@ -242,6 +242,42 @@ def test_one_christoffel_evaluation_per_frame_bundle(monkeypatch):
     assert len(calls) == 1
 
 
+def test_constant_metric_evaluates_the_connection_once_per_rk4_call(
+        monkeypatch, c1_spec):
+    gammas = _count_calls(monkeypatch, "christoffel")
+    steps = []
+    original = hx._rk4_steps
+
+    def counted(*args):
+        steps.append(args[6])
+        return original(*args)
+
+    monkeypatch.setattr(hx, "_rk4_steps", counted)
+    synthesize(c1_spec, uniform_grid(0.0, 0.2, 5), step=1e-2, project_every=3)
+    assert sum(steps) > len(steps) > 0
+    assert len(gammas) == len(steps)
+
+
+def test_zero_connection_shortcut_is_bitwise_exact(flat3, rng):
+    """The hoisted flat Γ gives the same bits as the per-stage sums.
+
+    ``1 + 0*x3`` is the flat chart's entry, but the metric is not
+    ``is_constant``, so its RK4 evaluates and sums Γ at every stage.
+    """
+    disguised = MetricField.from_texts(
+        3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + 0*x3"]])
+    assert not disguised.is_constant
+    fields = ("points", "zetas", "ns", "ws", "gram_drift", "err_est")
+    for _ in range(3):
+        spec = random_helix_spec(rng, flat3)
+        grid = uniform_grid(0.0, 0.3, 7)
+        flat = synthesize(spec, grid, step=1e-2, project_every=7)
+        per_stage = synthesize(dataclasses.replace(spec, metric=disguised), grid,
+                               step=1e-2, project_every=7)
+        for name in fields:
+            assert getattr(flat, name) == getattr(per_stage, name), name
+
+
 def _curved_c1_trace():
     """C1's frame at (1, 0, 0) on diag(-1, -1, 1 + x3^2), where g = diag(-1, -1, 1)."""
     metric = MetricField.from_texts(
