@@ -114,14 +114,20 @@ _CONFIG_RULES = {
 }
 
 
+def _checked(value, rule, where):
+    """``value`` once it meets ``rule``, a (test, what it asks for) pair."""
+    test, wanted = rule
+    if not test(value):
+        raise SpecError(f"{where} must be {wanted}, got {json.dumps(value)}")
+    return value
+
+
 def _config(obj) -> dict:
     if obj is None:
         return {}
     _check_keys(obj, (), _CONFIG_RULES, where="config")
     for key, value in obj.items():
-        rule, wanted = _CONFIG_RULES[key]
-        if not rule(value):
-            raise SpecError(f"config.{key} must be {wanted}, got {json.dumps(value)}")
+        _checked(value, _CONFIG_RULES[key], f"config.{key}")
     return dict(obj)
 
 
@@ -208,7 +214,7 @@ def _helix_payload(obj) -> dict:
         "n": _vector(frame["n"], 3, "helix.initial_frame.n"),
         "w": _vector(frame["w"], 3, "helix.initial_frame.w"),
         "domain": _domain(obj["domain"], "helix.domain"),
-        "step": _number(obj["step"], "helix.step"),
+        "step": float(_checked(obj["step"], _POSITIVE, "helix.step")),
     }
 
 
@@ -241,15 +247,10 @@ def _resolve(config: dict, args, command: str) -> dict:
         "drift_limit": helixmod.DRIFT_LIMIT,
     }
     cfg.update({k: v for k, v in config.items() if k != "spec_sha256"})
-    if args.tol is not None:
-        cfg["tol"] = args.tol
-    if args.step is not None:
-        rule, wanted = _POSITIVE
-        if not rule(args.step):
-            raise SpecError(f"--step must be {wanted}, got {args.step}")
-        cfg["step"] = args.step
-    if args.samples is not None:
-        cfg["samples"] = args.samples
+    for key in ("tol", "step", "samples"):
+        value = getattr(args, key)
+        if value is not None:
+            cfg[key] = _checked(value, _CONFIG_RULES[key], f"--{key}")
     if args.project:
         cfg["project_every"] = cfg["project_every"] or 100
     if args.seed_order is not None:
@@ -267,8 +268,6 @@ def _policy(cfg: dict) -> ScreenPolicy:
 
 def _grid(domain, samples: int):
     t0, t1 = domain
-    if samples < 2:
-        raise SpecError("need at least 2 samples")
     dt = (t1 - t0) / (samples - 1)
     return [t0 + i * dt for i in range(samples)]
 
@@ -365,10 +364,7 @@ def _build_helix_spec(doc: SpecDocument, cfg) -> tuple:
         initial_point=hp["initial_point"], zeta0=hp["zeta"], n0=hp["n"],
         w0=hp["w"], metric=metric,
     )
-    step = cfg["step"] if cfg["step"] is not None else hp["step"]
-    if step <= 0:
-        raise SpecError("step must be positive")
-    return spec, hp["domain"], step
+    return spec, hp["domain"], cfg["step"] or hp["step"]
 
 
 def _cmd_synth(doc: SpecDocument, args) -> int:

@@ -274,6 +274,14 @@ def to_text(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def free_variables(node: Expr) -> frozenset:
+    """Names of the variables an expression reads."""
+    if isinstance(node, Var):
+        return frozenset((node.name,))
+    children = [v for v in vars(node).values() if isinstance(v, Expr)]
+    return frozenset().union(*map(free_variables, children))
+
+
 # -- evaluation ---------------------------------------------------------------
 
 _FUNC_EVAL = {

@@ -9,15 +9,15 @@ system
     dw/dt    = k2 zeta + k1 n - G(x) zeta w
 
 with G the connection coefficients, integrated by classical fixed-step RK4.
-G is evaluated at every RK4 stage, except on a constant metric: there it does
-not depend on x, so each ``_rk4_steps`` call evaluates it once, and since it
-vanishes the G terms are skipped (bitwise the same: each would be +0.0).  A
-shadow integration at half step provides a Richardson error estimate per
-sample.  Residual norms are always coordinate-Euclidean: the indefinite metric
-can annihilate nonzero errors and must not certify smallness.  Trace
-measurements read one memoized decimated view (``HelixTrace.view``) that
-evaluates g and the connection once per sample; transfer's ambient samples
-use the same ``SampledCurve`` class.
+The G terms are summed over the metric's connection pattern only, so a flat
+chart, whose pattern is empty, sums none.  G is evaluated at every RK4 stage,
+except on a constant metric (empty pattern): there it does not depend on x, so
+each ``_rk4_steps`` call evaluates it once.  A shadow integration at half step
+provides a Richardson error estimate per sample.  Residual norms are always
+coordinate-Euclidean: the indefinite metric can annihilate nonzero errors and
+must not certify smallness.  Trace measurements read one memoized decimated
+view (``HelixTrace.view``) that evaluates g and the connection once per
+sample; transfer's ambient samples use the same ``SampledCurve`` class.
 """
 
 from __future__ import annotations
@@ -108,44 +108,39 @@ class HelixTrace:
                             n=self.ns[::stride], w=self.ws[::stride])
 
 
-# The vanishing connection.  _rk4_steps passes this very object for an
-# all-zero one, and _rhs then skips the sums: each would be +0.0 on a finite
-# state, and a - 0.0 == a, so the result is bitwise the same.
-_ZERO_GAMMA = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-
-
 def _rhs(metric: SemiMetric, h, k1, k2, state, gamma=None):
     """Right-hand side of the frame system; ``gamma``, if known, is the
     connection at the state's position."""
-    x = state[0:3]
     z = state[3:6]
     n = state[6:9]
     w = state[9:12]
     if gamma is None:
-        gamma = metric.christoffel(list(x))
-    flat = gamma is _ZERO_GAMMA
-    out = [0.0] * 12
-    # summed inline: connection_term calls would slow every curved-chart stage
-    for k in range(3):
-        if flat:
-            gz_z = gz_n = gz_w = 0.0
-        else:
-            gz_z = sum(gamma[k][i][j] * z[i] * z[j] for i in range(3) for j in range(3))
-            gz_n = sum(gamma[k][i][j] * z[i] * n[j] for i in range(3) for j in range(3))
-            gz_w = sum(gamma[k][i][j] * z[i] * w[j] for i in range(3) for j in range(3))
-        out[k] = z[k]
-        out[3 + k] = h * z[k] + k1 * w[k] - gz_z
-        out[6 + k] = -h * n[k] + k2 * w[k] - gz_n
-        out[9 + k] = k2 * z[k] + k1 * n[k] - gz_w
-    return out
+        gamma = metric.christoffel(state[0:3])
+    # G zeta zeta, G zeta n, G zeta w, summed inline in connection_term's order
+    gz = [0.0] * 9
+    for k, i, j in metric.pattern:
+        c = gamma[k][i][j] * z[i]
+        gz[k] += c * z[j]
+        gz[3 + k] += c * n[j]
+        gz[6 + k] += c * w[j]
+    return [
+        z[0], z[1], z[2],
+        h * z[0] + k1 * w[0] - gz[0],
+        h * z[1] + k1 * w[1] - gz[1],
+        h * z[2] + k1 * w[2] - gz[2],
+        -h * n[0] + k2 * w[0] - gz[3],
+        -h * n[1] + k2 * w[1] - gz[4],
+        -h * n[2] + k2 * w[2] - gz[5],
+        k2 * z[0] + k1 * n[0] - gz[6],
+        k2 * z[1] + k1 * n[1] - gz[7],
+        k2 * z[2] + k1 * n[2] - gz[8],
+    ]
 
 
 def _rk4_steps(metric, h, k1, k2, state, dt, nsteps):
     y = list(state)
-    # a constant metric's connection does not depend on the position
-    gamma = metric.christoffel(y[0:3]) if metric.is_constant else None
-    if gamma == _ZERO_GAMMA:
-        gamma = _ZERO_GAMMA
+    # a constant metric's (empty pattern's) connection is the same everywhere
+    gamma = None if metric.pattern else metric.christoffel(y[0:3])
     for _ in range(nsteps):
         a = _rhs(metric, h, k1, k2, y, gamma)
         b = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * a[i] for i in range(12)], gamma)
@@ -412,11 +407,9 @@ class SampledCurve:
             out = [None] * len(values)
             deriv = fd_derivative(values[lo:len(values) - lo], self.dt)
             for i, dv in enumerate(deriv, lo + FD_RADIUS):
-                if not self.metric.is_constant:
-                    term = connection_term(self.gamma(i), self.fields["zeta"][i],
-                                           values[i])
-                    dv = tuple(dv[a] + term[a] for a in range(len(dv)))
-                out[i] = dv
+                term = connection_term(self.metric, self.gamma(i),
+                                       self.fields["zeta"][i], values[i])
+                out[i] = tuple(dv[a] + term[a] for a in range(len(dv)))
             self._covs[(key, layer)] = out
         return self._covs[(key, layer)]
 

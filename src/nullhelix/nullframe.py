@@ -75,8 +75,9 @@ class ScreenPolicy:
             names = [n.strip() for n in names.split(",") if n.strip()]
         idx = []
         for name in names:
-            if not (len(name) >= 2 and name[0] == "e" and name[1:].isdigit()):
-                raise ValueError(f"seed names look like 'e3', got {name!r}")
+            if not (len(name) >= 2 and name[0] == "e" and name[1:].isdigit()
+                    and int(name[1:]) >= 1):
+                raise ValueError(f"seed names look like 'e3' (from e1), got {name!r}")
             idx.append(int(name[1:]) - 1)
         return cls(seeds=tuple(idx))
 
@@ -344,7 +345,7 @@ class _FrameJets:
         key = (field, times)
         out = self._covs.get(key)
         if out is None:
-            if self._gamma is None and not self.metric.is_constant:
+            if self._gamma is None:
                 self._gamma = self.metric.christoffel(
                     [p.truncated(p.order - 1) for p in self.pos])
             inner = getattr(self, field) if times == 1 else self.cov(field, times - 1)

@@ -6,11 +6,19 @@ same Christoffel and covariant-derivative machinery serves closed-form metric
 fields and numerically induced (pullback) metrics alike.  Derivatives of the
 entries are taken by seeding a first-order jet in each coordinate direction,
 never by finite differences.
+
+Each metric's ``pattern`` holds the (k, i, j), in lexicographic order, whose
+Christoffel symbol can be nonzero: every k times every live pair (i, j), where
+(i, j) is live if, for some l, g_jl reads x_i, g_il reads x_j or g_ij reads
+x_l.  A flat chart's pattern is empty.  Every symbol outside it is exactly
+zero, and a sum that starts at +0.0 keeps its bits when +-0.0 is added, so
+each contraction sums over the pattern alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -64,11 +72,9 @@ def mat_det(m):
     return acc
 
 
-def mat_inverse(m, det=None):
-    """Inverse by adjugate over the coefficient ring (dims up to 4)."""
+def mat_inverse(m, det):
+    """Inverse by adjugate over the coefficient ring, given det = mat_det(m)."""
     n = len(m)
-    if det is None:
-        det = mat_det(m)
     if n == 1:
         return [[1.0 / det]]
     inv = [[None] * n for _ in range(n)]
@@ -96,11 +102,19 @@ def bilinear(g, x, y):
     return acc
 
 
-def connection_term(gamma, a, b):
-    """Connection term gamma[k][i][j] a^i b^j, summed over i then j per k."""
-    n = len(a)
-    return [sum(gamma[k][i][j] * a[i] * b[j] for i in range(n) for j in range(n))
-            for k in range(n)]
+def connection_term(metric: SemiMetric, gamma, a, b):
+    """Connection term gamma[k][i][j] a^i b^j over ``metric.pattern``, summed
+    over i then j per k."""
+    out = [0.0] * metric.dim
+    for k, i, j in metric.pattern:
+        out[k] = out[k] + gamma[k][i][j] * a[i] * b[j]
+    return out
+
+
+@cache
+def _zero_connection(n: int) -> tuple:
+    """The vanishing connection of an empty pattern, shared and immutable."""
+    return (((0.0,) * n,) * n,) * n
 
 
 def _deriv_part(v):
@@ -115,7 +129,7 @@ class SemiMetric:
     """Shared machinery on top of duck-typed entry evaluation."""
 
     dim: int
-    is_constant: bool
+    pattern: tuple  # the (k, i, j), in order, whose gamma[k][i][j] can be nonzero
 
     def entry_values(self, coords):
         raise NotImplementedError
@@ -134,10 +148,6 @@ class SemiMetric:
             )
         return g
 
-    def inverse_at(self, p):
-        g = self.matrix_at(p)
-        return mat_inverse(g)
-
     def inner_at(self, p, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector dimension does not match the chart")
@@ -153,37 +163,33 @@ class SemiMetric:
 
         Entry derivatives come from first-order jets seeded per coordinate
         direction; passing jet-valued coordinates therefore yields the
-        coefficients' own Taylor expansions along a curve.
+        coefficients' own Taylor expansions along a curve.  Entries outside
+        ``pattern`` are 0.0; an empty pattern gives the shared zero connection.
         """
         n = self.dim
-        if self.is_constant:
-            return [[[0.0] * n for _ in range(n)] for _ in range(n)]
+        if not self.pattern:
+            return _zero_connection(n)
         g = self.entry_values(list(coords))
         det = mat_det(g)
         if abs(const_term(det)) <= DET_TOL:
             raise DegenerateMetricError("metric degenerate along evaluation")
         ginv = mat_inverse(g, det)
-        # dg[l][i][j] = d g_ij / d x_l
-        dg = []
-        for l in range(n):
-            seeded = [
-                Jet((coords[m], 1.0 if m == l else 0.0)) for m in range(n)
-            ]
-            entries = self.entry_values(seeded)
-            dg.append(
-                [[_deriv_part(entries[i][j]) for j in range(n)] for i in range(n)]
-            )
-        gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    acc = None
-                    for l in range(n):
-                        term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                        acc = term if acc is None else acc + term
-                    val = 0.5 * acc
-                    gamma[k][i][j] = val
-                    gamma[k][j][i] = val
+        # dg[l][i][j] = d g_ij / d x_l; an entry that reads x_l makes some
+        # (l, j) live, so the directions left unseeded are exactly zero
+        dg = [[[0.0] * n for _ in range(n)]] * n
+        for l in sorted({i for _, i, _ in self.pattern}):
+            entries = self.entry_values(
+                [Jet((coords[m], 1.0 if m == l else 0.0)) for m in range(n)])
+            dg[l] = [[_deriv_part(entries[i][j]) for j in range(n)] for i in range(n)]
+        gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
+        for k, i, j in self.pattern:
+            if j < i:  # filled with (k, j, i), which comes first
+                continue
+            acc = None
+            for l in range(n):
+                term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                acc = term if acc is None else acc + term
+            gamma[k][i][j] = gamma[k][j][i] = 0.5 * acc
         return gamma
 
     def christoffel_at(self, p):
@@ -202,10 +208,13 @@ class MetricField(SemiMetric):
         if len(self.entries) != dim or any(len(r) != dim for r in self.entries):
             raise ValueError("entries must form a dim x dim matrix")
         self.signature = signature
-        self.is_constant = all(
-            isinstance(e, exprparse.Num) for row in self.entries for e in row
-        )
         self._coord_names = tuple(f"x{i + 1}" for i in range(dim))
+        reads = [[exprparse.free_variables(e) for e in row] for row in self.entries]
+        x = self._coord_names
+        live = [(i, j) for i in range(dim) for j in range(dim)
+                if reads[i][j] or any(x[i] in reads[j][l] or x[j] in reads[i][l]
+                                      for l in range(dim))]
+        self.pattern = tuple((k, i, j) for k in range(dim) for i, j in live)
 
     @classmethod
     def diag(cls, signs) -> "MetricField":
@@ -316,20 +325,13 @@ def covariant_jets(pos_jets, field_jets, metric: SemiMetric, gamma=None):
     order drops by one; nesting therefore costs one order per application.
     ``gamma``, if known, is ``metric.christoffel`` of the truncated positions.
     """
-    n = metric.dim
     zeta = [jets.dt(x) for x in pos_jets]
     out = [jets.dt(v) for v in field_jets]
-    if metric.is_constant:
-        return out
     if gamma is None:
         gamma = metric.christoffel([x.truncated(x.order - 1) for x in pos_jets])
-    # not connection_term: its summation order moves conformal results by 1e-16
-    for k in range(n):
-        acc = out[k]
-        for i in range(n):
-            for j in range(n):
-                acc = acc + gamma[k][i][j] * zeta[i] * field_jets[j]
-        out[k] = acc
+    # onto dt(field): a separate connection_term sum moves conformal results by 1e-16
+    for k, i, j in metric.pattern:
+        out[k] = out[k] + gamma[k][i][j] * zeta[i] * field_jets[j]
     return out
 
 

@@ -18,6 +18,7 @@ intrinsic connection, each computed once, on first use.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import struct
@@ -112,7 +113,7 @@ class PullbackMetric(SemiMetric):
     def __init__(self, immersion: Immersion):
         self.immersion = immersion
         self.dim = immersion.m
-        self.is_constant = False
+        self.pattern = tuple(itertools.product(range(self.dim), repeat=3))
 
     def entry_values(self, coords):
         return [list(row) for row in _point(self.immersion, coords).g]
@@ -255,10 +256,8 @@ class _Point:
         return self.F.ambient.christoffel(list(self.f))
 
     def gamma_term(self, a, b):
-        """Ambient connection term G^k_ij a^i b^j at f(u); zero on constant charts."""
-        if self.F.ambient.is_constant:
-            return [0.0] * self.F.ambient.dim
-        return connection_term(self.ambient_christoffel, a, b)
+        """Ambient connection term G^k_ij a^i b^j at f(u)."""
+        return connection_term(self.F.ambient, self.ambient_christoffel, a, b)
 
 
 def _point(F: Immersion, u) -> _Point:
@@ -520,7 +519,7 @@ def parallel_H_residual(F: Immersion, u, X) -> float:
 
 def _intrinsic_nabla(pt: _Point, z, x):
     """(nabla_z x)^a for coordinate-constant x: the pure connection term."""
-    return connection_term(pt.christoffel, z, x)
+    return connection_term(PullbackMetric(pt.F), pt.christoffel, z, x)
 
 
 def _nabla_b_value(pt: _Point, x, y, z):
@@ -591,7 +590,7 @@ def nabla_shape(F: Immersion, u, a: int, X, Y):
 
     # intrinsic covariant derivative of the tangent field s -> A(u + sX)(Y)
     da, abase = _along(pt, x, lambda q: _shape_value(q, a, y))
-    gam = connection_term(pt.christoffel, x, abase)
+    gam = _intrinsic_nabla(pt, x, abase)
     term1 = [da[al] + gam[al] for al in range(m)]
 
     # A with the perp-derivative of N_a in the normal slot (pointwise linear)

@@ -414,6 +414,31 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, doc", [
+    (["--seed-order", "e0,e3"], C1_DOC),
+    ([], _with(C1_DOC, {"seed_order": ["e0"]})),
+], ids=["flag-e0-e3", "config-e0"])
+def test_seed_axis_e0_is_rejected(tmp_path, capsys, flags, doc):
+    spec = _write(tmp_path, "c1.json", doc)
+    assert run(["frame", "--spec", spec, "--samples", "10", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed order")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    "verify --tol -1", "verify --tol nan", "verify --tol inf", "frame --samples 1",
+])
+def test_flag_values_follow_the_config_rules(tmp_path, capsys, command):
+    command, flag, value = command.split()
+    spec = _write(tmp_path, "c1.json", C1_DOC)
+    assert run([command, "--spec", spec, flag, value,
+                "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be ")
+    assert "Traceback" not in err
+
+
 CONFIG_KEYS = st.sampled_from(["tol", "step", "samples", "project_every", "seed_order",
                                "gram_tol", "quad_step", "drift_limit"])
 CONFIG_VALUES = st.sampled_from([

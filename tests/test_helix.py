@@ -259,14 +259,15 @@ def test_constant_metric_evaluates_the_connection_once_per_rk4_call(
 
 
 def test_zero_connection_shortcut_is_bitwise_exact(flat3, rng):
-    """The hoisted flat Γ gives the same bits as the per-stage sums.
+    """The flat chart's empty pattern gives the same bits as per-stage sums.
 
-    ``1 + 0*x3`` is the flat chart's entry, but the metric is not
-    ``is_constant``, so its RK4 evaluates and sums Γ at every stage.
+    ``1 + 0*x3`` is the flat chart's entry, but it reads x3, so the metric's
+    pattern is not empty: its RK4 evaluates Γ at every stage and sums the
+    pattern's (exactly zero) terms.
     """
     disguised = MetricField.from_texts(
         3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + 0*x3"]])
-    assert not disguised.is_constant
+    assert flat3.pattern == () and disguised.pattern == ((0, 2, 2), (1, 2, 2), (2, 2, 2))
     fields = ("points", "zetas", "ns", "ws", "gram_drift", "err_est")
     for _ in range(3):
         spec = random_helix_spec(rng, flat3)

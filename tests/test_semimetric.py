@@ -59,11 +59,11 @@ def test_schema_loading():
     g = MetricField.from_dict(
         {"dim": 3, "metric": {"type": "diag", "signs": [-1, -1, 1]}}
     )
-    assert g.is_constant and g.signature.index == 2
+    assert g.pattern == () and g.signature.index == 2
     f = MetricField.from_dict(
         {"dim": 2, "metric": {"type": "field", "entries": [["1", "0"], ["0", "x1^2"]]}}
     )
-    assert not f.is_constant
+    assert f.pattern == ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))
     with pytest.raises(ValueError):
         MetricField.from_dict({"dim": 2, "metric": {"type": "diag", "signs": [-1, 1, 1]}})
     with pytest.raises(ValueError):
@@ -76,6 +76,80 @@ def test_schema_loading():
 def test_christoffel_constant_metric_is_exactly_zero(flat3):
     ce = christoffel_at(flat3, (0.3, -1.2, 9.9))
     assert all(v == 0.0 for plane in ce.gamma for row in plane for v in row)
+
+
+CURVED3 = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]]
+CONFORMAL3 = [["-exp(0.4*x3)", "0", "0"], ["0", "-exp(0.4*x3)", "0"],
+              ["0", "0", "exp(0.4*x3)"]]
+OFF_DIAGONAL2 = [["1 + x2^2", "x1*x2"], ["x1*x2", "2 + x1^2"]]
+CONFORMAL_LIVE = ((0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
+PATTERN_CASES = [
+    (MetricField.diag([-1, -1, 1]), ()),
+    (MetricField.from_texts(3, CURVED3), ((0, 2, 2), (1, 2, 2), (2, 2, 2))),
+    (MetricField.from_texts(3, CONFORMAL3),
+     tuple((k, i, j) for k in range(3) for i, j in CONFORMAL_LIVE)),
+    (MetricField.from_texts(2, OFF_DIAGONAL2),
+     ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+      (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))),
+]
+PATTERN_IDS = ["flat", "curved", "conformal", "off-diagonal"]
+
+
+def _dense_christoffel(metric, coords):
+    """Reference: every coordinate seeded and every gamma[k][i][j] computed."""
+    n = metric.dim
+    g = metric.entry_values(list(coords))
+    ginv = semimetric.mat_inverse(g, semimetric.mat_det(g))
+    dg = []
+    for l in range(n):
+        entries = metric.entry_values(
+            [Jet((coords[m], 1.0 if m == l else 0.0)) for m in range(n)])
+        dg.append([[semimetric._deriv_part(entries[i][j]) for j in range(n)]
+                   for i in range(n)])
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                acc = None
+                for l in range(n):
+                    term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                    acc = term if acc is None else acc + term
+                gamma[k][i][j] = gamma[k][j][i] = 0.5 * acc
+    return gamma
+
+
+@pytest.mark.parametrize("metric, pattern", PATTERN_CASES, ids=PATTERN_IDS)
+def test_connection_pattern_is_exact(metric, pattern):
+    assert metric.pattern == pattern
+    rng = random.Random(11)
+    for _ in range(4):
+        p = [rng.uniform(-1.5, 1.5) for _ in range(metric.dim)]
+        gamma, dense = metric.christoffel(p), _dense_christoffel(metric, p)
+        for k in range(metric.dim):
+            for i in range(metric.dim):
+                for j in range(metric.dim):
+                    assert gamma[k][i][j] == dense[k][i][j]
+                    if (k, i, j) not in pattern:
+                        assert gamma[k][i][j] == 0.0
+        a = [rng.uniform(-2.0, 2.0) for _ in range(metric.dim)]
+        b = [rng.uniform(-2.0, 2.0) for _ in range(metric.dim)]
+        dense_term = [sum(gamma[k][i][j] * a[i] * b[j] for i in range(metric.dim)
+                          for j in range(metric.dim)) for k in range(metric.dim)]
+        assert semimetric.connection_term(metric, gamma, a, b) == dense_term
+
+
+def test_christoffel_seeds_only_the_coordinates_entries_read(monkeypatch):
+    metric = MetricField.from_texts(3, CURVED3)
+    calls = []
+    original = MetricField.entry_values
+
+    def counted(self, coords):
+        calls.append(coords)
+        return original(self, coords)
+
+    monkeypatch.setattr(MetricField, "entry_values", counted)
+    metric.christoffel([0.3, -0.2, 0.7])
+    assert len(calls) == 2
 
 
 def test_christoffel_polar_oracle():
