@@ -259,11 +259,18 @@ def _resolve(config: dict, args, command: str) -> dict:
     return cfg
 
 
-def _policy(cfg: dict) -> ScreenPolicy:
+def _policy(cfg: dict, dim: int) -> ScreenPolicy:
+    """The screen policy of ``cfg``; every seed axis must exist in a chart of
+    dimension ``dim`` (the framed chart: the ambient one for transfer)."""
     try:
-        return ScreenPolicy.from_names(cfg["seed_order"])
+        policy = ScreenPolicy.from_names(cfg["seed_order"])
     except ValueError as exc:
         raise SpecError(f"seed order: {exc}") from None
+    for i in policy.seeds:
+        if i >= dim:
+            raise SpecError(f"seed order: axis e{i + 1} does not exist in a "
+                            f"{dim}-dimensional chart")
+    return policy
 
 
 def _grid(domain, samples: int):
@@ -312,8 +319,8 @@ def _build_curve(payload: dict, metric, cfg) -> NullCurve:
 
 def _cmd_frame(doc: SpecDocument, args) -> int:
     cfg = _resolve(doc.config, args, "frame")
-    policy = _policy(cfg)
     metric = doc.payload["metric"]
+    policy = _policy(cfg, metric.dim)
     curve = _build_curve(doc.payload["curve"], metric, cfg)
     grid = _grid(curve.domain, cfg["samples"])
     frames = nfmod.frame_field(curve, grid, policy)
@@ -418,8 +425,8 @@ def _cmd_synth(doc: SpecDocument, args) -> int:
 
 def _cmd_verify(doc: SpecDocument, args) -> int:
     cfg = _resolve(doc.config, args, "verify")
-    policy = _policy(cfg)
     metric = doc.payload["metric"]
+    policy = _policy(cfg, metric.dim)
     curve = _build_curve(doc.payload["curve"], metric, cfg)
     grid = _grid(curve.domain, cfg["samples"])
     frames = nfmod.frame_field(curve, grid, policy)
@@ -511,9 +518,9 @@ def _cmd_submanifold(doc: SpecDocument, args) -> int:
 
 def _cmd_transfer(doc: SpecDocument, args) -> int:
     cfg = _resolve(doc.config, args, "transfer")
-    policy = _policy(cfg)
-    spec, domain, step = _build_helix_spec(doc, cfg)
     F = doc.payload["immersion"]
+    policy = _policy(cfg, F.ambient.dim)
+    spec, domain, step = _build_helix_spec(doc, cfg)
     grid = _grid(domain, cfg["samples"])
     rep = submanifold.helix_transfer(F, spec, grid, step, policy=policy,
                                      project_every=cfg["project_every"],

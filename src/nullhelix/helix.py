@@ -9,22 +9,26 @@ system
     dw/dt    = k2 zeta + k1 n - G(x) zeta w
 
 with G the connection coefficients, integrated by classical fixed-step RK4.
-The G terms are summed over the metric's connection pattern only, so a flat
-chart, whose pattern is empty, sums none.  G is evaluated at every RK4 stage,
-except on a constant metric (empty pattern): there it does not depend on x, so
-each ``_rk4_steps`` call evaluates it once.  A shadow integration at half step
-provides a Richardson error estimate per sample.  Residual norms are always
-coordinate-Euclidean: the indefinite metric can annihilate nonzero errors and
-must not certify smallness.  Trace measurements read one memoized decimated
-view (``HelixTrace.view``) that evaluates g and the connection once per
-sample; transfer's ambient samples use the same ``SampledCurve`` class.
+On a chart whose connection pattern is empty (a constant metric) G vanishes,
+and each coordinate column (x_a, zeta_a, n_a, w_a) obeys the same linear
+system y' = A y.  One RK4 step of it is exactly P = I + B + B^2/2 + B^3/6 +
+B^4/24 with B = dt A, so ``_rk4_steps`` applies nsteps of them at once as
+y + Q y, with the increment Q = P^nsteps - I built by binary powering and
+memoized per (h, k1, k2, dt, nsteps).  Every other chart runs the RK4 stage
+loop, which evaluates G at each stage and sums it over the pattern only.  A
+shadow integration at half step provides a Richardson error estimate per
+sample.  Residual norms are always coordinate-Euclidean: the indefinite
+metric can annihilate nonzero errors and must not certify smallness.  Trace
+measurements read one memoized decimated view (``HelixTrace.view``) that
+evaluates g and the connection once per sample; transfer's ambient samples
+use the same ``SampledCurve`` class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 from .jets import const_term
 from .nullframe import (
@@ -108,14 +112,13 @@ class HelixTrace:
                             n=self.ns[::stride], w=self.ws[::stride])
 
 
-def _rhs(metric: SemiMetric, h, k1, k2, state, gamma=None):
-    """Right-hand side of the frame system; ``gamma``, if known, is the
-    connection at the state's position."""
+def _rhs(metric: SemiMetric, h, k1, k2, state):
+    """Right-hand side of the frame system; the connection is evaluated at
+    the state's position, once per call (one RK4 stage)."""
     z = state[3:6]
     n = state[6:9]
     w = state[9:12]
-    if gamma is None:
-        gamma = metric.christoffel(state[0:3])
+    gamma = metric.christoffel(state[0:3])
     # G zeta zeta, G zeta n, G zeta w, summed inline in connection_term's order
     gz = [0.0] * 9
     for k, i, j in metric.pattern:
@@ -137,15 +140,68 @@ def _rhs(metric: SemiMetric, h, k1, k2, state, gamma=None):
     ]
 
 
+_ZERO4 = ((0.0,) * 4,) * 4
+_IDENTITY4 = tuple(tuple(float(r == c) for c in range(4)) for r in range(4))
+
+
+def _mat_mul(a, b):
+    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(4)) for c in range(4))
+                 for r in range(4))
+
+
+def _compose(a, b):
+    """The increment of (I + a)(I + b), kept off the identity: a + b + a b."""
+    ab = _mat_mul(a, b)
+    return tuple(tuple(a[r][c] + b[r][c] + ab[r][c] for c in range(4))
+                 for r in range(4))
+
+
+@lru_cache(maxsize=256)
+def _flat_increment(h, k1, k2, dt, nsteps):
+    """Q = P^nsteps - I for the RK4 step P of one flat-chart column.
+
+    The column is (x_a, zeta_a, n_a, w_a) and A its constant system matrix.
+    Q_1 = B (I + B/2 (I + B/3 (I + B/4))) with B = dt A, and Q_(a+b) is
+    composed from Q_a and Q_b without ever adding the identity, whose
+    rounding the plain P^n form would carry into every step.
+    """
+    b = ((0.0, dt, 0.0, 0.0),
+         (0.0, dt * h, 0.0, dt * k1),
+         (0.0, 0.0, dt * -h, dt * k2),
+         (0.0, dt * k2, dt * k1, 0.0))
+    m = _IDENTITY4
+    for d in (4.0, 3.0, 2.0):
+        bm = _mat_mul(b, m)
+        m = tuple(tuple(_IDENTITY4[r][c] + bm[r][c] / d for c in range(4))
+                  for r in range(4))
+    q, out = _mat_mul(b, m), _ZERO4
+    while nsteps:
+        if nsteps & 1:
+            out = _compose(out, q)
+        nsteps >>= 1
+        q = _compose(q, q)
+    return out
+
+
 def _rk4_steps(metric, h, k1, k2, state, dt, nsteps):
+    """``nsteps`` classical RK4 steps of size ``dt`` from ``state``."""
+    if not metric.pattern:
+        # + 0.0 folds -0.0 into 0.0, so the cached Q cannot depend on which
+        # signed zero reached it first
+        q = _flat_increment(h + 0.0, k1 + 0.0, k2 + 0.0, dt, nsteps)
+        y = [0.0] * 12
+        for a in range(3):
+            col = (state[a], state[3 + a], state[6 + a], state[9 + a])
+            for r, row in enumerate(q):
+                y[3 * r + a] = col[r] + (row[0] * col[0] + row[1] * col[1]
+                                         + row[2] * col[2] + row[3] * col[3])
+        return y
     y = list(state)
-    # a constant metric's (empty pattern's) connection is the same everywhere
-    gamma = None if metric.pattern else metric.christoffel(y[0:3])
     for _ in range(nsteps):
-        a = _rhs(metric, h, k1, k2, y, gamma)
-        b = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * a[i] for i in range(12)], gamma)
-        c = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * b[i] for i in range(12)], gamma)
-        d = _rhs(metric, h, k1, k2, [y[i] + dt * c[i] for i in range(12)], gamma)
+        a = _rhs(metric, h, k1, k2, y)
+        b = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * a[i] for i in range(12)])
+        c = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * b[i] for i in range(12)])
+        d = _rhs(metric, h, k1, k2, [y[i] + dt * c[i] for i in range(12)])
         y = [y[i] + dt * (a[i] + 2.0 * b[i] + 2.0 * c[i] + d[i]) / 6.0 for i in range(12)]
     return y
 

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from nullhelix import cli
 from nullhelix.cli import SpecError, load_spec, run
+from nullhelix.semimetric import MetricField
+
+from conftest import flat_null_frame
 
 FLAT3 = {"dim": 3, "metric": {"type": "diag", "signs": [-1, -1, 1]}}
 AMB4 = {"dim": 4, "metric": {"type": "diag", "signs": [-1, -1, 1, 1]}}
@@ -426,6 +429,30 @@ def test_seed_axis_e0_is_rejected(tmp_path, capsys, flags, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, doc, seeds, axis, dim", [
+    ("frame", C1_DOC, "e7", "e7", 3),
+    ("verify", C1_DOC, "e3,e4", "e4", 3),
+    ("transfer", TRANSFER_DOC, "e5,e1", "e5", 4),
+], ids=["frame-e7", "verify-e4", "transfer-e5"])
+def test_seed_axis_beyond_the_chart_is_named(tmp_path, capsys, command, doc, seeds,
+                                             axis, dim):
+    spec = _write(tmp_path, "doc.json", doc)
+    assert run([command, "--spec", spec, "--samples", "201", "--seed-order", seeds,
+                "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: seed order: axis {axis} ")
+    assert f"{dim}-dimensional" in err
+    assert "Traceback" not in err
+
+
+def test_transfer_seeds_may_use_the_ambient_axis(tmp_path):
+    spec = _write(tmp_path, "doc.json", TRANSFER_DOC)
+    out = str(tmp_path / "r.json")
+    assert run(["transfer", "--spec", spec, "--samples", "201",
+                "--seed-order", "e4,e3,e1,e2", "--out", out]) == 0
+    assert json.loads(open(out).read())["config"]["seed_order"][0] == "e4"
+
+
 @pytest.mark.parametrize("command", [
     "verify --tol -1", "verify --tol nan", "verify --tol inf", "frame --samples 1",
 ])
@@ -461,3 +488,58 @@ def test_any_config_gives_a_contract_exit_code(command, doc, config):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+CURVATURES = st.one_of(st.floats(-3.0, 3.0),
+                       st.floats(allow_nan=False, allow_infinity=False))
+VECTORS = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)
+
+
+@st.composite
+def helix_frames(draw):
+    """Half valid frames (a drawn null tangent, seeded N and W), half raw."""
+    if draw(st.booleans()):
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        scale = draw(st.floats(0.1, 10.0))
+        zeta = (scale * math.cos(theta), scale * math.sin(theta), scale)
+        n, w = flat_null_frame(MetricField.diag([-1, -1, 1]), zeta,
+                               flip=draw(st.booleans()))
+        return {"zeta": list(zeta), "n": list(n), "w": list(w)}
+    return {"zeta": draw(VECTORS), "n": draw(VECTORS), "w": draw(VECTORS)}
+
+
+@st.composite
+def helix_blocks(draw):
+    t0 = draw(st.floats(-10.0, 10.0))
+    return {
+        "h": draw(CURVATURES), "k1": draw(CURVATURES), "k2": draw(CURVATURES),
+        "initial_point": draw(st.one_of(VECTORS, st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))),
+        "initial_frame": draw(helix_frames()),
+        "domain": [t0, t0 + draw(st.floats(1e-3, 2.0))],
+        "step": draw(st.floats(1e-3, 1.0)),
+    }
+
+
+@given(helix_blocks(), st.integers(2, 301))
+@settings(max_examples=60, deadline=None)
+def test_any_helix_block_gives_a_contract_exit_code(helix, samples):
+    doc = {"kind": "helix", "metric": FLAT3, "helix": helix,
+           "config": {"samples": samples}}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = f"{tmp}/doc.json"
+        with open(spec, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["synth", "--spec", spec])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    if code != 2:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert report["summary"]["pass"] == (code == 0)
