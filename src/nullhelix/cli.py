@@ -8,11 +8,12 @@ verify       cubic + metric identity suites on a closed-form/tangent curve
 submanifold  fundamental forms, classification residuals and diagnostics
 transfer     push an intrinsic helix through an immersion and re-measure it
 
-Reports are deterministic, strict JSON (byte-identical for identical spec +
-flags; undefined values are null, never NaN); traces can additionally be
-written as CSV.  Exit codes: 0 all residuals within tolerance, 1 residual
-failure, 2 usage or spec error (including expression domain errors, Gram-drift
-aborts, grids too short for the stencils and non-finite results).
+Reports are deterministic, strict, single-line JSON (byte-identical for
+identical spec + flags; undefined values are null, never NaN); traces can
+additionally be written as CSV.  Exit codes: 0 all residuals within tolerance,
+1 residual failure, 2 usage or spec error (including expression domain errors
+and overflows, Gram-drift aborts, grids too short for the stencils, steps too
+small for their segments and non-finite results).
 """
 
 from __future__ import annotations
@@ -280,7 +281,7 @@ def _grid(domain, samples: int):
 
 
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -446,13 +447,12 @@ def _cmd_verify(doc: SpecDocument, args) -> int:
             "scalars": list(rep.scalars), "targets": list(rep.targets),
             "deviations": list(rep.deviations),
         })
-    constancy = helixmod.constancy_report(samples) if len(samples) >= 2 else None
     ok = max_cubic <= cfg["tol"] and max_dev <= cfg["tol"]
     summary = {
         "pass": ok,
         "max_cubic_residual": max_cubic,
         "max_identity_deviation": max_dev,
-        "curvature_constancy": constancy,
+        "curvature_constancy": helixmod.constancy_report(samples),
         "tolerances": {"cubic": cfg["tol"], "identity": cfg["tol"]},
     }
     _emit(_report("verify", cfg, rows, summary), args.out)

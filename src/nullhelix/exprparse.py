@@ -331,13 +331,13 @@ def _eval(node: Expr, env: dict):
         arg = _eval(node.arg, env)
         try:
             return _FUNC_EVAL[node.func](arg)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(str(exc), to_text(node)) from None
     if isinstance(node, Pow):
         base = _eval(node.base, env)
         try:
             return jets.powi(base, node.exponent)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(str(exc), to_text(node)) from None
     if isinstance(node, BinOp):
         left = _eval(node.left, env)

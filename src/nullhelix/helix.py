@@ -22,6 +22,14 @@ metric can annihilate nonzero errors and must not certify smallness.  Trace
 measurements read one memoized decimated view (``HelixTrace.view``) that
 evaluates g and the connection once per sample; transfer's ambient samples
 use the same ``SampledCurve`` class.
+
+Each identity is one function over floats and jets alike, shared by the jet
+route (curves) and the stencil route (traces): ``cubic_factor`` and
+``cubic_residual`` for cov^3 zeta = (h^2 + 2 k1 k2) cov zeta,
+``_identity_report`` for the four metric scalars g(cov zeta, cov zeta) =
+-k1^2, g(cov N, cov N) = -k2^2, g(cov W, cov W) = 2 k1 k2 and
+g(cov zeta, cov N) = -h^2 - k1 k2, and ``constancy_report`` for the spread of
+(h, k1, k2) along a curve, which transfer uses too.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .nullframe import (
     continuity_signs,
     euclid_norm,
     first_generic_sign,
+    frame_curvatures,
     null_transversal,
     screen_vector,
     _aligned_frame_jets,
@@ -80,10 +89,6 @@ class HelixSpec:
             raise ValueError(
                 f"initial frame violates the Gram conditions by {res:.3e}"
             )
-
-    @property
-    def cubic_factor(self) -> float:
-        return self.h * self.h + 2.0 * self.k1 * self.k2
 
 
 @dataclass(frozen=True)
@@ -276,6 +281,9 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     record(grid[0], state, shadow)
     for ta, tb in zip(grid, grid[1:]):
         span = tb - ta
+        if not math.isfinite(span / step):
+            raise ValueError(f"step {step!r} is too small for the segment [{ta!r}, "
+                             f"{tb!r}]: span / step is not finite")
         nsub = max(1, int(math.ceil(span / step - 1e-12)))
         dt = span / nsub
         done = 0
@@ -314,6 +322,30 @@ class IdentityReport:
     deviations: tuple
 
 
+def cubic_factor(h, k1, k2) -> float:
+    """The factor in the cubic identity cov^3 zeta = (h^2 + 2 k1 k2) cov zeta."""
+    return h * h + 2.0 * k1 * k2
+
+
+def cubic_residual(c1, c3, factor) -> float:
+    """Euclidean norm of c3 - factor * c1 for cov zeta = c1 and cov^3 zeta = c3,
+    floats or jets (constant terms taken)."""
+    return euclid_norm([const_term(b) - factor * const_term(a) for a, b in zip(c1, c3)])
+
+
+def _identity_report(t, g, cz, cn, cw, sample: CurvatureSample, cubic) -> IdentityReport:
+    """The four metric scalars g(cov zeta, cov zeta), g(cov N, cov N),
+    g(cov W, cov W) and g(cov zeta, cov N) of floats or jets, against their
+    targets from ``sample``'s (h, k1, k2)."""
+    scalars = tuple(const_term(bilinear(g, a, b))
+                    for a, b in ((cz, cz), (cn, cn), (cw, cw), (cz, cn)))
+    h, k1, k2 = sample.h, sample.k1, sample.k2
+    targets = (-k1 * k1, -k2 * k2, 2.0 * k1 * k2, -h * h - k1 * k2)
+    deviations = tuple(abs(s - t_) for s, t_ in zip(scalars, targets))
+    return IdentityReport(t=t, cubic_residual=cubic, scalars=scalars,
+                          targets=targets, deviations=deviations)
+
+
 def cubic_identity_residual(curve, frame: NullFrame,
                             sample: CurvatureSample, t: float,
                             policy: ScreenPolicy | None = None) -> float:
@@ -323,7 +355,7 @@ def cubic_identity_residual(curve, frame: NullFrame,
     synthesized trace (finite-difference stencil route; the residual is
     reported at the differentiable sample nearest to t).
     """
-    factor = sample.h ** 2 + 2.0 * sample.k1 * sample.k2
+    factor = cubic_factor(sample.h, sample.k1, sample.k2)
     if isinstance(curve, HelixTrace):
         residuals = cubic_residuals_from_trace(curve, factor=factor)
         if not residuals:
@@ -337,9 +369,7 @@ def cubic_identity_residual(curve, frame: NullFrame,
         return value
     policy = policy or ScreenPolicy()
     fj = _frame_jets(curve, frame.t, policy)
-    c1, c3 = fj.cov("zeta"), fj.cov("zeta", 3)
-    resid = [const_term(c3[i]) - factor * const_term(c1[i]) for i in range(3)]
-    return euclid_norm(resid)
+    return cubic_residual(fj.cov("zeta"), fj.cov("zeta", 3), factor)
 
 
 def metric_identity_suite(curve: NullCurve, frame: NullFrame,
@@ -350,18 +380,8 @@ def metric_identity_suite(curve: NullCurve, frame: NullFrame,
     fj, sign = _aligned_frame_jets(curve, frame, policy)
     cz, cn = fj.cov("zeta"), fj.cov("n")
     cw = [sign * c for c in fj.cov("w")]
-    scalars = (
-        const_term(bilinear(fj.gmat, cz, cz)),
-        const_term(bilinear(fj.gmat, cn, cn)),
-        const_term(bilinear(fj.gmat, cw, cw)),
-        const_term(bilinear(fj.gmat, cz, cn)),
-    )
-    h, k1, k2 = sample.h, sample.k1, sample.k2
-    targets = (-k1 * k1, -k2 * k2, 2.0 * k1 * k2, -h * h - k1 * k2)
-    deviations = tuple(abs(s - t_) for s, t_ in zip(scalars, targets))
     cubic = cubic_identity_residual(curve, frame, sample, t, policy)
-    return IdentityReport(t=t, cubic_residual=cubic, scalars=scalars,
-                          targets=targets, deviations=deviations)
+    return _identity_report(t, fj.gmat, cz, cn, cw, sample, cubic)
 
 
 def constancy_report(samples) -> dict:
@@ -489,16 +509,8 @@ def extract_curvatures(trace: HelixTrace, policy: ScreenPolicy | None = None,
             curve.metric, curve.points, curve.fields["zeta"], policy)
     ns, ws = curve.fields[n_key], curve.fields[w_key]
     cz, cn = curve.cov("zeta"), curve.cov(n_key)
-    samples = []
-    for i in curve.interior(1):
-        g = curve.g(i)
-        h = bilinear(g, cz[i], ns[i])
-        k1 = -bilinear(g, cz[i], ws[i])
-        k2 = -bilinear(g, cn[i], ws[i])
-        samples.append(CurvatureSample(
-            t=curve.times[i], h=h, k1=k1, k2=k2,
-            geodesic_type=abs(k1) < 1e-9,
-        ))
+    samples = [frame_curvatures(curve.times[i], curve.g(i), cz[i], cn[i], ns[i], ws[i])
+               for i in curve.interior(1)]
     # orientation rule: k1 >= 0 at the first generic sample
     if reseed and first_generic_sign((s.k1 for s in samples), policy.orient_tol) == -1:
         samples = [
@@ -532,12 +544,10 @@ def cubic_residuals_from_trace(trace: HelixTrace, factor: float | None = None):
     """
     curve = trace.view
     if factor is None:
-        factor = trace.spec.cubic_factor
+        factor = cubic_factor(trace.spec.h, trace.spec.k1, trace.spec.k2)
     c1, c3 = curve.cov("zeta"), curve.cov("zeta", 3)
-    return [
-        (curve.times[i], euclid_norm([c3[i][a] - factor * c1[i][a] for a in range(3)]))
-        for i in curve.interior(3)
-    ]
+    return [(curve.times[i], cubic_residual(c1[i], c3[i], factor))
+            for i in curve.interior(3)]
 
 
 def identity_reports_from_trace(trace: HelixTrace):
@@ -546,26 +556,6 @@ def identity_reports_from_trace(trace: HelixTrace):
     cz, cn, cw = curve.cov("zeta"), curve.cov("n"), curve.cov("w")
     samples = extract_curvatures(trace)
     cubics = dict(cubic_residuals_from_trace(trace))
-    reports = []
-    for i, sample in zip(curve.interior(1), samples):
-        g = curve.g(i)
-        scalars = (
-            bilinear(g, cz[i], cz[i]),
-            bilinear(g, cn[i], cn[i]),
-            bilinear(g, cw[i], cw[i]),
-            bilinear(g, cz[i], cn[i]),
-        )
-        targets = (
-            -sample.k1 ** 2,
-            -sample.k2 ** 2,
-            2.0 * sample.k1 * sample.k2,
-            -sample.h ** 2 - sample.k1 * sample.k2,
-        )
-        reports.append(IdentityReport(
-            t=sample.t,
-            cubic_residual=cubics.get(sample.t),
-            scalars=scalars,
-            targets=targets,
-            deviations=tuple(abs(s - t_) for s, t_ in zip(scalars, targets)),
-        ))
-    return reports
+    return [_identity_report(sample.t, curve.g(i), cz[i], cn[i], cw[i], sample,
+                             cubics.get(sample.t))
+            for i, sample in zip(curve.interior(1), samples)]

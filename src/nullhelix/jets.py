@@ -286,7 +286,8 @@ def cosh(x):
 
 
 def powi(x, n: int):
-    """Integer power by repeated multiplication (negative via reciprocal)."""
+    """Integer power by left-to-right square-and-multiply (negative via
+    reciprocal): about 2 log2(n) products, so x^3 is (x * x) * x."""
     if isinstance(x, (int, float)):
         return float(x) ** n
     if n == 0:
@@ -294,6 +295,8 @@ def powi(x, n: int):
     if n < 0:
         return Jet.constant(1.0, x.order) / powi(x, -n)
     out = x
-    for _ in range(n - 1):
-        out = out * x
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
     return out

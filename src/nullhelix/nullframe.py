@@ -15,10 +15,11 @@ curvature functions follow from the frame equations:
 
 where cov is the covariant derivative along the curve.  The seed/N step
 (``null_transversal``), the 3D W step (``screen_vector``), the sign-continuity
-rule and the orientation rule (k1 >= 0 at the first generic sample) exist once,
-here, over duck-typed scalars: curves run them on jets, so the construction
-yields the frame's own t-derivatives; helix traces and transfer run them on
-floats.  Transfer's ambient frames extend the seed order with the unused axes
+rule, the orientation rule (k1 >= 0 at the first generic sample) and the
+curvatures with their geodesic flag (``frame_curvatures``) exist once, here,
+over duck-typed scalars: curves run them on jets, so the construction yields
+the frame's own t-derivatives; helix traces and transfer run them on floats.
+A single frame (``build_frame``) is a one-sample ``frame_field``.  Transfer's ambient frames extend the seed order with the unused axes
 and take W from the acceleration's screen part, the only W rule above
 dimension 3.  A curve keeps one frame bundle (``_FrameJets``) per t and seed
 order, computing g, the connection and each covariant derivative once.
@@ -38,6 +39,9 @@ NULL_TOL = 1e-8
 SEED_TOL = 1e-8
 FRAME_TOL = 1e-9
 GEODESIC_K1_TOL = 1e-9
+# tangent-mode quadrature keeps every node, so its time and memory grow with
+# (t1 - t0) / quad_step; longer domains are rejected before any node is built
+MAX_QUAD_NODES = 10 ** 6
 
 
 class NotNullError(ValueError):
@@ -120,6 +124,19 @@ class CurvatureSample:
     geodesic_type: bool = False
 
 
+def frame_curvatures(t, g, cz, cn, n, w) -> CurvatureSample:
+    """(h, k1, k2) = (g(cov zeta, N), -g(cov zeta, W), -g(cov N, W)) at t.
+
+    The vectors are floats or jets (their constant terms are taken); every
+    curve, trace and transfer measurement of the curvatures comes here.  The
+    sample is of geodesic type where |k1| < GEODESIC_K1_TOL.
+    """
+    k1 = -const_term(bilinear(g, cz, w))
+    return CurvatureSample(t=t, h=const_term(bilinear(g, cz, n)), k1=k1,
+                           k2=-const_term(bilinear(g, cn, w)),
+                           geodesic_type=abs(k1) < GEODESIC_K1_TOL)
+
+
 class NullCurve:
     """A parametrized null curve on a 3D index-2 chart.
 
@@ -155,6 +172,11 @@ class NullCurve:
         self.quad_step = float(quad_step)
         if not self.quad_step > 0.0:
             raise ValueError(f"quad_step must be positive, got {quad_step!r}")
+        if mode == "tangent" and (t1 - t0) / self.quad_step > MAX_QUAD_NODES:
+            raise ValueError(
+                f"tangent-mode quadrature over [{t0!r}, {t1!r}] at quad_step "
+                f"{self.quad_step!r} needs more than {MAX_QUAD_NODES} nodes"
+            )
         self._pos_cache: dict = {}
         self._nodes: list = []  # (t_k, position, tangent) at t0 + k * quad_step
         self._bundles: dict = {}
@@ -389,8 +411,7 @@ def _build_frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _Fram
     zz = const_term(bilinear(gmat, zeta, zeta))
     if abs(zz) > NULL_TOL:
         raise NotNullError(f"g(zeta, zeta) = {zz:.3e} at t = {t}: curve not null")
-    znorm = sum(const_term(z) ** 2 for z in zeta)
-    if znorm < 1e-24:
+    if math.hypot(*map(const_term, zeta)) < 1e-12:
         raise ValueError(f"vanishing tangent at t = {t}")
     where = f"at t = {t}"
     seed_index, gz, n_vec = null_transversal(gmat, zeta, policy.seed_indices(3), where)
@@ -398,23 +419,10 @@ def _build_frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _Fram
     return _FrameJets(t, pos, zeta, n_vec, w_vec, gmat, seed_index, curve.metric)
 
 
-def _orientation(fj: _FrameJets, policy: ScreenPolicy) -> float:
-    """Sign making k1 >= 0, or else W's first significant component positive."""
-    return (first_generic_sign([fj.raw_k1()], policy.orient_tol)
-            or first_generic_sign([const_term(c) for c in fj.w], 1e-9)
-            or 1.0)
-
-
 def build_frame(curve: NullCurve, t: float, policy: ScreenPolicy | None = None,
                 tol: float = FRAME_TOL) -> NullFrame:
     """Construct the frame at one parameter value (deterministic per policy)."""
-    policy = policy or ScreenPolicy()
-    fj = _frame_jets(curve, t, policy)
-    frame = fj.frame(_orientation(fj, policy))
-    res = frame.max_gram_residual(curve.metric)
-    if res > tol:
-        raise ValueError(f"frame Gram residual {res:.3e} exceeds {tol} at t = {t}")
-    return frame
+    return frame_field(curve, [t], policy, tol)[0]
 
 
 def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None,
@@ -426,11 +434,12 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None,
         return []
     states = [_frame_jets(curve, t, policy) for t in grid]
     signs = continuity_signs([st.w for st in states])
-    # global orientation: k1 >= 0 at the first generic sample, else the
-    # single-sample rule at the first sample (whose sign is still +1)
+    # global orientation: k1 >= 0 at the first generic sample, else W's first
+    # significant component positive at the first sample (whose sign is +1)
     k1s = (sign * st.raw_k1() for st, sign in zip(states, signs))
     orient = (first_generic_sign(k1s, policy.orient_tol)
-              or _orientation(states[0], policy))
+              or first_generic_sign([const_term(c) for c in states[0].w], 1e-9)
+              or 1.0)
     if orient < 0.0:
         signs = [-sign for sign in signs]
     frames = [st.frame(sign) for st, sign in zip(states, signs)]
@@ -462,13 +471,8 @@ def curvatures_at(curve: NullCurve, frame: NullFrame, t: float,
     if abs(frame.t - t) > 1e-12:
         raise ValueError("frame was built at a different parameter value")
     fj, sign = _aligned_frame_jets(curve, frame, policy)
-    w = [sign * c for c in fj.w]
-    cz, cn = fj.cov("zeta"), fj.cov("n")
-    h = const_term(bilinear(fj.gmat, cz, fj.n))
-    k1 = -const_term(bilinear(fj.gmat, cz, w))
-    k2 = -const_term(bilinear(fj.gmat, cn, w))
-    return CurvatureSample(t=t, h=h, k1=k1, k2=k2,
-                           geodesic_type=abs(k1) < GEODESIC_K1_TOL)
+    return frame_curvatures(t, fj.gmat, fj.cov("zeta"), fj.cov("n"), fj.n,
+                            [sign * c for c in fj.w])
 
 
 def frenet_residuals(curve: NullCurve, frame: NullFrame, sample: CurvatureSample,
@@ -500,4 +504,8 @@ def frenet_residuals(curve: NullCurve, frame: NullFrame, sample: CurvatureSample
 
 
 def euclid_norm(vec) -> float:
-    return math.sqrt(sum(float(c) ** 2 for c in vec))
+    """Coordinate-Euclidean norm; inf where a squared component overflows."""
+    try:
+        return math.sqrt(sum(float(c) ** 2 for c in vec))
+    except OverflowError:
+        return math.inf

@@ -32,7 +32,8 @@ from . import helix as helixmod
 from . import jets, semimetric
 from .exprparse import _eval, parse
 from .jets import Jet, const_term
-from .nullframe import ScreenPolicy, continuity_signs, euclid_norm, null_transversal
+from .nullframe import (ScreenPolicy, continuity_signs, euclid_norm, frame_curvatures,
+                        null_transversal)
 from .semimetric import (SemiMetric, _deriv_part, bilinear, connection_term,
                          mat_det, mat_inverse, mat_vec)
 
@@ -791,33 +792,19 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     ns, ws = _ambient_frames(curve, policy)
     curve.fields["n"] = ns
     cn = curve.cov("n")
-
-    times, hs, k1s, k2s = [], [], [], []
-    for i in curve.interior(2):
-        g = curve.g(i)
-        h = bilinear(g, cz[i], ns[i])
-        k1 = -bilinear(g, cz[i], ws[i])
-        k2 = -bilinear(g, cn[i], ws[i])
-        times.append(curve.times[i])
-        hs.append(h)
-        k1s.append(k1)
-        k2s.append(k2)
-    constancy = {
-        "h": max(abs(v - hs[0]) for v in hs),
-        "k1": max(abs(v - k1s[0]) for v in k1s),
-        "k2": max(abs(v - k2s[0]) for v in k2s),
-    }
+    samples = [frame_curvatures(curve.times[i], curve.g(i), cz[i], cn[i], ns[i], ws[i])
+               for i in curve.interior(2)]
 
     stride = max(1, len(trace.points) // 32)
     geo_samples = tuple(
         geodesic_residual(F, list(u)) for u in trace.points[::stride]
     )
     return TransferReport(
-        times=tuple(times),
-        h=tuple(hs),
-        k1=tuple(k1s),
-        k2=tuple(k2s),
-        constancy=constancy,
+        times=tuple(s.t for s in samples),
+        h=tuple(s.h for s in samples),
+        k1=tuple(s.k1 for s in samples),
+        k2=tuple(s.k2 for s in samples),
+        constancy=helixmod.constancy_report(samples),
         geodesic_samples=geo_samples,
         geodesic_max=max(geo_samples),
         isometry_max=iso_max,

@@ -401,13 +401,23 @@ NUMERIC_ENTRIES = {"dim": 3, "metric": {"type": "field",
     ("transfer", _with(TRANSFER_DOC, helix__domain=[0.0, math.inf])),
     ("synth --step nan", HELIX_DOC),
     ("synth --step inf", HELIX_DOC),
+    ("frame --samples 5", _with(C1_DOC, curve__components=["cos(t)", "sin(t)",
+                                                           "t + exp(1000)"])),
+    ("frame --samples 5", _with(C1_DOC, curve__components=["cos(t)", "sin(t)",
+                                                           "t * 10^400"])),
+    ("synth --samples 501", _with(HELIX_DOC, helix__step=5e-324,
+                                  helix__domain=[0.0, 5.0])),
+    ("frame --samples 5", _with(TANGENT_DOC, curve__domain=[0.0, 1e9])),
+    ("frame --samples 5", _with(TANGENT_DOC, {"quad_step": 1e-300})),
 ], ids=["synth-project_every-negative", "transfer-project_every-negative",
         "samples-string", "samples-float", "tol-string", "gram_tol-null",
         "seed_order-number", "step-string", "project_every-float",
         "quad_step-zero", "quad_step-negative", "metric-list",
         "metric-numeric-entries", "immersion-numeric-map",
         "helix-step-infinity", "helix-step-nan", "helix-step-401-digits",
-        "helix-h-nan", "helix-domain-infinity", "flag-step-nan", "flag-step-inf"])
+        "helix-h-nan", "helix-domain-infinity", "flag-step-nan", "flag-step-inf",
+        "curve-exp-overflow", "curve-pow-overflow", "helix-step-subnormal",
+        "tangent-domain-1e9", "tangent-quad_step-1e-300"])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, command, doc):
     command, *flags = command.split()
     spec = _write(tmp_path, "bad.json", doc)
@@ -537,6 +547,63 @@ def test_any_helix_block_gives_a_contract_exit_code(helix, samples):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(["synth", "--spec", spec])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    if code != 2:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert report["summary"]["pass"] == (code == 0)
+
+
+LEAVES = st.sampled_from(["t", "t", "0", "1", "2.5", "0.5", "1000", "1e-3", "3e300"])
+EXPONENTS = st.one_of(st.integers(-3, 3), st.integers(-10 ** 9, 10 ** 9))
+
+
+EXPRESSIONS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.builds("{}({})".format, st.sampled_from(
+        ["sin", "cos", "sinh", "cosh", "exp", "log", "sqrt"]), inner),
+    st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*/"), inner),
+    st.builds("({})^({})".format, inner, EXPONENTS),
+    st.builds("-({})".format, inner),
+), max_leaves=6)
+
+
+@st.composite
+def curve_blocks(draw):
+    """Raw components, or null ones on diag(-1, -1, 1) built around drawn
+    expressions, so that frames, curvatures and identities get evaluated."""
+    mode = draw(st.sampled_from(["position", "tangent"]))
+    e = draw(EXPRESSIONS)
+    if draw(st.booleans()):
+        comps = [draw(EXPRESSIONS) for _ in range(3)]
+    elif mode == "position":  # r (cos E, sin E, E) has tangent r E' (-sin E, cos E, 1)
+        r = draw(st.sampled_from(["1", "2.5", "1e-3", "3e300"]))
+        comps = [f"{r} * cos({e})", f"{r} * sin({e})", f"{r} * ({e})"]
+    else:  # F (cos E, sin E, 1) is null for any F
+        f = draw(EXPRESSIONS)
+        comps = [f"({f}) * cos({e})", f"({f}) * sin({e})", f]
+    t0 = draw(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)))
+    # widths from 2 to 1e4 are left out: tangent mode integrates them in up to
+    # a million quadrature nodes (tens of seconds), and rejects wider ones
+    width = draw(st.one_of(st.floats(1e-3, 2.0), st.floats(1e4, 1e300)))
+    block = {"mode": mode, "components": comps, "domain": [t0, t0 + width]}
+    if mode == "tangent":
+        block["initial"] = draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
+    return block
+
+
+@given(st.sampled_from(["frame", "verify"]), curve_blocks())
+@settings(max_examples=60, deadline=None)
+def test_any_curve_block_gives_a_contract_exit_code(command, curve):
+    doc = {"kind": "curve", "metric": FLAT3, "curve": curve, "config": {"samples": 5}}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = f"{tmp}/doc.json"
+        with open(spec, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--spec", spec])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 2) == err.getvalue().startswith("error: ")

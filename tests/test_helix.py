@@ -62,6 +62,12 @@ def test_synthesize_argument_errors(c1_spec):
             synthesize(c1_spec, [0.0, 0.1], step=1e-2, project_every=project_every)
 
 
+def test_synthesize_rejects_a_step_too_small_for_its_segment(c1_spec):
+    # span / step overflows to infinity for a subnormal step
+    with pytest.raises(ValueError, match=r"step 5e-324 .*\[0\.0, 0\.5\]"):
+        synthesize(c1_spec, [0.0, 0.5, 1.0], step=5e-324)
+
+
 def test_rk4_convergence_order(c1_spec):
     """Halving the step cuts the closed-form error by about 2^4."""
     errors = []

@@ -87,6 +87,19 @@ def test_powi_matches_repeated_multiplication():
     assert (x ** 0).coeffs == (1.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def test_powi_squares_and_multiplies():
+    x = Jet.variable(1.3, 4)
+    assert (x ** 2).coeffs == (x * x).coeffs
+    assert (x ** 3).coeffs == ((x * x) * x).coeffs
+    assert (x ** -3).coeffs == (1.0 / ((x * x) * x)).coeffs
+    # (1 + eps)^n = 1 + n eps + C(n, 2) eps^2 + ...: about 60 products for a
+    # billion, where repeated multiplication would take a billion
+    n = 10 ** 9
+    big = Jet.variable(1.0, 2) ** n
+    assert big.coeffs[:2] == (1.0, float(n))
+    assert big.coeffs[2] == pytest.approx(n * (n - 1) / 2, rel=1e-12)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         jets.log(Jet.variable(-1.0, 2))
