@@ -280,8 +280,32 @@ def _grid(domain, samples: int):
     return [t0 + i * dt for i in range(samples)]
 
 
+def _non_finite_path(value, path: str = ""):
+    """Path of the first non-finite float in a report, in the encoder's key
+    order (``rows[0].mean_curvature[0]``), or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in sorted(value.items()))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for p, v in items:
+        found = _non_finite_path(v, p)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        path = _non_finite_path(report)
+        if path is None:
+            raise
+        raise ValueError(f"report value {path} is not finite") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -317,6 +317,13 @@ def eval_jet(node: Expr, env: dict, order: int | None = None) -> Jet:
     return result
 
 
+def _domain_error(exc: Exception, node: Expr) -> DomainError:
+    """The DomainError for ``exc`` raised at ``node``; an overflow gets a
+    sentence rather than CPython's errno text."""
+    message = "result overflows a float" if isinstance(exc, OverflowError) else str(exc)
+    return DomainError(message, to_text(node))
+
+
 def _eval(node: Expr, env: dict):
     if isinstance(node, Num):
         return node.value
@@ -332,13 +339,13 @@ def _eval(node: Expr, env: dict):
         try:
             return _FUNC_EVAL[node.func](arg)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(str(exc), to_text(node)) from None
+            raise _domain_error(exc, node) from None
     if isinstance(node, Pow):
         base = _eval(node.base, env)
         try:
             return jets.powi(base, node.exponent)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(str(exc), to_text(node)) from None
+            raise _domain_error(exc, node) from None
     if isinstance(node, BinOp):
         left = _eval(node.left, env)
         right = _eval(node.right, env)
@@ -351,5 +358,5 @@ def _eval(node: Expr, env: dict):
         try:
             return left / right
         except ZeroDivisionError as exc:
-            raise DomainError(str(exc), to_text(node)) from None
+            raise _domain_error(exc, node) from None
     raise TypeError(f"not an expression node: {node!r}")

@@ -143,9 +143,10 @@ class NullCurve:
     ``position`` mode stores the coordinate components as expressions in t;
     ``tangent`` mode stores the tangent components and recovers positions by
     quadrature from an initial point: Simpson steps between the fixed nodes
-    ``t0 + k * quad_step``, each node computed once per curve, then one partial
-    Simpson step from the last node to t.  A position therefore depends on t
-    alone, not on which parameters were queried before.
+    ``t0 + k * quad_step``, then one partial Simpson step from the last node to
+    t.  Only the furthest node reached is kept; an earlier t marches again from
+    t0.  The node sequence is deterministic, so a position depends on t alone,
+    not on which parameters were queried before.
 
     Frame bundles (see ``_frame_jets``) are memoized on the curve per
     parameter value and screen seed order.
@@ -178,7 +179,7 @@ class NullCurve:
                 f"{self.quad_step!r} needs more than {MAX_QUAD_NODES} nodes"
             )
         self._pos_cache: dict = {}
-        self._nodes: list = []  # (t_k, position, tangent) at t0 + k * quad_step
+        self._node = None  # (k, (t_k, position, tangent)): the furthest node reached
         self._bundles: dict = {}
         p0 = self.position_at(t0)
         if metric.index_at(p0) != 2:
@@ -233,12 +234,15 @@ class NullCurve:
     def _quadrature(self, t: float):
         t0, step = self.domain[0], self.quad_step
         k = max(0, int(math.floor((t - t0) / step)))
-        nodes = self._nodes
-        if not nodes:
-            nodes.append((t0, self.initial, self._zeta_value(t0)))
-        while len(nodes) <= k:
-            nodes.append(self._simpson(nodes[-1], t0 + len(nodes) * step))
-        node = nodes[k]
+        if self._node is not None and self._node[0] <= k:
+            i, node = self._node
+        else:
+            i, node = 0, (t0, self.initial, self._zeta_value(t0))
+        while i < k:
+            i += 1
+            node = self._simpson(node, t0 + i * step)
+        if self._node is None or self._node[0] < i:
+            self._node = (i, node)
         return node[1] if t == node[0] else self._simpson(node, t)[1]
 
     def _simpson(self, node, t: float):

@@ -1,11 +1,12 @@
 """Metric fields on a coordinate chart.
 
 A chart metric is anything that can evaluate its entry matrix ``g_ij`` over
-duck-typed coordinate scalars (floats or :class:`~nullhelix.jets.Jet`), so the
-same Christoffel and covariant-derivative machinery serves closed-form metric
-fields and numerically induced (pullback) metrics alike.  Derivatives of the
+duck-typed coordinate scalars (floats or :class:`~nullhelix.jets.Jet`); the
+closed-form ``MetricField`` is the one implementation.  Derivatives of the
 entries are taken by seeding a first-order jet in each coordinate direction,
-never by finite differences.
+never by finite differences.  (The induced metric of an immersion is not a
+chart metric here: ``submanifold`` reads its connection off the Gauss
+formula.)
 
 Each metric's ``pattern`` holds the (k, i, j), in lexicographic order, whose
 Christoffel symbol can be nonzero: every k times every live pair (i, j), where
@@ -102,6 +103,12 @@ def bilinear(g, x, y):
     return acc
 
 
+def metric_index(g) -> int:
+    """Index of a float metric matrix: its negative eigenvalue count."""
+    eigs = np.linalg.eigvalsh(np.array(g, dtype=float))
+    return int(np.count_nonzero(eigs < 0.0))
+
+
 def connection_term(metric: SemiMetric, gamma, a, b):
     """Connection term gamma[k][i][j] a^i b^j over ``metric.pattern``, summed
     over i then j per k."""
@@ -155,8 +162,7 @@ class SemiMetric:
 
     def index_at(self, p) -> int:
         """Metric index (negative eigenvalue count) at a point."""
-        eigs = np.linalg.eigvalsh(np.array(self.matrix_at(p), dtype=float))
-        return int(np.count_nonzero(eigs < 0.0))
+        return metric_index(self.matrix_at(p))
 
     def christoffel(self, coords):
         """Connection coefficients gamma[k][i][j] over duck coordinates.

@@ -1,24 +1,26 @@
 """Immersed submanifolds of a semi-Riemannian chart.
 
 An immersion is a map f from an m-dimensional chart (coordinates u1..um) into
-an ambient chart carrying its own metric.  The second fundamental form is the
-normal projection of the ambient covariant second derivative; the shape
-operator is minus the tangential part of the ambient derivative of a normal
-field; mean curvature is the signed trace of B over an orthonormal tangent
-frame.  Every construction here is written over duck-typed scalars, so
-evaluating along a jet-seeded ray yields the derivative of the construction
-itself -- that is how the covariant derivatives of B, of the shape operator
-and of H are obtained without finite differences.
+an ambient chart carrying its own metric.  The ambient covariant derivative
+of df(y) along x splits by the Gauss formula,
+nabla~_x df(y) = df(nabla_x y) + B(x, y): its tangential part is the induced
+connection and its normal part the second fundamental form B.  The Weingarten
+formula splits the ambient derivative of a normal field the same way: minus
+its tangential part is the shape operator, its normal part the normal-bundle
+derivative.  Mean curvature is the signed trace of B over an orthonormal
+tangent frame.  Every construction here is written over duck-typed scalars,
+so evaluating along a jet-seeded ray yields the derivative of the
+construction itself -- that is how the covariant derivatives of B, of the
+shape operator and of H are obtained without finite differences.
 
 All forms read one memoized bundle per chart point and per jet ray
 (``_Point``): f(u), T, S, the ambient metric and connection, the induced
-metric and its inverse, the +-1 normals, the orthonormal tangent frame and the
-intrinsic connection, each computed once, on first use.
+metric and its inverse, the +-1 normals and the orthonormal tangent frame,
+each computed once, on first use.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import struct
@@ -108,22 +110,6 @@ class Immersion:
         return [[list(col) for col in row] for row in _point(self, u).S]
 
 
-class PullbackMetric(SemiMetric):
-    """Induced metric of an immersion, evaluated through the pullback."""
-
-    def __init__(self, immersion: Immersion):
-        self.immersion = immersion
-        self.dim = immersion.m
-        self.pattern = tuple(itertools.product(range(self.dim), repeat=3))
-
-    def entry_values(self, coords):
-        return [list(row) for row in _point(self.immersion, coords).g]
-
-
-def pullback_metric(immersion: Immersion) -> PullbackMetric:
-    return PullbackMetric(immersion)
-
-
 # -- the point bundle -----------------------------------------------------------
 
 
@@ -193,7 +179,8 @@ class _Point:
 
     @cached_property
     def g(self):
-        """Induced metric g_ab = amb(T_a, T_b), summed as PullbackMetric sums it."""
+        """Induced metric g_ab = amb(T_a, T_b): the bundle's one copy, which
+        ``g_inv``, the frame and ``induced_metric`` all read."""
         amb, T = self.amb, self.T
         m, n = self.F.m, self.F.ambient.dim
         g = [[None] * m for _ in range(m)]
@@ -205,17 +192,13 @@ class _Point:
 
     @cached_property
     def g_inv(self):
-        """Inverse of the induced metric summed by ``bilinear`` (last bits may
-        differ from ``g``, so the projections keep this order)."""
-        m = self.F.m
-        gt = [[bilinear(self.amb, self.T[a], self.T[b]) for b in range(m)]
-              for a in range(m)]
-        det = mat_det(gt)
+        """Inverse of ``g``; raises DegenerateMetricError where g is degenerate."""
+        det = mat_det(self.g)
         if abs(const_term(det)) <= semimetric.DET_TOL:
             raise semimetric.DegenerateMetricError(
                 "induced metric degenerate; tangent projection undefined"
             )
-        return mat_inverse(gt, det)
+        return mat_inverse(self.g, det)
 
     @cached_property
     def normals(self):
@@ -246,11 +229,6 @@ class _Point:
                 "tangent frame cannot be orthonormalized (degenerate or null pivots)"
             )
         return frame
-
-    @cached_property
-    def christoffel(self):
-        """Connection coefficients of the induced metric at u."""
-        return PullbackMetric(self.F).christoffel(self.u)
 
     @cached_property
     def ambient_christoffel(self):
@@ -297,10 +275,17 @@ def _checked(F: Immersion, u) -> _Point:
     return pt
 
 
+def _induced(F: Immersion, u):
+    """The bundle's induced metric at the float point u, once it is nondegenerate."""
+    pt = _at(F, u)
+    pt.g_inv  # raises DegenerateMetricError on a degenerate induced metric
+    return pt.g
+
+
 def induced_metric(F: Immersion, u):
-    """Pullback metric matrix at u, with rank and degeneracy checks."""
+    """Induced metric matrix at u, with rank and degeneracy checks."""
     _checked(F, u)
-    return PullbackMetric(F).matrix_at(u)
+    return [list(row) for row in _induced(F, u)]
 
 
 # -- normal space ---------------------------------------------------------------
@@ -370,8 +355,9 @@ def _perp_derivative(pt: _Point, x, field):
     return _normal_projection(pt, _ambient_derivative(pt, x, field))
 
 
-def _b_value(pt: _Point, x, y):
-    """Second fundamental form B(x, y) over duck scalars (ambient components)."""
+def _gauss(pt: _Point, x, y):
+    """nabla~_x df(y) for coordinate-constant x, y over duck scalars (ambient
+    components): df(nabla_x y) + B(x, y) by the Gauss formula."""
     m, n = pt.F.m, pt.F.ambient.dim
     S = pt.S
     deriv = [
@@ -379,7 +365,12 @@ def _b_value(pt: _Point, x, y):
         for k in range(n)
     ]
     gam = pt.gamma_term(_push(pt.T, x), _push(pt.T, y))
-    return _normal_projection(pt, [deriv[k] + gam[k] for k in range(n)])
+    return [deriv[k] + gam[k] for k in range(n)]
+
+
+def _b_value(pt: _Point, x, y):
+    """Second fundamental form B(x, y): the normal part of the Gauss formula."""
+    return _normal_projection(pt, _gauss(pt, x, y))
 
 
 def second_fundamental(F: Immersion, u, X, Y):
@@ -519,8 +510,9 @@ def parallel_H_residual(F: Immersion, u, X) -> float:
 
 
 def _intrinsic_nabla(pt: _Point, z, x):
-    """(nabla_z x)^a for coordinate-constant x: the pure connection term."""
-    return connection_term(PullbackMetric(pt.F), pt.christoffel, z, x)
+    """(nabla_z x)^a for coordinate-constant x: the tangential part of the
+    Gauss formula, in intrinsic coordinates."""
+    return _tangential_coords(pt, _gauss(pt, z, x))
 
 
 def _nabla_b_value(pt: _Point, x, y, z):
@@ -539,33 +531,6 @@ def nabla_B(F: Immersion, u, X, Y, Z):
                  _nabla_b_value(_at(F, u), list(X), list(Y), list(Z)))
 
 
-def _nabla_b_multilinear(pt: _Point, x, y, z):
-    """(nabla B) evaluated with possibly non-constant coefficient vectors.
-
-    The derivative formula above assumes coordinate-constant arguments; for
-    function-coefficient slots the tensor value is recovered by expanding each
-    slot over the coordinate basis.
-    """
-    m = pt.F.m
-    n = pt.F.ambient.dim
-    out = [0.0] * n
-    basis = [_unit(a, m) for a in range(m)]
-    for a in range(m):
-        if const_term(x[a]) == 0.0 and not isinstance(x[a], Jet):
-            continue
-        for b in range(m):
-            if const_term(y[b]) == 0.0 and not isinstance(y[b], Jet):
-                continue
-            for c in range(m):
-                if const_term(z[c]) == 0.0 and not isinstance(z[c], Jet):
-                    continue
-                val = _nabla_b_value(pt, basis[a], basis[b], basis[c])
-                wgt = x[a] * y[b] * z[c]
-                for k in range(n):
-                    out[k] = out[k] + wgt * val[k]
-    return out
-
-
 def nabla2_B(F: Immersion, u, X, Y, Z, V):
     """(nabla^2 B)(X, Y, Z, V): derivative of nabla B minus slot corrections."""
     pt = _at(F, u)
@@ -574,9 +539,10 @@ def nabla2_B(F: Immersion, u, X, Y, Z, V):
     vx = _intrinsic_nabla(pt, v, x)
     vy = _intrinsic_nabla(pt, v, y)
     vz = _intrinsic_nabla(pt, v, z)
-    tx = _nabla_b_multilinear(pt, vx, y, z)
-    ty = _nabla_b_multilinear(pt, x, vy, z)
-    tz = _nabla_b_multilinear(pt, x, y, vz)
+    # nabla B is a tensor, so the corrections take the float values as constants
+    tx = _nabla_b_value(pt, vx, y, z)
+    ty = _nabla_b_value(pt, x, vy, z)
+    tz = _nabla_b_value(pt, x, y, vz)
     return tuple(
         const_term(perp[k] - tx[k] - ty[k] - tz[k])
         for k in range(F.ambient.dim)
@@ -604,14 +570,7 @@ def nabla_shape(F: Immersion, u, a: int, X, Y):
             term2[al] = term2[al] + coeff * advals[al]
 
     # A applied to nabla_X Y (linear in the tangent slot)
-    xy = _intrinsic_nabla(pt, x, y)
-    term3 = [0.0] * m
-    for b in range(m):
-        if xy[b] == 0.0:
-            continue
-        ab = _shape_value(pt, a, _unit(b, m))
-        for al in range(m):
-            term3[al] = term3[al] + xy[b] * ab[al]
+    term3 = _shape_value(pt, a, _intrinsic_nabla(pt, x, y))
 
     return tuple(
         const_term(term1[al] - term2[al] - term3[al]) for al in range(m)
@@ -737,7 +696,7 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     """Push an intrinsic helix into the ambient chart and re-measure it there.
 
     The helix is synthesized on its own (intrinsic) metric, which is checked
-    against the pullback of the immersion along the curve; the pushed-forward
+    against the immersion's induced metric along the curve; the pushed-forward
     curve is framed in the ambient chart with the ambient screen policy, and
     the per-sample ambient curvature functions plus the immersion's geodesic
     residual are reported.  ``project_every`` and ``drift_limit`` go to
@@ -756,11 +715,9 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
         )
     trace = helixmod.synthesize(spec, grid, step, project_every=project_every,
                                 drift_limit=drift_limit)
-    pull = PullbackMetric(F)
-
     iso_max = 0.0
     for u in trace.points[:: max(1, len(trace.points) // 64)]:
-        gp = pull.matrix_at(u)
+        gp = _induced(F, u)
         gh = spec.metric.matrix_at(u)
         iso_max = max(
             iso_max,
@@ -771,7 +728,7 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
             f"helix metric disagrees with the pullback by {iso_max:.3e}: "
             "the immersion is not isometric for this chart metric"
         )
-    idx0 = pull.index_at(trace.points[0])
+    idx0 = semimetric.metric_index(_induced(F, trace.points[0]))
     if idx0 != 2:
         raise ValueError(f"induced metric has index {idx0} along the curve, need 2")
 

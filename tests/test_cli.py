@@ -427,6 +427,28 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr, subexpr", [
+    ("t * 10^400", "10^400"), ("t + exp(1000)", "exp(1000)"),
+])
+def test_overflow_is_reported_as_a_sentence(tmp_path, capsys, expr, subexpr):
+    spec = _write(tmp_path, "bad.json",
+                  _with(C1_DOC, curve__components=["cos(t)", "sin(t)", expr]))
+    assert run(["frame", "--spec", spec, "--samples", "5"]) == 2
+    assert capsys.readouterr().err == f"error: result overflows a float in '{subexpr}'\n"
+
+
+def test_non_finite_report_value_is_named(tmp_path, capsys):
+    # a sphere of radius 3e200: the induced metric, about r^2, overflows to
+    # inf, and H comes out NaN
+    big = _with(SPHERE_DOC, immersion__map=[
+        "3e200*sin(u1)*cos(u2)", "3e200*sin(u1)*sin(u2)", "3e200*cos(u1)"])
+    spec = _write(tmp_path, "big.json", big)
+    assert run(["submanifold", "--spec", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: report value rows[0].mean_curvature[0] is not finite\n"
+
+
 @pytest.mark.parametrize("flags, doc", [
     (["--seed-order", "e0,e3"], C1_DOC),
     ([], _with(C1_DOC, {"seed_order": ["e0"]})),

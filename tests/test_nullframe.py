@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -215,6 +216,18 @@ def test_tangent_mode_positions_do_not_depend_on_query_order(flat3, rng):
         c = curve()
         for t in order:
             assert c.position_at(t) == alone[t]
+
+
+def test_tangent_mode_quadrature_keeps_one_node(flat3):
+    """1e4 Simpson nodes to reach t = 10 are marched through, not stored."""
+    c = NullCurve.tangent(flat3, ["cos(t)", "sin(t)", "1"], (0.0, 1.0, 0.0), (0.0, 10.0))
+    tracemalloc.start()
+    try:
+        c.position_at(10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_policy_names_roundtrip():

@@ -24,7 +24,6 @@ from nullhelix.submanifold import (
     normal_basis,
     null_triple,
     parallel_H_residual,
-    pullback_metric,
     second_fundamental,
     shape_operator,
     umbilical_diagnostic,
@@ -32,6 +31,14 @@ from nullhelix.submanifold import (
 )
 
 from conftest import uniform_grid
+
+# closed-form induced metrics of the conftest immersions: independent oracles
+# for the connection that submanifold reads off the Gauss formula
+GRAPH_METRIC = MetricField.from_texts(
+    3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]])
+PSEUDOSPHERE_METRIC = MetricField.from_texts(
+    3, [["-1", "0", "0"], ["0", "-sinh(x1)^2", "0"], ["0", "0", "cosh(x1)^2"]])
+SPHERE2_METRIC = MetricField.from_texts(2, [["4", "0"], ["0", "4*sin(x1)^2"]])
 
 
 # -- induced metric and normals ---------------------------------------------------
@@ -76,13 +83,34 @@ def test_normal_basis_degenerate(amb4):
         normal_basis(nullplane, [0.1, 0.2, 0.3])
 
 
-def test_pullback_metric_object(graph_immersion):
-    pm = pullback_metric(graph_immersion)
-    g = pm.matrix_at((0.0, 0.0, 1.0))
-    assert g[2][2] == pytest.approx(2.0, abs=1e-12)
-    gamma = pm.christoffel_at((0.0, 0.0, 1.0))
+def test_induced_metric_graph_hand_values(graph_immersion):
+    u = (0.0, 0.0, 1.0)
+    assert induced_metric(graph_immersion, u)[2][2] == pytest.approx(2.0, abs=1e-12)
+    e3 = [0.0, 0.0, 1.0]
+    gamma = sb._intrinsic_nabla(sb._point(graph_immersion, list(u)), e3, e3)
     # hand oracle on diag(-1, -1, 1 + u3^2): G^3_33 = u3 / (1 + u3^2)
-    assert gamma[2][2][2] == pytest.approx(0.5, abs=1e-12)
+    assert gamma[2] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, metric, box", [
+    ("graph_immersion", GRAPH_METRIC, [(-2.0, 2.0)] * 3),
+    ("pseudosphere", PSEUDOSPHERE_METRIC, [(0.3, 1.5), (-3.0, 3.0), (-3.0, 3.0)]),
+    ("sphere2", SPHERE2_METRIC, [(0.5, 2.6), (-3.0, 3.0)]),
+])
+def test_gauss_connection_matches_closed_form(request, rng, name, metric, box):
+    """nabla_{e_b} e_c from the Gauss formula equals the closed-form Gamma^a_bc."""
+    F = request.getfixturevalue(name)
+    m = F.m
+    basis = [[1.0 if i == a else 0.0 for i in range(m)] for a in range(m)]
+    for _ in range(10):
+        u = [rng.uniform(lo, hi) for lo, hi in box]
+        gamma = metric.christoffel_at(u)
+        pt = sb._point(F, u)
+        for b in range(m):
+            for c in range(m):
+                got = sb._intrinsic_nabla(pt, basis[b], basis[c])
+                want = [gamma[a][b][c] for a in range(m)]
+                assert got == pytest.approx(want, abs=1e-13), (u, b, c)
 
 
 # -- fundamental forms --------------------------------------------------------------
@@ -209,7 +237,7 @@ def test_nabla_b_slice_and_sphere(slice_immersion, sphere2):
 
 
 def _fd_nabla_b(F, u, x, y, z, h=1e-5):
-    """Independent finite-difference oracle for (nabla B)(x, y, z)."""
+    """Independent finite-difference oracle for (nabla B)(x, y, z) on the graph."""
     up = [u[a] + h * z[a] for a in range(F.m)]
     um = [u[a] - h * z[a] for a in range(F.m)]
     bp = second_fundamental(F, up, x, y)
@@ -217,7 +245,7 @@ def _fd_nabla_b(F, u, x, y, z, h=1e-5):
     d = [(bp[k] - bm[k]) / (2.0 * h) for k in range(F.ambient.dim)]
     # ambient connection vanishes on a flat chart; project onto the normal space
     perp = sb._normal_projection(sb._point(F, [float(c) for c in u]), d)
-    gamma = pullback_metric(F).christoffel_at(u)
+    gamma = GRAPH_METRIC.christoffel_at(u)
     m = F.m
     zx = [sum(gamma[a][b][c] * z[b] * x[c] for b in range(m) for c in range(m))
           for a in range(m)]
@@ -249,15 +277,15 @@ def test_nabla2_b_against_finite_differences(graph_immersion):
     d = [(bp[k] - bm[k]) / (2.0 * h) for k in range(4)]
     pt = sb._point(graph_immersion, u)
     perp = sb._normal_projection(pt, d)
-    gamma = pullback_metric(graph_immersion).christoffel_at(u)
+    gamma = GRAPH_METRIC.christoffel_at(u)
     corr = [0.0, 0.0, 0.0, 0.0]
     for slot in (x, y, z):
         vx = [sum(gamma[a][b][c] * v[b] * slot[c] for b in range(3) for c in range(3))
               for a in range(3)]
         args = {id(x): [vx, y, z], id(y): [x, vx, z], id(z): [x, y, vx]}[id(slot)]
-        term = sb._nabla_b_multilinear(pt, *args)
+        term = nabla_B(graph_immersion, u, *args)
         for k in range(4):
-            corr[k] += sb.const_term(term[k])
+            corr[k] += term[k]
     fd = [perp[k] - corr[k] for k in range(4)]
     assert max(abs(a - b) for a, b in zip(exact, fd)) <= 1e-6
 
@@ -272,7 +300,7 @@ def test_nabla_shape_examples(slice_immersion, sphere2, graph_immersion):
     x, y = (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)
     exact = nabla_shape(graph_immersion, u, 0, x, y)
     h = 1e-5
-    gamma = pullback_metric(graph_immersion).christoffel_at(u)
+    gamma = GRAPH_METRIC.christoffel_at(u)
 
     def shape_at(uu):
         return shape_operator(graph_immersion, uu, 0, y)
@@ -397,8 +425,6 @@ def _public_calls(F, u):
 
     return [
         ("induced_metric", lambda: induced_metric(F, u)),
-        ("pullback_matrix", lambda: pullback_metric(F).matrix_at(u)),
-        ("pullback_christoffel", lambda: pullback_metric(F).christoffel_at(u)),
         ("second_values", lambda: F.second_values(u)),
         ("normal_basis", lambda: normal_basis(F, u)),
         ("second_fundamental", lambda: second_fundamental(F, u, x, y)),
@@ -498,11 +524,8 @@ def test_transfer_identity_immersion(flat3, c1_spec):
 
 
 def test_transfer_through_curved_graph(graph_immersion):
-    gm = MetricField.from_texts(
-        3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]]
-    )
     spec = hx.HelixSpec(0.0, 1.0, -0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0),
-                        (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=gm)
+                        (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=GRAPH_METRIC)
     grid = uniform_grid(0.0, 1.5, 751)
     rep = helix_transfer(graph_immersion, spec, grid, step=2e-3)
     assert max(rep.constancy.values()) > 1e-3
