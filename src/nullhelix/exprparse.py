@@ -8,10 +8,13 @@ Precedence, tightest first: ``^``, unary minus, ``* /``, ``+ -``.
 Evaluation is by truncated Taylor-jet arithmetic (:mod:`nullhelix.jets`);
 binding a variable to a seed jet yields the expression's derivatives in that
 variable, and nested jets yield mixed partials of composed fields.
+``derivative`` differentiates a tree symbolically instead, once, for code
+that needs the same first derivative at many points (the metric connection).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -360,3 +363,164 @@ def _eval(node: Expr, env: dict):
         except ZeroDivisionError as exc:
             raise _domain_error(exc, node) from None
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# -- symbolic first derivatives -------------------------------------------------
+
+_ZERO = Num(0.0, "0")
+_ONE = Num(1.0, "1")
+
+
+def _is_zero(node: Expr) -> bool:
+    return isinstance(node, Num) and node.value == 0.0
+
+
+def _is_one(node: Expr) -> bool:
+    return isinstance(node, Num) and node.value == 1.0
+
+
+def _folded(node: Expr) -> Expr:
+    """``node`` as one Num when it reads no variable and ``_eval`` gives a
+    finite value for it; otherwise ``node``, so a domain error stays for
+    evaluation time to report."""
+    if isinstance(node, Num) or free_variables(node):
+        return node
+    try:
+        value = _eval(node, {})
+    except DomainError:
+        return node
+    return Num(value, repr(value)) if math.isfinite(value) else node
+
+
+def _neg(a: Expr) -> Expr:
+    return _ZERO if _is_zero(a) else _folded(Neg(a))
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    if _is_zero(a):
+        return b
+    if _is_zero(b):
+        return a
+    return _folded(BinOp("+", a, b))
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    if _is_zero(b):
+        return a
+    if _is_zero(a):
+        return _neg(b)
+    return _folded(BinOp("-", a, b))
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _is_zero(a) or _is_zero(b):
+        return _ZERO
+    if _is_one(a):
+        return b
+    if _is_one(b):
+        return a
+    return _folded(BinOp("*", a, b))
+
+
+def _div(a: Expr, b: Expr) -> Expr:
+    if _is_zero(a):
+        return _ZERO
+    if _is_one(b):
+        return a
+    return _folded(BinOp("/", a, b))
+
+
+def _pow(base: Expr, exponent: int) -> Expr:
+    if exponent == 0:
+        return _ONE
+    if exponent == 1:
+        return base
+    return _folded(Pow(base, exponent))
+
+
+#: Largest |n| whose u^n is differentiated through ``powi``'s own products;
+#: those trees hold about n copies of u, so larger powers take n u^(n-1) du.
+MIRRORED_POWER = 16
+
+
+def _powi_jet(u: Expr, du: Expr, n: int):
+    """(value, slope) trees of ``powi``'s square-and-multiply on a jet with
+    value u and slope du: each product (p, d) * (q, e) is (p q, p e + d q)."""
+    if n < 0:  # powi: 1 / u^-n, whose slope is (0 - d * (1/p)) / p
+        p, d = _powi_jet(u, du, -n)
+        inverse = _div(_ONE, p)
+        return inverse, _div(_neg(_mul(d, inverse)), p)
+    if n == 0:
+        return _ONE, _ZERO
+    p, d = u, du
+    for bit in bin(n)[3:]:
+        p, d = _mul(p, p), _add(_mul(p, d), _mul(d, p))
+        if bit == "1":
+            p, d = _mul(p, u), _add(_mul(p, du), _mul(d, u))
+    return p, d
+
+
+def _forward(node: Expr, var: str):
+    """(value, slope) trees of ``node`` on order-1 jets in every variable,
+    ``var``'s with slope 1 and the others' with slope 0: the value as the
+    jet computes it (powers through ``powi``'s products) and the slope by
+    the recurrence of each jet operation."""
+    if not free_variables(node):  # a float on the jets too
+        return _folded(node), _ZERO
+    if isinstance(node, Var):
+        return node, _ONE if node.name == var else _ZERO
+    if isinstance(node, Neg):
+        u, du = _forward(node.arg, var)
+        return (node if u is node.arg else Neg(u)), _neg(du)
+    if isinstance(node, BinOp):
+        u, du = _forward(node.left, var)
+        v, dv = _forward(node.right, var)
+        value = node if u is node.left and v is node.right else BinOp(node.op, u, v)
+        if node.op == "+":
+            return value, _add(du, dv)
+        if node.op == "-":
+            return value, _sub(du, dv)
+        if node.op == "*":
+            return value, _add(_mul(u, dv), _mul(du, v))
+        return value, _div(_sub(du, _mul(dv, value)), v)
+    if isinstance(node, Pow):
+        n = node.exponent
+        u, du = _forward(node.base, var)
+        if abs(n) <= MIRRORED_POWER:
+            return _powi_jet(u, du, n)
+        return Pow(u, n), _mul(_mul(Num(float(n), str(n)), _pow(u, n - 1)), du)
+    if isinstance(node, Call):
+        u, du = _forward(node.arg, var)
+        value = node if u is node.arg else Call(node.func, u)
+        if node.func == "exp":
+            return value, _mul(du, value)
+        if node.func == "log":
+            return value, _div(du, u)
+        if node.func == "sqrt":
+            return value, _div(du, _mul(Num(2.0, "2"), value))
+        if node.func == "sin":
+            return value, _mul(du, Call("cos", u))
+        if node.func == "cos":
+            return value, _neg(_mul(du, Call("sin", u)))
+        if node.func == "sinh":
+            return value, _mul(du, Call("cosh", u))
+        if node.func == "cosh":
+            return value, _mul(du, Call("sinh", u))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def derivative(node: Expr, var: str) -> Expr:
+    """The partial derivative of ``node`` in the variable ``var``, as a tree.
+
+    Each rule repeats the order-1 recurrence of the matching jet operation
+    (``d(u/v) = (du - dv * (u/v)) / v``, ``d exp(u) = du * exp(u)``, ``u^n``
+    through ``powi``'s products, ...), with the values inside it computed as
+    a jet computes them.  So evaluating the result on floats or jets gives
+    the bits that binding every variable to an order-1 jet (slope 1 for
+    ``var``, 0 for the others) gives, up to the sign of a zero; only powers
+    beyond MIRRORED_POWER take ``n * u^(n-1) * du`` and round differently.
+    Products with a zero factor, sums with a zero term, unit factors and
+    all-number subtrees are folded, so a derivative that does not read
+    ``var`` is the number 0.
+    """
+    return _forward(node, var)[1]

@@ -57,6 +57,9 @@ from .semimetric import SemiMetric, bilinear, connection_term
 
 DRIFT_LIMIT = 1e-4
 SPEC_GRAM_TOL = 1e-10
+# full-size RK4 steps one synthesis may take over its whole grid; a curved
+# chart runs about 1e4 of them a second, so larger runs are rejected up front
+MAX_RK4_STEPS = 10 ** 6
 
 
 class GramDriftError(RuntimeError):
@@ -241,7 +244,8 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     """Integrate the frame system over a sample grid with fixed-step RK4.
 
     ``grid`` must be increasing; within each segment the step is
-    ``span / ceil(span / step)`` so samples are hit exactly.  ``project_every``
+    ``span / ceil(span / step)`` so samples are hit exactly; more than
+    MAX_RK4_STEPS of those steps in all is a ValueError.  ``project_every``
     re-projects N and W every that many integration steps (0 disables).  A
     half-step shadow integration supplies the per-sample error estimate.
     """
@@ -278,13 +282,18 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
             math.sqrt(sum((a - b) ** 2 for a, b in zip(full, half))) / 15.0
         )
 
-    record(grid[0], state, shadow)
+    nsubs = []
     for ta, tb in zip(grid, grid[1:]):
-        span = tb - ta
-        if not math.isfinite(span / step):
+        if not math.isfinite((tb - ta) / step):
             raise ValueError(f"step {step!r} is too small for the segment [{ta!r}, "
                              f"{tb!r}]: span / step is not finite")
-        nsub = max(1, int(math.ceil(span / step - 1e-12)))
+        nsubs.append(max(1, int(math.ceil((tb - ta) / step - 1e-12))))
+    if sum(nsubs) > MAX_RK4_STEPS:
+        raise ValueError(f"step {step!r} needs {sum(nsubs)} RK4 steps over the grid, "
+                         f"more than MAX_RK4_STEPS = {MAX_RK4_STEPS}")
+    record(grid[0], state, shadow)
+    for ta, tb, nsub in zip(grid, grid[1:], nsubs):
+        span = tb - ta
         dt = span / nsub
         done = 0
         while done < nsub:

@@ -2,11 +2,24 @@
 
 A chart metric is anything that can evaluate its entry matrix ``g_ij`` over
 duck-typed coordinate scalars (floats or :class:`~nullhelix.jets.Jet`); the
-closed-form ``MetricField`` is the one implementation.  Derivatives of the
-entries are taken by seeding a first-order jet in each coordinate direction,
-never by finite differences.  (The induced metric of an immersion is not a
-chart metric here: ``submanifold`` reads its connection off the Gauss
-formula.)
+closed-form ``MetricField`` is the one implementation.  (The induced metric
+of an immersion is not a chart metric here: ``submanifold`` reads its
+connection off the Gauss formula.)
+
+Each ``MetricField`` generates one Python function, on its first
+``matrix_at`` or ``christoffel`` call, that returns g, its determinant and
+the Christoffel symbols at a point.  The entry derivatives in it are
+``exprparse.derivative`` trees, taken once, never finite differences; the
+determinant and the adjugate inverse are ``mat_det`` and ``mat_inverse``
+unrolled in the same association, with every product that has a
+structurally zero factor left out.  The function calls the elementary
+functions as ``jets.<name>``, so it takes floats and (nested) jets alike.
+It is written from the expression trees alone: ``repr`` float literals, the
+chart's coordinate names and the grammar's function names.  When it raises
+(a domain, division or overflow error), the entries and then the derivative
+trees are evaluated again with ``exprparse._eval`` at the same point, so the
+``DomainError`` names the offending subexpression; that path never returns
+a connection.
 
 Each metric's ``pattern`` holds the (k, i, j), in lexicographic order, whose
 Christoffel symbol can be nonzero: every k times every live pair (i, j), where
@@ -18,13 +31,15 @@ each contraction sums over the pattern alone.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import exprparse, jets
-from .jets import Jet, const_term
+from .jets import const_term
 
 DET_TOL = 1e-10
 
@@ -124,21 +139,21 @@ def _zero_connection(n: int) -> tuple:
     return (((0.0,) * n,) * n,) * n
 
 
-def _deriv_part(v):
-    """First coefficient of a seeded order-1 evaluation (0 for constants)."""
-    return v.coeffs[1] if isinstance(v, Jet) else 0.0
-
-
 # -- metric protocol -----------------------------------------------------------
 
 
 class SemiMetric:
-    """Shared machinery on top of duck-typed entry evaluation."""
+    """Shared machinery on top of one metric-and-connection evaluation."""
 
     dim: int
     pattern: tuple  # the (k, i, j), in order, whose gamma[k][i][j] can be nonzero
 
     def entry_values(self, coords):
+        raise NotImplementedError
+
+    def _evaluate(self, coords, connection: bool):
+        """``(g, det, gamma)`` over duck coordinates; gamma is None unless
+        ``connection`` is true and |det| > DET_TOL."""
         raise NotImplementedError
 
     def _check_point(self, p):
@@ -147,8 +162,7 @@ class SemiMetric:
 
     def matrix_at(self, p):
         self._check_point(p)
-        g = self.entry_values([float(c) for c in p])
-        det = mat_det(g)
+        g, det, _ = self._evaluate([float(c) for c in p], False)
         if abs(det) <= DET_TOL:
             raise DegenerateMetricError(
                 f"metric degenerate at {tuple(p)}: |det| = {abs(det):.3e}"
@@ -167,40 +181,181 @@ class SemiMetric:
     def christoffel(self, coords):
         """Connection coefficients gamma[k][i][j] over duck coordinates.
 
-        Entry derivatives come from first-order jets seeded per coordinate
-        direction; passing jet-valued coordinates therefore yields the
-        coefficients' own Taylor expansions along a curve.  Entries outside
-        ``pattern`` are 0.0; an empty pattern gives the shared zero connection.
+        Passing jet-valued coordinates yields the coefficients' own Taylor
+        expansions along a curve.  Entries outside ``pattern`` are 0.0; an
+        empty pattern gives the shared zero connection.
         """
-        n = self.dim
         if not self.pattern:
-            return _zero_connection(n)
-        g = self.entry_values(list(coords))
-        det = mat_det(g)
-        if abs(const_term(det)) <= DET_TOL:
+            return _zero_connection(self.dim)
+        _, _, gamma = self._evaluate(coords, True)
+        if gamma is None:
             raise DegenerateMetricError("metric degenerate along evaluation")
-        ginv = mat_inverse(g, det)
-        # dg[l][i][j] = d g_ij / d x_l; an entry that reads x_l makes some
-        # (l, j) live, so the directions left unseeded are exactly zero
-        dg = [[[0.0] * n for _ in range(n)]] * n
-        for l in sorted({i for _, i, _ in self.pattern}):
-            entries = self.entry_values(
-                [Jet((coords[m], 1.0 if m == l else 0.0)) for m in range(n)])
-            dg[l] = [[_deriv_part(entries[i][j]) for j in range(n)] for i in range(n)]
-        gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
-        for k, i, j in self.pattern:
-            if j < i:  # filled with (k, j, i), which comes first
-                continue
-            acc = None
-            for l in range(n):
-                term = ginv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                acc = term if acc is None else acc + term
-            gamma[k][i][j] = gamma[k][j][i] = 0.5 * acc
         return gamma
 
     def christoffel_at(self, p):
         self._check_point(p)
         return self.christoffel([float(c) for c in p])
+
+
+# -- the generated metric-and-connection function ---------------------------------
+
+
+def _literal(value: float) -> str:
+    """A Python literal for a parsed or folded number (never NaN)."""
+    if math.isinf(value):
+        return "(-1e999)" if value < 0.0 else "1e999"
+    text = repr(float(value))
+    return f"({text})" if text.startswith("-") else text
+
+
+class _Emitter:
+    """Straight-line Python over duck scalars, one named value per line.
+
+    A value is a code string: a literal, a coordinate name or a temporary.
+    None is a structural zero: a product with a None factor is None and a
+    sum skips it.  Identical right-hand sides share one temporary, and
+    ``kept`` drops the temporaries the returned values do not read.
+    """
+
+    def __init__(self, names):
+        self.names = frozenset(names)
+        self.lines = []  # (temporary, right-hand side)
+        self.bound = {}  # right-hand side -> temporary
+
+    def bind(self, rhs: str) -> str:
+        name = self.bound.get(rhs)
+        if name is None:
+            name = self.bound[rhs] = f"_t{len(self.lines)}"
+            self.lines.append((name, rhs))
+        return name
+
+    def expr(self, node) -> str | None:
+        """Code for an expression tree, in ``exprparse._eval``'s operations."""
+        if isinstance(node, exprparse.Num):
+            return None if node.value == 0.0 else _literal(node.value)
+        if isinstance(node, exprparse.Var):
+            if node.name not in self.names:
+                raise ValueError(f"unknown coordinate {node.name!r}")
+            return node.name
+        if isinstance(node, exprparse.Neg):
+            return self.bind(f"-{self.code(node.arg)}")
+        if isinstance(node, exprparse.Call):
+            if node.func not in exprparse.FUNCTIONS:
+                raise ValueError(f"unknown function {node.func!r}")
+            return self.bind(f"jets.{node.func}({self.code(node.arg)})")
+        if isinstance(node, exprparse.Pow):
+            return self.bind(f"jets.powi({self.code(node.base)}, {int(node.exponent)})")
+        if isinstance(node, exprparse.BinOp):
+            if node.op not in ("+", "-", "*", "/"):
+                raise ValueError(f"unknown operator {node.op!r}")
+            return self.bind(
+                f"{self.code(node.left)} {node.op} {self.code(node.right)}")
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def code(self, node) -> str:
+        value = self.expr(node)
+        return "0.0" if value is None else value
+
+    def mul(self, a, b):
+        return None if a is None or b is None else self.bind(f"{a} * {b}")
+
+    def add(self, a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        return self.bind(f"{a} + {b}")
+
+    def sub(self, a, b):
+        if b is None:
+            return a
+        return self.bind(f"-{b}") if a is None else self.bind(f"{a} - {b}")
+
+    def det(self, m):
+        """``mat_det``'s cofactor expansion along the first row, zeros dropped."""
+        if len(m) == 1:
+            return m[0][0]
+        if len(m) == 2:
+            return self.sub(self.mul(m[0][0], m[1][1]), self.mul(m[0][1], m[1][0]))
+        acc = None
+        for j in range(len(m)):
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            term = self.mul(m[0][j], self.det(minor))
+            acc = self.sub(acc, term) if j % 2 else self.add(acc, term)
+        return acc
+
+    def kept(self, roots) -> list:
+        """The (temporary, right-hand side) lines that ``roots`` read, in order."""
+        used = set()
+        for text in roots:
+            used.update(_TEMPORARY.findall(text))
+        kept = []
+        for name, rhs in reversed(self.lines):
+            if name in used:
+                kept.append((name, rhs))
+                used.update(_TEMPORARY.findall(rhs))
+        return kept[::-1]
+
+
+_TEMPORARY = re.compile(r"\b_t\d+\b")
+
+
+def _nested(rows) -> str:
+    if isinstance(rows, str):
+        return rows
+    return "(" + ", ".join(map(_nested, rows)) + ",)"
+
+
+def _connection_source(names, entries, dg, pattern) -> str:
+    """Source of ``_metric_connection(x1, .., xn, connection)``.
+
+    It returns ``(g, det, gamma)``: g as lists of the entries, det as
+    ``mat_det`` computes it, and gamma as nested tuples, or None when
+    ``connection`` is false or |det| <= DET_TOL.  The inverse is
+    ``mat_inverse``'s adjugate, and each gamma[k][i][j] on the pattern is
+    0.5 * sum over l of ginv[k][l] (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]),
+    both with every product that has a structural-zero factor left out.
+    ``dg[l][i][j]`` is the tree of d g_ij / d x_l, or None where it is zero.
+    """
+    n = len(names)
+    em = _Emitter(names)
+    g = [[em.expr(entries[i][j]) for j in range(n)] for i in range(n)]
+    det = em.det(g) or "0.0"
+    checked = len(em.lines)  # the temporaries made so far run before the check
+    d = [[[None if t is None else em.expr(t) for t in row] for row in plane]
+         for plane in dg]
+    inv = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[g[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = em.det(minor)
+            if (i + j) % 2:
+                cof = em.sub(None, cof)
+            inv[j][i] = None if cof is None else em.bind(f"{cof} / det")
+    gamma = [[["0.0"] * n for _ in range(n)] for _ in range(n)]
+    for k, i, j in pattern:
+        if j < i:  # filled with (k, j, i), which comes first
+            continue
+        acc = None
+        for l in range(n):
+            inner = em.sub(em.add(d[i][j][l], d[j][i][l]), d[l][i][j])
+            acc = em.add(acc, em.mul(inv[k][l], inner))
+        if acc is not None:
+            gamma[k][i][j] = gamma[k][j][i] = em.bind(f"0.5 * {acc}")
+    matrix = "[" + ", ".join("[" + ", ".join(v or "0.0" for v in row) + "]"
+                             for row in g) + "]"
+    returned = _nested(gamma)
+    order = {name: k for k, (name, _) in enumerate(em.lines)}
+    lines = [(order[name] < checked, f"    {name} = {rhs}")
+             for name, rhs in em.kept([matrix, det, returned])]
+    return "\n".join([
+        f"def _metric_connection({', '.join(names)}, connection):",
+        *(line for early, line in lines if early),
+        f"    g = {matrix}",
+        f"    det = {det}",
+        f"    if not connection or abs(jets.const_term(det)) <= {DET_TOL!r}:",
+        "        return g, det, None",
+        *(line for early, line in lines if not early),
+        f"    return g, det, {returned}",
+    ]) + "\n"
 
 
 class MetricField(SemiMetric):
@@ -290,6 +445,41 @@ class MetricField(SemiMetric):
             [exprparse._eval(self.entries[i][j], env) for j in range(self.dim)]
             for i in range(self.dim)
         ]
+
+    @cached_property
+    def _derivatives(self) -> dict:
+        """The trees of d g_ij / d x_l that are not zero, keyed (l, i, j)."""
+        out = {}
+        for l, name in enumerate(self._coord_names):
+            for i, row in enumerate(self.entries):
+                for j, entry in enumerate(row):
+                    d = exprparse.derivative(entry, name)
+                    if not (isinstance(d, exprparse.Num) and d.value == 0.0):
+                        out[(l, i, j)] = d
+        return out
+
+    @cached_property
+    def _generated(self):
+        """The generated ``(g, det, gamma)`` function (see the module notes)."""
+        n = self.dim
+        dg = [[[self._derivatives.get((l, i, j)) for j in range(n)] for i in range(n)]
+              for l in range(n)]
+        source = _connection_source(self._coord_names, self.entries, dg, self.pattern)
+        namespace = {"jets": jets}
+        exec(compile(source, "<metric connection>", "exec"), namespace)
+        return namespace["_metric_connection"]
+
+    def _evaluate(self, coords, connection: bool):
+        try:
+            return self._generated(*coords, connection)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            error = exc
+        # name the failing subexpression; a replay that does not fail re-raises
+        env = dict(zip(self._coord_names, coords))
+        for node in (*(e for row in self.entries for e in row),
+                     *self._derivatives.values()):
+            exprparse._eval(node, env)
+        raise error
 
 
 # -- spec operations ------------------------------------------------------------

@@ -36,8 +36,8 @@ from .exprparse import _eval, parse
 from .jets import Jet, const_term
 from .nullframe import (ScreenPolicy, continuity_signs, euclid_norm, frame_curvatures,
                         null_transversal)
-from .semimetric import (SemiMetric, _deriv_part, bilinear, connection_term,
-                         mat_det, mat_inverse, mat_vec)
+from .semimetric import (SemiMetric, bilinear, connection_term, mat_det, mat_inverse,
+                         mat_vec)
 
 RANK_TOL = 1e-9
 NORMAL_TOL = 1e-10
@@ -45,6 +45,11 @@ FRAME_PIVOT_TOL = 1e-10
 # helix transfer chains two stencils (the acceleration, then cov N), each
 # trimming FD_RADIUS samples per side, and its constancy check needs two samples
 TRANSFER_MIN_SAMPLES = 4 * helixmod.FD_RADIUS + 2
+
+
+def _slope(v):
+    """First coefficient of a value on an order-1 jet ray (0 for constants)."""
+    return v.coeffs[1] if isinstance(v, Jet) else 0.0
 
 
 class RankDeficiencyError(ValueError):
@@ -102,7 +107,7 @@ class Immersion:
         for a in range(self.m):
             seeded = [Jet((u[b], 1.0 if b == a else 0.0)) for b in range(self.m)]
             env = dict(zip(self._uvars, seeded))
-            rows.append([_deriv_part(_eval(c, env)) for c in self.components])
+            rows.append([_slope(_eval(c, env)) for c in self.components])
         return rows
 
     def second_values(self, u):
@@ -263,7 +268,7 @@ def _along(pt: _Point, x, field):
     """(derivative, base value) of ``field``, a map from bundles to duck
     components, on the jet ray through pt along x; the base keeps pt's nesting."""
     vals = field(_point(pt.F, [Jet((pt.u[b], x[b])) for b in range(len(pt.u))]))
-    return ([_deriv_part(c) for c in vals],
+    return ([_slope(c) for c in vals],
             [c.coeffs[0] if isinstance(c, Jet) else c for c in vals])
 
 

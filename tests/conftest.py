@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from nullhelix import helix as helixmod
 from nullhelix import semimetric
+from nullhelix.exprparse import FUNCTIONS, BinOp, Call, Neg, Num, Pow, Var
 from nullhelix.nullframe import NullCurve
 from nullhelix.semimetric import MetricField, bilinear, mat_vec
 from nullhelix.submanifold import Immersion
@@ -66,6 +68,23 @@ def pseudosphere(amb4):
         ["sinh(u1)*cos(u2)", "sinh(u1)*sin(u2)",
          "cosh(u1)*cos(u3)", "cosh(u1)*sin(u3)"],
     )
+
+
+NUMBER_TEXTS = ("0", "1", "2", "0.5", "2.5", "0.3", "1e-3")
+
+
+def expr_trees(variables=("x1", "x2", "x3"), depth: int = 4):
+    """Expression trees over ``variables`` with every node kind of the grammar
+    (Num, Var, Neg, Call, BinOp, Pow), nested at most ``depth`` deep."""
+    leaf = st.one_of(st.sampled_from(variables).map(Var),
+                     st.sampled_from(NUMBER_TEXTS).map(lambda t: Num(float(t), t)))
+    tree = leaf
+    for _ in range(depth):
+        tree = st.one_of(leaf, st.builds(Neg, tree),
+                         st.builds(Call, st.sampled_from(FUNCTIONS), tree),
+                         st.builds(BinOp, st.sampled_from("+-*/"), tree, tree),
+                         st.builds(Pow, tree, st.integers(-3, 4)))
+    return tree
 
 
 def flat_null_frame(metric: MetricField, zeta, seed_index: int = 2, flip: bool = False):

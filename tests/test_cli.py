@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,50 @@ def test_frame_domain_error_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "log" in err
+
+
+def _field_helix(entries, initial_point, frame, domain, step, config=None):
+    doc = {"kind": "helix",
+           "metric": {"dim": 3, "metric": {"type": "field", "entries": entries}},
+           "helix": {"h": 0.0, "k1": 1.0, "k2": -0.5, "initial_point": initial_point,
+                     "initial_frame": frame, "domain": domain, "step": step}}
+    if config is not None:
+        doc["config"] = config
+    return doc
+
+
+def test_synth_reaching_a_log_singularity_names_it(tmp_path, capsys):
+    # at x3 = e the chart is diag(-1, -1, 1), where the C1 frame with zeta_3
+    # reversed is valid; coarse steps carry an RK4 stage below x3 = 0
+    doc = _field_helix([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "log(x3)"]],
+                       [0, 0, math.e], {"zeta": [0, 1, -1], "n": [0, -0.5, -0.5],
+                                        "w": [-1, 0, 0]},
+                       [0.0, 13.0], 10.0, {"samples": 20, "drift_limit": 1e300})
+    assert run(["synth", "--spec", _write(tmp_path, "log.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: log of non-positive value in 'log(x3)'\n"
+
+
+def test_synth_derivative_only_domain_error_is_usage_error(tmp_path, capsys):
+    # g_33 = 1 + sqrt(x3) is 1 at x3 = 0, but its x3-derivative is not finite
+    doc = _field_helix([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + sqrt(x3)"]],
+                       [0, 0, 0], HELIX_DOC["helix"]["initial_frame"], [0.0, 2.0], 1e-3)
+    assert run(["synth", "--spec", _write(tmp_path, "sqrt.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: float division by zero in '1 / (2 * sqrt(x3))'\n"
+
+
+def test_synth_beyond_the_rk4_step_cap_exits_quickly(tmp_path, capsys):
+    doc = _field_helix([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]],
+                       [0, 0, 0], HELIX_DOC["helix"]["initial_frame"], [0.0, 2.0], 1e-9)
+    spec = _write(tmp_path, "tiny-step.json", doc)
+    start = time.perf_counter()
+    assert run(["synth", "--spec", spec]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1e-09 needs ")
+    assert "more than MAX_RK4_STEPS = 1000000" in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_is_usage_error(capsys):

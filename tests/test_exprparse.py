@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullhelix import exprparse as ep
 from nullhelix import jets
@@ -17,6 +19,8 @@ from nullhelix.exprparse import (
     to_text,
 )
 from nullhelix.jets import Jet
+
+from conftest import expr_trees
 
 
 def test_single_call_grammar_case():
@@ -161,3 +165,59 @@ def test_canonical_print_preserves_plain_sources():
     # inputs already in canonical spacing round-trip to themselves
     for text in ["cos(t)", "t^2 + sinh(x1)", "t * x1 - 2 / t"]:
         assert to_text(parse(text)) == text
+
+
+@given(expr_trees())
+@settings(max_examples=300, deadline=None)
+def test_printed_trees_parse_back(tree):
+    assert parse(to_text(tree)) == tree
+
+
+COORDS = ("x1", "x2", "x3")
+
+
+@given(expr_trees(), st.sampled_from(COORDS),
+       st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_derivative_matches_the_seeded_jet(tree, var, point):
+    """d tree / d var on floats equals the slope of tree evaluated on order-1
+    jets (slope 1 along var, 0 along the other coordinates)."""
+    env = dict(zip(COORDS, point))
+    seeded = {x: Jet((value, 1.0 if x == var else 0.0)) for x, value in env.items()}
+    try:
+        symbolic = ep._eval(ep.derivative(tree, var), env)
+        jet = ep._eval(tree, seeded)
+    except DomainError:
+        return  # outside the domain: the error path is tested elsewhere
+    slope = jet.coeffs[1] if isinstance(jet, Jet) else 0.0
+    if math.isfinite(symbolic) and math.isfinite(slope):
+        assert math.isclose(symbolic, slope, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("text, var, derivative", [
+    ("x1 * x2 + 0 * x3", "x3", "0"),           # no read: the number 0
+    ("x1 * x2 + 0 * x3", "x2", "x1"),          # 0 * x and x * 1 folded
+    ("3 * x1 - 2", "x1", "3"),
+    ("2 * 3 * x1", "x1", "6.0"),               # all-number subtrees folded
+    ("exp(0.4 * x3)", "x3", "0.4 * exp(0.4 * x3)"),
+    ("x3^2", "x3", "x3 + x3"),                 # powi's x * x, both orders
+    ("-cos(x1)", "x1", "--sin(x1)"),
+    ("log(x1) / x2", "x2", "-(log(x1) / x2) / x2"),
+    ("sqrt(x2)", "x2", "1 / (2 * sqrt(x2))"),
+])
+def test_derivative_rules_and_folds(text, var, derivative):
+    assert to_text(ep.derivative(parse(text), var)) == derivative
+
+
+def test_derivative_keeps_domain_errors_for_evaluation():
+    # 1 / 0 is not folded away: evaluating the derivative reports it
+    d = ep.derivative(parse("x1 * (1 / 0)"), "x1")
+    with pytest.raises(DomainError, match="1 / 0"):
+        ep._eval(d, {"x1": 0.5})
+
+
+def test_derivative_of_a_large_power():
+    # beyond MIRRORED_POWER, d(u^n) = n u^(n-1) du, a few ulps from powi's products
+    n = ep.MIRRORED_POWER + 4
+    d = ep._eval(ep.derivative(parse(f"x1^{n}"), "x1"), {"x1": 1.1})
+    assert d == pytest.approx(n * 1.1 ** (n - 1), rel=1e-14)

@@ -68,6 +68,17 @@ def test_synthesize_rejects_a_step_too_small_for_its_segment(c1_spec):
         synthesize(c1_spec, [0.0, 0.5, 1.0], step=5e-324)
 
 
+def test_synthesize_caps_the_total_rk4_steps(c1_spec):
+    # two segments of 5e5 steps each reach the cap exactly; the flat
+    # propagator takes them at once
+    assert hx.MAX_RK4_STEPS == 10 ** 6
+    trace = synthesize(c1_spec, [0.0, 0.5, 1.0], step=1e-6)
+    assert len(trace) == 3
+    with pytest.raises(ValueError, match=r"needs 1000002 RK4 steps over the grid, "
+                                         r"more than MAX_RK4_STEPS = 1000000"):
+        synthesize(c1_spec, [0.0, 0.5, 1.0], step=0.5 / 500001)
+
+
 def test_rk4_convergence_order(c1_spec):
     """Halving the step cuts the closed-form error by about 2^4."""
     errors = []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullhelix import jets, semimetric
+from nullhelix import exprparse, jets, semimetric
 from nullhelix.jets import Jet
 from nullhelix.semimetric import (
     ChristoffelEval,
@@ -18,6 +19,8 @@ from nullhelix.semimetric import (
     inner,
     metric_at,
 )
+
+from conftest import expr_trees
 
 vec3 = st.lists(st.floats(min_value=-5, max_value=5), min_size=3, max_size=3)
 
@@ -95,6 +98,11 @@ PATTERN_CASES = [
 PATTERN_IDS = ["flat", "curved", "conformal", "off-diagonal"]
 
 
+def _deriv_part(v):
+    """First coefficient of a seeded order-1 evaluation (0 for constants)."""
+    return v.coeffs[1] if isinstance(v, Jet) else 0.0
+
+
 def _dense_christoffel(metric, coords):
     """Reference: every coordinate seeded and every gamma[k][i][j] computed."""
     n = metric.dim
@@ -104,7 +112,7 @@ def _dense_christoffel(metric, coords):
     for l in range(n):
         entries = metric.entry_values(
             [Jet((coords[m], 1.0 if m == l else 0.0)) for m in range(n)])
-        dg.append([[semimetric._deriv_part(entries[i][j]) for j in range(n)]
+        dg.append([[_deriv_part(entries[i][j]) for j in range(n)]
                    for i in range(n)])
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
@@ -138,7 +146,7 @@ def test_connection_pattern_is_exact(metric, pattern):
         assert semimetric.connection_term(metric, gamma, a, b) == dense_term
 
 
-def test_christoffel_seeds_only_the_coordinates_entries_read(monkeypatch):
+def test_generated_connection_differentiates_only_along_read_coordinates(monkeypatch):
     metric = MetricField.from_texts(3, CURVED3)
     calls = []
     original = MetricField.entry_values
@@ -148,8 +156,85 @@ def test_christoffel_seeds_only_the_coordinates_entries_read(monkeypatch):
         return original(self, coords)
 
     monkeypatch.setattr(MetricField, "entry_values", counted)
-    metric.christoffel([0.3, -0.2, 0.7])
-    assert len(calls) == 2
+    gamma = metric.christoffel([0.3, -0.2, 0.7])
+    # the one nonzero derivative is d g_33 / d x3 = 2 x3, and no entry is
+    # evaluated outside the generated function
+    assert list(metric._derivatives) == [(2, 2, 2)]
+    assert exprparse.to_text(metric._derivatives[(2, 2, 2)]) == "x3 + x3"
+    assert calls == []
+    assert gamma[2][2][2] == 0.5 * ((1.0 / (1.0 + 0.7 ** 2)) * (0.7 + 0.7))
+
+
+def _coefficients(v, n):
+    """v's Taylor coefficients padded to n (a float is a constant jet)."""
+    c = v.coeffs if isinstance(v, Jet) else (v,)
+    return tuple(c) + (0.0,) * (n - len(c))
+
+
+PSEUDOSPHERE3 = [["-1", "0", "0"], ["0", "-sinh(x1)^2", "0"], ["0", "0", "cosh(x1)^2"]]
+
+
+@pytest.mark.parametrize("dim, texts", [
+    (3, CURVED3), (3, CONFORMAL3), (2, OFF_DIAGONAL2), (3, PSEUDOSPHERE3),
+], ids=["curved", "conformal", "off-diagonal", "pseudosphere"])
+def test_generated_connection_equals_the_seeded_oracle(dim, texts):
+    """Floats at 200 points and order-4 jets at 20: every coefficient equal
+    (zero signs aside), not just within a tolerance."""
+    metric = MetricField.from_texts(dim, texts)
+    rng = random.Random(23)
+    points = [[rng.uniform(0.2, 1.5) for _ in range(dim)] for _ in range(200)]
+    points += [[Jet(tuple(rng.uniform(0.2, 1.5) for _ in range(5))) for _ in range(dim)]
+               for _ in range(20)]
+    for p in points:
+        gamma, dense = metric.christoffel(p), _dense_christoffel(metric, p)
+        for k in range(dim):
+            for i in range(dim):
+                for j in range(dim):
+                    assert _coefficients(gamma[k][i][j], 5) == \
+                        _coefficients(dense[k][i][j], 5)
+
+
+@given(st.lists(expr_trees(depth=3), min_size=6, max_size=6),
+       st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_generated_connection_matches_the_seeded_oracle_on_random_metrics(trees, p):
+    upper = iter(trees)
+    entries = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            entries[i][j] = entries[j][i] = next(upper)
+    metric = MetricField(3, entries)
+    try:
+        gamma, dense = metric.christoffel(p), _dense_christoffel(metric, p)
+    except (exprparse.DomainError, DegenerateMetricError, ZeroDivisionError):
+        return  # outside the domain, or degenerate
+    for k, i, j in itertools.product(range(3), repeat=3):
+        a, b = gamma[k][i][j], dense[k][i][j]
+        if math.isfinite(a) and math.isfinite(b):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_christoffel_rejects_a_degenerate_point():
+    g = MetricField.from_texts(2, [["x1", "0"], ["0", "1 + x2^2"]])
+    for x1 in (0.0, 1e-11, Jet((0.0, 1.0, 0.5))):
+        with pytest.raises(DegenerateMetricError, match="degenerate along evaluation"):
+            g.christoffel([x1, 0.3])
+    assert g.christoffel([1e-9, 0.3])[0][0][0] != 0.0
+
+
+def test_generated_function_errors_name_the_subexpression():
+    log3 = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
+                                      ["0", "0", "log(x3)"]])
+    with pytest.raises(exprparse.DomainError, match=r"in 'log\(x3\)'"):
+        log3.christoffel([0.0, 0.0, -1.0])
+    with pytest.raises(exprparse.DomainError, match=r"in 'log\(x3\)'"):
+        log3.matrix_at((0.0, 0.0, 0.0))
+    # the entry is finite at x3 = 0, its derivative is not
+    root3 = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
+                                       ["0", "0", "1 + sqrt(x3)"]])
+    assert root3.matrix_at((0.0, 0.0, 0.0))[2][2] == 1.0
+    with pytest.raises(exprparse.DomainError, match=r"in '1 / \(2 \* sqrt\(x3\)\)'"):
+        root3.christoffel([0.0, 0.0, 0.0])
 
 
 def test_christoffel_polar_oracle():
