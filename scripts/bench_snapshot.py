@@ -7,7 +7,11 @@ Usage, from the repository root:
     python3 scripts/bench_snapshot.py --pr 12 --seed 7 --seconds 8 --label parent \
         --tree ../nullhelix-parent
 
-For each workload in perfbench/workloads.py this runs
+First it runs ``python3 -m compileall -q src perfbench`` in ``--tree``, so
+that every module there has fresh bytecode: ``setup_s`` times the import of
+``nullhelix.cli``, and a module whose ``.pyc`` is stale or missing would add
+its compile time to that import.  Then, for each workload in
+perfbench/workloads.py, it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
@@ -59,6 +63,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     tree = args.tree.resolve()
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=tree, check=True)
     record = {
         "seed": args.seed,
         "seconds": args.seconds,

@@ -42,6 +42,8 @@ DEFAULT_TOL = {
     "transfer": 1e-6,  # ambient curvature constancy
 }
 DEFAULT_SAMPLES = {"frame": 50, "verify": 50, "synth": 501, "transfer": 1001}
+# the grid is built before any other check, so its length is capped up front
+MAX_SAMPLES = 10 ** 6
 
 
 class SpecError(ValueError):
@@ -106,7 +108,8 @@ _CONFIG_RULES = {
     "gram_tol": _NON_NEGATIVE,
     "step": (lambda v: v is None or (_is_finite(v) and v > 0),
              "null or a positive finite number"),
-    "samples": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "samples": (lambda v: _is_int(v) and 2 <= v <= MAX_SAMPLES,
+                f"an integer in [2, {MAX_SAMPLES}]"),
     "project_every": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "seed_order": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
                    "a list of strings"),

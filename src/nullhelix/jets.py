@@ -10,11 +10,27 @@ one parameter inside another is how the rest of the package obtains spatial
 partial derivatives of composed fields (a first-order jet seeded in one
 coordinate whose coefficients are jets in another parameter).  The code below
 therefore only assumes ring arithmetic on coefficients.
+
+The product is the inner loop of every curve frame, so it is written out as
+one kernel per coefficient count: ``_MUL[n]`` convolves the first n
+coefficients of two jets, for n = 1 .. MAX_ORDER + 1, and ``Jet.__mul__``
+picks the kernel by the shorter operand.  Coefficient k is
+``a[0]*b[k] + a[1]*b[k-1] + ... + a[k]*b[0]``, added left to right like
+``sum(a[i] * b[k - i] for i in range(k + 1))``.  That ``sum`` starts from the
+integer 0, so the two differ at most in the sign of a zero (``0 + -0.0`` is
+``0.0``).  Sums, differences and quotients of two jets also keep the shorter
+length (``map`` over two tuples stops at the shorter one).
+
+Results built in this module skip the length check of ``Jet.__init__``
+(``_new``): every operation keeps or shortens operands that were checked when
+they were built, and ``antiderivative``, the one that lengthens a jet, checks
+the bound itself.  Jets built anywhere else go through ``Jet(...)``.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add as _add, sub as _sub
 
 MAX_ORDER = 5
 
@@ -59,7 +75,7 @@ class Jet:
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
             return self
-        return Jet(self.coeffs[: order + 1])
+        return _new(self.coeffs[: order + 1])
 
     def __repr__(self):
         return f"Jet{self.coeffs!r}"
@@ -72,29 +88,23 @@ class Jet:
 
     # -- ring operations ----------------------------------------------------
 
-    def _align(self, other: "Jet"):
-        n = min(len(self.coeffs), len(other.coeffs))
-        return self.coeffs[:n], other.coeffs[:n]
-
     def __add__(self, other):
         if isinstance(other, Jet):
-            a, b = self._align(other)
-            return Jet(tuple(x + y for x, y in zip(a, b)))
+            return _new(tuple(map(_add, self.coeffs, other.coeffs)))
         if isinstance(other, (int, float)):
-            return Jet((self.coeffs[0] + other,) + self.coeffs[1:])
+            return _new((self.coeffs[0] + other,) + self.coeffs[1:])
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(tuple(-c for c in self.coeffs))
+        return _new(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            a, b = self._align(other)
-            return Jet(tuple(x - y for x, y in zip(a, b)))
+            return _new(tuple(map(_sub, self.coeffs, other.coeffs)))
         if isinstance(other, (int, float)):
-            return Jet((self.coeffs[0] - other,) + self.coeffs[1:])
+            return _new((self.coeffs[0] - other,) + self.coeffs[1:])
         return NotImplemented
 
     def __rsub__(self, other):
@@ -102,25 +112,20 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            a, b = self._align(other)
-            return Jet(
-                tuple(
-                    sum(a[i] * b[k - i] for i in range(k + 1))
-                    for k in range(len(a))
-                )
-            )
+            a, b = self.coeffs, other.coeffs
+            na, nb = len(a), len(b)
+            return _new(_MUL[na if na <= nb else nb](a, b))
         if isinstance(other, (int, float)):
-            return Jet(tuple(c * other for c in self.coeffs))
+            return _new(tuple([c * other for c in self.coeffs]))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            a, b = self._align(other)
-            return Jet(_div_coeffs(a, b))
+            return _new(_div_coeffs(self.coeffs, other.coeffs))
         if isinstance(other, (int, float)):
-            return Jet(tuple(c / other for c in self.coeffs))
+            return _new(tuple([c / other for c in self.coeffs]))
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -134,12 +139,65 @@ class Jet:
         return powi(self, n)
 
 
+def _new(coeffs: tuple) -> Jet:
+    """A jet on a coefficient tuple whose length is already known to be valid."""
+    jet = object.__new__(Jet)
+    jet.coeffs = coeffs
+    return jet
+
+
+# -- product kernels: _MUL[n] convolves the first n coefficients -------------
+
+
+def _mul1(a, b):
+    return (a[0] * b[0],)
+
+
+def _mul2(a, b):
+    return (a[0] * b[0],
+            a[0] * b[1] + a[1] * b[0])
+
+
+def _mul3(a, b):
+    return (a[0] * b[0],
+            a[0] * b[1] + a[1] * b[0],
+            a[0] * b[2] + a[1] * b[1] + a[2] * b[0])
+
+
+def _mul4(a, b):
+    return (a[0] * b[0],
+            a[0] * b[1] + a[1] * b[0],
+            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
+            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0])
+
+
+def _mul5(a, b):
+    return (a[0] * b[0],
+            a[0] * b[1] + a[1] * b[0],
+            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
+            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
+            a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0])
+
+
+def _mul6(a, b):
+    return (a[0] * b[0],
+            a[0] * b[1] + a[1] * b[0],
+            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
+            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
+            a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0],
+            a[0] * b[5] + a[1] * b[4] + a[2] * b[3] + a[3] * b[2] + a[4] * b[1]
+            + a[5] * b[0])
+
+
+_MUL = (None, _mul1, _mul2, _mul3, _mul4, _mul5, _mul6)
+
+
 def _div_coeffs(a, b):
     b0 = b[0]
     if const_term(b0) == 0.0:
         raise ZeroDivisionError("division by zero constant term")
     out = []
-    for k in range(len(a)):
+    for k in range(min(len(a), len(b))):
         acc = a[k]
         for j in range(1, k + 1):
             acc = acc - b[j] * out[k - j]
@@ -162,12 +220,16 @@ def dt(x: Jet) -> Jet:
     """Derivative with respect to the jet parameter (order drops by one)."""
     if x.order == 0:
         raise ValueError("cannot differentiate an order-0 jet")
-    return Jet(tuple((k + 1) * x.coeffs[k + 1] for k in range(x.order)))
+    c = x.coeffs
+    return _new(tuple([(k + 1) * c[k + 1] for k in range(x.order)]))
 
 
 def antiderivative(x: Jet, c0) -> Jet:
     """Antiderivative with given constant term (order grows by one)."""
-    return Jet((c0,) + tuple(x.coeffs[k] / (k + 1) for k in range(x.order + 1)))
+    if x.order >= MAX_ORDER:
+        raise ValueError(f"jet order must be in [0, {MAX_ORDER}]")
+    c = x.coeffs
+    return _new((c0,) + tuple([c[k] / (k + 1) for k in range(len(c))]))
 
 
 # -- elementary functions (float or Jet argument) ---------------------------
@@ -183,7 +245,7 @@ def exp(x):
         for j in range(2, k + 1):
             acc = acc + j * a[j] * out[k - j]
         out.append(acc / k)
-    return Jet(out)
+    return _new(tuple(out))
 
 
 def log(x):
@@ -200,7 +262,7 @@ def log(x):
         for j in range(1, k):
             acc = acc - j * out[j] * a[k - j]
         out.append(acc / (k * a[0]))
-    return Jet(out)
+    return _new(tuple(out))
 
 
 def sqrt(x):
@@ -220,7 +282,7 @@ def sqrt(x):
         for j in range(1, k):
             acc = acc - out[j] * out[k - j]
         out.append(acc / (2 * out[0]))
-    return Jet(out)
+    return _new(tuple(out))
 
 
 def _sincos(x: Jet):
@@ -239,7 +301,7 @@ def _sincos(x: Jet):
             accc = accc + j * a[j] * s[k - j]
         s.append(accs / k)
         c.append(-accc / k)
-    return Jet(s), Jet(c)
+    return _new(tuple(s)), _new(tuple(c))
 
 
 def _sinhcosh(x: Jet):
@@ -258,7 +320,7 @@ def _sinhcosh(x: Jet):
             accc = accc + j * a[j] * s[k - j]
         s.append(accs / k)
         c.append(accc / k)
-    return Jet(s), Jet(c)
+    return _new(tuple(s)), _new(tuple(c))
 
 
 def sin(x):
@@ -290,10 +352,9 @@ def powi(x, n: int):
     reciprocal): about 2 log2(n) products, so x^3 is (x * x) * x."""
     if isinstance(x, (int, float)):
         return float(x) ** n
-    if n == 0:
-        return Jet.constant(1.0, x.order)
-    if n < 0:
-        return Jet.constant(1.0, x.order) / powi(x, -n)
+    if n <= 0:
+        one = _new((1.0,) + (0.0,) * x.order)
+        return one if n == 0 else one / powi(x, -n)
     out = x
     for bit in bin(n)[3:]:
         out = out * out

@@ -454,6 +454,8 @@ NUMERIC_ENTRIES = {"dim": 3, "metric": {"type": "field",
                                   helix__domain=[0.0, 5.0])),
     ("frame --samples 5", _with(TANGENT_DOC, curve__domain=[0.0, 1e9])),
     ("frame --samples 5", _with(TANGENT_DOC, {"quad_step": 1e-300})),
+    ("frame", _with(C1_DOC, {"samples": 10 ** 12})),
+    ("synth", _with(HELIX_DOC, {"samples": 10 ** 12})),
 ], ids=["synth-project_every-negative", "transfer-project_every-negative",
         "samples-string", "samples-float", "tol-string", "gram_tol-null",
         "seed_order-number", "step-string", "project_every-float",
@@ -462,7 +464,8 @@ NUMERIC_ENTRIES = {"dim": 3, "metric": {"type": "field",
         "helix-step-infinity", "helix-step-nan", "helix-step-401-digits",
         "helix-h-nan", "helix-domain-infinity", "flag-step-nan", "flag-step-inf",
         "curve-exp-overflow", "curve-pow-overflow", "helix-step-subnormal",
-        "tangent-domain-1e9", "tangent-quad_step-1e-300"])
+        "tangent-domain-1e9", "tangent-quad_step-1e-300",
+        "samples-above-cap", "synth-samples-above-cap"])
 def test_malformed_values_are_usage_errors(tmp_path, capsys, command, doc):
     command, *flags = command.split()
     spec = _write(tmp_path, "bad.json", doc)
@@ -532,6 +535,7 @@ def test_transfer_seeds_may_use_the_ambient_axis(tmp_path):
 
 @pytest.mark.parametrize("command", [
     "verify --tol -1", "verify --tol nan", "verify --tol inf", "frame --samples 1",
+    "frame --samples 1000000000000", "verify --samples 1000001",
 ])
 def test_flag_values_follow_the_config_rules(tmp_path, capsys, command):
     command, flag, value = command.split()

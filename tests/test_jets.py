@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -35,22 +36,80 @@ def test_derivative_rescaling():
         assert e.derivative(k) == pytest.approx(math.exp(0.3), rel=1e-12)
 
 
+# The generic ring operations the unrolled kernels in jets.py must reproduce.
+# Results are compared with ==, under which -0.0 equals 0.0: the sign of a
+# zero is the one thing the kernels may change, since sum() starts from 0.
+
+
+def _convolution(a, b):
+    n = min(len(a), len(b))
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n))
+
+
+def _quotient(a, b):
+    q = []
+    for k in range(min(len(a), len(b))):
+        acc = a[k]
+        for j in range(1, k + 1):
+            acc = acc - b[j] * q[k - j]
+        q.append(acc / b[0])
+    return tuple(q)
+
+
+def _assert_shape(x, n):
+    """A plain Jet on a tuple of n coefficients (submanifold._point reads
+    ``type(c) is Jet`` and the length of nested coefficients)."""
+    assert type(x) is Jet
+    assert type(x.coeffs) is tuple and len(x.coeffs) == n
+
+
 @given(coeff_lists, coeff_lists)
 @settings(max_examples=60, deadline=None)
 def test_multiplication_is_truncated_convolution(a, b):
-    n = min(len(a), len(b))
-    prod = (Jet(a) * Jet(b)).coeffs
-    for k in range(n):
-        expected = sum(a[i] * b[k - i] for i in range(k + 1))
-        assert prod[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    prod = Jet(a) * Jet(b)
+    _assert_shape(prod, min(len(a), len(b)))
+    assert prod.coeffs == _convolution(a, b)
 
 
 @given(coeff_lists, coeff_lists)
 @settings(max_examples=60, deadline=None)
 def test_addition_is_coefficientwise(a, b):
     n = min(len(a), len(b))
-    s = (Jet(a) + Jet(b)).coeffs
-    assert s == tuple(a[i] + b[i] for i in range(n))
+    s, d = Jet(a) + Jet(b), Jet(a) - Jet(b)
+    _assert_shape(s, n)
+    _assert_shape(d, n)
+    assert s.coeffs == tuple(a[i] + b[i] for i in range(n))
+    assert d.coeffs == tuple(a[i] - b[i] for i in range(n))
+
+
+def _draw(rng, n, nested):
+    """n coefficients, some of them signed zeros; order-1 jets when nested."""
+    def one():
+        return rng.choice((0.0, -0.0, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+    if nested:
+        return tuple(Jet((one(), one())) for _ in range(n))
+    return tuple(one() for _ in range(n))
+
+
+@pytest.mark.parametrize("la, lb", itertools.product(range(1, jets.MAX_ORDER + 2),
+                                                     repeat=2))
+@pytest.mark.parametrize("nested", [False, True], ids=["float", "nested"])
+def test_ring_operations_match_the_generic_ones_at_every_length_pair(la, lb, nested):
+    rng = random.Random(100 * la + 10 * lb + nested)
+    n = min(la, lb)
+    for _ in range(20):
+        a, b = _draw(rng, la, nested), _draw(rng, lb, nested)
+        b = (b[0] + 2.5,) + b[1:]  # a quotient needs b[0] away from zero
+        x, y = Jet(a), Jet(b)
+        for result, expected in ((x * y, _convolution(a, b)),
+                                 (y * x, _convolution(b, a)),
+                                 (x + y, tuple(p + q for p, q in zip(a, b))),
+                                 (x - y, tuple(p - q for p, q in zip(a, b))),
+                                 (x / y, _quotient(a, b))):
+            _assert_shape(result, n)
+            assert result.coeffs == expected
+            for c in result.coeffs if nested else ():
+                _assert_shape(c, 2)
 
 
 @given(coeff_lists)
@@ -116,6 +175,10 @@ def test_domain_errors():
 def test_order_cap():
     with pytest.raises(ValueError):
         Jet((1.0,) * 8)
+    with pytest.raises(ValueError):
+        Jet([0.0] * (jets.MAX_ORDER + 2))
+    with pytest.raises(ValueError):
+        Jet(())
     with pytest.raises(ValueError):
         jets.antiderivative(Jet.variable(0.0, 5), 0.0)
 
