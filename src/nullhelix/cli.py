@@ -498,9 +498,9 @@ def _cmd_submanifold(doc: SpecDocument, args) -> int:
     max_duality = 0.0
     for u in doc.payload["samples"]:
         u = list(u)
+        basis = submanifold.normal_basis(F, u)  # names a rank drop first
         h_vec = submanifold.mean_curvature(F, u)
         duality = 0.0
-        basis = submanifold.normal_basis(F, u)
         coords = [[1.0 if b == a else 0.0 for b in range(F.m)] for a in range(F.m)]
         for a in range(F.m):
             for b in range(F.m):

@@ -8,18 +8,16 @@ connection off the Gauss formula.)
 
 Each ``MetricField`` generates one Python function, on its first
 ``matrix_at`` or ``christoffel`` call, that returns g, its determinant and
-the Christoffel symbols at a point.  The entry derivatives in it are
-``exprparse.derivative`` trees, taken once, never finite differences; the
-determinant and the adjugate inverse are ``mat_det`` and ``mat_inverse``
-unrolled in the same association, with every product that has a
-structurally zero factor left out.  The function calls the elementary
-functions as ``jets.<name>``, so it takes floats and (nested) jets alike.
-It is written from the expression trees alone: ``repr`` float literals, the
-chart's coordinate names and the grammar's function names.  When it raises
-(a domain, division or overflow error), the entries and then the derivative
-trees are evaluated again with ``exprparse._eval`` at the same point, so the
-``DomainError`` names the offending subexpression; that path never returns
-a connection.
+the Christoffel symbols at a point (an immersion generates its f and
+Jacobian the same way, through the same ``codegen`` helper).  The entry
+derivatives in it are ``exprparse.derivative`` trees, taken once, never
+finite differences; the determinant and the adjugate inverse are
+``mat_det`` and ``mat_inverse`` unrolled in the same association, with
+every product that has a structurally zero factor left out.  The function
+takes floats and (nested) jets alike.  When it raises (a domain, division or
+overflow error), the entries and then the derivative trees are evaluated
+again with ``exprparse._eval`` at the same point, so the ``DomainError``
+names the offending subexpression; that path never returns a connection.
 
 Each metric's ``pattern`` holds the (k, i, j), in lexicographic order, whose
 Christoffel symbol can be nonzero: every k times every live pair (i, j), where
@@ -31,14 +29,12 @@ each contraction sums over the pattern alone.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
-from . import exprparse, jets
+from . import codegen, exprparse, jets
 from .jets import const_term
 
 DET_TOL = 1e-10
@@ -200,112 +196,22 @@ class SemiMetric:
 # -- the generated metric-and-connection function ---------------------------------
 
 
-def _literal(value: float) -> str:
-    """A Python literal for a parsed or folded number (never NaN)."""
-    if math.isinf(value):
-        return "(-1e999)" if value < 0.0 else "1e999"
-    text = repr(float(value))
-    return f"({text})" if text.startswith("-") else text
+def _emit_det(em: codegen.Emitter, m):
+    """``mat_det``'s cofactor expansion along the first row, zeros dropped."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        return em.sub(em.mul(m[0][0], m[1][1]), em.mul(m[0][1], m[1][0]))
+    acc = None
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = em.mul(m[0][j], _emit_det(em, minor))
+        acc = em.sub(acc, term) if j % 2 else em.add(acc, term)
+    return acc
 
 
-class _Emitter:
-    """Straight-line Python over duck scalars, one named value per line.
-
-    A value is a code string: a literal, a coordinate name or a temporary.
-    None is a structural zero: a product with a None factor is None and a
-    sum skips it.  Identical right-hand sides share one temporary, and
-    ``kept`` drops the temporaries the returned values do not read.
-    """
-
-    def __init__(self, names):
-        self.names = frozenset(names)
-        self.lines = []  # (temporary, right-hand side)
-        self.bound = {}  # right-hand side -> temporary
-
-    def bind(self, rhs: str) -> str:
-        name = self.bound.get(rhs)
-        if name is None:
-            name = self.bound[rhs] = f"_t{len(self.lines)}"
-            self.lines.append((name, rhs))
-        return name
-
-    def expr(self, node) -> str | None:
-        """Code for an expression tree, in ``exprparse._eval``'s operations."""
-        if isinstance(node, exprparse.Num):
-            return None if node.value == 0.0 else _literal(node.value)
-        if isinstance(node, exprparse.Var):
-            if node.name not in self.names:
-                raise ValueError(f"unknown coordinate {node.name!r}")
-            return node.name
-        if isinstance(node, exprparse.Neg):
-            return self.bind(f"-{self.code(node.arg)}")
-        if isinstance(node, exprparse.Call):
-            if node.func not in exprparse.FUNCTIONS:
-                raise ValueError(f"unknown function {node.func!r}")
-            return self.bind(f"jets.{node.func}({self.code(node.arg)})")
-        if isinstance(node, exprparse.Pow):
-            return self.bind(f"jets.powi({self.code(node.base)}, {int(node.exponent)})")
-        if isinstance(node, exprparse.BinOp):
-            if node.op not in ("+", "-", "*", "/"):
-                raise ValueError(f"unknown operator {node.op!r}")
-            return self.bind(
-                f"{self.code(node.left)} {node.op} {self.code(node.right)}")
-        raise TypeError(f"not an expression node: {node!r}")
-
-    def code(self, node) -> str:
-        value = self.expr(node)
-        return "0.0" if value is None else value
-
-    def mul(self, a, b):
-        return None if a is None or b is None else self.bind(f"{a} * {b}")
-
-    def add(self, a, b):
-        if a is None or b is None:
-            return b if a is None else a
-        return self.bind(f"{a} + {b}")
-
-    def sub(self, a, b):
-        if b is None:
-            return a
-        return self.bind(f"-{b}") if a is None else self.bind(f"{a} - {b}")
-
-    def det(self, m):
-        """``mat_det``'s cofactor expansion along the first row, zeros dropped."""
-        if len(m) == 1:
-            return m[0][0]
-        if len(m) == 2:
-            return self.sub(self.mul(m[0][0], m[1][1]), self.mul(m[0][1], m[1][0]))
-        acc = None
-        for j in range(len(m)):
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            term = self.mul(m[0][j], self.det(minor))
-            acc = self.sub(acc, term) if j % 2 else self.add(acc, term)
-        return acc
-
-    def kept(self, roots) -> list:
-        """The (temporary, right-hand side) lines that ``roots`` read, in order."""
-        used = set()
-        for text in roots:
-            used.update(_TEMPORARY.findall(text))
-        kept = []
-        for name, rhs in reversed(self.lines):
-            if name in used:
-                kept.append((name, rhs))
-                used.update(_TEMPORARY.findall(rhs))
-        return kept[::-1]
-
-
-_TEMPORARY = re.compile(r"\b_t\d+\b")
-
-
-def _nested(rows) -> str:
-    if isinstance(rows, str):
-        return rows
-    return "(" + ", ".join(map(_nested, rows)) + ",)"
-
-
-def _connection_source(names, entries, dg, pattern) -> str:
-    """Source of ``_metric_connection(x1, .., xn, connection)``.
+def _connection_body(names, entries, dg, pattern) -> list:
+    """Body of ``_metric_connection(x1, .., xn, connection)``.
 
     It returns ``(g, det, gamma)``: g as lists of the entries, det as
     ``mat_det`` computes it, and gamma as nested tuples, or None when
@@ -316,9 +222,9 @@ def _connection_source(names, entries, dg, pattern) -> str:
     ``dg[l][i][j]`` is the tree of d g_ij / d x_l, or None where it is zero.
     """
     n = len(names)
-    em = _Emitter(names)
+    em = codegen.Emitter(names)
     g = [[em.expr(entries[i][j]) for j in range(n)] for i in range(n)]
-    det = em.det(g) or "0.0"
+    det = _emit_det(em, g) or "0.0"
     checked = len(em.lines)  # the temporaries made so far run before the check
     d = [[[None if t is None else em.expr(t) for t in row] for row in plane]
          for plane in dg]
@@ -326,7 +232,7 @@ def _connection_source(names, entries, dg, pattern) -> str:
     for i in range(n):
         for j in range(n):
             minor = [[g[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = em.det(minor)
+            cof = _emit_det(em, minor)
             if (i + j) % 2:
                 cof = em.sub(None, cof)
             inv[j][i] = None if cof is None else em.bind(f"{cof} / det")
@@ -342,20 +248,19 @@ def _connection_source(names, entries, dg, pattern) -> str:
             gamma[k][i][j] = gamma[k][j][i] = em.bind(f"0.5 * {acc}")
     matrix = "[" + ", ".join("[" + ", ".join(v or "0.0" for v in row) + "]"
                              for row in g) + "]"
-    returned = _nested(gamma)
+    returned = codegen.nested(gamma)
     order = {name: k for k, (name, _) in enumerate(em.lines)}
-    lines = [(order[name] < checked, f"    {name} = {rhs}")
+    lines = [(order[name] < checked, f"{name} = {rhs}")
              for name, rhs in em.kept([matrix, det, returned])]
-    return "\n".join([
-        f"def _metric_connection({', '.join(names)}, connection):",
+    return [
         *(line for early, line in lines if early),
-        f"    g = {matrix}",
-        f"    det = {det}",
-        f"    if not connection or abs(jets.const_term(det)) <= {DET_TOL!r}:",
-        "        return g, det, None",
+        f"g = {matrix}",
+        f"det = {det}",
+        f"if not connection or abs(jets.const_term(det)) <= {DET_TOL!r}:",
+        "    return g, det, None",
         *(line for early, line in lines if not early),
-        f"    return g, det, {returned}",
-    ]) + "\n"
+        f"return g, det, {returned}",
+    ]
 
 
 class MetricField(SemiMetric):
@@ -460,26 +365,18 @@ class MetricField(SemiMetric):
 
     @cached_property
     def _generated(self):
-        """The generated ``(g, det, gamma)`` function (see the module notes)."""
+        """The generated ``(g, det, gamma)`` function (see the module notes);
+        its errors replay the entries, then the derivative trees."""
         n = self.dim
         dg = [[[self._derivatives.get((l, i, j)) for j in range(n)] for i in range(n)]
               for l in range(n)]
-        source = _connection_source(self._coord_names, self.entries, dg, self.pattern)
-        namespace = {"jets": jets}
-        exec(compile(source, "<metric connection>", "exec"), namespace)
-        return namespace["_metric_connection"]
+        body = _connection_body(self._coord_names, self.entries, dg, self.pattern)
+        trees = (*(e for row in self.entries for e in row), *self._derivatives.values())
+        return codegen.compiled("_metric_connection", self._coord_names,
+                                ("connection",), body, trees)
 
     def _evaluate(self, coords, connection: bool):
-        try:
-            return self._generated(*coords, connection)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            error = exc
-        # name the failing subexpression; a replay that does not fail re-raises
-        env = dict(zip(self._coord_names, coords))
-        for node in (*(e for row in self.entries for e in row),
-                     *self._derivatives.values()):
-            exprparse._eval(node, env)
-        raise error
+        return self._generated(*coords, connection)
 
 
 # -- spec operations ------------------------------------------------------------

@@ -17,6 +17,14 @@ All forms read one memoized bundle per chart point and per jet ray
 (``_Point``): f(u), T, S, the ambient metric and connection, the induced
 metric and its inverse, the +-1 normals and the orthonormal tangent frame,
 each computed once, on first use.
+
+f and T come from one Python function per immersion, generated on first use
+by ``codegen`` (the generator a metric's connection uses): the components
+and their ``exprparse.derivative`` trees in u1..um, T[a][k] = d f_k / d u_a.
+It takes floats, order-1 jet rays and nested jets alike, so S and the
+derivatives along rays differentiate it further.  When it raises, the
+components and then the derivative trees are evaluated again with
+``exprparse._eval``, so the ``DomainError`` names the subexpression.
 """
 
 from __future__ import annotations
@@ -30,9 +38,9 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from . import codegen, exprparse, jets, semimetric
 from . import helix as helixmod
-from . import jets, semimetric
-from .exprparse import _eval, parse
+from .exprparse import parse
 from .jets import Jet, const_term
 from .nullframe import (ScreenPolicy, continuity_signs, euclid_norm, frame_curvatures,
                         null_transversal)
@@ -92,23 +100,42 @@ class Immersion:
             raise ValueError(
                 "immersion document takes exactly 'intrinsic_dim', 'ambient', 'map'"
             )
+        dim, texts = doc["intrinsic_dim"], doc["map"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError("'intrinsic_dim' must be an integer")
+        if not isinstance(texts, list):
+            raise ValueError("'map' must be a list of expression strings")
         ambient = semimetric.MetricField.from_dict(doc["ambient"])
-        return cls.from_texts(doc["intrinsic_dim"], ambient, doc["map"])
+        return cls.from_texts(dim, ambient, texts)
 
     # -- pointwise data over duck coordinates --------------------------------
 
+    @cached_property
+    def _generated(self):
+        """The generated ``(f, T)`` function of u1..um, T[a][k] from the tree
+        of d f_k / d u_a; its errors replay the components, then those trees."""
+        derivs = [[exprparse.derivative(c, name) for c in self.components]
+                  for name in self._uvars]
+        em = codegen.Emitter(self._uvars)
+        f = codegen.nested([em.code(c) for c in self.components], "[]")
+        T = codegen.nested([[em.code(d) for d in row] for row in derivs], "[]")
+        returned = f"{f}, {T}"
+        body = [*(f"{name} = {rhs}" for name, rhs in em.kept([returned])),
+                f"return {returned}"]
+        trees = (*self.components, *(d for row in derivs for d in row))
+        return codegen.compiled("_immersion", self._uvars, (), body, trees)
+
+    def map_and_tangent(self, u):
+        """(f(u), T) over duck coordinates, from one call of the generated
+        function: T[a] = d f / d u_a."""
+        return self._generated(*u)
+
     def map_values(self, u):
-        env = dict(zip(self._uvars, u))
-        return [_eval(c, env) for c in self.components]
+        return self._generated(*u)[0]
 
     def tangent_values(self, u):
         """Rows T[a] = d f / d u_a, evaluated over duck coordinates."""
-        rows = []
-        for a in range(self.m):
-            seeded = [Jet((u[b], 1.0 if b == a else 0.0)) for b in range(self.m)]
-            env = dict(zip(self._uvars, seeded))
-            rows.append([_slope(_eval(c, env)) for c in self.components])
-        return rows
+        return self._generated(*u)[1]
 
     def second_values(self, u):
         """S[a][b] = d^2 f / du_a du_b (nested jet seeding, symmetric slots)."""
@@ -164,11 +191,13 @@ class _Point:
 
     @cached_property
     def f(self):
-        return self.F.map_values(self.u)
+        f, self.T = self.F.map_and_tangent(self.u)  # one call caches both
+        return f
 
     @cached_property
     def T(self):
-        return self.F.tangent_values(self.u)
+        self.f, T = self.F.map_and_tangent(self.u)
+        return T
 
     @cached_property
     def S(self):
@@ -740,10 +769,11 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     # the ambient frames are measured at the same decimated spacing as the
     # intrinsic trace extraction (stencil noise scales with frame/spacing)
     view = trace.view
-    points = [tuple(const_term(c) for c in F.map_values(list(u)))
-              for u in view.points]
-    zetas = [tuple(_push(F.tangent_values(list(u)), list(z)))
-             for u, z in zip(view.points, view.fields["zeta"])]
+    points, zetas = [], []
+    for u, z in zip(view.points, view.fields["zeta"]):
+        f, T = F.map_and_tangent(u)
+        points.append(tuple(f))
+        zetas.append(tuple(_push(T, list(z))))
     curve = helixmod.SampledCurve(F.ambient, view.times, points, zetas, view.dt)
 
     nullity_max = max(

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from nullhelix import cli
 from nullhelix.cli import SpecError, load_spec, run
+from nullhelix.exprparse import BinOp, Var, to_text
 from nullhelix.semimetric import MetricField
 
-from conftest import flat_null_frame
+from conftest import expr_trees, flat_null_frame
 
 FLAT3 = {"dim": 3, "metric": {"type": "diag", "signs": [-1, -1, 1]}}
 AMB4 = {"dim": 4, "metric": {"type": "diag", "signs": [-1, -1, 1, 1]}}
@@ -322,6 +323,25 @@ def test_submanifold_command(tmp_path):
     assert rep["summary"]["max_duality_residual"] <= 1e-8
 
 
+EUCLID3 = {"dim": 3, "metric": {"type": "diag", "signs": [1, 1, 1]}}
+
+
+@pytest.mark.parametrize("texts, u, message", [
+    (["sqrt(u1)", "u2", "u1"], [0.0, 0.5],
+     "float division by zero in '1 / (2 * sqrt(u1))'"),
+    (["log(u1)", "u2", "u1"], [-1.0, 0.5], "log of non-positive value in 'log(u1)'"),
+    (["u1", "u1", "0"], [0.1, 0.2], "differential has rank < 2 at (0.1, 0.2)"),
+], ids=["sqrt-derivative", "log-map", "rank"])
+def test_submanifold_errors_name_their_cause(tmp_path, capsys, texts, u, message):
+    doc = {"kind": "immersion",
+           "immersion": {"intrinsic_dim": 2, "ambient": EUCLID3, "map": texts},
+           "samples": [u]}
+    assert run(["submanifold", "--spec", _write(tmp_path, "s.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_transfer_command(tmp_path):
     spec = _write(tmp_path, "t.json", TRANSFER_DOC)
     out = str(tmp_path / "rep.json")
@@ -439,6 +459,9 @@ NUMERIC_ENTRIES = {"dim": 3, "metric": {"type": "field",
     ("frame", _with(C1_DOC, metric={"dim": 3, "metric": ["x"]})),
     ("frame", _with(C1_DOC, metric=NUMERIC_ENTRIES)),
     ("submanifold", _with(SPHERE_DOC, immersion__map=[1, 2, 3])),
+    ("submanifold", _with(SPHERE_DOC, immersion__intrinsic_dim=True)),
+    ("submanifold", _with(SPHERE_DOC, immersion__map="u1")),
+    ("submanifold", _with(SPHERE_DOC, immersion__intrinsic_dim="2")),
     ("synth", _with(HELIX_DOC, helix__step=math.inf)),
     ("synth", _with(HELIX_DOC, helix__step=math.nan)),
     ("synth", _with(HELIX_DOC, helix__step=10 ** 400)),
@@ -461,6 +484,8 @@ NUMERIC_ENTRIES = {"dim": 3, "metric": {"type": "field",
         "seed_order-number", "step-string", "project_every-float",
         "quad_step-zero", "quad_step-negative", "metric-list",
         "metric-numeric-entries", "immersion-numeric-map",
+        "immersion-intrinsic_dim-bool", "immersion-map-string",
+        "immersion-intrinsic_dim-string",
         "helix-step-infinity", "helix-step-nan", "helix-step-401-digits",
         "helix-h-nan", "helix-domain-infinity", "flag-step-nan", "flag-step-inf",
         "curve-exp-overflow", "curve-pow-overflow", "helix-step-subnormal",
@@ -473,6 +498,17 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("part, value, message", [
+    ("intrinsic_dim", True, "'intrinsic_dim' must be an integer"),
+    ("intrinsic_dim", "2", "'intrinsic_dim' must be an integer"),
+    ("map", "u1", "'map' must be a list of expression strings"),
+])
+def test_immersion_fields_are_named(tmp_path, capsys, part, value, message):
+    spec = _write(tmp_path, "bad.json", _with(SPHERE_DOC, **{f"immersion__{part}": value}))
+    assert run(["submanifold", "--spec", spec]) == 2
+    assert capsys.readouterr().err == f"error: immersion: {message}\n"
 
 
 @pytest.mark.parametrize("expr, subexpr", [
@@ -675,6 +711,49 @@ def test_any_curve_block_gives_a_contract_exit_code(command, curve):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run([command, "--spec", spec])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    if code != 2:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert report["summary"]["pass"] == (code == 0)
+
+
+SAMPLE_COORDS = st.one_of(st.floats(-3.0, 3.0),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def immersion_documents(draw):
+    """``immersion`` documents over E3, diag(-1, -1, 1) or diag(-1, -1, 1, 1):
+    drawn map components, half of them shifted off u_k so the differential
+    tends to have full rank, and drawn chart points."""
+    ambient = draw(st.sampled_from([EUCLID3, FLAT3, AMB4]))
+    n = ambient["dim"]
+    m = draw(st.integers(1, 3))
+    names = tuple(f"u{a + 1}" for a in range(m))
+    trees = [draw(expr_trees(names, depth=3)) for _ in range(n)]
+    if draw(st.booleans()):
+        trees = [BinOp("+", Var(names[k]), e) if k < m else e
+                 for k, e in enumerate(trees)]
+    samples = draw(st.lists(st.lists(SAMPLE_COORDS, min_size=m, max_size=m),
+                            min_size=1, max_size=2))
+    return {"kind": "immersion",
+            "immersion": {"intrinsic_dim": m, "ambient": ambient,
+                          "map": [to_text(e) for e in trees]},
+            "samples": samples}
+
+
+@given(immersion_documents())
+@settings(max_examples=40, deadline=None)
+def test_any_immersion_block_gives_a_contract_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = f"{tmp}/doc.json"
+        with open(spec, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["submanifold", "--spec", spec])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 2) == err.getvalue().startswith("error: ")

@@ -4,9 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nullhelix import exprparse
 from nullhelix import helix as hx
 from nullhelix import semimetric, submanifold as sb
+from nullhelix.jets import Jet
 from nullhelix.nullframe import euclid_norm
 from nullhelix.semimetric import MetricField, bilinear
 from nullhelix.submanifold import (
@@ -30,7 +34,7 @@ from nullhelix.submanifold import (
     umbilical_residual,
 )
 
-from conftest import uniform_grid
+from conftest import expr_trees, uniform_grid
 
 # closed-form induced metrics of the conftest immersions: independent oracles
 # for the connection that submanifold reads off the Gauss formula
@@ -111,6 +115,83 @@ def test_gauss_connection_matches_closed_form(request, rng, name, metric, box):
                 got = sb._intrinsic_nabla(pt, basis[b], basis[c])
                 want = [gamma[a][b][c] for a in range(m)]
                 assert got == pytest.approx(want, abs=1e-13), (u, b, c)
+
+
+# -- the generated map and Jacobian ----------------------------------------------------
+
+
+def _seeded_map(F, u):
+    """Reference for f: every component through ``exprparse._eval``."""
+    env = dict(zip(F._uvars, u))
+    return [exprparse._eval(c, env) for c in F.components]
+
+
+def _seeded_tangent(F, u):
+    """Reference for T: one pass of order-1 jets seeded along each u_a."""
+    rows = []
+    for a in range(F.m):
+        seeded = [Jet((u[b], 1.0 if b == a else 0.0)) for b in range(F.m)]
+        env = dict(zip(F._uvars, seeded))
+        rows.append([sb._slope(exprparse._eval(c, env)) for c in F.components])
+    return rows
+
+
+def _bits(v):
+    """v's Taylor coefficients, nested, with -0.0 mapped to 0.0 (a float is a
+    constant jet: trailing zero coefficients are dropped)."""
+    if not isinstance(v, Jet):
+        return (v + 0.0,)
+    coeffs = [_bits(c) for c in v.coeffs]
+    while len(coeffs) > 1 and coeffs[-1] == (0.0,):
+        coeffs.pop()
+    return coeffs[0] if len(coeffs) == 1 else tuple(coeffs)
+
+
+IMMERSION_BOXES = [
+    ("slice_immersion", [(-2.0, 2.0)] * 3),
+    ("sphere2", [(0.5, 2.6), (-3.0, 3.0)]),
+    ("pseudosphere", [(0.3, 1.5), (-3.0, 3.0), (-3.0, 3.0)]),
+    ("graph_immersion", [(-2.0, 2.0)] * 3),
+]
+
+
+@pytest.mark.parametrize("name, box", IMMERSION_BOXES,
+                         ids=[name for name, _ in IMMERSION_BOXES])
+def test_generated_map_and_tangent_equal_the_seeded_oracle(request, name, box):
+    """Floats, order-1 jet rays (as S and ``_along`` use) and nested jets (as
+    ``nabla2_B`` uses): every coefficient equal, zero signs aside."""
+    F = request.getfixturevalue(name)
+    rng = random.Random(31)
+    points = []
+    for _ in range(20):
+        u = [rng.uniform(lo, hi) for lo, hi in box]
+        x = [rng.uniform(-1.0, 1.0) for _ in box]
+        y = [rng.uniform(-1.0, 1.0) for _ in box]
+        points.append(u)
+        points.append([Jet((a, b)) for a, b in zip(u, x)])
+        points.append([Jet((Jet((a, b)), c)) for a, b, c in zip(u, x, y)])
+    for u in points:
+        f, T = F.map_and_tangent(u)
+        assert [_bits(c) for c in f] == [_bits(c) for c in _seeded_map(F, u)]
+        assert [[_bits(c) for c in row] for row in T] == \
+            [[_bits(c) for c in row] for row in _seeded_tangent(F, u)]
+        assert F.map_values(u) == f and F.tangent_values(u) == T
+
+
+@given(st.lists(expr_trees(("u1", "u2", "u3")), min_size=4, max_size=4),
+       st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_generated_map_and_tangent_match_the_seeded_oracle_on_random_maps(trees, u):
+    F = Immersion(3, MetricField.diag([-1, -1, 1, 1]), trees)
+    try:
+        want = [_seeded_map(F, u), *_seeded_tangent(F, u)]
+    except exprparse.DomainError:
+        return  # outside the domain
+    f, T = F.map_and_tangent(u)
+    for got_row, want_row in zip([f, *T], want):
+        for a, b in zip(got_row, want_row):
+            if math.isfinite(b):
+                assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
 
 
 # -- fundamental forms --------------------------------------------------------------
