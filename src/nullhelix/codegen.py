@@ -20,7 +20,7 @@ import re
 from . import exprparse, jets
 
 
-def literal(value: float) -> str:
+def _literal(value: float) -> str:
     """A Python literal for a parsed or folded number (never NaN)."""
     if math.isinf(value):
         return "(-1e999)" if value < 0.0 else "1e999"
@@ -52,7 +52,7 @@ class Emitter:
     def expr(self, node) -> str | None:
         """Code for an expression tree, in ``exprparse._eval``'s operations."""
         if isinstance(node, exprparse.Num):
-            return None if node.value == 0.0 else literal(node.value)
+            return None if node.value == 0.0 else _literal(node.value)
         if isinstance(node, exprparse.Var):
             if node.name not in self.names:
                 raise ValueError(f"unknown coordinate {node.name!r}")
