@@ -19,10 +19,11 @@ rule, the orientation rule (k1 >= 0 at the first generic sample) and the
 curvatures with their geodesic flag (``frame_curvatures``) exist once, here,
 over duck-typed scalars: curves run them on jets, so the construction yields
 the frame's own t-derivatives; helix traces and transfer run them on floats.
-A single frame (``build_frame``) is a one-sample ``frame_field``.  Transfer's ambient frames extend the seed order with the unused axes
-and take W from the acceleration's screen part, the only W rule above
-dimension 3.  A curve keeps one frame bundle (``_FrameJets``) per t and seed
-order, computing g, the connection and each covariant derivative once.
+A single frame (``build_frame``) is a one-sample ``frame_field``.
+Transfer's ambient frames extend the seed order with the unused axes and take
+W from the acceleration's screen part, the only W rule above dimension 3.  A
+curve keeps one frame bundle (``_FrameJets``) per t and seed order, computing
+g (``matrix_at``, on jets), the connection and each covariant derivative once.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ NULL_TOL = 1e-8
 SEED_TOL = 1e-8
 FRAME_TOL = 1e-9
 GEODESIC_K1_TOL = 1e-9
-# tangent-mode quadrature keeps every node, so its time and memory grow with
-# (t1 - t0) / quad_step; longer domains are rejected before any node is built
+# tangent-mode quadrature keeps only its furthest node, so its time (not its
+# memory) grows with (t1 - t0) / quad_step; longer domains are rejected first
 MAX_QUAD_NODES = 10 ** 6
 
 
@@ -182,10 +183,9 @@ class NullCurve:
         self._node = None  # (k, (t_k, position, tangent)): the furthest node reached
         self._bundles: dict = {}
         p0 = self.position_at(t0)
-        if metric.index_at(p0) != 2:
-            raise ScreenSignatureError(
-                f"metric has index {metric.index_at(p0)} at {p0}, need 2"
-            )
+        index = metric.index_at(p0)
+        if index != 2:
+            raise ScreenSignatureError(f"metric has index {index} at {p0}, need 2")
 
     @classmethod
     def position(cls, metric, texts, domain) -> "NullCurve":
@@ -411,7 +411,7 @@ def _build_frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _Fram
     order = BUNDLE_ORDER
     pos = curve.position_jets(t, order)
     zeta = [jets.dt(p) for p in pos]
-    gmat = curve.metric.entry_values([p.truncated(order - 1) for p in pos])
+    gmat = curve.metric.matrix_at([p.truncated(order - 1) for p in pos])
     zz = const_term(bilinear(gmat, zeta, zeta))
     if abs(zz) > NULL_TOL:
         raise NotNullError(f"g(zeta, zeta) = {zz:.3e} at t = {t}: curve not null")

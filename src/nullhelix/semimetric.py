@@ -14,10 +14,13 @@ derivatives in it are ``exprparse.derivative`` trees, taken once, never
 finite differences; the determinant and the adjugate inverse are
 ``mat_det`` and ``mat_inverse`` unrolled in the same association, with
 every product that has a structurally zero factor left out.  The function
-takes floats and (nested) jets alike.  When it raises (a domain, division or
-overflow error), the entries and then the derivative trees are evaluated
-again with ``exprparse._eval`` at the same point, so the ``DomainError``
-names the offending subexpression; that path never returns a connection.
+takes floats and (nested) jets alike, and so does ``matrix_at``, the one
+reader of g (frame bundles and submanifold points included), which checks
+|det g| > DET_TOL on the constant term at every point.  When the function
+raises (a domain, division or overflow error), the entries and then the
+derivative trees are evaluated again with ``exprparse._eval`` at the same
+point, so the ``DomainError`` names the offending subexpression; that path
+never returns a connection.
 
 Each metric's ``pattern`` holds the (k, i, j), in lexicographic order, whose
 Christoffel symbol can be nonzero: every k times every live pair (i, j), where
@@ -35,7 +38,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import codegen, exprparse, jets
-from .jets import const_term
+from .jets import Jet, const_term
 
 DET_TOL = 1e-10
 
@@ -144,9 +147,6 @@ class SemiMetric:
     dim: int
     pattern: tuple  # the (k, i, j), in order, whose gamma[k][i][j] can be nonzero
 
-    def entry_values(self, coords):
-        raise NotImplementedError
-
     def _evaluate(self, coords, connection: bool):
         """``(g, det, gamma)`` over duck coordinates; gamma is None unless
         ``connection`` is true and |det| > DET_TOL."""
@@ -157,11 +157,15 @@ class SemiMetric:
             raise ValueError(f"point has {len(p)} coordinates, chart has {self.dim}")
 
     def matrix_at(self, p):
+        """g at float or (nested) jet coordinates; DegenerateMetricError where
+        the constant term of det g is within DET_TOL of zero."""
         self._check_point(p)
-        g, det, _ = self._evaluate([float(c) for c in p], False)
-        if abs(det) <= DET_TOL:
+        g, det, _ = self._evaluate(
+            [c if isinstance(c, Jet) else float(c) for c in p], False)
+        if abs(const_term(det)) <= DET_TOL:
             raise DegenerateMetricError(
-                f"metric degenerate at {tuple(p)}: |det| = {abs(det):.3e}"
+                f"metric degenerate at {tuple(const_term(c) for c in p)}: "
+                f"|det| = {abs(const_term(det)):.3e}"
             )
         return g
 
@@ -325,7 +329,7 @@ class MetricField(SemiMetric):
         if set(doc) != {"dim", "metric"}:
             raise ValueError("metric document must have exactly 'dim' and 'metric'")
         dim = doc["dim"]
-        if not isinstance(dim, int):
+        if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError("'dim' must be an integer")
         spec = doc["metric"]
         if not isinstance(spec, dict):
@@ -337,19 +341,14 @@ class MetricField(SemiMetric):
             signs = spec["signs"]
             if len(signs) != dim:
                 raise ValueError("'signs' length must equal dim")
+            if any(isinstance(s, bool) for s in signs):
+                raise ValueError("'signs' entries must be -1 or 1, not booleans")
             return cls.diag(signs)
         if kind == "field":
             if set(spec) != {"type", "entries"}:
                 raise ValueError("field metric takes exactly 'type' and 'entries'")
             return cls.from_texts(dim, spec["entries"])
         raise ValueError(f"unknown metric type {kind!r}")
-
-    def entry_values(self, coords):
-        env = dict(zip(self._coord_names, coords))
-        return [
-            [exprparse._eval(self.entries[i][j], env) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
 
     @cached_property
     def _derivatives(self) -> dict:

@@ -208,8 +208,8 @@ class _Point:
 
     @cached_property
     def amb(self):
-        """Ambient metric entries at f(u)."""
-        return self.F.ambient.entry_values(self.f)
+        """Ambient metric at f(u); DegenerateMetricError where it is degenerate."""
+        return self.F.ambient.matrix_at(self.f)
 
     @cached_property
     def g(self):
@@ -339,6 +339,7 @@ class NormalBasis:
 
 def normal_basis(F: Immersion, u) -> NormalBasis:
     pt = _checked(F, u)
+    pt.amb  # a degenerate ambient metric is named as such, not as the normal space
     try:
         normals = pt.normals
     except semimetric.DegenerateMetricError as exc:
@@ -429,12 +430,11 @@ def shape_operator(F: Immersion, u, a: int, X):
 
 def duality_residual(F: Immersion, u, X, Y, a: int) -> float:
     """|g(A(X), Y) - g~(B(X, Y), N_a)|: the two computations must agree."""
-    basis = normal_basis(F, u)
-    g = induced_metric(F, u)
-    lhs = bilinear(g, list(shape_operator(F, u, a, X)), list(Y))
+    basis = normal_basis(F, u)  # checks the rank and both metrics at u
+    pt = _at(F, u)
+    lhs = bilinear(pt.g, list(shape_operator(F, u, a, X)), list(Y))
     b = second_fundamental(F, u, X, Y)
-    amb = F.ambient.matrix_at(_at(F, u).f)
-    rhs = bilinear(amb, list(b), list(basis.vectors[a]))
+    rhs = bilinear(pt.amb, list(b), list(basis.vectors[a]))
     return abs(lhs - rhs)
 
 

@@ -1,12 +1,17 @@
-"""Every layer boundary the benchmark tracer wraps exists in the package.
+"""Every layer boundary the benchmark tracer wraps exists in the package,
+and each workload's documents drive the boundaries assigned to it.
 
-``perfbench/tracer.py`` skips a target it cannot find, so a renamed function
-would only show up as an undriven boundary after a long traced run.
+``perfbench/tracer.py`` skips a target it cannot find, so a renamed function,
+or a call path that no longer passes through a boundary, would otherwise only
+show up as an undriven boundary after a long traced run.
 """
 
 import importlib
 import inspect
+import json
 from pathlib import Path
+
+from nullhelix import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,3 +42,33 @@ def test_rk4_counter_target_keeps_its_positional_parameters(monkeypatch):
     params = inspect.signature(getattr(owner, attr)).parameters
     assert tuple(params) == ("metric", "h", "k1", "k2", "state", "dt", "nsteps")
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+
+
+def test_every_workload_drives_its_boundaries(monkeypatch, tmp_path):
+    """One traced pass over each workload's seed-7 documents, as the benchmark
+    runs them: every boundary assigned to the workload is called."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_mod = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    undriven = {}
+    for workload in workloads.WORKLOADS:
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            for doc in workloads.generate(workload, 7):
+                spec = tmp_path / f"{doc.name}.json"
+                spec.write_text(json.dumps(doc.spec))
+                argv = [doc.command, "--spec", str(spec),
+                        "--out", str(tmp_path / f"{doc.name}.report.json")]
+                if doc.project:
+                    argv.append("--project")
+                if doc.csv:
+                    argv += ["--csv", str(tmp_path / f"{doc.name}.csv")]
+                assert cli.run(argv) == doc.expect_exit, (workload, doc.name)
+        finally:
+            tracer.uninstall()
+        calls = tracer.take()
+        undriven[workload] = [
+            name for name, (_, driven, _) in tracer_mod.BOUNDARIES.items()
+            if workload in driven and calls[name][0] == 0]
+    assert undriven == {w: [] for w in workloads.WORKLOADS}

@@ -342,6 +342,45 @@ def test_submanifold_errors_name_their_cause(tmp_path, capsys, texts, u, message
     assert err == f"error: {message}\n"
 
 
+def _field(*entries):
+    return {"dim": len(entries), "metric": {"type": "field", "entries": list(entries)}}
+
+
+@pytest.mark.parametrize("command", ["frame", "verify"])
+def test_degenerate_metric_on_a_curve_is_named(tmp_path, capsys, command):
+    # g = x3^2 diag(-1, -1, 1) vanishes at t = 0, the middle sample
+    doc = {**C1_DOC, "config": {"samples": 3},
+           "metric": _field(["-x3^2", "0", "0"], ["0", "-x3^2", "0"],
+                            ["0", "0", "x3^2"]),
+           "curve": {**C1_DOC["curve"], "domain": [-1.0, 1.0]}}
+    assert run([command, "--spec", _write(tmp_path, "c.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: metric degenerate at (1.0, 0.0, 0.0): ")
+
+
+def test_degenerate_ambient_metric_is_named(tmp_path, capsys):
+    doc = {"kind": "immersion",
+           "immersion": {"intrinsic_dim": 2,
+                         "ambient": _field(["x3^2", "0", "0"], ["0", "1", "0"],
+                                           ["0", "0", "1"]),
+                         "map": ["u1", "u2", "0"]},
+           "samples": [[0.3, 0.4]]}
+    assert run(["submanifold", "--spec", _write(tmp_path, "s.json", doc)]) == 2
+    assert "metric degenerate at (0.3, 0.4, 0.0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric, message", [
+    ({**FLAT3, "dim": True}, "'dim' must be an integer"),
+    ({"dim": 3, "metric": {"type": "diag", "signs": [-1, -1, True]}},
+     "'signs' entries must be -1 or 1, not booleans"),
+], ids=["dim", "signs"])
+def test_metric_booleans_are_rejected(tmp_path, capsys, metric, message):
+    spec = _write(tmp_path, "c.json", {**C1_DOC, "metric": metric})
+    assert run(["frame", "--spec", spec]) == 2
+    assert capsys.readouterr().err == f"error: metric: {message}\n"
+
+
 def test_transfer_command(tmp_path):
     spec = _write(tmp_path, "t.json", TRANSFER_DOC)
     out = str(tmp_path / "rep.json")

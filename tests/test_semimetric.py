@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,9 @@ def test_degenerate_rejected():
     g = MetricField.from_texts(2, [["x1", "0"], ["0", "1"]])
     with pytest.raises(DegenerateMetricError):
         metric_at(g, (0.0, 1.0))
+    # jets are checked on the constant term, which the message prints
+    with pytest.raises(DegenerateMetricError, match=r"degenerate at \(0\.0, 1\.0\):"):
+        g.matrix_at([Jet((0.0, 1.0)), Jet((Jet((1.0, 2.0)), 0.5))])
 
 
 def test_schema_loading():
@@ -103,15 +107,21 @@ def _deriv_part(v):
     return v.coeffs[1] if isinstance(v, Jet) else 0.0
 
 
+def _entries(metric, coords):
+    """Reference g: every entry tree through ``exprparse._eval``."""
+    env = dict(zip(metric._coord_names, coords))
+    return [[exprparse._eval(e, env) for e in row] for row in metric.entries]
+
+
 def _dense_christoffel(metric, coords):
     """Reference: every coordinate seeded and every gamma[k][i][j] computed."""
     n = metric.dim
-    g = metric.entry_values(list(coords))
+    g = _entries(metric, list(coords))
     ginv = semimetric.mat_inverse(g, semimetric.mat_det(g))
     dg = []
     for l in range(n):
-        entries = metric.entry_values(
-            [Jet((coords[m], 1.0 if m == l else 0.0)) for m in range(n)])
+        entries = _entries(
+            metric, [Jet((coords[m], 1.0 if m == l else 0.0)) for m in range(n)])
         dg.append([[_deriv_part(entries[i][j]) for j in range(n)]
                    for i in range(n)])
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -148,21 +158,24 @@ def test_connection_pattern_is_exact(metric, pattern):
 
 def test_generated_connection_differentiates_only_along_read_coordinates(monkeypatch):
     metric = MetricField.from_texts(3, CURVED3)
+    metric._generated  # taking the derivative trees folds constants with _eval
     calls = []
-    original = MetricField.entry_values
+    original = exprparse._eval
 
-    def counted(self, coords):
-        calls.append(coords)
-        return original(self, coords)
+    def counted(node, env):
+        calls.append(env)
+        return original(node, env)
 
-    monkeypatch.setattr(MetricField, "entry_values", counted)
+    monkeypatch.setattr(exprparse, "_eval", counted)
     gamma = metric.christoffel([0.3, -0.2, 0.7])
-    # the one nonzero derivative is d g_33 / d x3 = 2 x3, and no entry is
-    # evaluated outside the generated function
+    g = metric.matrix_at([Jet((0.3, 1.0)), Jet((-0.2, 0.0)), Jet((0.7, 0.5))])
+    # the one nonzero derivative is d g_33 / d x3 = 2 x3, and no tree is
+    # evaluated outside the generated function, on floats or on jets
     assert list(metric._derivatives) == [(2, 2, 2)]
     assert exprparse.to_text(metric._derivatives[(2, 2, 2)]) == "x3 + x3"
     assert calls == []
     assert gamma[2][2][2] == 0.5 * ((1.0 / (1.0 + 0.7 ** 2)) * (0.7 + 0.7))
+    assert g[2][2].coeffs == (1.0 + 0.7 * 0.7, 0.5 * 0.7 + 0.7 * 0.5)
 
 
 def _coefficients(v, n):
@@ -192,6 +205,40 @@ def test_generated_connection_equals_the_seeded_oracle(dim, texts):
                 for j in range(dim):
                     assert _coefficients(gamma[k][i][j], 5) == \
                         _coefficients(dense[k][i][j], 5)
+
+
+def _bits(v):
+    """A value, jet or nested list of them, with every float as its bytes."""
+    if isinstance(v, Jet):
+        return ("jet", _bits(v.coeffs))
+    if isinstance(v, (list, tuple)):
+        return tuple(_bits(c) for c in v)
+    return struct.pack("d", v)
+
+
+@pytest.mark.parametrize("dim, texts", [
+    (3, CURVED3), (3, CONFORMAL3), (2, OFF_DIAGONAL2), (3, PSEUDOSPHERE3),
+], ids=["curved", "conformal", "off-diagonal", "pseudosphere"])
+def test_matrix_at_equals_the_entry_trees_bit_for_bit(dim, texts):
+    """Floats, jets of order 0 to 4, nested jets and jets mixed with floats:
+    ``matrix_at`` returns every entry's ``exprparse._eval``, zero signs too."""
+    metric = MetricField.from_texts(dim, texts)
+    rng = random.Random(29)
+
+    def value():
+        return rng.uniform(-1.5, 1.5)
+
+    def jet(n):  # higher coefficients are often signed zeros
+        return Jet((value(), *(rng.choice((0.0, -0.0, value())) for _ in range(n - 1))))
+
+    kinds = [lambda i: value(),
+             *(lambda i, n=n: jet(n) for n in range(1, 6)),
+             lambda i: Jet((jet(3), jet(3))),
+             lambda i: jet(3) if i else value()]
+    for kind in kinds:
+        for _ in range(20):
+            p = [kind(i) for i in range(dim)]
+            assert _bits(metric.matrix_at(p)) == _bits(_entries(metric, p))
 
 
 @given(st.lists(expr_trees(depth=3), min_size=6, max_size=6),
@@ -344,7 +391,7 @@ def test_metric_compatibility_property():
     for _ in range(10):
         t = rng.uniform(0.3, 2.0)
         pos, v, w = fields(t, 4)
-        g = polar.entry_values([p.coeffs[0] for p in pos])
+        g = _entries(polar, [p.coeffs[0] for p in pos])
         cv = covariant_jets(pos, v, polar)
         cw = covariant_jets(pos, w, polar)
         rhs = semimetric.bilinear(g, [c.coeffs[0] for c in cv], [c.coeffs[0] for c in w]) \
@@ -353,7 +400,7 @@ def test_metric_compatibility_property():
 
         def gvw(tt):
             pos2, v2, w2 = fields(tt, 1)
-            g2 = polar.entry_values([p.coeffs[0] for p in pos2])
+            g2 = _entries(polar, [p.coeffs[0] for p in pos2])
             return semimetric.bilinear(
                 g2, [c.coeffs[0] for c in v2], [c.coeffs[0] for c in w2]
             )
