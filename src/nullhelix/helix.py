@@ -44,12 +44,8 @@ from .nullframe import (
     NullCurve,
     NullFrame,
     ScreenPolicy,
-    continuity_signs,
     euclid_norm,
-    first_generic_sign,
     frame_curvatures,
-    null_transversal,
-    screen_vector,
     _aligned_frame_jets,
     _frame_jets,
 )
@@ -355,29 +351,15 @@ def _identity_report(t, g, cz, cn, cw, sample: CurvatureSample, cubic) -> Identi
                           targets=targets, deviations=deviations)
 
 
-def cubic_identity_residual(curve, frame: NullFrame,
-                            sample: CurvatureSample, t: float,
+def cubic_identity_residual(curve: NullCurve, frame: NullFrame,
+                            sample: CurvatureSample,
                             policy: ScreenPolicy | None = None) -> float:
-    """Euclidean norm of cov^3 zeta - (h^2 + 2 k1 k2) cov zeta at t.
-
-    Accepts a closed-form/tangent-mode curve (exact jet route) or a
-    synthesized trace (finite-difference stencil route; the residual is
-    reported at the differentiable sample nearest to t).
+    """Euclidean norm of cov^3 zeta - (h^2 + 2 k1 k2) cov zeta at ``frame.t``,
+    from the curve's exact frame jets, with h, k1, k2 taken from ``sample``.
+    A synthesized trace takes the stencil route, ``cubic_residuals_from_trace``.
     """
     factor = cubic_factor(sample.h, sample.k1, sample.k2)
-    if isinstance(curve, HelixTrace):
-        residuals = cubic_residuals_from_trace(curve, factor=factor)
-        if not residuals:
-            raise ValueError("trace too short for the cubic stencil")
-        tt, value = min(residuals, key=lambda pair: abs(pair[0] - t))
-        spacing = residuals[1][0] - residuals[0][0] if len(residuals) > 1 else 0.0
-        if abs(tt - t) > max(spacing, 1e-12):
-            raise ValueError(
-                f"t = {t} is outside the differentiable interior of the trace"
-            )
-        return value
-    policy = policy or ScreenPolicy()
-    fj = _frame_jets(curve, frame.t, policy)
+    fj = _frame_jets(curve, frame.t, policy or ScreenPolicy())
     return cubic_residual(fj.cov("zeta"), fj.cov("zeta", 3), factor)
 
 
@@ -389,7 +371,7 @@ def metric_identity_suite(curve: NullCurve, frame: NullFrame,
     fj, sign = _aligned_frame_jets(curve, frame, policy)
     cz, cn = fj.cov("zeta"), fj.cov("n")
     cw = [sign * c for c in fj.cov("w")]
-    cubic = cubic_identity_residual(curve, frame, sample, t, policy)
+    cubic = cubic_identity_residual(curve, frame, sample, policy)
     return _identity_report(t, fj.gmat, cz, cn, cw, sample, cubic)
 
 
@@ -499,61 +481,31 @@ class SampledCurve:
         return self._covs[(key, layer)]
 
 
-def extract_curvatures(trace: HelixTrace, policy: ScreenPolicy | None = None,
-                       reseed: bool = False):
+def extract_curvatures(trace: HelixTrace):
     """Curvature samples re-measured from a trace by finite differences.
 
-    With ``reseed=False`` the traced frames are used directly, which tests
-    whether the integrated trajectory still satisfies the frame equations with
-    the requested constants.  With ``reseed=True`` the transversal and screen
-    vectors are rebuilt per sample from the tangent via the screen policy;
-    h and k2 are then policy-relative quantities, |k1| remains invariant.
-    The trace is decimated to about FD_SPACING first (``HelixTrace.view``).
+    The traced N and W are used as they are, so the samples test whether the
+    integrated trajectory still satisfies the frame equations with the
+    requested constants.  The trace is decimated to about FD_SPACING first
+    (``HelixTrace.view``).
     """
-    policy = policy or ScreenPolicy()
     curve = trace.view
-    n_key, w_key = (("n", policy.seeds), ("w", policy.seeds)) if reseed else ("n", "w")
-    if n_key not in curve.fields:
-        curve.fields[n_key], curve.fields[w_key] = _reseeded_frames(
-            curve.metric, curve.points, curve.fields["zeta"], policy)
-    ns, ws = curve.fields[n_key], curve.fields[w_key]
-    cz, cn = curve.cov("zeta"), curve.cov(n_key)
-    samples = [frame_curvatures(curve.times[i], curve.g(i), cz[i], cn[i], ns[i], ws[i])
-               for i in curve.interior(1)]
-    # orientation rule: k1 >= 0 at the first generic sample
-    if reseed and first_generic_sign((s.k1 for s in samples), policy.orient_tol) == -1:
-        samples = [
-            CurvatureSample(t=x.t, h=x.h, k1=-x.k1, k2=-x.k2,
-                            geodesic_type=x.geodesic_type)
-            for x in samples
-        ]
-    return samples
+    ns, ws = curve.fields["n"], curve.fields["w"]
+    cz, cn = curve.cov("zeta"), curve.cov("n")
+    return [frame_curvatures(curve.times[i], curve.g(i), cz[i], cn[i], ns[i], ws[i])
+            for i in curve.interior(1)]
 
 
-def _reseeded_frames(metric: SemiMetric, points, zetas, policy: ScreenPolicy):
-    """Rebuild N, W per sample from the tangent alone (policy construction),
-    with W's sign made continuous along the samples."""
-    seeds = policy.seed_indices(3)
-    ns, ws = [], []
-    for p, z in zip(points, zetas):
-        g = metric.matrix_at(p)
-        _, gz, n = null_transversal(g, z, seeds, "along the trace")
-        ns.append(tuple(n))
-        ws.append(screen_vector(g, gz, n, "along the trace"))
-    signs = continuity_signs(ws)
-    return ns, [tuple(sign * c for c in w) for sign, w in zip(signs, ws)]
-
-
-def cubic_residuals_from_trace(trace: HelixTrace, factor: float | None = None):
-    """(t, residual) pairs for the cubic identity, finite-differenced.
+def cubic_residuals_from_trace(trace: HelixTrace):
+    """(t, residual) pairs for the cubic identity, finite-differenced, with
+    the factor from ``trace.spec``.
 
     Three chained first-derivative stencils run on the trace decimated to
     about FD_SPACING, so at least CUBIC_MIN_SAMPLES decimated samples are
-    needed for one residual.
+    needed for one residual; a shorter trace gives ``[]``.
     """
     curve = trace.view
-    if factor is None:
-        factor = cubic_factor(trace.spec.h, trace.spec.k1, trace.spec.k2)
+    factor = cubic_factor(trace.spec.h, trace.spec.k1, trace.spec.k2)
     c1, c3 = curve.cov("zeta"), curve.cov("zeta", 3)
     return [(curve.times[i], cubic_residual(c1[i], c3[i], factor))
             for i in curve.interior(3)]

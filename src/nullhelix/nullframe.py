@@ -283,7 +283,7 @@ def _cross(a, b):
     ]
 
 
-# -- the screen construction, shared by curves, traces and transfer -------------
+# -- the screen construction, shared by curves and transfer ---------------------
 
 # -g(W, W) of the raw 3D screen vector must exceed this for W to be timelike
 SCREEN_TOL = 1e-18

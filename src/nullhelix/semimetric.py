@@ -339,6 +339,8 @@ class MetricField(SemiMetric):
             if set(spec) != {"type", "signs"}:
                 raise ValueError("diag metric takes exactly 'type' and 'signs'")
             signs = spec["signs"]
+            if not isinstance(signs, list):
+                raise ValueError("'signs' must be a list of -1 and 1 entries")
             if len(signs) != dim:
                 raise ValueError("'signs' length must equal dim")
             if any(isinstance(s, bool) for s in signs):
@@ -347,7 +349,11 @@ class MetricField(SemiMetric):
         if kind == "field":
             if set(spec) != {"type", "entries"}:
                 raise ValueError("field metric takes exactly 'type' and 'entries'")
-            return cls.from_texts(dim, spec["entries"])
+            entries = spec["entries"]
+            if not isinstance(entries, list) or \
+                    not all(isinstance(row, list) for row in entries):
+                raise ValueError("'entries' must be a list of rows of expression strings")
+            return cls.from_texts(dim, entries)
         raise ValueError(f"unknown metric type {kind!r}")
 
     @cached_property
@@ -378,35 +384,7 @@ class MetricField(SemiMetric):
         return self._generated(*coords, connection)
 
 
-# -- spec operations ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChristoffelEval:
-    """Connection coefficients gamma[k][i][j] at a chart point."""
-
-    point: tuple
-    gamma: tuple
-
-    def __getitem__(self, kij):
-        k, i, j = kij
-        return self.gamma[k][i][j]
-
-
-def metric_at(g: SemiMetric, p):
-    return g.matrix_at(p)
-
-
-def christoffel_at(g: SemiMetric, p) -> ChristoffelEval:
-    gamma = g.christoffel_at(p)
-    return ChristoffelEval(
-        tuple(float(c) for c in p),
-        tuple(tuple(tuple(row) for row in plane) for plane in gamma),
-    )
-
-
-def inner(g: SemiMetric, p, x, y) -> float:
-    return g.inner_at(p, x, y)
+# -- covariant derivative along a curve ------------------------------------------
 
 
 def covariant_jets(pos_jets, field_jets, metric: SemiMetric, gamma=None):
@@ -425,8 +403,3 @@ def covariant_jets(pos_jets, field_jets, metric: SemiMetric, gamma=None):
     for k, i, j in metric.pattern:
         out[k] = out[k] + gamma[k][i][j] * zeta[i] * field_jets[j]
     return out
-
-
-def covariant_along(pos_jets, field_jets, metric: SemiMetric):
-    """Value of the covariant derivative (constant terms of the jets)."""
-    return tuple(const_term(c) for c in covariant_jets(pos_jets, field_jets, metric))

@@ -130,17 +130,6 @@ class Immersion:
         function: T[a] = d f / d u_a."""
         return self._generated(*u)
 
-    def map_values(self, u):
-        return self._generated(*u)[0]
-
-    def tangent_values(self, u):
-        """Rows T[a] = d f / d u_a, evaluated over duck coordinates."""
-        return self._generated(*u)[1]
-
-    def second_values(self, u):
-        """S[a][b] = d^2 f / du_a du_b (nested jet seeding, symmetric slots)."""
-        return [[list(col) for col in row] for row in _point(self, u).S]
-
 
 # -- the point bundle -----------------------------------------------------------
 
@@ -161,7 +150,8 @@ def _unit_basis(g, count: int, tol: float, project=list):
         for vec, sign in accepted:
             proj = bilinear(g, r, vec)
             r = [r[k] - sign * proj * vec[k] for k in range(len(r))]
-        size = sum(const_term(x) ** 2 for x in r)
+        # x * x gives inf where x ** 2 would raise OverflowError
+        size = sum(x * x for x in map(const_term, r))
         if size <= 1e-18:
             continue  # the axis lies in the span already handled
         nu = bilinear(g, r, r)
@@ -304,7 +294,10 @@ def _along(pt: _Point, x, field):
 def _checked(F: Immersion, u) -> _Point:
     """The bundle at u, once the differential has full rank there."""
     pt = _at(F, u)
-    if np.linalg.matrix_rank(np.array(pt.T, dtype=float), tol=RANK_TOL) < F.m:
+    T = np.array(pt.T, dtype=float)
+    if not np.isfinite(T).all():
+        raise ValueError(f"differential is not finite at {tuple(u)}")
+    if np.linalg.matrix_rank(T, tol=RANK_TOL) < F.m:
         raise RankDeficiencyError(f"differential has rank < {F.m} at {tuple(u)}")
     return pt
 
@@ -436,54 +429,6 @@ def duality_residual(F: Immersion, u, X, Y, a: int) -> float:
     b = second_fundamental(F, u, X, Y)
     rhs = bilinear(pt.amb, list(b), list(basis.vectors[a]))
     return abs(lhs - rhs)
-
-
-@dataclass(frozen=True)
-class FundamentalForms:
-    """B, the shape operators and H of an immersion at one chart point.
-
-    ``b[a][b]`` is the ambient-valued second fundamental form on the
-    coordinate basis, ``shape_ops[d][a]`` the intrinsic image of the a-th
-    basis vector under the d-th normal's shape operator.
-    """
-
-    point: tuple
-    b: tuple
-    shape_ops: tuple
-    mean_curvature: tuple
-
-
-def fundamental_forms(F: Immersion, u) -> FundamentalForms:
-    pt = _at(F, u)
-    basis = [_unit(a, F.m) for a in range(F.m)]
-    b_vals = tuple(tuple(tuple(const_term(c) for c in _b_value(pt, ea, eb))
-                         for eb in basis) for ea in basis)
-    shape = tuple(tuple(tuple(const_term(c) for c in _shape_value(pt, d, ea))
-                        for ea in basis) for d in range(len(pt.normals)))
-    h = tuple(const_term(c) for c in _mean_curvature_value(pt))
-    return FundamentalForms(point=tuple(pt.u), b=b_vals, shape_ops=shape,
-                            mean_curvature=h)
-
-
-@dataclass(frozen=True)
-class DerivedFormSample:
-    """Covariant-derivative samples of B and of a shape operator at a point."""
-
-    point: tuple
-    nabla_b: tuple
-    nabla2_b: tuple
-    nabla_shape: tuple
-
-
-def derived_form_sample(F: Immersion, u, X, Y, Z, V,
-                        normal_index: int = 0) -> DerivedFormSample:
-    uf = tuple(float(c) for c in u)
-    return DerivedFormSample(
-        point=uf,
-        nabla_b=nabla_B(F, uf, X, Y, Z),
-        nabla2_b=nabla2_B(F, uf, X, Y, Z, V),
-        nabla_shape=nabla_shape(F, uf, normal_index, Z, Y),
-    )
 
 
 # -- traces over the orthonormal tangent frame ------------------------------------

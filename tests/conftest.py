@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from nullhelix import helix as helixmod
 from nullhelix import semimetric
 from nullhelix.exprparse import FUNCTIONS, BinOp, Call, Neg, Num, Pow, Var
-from nullhelix.nullframe import NullCurve
+from nullhelix.nullframe import (NullCurve, ScreenPolicy, continuity_signs, null_transversal,
+                                 screen_vector)
 from nullhelix.semimetric import MetricField, bilinear, mat_vec
 from nullhelix.submanifold import Immersion
 
@@ -106,6 +107,19 @@ def flat_null_frame(metric: MetricField, zeta, seed_index: int = 2, flip: bool =
     sgn = -1.0 if flip else 1.0
     w = [sgn * scale * c for c in w]
     return tuple(n), tuple(w)
+
+
+def policy_frames(metric: MetricField, points, zetas, policy: ScreenPolicy):
+    """N and W rebuilt per sample from the tangent alone by the screen policy's
+    construction, with W's sign made continuous along the samples."""
+    ns, ws = [], []
+    for p, z in zip(points, zetas):
+        g = metric.matrix_at(p)
+        _, gz, n = null_transversal(g, z, policy.seed_indices(3), "at the sample")
+        ns.append(tuple(n))
+        ws.append(screen_vector(g, gz, n, "at the sample"))
+    signs = continuity_signs(ws)
+    return ns, [tuple(sign * c for c in w) for sign, w in zip(signs, ws)]
 
 
 def random_helix_spec(rng: random.Random, metric: MetricField) -> helixmod.HelixSpec:

@@ -6,6 +6,7 @@ allowance: the pure-Python package's slowest of three timed runs took under
 half of each budget.  Tolerances never change.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -16,10 +17,10 @@ from nullhelix import helix as hx
 from nullhelix import nullframe as nf
 from nullhelix import semimetric, submanifold as sb
 from nullhelix.nullframe import NullCurve, ScreenPolicy, build_frame, curvatures_at
-from nullhelix.semimetric import MetricField, christoffel_at
+from nullhelix.semimetric import MetricField
 from nullhelix.submanifold import Immersion
 
-from conftest import random_helix_spec, uniform_grid
+from conftest import policy_frames, random_helix_spec, uniform_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,12 +59,12 @@ def test_criterion_2_cubic_identity(flat3, c1_curve):
         fr = build_frame(c1_curve, t)
         cs = curvatures_at(c1_curve, fr, t)
         assert cs.h ** 2 + 2.0 * cs.k1 * cs.k2 == pytest.approx(-1.0, abs=1e-10)
-        worst = max(worst, hx.cubic_identity_residual(c1_curve, fr, cs, t))
+        worst = max(worst, hx.cubic_identity_residual(c1_curve, fr, cs))
     nonhelix = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"],
                                  (0, 0, 0), (0.0, 3.0))
     fr = build_frame(nonhelix, 1.0)
     cs = curvatures_at(nonhelix, fr, 1.0)
-    nh = hx.cubic_identity_residual(nonhelix, fr, cs, 1.0)
+    nh = hx.cubic_identity_residual(nonhelix, fr, cs)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and nh > 0.01 and elapsed < 1.0
     _line(2, ok, f"helix residual {worst:.2e}, non-helix residual {nh:.2e}", elapsed)
@@ -126,19 +127,19 @@ def test_criterion_5_christoffel(flat3, rng):
     """Flat charts give exactly zero; polar matches the hand oracle at 1e-9."""
     start = time.perf_counter()
     for p in [(0, 0, 0), (1.5, -2.0, 3.0), (0.1, 0.2, 0.3)]:
-        ce = christoffel_at(flat3, p)
-        assert all(v == 0.0 for plane in ce.gamma for row in plane for v in row)
+        ce = flat3.christoffel_at(p)
+        assert all(v == 0.0 for plane in ce for row in plane for v in row)
     polar = MetricField.from_texts(2, [["1", "0"], ["0", "x1^2"]])
     worst = 0.0
     for _ in range(10):
         r = rng.uniform(0.4, 4.0)
         theta = rng.uniform(0.0, TWO_PI)
-        ce = christoffel_at(polar, (r, theta))
+        ce = polar.christoffel_at((r, theta))
         worst = max(
             worst,
-            abs(ce[0, 1, 1] + r),
-            abs(ce[1, 0, 1] - 1.0 / r),
-            abs(ce[1, 1, 0] - 1.0 / r),
+            abs(ce[0][1][1] + r),
+            abs(ce[1][0][1] - 1.0 / r),
+            abs(ce[1][1][0] - 1.0 / r),
         )
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -234,6 +235,12 @@ def test_criterion_7_transfer_experiment(slice_immersion, graph_immersion,
     assert elapsed < 10.0
 
 
+def _with_policy_frames(trace, policy):
+    """The trace with N and W rebuilt per sample from the tangent by ``policy``."""
+    ns, ws = policy_frames(trace.spec.metric, trace.points, trace.zetas, policy)
+    return dataclasses.replace(trace, ns=tuple(ns), ws=tuple(ws))
+
+
 def test_criterion_8_screen_policy_independence(flat3, c1_curve, rng):
     """|k1| agrees across the two stated seed orders (C1 and random helices)."""
     start = time.perf_counter()
@@ -249,8 +256,8 @@ def test_criterion_8_screen_policy_independence(flat3, c1_curve, rng):
     for _ in range(10):
         spec = random_helix_spec(rng, flat3)
         trace = hx.synthesize(spec, uniform_grid(0.0, 1.0, 501), step=1e-3)
-        sa = hx.extract_curvatures(trace, policy=pol_a, reseed=True)
-        sb_ = hx.extract_curvatures(trace, policy=pol_b, reseed=True)
+        sa = hx.extract_curvatures(_with_policy_frames(trace, pol_a))
+        sb_ = hx.extract_curvatures(_with_policy_frames(trace, pol_b))
         for x, y in zip(sa, sb_):
             worst = max(worst, abs(abs(x.k1) - abs(y.k1)))
     elapsed = time.perf_counter() - start

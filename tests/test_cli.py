@@ -8,7 +8,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullhelix import cli
@@ -376,6 +376,18 @@ def test_degenerate_ambient_metric_is_named(tmp_path, capsys):
      "'signs' entries must be -1 or 1, not booleans"),
 ], ids=["dim", "signs"])
 def test_metric_booleans_are_rejected(tmp_path, capsys, metric, message):
+    spec = _write(tmp_path, "c.json", {**C1_DOC, "metric": metric})
+    assert run(["frame", "--spec", spec]) == 2
+    assert capsys.readouterr().err == f"error: metric: {message}\n"
+
+
+@pytest.mark.parametrize("metric, message", [
+    ({"dim": 3, "metric": {"type": "diag", "signs": 5}},
+     "'signs' must be a list of -1 and 1 entries"),
+    ({"dim": 3, "metric": {"type": "field", "entries": 5}},
+     "'entries' must be a list of rows of expression strings"),
+], ids=["signs", "entries"])
+def test_metric_fields_that_are_not_lists_are_named(tmp_path, capsys, metric, message):
     spec = _write(tmp_path, "c.json", {**C1_DOC, "metric": metric})
     assert run(["frame", "--spec", spec]) == 2
     assert capsys.readouterr().err == f"error: metric: {message}\n"
@@ -783,7 +795,43 @@ def immersion_documents(draw):
             "samples": samples}
 
 
+def _immersion_doc(ambient, texts, sample):
+    return {"kind": "immersion",
+            "immersion": {"intrinsic_dim": len(sample), "ambient": ambient,
+                          "map": texts},
+            "samples": [sample]}
+
+
+# the normal space's Gram-Schmidt squares a remainder of about 1e245
+OVERFLOWING_NORMAL_DOC = _immersion_doc(AMB4, ["u1", "1 / u1", "1 / u1", "u1"],
+                                        [5.2438050264928336e-62])
+NON_FINITE_DOCS = [
+    OVERFLOWING_NORMAL_DOC,
+    # an infinite Jacobian entry: LAPACK's argument check writes to fd 1
+    _immersion_doc(FLAT3, ["u1 + 2.5", "u2 + 1", "u3 + (sqrt(u2)^2)^(-1)"],
+                   [-3.0, 1.2997877298575341e-256, 1.3555911606478637e-243]),
+    # a NaN Jacobian entry: the SVD does not converge
+    _immersion_doc(EUCLID3, ["1 / u1 - 1 / u1", "u1", "u1"], [1e-200]),
+]
+
+
+def test_non_finite_immersion_samples_exit_2_with_nothing_on_stdout(tmp_path):
+    """Through the console entry point, where writes to file descriptor 1 from
+    native code would show in stdout as well."""
+    for k, doc in enumerate(NON_FINITE_DOCS):
+        spec = _write(tmp_path, f"doc{k}.json", doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "nullhelix.cli", "submanifold", "--spec", spec],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, k
+        assert proc.stdout == "", k
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 @given(immersion_documents())
+@example(OVERFLOWING_NORMAL_DOC)
 @settings(max_examples=40, deadline=None)
 def test_any_immersion_block_gives_a_contract_exit_code(doc):
     with tempfile.TemporaryDirectory() as tmp:

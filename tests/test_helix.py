@@ -20,7 +20,7 @@ from nullhelix.jets import const_term
 from nullhelix.nullframe import NullCurve, build_frame, curvatures_at, frame_field
 from nullhelix.semimetric import MetricField, SemiMetric
 
-from conftest import random_helix_spec, uniform_grid
+from conftest import policy_frames, random_helix_spec, uniform_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,35 +126,26 @@ def test_roundtrip_random_specs(flat3, rng):
         assert max(abs(s.k2 - spec.k2) for s in samples) < 1e-6
 
 
-def test_reseeded_extraction_keeps_k1_magnitude(flat3, rng):
-    spec = random_helix_spec(rng, flat3)
-    trace = synthesize(spec, uniform_grid(0.0, 2.0, 1001), step=1e-3)
-    plain = extract_curvatures(trace)
-    reseeded = extract_curvatures(trace, reseed=True)
-    for a, b in zip(plain, reseeded):
-        assert abs(a.k1) == pytest.approx(abs(b.k1), abs=1e-8)
-
-
 def test_cubic_identity_on_circle_helix(c1_curve):
     for t in (0.3, 2.0, 4.7):
         fr = build_frame(c1_curve, t)
         cs = curvatures_at(c1_curve, fr, t)
         assert cs.h ** 2 + 2 * cs.k1 * cs.k2 == pytest.approx(-1.0, abs=1e-12)
-        assert cubic_identity_residual(c1_curve, fr, cs, t) <= 1e-8
+        assert cubic_identity_residual(c1_curve, fr, cs) <= 1e-8
 
 
 def test_cubic_identity_rejects_non_helix(flat3):
     c = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0), (0.0, 3.0))
     fr = build_frame(c, 1.0)
     cs = curvatures_at(c, fr, 1.0)
-    assert cubic_identity_residual(c, fr, cs, 1.0) > 0.01
+    assert cubic_identity_residual(c, fr, cs) > 0.01
 
 
 def test_cubic_identity_geodesic_exact_zero(flat3):
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
     fr = build_frame(line, 1.0)
     cs = curvatures_at(line, fr, 1.0)
-    assert cubic_identity_residual(line, fr, cs, 1.0) == 0.0
+    assert cubic_identity_residual(line, fr, cs) == 0.0
 
 
 def test_metric_identity_suite_circle(c1_curve):
@@ -195,16 +186,6 @@ def test_cubic_along_synthesized_traces(flat3, rng):
         assert max(r for _, r in residuals) <= 1e-6
 
 
-def test_cubic_identity_accepts_trace_input(flat3, c1_spec):
-    trace = synthesize(c1_spec, uniform_grid(0.0, 2.0, 2001), step=1e-3)
-    samples = extract_curvatures(trace)
-    mid = samples[len(samples) // 2]
-    res = cubic_identity_residual(trace, None, mid, mid.t)
-    assert res <= 1e-6
-    with pytest.raises(ValueError, match="interior"):
-        cubic_identity_residual(trace, None, mid, -5.0)
-
-
 def test_fd_derivative_without_interior_is_empty():
     assert hx.fd_derivative([], 0.01) == []
     assert hx.fd_derivative([(0.0, 1.0)] * (2 * hx.FD_RADIUS), 0.01) == []
@@ -214,17 +195,11 @@ def test_fd_derivative_without_interior_is_empty():
 def test_cubic_identity_rejects_short_trace(c1_spec):
     trace = synthesize(c1_spec, uniform_grid(0.0, 0.09, 10), step=1e-3)
     assert hx.cubic_residuals_from_trace(trace) == []
-    sample = nf.CurvatureSample(t=0.05, h=0.0, k1=1.0, k2=-0.5)
-    with pytest.raises(ValueError, match="too short for the cubic stencil"):
-        cubic_identity_residual(trace, None, sample, 0.05)
     # one sample has no spacing and no interior
     single = synthesize(c1_spec, [0.0], step=1e-3)
     assert extract_curvatures(single) == []
-    assert extract_curvatures(single, reseed=True) == []
     assert hx.cubic_residuals_from_trace(single) == []
     assert hx.identity_reports_from_trace(single) == []
-    with pytest.raises(ValueError, match="too short for the cubic stencil"):
-        cubic_identity_residual(single, None, sample, 0.0)
 
 
 def _conformal_metric():
@@ -255,7 +230,7 @@ def test_one_christoffel_evaluation_per_frame_bundle(monkeypatch):
     cs = curvatures_at(curve, frame, t)
     nf.frenet_residuals(curve, frame, cs, t)
     metric_identity_suite(curve, frame, cs, t)
-    cubic_identity_residual(curve, frame, cs, t)
+    cubic_identity_residual(curve, frame, cs)
     assert len(curve._bundles) == 1
     assert len(calls) == 1
 
@@ -376,7 +351,6 @@ def test_trace_view_results_do_not_depend_on_call_order():
     trace = _curved_c1_trace()
     functions = (
         extract_curvatures,
-        lambda tr: extract_curvatures(tr, reseed=True),
         hx.cubic_residuals_from_trace,
         hx.identity_reports_from_trace,
     )
@@ -393,7 +367,7 @@ def _sample_results(curve, frame, policy=None):
     cs = curvatures_at(curve, frame, t, policy)
     return (cs, nf.frenet_residuals(curve, frame, cs, t, policy),
             metric_identity_suite(curve, frame, cs, t, policy),
-            cubic_identity_residual(curve, frame, cs, t, policy))
+            cubic_identity_residual(curve, frame, cs, policy))
 
 
 @pytest.mark.parametrize("conformal", [False, True])
@@ -424,15 +398,16 @@ def test_flipped_frame_leaves_shared_bundle_untouched(c1_curve):
 
 @pytest.mark.parametrize("conformal", [False, True])
 def test_reseeded_trace_frames_match_curve_frame_jets(flat3, conformal):
-    """Floats and jets run one construction: re-seeding the C1 curve's own
-    samples gives the constant terms of its frame bundles' N and W."""
+    """Floats and jets run one construction: the screen policy applied to the
+    C1 curve's own float samples gives the constant terms of its frame
+    bundles' N and W."""
     metric = _conformal_metric() if conformal else flat3
     curve = NullCurve.position(metric, ["cos(t)", "sin(t)", "t"], (0.0, TWO_PI))
     policy = nf.ScreenPolicy()
     bundles = [nf._frame_jets(curve, t, policy) for t in uniform_grid(0.0, TWO_PI, 25)]
     points = [tuple(const_term(c) for c in fj.pos) for fj in bundles]
     zetas = [tuple(const_term(c) for c in fj.zeta) for fj in bundles]
-    ns, ws = hx._reseeded_frames(metric, points, zetas, policy)
+    ns, ws = policy_frames(metric, points, zetas, policy)
     signs = nf.continuity_signs([fj.w for fj in bundles])
     for fj, sign, n, w in zip(bundles, signs, ns, ws):
         assert n == pytest.approx(tuple(const_term(c) for c in fj.n), abs=1e-12)
@@ -465,8 +440,7 @@ def test_frames_reconstructible_along_synthesized_traces(flat3, rng):
 
     spec = random_helix_spec(rng, flat3)
     trace = synthesize(spec, uniform_grid(0.0, 2.0, 201), step=1e-3)
-    ns, ws = hx._reseeded_frames(flat3, trace.points, trace.zetas,
-                                 nf.ScreenPolicy())
+    ns, ws = policy_frames(flat3, trace.points, trace.zetas, nf.ScreenPolicy())
     for i in range(len(trace.points)):
         frame = NullFrame(trace.times[i], trace.points[i], trace.zetas[i],
                           ns[i], ws[i])

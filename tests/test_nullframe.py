@@ -147,7 +147,8 @@ def test_k1_magnitude_is_screen_free(flat3, c1_curve):
             cs = curvatures_at(curve, fr, t)
             pos = curve.position_jets(t, 4)
             zeta = [nf.jets.dt(p) for p in pos]
-            cz = semimetric.covariant_along(pos, zeta, flat3)
+            cz = [nf.jets.const_term(c)
+                  for c in semimetric.covariant_jets(pos, zeta, flat3)]
             mag = -flat3.inner_at(fr.point, cz, cz)
             assert cs.k1 ** 2 == pytest.approx(mag, abs=1e-8)
 
