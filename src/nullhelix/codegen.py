@@ -52,7 +52,7 @@ class Emitter:
     def expr(self, node) -> str | None:
         """Code for an expression tree, in ``exprparse._eval``'s operations."""
         if isinstance(node, exprparse.Num):
-            return None if node.value == 0.0 else _literal(node.value)
+            return None if exprparse._is_zero(node) else _literal(node.value)
         if isinstance(node, exprparse.Var):
             if node.name not in self.names:
                 raise ValueError(f"unknown coordinate {node.name!r}")

@@ -21,7 +21,11 @@ sample.  Residual norms are always coordinate-Euclidean: the indefinite
 metric can annihilate nonzero errors and must not certify smallness.  Trace
 measurements read one memoized decimated view (``HelixTrace.view``) that
 evaluates g and the connection once per sample; transfer's ambient samples
-use the same ``SampledCurve`` class.
+use the same ``SampledCurve`` class.  Its covariant layers are numpy array
+operations over all samples at once: each stencil term is ``acc += w *
+values[shift]`` from zeros, then ``acc / dt``, then ``+ term`` with the
+connection term summed over the pattern, so every element gets the
+operations, in the order, of a loop over samples.
 
 Each identity is one function over floats and jets alike, shared by the jet
 route (curves) and the stencil route (traces): ``cubic_factor`` and
@@ -38,6 +42,8 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
+import numpy as np
+
 from .jets import const_term
 from .nullframe import (
     CurvatureSample,
@@ -49,7 +55,7 @@ from .nullframe import (
     _aligned_frame_jets,
     _frame_jets,
 )
-from .semimetric import SemiMetric, bilinear, connection_term
+from .semimetric import SemiMetric, bilinear
 
 DRIFT_LIMIT = 1e-4
 SPEC_GRAM_TOL = 1e-10
@@ -216,12 +222,13 @@ def _project_frame(metric: SemiMetric, state):
     z = state[3:6]
     n = list(state[6:9])
     w = list(state[9:12])
-    g = metric.matrix_at(x)
-    n = [c / bilinear(g, z, n) for c in n]
-    nn = bilinear(g, n, n)
+    g, sup = metric.matrix_at(x), metric.support
+    n = [c / bilinear(g, sup, z, n) for c in n]
+    nn = bilinear(g, sup, n, n)
     n = [n[i] - 0.5 * nn * z[i] for i in range(3)]
-    w = [w[i] - bilinear(g, w, n) * z[i] - bilinear(g, w, z) * n[i] for i in range(3)]
-    w2 = -bilinear(g, w, w)
+    w = [w[i] - bilinear(g, sup, w, n) * z[i] - bilinear(g, sup, w, z) * n[i]
+         for i in range(3)]
+    w2 = -bilinear(g, sup, w, w)
     if w2 <= 0.0:
         raise GramDriftError("projection lost the timelike screen direction", math.nan)
     scale = 1.0 / math.sqrt(w2)
@@ -338,11 +345,12 @@ def cubic_residual(c1, c3, factor) -> float:
     return euclid_norm([const_term(b) - factor * const_term(a) for a, b in zip(c1, c3)])
 
 
-def _identity_report(t, g, cz, cn, cw, sample: CurvatureSample, cubic) -> IdentityReport:
+def _identity_report(t, g, support, cz, cn, cw, sample: CurvatureSample,
+                     cubic) -> IdentityReport:
     """The four metric scalars g(cov zeta, cov zeta), g(cov N, cov N),
-    g(cov W, cov W) and g(cov zeta, cov N) of floats or jets, against their
-    targets from ``sample``'s (h, k1, k2)."""
-    scalars = tuple(const_term(bilinear(g, a, b))
+    g(cov W, cov W) and g(cov zeta, cov N) of floats or jets, g summed over
+    ``support``, against their targets from ``sample``'s (h, k1, k2)."""
+    scalars = tuple(const_term(bilinear(g, support, a, b))
                     for a, b in ((cz, cz), (cn, cn), (cw, cw), (cz, cn)))
     h, k1, k2 = sample.h, sample.k1, sample.k2
     targets = (-k1 * k1, -k2 * k2, 2.0 * k1 * k2, -h * h - k1 * k2)
@@ -372,7 +380,8 @@ def metric_identity_suite(curve: NullCurve, frame: NullFrame,
     cz, cn = fj.cov("zeta"), fj.cov("n")
     cw = [sign * c for c in fj.cov("w")]
     cubic = cubic_identity_residual(curve, frame, sample, policy)
-    return _identity_report(t, fj.gmat, cz, cn, cw, sample, cubic)
+    return _identity_report(t, fj.gmat, curve.metric.support, cz, cn, cw, sample,
+                            cubic)
 
 
 def constancy_report(samples) -> dict:
@@ -422,23 +431,22 @@ def decimated_count(times) -> int:
 
 
 def fd_derivative(values, dt):
-    """Stencil first derivative of a sequence of vectors (interior only).
+    """Stencil first derivative of a sequence of vectors (interior only), as
+    an array with one row per interior sample.
 
+    Each stencil layer is one array operation over every sample: from zeros,
+    ``acc += w * values[shift]`` in stencil order, then ``acc / dt``.
     Sequences shorter than one stencil have no interior and give ``[]``.
     """
     m = len(values)
     if m < 2 * FD_RADIUS + 1:
         return []
-    dim = len(values[0])
-    out = []
-    for i in range(FD_RADIUS, m - FD_RADIUS):
-        acc = [0.0] * dim
+    values = np.asarray(values, dtype=float)
+    acc = np.zeros((m - 2 * FD_RADIUS, values.shape[1]))
+    with np.errstate(all="ignore"):  # inf and NaN propagate as float arithmetic does
         for off, wgt in zip(_D1_OFFSETS, _D1_WEIGHTS):
-            row = values[i + off]
-            for d in range(dim):
-                acc[d] += wgt * row[d]
-        out.append(tuple(a / dt for a in acc))
-    return out
+            acc += wgt * values[FD_RADIUS + off:m - FD_RADIUS + off]
+        return acc / dt
 
 
 class SampledCurve:
@@ -467,18 +475,35 @@ class SampledCurve:
         return range(layer * FD_RADIUS, len(self.points) - layer * FD_RADIUS)
 
     def cov(self, key, layer: int = 1):
-        """The ``layer``-fold covariant derivative of ``fields[key]``."""
+        """The ``layer``-fold covariant derivative of ``fields[key]``: the
+        stencil derivative plus the connection term at every reached sample,
+        both array operations over those samples."""
         if (key, layer) not in self._covs:
             values = self.fields[key] if layer == 1 else self.cov(key, layer - 1)
             lo = next((k for k, v in enumerate(values) if v is not None), len(values))
             out = [None] * len(values)
-            deriv = fd_derivative(values[lo:len(values) - lo], self.dt)
-            for i, dv in enumerate(deriv, lo + FD_RADIUS):
-                term = connection_term(self.metric, self.gamma(i),
-                                       self.fields["zeta"][i], values[i])
-                out[i] = tuple(dv[a] + term[a] for a in range(len(dv)))
+            block = np.array(values[lo:len(values) - lo], dtype=float)
+            deriv = fd_derivative(block, self.dt)
+            if len(deriv):
+                rows = range(lo + FD_RADIUS, len(values) - lo - FD_RADIUS)
+                with np.errstate(all="ignore"):
+                    term = self._connection_terms(rows, block[FD_RADIUS:-FD_RADIUS])
+                    out[rows.start:rows.stop] = map(tuple, (deriv + term).tolist())
             self._covs[(key, layer)] = out
         return self._covs[(key, layer)]
+
+    def _connection_terms(self, rows, values):
+        """``connection_term`` at the samples ``rows`` for the field ``values``
+        there: per pattern entry, in order, one array operation over them."""
+        gammas = [self.gamma(i) for i in rows]
+        out = np.zeros(values.shape)
+        if not self.metric.pattern:  # each gamma is the shared zero connection
+            return out
+        gamma = np.array(gammas, dtype=float)
+        zeta = np.array(self.fields["zeta"][rows.start:rows.stop], dtype=float)
+        for k, i, j in self.metric.pattern:
+            out[:, k] = out[:, k] + gamma[:, k, i, j] * zeta[:, i] * values[:, j]
+        return out
 
 
 def extract_curvatures(trace: HelixTrace):
@@ -492,7 +517,8 @@ def extract_curvatures(trace: HelixTrace):
     curve = trace.view
     ns, ws = curve.fields["n"], curve.fields["w"]
     cz, cn = curve.cov("zeta"), curve.cov("n")
-    return [frame_curvatures(curve.times[i], curve.g(i), cz[i], cn[i], ns[i], ws[i])
+    sup = curve.metric.support
+    return [frame_curvatures(curve.times[i], curve.g(i), sup, cz[i], cn[i], ns[i], ws[i])
             for i in curve.interior(1)]
 
 
@@ -517,6 +543,7 @@ def identity_reports_from_trace(trace: HelixTrace):
     cz, cn, cw = curve.cov("zeta"), curve.cov("n"), curve.cov("w")
     samples = extract_curvatures(trace)
     cubics = dict(cubic_residuals_from_trace(trace))
-    return [_identity_report(sample.t, curve.g(i), cz[i], cn[i], cw[i], sample,
+    sup = curve.metric.support
+    return [_identity_report(sample.t, curve.g(i), sup, cz[i], cn[i], cw[i], sample,
                              cubics.get(sample.t))
             for i, sample in zip(curve.interior(1), samples)]

@@ -101,15 +101,15 @@ class NullFrame:
     w: tuple
 
     def gram_residuals(self, metric: SemiMetric):
-        g = metric.matrix_at(self.point)
+        g, sup = metric.matrix_at(self.point), metric.support
         z, n, w = self.zeta, self.n, self.w
         return (
-            bilinear(g, z, z),
-            bilinear(g, n, n),
-            bilinear(g, z, n) - 1.0,
-            bilinear(g, n, w),
-            bilinear(g, z, w),
-            bilinear(g, w, w) + 1.0,
+            bilinear(g, sup, z, z),
+            bilinear(g, sup, n, n),
+            bilinear(g, sup, z, n) - 1.0,
+            bilinear(g, sup, n, w),
+            bilinear(g, sup, z, w),
+            bilinear(g, sup, w, w) + 1.0,
         )
 
     def max_gram_residual(self, metric: SemiMetric) -> float:
@@ -125,16 +125,17 @@ class CurvatureSample:
     geodesic_type: bool = False
 
 
-def frame_curvatures(t, g, cz, cn, n, w) -> CurvatureSample:
+def frame_curvatures(t, g, support, cz, cn, n, w) -> CurvatureSample:
     """(h, k1, k2) = (g(cov zeta, N), -g(cov zeta, W), -g(cov N, W)) at t.
 
-    The vectors are floats or jets (their constant terms are taken); every
-    curve, trace and transfer measurement of the curvatures comes here.  The
-    sample is of geodesic type where |k1| < GEODESIC_K1_TOL.
+    g is summed over its metric's ``support``.  The vectors are floats or jets
+    (their constant terms are taken); every curve, trace and transfer
+    measurement of the curvatures comes here.  The sample is of geodesic type
+    where |k1| < GEODESIC_K1_TOL.
     """
-    k1 = -const_term(bilinear(g, cz, w))
-    return CurvatureSample(t=t, h=const_term(bilinear(g, cz, n)), k1=k1,
-                           k2=-const_term(bilinear(g, cn, w)),
+    k1 = -const_term(bilinear(g, support, cz, w))
+    return CurvatureSample(t=t, h=const_term(bilinear(g, support, cz, n)), k1=k1,
+                           k2=-const_term(bilinear(g, support, cn, w)),
                            geodesic_type=abs(k1) < GEODESIC_K1_TOL)
 
 
@@ -289,11 +290,11 @@ def _cross(a, b):
 SCREEN_TOL = 1e-18
 
 
-def null_transversal(g, zeta, seeds, where: str):
+def null_transversal(g, support, zeta, seeds, where: str):
     """``(i, g.zeta, N)`` for the first seed axis e_i in ``seeds`` with
-    |g(zeta, e_i)| > SEED_TOL, in any dimension; ``where`` locates the sample
-    in the error message."""
-    gz = mat_vec(g, zeta)
+    |g(zeta, e_i)| > SEED_TOL, in any dimension, g summed over ``support``;
+    ``where`` locates the sample in the error message."""
+    gz = mat_vec(g, support, zeta)
     for idx in seeds:
         if abs(const_term(gz[idx])) > SEED_TOL:
             break
@@ -304,14 +305,15 @@ def null_transversal(g, zeta, seeds, where: str):
     phi = gz[idx]
     dim = len(zeta)
     ntilde = [(1.0 if i == idx else 0.0) / phi for i in range(dim)]
-    nn = bilinear(g, ntilde, ntilde)
+    nn = bilinear(g, support, ntilde, ntilde)
     return idx, gz, [ntilde[i] - 0.5 * nn * zeta[i] for i in range(dim)]
 
 
-def screen_vector(g, gz, n_vec, where: str):
-    """The 3D screen vector W: g.zeta x g.N, normalised to g(W, W) = -1."""
-    w_raw = _cross(gz, mat_vec(g, n_vec))
-    w2 = -bilinear(g, w_raw, w_raw)
+def screen_vector(g, support, gz, n_vec, where: str):
+    """The 3D screen vector W: g.zeta x g.N, normalised to g(W, W) = -1, g
+    summed over ``support``."""
+    w_raw = _cross(gz, mat_vec(g, support, n_vec))
+    w2 = -bilinear(g, support, w_raw, w_raw)
     if const_term(w2) <= SCREEN_TOL:
         raise ScreenSignatureError(
             f"screen complement not timelike {where}: metric is not index 2"
@@ -381,7 +383,8 @@ class _FrameJets:
 
     def raw_k1(self) -> float:
         """k1 of the unoriented frame."""
-        return -const_term(bilinear(self.gmat, self.cov("zeta"), self.w))
+        return -const_term(bilinear(self.gmat, self.metric.support, self.cov("zeta"),
+                                    self.w))
 
     def frame(self, sign: float) -> NullFrame:
         return NullFrame(
@@ -412,14 +415,16 @@ def _build_frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _Fram
     pos = curve.position_jets(t, order)
     zeta = [jets.dt(p) for p in pos]
     gmat = curve.metric.matrix_at([p.truncated(order - 1) for p in pos])
-    zz = const_term(bilinear(gmat, zeta, zeta))
+    sup = curve.metric.support
+    zz = const_term(bilinear(gmat, sup, zeta, zeta))
     if abs(zz) > NULL_TOL:
         raise NotNullError(f"g(zeta, zeta) = {zz:.3e} at t = {t}: curve not null")
     if math.hypot(*map(const_term, zeta)) < 1e-12:
         raise ValueError(f"vanishing tangent at t = {t}")
     where = f"at t = {t}"
-    seed_index, gz, n_vec = null_transversal(gmat, zeta, policy.seed_indices(3), where)
-    w_vec = screen_vector(gmat, gz, n_vec, where)
+    seed_index, gz, n_vec = null_transversal(gmat, sup, zeta, policy.seed_indices(3),
+                                             where)
+    w_vec = screen_vector(gmat, sup, gz, n_vec, where)
     return _FrameJets(t, pos, zeta, n_vec, w_vec, gmat, seed_index, curve.metric)
 
 
@@ -475,8 +480,8 @@ def curvatures_at(curve: NullCurve, frame: NullFrame, t: float,
     if abs(frame.t - t) > 1e-12:
         raise ValueError("frame was built at a different parameter value")
     fj, sign = _aligned_frame_jets(curve, frame, policy)
-    return frame_curvatures(t, fj.gmat, fj.cov("zeta"), fj.cov("n"), fj.n,
-                            [sign * c for c in fj.w])
+    return frame_curvatures(t, fj.gmat, curve.metric.support, fj.cov("zeta"),
+                            fj.cov("n"), fj.n, [sign * c for c in fj.w])
 
 
 def frenet_residuals(curve: NullCurve, frame: NullFrame, sample: CurvatureSample,

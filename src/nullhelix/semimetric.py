@@ -28,6 +28,16 @@ Christoffel symbol can be nonzero: every k times every live pair (i, j), where
 x_l.  A flat chart's pattern is empty.  Every symbol outside it is exactly
 zero, and a sum that starts at +0.0 keeps its bits when +-0.0 is added, so
 each contraction sums over the pattern alone.
+
+Inner products do the same with g.  Each metric's ``support`` holds the
+(i, j), in row-major order, whose entry tree is not the literal 0 (the
+entries the generated function leaves out, returning the float 0.0), and
+``bilinear`` and ``mat_vec`` take it from the caller: they sum from 0.0 over
+the support alone, in the dense loop's order and association.  On finite
+vectors the result has the dense sum's bits (jets: its coefficients, up to
+the sign of a zero); where a component is infinite the dense sum gives NaN
+from 0 * inf, and the support sum does not.  A matrix with no structural
+zero, such as an immersion's induced metric, passes ``full_support(n)``.
 """
 
 from __future__ import annotations
@@ -105,15 +115,26 @@ def mat_inverse(m, det):
     return inv
 
 
-def mat_vec(m, v):
-    return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
+@cache
+def full_support(n: int) -> tuple:
+    """Every (i, j) of an n x n matrix in row-major order: the support of a
+    matrix with no structural zero, such as an induced metric."""
+    return tuple((i, j) for i in range(n) for j in range(n))
 
 
-def bilinear(g, x, y):
+def mat_vec(m, support, v):
+    """m v, each row summed from 0.0 over its ``support`` entries in order."""
+    out = [0.0] * len(m)
+    for i, j in support:
+        out[i] = out[i] + m[i][j] * v[j]
+    return out
+
+
+def bilinear(g, support, x, y):
+    """g(x, y), summed from 0.0 over the ``support`` entries in order."""
     acc = 0.0
-    for i in range(len(x)):
-        for j in range(len(y)):
-            acc = acc + g[i][j] * x[i] * y[j]
+    for i, j in support:
+        acc = acc + g[i][j] * x[i] * y[j]
     return acc
 
 
@@ -145,6 +166,7 @@ class SemiMetric:
     """Shared machinery on top of one metric-and-connection evaluation."""
 
     dim: int
+    support: tuple  # the (i, j), in row-major order, whose g_ij can be nonzero
     pattern: tuple  # the (k, i, j), in order, whose gamma[k][i][j] can be nonzero
 
     def _evaluate(self, coords, connection: bool):
@@ -172,7 +194,8 @@ class SemiMetric:
     def inner_at(self, p, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector dimension does not match the chart")
-        return bilinear(self.matrix_at(p), [float(c) for c in x], [float(c) for c in y])
+        return bilinear(self.matrix_at(p), self.support,
+                        [float(c) for c in x], [float(c) for c in y])
 
     def index_at(self, p) -> int:
         """Metric index (negative eigenvalue count) at a point."""
@@ -279,6 +302,8 @@ class MetricField(SemiMetric):
             raise ValueError("entries must form a dim x dim matrix")
         self.signature = signature
         self._coord_names = tuple(f"x{i + 1}" for i in range(dim))
+        self.support = tuple((i, j) for i in range(dim) for j in range(dim)
+                             if not exprparse._is_zero(self.entries[i][j]))
         reads = [[exprparse.free_variables(e) for e in row] for row in self.entries]
         x = self._coord_names
         live = [(i, j) for i in range(dim) for j in range(dim)
@@ -364,7 +389,7 @@ class MetricField(SemiMetric):
             for i, row in enumerate(self.entries):
                 for j, entry in enumerate(row):
                     d = exprparse.derivative(entry, name)
-                    if not (isinstance(d, exprparse.Num) and d.value == 0.0):
+                    if not exprparse._is_zero(d):
                         out[(l, i, j)] = d
         return out
 

@@ -44,8 +44,8 @@ from .exprparse import parse
 from .jets import Jet, const_term
 from .nullframe import (ScreenPolicy, continuity_signs, euclid_norm, frame_curvatures,
                         null_transversal)
-from .semimetric import (SemiMetric, bilinear, connection_term, mat_det, mat_inverse,
-                         mat_vec)
+from .semimetric import (SemiMetric, bilinear, connection_term, full_support, mat_det,
+                         mat_inverse, mat_vec)
 
 RANK_TOL = 1e-9
 NORMAL_TOL = 1e-10
@@ -138,23 +138,24 @@ def _unit(c: int, n: int):
     return [1.0 if k == c else 0.0 for k in range(n)]
 
 
-def _unit_basis(g, count: int, tol: float, project=list):
-    """+-1 Gram-Schmidt in g over the projected coordinate axes, in order: up to
-    ``count`` (vector, g(vector, vector)) pairs, skipping vanishing or null
-    remainders; pivots use constant parts, so a jet ray keeps its base's."""
+def _unit_basis(g, support, count: int, tol: float, project=list):
+    """+-1 Gram-Schmidt in g (summed over ``support``) over the projected
+    coordinate axes, in order: up to ``count`` (vector, g(vector, vector))
+    pairs, skipping vanishing or null remainders; pivots use constant parts,
+    so a jet ray keeps its base's."""
     accepted = []
     for c in range(len(g)):
         if len(accepted) == count:
             break
         r = project(_unit(c, len(g)))
         for vec, sign in accepted:
-            proj = bilinear(g, r, vec)
+            proj = bilinear(g, support, r, vec)
             r = [r[k] - sign * proj * vec[k] for k in range(len(r))]
         # x * x gives inf where x ** 2 would raise OverflowError
         size = sum(x * x for x in map(const_term, r))
         if size <= 1e-18:
             continue  # the axis lies in the span already handled
-        nu = bilinear(g, r, r)
+        nu = bilinear(g, support, r, r)
         nu0 = const_term(nu)
         if abs(nu0) <= tol * max(1.0, size):
             continue  # null remainder: unusable for a +-1 basis
@@ -236,7 +237,8 @@ class _Point:
                 r = [r[k] - coef[a] * self.T[a][k] for k in range(n)]
             return r
 
-        normals = _unit_basis(self.amb, n - m, NORMAL_TOL, normal_part)
+        normals = _unit_basis(self.amb, self.F.ambient.support, n - m, NORMAL_TOL,
+                              normal_part)
         if len(normals) < n - m:
             raise DegenerateNormalError(
                 f"normal space degenerate at {tuple(const_term(x) for x in self.u)}: "
@@ -247,7 +249,7 @@ class _Point:
     @cached_property
     def frame(self):
         """(vector, sign) pairs: an orthonormal frame of the induced metric."""
-        frame = _unit_basis(self.g, self.F.m, FRAME_PIVOT_TOL)
+        frame = _unit_basis(self.g, full_support(self.F.m), self.F.m, FRAME_PIVOT_TOL)
         if len(frame) < self.F.m:
             raise semimetric.DegenerateMetricError(
                 "tangent frame cannot be orthonormalized (degenerate or null pivots)"
@@ -351,7 +353,7 @@ def _normal_projection(pt: _Point, amb_vec):
     n = pt.F.ambient.dim
     out = [0.0] * n
     for vec, sign in pt.normals:
-        proj = sign * bilinear(pt.amb, amb_vec, vec)
+        proj = sign * bilinear(pt.amb, pt.F.ambient.support, amb_vec, vec)
         for k in range(n):
             out[k] = out[k] + proj * vec[k]
     return out
@@ -359,8 +361,9 @@ def _normal_projection(pt: _Point, amb_vec):
 
 def _tangential_coords(pt: _Point, amb_vec):
     """Intrinsic coordinates of the tangential part of an ambient vector."""
-    rhs = [bilinear(pt.amb, amb_vec, pt.T[b]) for b in range(pt.F.m)]
-    return mat_vec(pt.g_inv, rhs)
+    m = pt.F.m
+    rhs = [bilinear(pt.amb, pt.F.ambient.support, amb_vec, pt.T[b]) for b in range(m)]
+    return mat_vec(pt.g_inv, full_support(m), rhs)
 
 
 # -- fundamental forms ------------------------------------------------------------
@@ -425,9 +428,9 @@ def duality_residual(F: Immersion, u, X, Y, a: int) -> float:
     """|g(A(X), Y) - g~(B(X, Y), N_a)|: the two computations must agree."""
     basis = normal_basis(F, u)  # checks the rank and both metrics at u
     pt = _at(F, u)
-    lhs = bilinear(pt.g, list(shape_operator(F, u, a, X)), list(Y))
+    lhs = bilinear(pt.g, full_support(F.m), list(shape_operator(F, u, a, X)), list(Y))
     b = second_fundamental(F, u, X, Y)
-    rhs = bilinear(pt.amb, list(b), list(basis.vectors[a]))
+    rhs = bilinear(pt.amb, F.ambient.support, list(b), list(basis.vectors[a]))
     return abs(lhs - rhs)
 
 
@@ -543,7 +546,7 @@ def nabla_shape(F: Immersion, u, a: int, X, Y):
     perp_n = _normal_projection(pt, _weingarten(pt, a, x))
     term2 = [0.0] * m
     for d, (vec, sign) in enumerate(pt.normals):
-        coeff = sign * bilinear(pt.amb, perp_n, vec)
+        coeff = sign * bilinear(pt.amb, F.ambient.support, perp_n, vec)
         advals = _shape_value(pt, d, y)
         for al in range(m):
             term2[al] = term2[al] + coeff * advals[al]
@@ -585,14 +588,14 @@ def umbilical_diagnostic(F: Immersion, u, xi_i, xi_j, xi_k, tol: float = 1e-8):
     g(xi_i, xi_i) = g(xi_j, xi_j) = 0, g(xi_k, xi_k) = -1 and orthogonality of
     xi_k to both null directions.
     """
-    g = induced_metric(F, u)
+    g, sup = induced_metric(F, u), full_support(F.m)
     checks = (
-        bilinear(g, list(xi_i), list(xi_i)),
-        bilinear(g, list(xi_j), list(xi_j)),
-        bilinear(g, list(xi_i), list(xi_j)) - 1.0,
-        bilinear(g, list(xi_i), list(xi_k)),
-        bilinear(g, list(xi_j), list(xi_k)),
-        bilinear(g, list(xi_k), list(xi_k)) + 1.0,
+        bilinear(g, sup, list(xi_i), list(xi_i)),
+        bilinear(g, sup, list(xi_j), list(xi_j)),
+        bilinear(g, sup, list(xi_i), list(xi_j)) - 1.0,
+        bilinear(g, sup, list(xi_i), list(xi_k)),
+        bilinear(g, sup, list(xi_j), list(xi_k)),
+        bilinear(g, sup, list(xi_k), list(xi_k)) + 1.0,
     )
     worst = max(abs(c) for c in checks)
     if worst > tol:
@@ -635,24 +638,24 @@ def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
     only one for ambient dimensions above 3.  Sign continuity along the
     samples the acceleration reaches is restored by ``continuity_signs``.
     """
-    n = curve.metric.dim
+    n, sup = curve.metric.dim, curve.metric.support
     seed_order = policy.seed_indices(n)
     seed_order += [i for i in range(n) if i not in seed_order]
     zetas, czetas = curve.fields["zeta"], curve.cov("zeta")
     ns, ws = [], []
     for k in curve.interior(1):
         g, z = curve.g(k), zetas[k]
-        _, _, nv = null_transversal(g, z, seed_order, "along the ambient curve")
+        _, _, nv = null_transversal(g, sup, z, seed_order, "along the ambient curve")
         w = None
         cand = list(czetas[k])
         for attempt in range(n + 1):
             proj = [
                 cand[i]
-                - bilinear(g, cand, nv) * z[i]
-                - bilinear(g, cand, list(z)) * nv[i]
+                - bilinear(g, sup, cand, nv) * z[i]
+                - bilinear(g, sup, cand, list(z)) * nv[i]
                 for i in range(n)
             ]
-            w2 = -bilinear(g, proj, proj)
+            w2 = -bilinear(g, sup, proj, proj)
             if w2 > 1e-12:
                 scale = 1.0 / math.sqrt(w2)
                 w = [c * scale for c in proj]
@@ -721,15 +724,17 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
         zetas.append(tuple(_push(T, list(z))))
     curve = helixmod.SampledCurve(F.ambient, view.times, points, zetas, view.dt)
 
+    sup = F.ambient.support
     nullity_max = max(
-        abs(bilinear(curve.g(i), list(z), list(z))) for i, z in enumerate(zetas)
+        abs(bilinear(curve.g(i), sup, list(z), list(z))) for i, z in enumerate(zetas)
     )
 
     cz = curve.cov("zeta")
     ns, ws = _ambient_frames(curve, policy)
     curve.fields["n"] = ns
     cn = curve.cov("n")
-    samples = [frame_curvatures(curve.times[i], curve.g(i), cz[i], cn[i], ns[i], ws[i])
+    samples = [frame_curvatures(curve.times[i], curve.g(i), sup, cz[i], cn[i], ns[i],
+                                ws[i])
                for i in curve.interior(2)]
 
     stride = max(1, len(trace.points) // 32)

@@ -8,14 +8,13 @@ half of each budget.  Tolerances never change.
 
 import dataclasses
 import math
-import random
 import time
 
 import pytest
 
 from nullhelix import helix as hx
 from nullhelix import nullframe as nf
-from nullhelix import semimetric, submanifold as sb
+from nullhelix import submanifold as sb
 from nullhelix.nullframe import NullCurve, ScreenPolicy, build_frame, curvatures_at
 from nullhelix.semimetric import MetricField
 from nullhelix.submanifold import Immersion

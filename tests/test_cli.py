@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullhelix import cli
 from nullhelix.cli import SpecError, load_spec, run
 from nullhelix.exprparse import BinOp, Var, to_text
 from nullhelix.semimetric import MetricField
@@ -667,36 +666,58 @@ CURVATURES = st.one_of(st.floats(-3.0, 3.0),
 VECTORS = st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)
 
 
+CURVED3 = {"dim": 3, "metric": {"type": "field", "entries": [
+    ["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]]}}
+# constant, index 2, with off-diagonal entries in the support
+SKEW3 = {"dim": 3, "metric": {"type": "field", "entries": [
+    ["-1", "0.5", "0"], ["0.5", "-1", "0"], ["0", "0", "1"]]}}
+
+
 @st.composite
-def helix_frames(draw):
-    """Half valid frames (a drawn null tangent, seeded N and W), half raw."""
+def helix_frames(draw, metric):
+    """Half valid frames at x3 = 0 (a drawn null tangent, seeded N and W), half
+    raw.  Each chart metric is block-diagonal there, with a negative definite
+    (x1, x2) block."""
     if draw(st.booleans()):
+        chart = MetricField.from_dict(metric)
+        g = chart.matrix_at((0.0, 0.0, 0.0))
         theta = draw(st.floats(0.0, 2.0 * math.pi))
         scale = draw(st.floats(0.1, 10.0))
-        zeta = (scale * math.cos(theta), scale * math.sin(theta), scale)
-        n, w = flat_null_frame(MetricField.diag([-1, -1, 1]), zeta,
-                               flip=draw(st.booleans()))
+        a = (math.cos(theta), math.sin(theta))
+        q = -(g[0][0] * a[0] ** 2 + 2.0 * g[0][1] * a[0] * a[1] + g[1][1] * a[1] ** 2)
+        zeta = (scale * a[0], scale * a[1], scale * math.sqrt(q / g[2][2]))
+        n, w = flat_null_frame(chart, zeta, flip=draw(st.booleans()))
         return {"zeta": list(zeta), "n": list(n), "w": list(w)}
     return {"zeta": draw(VECTORS), "n": draw(VECTORS), "w": draw(VECTORS)}
 
 
 @st.composite
-def helix_blocks(draw):
+def helix_blocks(draw, metric):
+    """Helix blocks for ``metric``.  On the curved chart the initial point
+    lies on x3 = 0, where the drawn valid frames are valid, and the step is
+    at least 1e-2: its RK4 evaluates the connection at every stage."""
     t0 = draw(st.floats(-10.0, 10.0))
+    point = draw(st.one_of(VECTORS, st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)))
+    curved = metric is CURVED3
+    if curved:
+        point[2] = 0.0
     return {
         "h": draw(CURVATURES), "k1": draw(CURVATURES), "k2": draw(CURVATURES),
-        "initial_point": draw(st.one_of(VECTORS, st.lists(
-            st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))),
-        "initial_frame": draw(helix_frames()),
+        "initial_point": point,
+        "initial_frame": draw(helix_frames(metric)),
         "domain": [t0, t0 + draw(st.floats(1e-3, 2.0))],
-        "step": draw(st.floats(1e-3, 1.0)),
+        "step": draw(st.floats(1e-2 if curved else 1e-3, 1.0)),
     }
 
 
-@given(helix_blocks(), st.integers(2, 301))
+@given(st.sampled_from([FLAT3, CURVED3, SKEW3]).flatmap(
+           lambda metric: st.tuples(st.just(metric), helix_blocks(metric))),
+       st.integers(2, 301))
 @settings(max_examples=60, deadline=None)
-def test_any_helix_block_gives_a_contract_exit_code(helix, samples):
-    doc = {"kind": "helix", "metric": FLAT3, "helix": helix,
+def test_any_helix_block_gives_a_contract_exit_code(drawn, samples):
+    metric, helix = drawn
+    doc = {"kind": "helix", "metric": metric, "helix": helix,
            "config": {"samples": samples}}
     with tempfile.TemporaryDirectory() as tmp:
         spec = f"{tmp}/doc.json"

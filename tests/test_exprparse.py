@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullhelix import exprparse as ep
-from nullhelix import jets
 from nullhelix.exprparse import (
     BinOp,
     Call,

@@ -1,12 +1,14 @@
 import dataclasses
 import math
-import random
+import struct
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from nullhelix import helix as hx
 from nullhelix import nullframe as nf
+from nullhelix import semimetric
 from nullhelix.helix import (
     GramDriftError,
     HelixSpec,
@@ -190,6 +192,72 @@ def test_fd_derivative_without_interior_is_empty():
     assert hx.fd_derivative([], 0.01) == []
     assert hx.fd_derivative([(0.0, 1.0)] * (2 * hx.FD_RADIUS), 0.01) == []
     assert len(hx.fd_derivative([(0.0, 1.0)] * (2 * hx.FD_RADIUS + 1), 0.01)) == 1
+
+
+def _scalar_fd_derivative(values, dt):
+    """The stencil as a loop over samples and components."""
+    m = len(values)
+    if m < 2 * hx.FD_RADIUS + 1:
+        return []
+    dim = len(values[0])
+    out = []
+    for i in range(hx.FD_RADIUS, m - hx.FD_RADIUS):
+        acc = [0.0] * dim
+        for off, wgt in zip(hx._D1_OFFSETS, hx._D1_WEIGHTS):
+            row = values[i + off]
+            for d in range(dim):
+                acc[d] += wgt * row[d]
+        out.append(tuple(a / dt for a in acc))
+    return out
+
+
+def _scalar_cov(curve, key, layer):
+    """``SampledCurve.cov`` as a loop over samples, one connection_term each."""
+    values = curve.fields[key] if layer == 1 else _scalar_cov(curve, key, layer - 1)
+    lo = next((k for k, v in enumerate(values) if v is not None), len(values))
+    out = [None] * len(values)
+    deriv = _scalar_fd_derivative(values[lo:len(values) - lo], curve.dt)
+    for i, dv in enumerate(deriv, lo + hx.FD_RADIUS):
+        term = semimetric.connection_term(curve.metric, curve.gamma(i),
+                                          curve.fields["zeta"][i], values[i])
+        out[i] = tuple(dv[a] + term[a] for a in range(len(dv)))
+    return out
+
+
+def _bits(rows):
+    return [None if r is None else struct.pack(f"{len(r)}d", *r) for r in rows]
+
+
+@pytest.mark.parametrize("samples", [4, 7, 12, 31])
+@pytest.mark.parametrize("chart", ["flat", "curved"])
+def test_array_stencils_equal_the_scalar_loop_bit_for_bit(chart, samples):
+    """Every layer of every field, on a flat chart and on diag(-1, -1, 1 + x3^2)
+    (non-empty pattern), down to sequences shorter than one stencil."""
+    metric = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
+                                        ["0", "0", "1" if chart == "flat" else "1 + x3^2"]])
+    spec = HelixSpec(0.3, 1.0, -0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0),
+                     (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=metric)
+    trace = synthesize(spec, uniform_grid(0.0, 0.01 * (samples - 1), samples), step=1e-3)
+    curve = trace.view
+    assert len(curve.points) == samples and bool(metric.pattern) == (chart == "curved")
+    for key in ("zeta", "n", "w"):
+        values = curve.fields[key]
+        array = hx.fd_derivative(values, curve.dt)
+        assert _bits(array) == _bits(_scalar_fd_derivative(values, curve.dt))
+        for layer in (1, 2, 3):
+            assert _bits(curve.cov(key, layer)) == _bits(_scalar_cov(curve, key, layer))
+    assert any(curve.cov("zeta", 3)) == (samples >= hx.CUBIC_MIN_SAMPLES)
+
+
+def test_array_stencil_keeps_non_finite_values_silent():
+    """Overflow, inf and NaN propagate as in float arithmetic, bit for bit,
+    and raise no numpy warning (the CLI's stderr carries only its own errors)."""
+    values = [(1e308 * (-1) ** k, float(k), 0.0) for k in range(9)]
+    values[4] = (math.inf, math.nan, -math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        array = hx.fd_derivative(values, 1e-300)
+    assert _bits(array) == _bits(_scalar_fd_derivative(values, 1e-300))
 
 
 def test_cubic_identity_rejects_short_trace(c1_spec):

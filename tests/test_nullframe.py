@@ -5,7 +5,6 @@ import pytest
 
 from nullhelix import nullframe as nf
 from nullhelix.nullframe import (
-    FrameDiscontinuityError,
     NoUsableSeedError,
     NotNullError,
     NullCurve,

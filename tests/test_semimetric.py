@@ -332,6 +332,92 @@ def test_inner_symmetric_and_bilinear(x, y, z, lam):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
 
 
+def _dense_bilinear(g, x, y):
+    """Every n^2 term, structural zeros included."""
+    acc = 0.0
+    for i in range(len(x)):
+        for j in range(len(y)):
+            acc = acc + g[i][j] * x[i] * y[j]
+    return acc
+
+
+def _dense_mat_vec(m, v):
+    return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
+
+
+SPARSE_ENTRIES = ["0", "0", "0", "1", "-1", "2.5", "x1", "x2 - 0.5", "1 + x1^2",
+                  "sin(x2)", "x1 * x2"]
+
+
+@st.composite
+def sparse_metrics(draw):
+    """(metric, entry texts): a diag metric, or a field metric whose entries
+    are often the literal 0."""
+    if draw(st.booleans()):
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=4))
+        return MetricField.diag(signs), [[str(s) if i == j else "0" for j in
+                                          range(len(signs))]
+                                         for i, s in enumerate(signs)]
+    dim = draw(st.integers(2, 4))
+    texts = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            texts[i][j] = texts[j][i] = draw(st.sampled_from(SPARSE_ENTRIES))
+    return MetricField.from_texts(dim, texts), texts
+
+
+COMPONENTS = st.floats(-1e3, 1e3)
+
+
+def _same_bits(a, b) -> bool:
+    return struct.pack("d", a) == struct.pack("d", b)
+
+
+def _same_jets(a, b) -> bool:
+    """Equal coefficient by coefficient; 0.0 == -0.0, so zero signs may differ.
+    A row with no support entry sums to the float 0.0, where the dense sum
+    gives a jet of zeros."""
+    return _coefficients(a, 3) == _coefficients(b, 3)
+
+
+@given(sparse_metrics(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_support_sums_equal_the_dense_sums(drawn, data):
+    metric, texts = drawn
+    n = metric.dim
+    assert metric.support == tuple((i, j) for i in range(n) for j in range(n)
+                                   if texts[i][j] != "0")
+    vec = st.lists(COMPONENTS, min_size=n, max_size=n)
+    p, x, y = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)), \
+        data.draw(vec), data.draw(vec)
+    g, _, _ = metric._evaluate(p, False)
+    assert _same_bits(semimetric.bilinear(g, metric.support, x, y),
+                      _dense_bilinear(g, x, y))
+    assert all(map(_same_bits, semimetric.mat_vec(g, metric.support, x),
+                   _dense_mat_vec(g, x)))
+
+    # along a jet ray: g's entries on the support are jets or constants, its
+    # structural zeros stay the float 0.0
+    d = data.draw(vec)
+    gj, _, _ = metric._evaluate([Jet((a, b, 0.0)) for a, b in zip(p, d)], False)
+    xj = [Jet((a, b, 0.5 * a)) for a, b in zip(x, data.draw(vec))]
+    yj = [Jet((a, b, -b)) for a, b in zip(y, data.draw(vec))]
+    assert _same_jets(semimetric.bilinear(gj, metric.support, xj, yj),
+                      _dense_bilinear(gj, xj, yj))
+    assert all(map(_same_jets, semimetric.mat_vec(gj, metric.support, xj),
+                   _dense_mat_vec(gj, xj)))
+
+
+def test_support_sum_skips_zero_times_infinity(flat3):
+    """The support sum never forms 0 * inf: where the dense sum gives NaN,
+    an infinite component stays infinite."""
+    g, x, y = flat3.matrix_at((0.0, 0.0, 0.0)), [math.inf, 1.0, 0.0], [1.0, 0.0, 0.0]
+    assert math.isnan(_dense_bilinear(g, x, y))
+    assert semimetric.bilinear(g, flat3.support, x, y) == -math.inf
+    assert math.isnan(_dense_mat_vec(g, x)[1])
+    assert semimetric.mat_vec(g, flat3.support, x) == [-math.inf, -1.0, 0.0]
+
+
 def _covariant_value(pos_jets, field_jets, metric):
     """The covariant derivative along the curve at its base point."""
     return tuple(const_term(c) for c in covariant_jets(pos_jets, field_jets, metric))
@@ -393,15 +479,18 @@ def test_metric_compatibility_property():
         g = _entries(polar, [p.coeffs[0] for p in pos])
         cv = covariant_jets(pos, v, polar)
         cw = covariant_jets(pos, w, polar)
-        rhs = semimetric.bilinear(g, [c.coeffs[0] for c in cv], [c.coeffs[0] for c in w]) \
-            + semimetric.bilinear(g, [c.coeffs[0] for c in v], [c.coeffs[0] for c in cw])
+        sup = polar.support
+        rhs = semimetric.bilinear(g, sup, [c.coeffs[0] for c in cv],
+                                  [c.coeffs[0] for c in w]) \
+            + semimetric.bilinear(g, sup, [c.coeffs[0] for c in v],
+                                  [c.coeffs[0] for c in cw])
         h = 1e-5
 
         def gvw(tt):
             pos2, v2, w2 = fields(tt, 1)
             g2 = _entries(polar, [p.coeffs[0] for p in pos2])
             return semimetric.bilinear(
-                g2, [c.coeffs[0] for c in v2], [c.coeffs[0] for c in w2]
+                g2, polar.support, [c.coeffs[0] for c in v2], [c.coeffs[0] for c in w2]
             )
 
         lhs = (gvw(t + h) - gvw(t - h)) / (2.0 * h)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from nullhelix import exprparse
 from nullhelix import helix as hx
-from nullhelix import semimetric, submanifold as sb
+from nullhelix import submanifold as sb
 from nullhelix.jets import Jet
 from nullhelix.nullframe import euclid_norm
-from nullhelix.semimetric import MetricField, bilinear
+from nullhelix.semimetric import MetricField, bilinear, full_support
 from nullhelix.submanifold import (
     DegenerateNormalError,
     Immersion,
@@ -274,7 +274,7 @@ def test_mean_curvature_frame_independence(sphere2):
     f2 = [-s * e1[i] + c * e2[i] for i in range(2)]
     acc = [0.0, 0.0, 0.0]
     for vec, sign in ((f1, s1), (f2, s2)):
-        nrm = bilinear(g, vec, vec)
+        nrm = bilinear(g, full_support(2), vec, vec)
         b = sb._b_value(pt, vec, vec)
         for k in range(3):
             acc[k] += (1.0 if nrm > 0 else -1.0) * b[k]
@@ -398,7 +398,7 @@ def test_nabla_shape_examples(slice_immersion, sphere2, graph_immersion):
     wein = sb._weingarten(pt, 0, list(x))
     perp_n = sb._normal_projection(pt, wein)
     (n0, s0), = pt.normals
-    coeff = s0 * bilinear(pt.amb, perp_n, n0)
+    coeff = s0 * bilinear(pt.amb, graph_immersion.ambient.support, perp_n, n0)
     term2 = [coeff * a0c for a0c in shape_operator(graph_immersion, u, 0, y)]
     xy = [sum(gamma[a][b][c] * x[b] * y[c] for b in range(3) for c in range(3))
           for a in range(3)]
