@@ -30,11 +30,10 @@ components and then the derivative trees are evaluated again with
 from __future__ import annotations
 
 import math
-import operator
 import struct
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -204,15 +203,15 @@ class _Point:
 
     @cached_property
     def g(self):
-        """Induced metric g_ab = amb(T_a, T_b): the bundle's one copy, which
-        ``g_inv``, the frame and ``induced_metric`` all read."""
-        amb, T = self.amb, self.T
-        m, n = self.F.m, self.F.ambient.dim
+        """Induced metric g_ab = amb(T_a, T_b), summed over the ambient
+        support: the bundle's one copy, which ``g_inv``, the frame and
+        ``induced_metric`` all read."""
+        amb, T, sup = self.amb, self.T, self.F.ambient.support
+        m = self.F.m
         g = [[None] * m for _ in range(m)]
         for a in range(m):
             for b in range(a, m):
-                g[a][b] = g[b][a] = reduce(operator.add, (
-                    amb[k][l] * T[a][k] * T[b][l] for k in range(n) for l in range(n)))
+                g[a][b] = g[b][a] = bilinear(amb, sup, T[a], T[b])
         return g
 
     @cached_property

@@ -254,10 +254,16 @@ def test_array_stencil_keeps_non_finite_values_silent():
     and raise no numpy warning (the CLI's stderr carries only its own errors)."""
     values = [(1e308 * (-1) ** k, float(k), 0.0) for k in range(9)]
     values[4] = (math.inf, math.nan, -math.inf)
+    metric = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
+                                        ["0", "0", "1 + x3^2"]])
+    curve = hx.SampledCurve(metric, [0.1 * k for k in range(9)],
+                            [(0.0, 0.0, 0.1 * k) for k in range(9)], values, 1e-300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         array = hx.fd_derivative(values, 1e-300)
+        cov = curve.cov("zeta")
     assert _bits(array) == _bits(_scalar_fd_derivative(values, 1e-300))
+    assert _bits(cov) == _bits(_scalar_cov(curve, "zeta", 1))
 
 
 def test_cubic_identity_rejects_short_trace(c1_spec):
