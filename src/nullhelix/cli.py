@@ -348,8 +348,8 @@ def _build_curve(payload: dict, metric, cfg) -> NullCurve:
 def _cmd_frame(doc: SpecDocument, args) -> int:
     cfg = _resolve(doc.config, args, "frame")
     metric = doc.payload["metric"]
-    policy = _policy(cfg, metric.dim)
     curve = _build_curve(doc.payload["curve"], metric, cfg)
+    policy = _policy(cfg, metric.dim)
     grid = _grid(curve.domain, cfg["samples"])
     frames = nfmod.frame_field(curve, grid, policy)
     rows = []
@@ -357,7 +357,7 @@ def _cmd_frame(doc: SpecDocument, args) -> int:
     max_resid = 0.0
     for fr in frames:
         sample = nfmod.curvatures_at(curve, fr, fr.t, policy)
-        r1, r2, r3 = nfmod.frenet_residuals(curve, fr, sample, fr.t, policy)
+        r1, r2, r3 = nfmod.frenet_residuals(curve, fr, sample, policy)
         gram = fr.max_gram_residual(metric)
         null_res = nfmod.check_null(curve, fr.t)
         resids = (nfmod.euclid_norm(r1), nfmod.euclid_norm(r2), nfmod.euclid_norm(r3))
@@ -454,8 +454,8 @@ def _cmd_synth(doc: SpecDocument, args) -> int:
 def _cmd_verify(doc: SpecDocument, args) -> int:
     cfg = _resolve(doc.config, args, "verify")
     metric = doc.payload["metric"]
-    policy = _policy(cfg, metric.dim)
     curve = _build_curve(doc.payload["curve"], metric, cfg)
+    policy = _policy(cfg, metric.dim)
     grid = _grid(curve.domain, cfg["samples"])
     frames = nfmod.frame_field(curve, grid, policy)
     rows = []

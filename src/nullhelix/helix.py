@@ -222,13 +222,12 @@ def _project_frame(metric: SemiMetric, state):
     z = state[3:6]
     n = list(state[6:9])
     w = list(state[9:12])
-    g, sup = metric.matrix_at(x), metric.support
-    n = [c / bilinear(g, sup, z, n) for c in n]
-    nn = bilinear(g, sup, n, n)
+    g = metric.matrix_at(x)
+    n = [c / bilinear(g, z, n) for c in n]
+    nn = bilinear(g, n, n)
     n = [n[i] - 0.5 * nn * z[i] for i in range(3)]
-    w = [w[i] - bilinear(g, sup, w, n) * z[i] - bilinear(g, sup, w, z) * n[i]
-         for i in range(3)]
-    w2 = -bilinear(g, sup, w, w)
+    w = [w[i] - bilinear(g, w, n) * z[i] - bilinear(g, w, z) * n[i] for i in range(3)]
+    w2 = -bilinear(g, w, w)
     if w2 <= 0.0:
         raise GramDriftError("projection lost the timelike screen direction", math.nan)
     scale = 1.0 / math.sqrt(w2)
@@ -281,9 +280,8 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
         ns.append(tuple(full[6:9]))
         ws.append(tuple(full[9:12]))
         drifts.append(drift)
-        errs.append(
-            math.sqrt(sum((a - b) ** 2 for a, b in zip(full, half))) / 15.0
-        )
+        # a product gives inf where ** 2 would raise OverflowError
+        errs.append(math.sqrt(sum((a - b) * (a - b) for a, b in zip(full, half))) / 15.0)
 
     nsubs = []
     for ta, tb in zip(grid, grid[1:]):
@@ -345,12 +343,12 @@ def cubic_residual(c1, c3, factor) -> float:
     return euclid_norm([const_term(b) - factor * const_term(a) for a, b in zip(c1, c3)])
 
 
-def _identity_report(t, g, support, cz, cn, cw, sample: CurvatureSample,
+def _identity_report(t, g, cz, cn, cw, sample: CurvatureSample,
                      cubic) -> IdentityReport:
     """The four metric scalars g(cov zeta, cov zeta), g(cov N, cov N),
-    g(cov W, cov W) and g(cov zeta, cov N) of floats or jets, g summed over
-    ``support``, against their targets from ``sample``'s (h, k1, k2)."""
-    scalars = tuple(const_term(bilinear(g, support, a, b))
+    g(cov W, cov W) and g(cov zeta, cov N) of floats or jets, against their
+    targets from ``sample``'s (h, k1, k2)."""
+    scalars = tuple(const_term(bilinear(g, a, b))
                     for a, b in ((cz, cz), (cn, cn), (cw, cw), (cz, cn)))
     h, k1, k2 = sample.h, sample.k1, sample.k2
     targets = (-k1 * k1, -k2 * k2, 2.0 * k1 * k2, -h * h - k1 * k2)
@@ -380,8 +378,7 @@ def metric_identity_suite(curve: NullCurve, frame: NullFrame,
     cz, cn = fj.cov("zeta"), fj.cov("n")
     cw = [sign * c for c in fj.cov("w")]
     cubic = cubic_identity_residual(curve, frame, sample, policy)
-    return _identity_report(t, fj.gmat, curve.metric.support, cz, cn, cw, sample,
-                            cubic)
+    return _identity_report(t, fj.gmat, cz, cn, cw, sample, cubic)
 
 
 def constancy_report(samples) -> dict:
@@ -517,8 +514,7 @@ def extract_curvatures(trace: HelixTrace):
     curve = trace.view
     ns, ws = curve.fields["n"], curve.fields["w"]
     cz, cn = curve.cov("zeta"), curve.cov("n")
-    sup = curve.metric.support
-    return [frame_curvatures(curve.times[i], curve.g(i), sup, cz[i], cn[i], ns[i], ws[i])
+    return [frame_curvatures(curve.times[i], curve.g(i), cz[i], cn[i], ns[i], ws[i])
             for i in curve.interior(1)]
 
 
@@ -543,7 +539,6 @@ def identity_reports_from_trace(trace: HelixTrace):
     cz, cn, cw = curve.cov("zeta"), curve.cov("n"), curve.cov("w")
     samples = extract_curvatures(trace)
     cubics = dict(cubic_residuals_from_trace(trace))
-    sup = curve.metric.support
-    return [_identity_report(sample.t, curve.g(i), sup, cz[i], cn[i], cw[i], sample,
+    return [_identity_report(sample.t, curve.g(i), cz[i], cn[i], cw[i], sample,
                              cubics.get(sample.t))
             for i, sample in zip(curve.interior(1), samples)]

@@ -32,12 +32,14 @@ each contraction sums over the pattern alone.
 Inner products do the same with g.  Each metric's ``support`` holds the
 (i, j), in row-major order, whose entry tree is not the literal 0 (the
 entries the generated function leaves out, returning the float 0.0), and
-``bilinear`` and ``mat_vec`` take it from the caller: they sum from 0.0 over
-the support alone, in the dense loop's order and association.  On finite
-vectors the result has the dense sum's bits (jets: its coefficients, up to
-the sign of a zero); where a component is infinite the dense sum gives NaN
-from 0 * inf, and the support sum does not.  A matrix with no structural
-zero, such as an immersion's induced metric, passes ``full_support(n)``.
+every matrix carries its own: ``matrix_at`` returns a ``Matrix`` with the
+metric's support, and ``mat_inverse`` and any ``Matrix`` built without one
+(an immersion's induced metric) carry every (i, j).  ``bilinear`` and
+``mat_vec`` sum from 0.0 over the matrix's support alone, in the dense loop's
+order and association.  On finite vectors the result has the dense sum's
+bits (jets: its coefficients, up to the sign of a zero); where a component
+is infinite the dense sum gives NaN from 0 * inf, and the support sum does
+not.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ def mat_inverse(m, det):
     """Inverse by adjugate over the coefficient ring, given det = mat_det(m)."""
     n = len(m)
     if n == 1:
-        return [[1.0 / det]]
-    inv = [[None] * n for _ in range(n)]
+        return Matrix([[1.0 / det]])
+    inv = Matrix([None] * n for _ in range(n))
     for i in range(n):
         for j in range(n):
             minor = [
@@ -117,23 +119,33 @@ def mat_inverse(m, det):
 
 @cache
 def full_support(n: int) -> tuple:
-    """Every (i, j) of an n x n matrix in row-major order: the support of a
-    matrix with no structural zero, such as an induced metric."""
+    """Every (i, j) of an n x n matrix in row-major order."""
     return tuple((i, j) for i in range(n) for j in range(n))
 
 
-def mat_vec(m, support, v):
-    """m v, each row summed from 0.0 over its ``support`` entries in order."""
+class Matrix(list):
+    """A square matrix as a list of rows, carrying ``support``: the (i, j), in
+    row-major order, whose entry can be nonzero (None: every one)."""
+
+    __slots__ = ("support",)
+
+    def __init__(self, rows, support=None):
+        super().__init__(rows)
+        self.support = full_support(len(self)) if support is None else support
+
+
+def mat_vec(m, v):
+    """m v, each row summed from 0.0 over ``m.support`` in order."""
     out = [0.0] * len(m)
-    for i, j in support:
+    for i, j in m.support:
         out[i] = out[i] + m[i][j] * v[j]
     return out
 
 
-def bilinear(g, support, x, y):
-    """g(x, y), summed from 0.0 over the ``support`` entries in order."""
+def bilinear(g, x, y):
+    """g(x, y), summed from 0.0 over ``g.support`` in order."""
     acc = 0.0
-    for i, j in support:
+    for i, j in g.support:
         acc = acc + g[i][j] * x[i] * y[j]
     return acc
 
@@ -179,8 +191,9 @@ class SemiMetric:
             raise ValueError(f"point has {len(p)} coordinates, chart has {self.dim}")
 
     def matrix_at(self, p):
-        """g at float or (nested) jet coordinates; DegenerateMetricError where
-        the constant term of det g is within DET_TOL of zero."""
+        """g at float or (nested) jet coordinates, as a ``Matrix`` carrying
+        ``support``; DegenerateMetricError where the constant term of det g is
+        within DET_TOL of zero."""
         self._check_point(p)
         g, det, _ = self._evaluate(
             [c if isinstance(c, Jet) else float(c) for c in p], False)
@@ -189,13 +202,12 @@ class SemiMetric:
                 f"metric degenerate at {tuple(const_term(c) for c in p)}: "
                 f"|det| = {abs(const_term(det)):.3e}"
             )
-        return g
+        return Matrix(g, self.support)
 
     def inner_at(self, p, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector dimension does not match the chart")
-        return bilinear(self.matrix_at(p), self.support,
-                        [float(c) for c in x], [float(c) for c in y])
+        return bilinear(self.matrix_at(p), [float(c) for c in x], [float(c) for c in y])
 
     def index_at(self, p) -> int:
         """Metric index (negative eigenvalue count) at a point."""

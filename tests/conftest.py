@@ -89,19 +89,19 @@ def expr_trees(variables=("x1", "x2", "x3"), depth: int = 4):
 
 def flat_null_frame(metric: MetricField, zeta, seed_index: int = 2, flip: bool = False):
     """Algebraic frame construction from a null tangent (test helper)."""
-    g, sup = metric.matrix_at((0.0, 0.0, 0.0)), metric.support
-    gz = mat_vec(g, sup, list(zeta))
+    g = metric.matrix_at((0.0, 0.0, 0.0))
+    gz = mat_vec(g, list(zeta))
     phi = gz[seed_index]
     ntilde = [(1.0 if i == seed_index else 0.0) / phi for i in range(3)]
-    nn = bilinear(g, sup, ntilde, ntilde)
+    nn = bilinear(g, ntilde, ntilde)
     n = [ntilde[i] - 0.5 * nn * zeta[i] for i in range(3)]
-    gn = mat_vec(g, sup, n)
+    gn = mat_vec(g, n)
     w = [
         gz[1] * gn[2] - gz[2] * gn[1],
         gz[2] * gn[0] - gz[0] * gn[2],
         gz[0] * gn[1] - gz[1] * gn[0],
     ]
-    w2 = -bilinear(g, sup, w, w)
+    w2 = -bilinear(g, w, w)
     scale = 1.0 / math.sqrt(w2)
     sgn = -1.0 if flip else 1.0
     w = [sgn * scale * c for c in w]
@@ -114,10 +114,9 @@ def policy_frames(metric: MetricField, points, zetas, policy: ScreenPolicy):
     ns, ws = [], []
     for p, z in zip(points, zetas):
         g = metric.matrix_at(p)
-        _, gz, n = null_transversal(g, metric.support, z, policy.seed_indices(3),
-                                    "at the sample")
+        _, gz, n = null_transversal(g, z, policy.seed_indices(3), "at the sample")
         ns.append(tuple(n))
-        ws.append(screen_vector(g, metric.support, gz, n, "at the sample"))
+        ws.append(screen_vector(g, gz, n, "at the sample"))
     signs = continuity_signs(ws)
     return ns, [tuple(sign * c for c in w) for sign, w in zip(signs, ws)]
 

@@ -38,7 +38,7 @@ def test_criterion_1_c1_fixture(flat3, c1_curve):
     for fr in frames:
         cs = curvatures_at(c1_curve, fr, fr.t)
         max_dev = max(max_dev, abs(cs.h), abs(cs.k1 - 1.0), abs(cs.k2 + 0.5))
-        r1, r2, r3 = nf.frenet_residuals(c1_curve, fr, cs, fr.t)
+        r1, r2, r3 = nf.frenet_residuals(c1_curve, fr, cs)
         max_resid = max(max_resid, nf.euclid_norm(r1), nf.euclid_norm(r2),
                         nf.euclid_norm(r3))
     elapsed = time.perf_counter() - start

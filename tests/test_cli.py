@@ -358,6 +358,15 @@ def test_degenerate_metric_on_a_curve_is_named(tmp_path, capsys, command):
     assert err.startswith("error: metric degenerate at (1.0, 0.0, 0.0): ")
 
 
+@pytest.mark.parametrize("command", ["frame", "verify"])
+def test_curve_on_a_two_dimensional_metric_is_named(tmp_path, capsys, command):
+    """The chart's dimension is named before the default seed order, whose
+    first axis e3 a 2-dimensional chart lacks."""
+    doc = {**C1_DOC, "metric": _field(["-1", "0"], ["0", "1"])}
+    assert run([command, "--spec", _write(tmp_path, "c.json", doc)]) == 2
+    assert capsys.readouterr().err == "error: null curves require a 3-dimensional chart\n"
+
+
 def test_degenerate_ambient_metric_is_named(tmp_path, capsys):
     doc = {"kind": "immersion",
            "immersion": {"intrinsic_dim": 2,
@@ -571,16 +580,33 @@ def test_overflow_is_reported_as_a_sentence(tmp_path, capsys, expr, subexpr):
     assert capsys.readouterr().err == f"error: result overflows a float in '{subexpr}'\n"
 
 
-def test_non_finite_report_value_is_named(tmp_path, capsys):
+NON_FINITE_REPORT_DOCS = [
     # a sphere of radius 3e200: the induced metric, about r^2, overflows to
     # inf, and H comes out NaN
-    big = _with(SPHERE_DOC, immersion__map=[
-        "3e200*sin(u1)*cos(u2)", "3e200*sin(u1)*sin(u2)", "3e200*cos(u1)"])
-    spec = _write(tmp_path, "big.json", big)
-    assert run(["submanifold", "--spec", spec]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: report value rows[0].mean_curvature[0] is not finite\n"
+    ("submanifold", _with(SPHERE_DOC, immersion__map=[
+        "3e200*sin(u1)*cos(u2)", "3e200*sin(u1)*sin(u2)", "3e200*cos(u1)"]),
+     "rows[0].mean_curvature[0]"),
+    # x2 reaches 1e200, where the full- and half-step runs differ by about
+    # 1e184: the squared difference in the error estimate overflows
+    ("synth", {"kind": "helix", "metric": {"dim": 3, "metric": {
+        "type": "field",
+        "entries": [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x1^2"]]}},
+        "helix": {"h": 0, "k1": 0, "k2": 0, "initial_point": [0, 0, 0],
+                  "initial_frame": {"zeta": [0, 1, 1], "n": [0, -0.5, 0.5],
+                                    "w": [1, 0, 0]},
+                  "domain": [0, 1e200], "step": 1e199},
+        "config": {"samples": 19}},
+     "rows[3].err_est"),
+]
+
+
+def test_non_finite_report_value_is_named(tmp_path, capsys):
+    for k, (command, doc, field) in enumerate(NON_FINITE_REPORT_DOCS):
+        spec = _write(tmp_path, f"big{k}.json", doc)
+        assert run([command, "--spec", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: report value {field} is not finite\n"
 
 
 @pytest.mark.parametrize("flags, doc", [
@@ -783,6 +809,75 @@ def test_any_curve_block_gives_a_contract_exit_code(command, curve):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run([command, "--spec", spec])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    if code != 2:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert report["summary"]["pass"] == (code == 0)
+
+
+def _diag_text(i, j):
+    """Entry (i, j) of diag(-1, -1, 1), continued with +1 past the third axis."""
+    return ("-1" if i < 2 else "1") if i == j else "0"
+
+
+SIGN_VALUES = st.sampled_from([-1, 1, 0, True, False, "1", "-1", 1.0])
+NOT_LISTS = st.sampled_from([5, "-1, -1, 1", None, {"0": -1}])
+NOT_STRINGS = st.sampled_from([0, -1, 1.5, None, True, [], {}])
+
+
+@st.composite
+def metric_entries(draw, n):
+    """Rows for a field metric: symmetric, asymmetric or ragged.  Every entry
+    comes from diag(-1, -1, 1) in half the draws and about half of them in
+    the rest; the others are drawn expression trees or non-strings."""
+    shape = draw(st.sampled_from(["symmetric", "symmetric", "asymmetric", "ragged"]))
+    keep = draw(st.booleans())
+    sizes = [n] * n
+    if shape == "ragged":
+        sizes = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+
+    def entry(i, j):
+        if keep or draw(st.booleans()):
+            return _diag_text(i, j)
+        return draw(st.one_of(expr_trees(depth=2).map(to_text), NOT_STRINGS))
+
+    rows = [[entry(i, j) for j in range(size)] for i, size in enumerate(sizes)]
+    if shape == "symmetric":
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    return rows
+
+
+@st.composite
+def metric_blocks(draw):
+    """Metric blocks: ``dim`` a bool, a string or 1 to 5; ``type`` diag, field
+    or unknown; ``signs`` and ``entries`` around diag(-1, -1, 1)."""
+    dim = draw(st.sampled_from([3] * 6 + [True, False, "3", "three", 1, 2, 4, 5]))
+    n = dim if type(dim) is int else 3
+    kind = draw(st.sampled_from(["diag", "diag", "field", "field", "unknown"]))
+    if kind == "field":
+        return {"dim": dim, "metric": {"type": kind, "entries": draw(metric_entries(n))}}
+    size = max(0, n + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    signs = draw(st.one_of(
+        st.just([int(_diag_text(i, i)) for i in range(size)]),
+        st.lists(SIGN_VALUES, min_size=size, max_size=size), NOT_LISTS))
+    return {"dim": dim, "metric": {"type": kind, "signs": signs}}
+
+
+@given(metric_blocks())
+@settings(max_examples=60, deadline=None)
+def test_any_metric_block_gives_a_contract_exit_code(metric):
+    doc = {**C1_DOC, "metric": metric}
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = f"{tmp}/doc.json"
+        with open(spec, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["frame", "--spec", spec, "--samples", "3"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 2) == err.getvalue().startswith("error: ")

@@ -302,7 +302,7 @@ def test_one_christoffel_evaluation_per_frame_bundle(monkeypatch):
     t = 0.7
     frame = build_frame(curve, t)
     cs = curvatures_at(curve, frame, t)
-    nf.frenet_residuals(curve, frame, cs, t)
+    nf.frenet_residuals(curve, frame, cs)
     metric_identity_suite(curve, frame, cs, t)
     cubic_identity_residual(curve, frame, cs)
     assert len(curve._bundles) == 1
@@ -439,7 +439,7 @@ def _sample_results(curve, frame, policy=None):
     """Every per-sample result the frame and verify commands derive."""
     t = frame.t
     cs = curvatures_at(curve, frame, t, policy)
-    return (cs, nf.frenet_residuals(curve, frame, cs, t, policy),
+    return (cs, nf.frenet_residuals(curve, frame, cs, policy),
             metric_identity_suite(curve, frame, cs, t, policy),
             cubic_identity_residual(curve, frame, cs, policy))
 

@@ -86,7 +86,7 @@ def test_frenet_residuals_c1(c1_curve):
     for t in (0.0, 2.0, 5.1):
         fr = build_frame(c1_curve, t)
         cs = curvatures_at(c1_curve, fr, t)
-        r1, r2, r3 = frenet_residuals(c1_curve, fr, cs, t)
+        r1, r2, r3 = frenet_residuals(c1_curve, fr, cs)
         assert nf.euclid_norm(r1) <= 1e-9
         assert nf.euclid_norm(r2) <= 1e-9
         assert nf.euclid_norm(r3) <= 1e-9
@@ -99,7 +99,7 @@ def test_corrupted_frame_residual(c1_curve):
     bad = nf.NullFrame(t=fr.t, point=fr.point, zeta=fr.zeta, n=fr.n,
                        w=tuple(2.0 * c for c in fr.w))
     cs = curvatures_at(c1_curve, fr, t)
-    r1, _, _ = frenet_residuals(c1_curve, bad, cs, t)
+    r1, _, _ = frenet_residuals(c1_curve, bad, cs)
     assert nf.euclid_norm(r1) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -233,7 +233,9 @@ def test_matrix_at_equals_the_entry_trees_bit_for_bit(dim, texts):
     for kind in kinds:
         for _ in range(20):
             p = [kind(i) for i in range(dim)]
-            assert _bits(metric.matrix_at(p)) == _bits(_entries(metric, p))
+            g = metric.matrix_at(p)
+            assert _bits(g) == _bits(_entries(metric, p))
+            assert g.support == metric.support
 
 
 @given(st.lists(expr_trees(depth=3), min_size=6, max_size=6),
@@ -390,22 +392,20 @@ def test_support_sums_equal_the_dense_sums(drawn, data):
     vec = st.lists(COMPONENTS, min_size=n, max_size=n)
     p, x, y = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)), \
         data.draw(vec), data.draw(vec)
-    g, _, _ = metric._evaluate(p, False)
-    assert _same_bits(semimetric.bilinear(g, metric.support, x, y),
-                      _dense_bilinear(g, x, y))
-    assert all(map(_same_bits, semimetric.mat_vec(g, metric.support, x),
-                   _dense_mat_vec(g, x)))
+    g = semimetric.Matrix(metric._evaluate(p, False)[0], metric.support)
+    assert _same_bits(semimetric.bilinear(g, x, y), _dense_bilinear(g, x, y))
+    assert all(map(_same_bits, semimetric.mat_vec(g, x), _dense_mat_vec(g, x)))
 
     # along a jet ray: g's entries on the support are jets or constants, its
     # structural zeros stay the float 0.0
     d = data.draw(vec)
-    gj, _, _ = metric._evaluate([Jet((a, b, 0.0)) for a, b in zip(p, d)], False)
+    gj = semimetric.Matrix(
+        metric._evaluate([Jet((a, b, 0.0)) for a, b in zip(p, d)], False)[0],
+        metric.support)
     xj = [Jet((a, b, 0.5 * a)) for a, b in zip(x, data.draw(vec))]
     yj = [Jet((a, b, -b)) for a, b in zip(y, data.draw(vec))]
-    assert _same_jets(semimetric.bilinear(gj, metric.support, xj, yj),
-                      _dense_bilinear(gj, xj, yj))
-    assert all(map(_same_jets, semimetric.mat_vec(gj, metric.support, xj),
-                   _dense_mat_vec(gj, xj)))
+    assert _same_jets(semimetric.bilinear(gj, xj, yj), _dense_bilinear(gj, xj, yj))
+    assert all(map(_same_jets, semimetric.mat_vec(gj, xj), _dense_mat_vec(gj, xj)))
 
 
 def test_support_sum_skips_zero_times_infinity(flat3):
@@ -413,9 +413,9 @@ def test_support_sum_skips_zero_times_infinity(flat3):
     an infinite component stays infinite."""
     g, x, y = flat3.matrix_at((0.0, 0.0, 0.0)), [math.inf, 1.0, 0.0], [1.0, 0.0, 0.0]
     assert math.isnan(_dense_bilinear(g, x, y))
-    assert semimetric.bilinear(g, flat3.support, x, y) == -math.inf
+    assert semimetric.bilinear(g, x, y) == -math.inf
     assert math.isnan(_dense_mat_vec(g, x)[1])
-    assert semimetric.mat_vec(g, flat3.support, x) == [-math.inf, -1.0, 0.0]
+    assert semimetric.mat_vec(g, x) == [-math.inf, -1.0, 0.0]
 
 
 def _covariant_value(pos_jets, field_jets, metric):
@@ -476,22 +476,19 @@ def test_metric_compatibility_property():
     for _ in range(10):
         t = rng.uniform(0.3, 2.0)
         pos, v, w = fields(t, 4)
-        g = _entries(polar, [p.coeffs[0] for p in pos])
+        g = semimetric.Matrix(_entries(polar, [p.coeffs[0] for p in pos]), polar.support)
         cv = covariant_jets(pos, v, polar)
         cw = covariant_jets(pos, w, polar)
-        sup = polar.support
-        rhs = semimetric.bilinear(g, sup, [c.coeffs[0] for c in cv],
-                                  [c.coeffs[0] for c in w]) \
-            + semimetric.bilinear(g, sup, [c.coeffs[0] for c in v],
-                                  [c.coeffs[0] for c in cw])
+        rhs = semimetric.bilinear(g, [c.coeffs[0] for c in cv], [c.coeffs[0] for c in w]) \
+            + semimetric.bilinear(g, [c.coeffs[0] for c in v], [c.coeffs[0] for c in cw])
         h = 1e-5
 
         def gvw(tt):
             pos2, v2, w2 = fields(tt, 1)
-            g2 = _entries(polar, [p.coeffs[0] for p in pos2])
-            return semimetric.bilinear(
-                g2, polar.support, [c.coeffs[0] for c in v2], [c.coeffs[0] for c in w2]
-            )
+            g2 = semimetric.Matrix(_entries(polar, [p.coeffs[0] for p in pos2]),
+                                   polar.support)
+            return semimetric.bilinear(g2, [c.coeffs[0] for c in v2],
+                                       [c.coeffs[0] for c in w2])
 
         lhs = (gvw(t + h) - gvw(t - h)) / (2.0 * h)
         assert abs(lhs - rhs) < 1e-7

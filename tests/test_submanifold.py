@@ -268,13 +268,15 @@ def test_mean_curvature_frame_independence(sphere2):
     g = induced_metric(sphere2, u)
     # build a second orthonormal frame by rotating the first one
     pt = sb._point(sphere2, u)
+    # the induced metric and its inverse have no structural zero
+    assert g.support == pt.g.support == pt.g_inv.support == full_support(2)
     (e1, s1), (e2, s2) = pt.frame
     c, s = math.cos(0.77), math.sin(0.77)
     f1 = [c * e1[i] + s * e2[i] for i in range(2)]
     f2 = [-s * e1[i] + c * e2[i] for i in range(2)]
     acc = [0.0, 0.0, 0.0]
     for vec, sign in ((f1, s1), (f2, s2)):
-        nrm = bilinear(g, full_support(2), vec, vec)
+        nrm = bilinear(g, vec, vec)
         b = sb._b_value(pt, vec, vec)
         for k in range(3):
             acc[k] += (1.0 if nrm > 0 else -1.0) * b[k]
@@ -398,7 +400,7 @@ def test_nabla_shape_examples(slice_immersion, sphere2, graph_immersion):
     wein = sb._weingarten(pt, 0, list(x))
     perp_n = sb._normal_projection(pt, wein)
     (n0, s0), = pt.normals
-    coeff = s0 * bilinear(pt.amb, graph_immersion.ambient.support, perp_n, n0)
+    coeff = s0 * bilinear(pt.amb, perp_n, n0)
     term2 = [coeff * a0c for a0c in shape_operator(graph_immersion, u, 0, y)]
     xy = [sum(gamma[a][b][c] * x[b] * y[c] for b in range(3) for c in range(3))
           for a in range(3)]
