@@ -356,7 +356,7 @@ def _cmd_frame(doc: SpecDocument, args) -> int:
     max_gram = 0.0
     max_resid = 0.0
     for fr in frames:
-        sample = nfmod.curvatures_at(curve, fr, fr.t, policy)
+        sample = nfmod.curvatures_at(curve, fr, policy)
         r1, r2, r3 = nfmod.frenet_residuals(curve, fr, sample, policy)
         gram = fr.max_gram_residual(metric)
         null_res = nfmod.check_null(curve, fr.t)
@@ -463,8 +463,8 @@ def _cmd_verify(doc: SpecDocument, args) -> int:
     max_cubic = 0.0
     max_dev = 0.0
     for fr in frames:
-        sample = nfmod.curvatures_at(curve, fr, fr.t, policy)
-        rep = helixmod.metric_identity_suite(curve, fr, sample, fr.t, policy)
+        sample = nfmod.curvatures_at(curve, fr, policy)
+        rep = helixmod.metric_identity_suite(curve, fr, sample, policy)
         samples.append(sample)
         max_cubic = max(max_cubic, rep.cubic_residual)
         max_dev = max(max_dev, *rep.deviations)

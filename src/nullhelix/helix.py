@@ -370,15 +370,16 @@ def cubic_identity_residual(curve: NullCurve, frame: NullFrame,
 
 
 def metric_identity_suite(curve: NullCurve, frame: NullFrame,
-                          sample: CurvatureSample, t: float,
+                          sample: CurvatureSample,
                           policy: ScreenPolicy | None = None) -> IdentityReport:
-    """The four frame-equation metric scalars, their targets, and deviations."""
+    """The four frame-equation metric scalars, their targets, and deviations
+    at frame.t."""
     policy = policy or ScreenPolicy()
     fj, sign = _aligned_frame_jets(curve, frame, policy)
     cz, cn = fj.cov("zeta"), fj.cov("n")
     cw = [sign * c for c in fj.cov("w")]
     cubic = cubic_identity_residual(curve, frame, sample, policy)
-    return _identity_report(t, fj.gmat, cz, cn, cw, sample, cubic)
+    return _identity_report(frame.t, fj.gmat, cz, cn, cw, sample, cubic)
 
 
 def constancy_report(samples) -> dict:

@@ -468,14 +468,12 @@ def _aligned_frame_jets(curve: NullCurve, frame: NullFrame, policy: ScreenPolicy
     return fj, (1.0 if dot >= 0.0 else -1.0)
 
 
-def curvatures_at(curve: NullCurve, frame: NullFrame, t: float,
+def curvatures_at(curve: NullCurve, frame: NullFrame,
                   policy: ScreenPolicy | None = None) -> CurvatureSample:
-    """Curvature functions (h, k1, k2) of the frame at t."""
+    """Curvature functions (h, k1, k2) of the frame at frame.t."""
     policy = policy or ScreenPolicy()
-    if abs(frame.t - t) > 1e-12:
-        raise ValueError("frame was built at a different parameter value")
     fj, sign = _aligned_frame_jets(curve, frame, policy)
-    return frame_curvatures(t, fj.gmat, fj.cov("zeta"), fj.cov("n"), fj.n,
+    return frame_curvatures(frame.t, fj.gmat, fj.cov("zeta"), fj.cov("n"), fj.n,
                             [sign * c for c in fj.w])
 
 

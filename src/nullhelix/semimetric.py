@@ -44,7 +44,6 @@ not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -57,27 +56,6 @@ DET_TOL = 1e-10
 
 class DegenerateMetricError(ValueError):
     """Metric determinant fell below the non-degeneracy tolerance."""
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Diagonal flat signature: ``signs`` are the metric's diagonal +-1 entries."""
-
-    dim: int
-    signs: tuple
-
-    def __post_init__(self):
-        if self.dim not in (3, 4):
-            raise ValueError("signature dimension must be 3 or 4")
-        if len(self.signs) != self.dim:
-            raise ValueError("signs length must equal dim")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signature entries must be +-1")
-
-    @property
-    def index(self) -> int:
-        """Number of negative directions (q)."""
-        return sum(1 for s in self.signs if s == -1)
 
 
 # -- small dense linear algebra over duck scalars -----------------------------
@@ -305,14 +283,13 @@ def _connection_body(names, entries, dg, pattern) -> list:
 class MetricField(SemiMetric):
     """Closed-form metric: a symmetric matrix of expressions in x1..x_dim."""
 
-    def __init__(self, dim: int, entries, signature: Signature | None = None):
+    def __init__(self, dim: int, entries):
         if not 2 <= dim <= 4:
             raise ValueError("chart dimension must be between 2 and 4")
         self.dim = dim
         self.entries = tuple(tuple(row) for row in entries)
         if len(self.entries) != dim or any(len(r) != dim for r in self.entries):
             raise ValueError("entries must form a dim x dim matrix")
-        self.signature = signature
         self._coord_names = tuple(f"x{i + 1}" for i in range(dim))
         self.support = tuple((i, j) for i in range(dim) for j in range(dim)
                              if not exprparse._is_zero(self.entries[i][j]))
@@ -325,8 +302,12 @@ class MetricField(SemiMetric):
 
     @classmethod
     def diag(cls, signs) -> "MetricField":
+        """The flat metric diag(signs) on a 3- or 4-dimensional chart."""
         signs = tuple(signs)
-        sig = Signature(len(signs), signs)
+        if len(signs) not in (3, 4):
+            raise ValueError("signature dimension must be 3 or 4")
+        if any(s not in (-1, 1) for s in signs):
+            raise ValueError("signature entries must be +-1")
         entries = [
             [
                 exprparse.Num(float(signs[i]), str(signs[i]))
@@ -336,7 +317,7 @@ class MetricField(SemiMetric):
             ]
             for i in range(len(signs))
         ]
-        return cls(len(signs), entries, signature=sig)
+        return cls(len(signs), entries)
 
     @classmethod
     def from_texts(cls, dim: int, texts) -> "MetricField":

@@ -15,8 +15,10 @@ shape operator and of H are obtained without finite differences.
 
 All forms read one memoized bundle per chart point and per jet ray
 (``_Point``): f(u), T, S, the ambient metric and connection, the induced
-metric and its inverse, the +-1 normals and the orthonormal tangent frame,
-each computed once, on first use.
+metric and its inverse, the +-1 normals, the orthonormal tangent frame, the
+rank check of T, B on the frame pairs and H, each computed once, on first
+use.  H reads only the frame diagonal of B, so a jet ray that only needs H
+never evaluates an off-diagonal pair.
 
 f and T come from one Python function per immersion, generated on first use
 by ``codegen`` (the generator a metric's connection uses): the components
@@ -257,6 +259,36 @@ class _Point:
         return frame
 
     @cached_property
+    def rank(self):
+        """Numerical rank of T, one SVD per bundle; None where T is not finite."""
+        T = np.array(self.T, dtype=float)
+        if not np.isfinite(T).all():
+            return None
+        return np.linalg.matrix_rank(T, tol=RANK_TOL)
+
+    @cached_property
+    def b_diagonal(self):
+        """B(E_j, E_j) over the orthonormal frame, in frame order."""
+        return [_b_value(self, vec, vec) for vec, _ in self.frame]
+
+    @cached_property
+    def b_frame(self):
+        """{(i, j): B(E_i, E_j)} over the frame pairs with i <= j, row-major."""
+        frame, diag = self.frame, self.b_diagonal
+        return {(i, j): diag[i] if i == j else _b_value(self, frame[i][0], frame[j][0])
+                for i in range(len(frame)) for j in range(i, len(frame))}
+
+    @cached_property
+    def H(self):
+        """H = (1/m) sum_j eps_j B(E_j, E_j), summed in frame order."""
+        n = self.F.ambient.dim
+        acc = [0.0] * n
+        for (_, sign), b in zip(self.frame, self.b_diagonal):
+            for k in range(n):
+                acc[k] = acc[k] + sign * b[k]
+        return [c / float(self.F.m) for c in acc]
+
+    @cached_property
     def ambient_christoffel(self):
         return self.F.ambient.christoffel(list(self.f))
 
@@ -296,10 +328,9 @@ def _along(pt: _Point, x, field):
 def _checked(F: Immersion, u) -> _Point:
     """The bundle at u, once the differential has full rank there."""
     pt = _at(F, u)
-    T = np.array(pt.T, dtype=float)
-    if not np.isfinite(T).all():
+    if pt.rank is None:
         raise ValueError(f"differential is not finite at {tuple(u)}")
-    if np.linalg.matrix_rank(T, tol=RANK_TOL) < F.m:
+    if pt.rank < F.m:
         raise RankDeficiencyError(f"differential has rank < {F.m} at {tuple(u)}")
     return pt
 
@@ -436,54 +467,34 @@ def duality_residual(F: Immersion, u, X, Y, a: int) -> float:
 # -- traces over the orthonormal tangent frame ------------------------------------
 
 
-def _mean_curvature_value(pt: _Point):
-    frame = pt.frame
-    n = pt.F.ambient.dim
-    acc = [0.0] * n
-    for vec, sign in frame:
-        b = _b_value(pt, vec, vec)
-        for k in range(n):
-            acc[k] = acc[k] + sign * b[k]
-    return [c / float(pt.F.m) for c in acc]
-
-
 def mean_curvature(F: Immersion, u):
     """H = (1/m) sum_j eps_j B(E_j, E_j) over an orthonormal tangent frame."""
-    return tuple(const_term(c) for c in _mean_curvature_value(_at(F, u)))
+    return tuple(const_term(c) for c in _at(F, u).H)
 
 
 def umbilical_residual(F: Immersion, u) -> float:
     """max_{i<=j} || B(E_i, E_j) - g(E_i, E_j) H || (coordinate Euclidean)."""
     pt = _at(F, u)
-    frame = pt.frame
-    h = _mean_curvature_value(pt)
+    frame, h = pt.frame, pt.H
     worst = 0.0
-    for i, (ei, si) in enumerate(frame):
-        for j in range(i, len(frame)):
-            ej, _ = frame[j]
-            b = _b_value(pt, ei, ej)
-            gij = si if i == j else 0.0
-            resid = euclid_norm([b[k] - gij * h[k] for k in range(F.ambient.dim)])
-            worst = max(worst, resid)
+    for (i, j), b in pt.b_frame.items():
+        gij = frame[i][1] if i == j else 0.0
+        resid = euclid_norm([b[k] - gij * h[k] for k in range(F.ambient.dim)])
+        worst = max(worst, resid)
     return worst
 
 
 def geodesic_residual(F: Immersion, u) -> float:
     """max over frame pairs of ||B(E_i, E_j)||; zero iff totally geodesic at u."""
-    pt = _at(F, u)
-    frame = pt.frame
     worst = 0.0
-    for i, (ei, _) in enumerate(frame):
-        for j in range(i, len(frame)):
-            ej, _ = frame[j]
-            b = _b_value(pt, ei, ej)
-            worst = max(worst, euclid_norm([const_term(c) for c in b]))
+    for b in _at(F, u).b_frame.values():
+        worst = max(worst, euclid_norm([const_term(c) for c in b]))
     return worst
 
 
 def parallel_H_residual(F: Immersion, u, X) -> float:
     """Norm of the normal-bundle derivative of H in direction X."""
-    val = _perp_derivative(_at(F, u), list(X), _mean_curvature_value)
+    val = _perp_derivative(_at(F, u), list(X), lambda q: q.H)
     return euclid_norm([const_term(c) for c in val])
 
 

@@ -36,7 +36,7 @@ def test_criterion_1_c1_fixture(flat3, c1_curve):
     max_dev = 0.0
     max_resid = 0.0
     for fr in frames:
-        cs = curvatures_at(c1_curve, fr, fr.t)
+        cs = curvatures_at(c1_curve, fr)
         max_dev = max(max_dev, abs(cs.h), abs(cs.k1 - 1.0), abs(cs.k2 + 0.5))
         r1, r2, r3 = nf.frenet_residuals(c1_curve, fr, cs)
         max_resid = max(max_resid, nf.euclid_norm(r1), nf.euclid_norm(r2),
@@ -56,13 +56,13 @@ def test_criterion_2_cubic_identity(flat3, c1_curve):
     worst = 0.0
     for t in uniform_grid(0.1, TWO_PI - 0.1, 12):
         fr = build_frame(c1_curve, t)
-        cs = curvatures_at(c1_curve, fr, t)
+        cs = curvatures_at(c1_curve, fr)
         assert cs.h ** 2 + 2.0 * cs.k1 * cs.k2 == pytest.approx(-1.0, abs=1e-10)
         worst = max(worst, hx.cubic_identity_residual(c1_curve, fr, cs))
     nonhelix = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"],
                                  (0, 0, 0), (0.0, 3.0))
     fr = build_frame(nonhelix, 1.0)
-    cs = curvatures_at(nonhelix, fr, 1.0)
+    cs = curvatures_at(nonhelix, fr)
     nh = hx.cubic_identity_residual(nonhelix, fr, cs)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and nh > 0.01 and elapsed < 1.0
@@ -78,8 +78,8 @@ def test_criterion_3_metric_identity_block(flat3, c1_curve, rng):
     worst_c1 = 0.0
     for t in uniform_grid(0.2, TWO_PI - 0.2, 10):
         fr = build_frame(c1_curve, t)
-        cs = curvatures_at(c1_curve, fr, t)
-        rep = hx.metric_identity_suite(c1_curve, fr, cs, t)
+        cs = curvatures_at(c1_curve, fr)
+        rep = hx.metric_identity_suite(c1_curve, fr, cs)
         assert rep.scalars == pytest.approx((-1.0, -0.25, -1.0, 0.5), abs=1e-9)
         worst_c1 = max(worst_c1, *rep.deviations)
     worst_synth = 0.0
@@ -249,8 +249,8 @@ def test_criterion_8_screen_policy_independence(flat3, c1_curve, rng):
     for t in uniform_grid(0.0, TWO_PI, 20):
         fa = build_frame(c1_curve, t, pol_a)
         fb = build_frame(c1_curve, t, pol_b)
-        ka = curvatures_at(c1_curve, fa, t, pol_a)
-        kb = curvatures_at(c1_curve, fb, t, pol_b)
+        ka = curvatures_at(c1_curve, fa, pol_a)
+        kb = curvatures_at(c1_curve, fb, pol_b)
         worst = max(worst, abs(abs(ka.k1) - abs(kb.k1)))
     for _ in range(10):
         spec = random_helix_spec(rng, flat3)

@@ -131,7 +131,7 @@ def test_roundtrip_random_specs(flat3, rng):
 def test_cubic_identity_on_circle_helix(c1_curve):
     for t in (0.3, 2.0, 4.7):
         fr = build_frame(c1_curve, t)
-        cs = curvatures_at(c1_curve, fr, t)
+        cs = curvatures_at(c1_curve, fr)
         assert cs.h ** 2 + 2 * cs.k1 * cs.k2 == pytest.approx(-1.0, abs=1e-12)
         assert cubic_identity_residual(c1_curve, fr, cs) <= 1e-8
 
@@ -139,22 +139,22 @@ def test_cubic_identity_on_circle_helix(c1_curve):
 def test_cubic_identity_rejects_non_helix(flat3):
     c = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0), (0.0, 3.0))
     fr = build_frame(c, 1.0)
-    cs = curvatures_at(c, fr, 1.0)
+    cs = curvatures_at(c, fr)
     assert cubic_identity_residual(c, fr, cs) > 0.01
 
 
 def test_cubic_identity_geodesic_exact_zero(flat3):
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
     fr = build_frame(line, 1.0)
-    cs = curvatures_at(line, fr, 1.0)
+    cs = curvatures_at(line, fr)
     assert cubic_identity_residual(line, fr, cs) == 0.0
 
 
 def test_metric_identity_suite_circle(c1_curve):
     t = 2.2
     fr = build_frame(c1_curve, t)
-    cs = curvatures_at(c1_curve, fr, t)
-    rep = metric_identity_suite(c1_curve, fr, cs, t)
+    cs = curvatures_at(c1_curve, fr)
+    rep = metric_identity_suite(c1_curve, fr, cs)
     assert rep.scalars == pytest.approx((-1.0, -0.25, -1.0, 0.5), abs=1e-9)
     assert rep.targets == pytest.approx((-1.0, -0.25, -1.0, 0.5), abs=1e-12)
     assert max(rep.deviations) <= 1e-9
@@ -163,8 +163,8 @@ def test_metric_identity_suite_circle(c1_curve):
 def test_metric_identity_suite_geodesic(flat3):
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
     fr = build_frame(line, 1.0)
-    cs = curvatures_at(line, fr, 1.0)
-    rep = metric_identity_suite(line, fr, cs, 1.0)
+    cs = curvatures_at(line, fr)
+    rep = metric_identity_suite(line, fr, cs)
     assert rep.scalars == (0.0, 0.0, 0.0, 0.0)
     assert rep.targets == (0.0, 0.0, 0.0, 0.0)
 
@@ -301,9 +301,9 @@ def test_one_christoffel_evaluation_per_frame_bundle(monkeypatch):
     calls = _count_calls(monkeypatch, "christoffel")
     t = 0.7
     frame = build_frame(curve, t)
-    cs = curvatures_at(curve, frame, t)
+    cs = curvatures_at(curve, frame)
     nf.frenet_residuals(curve, frame, cs)
-    metric_identity_suite(curve, frame, cs, t)
+    metric_identity_suite(curve, frame, cs)
     cubic_identity_residual(curve, frame, cs)
     assert len(curve._bundles) == 1
     assert len(calls) == 1
@@ -437,10 +437,9 @@ def test_trace_view_results_do_not_depend_on_call_order():
 
 def _sample_results(curve, frame, policy=None):
     """Every per-sample result the frame and verify commands derive."""
-    t = frame.t
-    cs = curvatures_at(curve, frame, t, policy)
+    cs = curvatures_at(curve, frame, policy)
     return (cs, nf.frenet_residuals(curve, frame, cs, policy),
-            metric_identity_suite(curve, frame, cs, t, policy),
+            metric_identity_suite(curve, frame, cs, policy),
             cubic_identity_residual(curve, frame, cs, policy))
 
 
@@ -465,7 +464,7 @@ def test_flipped_frame_leaves_shared_bundle_untouched(c1_curve):
     flip_policy = nf.ScreenPolicy(orient_tol=10.0)
     flipped = build_frame(c1_curve, t, flip_policy)
     assert flipped.w == tuple(-c for c in frame.w)
-    assert curvatures_at(c1_curve, flipped, t, flip_policy).k1 == -before[0].k1
+    assert curvatures_at(c1_curve, flipped, flip_policy).k1 == -before[0].k1
     _sample_results(c1_curve, flipped, flip_policy)
     assert _sample_results(c1_curve, frame) == before
 
@@ -490,12 +489,12 @@ def test_reseeded_trace_frames_match_curve_frame_jets(flat3, conformal):
 
 def test_constancy_report(c1_curve, flat3):
     frames = frame_field(c1_curve, uniform_grid(0.0, TWO_PI, 50))
-    samples = [curvatures_at(c1_curve, f, f.t) for f in frames]
+    samples = [curvatures_at(c1_curve, f) for f in frames]
     rep = constancy_report(samples)
     assert rep["h"] <= 1e-9 and rep["k1"] <= 1e-9 and rep["k2"] <= 1e-9
     c = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0), (0.1, 3.0))
     frames = frame_field(c, uniform_grid(0.5, 2.0, 40))
-    samples = [curvatures_at(c, f, f.t) for f in frames]
+    samples = [curvatures_at(c, f) for f in frames]
     rep = constancy_report(samples)
     assert rep["k1"] == pytest.approx(3.0, abs=1e-6)
     with pytest.raises(ValueError):

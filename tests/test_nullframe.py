@@ -59,7 +59,7 @@ def test_spacelike_curve_rejected(flat3):
 def test_c1_curvatures(c1_curve):
     for t in (0.0, 1.3, 4.4):
         fr = build_frame(c1_curve, t)
-        cs = curvatures_at(c1_curve, fr, t)
+        cs = curvatures_at(c1_curve, fr)
         assert cs.h == pytest.approx(0.0, abs=1e-12)
         assert cs.k1 == pytest.approx(1.0, abs=1e-12)
         assert cs.k2 == pytest.approx(-0.5, abs=1e-12)
@@ -69,7 +69,7 @@ def test_c1_curvatures(c1_curve):
 def test_geodesic_curvatures(flat3):
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
     fr = build_frame(line, 2.0)
-    cs = curvatures_at(line, fr, 2.0)
+    cs = curvatures_at(line, fr)
     assert (cs.h, cs.k1, cs.k2) == (0.0, 0.0, 0.0)
     assert cs.geodesic_type
 
@@ -78,14 +78,14 @@ def test_tangent_mode_nonconstant_k1(flat3):
     c = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0), (0.0, 3.0))
     for t in (0.6, 1.0, 1.7):
         fr = build_frame(c, t)
-        cs = curvatures_at(c, fr, t)
+        cs = curvatures_at(c, fr)
         assert cs.k1 == pytest.approx(2.0 * abs(t), abs=1e-9)
 
 
 def test_frenet_residuals_c1(c1_curve):
     for t in (0.0, 2.0, 5.1):
         fr = build_frame(c1_curve, t)
-        cs = curvatures_at(c1_curve, fr, t)
+        cs = curvatures_at(c1_curve, fr)
         r1, r2, r3 = frenet_residuals(c1_curve, fr, cs)
         assert nf.euclid_norm(r1) <= 1e-9
         assert nf.euclid_norm(r2) <= 1e-9
@@ -98,7 +98,7 @@ def test_corrupted_frame_residual(c1_curve):
     fr = build_frame(c1_curve, t)
     bad = nf.NullFrame(t=fr.t, point=fr.point, zeta=fr.zeta, n=fr.n,
                        w=tuple(2.0 * c for c in fr.w))
-    cs = curvatures_at(c1_curve, fr, t)
+    cs = curvatures_at(c1_curve, fr)
     r1, _, _ = frenet_residuals(c1_curve, bad, cs)
     assert nf.euclid_norm(r1) == pytest.approx(1.0, abs=1e-9)
 
@@ -143,7 +143,7 @@ def test_k1_magnitude_is_screen_free(flat3, c1_curve):
     for curve in curves:
         for t in (0.5, 1.2, 2.4):
             fr = build_frame(curve, t)
-            cs = curvatures_at(curve, fr, t)
+            cs = curvatures_at(curve, fr)
             pos = curve.position_jets(t, 4)
             zeta = [nf.jets.dt(p) for p in pos]
             cz = [nf.jets.const_term(c)
@@ -159,8 +159,8 @@ def test_screen_independence_of_k1(c1_curve):
     for t in (0.4, 1.9, 3.0):
         fa = build_frame(c1_curve, t, pol_a)
         fb = build_frame(c1_curve, t, pol_b)
-        ka = curvatures_at(c1_curve, fa, t, pol_a)
-        kb = curvatures_at(c1_curve, fb, t, pol_b)
+        ka = curvatures_at(c1_curve, fa, pol_a)
+        kb = curvatures_at(c1_curve, fb, pol_b)
         assert ka.k1 ** 2 == pytest.approx(kb.k1 ** 2, abs=1e-8)
 
 

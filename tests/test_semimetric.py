@@ -12,7 +12,6 @@ from nullhelix.jets import Jet, const_term
 from nullhelix.semimetric import (
     DegenerateMetricError,
     MetricField,
-    Signature,
     covariant_jets,
 )
 
@@ -22,14 +21,14 @@ vec3 = st.lists(st.floats(min_value=-5, max_value=5), min_size=3, max_size=3)
 
 
 def test_signature():
-    sig = Signature(3, (-1, -1, 1))
-    assert sig.index == 2
-    with pytest.raises(ValueError):
-        Signature(3, (-1, -1))
-    with pytest.raises(ValueError):
-        Signature(3, (-1, 0, 1))
-    with pytest.raises(ValueError):
-        Signature(5, (-1, 1, 1, 1, 1))
+    """``diag`` takes 3 or 4 signs of +-1; a sign-count mismatch with ``dim``
+    is ``from_dict``'s check (test_schema_loading)."""
+    assert MetricField.diag((-1, -1, 1)).index_at((0.0, 0.0, 0.0)) == 2
+    assert MetricField.diag((-1, -1, 1, 1)).index_at((0.0, 0.0, 0.0, 0.0)) == 2
+    with pytest.raises(ValueError, match=r"^signature entries must be \+-1$"):
+        MetricField.diag((-1, 0, 1))
+    with pytest.raises(ValueError, match="^signature dimension must be 3 or 4$"):
+        MetricField.diag((-1, 1, 1, 1, 1))
 
 
 def test_metric_at_constant_field(flat3):
@@ -61,12 +60,12 @@ def test_schema_loading():
     g = MetricField.from_dict(
         {"dim": 3, "metric": {"type": "diag", "signs": [-1, -1, 1]}}
     )
-    assert g.pattern == () and g.signature.index == 2
+    assert g.pattern == () and g.index_at((0.0, 0.0, 0.0)) == 2
     f = MetricField.from_dict(
         {"dim": 2, "metric": {"type": "field", "entries": [["1", "0"], ["0", "x1^2"]]}}
     )
     assert f.pattern == ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'signs' length must equal dim"):
         MetricField.from_dict({"dim": 2, "metric": {"type": "diag", "signs": [-1, 1, 1]}})
     with pytest.raises(ValueError):
         MetricField.from_dict({"dim": 2, "metric": {"type": "sparse"}})

@@ -1,16 +1,19 @@
 import copy
 import dataclasses
+import json
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nullhelix import exprparse
+from nullhelix import cli, exprparse
 from nullhelix import helix as hx
 from nullhelix import submanifold as sb
-from nullhelix.jets import Jet
+from nullhelix.jets import Jet, const_term
 from nullhelix.nullframe import euclid_norm
 from nullhelix.semimetric import MetricField, bilinear, full_support
 from nullhelix.submanifold import (
@@ -565,6 +568,116 @@ def test_memoized_points_match_a_fresh_immersion(request, name, u):
         for n in order:  # and a second round reads the bundles back
             assert _outcome(calls[n]) == expected[n], n
         assert got == expected
+
+
+def _pairwise_mean_curvature(pt):
+    """Reference H: B evaluated on each frame diagonal pair, in frame order."""
+    n = pt.F.ambient.dim
+    acc = [0.0] * n
+    for vec, sign in pt.frame:
+        b = sb._b_value(pt, vec, vec)
+        for k in range(n):
+            acc[k] = acc[k] + sign * b[k]
+    return [c / float(pt.F.m) for c in acc]
+
+
+def _pairwise_frame_pairs(pt):
+    frame = pt.frame
+    for i, (ei, si) in enumerate(frame):
+        for j in range(i, len(frame)):
+            yield i, j, si, sb._b_value(pt, ei, frame[j][0])
+
+
+def _pairwise_umbilical(pt):
+    h = _pairwise_mean_curvature(pt)
+    worst = 0.0
+    for i, j, si, b in _pairwise_frame_pairs(pt):
+        gij = si if i == j else 0.0
+        worst = max(worst, euclid_norm([b[k] - gij * h[k] for k in range(len(b))]))
+    return worst
+
+
+def _pairwise_geodesic(pt):
+    worst = 0.0
+    for _, _, _, b in _pairwise_frame_pairs(pt):
+        worst = max(worst, euclid_norm([const_term(c) for c in b]))
+    return worst
+
+
+def _pairwise_parallel_H(pt, x):
+    val = sb._perp_derivative(pt, x, _pairwise_mean_curvature)
+    return euclid_norm([const_term(c) for c in val])
+
+
+@pytest.mark.parametrize("name, box", IMMERSION_BOXES,
+                         ids=[name for name, _ in IMMERSION_BOXES])
+def test_bundle_forms_keep_the_pairwise_loops_bits(request, rng, name, box):
+    """H, the umbilical and geodesic residuals and the parallel-H residual
+    read the bundle's frame-pair B and H, and keep the bits of loops that
+    evaluate B pair by pair (run here on a fresh immersion)."""
+    F = request.getfixturevalue(name)
+    for _ in range(3):
+        u = [rng.uniform(lo, hi) for lo, hi in box]
+        axes = [[1.0 if b == a else 0.0 for b in range(F.m)] for a in range(F.m)]
+        dirs = [*axes, [rng.uniform(-1.0, 1.0) for _ in range(F.m)]]
+        got = [*mean_curvature(F, u), umbilical_residual(F, u),
+               geodesic_residual(F, u), *(parallel_H_residual(F, u, x) for x in dirs)]
+        fresh = Immersion(F.m, F.ambient, F.components)  # bundles refer to it weakly
+        pt = sb._at(fresh, u)
+        want = [*map(const_term, _pairwise_mean_curvature(pt)), _pairwise_umbilical(pt),
+                _pairwise_geodesic(pt), *(_pairwise_parallel_H(pt, x) for x in dirs)]
+        packed = [struct.pack(f"{len(v)}d", *v) for v in (got, want)]
+        assert packed[0] == packed[1], (name, u)
+
+
+PSEUDOSPHERE_DOC = {
+    "kind": "immersion",
+    "immersion": {"intrinsic_dim": 3,
+                  "ambient": {"dim": 4, "metric": {"type": "diag", "signs": [-1, -1, 1, 1]}},
+                  "map": ["sinh(u1)*cos(u2)", "sinh(u1)*sin(u2)",
+                          "cosh(u1)*cos(u3)", "cosh(u1)*sin(u3)"]},
+    "samples": [[0.7, 0.3, 1.1], [1.2, -0.4, 2.0], [0.5, 2.5, -1.0]],
+}
+SPHERE_DOC = {
+    "kind": "immersion",
+    "immersion": {"intrinsic_dim": 2,
+                  "ambient": {"dim": 3, "metric": {"type": "diag", "signs": [1, 1, 1]}},
+                  "map": ["2*sin(u1)*cos(u2)", "2*sin(u1)*sin(u2)", "2*cos(u1)"]},
+    "samples": [[1.2, 0.4], [0.9, 2.0]],
+}
+
+
+@pytest.mark.parametrize("doc, float_b, ray_b, diagnosed", [
+    (PSEUDOSPHERE_DOC, 18, 9, True),
+    (SPHERE_DOC, 7, 4, False),
+], ids=["pseudosphere", "sphere"])
+def test_submanifold_command_checks_rank_and_frame_pairs_once_per_sample(
+        monkeypatch, tmp_path, doc, float_b, ray_b, diagnosed):
+    """Per sample of the ``submanifold`` command: one SVD rank check; B at the
+    float point on the m(m+1)/2 frame pairs, the m^2 coordinate pairs of the
+    duality loop and, with a null triple, its 3 pairs; and B on the frame
+    diagonal of each of the m jet rays that differentiate H."""
+    counts = {"rank": 0, "float": 0, "ray": 0}
+    matrix_rank, b_value = np.linalg.matrix_rank, sb._b_value
+
+    def counted_rank(*args, **kwargs):
+        counts["rank"] += 1
+        return matrix_rank(*args, **kwargs)
+
+    def counted_b(pt, x, y):
+        counts["float" if all(type(c) is float for c in pt.u) else "ray"] += 1
+        return b_value(pt, x, y)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
+    monkeypatch.setattr(sb, "_b_value", counted_b)
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.run(["submanifold", "--spec", str(spec), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["diag_D2_norm"] is not None for row in rows] == [diagnosed] * len(rows)
+    samples = len(doc["samples"])
+    assert counts == {"rank": samples, "float": float_b * samples,
+                      "ray": ray_b * samples}
 
 
 # -- helix transfer -------------------------------------------------------------------
