@@ -9,8 +9,8 @@ submanifold  fundamental forms, classification residuals and diagnostics
 transfer     push an intrinsic helix through an immersion and re-measure it
 
 Reports are deterministic, strict, single-line JSON (byte-identical for
-identical spec + flags; undefined values are null, never NaN); traces can
-additionally be written as CSV.  Exit codes: 0 all residuals within tolerance,
+identical spec + flags; undefined values are null, never NaN); all but
+``submanifold`` can also write CSV.  Exit codes: 0 all residuals within tolerance,
 1 residual failure, 2 usage or spec error (including expression domain errors
 and overflows, Gram-drift aborts, grids too short for the stencils, steps too
 small for their segments and non-finite results).
@@ -406,13 +406,7 @@ def _cmd_synth(doc: SpecDocument, args) -> int:
     cfg = _resolve(doc.config, args, "synth")
     spec, domain, step = _build_helix_spec(doc, cfg)
     grid = _grid(domain, cfg["samples"])
-    kept = helixmod.decimated_count(grid)
-    if kept < helixmod.CUBIC_MIN_SAMPLES:
-        raise SpecError(
-            f"synth grid keeps {kept} samples after decimation to spacing "
-            f"{helixmod.FD_SPACING}; the three chained 7-point stencils need "
-            f"at least {helixmod.CUBIC_MIN_SAMPLES}"
-        )
+    helixmod.require_stencil_samples("synth", grid, "three", helixmod.CUBIC_MIN_SAMPLES)
     trace = helixmod.synthesize(spec, grid, step,
                                 project_every=cfg["project_every"],
                                 drift_limit=cfg["drift_limit"])
@@ -580,6 +574,7 @@ _COMMANDS = {
     "submanifold": (_cmd_submanifold, "immersion"),
     "transfer": (_cmd_transfer, "transfer"),
 }
+_CSV_COMMANDS = ("frame", "synth", "verify", "transfer")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -597,7 +592,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--project", action="store_true")
         sp.add_argument("--seed-order", dest="seed_order", default=None)
         sp.add_argument("--out", default=None, help="write the JSON report here")
-        sp.add_argument("--csv", default=None, help="write a CSV trace here")
+        if name in _CSV_COMMANDS:
+            sp.add_argument("--csv", default=None, help="write a CSV trace here")
     return ap
 
 

@@ -17,8 +17,9 @@ y + Q y, with the increment Q = P^nsteps - I built by binary powering and
 memoized per (h, k1, k2, dt, nsteps).  Every other chart runs the RK4 stage
 loop, which evaluates G at each stage and sums it over the pattern only.  A
 shadow integration at half step provides a Richardson error estimate per
-sample.  Residual norms are always coordinate-Euclidean: the indefinite
-metric can annihilate nonzero errors and must not certify smallness.  Trace
+sample; its Gram drift and re-projection use ``nullframe``'s frame algebra.
+Residual norms are always coordinate-Euclidean: the indefinite metric can
+annihilate nonzero errors and must not certify smallness.  Trace
 measurements read one memoized decimated view (``HelixTrace.view``) that
 evaluates g and the connection once per sample; transfer's ambient samples
 use the same ``SampledCurve`` class.  Its covariant layers are numpy array
@@ -45,16 +46,9 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from .jets import const_term
-from .nullframe import (
-    CurvatureSample,
-    NullCurve,
-    NullFrame,
-    ScreenPolicy,
-    euclid_norm,
-    frame_curvatures,
-    _aligned_frame_jets,
-    _frame_jets,
-)
+from .nullframe import (CurvatureSample, NullCurve, NullFrame, ScreenPolicy, euclid_norm,
+                        frame_curvatures, max_gram_residual, screen_projection,
+                        transversal, unit_screen, _aligned_frame_jets, _frame_jets)
 from .semimetric import SemiMetric, bilinear
 
 DRIFT_LIMIT = 1e-4
@@ -88,8 +82,8 @@ class HelixSpec:
     def __post_init__(self):
         for name in ("initial_point", "zeta0", "n0", "w0"):
             object.__setattr__(self, name, tuple(float(c) for c in getattr(self, name)))
-        frame = NullFrame(0.0, self.initial_point, self.zeta0, self.n0, self.w0)
-        res = frame.max_gram_residual(self.metric)
+        res = max_gram_residual(self.metric.matrix_at(self.initial_point),
+                                self.zeta0, self.n0, self.w0)
         if res > SPEC_GRAM_TOL:
             raise ValueError(
                 f"initial frame violates the Gram conditions by {res:.3e}"
@@ -218,27 +212,18 @@ def _rk4_steps(metric, h, k1, k2, state, dt, nsteps):
 
 def _project_frame(metric: SemiMetric, state):
     """Restore the Gram conditions for N and W, leaving zeta untouched."""
-    x = state[0:3]
-    z = state[3:6]
-    n = list(state[6:9])
-    w = list(state[9:12])
-    g = metric.matrix_at(x)
-    n = [c / bilinear(g, z, n) for c in n]
-    nn = bilinear(g, n, n)
-    n = [n[i] - 0.5 * nn * z[i] for i in range(3)]
-    w = [w[i] - bilinear(g, w, n) * z[i] - bilinear(g, w, z) * n[i] for i in range(3)]
-    w2 = -bilinear(g, w, w)
-    if w2 <= 0.0:
+    z, n = state[3:6], state[6:9]
+    g = metric.matrix_at(state[0:3])
+    n = transversal(g, z, n, bilinear(g, z, n))
+    w, w2 = screen_projection(g, state[9:12], z, n)
+    if w2 <= 0.0:  # NaN passes on to the drift check
         raise GramDriftError("projection lost the timelike screen direction", math.nan)
-    scale = 1.0 / math.sqrt(w2)
-    w = [c * scale for c in w]
-    return state[0:6] + n + w
+    return state[0:6] + n + unit_screen(w, w2)
 
 
 def _gram_drift(metric: SemiMetric, state) -> float:
-    frame = NullFrame(0.0, tuple(state[0:3]), tuple(state[3:6]),
-                      tuple(state[6:9]), tuple(state[9:12]))
-    return frame.max_gram_residual(metric)
+    return max_gram_residual(metric.matrix_at(state[0:3]), state[3:6], state[6:9],
+                             state[9:12])
 
 
 def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
@@ -426,6 +411,18 @@ def decimation(times):
 def decimated_count(times) -> int:
     """Number of samples a uniform grid keeps after ``decimation``."""
     return len(times[::decimation(times)[0]])
+
+
+def require_stencil_samples(command: str, times, chains: str, needed: int):
+    """ValueError unless the grid ``times`` keeps ``needed`` samples after
+    ``decimation``, as ``command``'s ``chains`` chained stencils need."""
+    kept = decimated_count(times)
+    if kept < needed:
+        raise ValueError(
+            f"{command} grid keeps {kept} samples after decimation to spacing "
+            f"{FD_SPACING}; the {chains} chained 7-point stencils need at least "
+            f"{needed}"
+        )
 
 
 def fd_derivative(values, dt):

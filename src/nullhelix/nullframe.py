@@ -19,6 +19,9 @@ rule, the orientation rule (k1 >= 0 at the first generic sample) and the
 curvatures with their geodesic flag (``frame_curvatures``) exist once, here,
 over duck-typed scalars: curves run them on jets, so the construction yields
 the frame's own t-derivatives; helix traces and transfer run them on floats.
+So do the N formula (``transversal``), the screen part of a vector
+(``screen_projection``, scaled by ``unit_screen``) and the six Gram conditions
+(``max_gram_residual``): the frame algebra ``helix`` and ``submanifold`` share.
 A single frame (``build_frame``) is a one-sample ``frame_field``.
 Transfer's ambient frames extend the seed order with the unused axes and take
 W from the acceleration's screen part, the only W rule above dimension 3.  A
@@ -90,6 +93,14 @@ class ScreenPolicy:
         return [i for i in self.seeds if i < dim]
 
 
+def max_gram_residual(g, z, n, w) -> float:
+    """Largest |.| of g(z, z), g(n, n), g(z, n) - 1, g(n, w), g(z, w) and
+    g(w, w) + 1, in that order (so NaN only where g(z, z) is NaN)."""
+    return max(abs(bilinear(g, z, z)), abs(bilinear(g, n, n)),
+               abs(bilinear(g, z, n) - 1.0), abs(bilinear(g, n, w)),
+               abs(bilinear(g, z, w)), abs(bilinear(g, w, w) + 1.0))
+
+
 @dataclass(frozen=True)
 class NullFrame:
     """Frame sample: two null directions and the unit timelike screen vector."""
@@ -100,20 +111,9 @@ class NullFrame:
     n: tuple
     w: tuple
 
-    def gram_residuals(self, metric: SemiMetric):
-        g = metric.matrix_at(self.point)
-        z, n, w = self.zeta, self.n, self.w
-        return (
-            bilinear(g, z, z),
-            bilinear(g, n, n),
-            bilinear(g, z, n) - 1.0,
-            bilinear(g, n, w),
-            bilinear(g, z, w),
-            bilinear(g, w, w) + 1.0,
-        )
-
     def max_gram_residual(self, metric: SemiMetric) -> float:
-        return max(abs(r) for r in self.gram_residuals(metric))
+        return max_gram_residual(metric.matrix_at(self.point), self.zeta, self.n,
+                                 self.w)
 
 
 @dataclass(frozen=True)
@@ -301,11 +301,16 @@ def null_transversal(g, zeta, seeds, where: str):
         raise NoUsableSeedError(
             f"no policy seed with |g(zeta, e_i)| > {SEED_TOL} {where}"
         )
-    phi = gz[idx]
-    dim = len(zeta)
-    ntilde = [(1.0 if i == idx else 0.0) / phi for i in range(dim)]
+    axis = [1.0 if i == idx else 0.0 for i in range(len(zeta))]
+    return idx, gz, transversal(g, zeta, axis, gz[idx])
+
+
+def transversal(g, zeta, v, phi):
+    """N = Ntilde - (1/2) g(Ntilde, Ntilde) zeta with Ntilde = v / phi: null,
+    with g(zeta, N) = 1 when phi = g(zeta, v)."""
+    ntilde = [c / phi for c in v]
     nn = bilinear(g, ntilde, ntilde)
-    return idx, gz, [ntilde[i] - 0.5 * nn * zeta[i] for i in range(dim)]
+    return [ntilde[i] - 0.5 * nn * zeta[i] for i in range(len(v))]
 
 
 def screen_vector(g, gz, n_vec, where: str):
@@ -318,6 +323,20 @@ def screen_vector(g, gz, n_vec, where: str):
         )
     scale = jets.sqrt(w2)
     return [c / scale for c in w_raw]
+
+
+def screen_projection(g, v, zeta, n):
+    """``(proj, -g(proj, proj))`` for the screen part of v, proj = v - g(v, N)
+    zeta - g(v, zeta) N; the caller judges -g(proj, proj) for ``unit_screen``."""
+    vn, vz = bilinear(g, v, n), bilinear(g, v, zeta)
+    proj = [v[i] - vn * zeta[i] - vz * n[i] for i in range(len(v))]
+    return proj, -bilinear(g, proj, proj)
+
+
+def unit_screen(proj, w2):
+    """``proj`` scaled to g(W, W) = -1, given w2 = -g(proj, proj)."""
+    scale = 1.0 / math.sqrt(w2)
+    return [c * scale for c in proj]
 
 
 def continuity_signs(ws):

@@ -44,7 +44,8 @@ from . import helix as helixmod
 from .exprparse import parse
 from .jets import Jet, const_term
 from .nullframe import (ScreenPolicy, continuity_signs, euclid_norm, frame_curvatures,
-                        null_transversal)
+                        max_gram_residual, null_transversal, screen_projection,
+                        unit_screen)
 from .semimetric import (Matrix, SemiMetric, bilinear, connection_term, mat_det,
                          mat_inverse, mat_vec)
 
@@ -598,16 +599,7 @@ def umbilical_diagnostic(F: Immersion, u, xi_i, xi_j, xi_k):
     g(xi_i, xi_i) = g(xi_j, xi_j) = 0, g(xi_k, xi_k) = -1 and orthogonality of
     xi_k to both null directions, each to within NULL_TRIPLE_TOL.
     """
-    g = induced_metric(F, u)
-    checks = (
-        bilinear(g, list(xi_i), list(xi_i)),
-        bilinear(g, list(xi_j), list(xi_j)),
-        bilinear(g, list(xi_i), list(xi_j)) - 1.0,
-        bilinear(g, list(xi_i), list(xi_k)),
-        bilinear(g, list(xi_j), list(xi_k)),
-        bilinear(g, list(xi_k), list(xi_k)) + 1.0,
-    )
-    worst = max(abs(c) for c in checks)
+    worst = max_gram_residual(induced_metric(F, u), xi_i, xi_j, xi_k)
     if worst > NULL_TRIPLE_TOL:
         raise ValueError(f"frame violates the null-triple conditions by {worst:.3e}")
     pt = _at(F, u)
@@ -657,18 +649,11 @@ def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
         g, z = curve.g(k), zetas[k]
         _, _, nv = null_transversal(g, z, seed_order, "along the ambient curve")
         w = None
-        cand = list(czetas[k])
+        cand = czetas[k]
         for attempt in range(n + 1):
-            proj = [
-                cand[i]
-                - bilinear(g, cand, nv) * z[i]
-                - bilinear(g, cand, list(z)) * nv[i]
-                for i in range(n)
-            ]
-            w2 = -bilinear(g, proj, proj)
+            proj, w2 = screen_projection(g, cand, z, nv)
             if w2 > 1e-12:
-                scale = 1.0 / math.sqrt(w2)
-                w = [c * scale for c in proj]
+                w = unit_screen(proj, w2)
                 break
             nxt = seed_order[attempt % len(seed_order)]
             cand = [1.0 if i == nxt else 0.0 for i in range(n)]
@@ -697,13 +682,7 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     if F.m != 3:
         raise ValueError("helix transfer needs a 3-dimensional intrinsic chart")
     grid = [float(t) for t in grid]
-    kept = helixmod.decimated_count(grid)
-    if kept < TRANSFER_MIN_SAMPLES:
-        raise ValueError(
-            f"transfer grid keeps {kept} samples after decimation to spacing "
-            f"{helixmod.FD_SPACING}; the two chained 7-point stencils need at "
-            f"least {TRANSFER_MIN_SAMPLES}"
-        )
+    helixmod.require_stencil_samples("transfer", grid, "two", TRANSFER_MIN_SAMPLES)
     trace = helixmod.synthesize(spec, grid, step, project_every=project_every,
                                 drift_limit=drift_limit)
     iso_max = 0.0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nullhelix.cli import SpecError, load_spec, run
+from nullhelix.cli import SpecError, _parser, load_spec, run
 from nullhelix.exprparse import BinOp, Var, to_text
 from nullhelix.semimetric import MetricField
 
@@ -320,6 +320,18 @@ def test_submanifold_command(tmp_path):
     assert row["mean_curvature_norm"] == pytest.approx(0.5, abs=1e-8)
     assert row["geodesic_residual"] == pytest.approx(0.5, abs=1e-8)
     assert rep["summary"]["max_duality_residual"] <= 1e-8
+
+
+def test_submanifold_csv_is_usage_error(tmp_path, capsys):
+    # submanifold writes no CSV table, so it takes no --csv
+    spec = _write(tmp_path, "s.json", SPHERE_DOC)
+    csv_path = tmp_path / "s.csv"
+    assert run(["submanifold", "--spec", spec, "--csv", str(csv_path)]) == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+    assert not csv_path.exists()
+    for command in ("frame", "synth", "verify", "transfer"):
+        args = _parser().parse_args([command, "--spec", spec, "--csv", "t.csv"])
+        assert args.csv == "t.csv"
 
 
 EUCLID3 = {"dim": 3, "metric": {"type": "diag", "signs": [1, 1, 1]}}

@@ -1,14 +1,17 @@
-"""Source hygiene: every imported name is used, every parameter is read."""
+"""Source hygiene: every imported name is used, every parameter is read,
+every definition is referenced."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "nullhelix").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 @cache
@@ -61,6 +64,35 @@ def unread_parameters(tree) -> list:
     return out
 
 
+def references(tree, strings: bool = False) -> Counter:
+    """How often each name is used as a variable or an attribute; with
+    ``strings``, each dotted part of every string constant counts too
+    (perfbench's tracer names its targets as strings, "module.Class.method")."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            counts.update(node.value.split("."))
+    return counts
+
+
+def unreferenced_definitions(tree, counts) -> list:
+    """Each function, class and method of ``tree`` that ``counts`` names no
+    more often than its own body does; dunders are exempt."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        if counts[node.name] <= references(node)[node.name]:
+            out.append(f"line {node.lineno}: {node.name}")
+    return out
+
+
 def test_no_unused_imports():
     found = {path.relative_to(ROOT).as_posix(): unused_imports(_tree(path))
              for path in (*PACKAGE, *TESTS)}
@@ -69,6 +101,17 @@ def test_no_unused_imports():
 
 def test_every_parameter_is_read():
     found = {path.name: unread_parameters(_tree(path)) for path in PACKAGE}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_every_definition_is_referenced():
+    counts = Counter()
+    for path in (*PACKAGE, *TESTS):
+        counts.update(references(_tree(path)))
+    for path in PERFBENCH:
+        counts.update(references(_tree(path), strings=True))
+    found = {path.name: unreferenced_definitions(_tree(path), counts)
+             for path in PACKAGE}
     assert {k: v for k, v in found.items() if v} == {}
 
 
@@ -87,3 +130,27 @@ def test_the_checks_name_what_they_find():
     assert unused_imports(tree) == ["line 2: os", "line 3: full_support"]
     assert unread_parameters(tree) == ["line 8: f.tol", "line 8: f.t",
                                        "line 10: <lambda>.j"]
+    package = ast.parse(
+        "class NullFrame:\n"
+        "    def __init__(self, g):\n"
+        "        self.g = g\n"
+        "    def gram_residuals(self):\n"
+        "        return self.g\n"
+        "    def max_gram_residual(self):\n"
+        "        return max(self.gram_residuals())\n"
+        "def transversal(n):\n"
+        "    return transversal(n - 1) if n else 0\n"
+        "def traced():\n"
+        "    return 0\n")
+    users = ast.parse("NullFrame(1).max_gram_residual()\n")
+    tracer = ast.parse('TARGETS = ["nullframe.traced"]\n')
+    counts = references(package) + references(users) + references(tracer, strings=True)
+    assert unreferenced_definitions(package, counts) == ["line 8: transversal"]
+    counts = references(package) + references(users)
+    assert unreferenced_definitions(package, counts) == ["line 8: transversal",
+                                                         "line 10: traced"]
+    package = ast.parse("class NullFrame:\n"
+                        "    def gram_residuals(self):\n"
+                        "        return 0\n")
+    assert unreferenced_definitions(package, references(users)) == [
+        "line 2: gram_residuals"]

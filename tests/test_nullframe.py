@@ -1,9 +1,13 @@
 import math
+import random
 import tracemalloc
 
 import pytest
 
+from nullhelix import helix as hx
 from nullhelix import nullframe as nf
+from nullhelix.helix import GramDriftError
+from nullhelix.jets import Jet, const_term
 from nullhelix.nullframe import (
     NoUsableSeedError,
     NotNullError,
@@ -16,6 +20,7 @@ from nullhelix.nullframe import (
     frame_field,
     frenet_residuals,
 )
+from nullhelix.semimetric import MetricField, bilinear, mat_vec
 
 from conftest import uniform_grid
 
@@ -237,3 +242,177 @@ def test_policy_names_roundtrip():
     assert ScreenPolicy(seeds=(2, 0, 1, 3)).seed_indices(3) == [2, 0, 1]
     with pytest.raises(ValueError):
         ScreenPolicy.from_names("a,b")
+
+
+# -- the shared frame algebra, bit for bit against the inline formulas it replaced
+
+
+def _bits(value):
+    """Floats as hex (NaN equal to NaN, -0.0 apart from 0.0), jets as their
+    coefficients, sequences elementwise, None as itself."""
+    if value is None:
+        return None
+    if isinstance(value, Jet):
+        return ("jet", _bits(value.coeffs))
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return float(value).hex()
+
+
+def _outcome(fn, *args):
+    """``("ok", bits)`` of fn's result, or ``("raise", type, message)``."""
+    try:
+        return ("ok", _bits(fn(*args)))
+    except (ArithmeticError, ValueError, GramDriftError) as exc:
+        return ("raise", type(exc).__name__, str(exc))
+
+
+def _inline_gram_residual(g, z, n, w):
+    """``NullFrame.gram_residuals`` and ``max_gram_residual`` as they were."""
+    residuals = (
+        bilinear(g, z, z),
+        bilinear(g, n, n),
+        bilinear(g, z, n) - 1.0,
+        bilinear(g, n, w),
+        bilinear(g, z, w),
+        bilinear(g, w, w) + 1.0,
+    )
+    return max(abs(r) for r in residuals)
+
+
+def _inline_triple_worst(g, xi_i, xi_j, xi_k):
+    """``umbilical_diagnostic``'s six checks as they were, in their order."""
+    checks = (
+        bilinear(g, list(xi_i), list(xi_i)),
+        bilinear(g, list(xi_j), list(xi_j)),
+        bilinear(g, list(xi_i), list(xi_j)) - 1.0,
+        bilinear(g, list(xi_i), list(xi_k)),
+        bilinear(g, list(xi_j), list(xi_k)),
+        bilinear(g, list(xi_k), list(xi_k)) + 1.0,
+    )
+    return max(abs(c) for c in checks)
+
+
+def _inline_project_frame(metric, state):
+    """``helix._project_frame``'s body as it was."""
+    x = state[0:3]
+    z = state[3:6]
+    n = list(state[6:9])
+    w = list(state[9:12])
+    g = metric.matrix_at(x)
+    n = [c / bilinear(g, z, n) for c in n]
+    nn = bilinear(g, n, n)
+    n = [n[i] - 0.5 * nn * z[i] for i in range(3)]
+    w = [w[i] - bilinear(g, w, n) * z[i] - bilinear(g, w, z) * n[i] for i in range(3)]
+    w2 = -bilinear(g, w, w)
+    if w2 <= 0.0:
+        raise GramDriftError("projection lost the timelike screen direction", math.nan)
+    scale = 1.0 / math.sqrt(w2)
+    w = [c * scale for c in w]
+    return state[0:6] + n + w
+
+
+def _inline_ambient_screen(g, z, nv, cand):
+    """``_ambient_frames``' projection of one candidate as it was: W, or None
+    where the screen part is not timelike enough."""
+    n = len(cand)
+    proj = [
+        cand[i]
+        - bilinear(g, cand, nv) * z[i]
+        - bilinear(g, cand, list(z)) * nv[i]
+        for i in range(n)
+    ]
+    w2 = -bilinear(g, proj, proj)
+    if w2 > 1e-12:
+        scale = 1.0 / math.sqrt(w2)
+        return [c * scale for c in proj]
+    return None
+
+
+def _shared_ambient_screen(g, z, nv, cand):
+    proj, w2 = nf.screen_projection(g, cand, z, nv)
+    return nf.unit_screen(proj, w2) if w2 > 1e-12 else None
+
+
+def _inline_null_transversal(g, zeta, seeds):
+    """``null_transversal``'s N as it was, for the first usable seed."""
+    gz = mat_vec(g, zeta)
+    idx = next(i for i in seeds if abs(const_term(gz[i])) > nf.SEED_TOL)
+    phi = gz[idx]
+    dim = len(zeta)
+    ntilde = [(1.0 if i == idx else 0.0) / phi for i in range(dim)]
+    nn = bilinear(g, ntilde, ntilde)
+    return idx, gz, [ntilde[i] - 0.5 * nn * zeta[i] for i in range(dim)]
+
+
+ALGEBRA_CHARTS = {
+    "flat": MetricField.diag([-1, -1, 1]),
+    "curved": MetricField.from_texts(
+        3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]]),
+    "skew": MetricField.from_texts(
+        3, [["-1", "0.5", "0"], ["0.5", "-1", "0"], ["0", "0", "1"]]),
+}
+
+
+def _algebra_states(metric, rng):
+    """12-float states (x, zeta, N, W): near-frames, raw vectors and both
+    with an inf or NaN component."""
+    states = []
+    for _ in range(30):
+        x = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+        g = metric.matrix_at(x)
+        a = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        q = -(g[0][0] * a[0] * a[0] + 2.0 * g[0][1] * a[0] * a[1] + g[1][1] * a[1] * a[1])
+        z = [a[0], a[1], math.sqrt(q / g[2][2])]
+        _, gz, n = nf.null_transversal(g, z, (2, 0, 1), "at the sample")
+        w = nf.screen_vector(g, gz, n, "at the sample")
+        frame = [c * (1.0 + rng.uniform(-1e-3, 1e-3)) for c in (*z, *n, *w)]
+        states.append(x + frame)
+        states.append(x + [rng.uniform(-2.0, 2.0) for _ in range(9)])
+    for state in list(states[:12]):
+        for bad in (math.inf, -math.inf, math.nan):
+            broken = list(state)
+            broken[rng.randrange(3, 12)] = bad
+            states.append(broken)
+    return states
+
+
+@pytest.mark.parametrize("chart", list(ALGEBRA_CHARTS))
+def test_frame_algebra_matches_the_inline_formulas_bitwise(chart):
+    metric = ALGEBRA_CHARTS[chart]
+    rng = random.Random(f"frame-algebra-{chart}")
+    outcomes = set()
+    for state in _algebra_states(metric, rng):
+        g = metric.matrix_at(state[0:3])
+        z, n, w = state[3:6], state[6:9], state[9:12]
+        assert _bits(nf.max_gram_residual(g, z, n, w)) == \
+            _bits(_inline_gram_residual(g, tuple(z), tuple(n), tuple(w)))
+        assert _bits(hx._gram_drift(metric, state)) == \
+            _bits(_inline_gram_residual(g, tuple(z), tuple(n), tuple(w)))
+        assert _bits(nf.max_gram_residual(g, tuple(z), tuple(n), tuple(w))) == \
+            _bits(_inline_triple_worst(g, tuple(z), tuple(n), tuple(w)))
+        new = _outcome(hx._project_frame, metric, state)
+        assert new == _outcome(_inline_project_frame, metric, state)
+        outcomes.add(new[0])
+        for cand in (w, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]):
+            assert _outcome(_shared_ambient_screen, g, tuple(z), n, tuple(cand)) == \
+                _outcome(_inline_ambient_screen, g, tuple(z), n, list(cand))
+    assert outcomes == {"ok", "raise"}  # both branches of the projection ran
+
+
+@pytest.mark.parametrize("chart", list(ALGEBRA_CHARTS))
+def test_null_transversal_on_jets_matches_the_inline_formula_bitwise(chart):
+    metric = ALGEBRA_CHARTS[chart]
+    rng = random.Random(f"transversal-{chart}")
+    for _ in range(20):
+        pos = [Jet([rng.uniform(-1.0, 1.0) for _ in range(4)]) for _ in range(3)]
+        zeta = [Jet([rng.uniform(-1.0, 1.0) for _ in range(4)]) for _ in range(3)]
+        g = metric.matrix_at([p.truncated(2) for p in pos])
+        for seeds in ((2, 0, 1), (0, 1, 2), (1, 2, 0)):
+            assert _bits(nf.null_transversal(g, zeta, seeds, "here")) == \
+                _bits(_inline_null_transversal(g, zeta, seeds))
+    g = metric.matrix_at((0.1, 0.2, 0.3))
+    for bad in (math.inf, math.nan):
+        zeta = [0.5, bad, 0.25]
+        assert _bits(nf.null_transversal(g, zeta, (2, 0, 1), "here")) == \
+            _bits(_inline_null_transversal(g, zeta, (2, 0, 1)))

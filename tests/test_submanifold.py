@@ -481,6 +481,18 @@ def test_umbilical_diagnostic_validates_frame(slice_immersion):
                              (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
+def test_umbilical_diagnostic_names_the_worst_orthogonality_check(slice_immersion):
+    # the induced metric is diag(-1, -1, 1): xi_i and xi_j are null with
+    # g(xi_i, xi_j) = 1 and g(xi_k, xi_k) = -1, exactly, but xi_k is not
+    # orthogonal to them: g(xi_i, xi_k) = 0.75 and g(xi_j, xi_k) = 0.375
+    xi_i, xi_j, xi_k = (1.0, 0.0, 1.0), (-0.5, 0.0, 0.5), (0.0, 1.25, 0.75)
+    with pytest.raises(ValueError) as err:
+        umbilical_diagnostic(slice_immersion, [0.0, 0.0, 0.0], xi_i, xi_j, xi_k)
+    assert str(err.value) == "frame violates the null-triple conditions by 7.500e-01"
+    for xi_k in ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0)):  # the same triple, orthogonal
+        umbilical_diagnostic(slice_immersion, [0.0, 0.0, 0.0], xi_i, xi_j, xi_k)
+
+
 def test_null_triple_requires_index_2(sphere2):
     with pytest.raises(ValueError):
         null_triple(sphere2, [1.0, 0.5])
