@@ -358,7 +358,7 @@ def _cmd_frame(doc: SpecDocument, args) -> int:
     for fr in frames:
         sample = nfmod.curvatures_at(curve, fr, policy)
         r1, r2, r3 = nfmod.frenet_residuals(curve, fr, sample, policy)
-        gram = fr.max_gram_residual(metric)
+        gram = fr.gram_residual
         null_res = nfmod.check_null(curve, fr.t)
         resids = (nfmod.euclid_norm(r1), nfmod.euclid_norm(r2), nfmod.euclid_norm(r3))
         max_gram = max(max_gram, gram)

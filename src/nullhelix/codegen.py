@@ -1,8 +1,8 @@
 """Straight-line Python generated from expression trees.
 
-A metric's g-and-connection function and an immersion's f-and-Jacobian
-function are both written here: one named value per line, over duck scalars
-(floats and nested jets alike).  The code calls the elementary functions as
+A metric's g-and-connection function and an immersion's f-and-Jacobian and
+second-derivative functions are all written here: one named value per line,
+over duck scalars (floats and nested jets alike).  The code calls the elementary functions as
 ``jets.<name>``, through the module, and is written from the trees alone:
 ``repr`` float literals, the coordinate names and the grammar's function
 names.  ``compiled`` turns such a body into a function.  When the function

@@ -103,17 +103,15 @@ def max_gram_residual(g, z, n, w) -> float:
 
 @dataclass(frozen=True)
 class NullFrame:
-    """Frame sample: two null directions and the unit timelike screen vector."""
+    """Frame sample: two null directions, the unit timelike screen vector and
+    their ``max_gram_residual`` in g at the point."""
 
     t: float
     point: tuple
     zeta: tuple
     n: tuple
     w: tuple
-
-    def max_gram_residual(self, metric: SemiMetric) -> float:
-        return max_gram_residual(metric.matrix_at(self.point), self.zeta, self.n,
-                                 self.w)
+    gram_residual: float
 
 
 @dataclass(frozen=True)
@@ -403,13 +401,12 @@ class _FrameJets:
         return -const_term(bilinear(self.gmat, self.cov("zeta"), self.w))
 
     def frame(self, sign: float) -> NullFrame:
-        return NullFrame(
-            t=self.t,
-            point=tuple(const_term(c) for c in self.pos),
-            zeta=tuple(const_term(c) for c in self.zeta),
-            n=tuple(const_term(c) for c in self.n),
-            w=tuple(sign * const_term(c) for c in self.w),
-        )
+        point = tuple(const_term(c) for c in self.pos)
+        zeta = tuple(const_term(c) for c in self.zeta)
+        n = tuple(const_term(c) for c in self.n)
+        w = tuple(sign * const_term(c) for c in self.w)
+        gram = max_gram_residual(self.metric.matrix_at(point), zeta, n, w)
+        return NullFrame(self.t, point, zeta, n, w, gram)
 
 
 # Jet order of a bundle's positions: each covariant derivative drops one
@@ -472,11 +469,9 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None):
                 f"screen direction jumps between t = {a.t} and t = {b.t}"
             )
     for fr in frames:
-        res = fr.max_gram_residual(curve.metric)
-        if res > FRAME_TOL:
-            raise ValueError(
-                f"frame Gram residual {res:.3e} exceeds {FRAME_TOL} at t = {fr.t}"
-            )
+        if fr.gram_residual > FRAME_TOL:
+            raise ValueError(f"frame Gram residual {fr.gram_residual:.3e} exceeds "
+                             f"{FRAME_TOL} at t = {fr.t}")
     return frames
 
 

@@ -10,23 +10,26 @@ its tangential part is the shape operator, its normal part the normal-bundle
 derivative.  Mean curvature is the signed trace of B over an orthonormal
 tangent frame.  Every construction here is written over duck-typed scalars,
 so evaluating along a jet-seeded ray yields the derivative of the
-construction itself -- that is how the covariant derivatives of B, of the
-shape operator and of H are obtained without finite differences.
+construction itself -- that is how the normal fields' derivatives and the
+covariant derivatives of B and of H are obtained without finite differences.
 
 All forms read one memoized bundle per chart point and per jet ray
 (``_Point``): f(u), T, S, the ambient metric and connection, the induced
 metric and its inverse, the +-1 normals, the orthonormal tangent frame, the
 rank check of T, B on the frame pairs and H, each computed once, on first
-use.  H reads only the frame diagonal of B, so a jet ray that only needs H
-never evaluates an off-diagonal pair.
+use, and each shape-operator value once per argument.  H reads only the
+frame diagonal of B, so a jet ray that only needs H never evaluates an
+off-diagonal pair.
 
-f and T come from one Python function per immersion, generated on first use
-by ``codegen`` (the generator a metric's connection uses): the components
-and their ``exprparse.derivative`` trees in u1..um, T[a][k] = d f_k / d u_a.
-It takes floats, order-1 jet rays and nested jets alike, so S and the
-derivatives along rays differentiate it further.  When it raises, the
-components and then the derivative trees are evaluated again with
-``exprparse._eval``, so the ``DomainError`` names the subexpression.
+f, T and S come from two Python functions per immersion, generated on first
+use by ``codegen`` (the generator a metric's connection uses) from the
+components and their ``exprparse.derivative`` trees in u1..um:
+T[a][k] = d f_k / d u_a from the first function, and
+S[a][b][k] = d T[a][k] / d u_b from the second, so a pass that needs only f
+and T does not evaluate S.  Both take floats and order-1 jet rays alike.
+When one raises, the components and then its derivative trees are
+evaluated again with ``exprparse._eval``, so the ``DomainError`` names the
+subexpression.
 """
 
 from __future__ import annotations
@@ -117,11 +120,16 @@ class Immersion:
     # -- pointwise data over duck coordinates --------------------------------
 
     @cached_property
+    def _tangent_trees(self):
+        """d f_k / d u_a as trees, row a per variable, each taken once."""
+        return [[exprparse.derivative(c, name) for c in self.components]
+                for name in self._uvars]
+
+    @cached_property
     def _generated(self):
         """The generated ``(f, T)`` function of u1..um, T[a][k] from the tree
         of d f_k / d u_a; its errors replay the components, then those trees."""
-        derivs = [[exprparse.derivative(c, name) for c in self.components]
-                  for name in self._uvars]
+        derivs = self._tangent_trees
         em = codegen.Emitter(self._uvars)
         f = codegen.nested([em.code(c) for c in self.components], "[]")
         T = codegen.nested([[em.code(d) for d in row] for row in derivs], "[]")
@@ -131,9 +139,26 @@ class Immersion:
         trees = (*self.components, *(d for row in derivs for d in row))
         return codegen.compiled("_immersion", self._uvars, (), body, trees)
 
+    @cached_property
+    def _generated_hessian(self):
+        """The generated S function of u1..um, S[a][b][k] from the tree of
+        d T[a][k] / d u_b (S[a][b] and S[b][a] each from its own tree); its
+        errors replay the components, then T's and S's trees."""
+        derivs = self._tangent_trees
+        second = [[[exprparse.derivative(d, name) for d in row] for name in self._uvars]
+                  for row in derivs]
+        em = codegen.Emitter(self._uvars)
+        S = codegen.nested([[[em.code(d) for d in col] for col in row]
+                            for row in second], "[]")
+        body = [*(f"{name} = {rhs}" for name, rhs in em.kept([S])), f"return {S}"]
+        trees = (*self.components, *(d for row in derivs for d in row),
+                 *(d for row in second for col in row for d in col))
+        return codegen.compiled("_hessian", self._uvars, (), body, trees)
+
     def map_and_tangent(self, u):
-        """(f(u), T) over duck coordinates, from one call of the generated
-        function: T[a] = d f / d u_a."""
+        """(f(u), T) over floats or order-1 jet rays, from one call of the
+        generated function: T[a] = d f / d u_a.  S has a function of its own,
+        so a caller that reads only f and T never evaluates it."""
         return self._generated(*u)
 
 
@@ -181,6 +206,7 @@ class _Point:
         # cycle that outlives each run until the cyclic collector finds it
         self._F = weakref.ref(F)
         self.u = list(u)
+        self._shapes: dict = {}  # (a, bytes of x) -> A^{N_a}(x), see shape
 
     @property
     def F(self) -> Immersion:
@@ -198,10 +224,8 @@ class _Point:
 
     @cached_property
     def S(self):
-        """S[a][b] = d^2 f / du_a du_b: T[a] differentiated along the b-th axis."""
-        m = self.F.m
-        return [[_along(self, _unit(b, m), lambda q: q.T[a])[0] for b in range(m)]
-                for a in range(m)]
+        """S[a][b] = d^2 f / du_a du_b, from one call of the generated function."""
+        return self.F._generated_hessian(*self.u)
 
     @cached_property
     def amb(self):
@@ -289,6 +313,15 @@ class _Point:
                 acc[k] = acc[k] + sign * b[k]
         return [c / float(self.F.m) for c in acc]
 
+    def shape(self, a: int, x):
+        """A^{N_a}(x) at float x, computed once per (a, x): the duality loop
+        reads each A(e_i) for every e_j."""
+        key = (a, struct.pack(f"{len(x)}d", *x))
+        val = self._shapes.get(key)
+        if val is None:
+            val = self._shapes[key] = _shape_value(self, a, x)
+        return val
+
     @cached_property
     def ambient_christoffel(self):
         return self.F.ambient.christoffel(list(self.f))
@@ -316,14 +349,6 @@ def _point(F: Immersion, u) -> _Point:
 def _at(F: Immersion, u) -> _Point:
     """The bundle at the float point u."""
     return _point(F, [float(c) for c in u])
-
-
-def _along(pt: _Point, x, field):
-    """(derivative, base value) of ``field``, a map from bundles to duck
-    components, on the jet ray through pt along x; the base keeps pt's nesting."""
-    vals = field(_point(pt.F, [Jet((pt.u[b], x[b])) for b in range(len(pt.u))]))
-    return ([_slope(c) for c in vals],
-            [c.coeffs[0] if isinstance(c, Jet) else c for c in vals])
 
 
 def _checked(F: Immersion, u) -> _Point:
@@ -406,10 +431,13 @@ def _push(T, x):
 
 
 def _ambient_derivative(pt: _Point, x, field):
-    """Ambient covariant derivative along intrinsic x of an ambient-valued field."""
-    dv, base = _along(pt, x, field)
+    """Ambient covariant derivative along intrinsic x of an ambient-valued
+    field, a map from bundles to duck components: its slope on the jet ray
+    through pt along x plus the connection term at its base value."""
+    vals = field(_point(pt.F, [Jet((pt.u[b], x[b])) for b in range(len(pt.u))]))
+    base = [c.coeffs[0] if isinstance(c, Jet) else c for c in vals]
     gam = pt.gamma_term(_push(pt.T, x), base)
-    return [dv[k] + gam[k] for k in range(pt.F.ambient.dim)]
+    return [_slope(vals[k]) + gam[k] for k in range(pt.F.ambient.dim)]
 
 
 def _perp_derivative(pt: _Point, x, field):
@@ -440,14 +468,11 @@ def second_fundamental(F: Immersion, u, X, Y):
     return tuple(const_term(c) for c in _b_value(_at(F, u), list(X), list(Y)))
 
 
-def _weingarten(pt: _Point, a: int, x):
-    """Ambient derivative of the a-th normal field along intrinsic x (duck)."""
-    return _ambient_derivative(pt, x, lambda q: q.normals[a][0])
-
-
 def _shape_value(pt: _Point, a: int, y):
-    """Shape operator A^{N_a}(y) in intrinsic coordinates, over duck scalars."""
-    return [-c for c in _tangential_coords(pt, _weingarten(pt, a, y))]
+    """Shape operator A^{N_a}(y) in intrinsic coordinates: minus the tangential
+    part of the a-th normal field's ambient derivative along y."""
+    wein = _ambient_derivative(pt, y, lambda q: q.normals[a][0])
+    return [-c for c in _tangential_coords(pt, wein)]
 
 
 def shape_operator(F: Immersion, u, a: int, X):
@@ -457,11 +482,11 @@ def shape_operator(F: Immersion, u, a: int, X):
 
 def duality_residual(F: Immersion, u, X, Y, a: int) -> float:
     """|g(A(X), Y) - g~(B(X, Y), N_a)|: the two computations must agree."""
-    basis = normal_basis(F, u)  # checks the rank and both metrics at u
+    normal_basis(F, u)  # checks the rank, both metrics and the normal space at u
     pt = _at(F, u)
-    lhs = bilinear(pt.g, list(shape_operator(F, u, a, X)), list(Y))
-    b = second_fundamental(F, u, X, Y)
-    rhs = bilinear(pt.amb, list(b), list(basis.vectors[a]))
+    x, y = [float(c) for c in X], [float(c) for c in Y]
+    lhs = bilinear(pt.g, pt.shape(a, x), y)
+    rhs = bilinear(pt.amb, _b_value(pt, x, y), pt.normals[a][0])
     return abs(lhs - rhs)
 
 
@@ -499,7 +524,7 @@ def parallel_H_residual(F: Immersion, u, X) -> float:
     return euclid_norm([const_term(c) for c in val])
 
 
-# -- covariant derivatives of B and A ---------------------------------------------
+# -- covariant derivative of B ---------------------------------------------------
 
 
 def _intrinsic_nabla(pt: _Point, z, x):
@@ -508,66 +533,16 @@ def _intrinsic_nabla(pt: _Point, z, x):
     return _tangential_coords(pt, _gauss(pt, z, x))
 
 
-def _nabla_b_value(pt: _Point, x, y, z):
-    """(nabla B)(x, y, z) over duck scalars (ambient components)."""
-    perp = _perp_derivative(pt, z, lambda q: _b_value(q, x, y))
-    zx = _intrinsic_nabla(pt, z, x)
-    zy = _intrinsic_nabla(pt, z, y)
-    bx = _b_value(pt, zx, y)
-    by = _b_value(pt, zy, x)
-    return [perp[k] - bx[k] - by[k] for k in range(pt.F.ambient.dim)]
-
-
 def nabla_B(F: Immersion, u, X, Y, Z):
-    """(nabla B)(X, Y, Z) for coordinate-constant intrinsic fields."""
-    return tuple(const_term(c) for c in
-                 _nabla_b_value(_at(F, u), list(X), list(Y), list(Z)))
-
-
-def nabla2_B(F: Immersion, u, X, Y, Z, V):
-    """(nabla^2 B)(X, Y, Z, V): derivative of nabla B minus slot corrections."""
+    """(nabla B)(X, Y, Z) for coordinate-constant intrinsic fields: the
+    normal-bundle derivative of B(X, Y) along Z, less B(nabla_Z X, Y) and
+    B(X, nabla_Z Y)."""
     pt = _at(F, u)
-    x, y, z, v = list(X), list(Y), list(Z), list(V)
-    perp = _perp_derivative(pt, v, lambda q: _nabla_b_value(q, x, y, z))
-    vx = _intrinsic_nabla(pt, v, x)
-    vy = _intrinsic_nabla(pt, v, y)
-    vz = _intrinsic_nabla(pt, v, z)
-    # nabla B is a tensor, so the corrections take the float values as constants
-    tx = _nabla_b_value(pt, vx, y, z)
-    ty = _nabla_b_value(pt, x, vy, z)
-    tz = _nabla_b_value(pt, x, y, vz)
-    return tuple(
-        const_term(perp[k] - tx[k] - ty[k] - tz[k])
-        for k in range(F.ambient.dim)
-    )
-
-
-def nabla_shape(F: Immersion, u, a: int, X, Y):
-    """(nabla_X A^N)(Y) = nabla_X(A(Y)) - A^{perp-derivative of N}(Y) - A(nabla_X Y)."""
-    pt = _at(F, u)
-    x, y = list(X), list(Y)
-    m = F.m
-
-    # intrinsic covariant derivative of the tangent field s -> A(u + sX)(Y)
-    da, abase = _along(pt, x, lambda q: _shape_value(q, a, y))
-    gam = _intrinsic_nabla(pt, x, abase)
-    term1 = [da[al] + gam[al] for al in range(m)]
-
-    # A with the perp-derivative of N_a in the normal slot (pointwise linear)
-    perp_n = _normal_projection(pt, _weingarten(pt, a, x))
-    term2 = [0.0] * m
-    for d, (vec, sign) in enumerate(pt.normals):
-        coeff = sign * bilinear(pt.amb, perp_n, vec)
-        advals = _shape_value(pt, d, y)
-        for al in range(m):
-            term2[al] = term2[al] + coeff * advals[al]
-
-    # A applied to nabla_X Y (linear in the tangent slot)
-    term3 = _shape_value(pt, a, _intrinsic_nabla(pt, x, y))
-
-    return tuple(
-        const_term(term1[al] - term2[al] - term3[al]) for al in range(m)
-    )
+    x, y, z = list(X), list(Y), list(Z)
+    perp = _perp_derivative(pt, z, lambda q: _b_value(q, x, y))
+    bx = _b_value(pt, _intrinsic_nabla(pt, z, x), y)
+    by = _b_value(pt, _intrinsic_nabla(pt, z, y), x)
+    return tuple(const_term(perp[k] - bx[k] - by[k]) for k in range(F.ambient.dim))
 
 
 # -- frame triple and umbilical diagnostic ----------------------------------------

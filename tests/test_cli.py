@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nullhelix import nullframe as nf
 from nullhelix.cli import SpecError, _parser, load_spec, run
 from nullhelix.exprparse import BinOp, Var, to_text
 from nullhelix.semimetric import MetricField
@@ -273,7 +274,17 @@ def test_synth_report_and_csv(tmp_path):
     assert len(lines) == 202
 
 
-def test_frame_command(tmp_path):
+def test_frame_command(monkeypatch, tmp_path):
+    """The report reads the Gram residual ``frame_field`` checked each frame
+    with: one Gram check per sample."""
+    calls = []
+    gram = nf.max_gram_residual
+
+    def counted(*args):
+        calls.append(args)
+        return gram(*args)
+
+    monkeypatch.setattr(nf, "max_gram_residual", counted)
     spec = _write(tmp_path, "c1.json", C1_DOC)
     out = str(tmp_path / "rep.json")
     code = run(["frame", "--spec", spec, "--samples", "25", "--out", out])
@@ -281,6 +292,8 @@ def test_frame_command(tmp_path):
     rep = json.loads(open(out).read())
     assert len(rep["rows"]) == 25
     assert rep["summary"]["max_gram_residual"] <= 1e-9
+    assert len(calls) == 25
+    assert [r["gram_residual"] for r in rep["rows"]] == [gram(*a) for a in calls]
 
 
 def test_frame_seed_order_flag(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -36,13 +37,13 @@ def test_check_null_examples(flat3, c1_curve):
     assert check_null(not_null, 1.0) == pytest.approx(3.0)
 
 
-def test_c1_frame_closed_form(flat3, c1_curve):
+def test_c1_frame_closed_form(c1_curve):
     # hand-derived oracle: N = (sin t/2, -cos t/2, 1/2), W = (-cos t, -sin t, 0)
     for t in (0.0, 0.7, 2.9, 5.8):
         fr = build_frame(c1_curve, t)
         assert fr.n == pytest.approx((math.sin(t) / 2, -math.cos(t) / 2, 0.5), abs=1e-12)
         assert fr.w == pytest.approx((-math.cos(t), -math.sin(t), 0.0), abs=1e-12)
-        assert fr.max_gram_residual(flat3) <= 1e-9
+        assert fr.gram_residual <= 1e-9
 
 
 def test_straight_null_line_frame(flat3):
@@ -101,8 +102,7 @@ def test_corrupted_frame_residual(c1_curve):
     """Scaling W by 2 shifts the first residual by |k1| = 1 (linearity)."""
     t = 1.0
     fr = build_frame(c1_curve, t)
-    bad = nf.NullFrame(t=fr.t, point=fr.point, zeta=fr.zeta, n=fr.n,
-                       w=tuple(2.0 * c for c in fr.w))
+    bad = dataclasses.replace(fr, w=tuple(2.0 * c for c in fr.w))
     cs = curvatures_at(c1_curve, fr)
     r1, _, _ = frenet_residuals(c1_curve, bad, cs)
     assert nf.euclid_norm(r1) == pytest.approx(1.0, abs=1e-9)
@@ -113,7 +113,9 @@ def test_frame_field_c1(flat3, c1_curve):
     frames = frame_field(c1_curve, grid)
     assert len(frames) == 100
     for fr in frames:
-        assert fr.max_gram_residual(flat3) <= 1e-9
+        assert fr.gram_residual == \
+            nf.max_gram_residual(flat3.matrix_at(fr.point), fr.zeta, fr.n, fr.w)
+        assert fr.gram_residual <= 1e-9
     # continuity: W never jumps across neighbours
     for a, b in zip(frames, frames[1:]):
         assert sum(x * y for x, y in zip(a.w, b.w)) > 0.5

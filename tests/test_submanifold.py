@@ -25,9 +25,7 @@ from nullhelix.submanifold import (
     helix_transfer,
     induced_metric,
     mean_curvature,
-    nabla2_B,
     nabla_B,
-    nabla_shape,
     normal_basis,
     null_triple,
     parallel_H_residual,
@@ -161,8 +159,9 @@ IMMERSION_BOXES = [
 @pytest.mark.parametrize("name, box", IMMERSION_BOXES,
                          ids=[name for name, _ in IMMERSION_BOXES])
 def test_generated_map_and_tangent_equal_the_seeded_oracle(request, name, box):
-    """Floats, order-1 jet rays (as S and ``_along`` use) and nested jets (as
-    ``nabla2_B`` uses): every coefficient equal, zero signs aside."""
+    """Floats, order-1 jet rays (as the ray bundles use) and nested jets (as
+    the reference for S on rays below uses): every coefficient equal, zero
+    signs aside."""
     F = request.getfixturevalue(name)
     rng = random.Random(31)
     points = []
@@ -194,6 +193,58 @@ def test_generated_map_and_tangent_match_the_seeded_oracle_on_random_maps(trees,
         for a, b in zip(got_row, want_row):
             if math.isfinite(b):
                 assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+def _ray_hessian(tangent, u):
+    """Reference for S that reads no second-derivative tree: T, from
+    ``tangent`` (a map from points to T), on the jet ray through u along each
+    axis, differentiated along that ray."""
+    m = len(u)
+    rows = [tangent([Jet((c, 1.0 if i == b else 0.0)) for i, c in enumerate(u)])
+            for b in range(m)]
+    return [[[sb._slope(c) for c in rows[b][a]] for b in range(m)] for a in range(m)]
+
+
+# products of the coordinates make d/du_a d/du_b round differently from
+# d/du_b d/du_a, so S[a][b] and S[b][a] need not share their bits
+MIXED_MAP = ["exp(u1*u2)", "log(1 + u2^2)*u3", "sqrt(2 + u1*u3)", "cosh(u1 - u2*u3)"]
+HESSIAN_BOXES = [*IMMERSION_BOXES, ("mixed", [(-1.0, 1.0)] * 3)]
+
+
+@pytest.mark.parametrize("name, box", HESSIAN_BOXES,
+                         ids=[name for name, _ in HESSIAN_BOXES])
+def test_generated_hessian_equals_t_differentiated_along_axis_rays(request, name, box):
+    """S at floats and at order-1 jet rays (as the ray bundles of B read it)
+    from the generated function: every coefficient of T differentiated along
+    the axis rays, zero signs aside."""
+    F = (Immersion.from_texts(3, request.getfixturevalue("amb4"), MIXED_MAP)
+         if name == "mixed" else request.getfixturevalue(name))
+    rng = random.Random(37)
+    for _ in range(25):
+        u = [rng.uniform(lo, hi) for lo, hi in box]
+        x = [rng.uniform(-1.0, 1.0) for _ in box]
+        for point in (u, [Jet((a, b)) for a, b in zip(u, x)]):
+            got = sb._Point(F, point).S
+            want = _ray_hessian(lambda p: F.map_and_tangent(p)[1], point)
+            assert [[[_bits(c) for c in col] for col in row] for row in got] == \
+                [[[_bits(c) for c in col] for col in row] for row in want]
+
+
+@given(st.lists(expr_trees(("u1", "u2", "u3")), min_size=4, max_size=4),
+       st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_generated_hessian_matches_the_seeded_oracle_on_random_maps(trees, u):
+    F = Immersion(3, MetricField.diag([-1, -1, 1, 1]), trees)
+    try:
+        want = _ray_hessian(lambda p: _seeded_tangent(F, p), u)
+    except exprparse.DomainError:
+        return  # outside the domain
+    got = F._generated_hessian(*u)
+    for a in range(3):
+        for b in range(3):
+            for x, y in zip(got[a][b], want[a][b]):
+                if math.isfinite(y):
+                    assert math.isclose(x, y, rel_tol=1e-12, abs_tol=0.0), (a, b)
 
 
 # -- fundamental forms --------------------------------------------------------------
@@ -317,8 +368,6 @@ def test_nabla_b_slice_and_sphere(slice_immersion, sphere2):
         pytest.approx((0, 0, 0, 0), abs=1e-14)
     v = nabla_B(sphere2, [1.0, 0.6], (1, 0), (0, 1), (1, 0))
     assert euclid_norm(v) <= 1e-7  # spheres have parallel second fundamental form
-    w = nabla2_B(sphere2, [1.0, 0.6], (1, 0), (0, 1), (1, 0), (0, 1))
-    assert euclid_norm(w) <= 1e-7
 
 
 def _fd_nabla_b(F, u, x, y, z, h=1e-5):
@@ -350,75 +399,6 @@ def test_nabla_b_against_finite_differences(graph_immersion):
     assert max(abs(a - b) for a, b in zip(exact, fd)) <= 1e-6
 
 
-def test_nabla2_b_against_finite_differences(graph_immersion):
-    u = [0.2, -0.4, 1.0]
-    x = y = z = v = (0.0, 0.0, 1.0)
-    exact = nabla2_B(graph_immersion, u, x, y, z, v)
-    h = 1e-4
-    up = [u[a] + h * v[a] for a in range(3)]
-    um = [u[a] - h * v[a] for a in range(3)]
-    bp = nabla_B(graph_immersion, up, x, y, z)
-    bm = nabla_B(graph_immersion, um, x, y, z)
-    d = [(bp[k] - bm[k]) / (2.0 * h) for k in range(4)]
-    pt = sb._point(graph_immersion, u)
-    perp = sb._normal_projection(pt, d)
-    gamma = GRAPH_METRIC.christoffel_at(u)
-    corr = [0.0, 0.0, 0.0, 0.0]
-    for slot in (x, y, z):
-        vx = [sum(gamma[a][b][c] * v[b] * slot[c] for b in range(3) for c in range(3))
-              for a in range(3)]
-        args = {id(x): [vx, y, z], id(y): [x, vx, z], id(z): [x, y, vx]}[id(slot)]
-        term = nabla_B(graph_immersion, u, *args)
-        for k in range(4):
-            corr[k] += term[k]
-    fd = [perp[k] - corr[k] for k in range(4)]
-    assert max(abs(a - b) for a, b in zip(exact, fd)) <= 1e-6
-
-
-def test_nabla_shape_examples(slice_immersion, sphere2, graph_immersion):
-    assert nabla_shape(slice_immersion, [0, 0, 0], 0, (1, 0, 0), (0, 1, 0)) == \
-        pytest.approx((0, 0, 0), abs=1e-12)
-    v = nabla_shape(sphere2, [1.0, 0.6], 0, (1, 0), (0, 1))
-    assert euclid_norm(v) <= 1e-7
-    # finite-difference oracle on the graph immersion
-    u = [0.2, -0.4, 1.0]
-    x, y = (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)
-    exact = nabla_shape(graph_immersion, u, 0, x, y)
-    h = 1e-5
-    gamma = GRAPH_METRIC.christoffel_at(u)
-
-    def shape_at(uu):
-        return shape_operator(graph_immersion, uu, 0, y)
-
-    up = [u[a] + h * x[a] for a in range(3)]
-    um = [u[a] - h * x[a] for a in range(3)]
-    ap, am = shape_at(up), shape_at(um)
-    a0 = shape_at(u)
-    term1 = [
-        (ap[al] - am[al]) / (2.0 * h)
-        + sum(gamma[al][b][c] * x[b] * a0[c] for b in range(3) for c in range(3))
-        for al in range(3)
-    ]
-    pt = sb._point(graph_immersion, u)
-    wein = sb._weingarten(pt, 0, list(x))
-    perp_n = sb._normal_projection(pt, wein)
-    (n0, s0), = pt.normals
-    coeff = s0 * bilinear(pt.amb, perp_n, n0)
-    term2 = [coeff * a0c for a0c in shape_operator(graph_immersion, u, 0, y)]
-    xy = [sum(gamma[a][b][c] * x[b] * y[c] for b in range(3) for c in range(3))
-          for a in range(3)]
-    axy = [0.0, 0.0, 0.0]
-    for b in range(3):
-        if xy[b] == 0.0:
-            continue
-        ab = shape_operator(graph_immersion, u, 0,
-                            [1.0 if c == b else 0.0 for c in range(3)])
-        for al in range(3):
-            axy[al] += xy[b] * ab[al]
-    fd = [term1[al] - term2[al] - axy[al] for al in range(3)]
-    assert max(abs(a - b) for a, b in zip(exact, fd)) <= 1e-6
-
-
 def test_fundamental_forms_aggregate(sphere2):
     u = [1.0, 0.7]
     basis = [[1.0 if i == a else 0.0 for i in range(2)] for a in range(2)]
@@ -441,8 +421,6 @@ def test_derived_form_sample_aggregate(slice_immersion, graph_immersion):
     x = (0.0, 0.0, 1.0)
     u = [0.0, 0.0, 0.0]
     assert euclid_norm(nabla_B(slice_immersion, u, x, x, x)) == 0.0
-    assert euclid_norm(nabla2_B(slice_immersion, u, x, x, x, x)) == 0.0
-    assert euclid_norm(nabla_shape(slice_immersion, u, 0, x, x)) == 0.0
     assert euclid_norm(nabla_B(graph_immersion, [0.2, -0.4, 1.0], x, x, x)) > 1e-3
 
 
@@ -508,7 +486,6 @@ def _public_calls(F, u):
     x = [0.3, -0.7, 0.5][:m]
     y = [1.0, 0.25, -0.4][:m]
     z = [0.0, 1.0, 0.6][:m]
-    v = [0.8, 0.0, -0.2][:m]
     e0 = [1.0] + [0.0] * (m - 1)
 
     def diagnostic():
@@ -526,8 +503,6 @@ def _public_calls(F, u):
         ("parallel_H_residual", lambda: parallel_H_residual(F, u, x)),
         ("parallel_H_axis", lambda: parallel_H_residual(F, u, e0)),
         ("nabla_B", lambda: nabla_B(F, u, x, y, z)),
-        ("nabla2_B", lambda: nabla2_B(F, u, e0, y, z, v)),
-        ("nabla_shape", lambda: nabla_shape(F, u, 0, x, y)),
         ("null_triple", lambda: null_triple(F, u)),
         ("umbilical_diagnostic", diagnostic),
     ]
@@ -659,18 +634,21 @@ SPHERE_DOC = {
 }
 
 
-@pytest.mark.parametrize("doc, float_b, ray_b, diagnosed", [
-    (PSEUDOSPHERE_DOC, 18, 9, True),
-    (SPHERE_DOC, 7, 4, False),
+@pytest.mark.parametrize("doc, float_b, ray_b, diagnosed, shapes", [
+    (PSEUDOSPHERE_DOC, 18, 9, True, 3),
+    (SPHERE_DOC, 7, 4, False, 2),
 ], ids=["pseudosphere", "sphere"])
 def test_submanifold_command_checks_rank_and_frame_pairs_once_per_sample(
-        monkeypatch, tmp_path, doc, float_b, ray_b, diagnosed):
+        monkeypatch, tmp_path, doc, float_b, ray_b, diagnosed, shapes):
     """Per sample of the ``submanifold`` command: one SVD rank check; B at the
     float point on the m(m+1)/2 frame pairs, the m^2 coordinate pairs of the
-    duality loop and, with a null triple, its 3 pairs; and B on the frame
-    diagonal of each of the m jet rays that differentiate H."""
-    counts = {"rank": 0, "float": 0, "ray": 0}
-    matrix_rank, b_value = np.linalg.matrix_rank, sb._b_value
+    duality loop and, with a null triple, its 3 pairs; B on the frame
+    diagonal of each of the m jet rays that differentiate H; and one
+    Weingarten derivative per axis and unit normal, A^{N_d}(e_a), which the
+    duality loop reads for every e_b."""
+    counts = {"rank": 0, "float": 0, "ray": 0, "shape": 0}
+    matrix_rank, b_value, shape_value = (np.linalg.matrix_rank, sb._b_value,
+                                         sb._shape_value)
 
     def counted_rank(*args, **kwargs):
         counts["rank"] += 1
@@ -680,8 +658,13 @@ def test_submanifold_command_checks_rank_and_frame_pairs_once_per_sample(
         counts["float" if all(type(c) is float for c in pt.u) else "ray"] += 1
         return b_value(pt, x, y)
 
+    def counted_shape(pt, a, y):
+        counts["shape"] += 1
+        return shape_value(pt, a, y)
+
     monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
     monkeypatch.setattr(sb, "_b_value", counted_b)
+    monkeypatch.setattr(sb, "_shape_value", counted_shape)
     spec, out = tmp_path / "spec.json", tmp_path / "report.json"
     spec.write_text(json.dumps(doc))
     assert cli.run(["submanifold", "--spec", str(spec), "--out", str(out)]) == 0
@@ -689,7 +672,7 @@ def test_submanifold_command_checks_rank_and_frame_pairs_once_per_sample(
     assert [row["diag_D2_norm"] is not None for row in rows] == [diagnosed] * len(rows)
     samples = len(doc["samples"])
     assert counts == {"rank": samples, "float": float_b * samples,
-                      "ray": ray_b * samples}
+                      "ray": ray_b * samples, "shape": shapes * samples}
 
 
 # -- helix transfer -------------------------------------------------------------------
