@@ -2,14 +2,16 @@
 
 A metric's g-and-connection function and an immersion's f-and-Jacobian and
 second-derivative functions are all written here: one named value per line,
-over duck scalars (floats and nested jets alike).  The code calls the elementary functions as
-``jets.<name>``, through the module, and is written from the trees alone:
-``repr`` float literals, the coordinate names and the grammar's function
-names.  ``compiled`` turns such a body into a function.  When the function
-raises (a domain, division or overflow error), the trees it was generated
-from are evaluated again with ``exprparse._eval`` at the same point, so the
-``DomainError`` names the offending subexpression; that path never returns
-a value.
+over duck scalars (floats and nested jets alike).  The code calls the
+elementary functions as ``jets.<name>``, through the module, and is written
+from the trees alone: ``repr`` float literals, the coordinate names and the
+grammar's function names.  ``compiled`` turns such a body into a function.
+When the function raises (a domain, division or overflow error), the trees
+it was generated from are evaluated again with ``exprparse._eval`` at the
+same point, so the ``DomainError`` names the offending subexpression; that
+path never returns a value.  ``function`` is the same wrapper with the
+replay left to the caller: a metric's RK4 stage loop (``helix``) replays
+its connection at the failing stage's coordinates.
 """
 
 from __future__ import annotations
@@ -114,14 +116,34 @@ def nested(rows, brackets: str = "()") -> str:
     return f"{brackets[0]}{inner},{brackets[1]}"
 
 
-def compiled(name: str, variables, extra, body, trees):
-    """``def name(*variables, *extra)`` running ``body``, a list of code lines
-    (indented relative to the function) that ends by returning.
+def function(name: str, params, body, replay, replayed, namespace=None):
+    """``def name(*params)`` running ``body``, a list of code lines (indented
+    relative to the function) that ends by returning.
 
-    A ValueError, ZeroDivisionError or OverflowError raised in the body makes
-    the function evaluate ``trees`` in order with ``exprparse._eval``, with
-    ``variables`` bound to its arguments, so the first tree that fails raises
-    its ``DomainError``; when none fails, the original error is raised.
+    A ValueError, ZeroDivisionError or OverflowError raised in the body calls
+    ``replay(error, values)``, which must raise, with ``values`` the tuple of
+    the local names ``replayed`` at that moment.  The body sees ``jets`` and
+    the names in ``namespace``.
+    """
+    source = "\n".join([
+        f"def {name}({', '.join(params)}):",
+        "    try:",
+        *(f"        {line}" for line in body),
+        "    except (ValueError, ZeroDivisionError, OverflowError) as error:",
+        f"        _replay(error, ({''.join(f'{v}, ' for v in replayed)}))",
+    ]) + "\n"
+    scope = {**(namespace or {}), "jets": jets, "_replay": replay}
+    exec(compile(source, f"<{name}>", "exec"), scope)
+    return scope[name]
+
+
+def compiled(name: str, variables, extra, body, trees):
+    """``def name(*variables, *extra)`` running ``body`` (see ``function``).
+
+    An error in the body makes the function evaluate ``trees`` in order with
+    ``exprparse._eval``, with ``variables`` bound to its arguments, so the
+    first tree that fails raises its ``DomainError``; when none fails, the
+    original error is raised.
     """
     def replay(error, values):
         env = dict(zip(variables, values))
@@ -129,13 +151,4 @@ def compiled(name: str, variables, extra, body, trees):
             exprparse._eval(node, env)
         raise error
 
-    source = "\n".join([
-        f"def {name}({', '.join((*variables, *extra))}):",
-        "    try:",
-        *(f"        {line}" for line in body),
-        "    except (ValueError, ZeroDivisionError, OverflowError) as error:",
-        f"        _replay(error, ({''.join(f'{v}, ' for v in variables)}))",
-    ]) + "\n"
-    namespace = {"jets": jets, "_replay": replay}
-    exec(compile(source, f"<{name}>", "exec"), namespace)
-    return namespace[name]
+    return function(name, (*variables, *extra), body, replay, variables)

@@ -14,8 +14,11 @@ and each coordinate column (x_a, zeta_a, n_a, w_a) obeys the same linear
 system y' = A y.  One RK4 step of it is exactly P = I + B + B^2/2 + B^3/6 +
 B^4/24 with B = dt A, so ``_rk4_steps`` applies nsteps of them at once as
 y + Q y, with the increment Q = P^nsteps - I built by binary powering and
-memoized per (h, k1, k2, dt, nsteps).  Every other chart runs the RK4 stage
-loop, which evaluates G at each stage and sums it over the pattern only.  A
+memoized per (h, k1, k2, dt, nsteps).  Every other chart runs one generated
+function per metric, built on its first curved ``_rk4_steps`` and kept on the
+metric: nsteps RK4 steps with the four stages inlined and the state in
+locals, each stage running the metric's own emitted g, det and connection
+lines and summing G over the pattern symbols that have a value.  A
 shadow integration at half step provides a Richardson error estimate per
 sample; its Gram drift and re-projection use ``nullframe``'s frame algebra.
 Residual norms are always coordinate-Euclidean: the indefinite metric can
@@ -49,12 +52,15 @@ from .jets import const_term
 from .nullframe import (CurvatureSample, NullCurve, NullFrame, ScreenPolicy, euclid_norm,
                         frame_curvatures, max_gram_residual, screen_projection,
                         transversal, unit_screen, _aligned_frame_jets, _frame_jets)
-from .semimetric import SemiMetric, bilinear
+from . import codegen
+from .semimetric import DEGENERATE_ALONG, DET_TOL, DegenerateMetricError, SemiMetric, bilinear
 
 DRIFT_LIMIT = 1e-4
 SPEC_GRAM_TOL = 1e-10
 # full-size RK4 steps one synthesis may take over its whole grid; a curved
-# chart runs about 1e4 of them a second, so larger runs are rejected up front
+# chart runs about 3e4 to 5e4 of them a second, each with its two half-step
+# shadow steps (diag(-1, -1, 1 + x3^2) and the conformal chart on a 2-vCPU
+# host, Python 3.11), so larger runs are rejected up front
 MAX_RK4_STEPS = 10 ** 6
 
 
@@ -116,34 +122,6 @@ class HelixTrace:
                             n=self.ns[::stride], w=self.ws[::stride])
 
 
-def _rhs(metric: SemiMetric, h, k1, k2, state):
-    """Right-hand side of the frame system; the connection is evaluated at
-    the state's position, once per call (one RK4 stage)."""
-    z = state[3:6]
-    n = state[6:9]
-    w = state[9:12]
-    gamma = metric.christoffel(state[0:3])
-    # G zeta zeta, G zeta n, G zeta w, summed inline in connection_term's order
-    gz = [0.0] * 9
-    for k, i, j in metric.pattern:
-        c = gamma[k][i][j] * z[i]
-        gz[k] += c * z[j]
-        gz[3 + k] += c * n[j]
-        gz[6 + k] += c * w[j]
-    return [
-        z[0], z[1], z[2],
-        h * z[0] + k1 * w[0] - gz[0],
-        h * z[1] + k1 * w[1] - gz[1],
-        h * z[2] + k1 * w[2] - gz[2],
-        -h * n[0] + k2 * w[0] - gz[3],
-        -h * n[1] + k2 * w[1] - gz[4],
-        -h * n[2] + k2 * w[2] - gz[5],
-        k2 * z[0] + k1 * n[0] - gz[6],
-        k2 * z[1] + k1 * n[1] - gz[7],
-        k2 * z[2] + k1 * n[2] - gz[8],
-    ]
-
-
 _ZERO4 = ((0.0,) * 4,) * 4
 _IDENTITY4 = tuple(tuple(float(r == c) for c in range(4)) for r in range(4))
 
@@ -187,6 +165,85 @@ def _flat_increment(h, k1, k2, dt, nsteps):
     return out
 
 
+def _stage_code(metric, point, out) -> tuple:
+    """One RK4 stage at the state named ``point``: the metric's own g, det
+    and connection lines at its coordinates, then the frame system's
+    right-hand side into ``out<i>``.
+
+    Each connection sum G zeta zeta, G zeta n and G zeta w runs from 0.0
+    over the pattern symbols that have a value, in pattern order, with c =
+    gamma[k][i][j] zeta^i taken once per symbol.  Returns the lines and the
+    names of the 4n right-hand-side components, the first n of which are
+    ``point``'s zeta.
+    """
+    n, code = metric.dim, metric.connection_code
+    x, z, nv, w = (point[a * n:(a + 1) * n] for a in range(4))
+    lines = [f"{name} = {value}" for name, value in zip(code.names, x)
+             if name != value]
+    lines += [
+        *code.early,
+        f"det = {code.det}",
+        f"if abs(det) <= {DET_TOL!r}:",
+        f"    raise DegenerateMetricError({DEGENERATE_ALONG!r})",
+        *code.late,
+    ]
+    sums = [[["0.0"] for _ in range(n)] for _ in range(3)]
+    for m, (k, i, j) in enumerate(metric.pattern):
+        gamma = code.gamma[k][i][j]
+        if gamma != "0.0":
+            lines.append(f"_c{m} = {gamma} * {z[i]}")
+            for terms, v in zip(sums, (z, nv, w)):
+                terms[k].append(f"_c{m} * {v[j]}")
+    minus = [[f" - ({' + '.join(t)})" if len(t) > 1 else "" for t in s] for s in sums]
+    lines += [f"{out}{n + k} = h * {z[k]} + k1 * {w[k]}{minus[0][k]}" for k in range(n)]
+    lines += [f"{out}{2 * n + k} = nh * {nv[k]} + k2 * {w[k]}{minus[1][k]}"
+              for k in range(n)]
+    lines += [f"{out}{3 * n + k} = k2 * {z[k]} + k1 * {nv[k]}{minus[2][k]}"
+              for k in range(n)]
+    return lines, [*z, *(f"{out}{i}" for i in range(n, 4 * n))]
+
+
+def _emit_stage_loop(metric):
+    """``loop(y0, .., y(4n-1), h, k1, k2, dt, nsteps)``: ``nsteps`` classical
+    RK4 steps of the frame system on ``metric``, four stages inlined per step
+    and the state in locals.
+
+    The stage states are y + (0.5 * dt) a, y + (0.5 * dt) b and y + dt c, and
+    the step is y + dt * (a + 2b + 2c + d) / 6.0.  A degenerate point raises
+    DegenerateMetricError; a domain, division or overflow error evaluates
+    ``metric.christoffel`` at the failing stage's coordinates, whose
+    ``DomainError`` names the subexpression.
+    """
+    n = metric.dim
+    y = [f"y{i}" for i in range(4 * n)]
+    xs = metric.connection_code.names
+    body = []
+    stages = []
+    point = y
+    for out, scale, later in (("a", "hdt", "b"), ("b", "hdt", "c"), ("c", "dt", "d"),
+                              ("d", None, None)):
+        lines, rhs = _stage_code(metric, point, out)
+        body += lines
+        stages.append(rhs)
+        if later:  # the next stage's state; its coordinates go straight to x
+            point = [*xs, *(f"y{later}{i}" for i in range(n, 4 * n))]
+            body += [f"{p} = {v} + {scale} * {r}" for p, v, r in zip(point, y, rhs)]
+    a, b, c, d = stages
+    # in index order, so y_i (i < n) reads stage a's zeta y_(n+i) before its update
+    body += [f"{v} = {v} + dt * ({a[i]} + 2.0 * {b[i]} + 2.0 * {c[i]} + {d[i]}) / 6.0"
+             for i, v in enumerate(y)]
+
+    def replay(error, coords):
+        metric.christoffel(list(coords))
+        raise error
+
+    return codegen.function(
+        "_rk4_stage_loop", (*y, "h", "k1", "k2", "dt", "nsteps"),
+        ["hdt = 0.5 * dt", "nh = -h", "for _ in range(nsteps):",
+         *(f"    {line}" for line in body), f"return [{', '.join(y)}]"],
+        replay, xs, {"DegenerateMetricError": DegenerateMetricError})
+
+
 def _rk4_steps(metric, h, k1, k2, state, dt, nsteps):
     """``nsteps`` classical RK4 steps of size ``dt`` from ``state``."""
     if not metric.pattern:
@@ -200,20 +257,20 @@ def _rk4_steps(metric, h, k1, k2, state, dt, nsteps):
                 y[3 * r + a] = col[r] + (row[0] * col[0] + row[1] * col[1]
                                          + row[2] * col[2] + row[3] * col[3])
         return y
-    y = list(state)
-    for _ in range(nsteps):
-        a = _rhs(metric, h, k1, k2, y)
-        b = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * a[i] for i in range(12)])
-        c = _rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * b[i] for i in range(12)])
-        d = _rhs(metric, h, k1, k2, [y[i] + dt * c[i] for i in range(12)])
-        y = [y[i] + dt * (a[i] + 2.0 * b[i] + 2.0 * c[i] + d[i]) / 6.0 for i in range(12)]
-    return y
+    # every other chart: the metric's stage loop, generated on first use and
+    # kept on the metric instance
+    loop = getattr(metric, "_rk4_stage_loop", None)
+    if loop is None:
+        loop = metric._rk4_stage_loop = _emit_stage_loop(metric)
+    return loop(*state, h, k1, k2, dt, nsteps)
 
 
-def _project_frame(metric: SemiMetric, state):
-    """Restore the Gram conditions for N and W, leaving zeta untouched."""
+def _project_frame(metric: SemiMetric, state, g=None):
+    """Restore the Gram conditions for N and W, leaving zeta untouched; ``g``
+    is the metric at the state's point, read there when not given."""
     z, n = state[3:6], state[6:9]
-    g = metric.matrix_at(state[0:3])
+    if g is None:
+        g = metric.matrix_at(state[0:3])
     n = transversal(g, z, n, bilinear(g, z, n))
     w, w2 = screen_projection(g, state[9:12], z, n)
     if w2 <= 0.0:  # NaN passes on to the drift check
@@ -221,9 +278,10 @@ def _project_frame(metric: SemiMetric, state):
     return state[0:6] + n + unit_screen(w, w2)
 
 
-def _gram_drift(metric: SemiMetric, state) -> float:
-    return max_gram_residual(metric.matrix_at(state[0:3]), state[3:6], state[6:9],
-                             state[9:12])
+def _gram_drift(metric: SemiMetric, state, g=None) -> float:
+    if g is None:
+        g = metric.matrix_at(state[0:3])
+    return max_gram_residual(g, state[3:6], state[6:9], state[9:12])
 
 
 def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
@@ -247,6 +305,8 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     metric = spec.metric
+    # a flat chart's g is the same matrix, with the same det check, everywhere
+    g = None if metric.pattern else metric.matrix_at(spec.initial_point)
     h, k1, k2 = spec.h, spec.k1, spec.k2
     state = list(spec.initial_point) + list(spec.zeta0) + list(spec.n0) + list(spec.w0)
     shadow = list(state)
@@ -254,7 +314,7 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     steps_done = 0
 
     def record(t, full, half):
-        drift = _gram_drift(metric, full)
+        drift = _gram_drift(metric, full, g)
         if not drift <= drift_limit:  # NaN included
             raise GramDriftError(
                 f"Gram drift {drift:.3e} exceeds {drift_limit} at t = {t}", t
@@ -292,8 +352,8 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
             done += chunk
             steps_done += chunk
             if project_every and steps_done % project_every == 0:
-                state = _project_frame(metric, state)
-                shadow = _project_frame(metric, shadow)
+                state = _project_frame(metric, state, g)
+                shadow = _project_frame(metric, shadow, g)
         record(tb, state, shadow)
     return HelixTrace(
         spec=spec, step=step, times=tuple(times), points=tuple(points),

@@ -20,7 +20,8 @@ reader of g (frame bundles and submanifold points included), which checks
 raises (a domain, division or overflow error), the entries and then the
 derivative trees are evaluated again with ``exprparse._eval`` at the same
 point, so the ``DomainError`` names the offending subexpression; that path
-never returns a connection.
+never returns a connection.  The same code lines (``connection_code``) are
+the stages of ``helix``'s one generated RK4 loop per curved metric.
 
 Each metric's ``pattern`` holds the (k, i, j), in lexicographic order, whose
 Christoffel symbol can be nonzero: every k times every live pair (i, j), where
@@ -45,6 +46,7 @@ not.
 from __future__ import annotations
 
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +58,10 @@ DET_TOL = 1e-10
 
 class DegenerateMetricError(ValueError):
     """Metric determinant fell below the non-degeneracy tolerance."""
+
+
+# the message of a degenerate point met while evaluating the connection
+DEGENERATE_ALONG = "metric degenerate along evaluation"
 
 
 # -- small dense linear algebra over duck scalars -----------------------------
@@ -202,7 +208,7 @@ class SemiMetric:
             return _zero_connection(self.dim)
         _, _, gamma = self._evaluate(coords, True)
         if gamma is None:
-            raise DegenerateMetricError("metric degenerate along evaluation")
+            raise DegenerateMetricError(DEGENERATE_ALONG)
         return gamma
 
     def christoffel_at(self, p):
@@ -227,16 +233,29 @@ def _emit_det(em: codegen.Emitter, m):
     return acc
 
 
-def _connection_body(names, entries, dg, pattern) -> list:
-    """Body of ``_metric_connection(x1, .., xn, connection)``.
+class ConnectionCode(NamedTuple):
+    """The lines of a metric's generated g, det and connection, over the
+    coordinate ``names``: ``early`` binds the temporaries that g and det read
+    and runs before the |det| check, ``late`` the rest.  ``gamma[k][i][j]`` is
+    the code of each symbol: a temporary, or "0.0" where it is structurally
+    zero."""
 
-    It returns ``(g, det, gamma)``: g as lists of the entries, det as
-    ``mat_det`` computes it, and gamma as nested tuples, or None when
-    ``connection`` is false or |det| <= DET_TOL.  The inverse is
-    ``mat_inverse``'s adjugate, and each gamma[k][i][j] on the pattern is
-    0.5 * sum over l of ginv[k][l] (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]),
-    both with every product that has a structural-zero factor left out.
-    ``dg[l][i][j]`` is the tree of d g_ij / d x_l, or None where it is zero.
+    names: tuple
+    early: list
+    matrix: str
+    det: str
+    late: list
+    gamma: list
+
+
+def _connection_code(names, entries, dg, pattern) -> ConnectionCode:
+    """The code of g, det and gamma for the entry trees ``entries``.
+
+    det is ``mat_det``'s expansion and the inverse ``mat_inverse``'s
+    adjugate.  Each gamma[k][i][j] on the pattern is 0.5 * sum over l of
+    ginv[k][l] (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]), both with every
+    product that has a structural-zero factor left out.  ``dg[l][i][j]`` is
+    the tree of d g_ij / d x_l, or None where it is zero.
     """
     n = len(names)
     em = codegen.Emitter(names)
@@ -265,18 +284,28 @@ def _connection_body(names, entries, dg, pattern) -> list:
             gamma[k][i][j] = gamma[k][j][i] = em.bind(f"0.5 * {acc}")
     matrix = "[" + ", ".join("[" + ", ".join(v or "0.0" for v in row) + "]"
                              for row in g) + "]"
-    returned = codegen.nested(gamma)
     order = {name: k for k, (name, _) in enumerate(em.lines)}
     lines = [(order[name] < checked, f"{name} = {rhs}")
-             for name, rhs in em.kept([matrix, det, returned])]
+             for name, rhs in em.kept([matrix, det, codegen.nested(gamma)])]
+    return ConnectionCode(names=tuple(names),
+                          early=[line for early, line in lines if early],
+                          matrix=matrix, det=det,
+                          late=[line for early, line in lines if not early],
+                          gamma=gamma)
+
+
+def _connection_body(code: ConnectionCode) -> list:
+    """Body of ``_metric_connection(x1, .., xn, connection)``: it returns
+    ``(g, det, gamma)``, g as lists of the entries and gamma as nested tuples,
+    or None for gamma when ``connection`` is false or |det| <= DET_TOL."""
     return [
-        *(line for early, line in lines if early),
-        f"g = {matrix}",
-        f"det = {det}",
+        *code.early,
+        f"g = {code.matrix}",
+        f"det = {code.det}",
         f"if not connection or abs(jets.const_term(det)) <= {DET_TOL!r}:",
         "    return g, det, None",
-        *(line for early, line in lines if not early),
-        f"return g, det, {returned}",
+        *code.late,
+        f"return g, det, {codegen.nested(code.gamma)}",
     ]
 
 
@@ -387,13 +416,19 @@ class MetricField(SemiMetric):
         return out
 
     @cached_property
-    def _generated(self):
-        """The generated ``(g, det, gamma)`` function (see the module notes);
-        its errors replay the entries, then the derivative trees."""
+    def connection_code(self) -> ConnectionCode:
+        """The code lines of g, det and the connection over the coordinate
+        names (see the module notes)."""
         n = self.dim
         dg = [[[self._derivatives.get((l, i, j)) for j in range(n)] for i in range(n)]
               for l in range(n)]
-        body = _connection_body(self._coord_names, self.entries, dg, self.pattern)
+        return _connection_code(self._coord_names, self.entries, dg, self.pattern)
+
+    @cached_property
+    def _generated(self):
+        """The generated ``(g, det, gamma)`` function (see the module notes);
+        its errors replay the entries, then the derivative trees."""
+        body = _connection_body(self.connection_code)
         trees = (*(e for row in self.entries for e in row), *self._derivatives.values())
         return codegen.compiled("_metric_connection", self._coord_names,
                                 ("connection",), body, trees)

@@ -326,9 +326,14 @@ class _Point:
     def ambient_christoffel(self):
         return self.F.ambient.christoffel(list(self.f))
 
-    def gamma_term(self, a, b):
-        """Ambient connection term G^k_ij a^i b^j at f(u)."""
-        return connection_term(self.F.ambient, self.ambient_christoffel, a, b)
+    def gamma_term(self, vectors):
+        """Ambient connection term G^k_ij a^i b^j at f(u), for the ambient
+        vectors (a, b) that ``vectors()`` returns; a flat ambient's term is
+        zero, and it never builds them."""
+        ambient = self.F.ambient
+        if not ambient.pattern:
+            return [0.0] * ambient.dim
+        return connection_term(ambient, self.ambient_christoffel, *vectors())
 
 
 def _point(F: Immersion, u) -> _Point:
@@ -436,7 +441,7 @@ def _ambient_derivative(pt: _Point, x, field):
     through pt along x plus the connection term at its base value."""
     vals = field(_point(pt.F, [Jet((pt.u[b], x[b])) for b in range(len(pt.u))]))
     base = [c.coeffs[0] if isinstance(c, Jet) else c for c in vals]
-    gam = pt.gamma_term(_push(pt.T, x), base)
+    gam = pt.gamma_term(lambda: (_push(pt.T, x), base))
     return [_slope(vals[k]) + gam[k] for k in range(pt.F.ambient.dim)]
 
 
@@ -454,7 +459,7 @@ def _gauss(pt: _Point, x, y):
         sum(x[a] * y[b] * S[a][b][k] for a in range(m) for b in range(m))
         for k in range(n)
     ]
-    gam = pt.gamma_term(_push(pt.T, x), _push(pt.T, y))
+    gam = pt.gamma_term(lambda: (_push(pt.T, x), _push(pt.T, y)))
     return [deriv[k] + gam[k] for k in range(n)]
 
 

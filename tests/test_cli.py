@@ -235,6 +235,20 @@ def test_synth_derivative_only_domain_error_is_usage_error(tmp_path, capsys):
     assert err == "error: float division by zero in '1 / (2 * sqrt(x3))'\n"
 
 
+def test_transfer_reaching_a_log_singularity_names_it(tmp_path, capsys):
+    # the synth case above as a transfer: its intrinsic chart fails inside
+    # the RK4 stage loop, before the immersion is compared with it
+    helix = _field_helix([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "log(x3)"]],
+                         [0, 0, math.e], {"zeta": [0, 1, -1], "n": [0, -0.5, -0.5],
+                                          "w": [-1, 0, 0]},
+                         [0.0, 13.0], 10.0, {"samples": 20, "drift_limit": 1e300})
+    doc = {**TRANSFER_DOC, "metric": helix["metric"], "helix": helix["helix"],
+           "config": helix["config"]}
+    assert run(["transfer", "--spec", _write(tmp_path, "log.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: log of non-positive value in 'log(x3)'\n"
+
+
 def test_synth_beyond_the_rk4_step_cap_exits_quickly(tmp_path, capsys):
     doc = _field_helix([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]],
                        [0, 0, 0], HELIX_DOC["helix"]["initial_frame"], [0.0, 2.0], 1e-9)

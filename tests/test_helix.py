@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import struct
 import warnings
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from nullhelix import helix as hx
 from nullhelix import nullframe as nf
 from nullhelix import semimetric
+from nullhelix.exprparse import DomainError
 from nullhelix.helix import (
     GramDriftError,
     HelixSpec,
@@ -316,25 +318,130 @@ def _disguised_flat():
         3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + 0*x3"]])
 
 
+def _reference_rhs(metric, h, k1, k2, state):
+    """The frame system's right-hand side as the stage loop computed it before
+    it was generated: the connection evaluated at the stage's position."""
+    z = state[3:6]
+    n = state[6:9]
+    w = state[9:12]
+    gamma = metric.christoffel(state[0:3])
+    gz = [0.0] * 9
+    for k, i, j in metric.pattern:
+        c = gamma[k][i][j] * z[i]
+        gz[k] += c * z[j]
+        gz[3 + k] += c * n[j]
+        gz[6 + k] += c * w[j]
+    return [
+        z[0], z[1], z[2],
+        h * z[0] + k1 * w[0] - gz[0],
+        h * z[1] + k1 * w[1] - gz[1],
+        h * z[2] + k1 * w[2] - gz[2],
+        -h * n[0] + k2 * w[0] - gz[3],
+        -h * n[1] + k2 * w[1] - gz[4],
+        -h * n[2] + k2 * w[2] - gz[5],
+        k2 * z[0] + k1 * n[0] - gz[6],
+        k2 * z[1] + k1 * n[1] - gz[7],
+        k2 * z[2] + k1 * n[2] - gz[8],
+    ]
+
+
+def _reference_rk4_steps(metric, h, k1, k2, state, dt, nsteps):
+    """The RK4 stage loop as it was before it was generated."""
+    y = list(state)
+    for _ in range(nsteps):
+        a = _reference_rhs(metric, h, k1, k2, y)
+        b = _reference_rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * a[i] for i in range(12)])
+        c = _reference_rhs(metric, h, k1, k2, [y[i] + 0.5 * dt * b[i] for i in range(12)])
+        d = _reference_rhs(metric, h, k1, k2, [y[i] + dt * c[i] for i in range(12)])
+        y = [y[i] + dt * (a[i] + 2.0 * b[i] + 2.0 * c[i] + d[i]) / 6.0 for i in range(12)]
+    return y
+
+
+def _float_bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _trace_bits(trace):
+    rows = (*trace.points, *trace.zetas, *trace.ns, *trace.ws, trace.gram_drift,
+            trace.err_est)
+    return [_float_bits(row) for row in rows]
+
+
 def test_flat_chart_rk4_never_evaluates_the_connection(monkeypatch, c1_spec):
+    """Neither the flat propagator nor the generated stage loop calls
+    ``christoffel``; the disguised chart still runs the stage loop, whose
+    trace is the reference loop's, bit for bit."""
     gammas = _count_calls(monkeypatch, "christoffel")
-    steps = []
-    original = hx._rk4_steps
-
-    def counted(*args):
-        steps.append(args[6])
-        return original(*args)
-
-    monkeypatch.setattr(hx, "_rk4_steps", counted)
     grid = uniform_grid(0.0, 0.2, 5)
-    synthesize(c1_spec, grid, step=1e-2, project_every=3)
-    assert sum(steps) > len(steps) > 0
+    flat = synthesize(c1_spec, grid, step=1e-2, project_every=3)
+    spec = dataclasses.replace(c1_spec, metric=_disguised_flat())
+    staged = synthesize(spec, grid, step=1e-2, project_every=3)
     assert gammas == []
-    # the stage loop evaluates Γ once per stage
-    steps.clear()
-    synthesize(dataclasses.replace(c1_spec, metric=_disguised_flat()), grid,
-               step=1e-2, project_every=3)
-    assert len(gammas) == 4 * sum(steps) > 0
+    monkeypatch.setattr(hx, "_rk4_steps", _reference_rk4_steps)
+    reference = synthesize(spec, grid, step=1e-2, project_every=3)
+    assert gammas  # the reference evaluates the connection at every stage
+    assert _trace_bits(staged) == _trace_bits(reference)
+    assert _trace_bits(staged) != _trace_bits(flat)
+
+
+STAGE_LOOP_CHARTS = {
+    "curved": ([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]], (-1.0, 1.0)),
+    "conformal": ([["-exp(0.4*x3)", "0", "0"], ["0", "-exp(0.4*x3)", "0"],
+                   ["0", "0", "exp(0.4*x3)"]], (-1.0, 1.0)),
+    "pseudosphere": ([["-1", "0", "0"], ["0", "-sinh(x1)^2", "0"],
+                      ["0", "0", "cosh(x1)^2"]], (0.3, 1.2)),
+    "dense": ([["-1 - 0.1*x1*x2", "0.2*x3", "0.1*x1"],
+               ["0.2*x3", "-1 + 0.1*x3^2", "0.05*x1*x2"],
+               ["0.1*x1", "0.05*x1*x2", "1 + 0.1*x1^2 + 0.1*x2*x3"]], (-0.5, 0.5)),
+    "disguised-flat": ([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + 0*x3"]],
+                       (-1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("chart", list(STAGE_LOOP_CHARTS))
+def test_generated_stage_loop_equals_the_reference_loop_bitwise(chart):
+    texts, (lo, hi) = STAGE_LOOP_CHARTS[chart]
+    metric = MetricField.from_texts(3, texts)
+    assert metric.pattern
+    rng = random.Random(f"stage-loop-{chart}")
+
+    def value(scale):  # signed zeros too, which every sum must keep as it did
+        return rng.choice((0.0, -0.0)) if rng.random() < 0.3 else rng.uniform(-scale, scale)
+
+    for _ in range(60):
+        state = [rng.uniform(lo, hi) for _ in range(3)] + [value(1.5) for _ in range(9)]
+        h, k1, k2 = (value(1.0) for _ in range(3))
+        dt = rng.uniform(1e-3, 5e-2)
+        for step in (dt, 0.5 * dt):
+            for nsteps in range(1, 5):
+                got = hx._rk4_steps(metric, h, k1, k2, state, step, nsteps)
+                want = _reference_rk4_steps(metric, h, k1, k2, state, step, nsteps)
+                assert _float_bits(got) == _float_bits(want)
+
+
+def _raised(f, *args):
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+def test_generated_stage_loop_raises_as_the_reference_loop():
+    # g_33 = x3 is degenerate at x3 = 0, where the first stage sits
+    degenerate = MetricField.from_texts(
+        3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "x3"]])
+    state = [0.1, 0.2, 0.0, 0.0, 1.0, 1.0, 0.0, -0.5, 0.5, -1.0, 0.0, 0.0]
+    got = _raised(hx._rk4_steps, degenerate, 0.0, 1.0, -0.5, state, 1e-2, 3)
+    assert got == (semimetric.DegenerateMetricError, "metric degenerate along evaluation")
+    assert got == _raised(_reference_rk4_steps, degenerate, 0.0, 1.0, -0.5, state, 1e-2, 3)
+    # from x3 = 0.05 with zeta_3 = -1, a later stage of the second step
+    # reaches x3 < 0, where log(x3) fails
+    log3 = MetricField.from_texts(
+        3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "2 + log(x3)"]])
+    state[2], state[5] = 0.05, -1.0
+    got = _raised(hx._rk4_steps, log3, 0.0, 1.0, -0.5, state, 0.04, 3)
+    assert got == (DomainError, "log of non-positive value in 'log(x3)'")
+    assert got == _raised(_reference_rk4_steps, log3, 0.0, 1.0, -0.5, state, 0.04, 3)
+    assert hx._rk4_steps(log3, 0.0, 1.0, -0.5, state, 0.04, 1)  # the first step is fine
 
 
 def _max_relative_gap(a, b):
