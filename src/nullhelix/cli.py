@@ -19,6 +19,7 @@ small for their segments and non-finite results).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -359,7 +360,6 @@ def _cmd_frame(doc: SpecDocument, args) -> int:
         sample = nfmod.curvatures_at(curve, fr, policy)
         r1, r2, r3 = nfmod.frenet_residuals(curve, fr, sample, policy)
         gram = fr.gram_residual
-        null_res = nfmod.check_null(curve, fr.t)
         resids = (nfmod.euclid_norm(r1), nfmod.euclid_norm(r2), nfmod.euclid_norm(r3))
         max_gram = max(max_gram, gram)
         max_resid = max(max_resid, *resids)
@@ -368,7 +368,7 @@ def _cmd_frame(doc: SpecDocument, args) -> int:
             "n": list(fr.n), "w": list(fr.w),
             "h": sample.h, "k1": sample.k1, "k2": sample.k2,
             "geodesic_type": sample.geodesic_type,
-            "null_residual": null_res, "gram_residual": gram,
+            "null_residual": fr.null_residual, "gram_residual": gram,
             "frenet_residuals": list(resids),
         })
     ok = max_gram <= cfg["gram_tol"] and max_resid <= cfg["tol"]
@@ -577,6 +577,7 @@ _COMMANDS = {
 _CSV_COMMANDS = ("frame", "synth", "verify", "transfer")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nullframe",

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .jets import MAX_ORDER, Jet
+from .jets import Jet
 from . import jets
 
 FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "log", "sqrt")
@@ -298,25 +298,17 @@ _FUNC_EVAL = {
 }
 
 
-def eval_jet(node: Expr, env: dict, order: int | None = None) -> Jet:
+def eval_jet(node: Expr, env: dict) -> Jet:
     """Evaluate an expression over jet-valued variable bindings.
 
     ``env`` maps variable names to jets (or plain floats, treated as
-    constants).  When ``order`` is given every binding is truncated to it.
-    The result carries the Taylor expansion of the composition.
+    constants).  The result carries the Taylor expansion of the composition,
+    at the highest order among the bindings.
     """
-    if order is not None:
-        if not 0 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be in [0, {MAX_ORDER}]")
-        env = {k: jets.truncate(v, order) for k, v in env.items()}
     result = _eval(node, env)
     if not isinstance(result, Jet):
-        ref = order
-        if ref is None:
-            ref = max(
-                (v.order for v in env.values() if isinstance(v, Jet)), default=0
-            )
-        result = Jet.constant(float(result), ref)
+        order = max((v.order for v in env.values() if isinstance(v, Jet)), default=0)
+        result = Jet.constant(float(result), order)
     return result
 
 

@@ -53,7 +53,7 @@ from .nullframe import (CurvatureSample, NullCurve, NullFrame, ScreenPolicy, euc
                         frame_curvatures, max_gram_residual, screen_projection,
                         transversal, unit_screen, _aligned_frame_jets, _frame_jets)
 from . import codegen
-from .semimetric import DEGENERATE_ALONG, DET_TOL, DegenerateMetricError, SemiMetric, bilinear
+from .semimetric import DEGENERATE_ALONG, DET_TOL, DegenerateMetricError, MetricField, bilinear
 
 DRIFT_LIMIT = 1e-4
 SPEC_GRAM_TOL = 1e-10
@@ -83,7 +83,7 @@ class HelixSpec:
     zeta0: tuple
     n0: tuple
     w0: tuple
-    metric: SemiMetric
+    metric: MetricField
 
     def __post_init__(self):
         for name in ("initial_point", "zeta0", "n0", "w0"):
@@ -265,7 +265,7 @@ def _rk4_steps(metric, h, k1, k2, state, dt, nsteps):
     return loop(*state, h, k1, k2, dt, nsteps)
 
 
-def _project_frame(metric: SemiMetric, state, g=None):
+def _project_frame(metric: MetricField, state, g=None):
     """Restore the Gram conditions for N and W, leaving zeta untouched; ``g``
     is the metric at the state's point, read there when not given."""
     z, n = state[3:6], state[6:9]
@@ -278,7 +278,7 @@ def _project_frame(metric: SemiMetric, state, g=None):
     return state[0:6] + n + unit_screen(w, w2)
 
 
-def _gram_drift(metric: SemiMetric, state, g=None) -> float:
+def _gram_drift(metric: MetricField, state, g=None) -> float:
     if g is None:
         g = metric.matrix_at(state[0:3])
     return max_gram_residual(g, state[3:6], state[6:9], state[9:12])
@@ -514,7 +514,7 @@ class SampledCurve:
     never the trace it came from.
     """
 
-    def __init__(self, metric: SemiMetric, times, points, zetas, dt, **fields):
+    def __init__(self, metric: MetricField, times, points, zetas, dt, **fields):
         self.metric = metric
         self.times = times
         self.points = points

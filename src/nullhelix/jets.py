@@ -2,8 +2,8 @@
 
 A :class:`Jet` stores the coefficients of a truncated Taylor expansion about
 the evaluation point; coefficient ``k`` equals the k-th derivative divided by
-``k!``, so multiplication is a plain coefficient convolution.  The conversion
-factor ``k!`` is applied only by :meth:`Jet.derivative`.
+``k!``, so multiplication is a plain coefficient convolution, and ``dt``
+multiplies coefficient k + 1 by k + 1.
 
 Coefficients are usually floats, but they may themselves be jets: nesting
 one parameter inside another is how the rest of the package obtains spatial
@@ -63,14 +63,6 @@ class Jet:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def value(self):
-        return self.coeffs[0]
-
-    def derivative(self, k: int):
-        """k-th derivative recovered from the jet (k! times coefficient k)."""
-        return math.factorial(k) * self.coeffs[k]
 
     def truncated(self, order: int) -> "Jet":
         if order >= self.order:
@@ -210,10 +202,6 @@ def const_term(x) -> float:
     while isinstance(x, Jet):
         x = x.coeffs[0]
     return float(x)
-
-
-def truncate(x, order: int):
-    return x.truncated(order) if isinstance(x, Jet) else x
 
 
 def dt(x: Jet) -> Jet:

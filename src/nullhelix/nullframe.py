@@ -27,6 +27,8 @@ Transfer's ambient frames extend the seed order with the unused axes and take
 W from the acceleration's screen part, the only W rule above dimension 3.  A
 curve keeps one frame bundle (``_FrameJets``) per t and seed order, computing
 g (``matrix_at``, on jets), the connection and each covariant derivative once.
+Each ``NullFrame`` carries its ``gram_residual`` and its ``null_residual``
+|g(zeta, zeta)|, both read off one float g at the sample's point.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from . import jets, semimetric
 from .exprparse import eval_jet, parse
 from .jets import Jet, const_term
-from .semimetric import SemiMetric, bilinear, mat_vec
+from .semimetric import MetricField, bilinear, mat_vec, metric_index
 
 NULL_TOL = 1e-8
 SEED_TOL = 1e-8
@@ -103,8 +105,8 @@ def max_gram_residual(g, z, n, w) -> float:
 
 @dataclass(frozen=True)
 class NullFrame:
-    """Frame sample: two null directions, the unit timelike screen vector and
-    their ``max_gram_residual`` in g at the point."""
+    """Frame sample: two null directions, the unit timelike screen vector,
+    their ``max_gram_residual`` in g at the point and |g(zeta, zeta)| there."""
 
     t: float
     point: tuple
@@ -112,6 +114,7 @@ class NullFrame:
     n: tuple
     w: tuple
     gram_residual: float
+    null_residual: float
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,7 @@ class NullCurve:
     parameter value and screen seed order.
     """
 
-    def __init__(self, metric: SemiMetric, mode: str, components, domain,
+    def __init__(self, metric: MetricField, mode: str, components, domain,
                  initial=None, quad_step: float = 1e-3):
         if metric.dim != 3:
             raise ValueError("null curves require a 3-dimensional chart")
@@ -181,7 +184,7 @@ class NullCurve:
         self._node = None  # (k, (t_k, position, tangent)): the furthest node reached
         self._bundles: dict = {}
         p0 = self.position_at(t0)
-        index = metric.index_at(p0)
+        index = metric_index(metric.matrix_at(p0))
         if index != 2:
             raise ScreenSignatureError(f"metric has index {index} at {p0}, need 2")
 
@@ -204,16 +207,16 @@ class NullCurve:
     def zeta_jets(self, t: float, order: int):
         self._check_t(t)
         if self.mode == "tangent":
-            tj = Jet.variable(float(t), order)
-            return [jets_eval(c, tj, order) for c in self.components]
-        tj = Jet.variable(float(t), order + 1)
-        return [jets.dt(jets_eval(c, tj, order + 1)) for c in self.components]
+            env = {"t": Jet.variable(float(t), order)}
+            return [eval_jet(c, env) for c in self.components]
+        env = {"t": Jet.variable(float(t), order + 1)}
+        return [jets.dt(eval_jet(c, env)) for c in self.components]
 
     def position_jets(self, t: float, order: int):
         self._check_t(t)
-        tj = Jet.variable(float(t), order)
         if self.mode == "position":
-            return [jets_eval(c, tj, order) for c in self.components]
+            env = {"t": Jet.variable(float(t), order)}
+            return [eval_jet(c, env) for c in self.components]
         base = self.position_at(t)
         zeta = self.zeta_jets(t, order - 1)
         return [jets.antiderivative(z, p) for z, p in zip(zeta, base)]
@@ -221,8 +224,8 @@ class NullCurve:
     def position_at(self, t: float):
         self._check_t(t)
         if self.mode == "position":
-            tj = Jet.variable(float(t), 0)
-            return tuple(const_term(jets_eval(c, tj, 0)) for c in self.components)
+            env = {"t": Jet.variable(float(t), 0)}
+            return tuple(const_term(eval_jet(c, env)) for c in self.components)
         t = float(t)
         pos = self._pos_cache.get(t)
         if pos is None:
@@ -254,23 +257,11 @@ class NullCurve:
         ), zb
 
     def _zeta_value(self, t: float):
-        tj = Jet.variable(t, 0)
-        return [const_term(jets_eval(c, tj, 0)) for c in self.components]
-
-
-def jets_eval(expr, tjet, order):
-    """Evaluate a curve-component expression over the parameter jet."""
-    return eval_jet(expr, {"t": tjet}, order)
+        env = {"t": Jet.variable(t, 0)}
+        return [const_term(eval_jet(c, env)) for c in self.components]
 
 
 # -- frame construction ---------------------------------------------------------
-
-
-def check_null(curve: NullCurve, t: float) -> float:
-    """|g(zeta, zeta)| at t; the caller compares against its tolerance."""
-    z = [const_term(j) for j in curve.zeta_jets(t, 0)]
-    p = curve.position_at(t)
-    return abs(curve.metric.inner_at(p, z, z))
 
 
 def _cross(a, b):
@@ -405,8 +396,9 @@ class _FrameJets:
         zeta = tuple(const_term(c) for c in self.zeta)
         n = tuple(const_term(c) for c in self.n)
         w = tuple(sign * const_term(c) for c in self.w)
-        gram = max_gram_residual(self.metric.matrix_at(point), zeta, n, w)
-        return NullFrame(self.t, point, zeta, n, w, gram)
+        g = self.metric.matrix_at(point)
+        return NullFrame(self.t, point, zeta, n, w, max_gram_residual(g, zeta, n, w),
+                         abs(bilinear(g, zeta, zeta)))
 
 
 # Jet order of a bundle's positions: each covariant derivative drops one

@@ -1,9 +1,10 @@
 """Metric fields on a coordinate chart.
 
-A chart metric is anything that can evaluate its entry matrix ``g_ij`` over
-duck-typed coordinate scalars (floats or :class:`~nullhelix.jets.Jet`); the
-closed-form ``MetricField`` is the one implementation.  (The induced metric
-of an immersion is not a chart metric here: ``submanifold`` reads its
+A chart metric is a ``MetricField``: a symmetric matrix of closed-form
+entries ``g_ij`` in x1..xn, evaluated over duck-typed coordinate scalars
+(floats or :class:`~nullhelix.jets.Jet`).  g is read only through
+``matrix_at`` and the connection only through ``christoffel``.  (The induced
+metric of an immersion is not a chart metric here: ``submanifold`` reads its
 connection off the Gauss formula.)
 
 Each ``MetricField`` generates one Python function, on its first
@@ -140,7 +141,7 @@ def metric_index(g) -> int:
     return int(np.count_nonzero(eigs < 0.0))
 
 
-def connection_term(metric: SemiMetric, gamma, a, b):
+def connection_term(metric: MetricField, gamma, a, b):
     """Connection term gamma[k][i][j] a^i b^j over ``metric.pattern``, summed
     over i then j per k."""
     out = [0.0] * metric.dim
@@ -153,67 +154,6 @@ def connection_term(metric: SemiMetric, gamma, a, b):
 def _zero_connection(n: int) -> tuple:
     """The vanishing connection of an empty pattern, shared and immutable."""
     return (((0.0,) * n,) * n,) * n
-
-
-# -- metric protocol -----------------------------------------------------------
-
-
-class SemiMetric:
-    """Shared machinery on top of one metric-and-connection evaluation."""
-
-    dim: int
-    support: tuple  # the (i, j), in row-major order, whose g_ij can be nonzero
-    pattern: tuple  # the (k, i, j), in order, whose gamma[k][i][j] can be nonzero
-
-    def _evaluate(self, coords, connection: bool):
-        """``(g, det, gamma)`` over duck coordinates; gamma is None unless
-        ``connection`` is true and |det| > DET_TOL."""
-        raise NotImplementedError
-
-    def _check_point(self, p):
-        if len(p) != self.dim:
-            raise ValueError(f"point has {len(p)} coordinates, chart has {self.dim}")
-
-    def matrix_at(self, p):
-        """g at float or (nested) jet coordinates, as a ``Matrix`` carrying
-        ``support``; DegenerateMetricError where the constant term of det g is
-        within DET_TOL of zero."""
-        self._check_point(p)
-        g, det, _ = self._evaluate(
-            [c if isinstance(c, Jet) else float(c) for c in p], False)
-        if abs(const_term(det)) <= DET_TOL:
-            raise DegenerateMetricError(
-                f"metric degenerate at {tuple(const_term(c) for c in p)}: "
-                f"|det| = {abs(const_term(det)):.3e}"
-            )
-        return Matrix(g, self.support)
-
-    def inner_at(self, p, x, y):
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("vector dimension does not match the chart")
-        return bilinear(self.matrix_at(p), [float(c) for c in x], [float(c) for c in y])
-
-    def index_at(self, p) -> int:
-        """Metric index (negative eigenvalue count) at a point."""
-        return metric_index(self.matrix_at(p))
-
-    def christoffel(self, coords):
-        """Connection coefficients gamma[k][i][j] over duck coordinates.
-
-        Passing jet-valued coordinates yields the coefficients' own Taylor
-        expansions along a curve.  Entries outside ``pattern`` are 0.0; an
-        empty pattern gives the shared zero connection.
-        """
-        if not self.pattern:
-            return _zero_connection(self.dim)
-        _, _, gamma = self._evaluate(coords, True)
-        if gamma is None:
-            raise DegenerateMetricError(DEGENERATE_ALONG)
-        return gamma
-
-    def christoffel_at(self, p):
-        self._check_point(p)
-        return self.christoffel([float(c) for c in p])
 
 
 # -- the generated metric-and-connection function ---------------------------------
@@ -309,7 +249,7 @@ def _connection_body(code: ConnectionCode) -> list:
     ]
 
 
-class MetricField(SemiMetric):
+class MetricField:
     """Closed-form metric: a symmetric matrix of expressions in x1..x_dim."""
 
     def __init__(self, dim: int, entries):
@@ -433,14 +373,46 @@ class MetricField(SemiMetric):
         return codegen.compiled("_metric_connection", self._coord_names,
                                 ("connection",), body, trees)
 
-    def _evaluate(self, coords, connection: bool):
-        return self._generated(*coords, connection)
+    def matrix_at(self, p):
+        """g at float or (nested) jet coordinates, as a ``Matrix`` carrying
+        ``support``; DegenerateMetricError where the constant term of det g is
+        within DET_TOL of zero."""
+        if len(p) != self.dim:
+            raise ValueError(f"point has {len(p)} coordinates, chart has {self.dim}")
+        g, det, _ = self._generated(
+            *[c if isinstance(c, Jet) else float(c) for c in p], False)
+        if abs(const_term(det)) <= DET_TOL:
+            raise DegenerateMetricError(
+                f"metric degenerate at {tuple(const_term(c) for c in p)}: "
+                f"|det| = {abs(const_term(det)):.3e}"
+            )
+        return Matrix(g, self.support)
+
+    def christoffel(self, coords):
+        """Connection coefficients gamma[k][i][j] over duck coordinates.
+
+        Passing jet-valued coordinates yields the coefficients' own Taylor
+        expansions along a curve.  Entries outside ``pattern`` are 0.0; an
+        empty pattern gives the shared zero connection.
+        """
+        if not self.pattern:
+            return _zero_connection(self.dim)
+        _, _, gamma = self._generated(*coords, True)
+        if gamma is None:
+            raise DegenerateMetricError(DEGENERATE_ALONG)
+        return gamma
+
+
+# perfbench's tracer patches ``semimetric.SemiMetric.matrix_at`` and
+# ``.christoffel`` by these names; the alias keeps them resolving to the class
+# that defines them.
+SemiMetric = MetricField
 
 
 # -- covariant derivative along a curve ------------------------------------------
 
 
-def covariant_jets(pos_jets, field_jets, metric: SemiMetric, gamma=None):
+def covariant_jets(pos_jets, field_jets, metric: MetricField, gamma=None):
     """Covariant derivative along a curve, at the jet level.
 
     ``pos_jets`` are the curve's coordinate jets in the parameter,

@@ -49,7 +49,7 @@ from .jets import Jet, const_term
 from .nullframe import (ScreenPolicy, continuity_signs, euclid_norm, frame_curvatures,
                         max_gram_residual, null_transversal, screen_projection,
                         unit_screen)
-from .semimetric import (Matrix, SemiMetric, bilinear, connection_term, mat_det,
+from .semimetric import (Matrix, MetricField, bilinear, connection_term, mat_det,
                          mat_inverse, mat_vec)
 
 RANK_TOL = 1e-9
@@ -80,7 +80,7 @@ class DegenerateNormalError(ValueError):
 class Immersion:
     """Parametrized submanifold f: u-chart -> ambient chart."""
 
-    def __init__(self, intrinsic_dim: int, ambient: SemiMetric, components):
+    def __init__(self, intrinsic_dim: int, ambient: MetricField, components):
         if not 1 <= intrinsic_dim <= 3:
             raise ValueError("intrinsic dimension must be 1, 2 or 3")
         if intrinsic_dim > ambient.dim:
@@ -94,7 +94,7 @@ class Immersion:
         self._points: dict = {}  # memo key -> _Point, see _point
 
     @classmethod
-    def from_texts(cls, intrinsic_dim: int, ambient: SemiMetric, texts) -> "Immersion":
+    def from_texts(cls, intrinsic_dim: int, ambient: MetricField, texts) -> "Immersion":
         allowed = frozenset(f"u{i + 1}" for i in range(intrinsic_dim))
         comps = []
         for i, s in enumerate(texts):

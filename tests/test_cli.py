@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from nullhelix import nullframe as nf
 from nullhelix.cli import SpecError, _parser, load_spec, run
 from nullhelix.exprparse import BinOp, Var, to_text
+from nullhelix.jets import Jet
 from nullhelix.semimetric import MetricField
 
 from conftest import expr_trees, flat_null_frame
@@ -308,6 +309,28 @@ def test_frame_command(monkeypatch, tmp_path):
     assert rep["summary"]["max_gram_residual"] <= 1e-9
     assert len(calls) == 25
     assert [r["gram_residual"] for r in rep["rows"]] == [gram(*a) for a in calls]
+
+
+def test_frame_reads_float_g_once_per_sample(tmp_path, monkeypatch):
+    """Past the curve's index check at t0, ``frame --samples 25`` reads g at a
+    float point once per sample: each frame's Gram and null residuals share
+    it."""
+    points = []
+    matrix_at = MetricField.matrix_at
+
+    def counted(self, p):
+        if not any(isinstance(c, Jet) for c in p):
+            points.append(tuple(p))
+        return matrix_at(self, p)
+
+    monkeypatch.setattr(MetricField, "matrix_at", counted)
+    spec = _write(tmp_path, "c1.json", C1_DOC)
+    out = str(tmp_path / "rep.json")
+    assert run(["frame", "--spec", spec, "--samples", "25", "--out", out]) == 0
+    rows = json.loads(open(out).read())["rows"]
+    assert len(rows) == 25
+    assert points[1:] == [tuple(r["point"]) for r in rows]
+    assert points[0] == points[1]  # t0 is the first sample
 
 
 def test_frame_seed_order_flag(tmp_path):

@@ -77,7 +77,7 @@ def test_eval_jet_examples():
 
 def test_eval_order_cap():
     with pytest.raises(ValueError):
-        ep.eval_jet(parse("t"), {"t": Jet.variable(0.0, 3)}, order=6)
+        ep.eval_jet(parse("t"), {"t": Jet.variable(0.0, 6)})
 
 
 def test_domain_errors_name_subexpression():

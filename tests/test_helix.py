@@ -22,7 +22,7 @@ from nullhelix.helix import (
 )
 from nullhelix.jets import const_term
 from nullhelix.nullframe import NullCurve, build_frame, curvatures_at, frame_field
-from nullhelix.semimetric import MetricField, SemiMetric
+from nullhelix.semimetric import MetricField
 
 from conftest import policy_frames, random_helix_spec, uniform_grid
 
@@ -285,15 +285,15 @@ def _conformal_metric():
 
 
 def _count_calls(monkeypatch, name):
-    """Record the first argument of every SemiMetric.<name> call."""
+    """Record the first argument of every MetricField.<name> call."""
     calls = []
-    original = getattr(SemiMetric, name)
+    original = getattr(MetricField, name)
 
     def counted(self, p):
         calls.append(p)
         return original(self, p)
 
-    monkeypatch.setattr(SemiMetric, name, counted)
+    monkeypatch.setattr(MetricField, name, counted)
     return calls
 
 

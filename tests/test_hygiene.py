@@ -121,12 +121,10 @@ def test_every_definition_is_referenced():
 
 
 # package definitions that only tests name: nabla_B is read by acceptance
-# criterion 6, christoffel_at by the closed-form connection oracles,
-# build_frame by the single-frame tests, and second_fundamental and
-# shape_operator by the tests of the forms the duality residual reads from
-# the point bundle
-TEST_ONLY = {"build_frame", "christoffel_at", "nabla_B", "second_fundamental",
-             "shape_operator"}
+# criterion 6, build_frame by the single-frame tests, and second_fundamental
+# and shape_operator by the tests of the forms the duality residual reads
+# from the point bundle
+TEST_ONLY = {"build_frame", "nabla_B", "second_fundamental", "shape_operator"}
 
 
 def test_test_only_definitions_are_listed():

@@ -29,11 +29,11 @@ def test_identity_jet():
 
 
 def test_derivative_rescaling():
-    # coefficient k stores f^(k)/k!; derivative() reapplies the factorial
+    # coefficient k stores f^(k)/k!; k! times it is the k-th derivative
     t = Jet.variable(0.3, 5)
     e = jets.exp(t)
     for k in range(6):
-        assert e.derivative(k) == pytest.approx(math.exp(0.3), rel=1e-12)
+        assert math.factorial(k) * e.coeffs[k] == pytest.approx(math.exp(0.3), rel=1e-12)
 
 
 # The generic ring operations the unrolled kernels in jets.py must reproduce.

@@ -16,7 +16,6 @@ from nullhelix.nullframe import (
     ScreenPolicy,
     ScreenSignatureError,
     build_frame,
-    check_null,
     curvatures_at,
     frame_field,
     frenet_residuals,
@@ -28,13 +27,35 @@ from conftest import uniform_grid
 TWO_PI = 2.0 * math.pi
 
 
-def test_check_null_examples(flat3, c1_curve):
-    for t in (0.0, 1.0, 5.5):
-        assert check_null(c1_curve, t) <= 1e-12
+def _reference_null_residual(curve, t):
+    """|g(zeta, zeta)| at t evaluated afresh: the order-1 tangent, the
+    position and g read again at the point."""
+    z = [const_term(j) for j in curve.zeta_jets(t, 0)]
+    p = curve.position_at(t)
+    return abs(bilinear(curve.metric.matrix_at(p), z, z))
+
+
+def test_null_residual_examples(flat3, c1_curve):
+    for fr in frame_field(c1_curve, [0.0, 1.0, 5.5]):
+        assert fr.null_residual <= 1e-12
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
-    assert check_null(line, 2.0) <= 1e-15
-    not_null = NullCurve.position(flat3, ["t", "0", "2*t"], (0.0, 5.0))
-    assert check_null(not_null, 1.0) == pytest.approx(3.0)
+    assert build_frame(line, 2.0).null_residual <= 1e-15
+
+
+def test_null_residual_matches_a_fresh_evaluation_bitwise(flat3, c1_curve):
+    e = "exp(0.4*x3)"
+    conformal = MetricField.from_texts(3, [[f"-{e}", "0", "0"], ["0", f"-{e}", "0"],
+                                           ["0", "0", e]])
+    curves = [
+        c1_curve,
+        NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0)),
+        NullCurve.position(conformal, ["sin(t)", "cos(t)", "t"], (0.0, 2.0)),
+        NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0), (0.0, 3.0)),
+    ]
+    for curve in curves:
+        grid = uniform_grid(*curve.domain, 9)
+        for fr in frame_field(curve, grid):
+            assert _bits(fr.null_residual) == _bits(_reference_null_residual(curve, fr.t))
 
 
 def test_c1_frame_closed_form(c1_curve):
@@ -133,7 +154,7 @@ def test_pairing_derivative_vanishes_along_field(flat3, c1_curve):
     grid = uniform_grid(0.5, 5.5, 201)
     frames = frame_field(c1_curve, grid)
     dt = grid[1] - grid[0]
-    pair = [flat3.inner_at(f.point, f.zeta, f.n) for f in frames]
+    pair = [bilinear(flat3.matrix_at(f.point), f.zeta, f.n) for f in frames]
     for i in range(1, len(pair) - 1):
         deriv = (pair[i + 1] - pair[i - 1]) / (2.0 * dt)
         assert abs(deriv) < 1e-6
@@ -155,7 +176,7 @@ def test_k1_magnitude_is_screen_free(flat3, c1_curve):
             zeta = [nf.jets.dt(p) for p in pos]
             cz = [nf.jets.const_term(c)
                   for c in semimetric.covariant_jets(pos, zeta, flat3)]
-            mag = -flat3.inner_at(fr.point, cz, cz)
+            mag = -bilinear(flat3.matrix_at(fr.point), cz, cz)
             assert cs.k1 ** 2 == pytest.approx(mag, abs=1e-8)
 
 

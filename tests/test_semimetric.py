@@ -12,7 +12,9 @@ from nullhelix.jets import Jet, const_term
 from nullhelix.semimetric import (
     DegenerateMetricError,
     MetricField,
+    bilinear,
     covariant_jets,
+    metric_index,
 )
 
 from conftest import expr_trees
@@ -23,8 +25,11 @@ vec3 = st.lists(st.floats(min_value=-5, max_value=5), min_size=3, max_size=3)
 def test_signature():
     """``diag`` takes 3 or 4 signs of +-1; a sign-count mismatch with ``dim``
     is ``from_dict``'s check (test_schema_loading)."""
-    assert MetricField.diag((-1, -1, 1)).index_at((0.0, 0.0, 0.0)) == 2
-    assert MetricField.diag((-1, -1, 1, 1)).index_at((0.0, 0.0, 0.0, 0.0)) == 2
+    assert metric_index(MetricField.diag((-1, -1, 1)).matrix_at((0.0, 0.0, 0.0))) == 2
+    assert metric_index(
+        MetricField.diag((-1, -1, 1, 1)).matrix_at((0.0, 0.0, 0.0, 0.0))) == 2
+    with pytest.raises(ValueError, match=r"^point has 2 coordinates, chart has 3$"):
+        MetricField.diag((-1, -1, 1)).matrix_at((0.0, 0.0))
     with pytest.raises(ValueError, match=r"^signature entries must be \+-1$"):
         MetricField.diag((-1, 0, 1))
     with pytest.raises(ValueError, match="^signature dimension must be 3 or 4$"):
@@ -60,7 +65,7 @@ def test_schema_loading():
     g = MetricField.from_dict(
         {"dim": 3, "metric": {"type": "diag", "signs": [-1, -1, 1]}}
     )
-    assert g.pattern == () and g.index_at((0.0, 0.0, 0.0)) == 2
+    assert g.pattern == () and metric_index(g.matrix_at((0.0, 0.0, 0.0))) == 2
     f = MetricField.from_dict(
         {"dim": 2, "metric": {"type": "field", "entries": [["1", "0"], ["0", "x1^2"]]}}
     )
@@ -75,7 +80,7 @@ def test_schema_loading():
 
 
 def test_christoffel_constant_metric_is_exactly_zero(flat3):
-    ce = flat3.christoffel_at((0.3, -1.2, 9.9))
+    ce = flat3.christoffel([0.3, -1.2, 9.9])
     assert all(v == 0.0 for plane in ce for row in plane for v in row)
 
 
@@ -283,19 +288,19 @@ def test_generated_function_errors_name_the_subexpression():
 def test_christoffel_polar_oracle():
     # hand oracle: diag(1, r^2) gives G^1_22 = -r, G^2_12 = G^2_21 = 1/r
     polar = MetricField.from_texts(2, [["1", "0"], ["0", "x1^2"]])
-    ce = polar.christoffel_at((2.0, 0.0))
+    ce = polar.christoffel([2.0, 0.0])
     assert ce[0][1][1] == pytest.approx(-2.0, abs=1e-12)
     assert ce[1][0][1] == pytest.approx(0.5, abs=1e-12)
     assert ce[1][1][0] == ce[1][0][1]
     for r in (0.5, 1.0, 3.7):
-        ce = polar.christoffel_at((r, 1.0))
+        ce = polar.christoffel([r, 1.0])
         assert ce[0][1][1] == pytest.approx(-r, abs=1e-12)
         assert ce[1][0][1] == pytest.approx(1.0 / r, abs=1e-12)
 
 
 def test_christoffel_exponential_oracle():
     g = MetricField.from_texts(2, [["1", "0"], ["0", "exp(2*x1)"]])
-    ce = g.christoffel_at((0.0, 0.3))
+    ce = g.christoffel([0.0, 0.3])
     assert ce[0][1][1] == pytest.approx(-1.0, abs=1e-12)
     assert ce[1][0][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -304,7 +309,7 @@ def test_christoffel_symmetry_exact():
     g = MetricField.from_texts(
         2, [["1 + x2^2", "x1 * x2"], ["x1 * x2", "2 + x1^2"]]
     )
-    ce = g.christoffel_at((0.7, -0.4))
+    ce = g.christoffel([0.7, -0.4])
     for k in range(2):
         for i in range(2):
             for j in range(2):
@@ -312,24 +317,21 @@ def test_christoffel_symmetry_exact():
 
 
 def test_inner_examples(flat3):
-    p = (0.0, 0.0, 0.0)
-    assert flat3.inner_at(p, (1, 0, 0), (1, 0, 0)) == -1.0
-    assert flat3.inner_at(p, (0, 0, 1), (1, 0, 0)) == 0.0
+    g = flat3.matrix_at((0.0, 0.0, 0.0))
+    assert bilinear(g, (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)) == -1.0
+    assert bilinear(g, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)) == 0.0
     for t in (0.0, 0.9, 4.2):
         x = (-math.sin(t), math.cos(t), 1.0)
-        assert flat3.inner_at(p, x, x) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        flat3.inner_at(p, (1, 0), (1, 0, 0))
+        assert bilinear(g, x, x) == pytest.approx(0.0, abs=1e-15)
 
 
 @given(vec3, vec3, vec3, st.floats(min_value=-3, max_value=3))
 @settings(max_examples=50, deadline=None)
 def test_inner_symmetric_and_bilinear(x, y, z, lam):
-    g = MetricField.diag([-1, -1, 1])
-    p = (0.0, 0.0, 0.0)
-    assert g.inner_at(p, x, y) == pytest.approx(g.inner_at(p, y, x), abs=1e-12)
-    lhs = g.inner_at(p, [lam * a + b for a, b in zip(x, z)], y)
-    rhs = lam * g.inner_at(p, x, y) + g.inner_at(p, z, y)
+    g = MetricField.diag([-1, -1, 1]).matrix_at((0.0, 0.0, 0.0))
+    assert bilinear(g, x, y) == pytest.approx(bilinear(g, y, x), abs=1e-12)
+    lhs = bilinear(g, [lam * a + b for a, b in zip(x, z)], y)
+    rhs = lam * bilinear(g, x, y) + bilinear(g, z, y)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
 
 
@@ -391,7 +393,7 @@ def test_support_sums_equal_the_dense_sums(drawn, data):
     vec = st.lists(COMPONENTS, min_size=n, max_size=n)
     p, x, y = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)), \
         data.draw(vec), data.draw(vec)
-    g = semimetric.Matrix(metric._evaluate(p, False)[0], metric.support)
+    g = semimetric.Matrix(metric._generated(*p, False)[0], metric.support)
     assert _same_bits(semimetric.bilinear(g, x, y), _dense_bilinear(g, x, y))
     assert all(map(_same_bits, semimetric.mat_vec(g, x), _dense_mat_vec(g, x)))
 
@@ -399,7 +401,7 @@ def test_support_sums_equal_the_dense_sums(drawn, data):
     # structural zeros stay the float 0.0
     d = data.draw(vec)
     gj = semimetric.Matrix(
-        metric._evaluate([Jet((a, b, 0.0)) for a, b in zip(p, d)], False)[0],
+        metric._generated(*[Jet((a, b, 0.0)) for a, b in zip(p, d)], False)[0],
         metric.support)
     xj = [Jet((a, b, 0.5 * a)) for a, b in zip(x, data.draw(vec))]
     yj = [Jet((a, b, -b)) for a, b in zip(y, data.draw(vec))]

@@ -109,7 +109,7 @@ def test_gauss_connection_matches_closed_form(request, rng, name, metric, box):
     basis = [[1.0 if i == a else 0.0 for i in range(m)] for a in range(m)]
     for _ in range(10):
         u = [rng.uniform(lo, hi) for lo, hi in box]
-        gamma = metric.christoffel_at(u)
+        gamma = metric.christoffel(u)
         pt = sb._point(F, u)
         for b in range(m):
             for c in range(m):
@@ -379,7 +379,7 @@ def _fd_nabla_b(F, u, x, y, z, h=1e-5):
     d = [(bp[k] - bm[k]) / (2.0 * h) for k in range(F.ambient.dim)]
     # ambient connection vanishes on a flat chart; project onto the normal space
     perp = sb._normal_projection(sb._point(F, [float(c) for c in u]), d)
-    gamma = GRAPH_METRIC.christoffel_at(u)
+    gamma = GRAPH_METRIC.christoffel([float(c) for c in u])
     m = F.m
     zx = [sum(gamma[a][b][c] * z[b] * x[c] for b in range(m) for c in range(m))
           for a in range(m)]
