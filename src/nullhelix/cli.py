@@ -8,12 +8,14 @@ verify       cubic + metric identity suites on a closed-form/tangent curve
 submanifold  fundamental forms, classification residuals and diagnostics
 transfer     push an intrinsic helix through an immersion and re-measure it
 
-Reports are deterministic, strict, single-line JSON (byte-identical for
-identical spec + flags; undefined values are null, never NaN); all but
-``submanifold`` can also write CSV.  Exit codes: 0 all residuals within tolerance,
-1 residual failure, 2 usage or spec error (including expression domain errors
-and overflows, Gram-drift aborts, grids too short for the stencils, steps too
-small for their segments and non-finite results).
+Handlers return a report's rows and summary; ``run`` alone writes the report,
+the CSV table of row keys and the exit code.  Reports are deterministic,
+strict, single-line JSON (byte-identical for identical spec + flags; undefined
+values are null, never NaN); all but ``submanifold`` can also write CSV.
+Exit codes: 0 all residuals within tolerance, 1 residual failure, 2 usage or
+spec error (including expression domain errors and overflows, Gram-drift
+aborts, grids too short for the stencils, steps too small for their segments
+and non-finite results).
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class SpecDocument:
     kind: str
     payload: dict
     config: dict
+    sha256: str
 
 
 def _check_keys(obj: dict, required, optional=(), where: str = "document"):
@@ -173,10 +176,8 @@ def load_spec(path: str) -> SpecDocument:
                    "helix": _helix_payload(doc["helix"])}
     else:
         raise SpecError(f"unknown document kind {kind!r}")
-    sha = hashlib.sha256(raw).hexdigest()
-    config = _config(doc.get("config"))
-    config["spec_sha256"] = sha
-    return SpecDocument(kind=kind, payload=payload, config=config)
+    return SpecDocument(kind=kind, payload=payload, config=_config(doc.get("config")),
+                        sha256=hashlib.sha256(raw).hexdigest())
 
 
 def _curve_payload(obj) -> dict:
@@ -251,7 +252,7 @@ def _resolve(config: dict, args, command: str) -> dict:
         "quad_step": 1e-3,
         "drift_limit": helixmod.DRIFT_LIMIT,
     }
-    cfg.update({k: v for k, v in config.items() if k != "spec_sha256"})
+    cfg.update(config)
     for key in ("tol", "step", "samples"):
         value = getattr(args, key)
         if value is not None:
@@ -260,7 +261,6 @@ def _resolve(config: dict, args, command: str) -> dict:
         cfg["project_every"] = cfg["project_every"] or 100
     if args.seed_order is not None:
         cfg["seed_order"] = [s.strip() for s in args.seed_order.split(",")]
-    cfg["spec_sha256"] = config.get("spec_sha256")
     return cfg
 
 
@@ -317,81 +317,77 @@ def _emit(report: dict, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, header, rows):
+# command -> the row keys of its CSV table, in column order
+_CSV_COLUMNS = {
+    "frame": ("t", "point", "zeta", "n", "w", "gram_residual", "h", "k1", "k2"),
+    "synth": ("t", "point", "zeta", "n", "w", "gram_drift", "cubic_residual"),
+    "verify": ("t", "h", "k1", "k2", "cubic_residual"),
+    "transfer": ("t", "h", "k1", "k2"),
+}
+# vector row key -> its three columns
+_VECTOR_COLUMNS = {key: (f"{prefix}1", f"{prefix}2", f"{prefix}3") for key, prefix
+                   in (("point", "x"), ("zeta", "zeta"), ("n", "n"), ("w", "w"))}
+
+
+def _write_csv(path: str, keys, rows):
+    """The ``keys`` of each row as one line; a vector key spans three
+    columns, and an undefined (None) cell is written as nan."""
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(c for k in keys for c in _VECTOR_COLUMNS.get(k, (k,))) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            cells = (v for k in keys
+                     for v in (row[k] if k in _VECTOR_COLUMNS else [row[k]]))
+            text = ",".join(repr(math.nan if v is None else float(v)) for v in cells)
+            fh.write(text + "\n")
 
 
-def _report(command: str, cfg: dict, rows, summary) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "command": command,
-        "spec_sha256": cfg.get("spec_sha256"),
-        "config": {k: v for k, v in cfg.items() if k != "spec_sha256"},
-        "rows": rows,
-        "summary": summary,
-    }
-
-
-def _build_curve(payload: dict, metric, cfg) -> NullCurve:
-    c = payload
+def _curve_frames(doc: SpecDocument, cfg: dict):
+    """The document's curve, the screen policy and the curve's frames on the
+    grid; the curve is built first, so its errors precede the seed order's."""
+    metric = doc.payload["metric"]
+    c = doc.payload["curve"]
     if c["mode"] == "position":
-        return NullCurve.position(metric, c["components"], c["domain"])
-    return NullCurve.tangent(metric, c["components"], c["initial"], c["domain"],
-                             quad_step=cfg["quad_step"])
+        curve = NullCurve.position(metric, c["components"], c["domain"])
+    else:
+        curve = NullCurve.tangent(metric, c["components"], c["initial"], c["domain"],
+                                  quad_step=cfg["quad_step"])
+    policy = _policy(cfg, metric.dim)
+    grid = _grid(curve.domain, cfg["samples"])
+    return curve, policy, nfmod.frame_field(curve, grid, policy)
 
 
 # -- subcommands ------------------------------------------------------------------
 
 
-def _cmd_frame(doc: SpecDocument, args) -> int:
-    cfg = _resolve(doc.config, args, "frame")
-    metric = doc.payload["metric"]
-    curve = _build_curve(doc.payload["curve"], metric, cfg)
-    policy = _policy(cfg, metric.dim)
-    grid = _grid(curve.domain, cfg["samples"])
-    frames = nfmod.frame_field(curve, grid, policy)
+def _cmd_frame(doc: SpecDocument, cfg: dict):
+    curve, policy, frames = _curve_frames(doc, cfg)
     rows = []
     max_gram = 0.0
     max_resid = 0.0
     for fr in frames:
         sample = nfmod.curvatures_at(curve, fr, policy)
         r1, r2, r3 = nfmod.frenet_residuals(curve, fr, sample, policy)
-        gram = fr.gram_residual
         resids = (nfmod.euclid_norm(r1), nfmod.euclid_norm(r2), nfmod.euclid_norm(r3))
-        max_gram = max(max_gram, gram)
+        max_gram = max(max_gram, fr.gram_residual)
         max_resid = max(max_resid, *resids)
         rows.append({
             "t": fr.t, "point": list(fr.point), "zeta": list(fr.zeta),
             "n": list(fr.n), "w": list(fr.w),
             "h": sample.h, "k1": sample.k1, "k2": sample.k2,
             "geodesic_type": sample.geodesic_type,
-            "null_residual": fr.null_residual, "gram_residual": gram,
+            "null_residual": fr.null_residual, "gram_residual": fr.gram_residual,
             "frenet_residuals": list(resids),
         })
-    ok = max_gram <= cfg["gram_tol"] and max_resid <= cfg["tol"]
-    summary = {
-        "pass": ok,
+    return rows, {
+        "pass": max_gram <= cfg["gram_tol"] and max_resid <= cfg["tol"],
         "max_gram_residual": max_gram,
         "max_frenet_residual": max_resid,
         "tolerances": {"gram": cfg["gram_tol"], "frenet": cfg["tol"]},
     }
-    _emit(_report("frame", cfg, rows, summary), args.out)
-    if args.csv:
-        header = ["t", "x1", "x2", "x3", "zeta1", "zeta2", "zeta3",
-                  "n1", "n2", "n3", "w1", "w2", "w3", "gram_residual",
-                  "h", "k1", "k2"]
-        _write_csv(args.csv, header, [
-            [r["t"], *r["point"], *r["zeta"], *r["n"], *r["w"],
-             r["gram_residual"], r["h"], r["k1"], r["k2"]]
-            for r in rows
-        ])
-    return 0 if ok else 1
 
 
 def _build_helix_spec(doc: SpecDocument, cfg) -> tuple:
+    """The helix, its sample grid and its RK4 step."""
     metric = doc.payload["metric"]
     hp = doc.payload["helix"]
     spec = helixmod.HelixSpec(
@@ -399,13 +395,11 @@ def _build_helix_spec(doc: SpecDocument, cfg) -> tuple:
         initial_point=hp["initial_point"], zeta0=hp["zeta"], n0=hp["n"],
         w0=hp["w"], metric=metric,
     )
-    return spec, hp["domain"], cfg["step"] or hp["step"]
+    return spec, _grid(hp["domain"], cfg["samples"]), cfg["step"] or hp["step"]
 
 
-def _cmd_synth(doc: SpecDocument, args) -> int:
-    cfg = _resolve(doc.config, args, "synth")
-    spec, domain, step = _build_helix_spec(doc, cfg)
-    grid = _grid(domain, cfg["samples"])
+def _cmd_synth(doc: SpecDocument, cfg: dict):
+    spec, grid, step = _build_helix_spec(doc, cfg)
     helixmod.require_stencil_samples("synth", grid, "three", helixmod.CUBIC_MIN_SAMPLES)
     trace = helixmod.synthesize(spec, grid, step,
                                 project_every=cfg["project_every"],
@@ -423,35 +417,18 @@ def _cmd_synth(doc: SpecDocument, args) -> int:
     # the grid check above guarantees at least one cubic residual
     max_dev = max(max(r.deviations) for r in reports)
     max_cubic = max(cubics.values())
-    ok = max_dev <= cfg["tol"] and max_cubic <= cfg["tol"]
-    summary = {
-        "pass": ok,
+    return rows, {
+        "pass": max_dev <= cfg["tol"] and max_cubic <= cfg["tol"],
         "max_gram_drift": max(trace.gram_drift),
         "max_error_estimate": max(trace.err_est),
         "max_identity_deviation": max_dev,
         "max_cubic_residual": max_cubic,
         "tolerances": {"identity": cfg["tol"], "cubic": cfg["tol"]},
     }
-    _emit(_report("synth", cfg, rows, summary), args.out)
-    if args.csv:
-        header = ["t", "x1", "x2", "x3", "zeta1", "zeta2", "zeta3",
-                  "n1", "n2", "n3", "w1", "w2", "w3", "gram_drift",
-                  "cubic_residual"]
-        _write_csv(args.csv, header, [
-            [r["t"], *r["point"], *r["zeta"], *r["n"], *r["w"],
-             r["gram_drift"], cubics.get(r["t"], math.nan)]
-            for r in rows
-        ])
-    return 0 if ok else 1
 
 
-def _cmd_verify(doc: SpecDocument, args) -> int:
-    cfg = _resolve(doc.config, args, "verify")
-    metric = doc.payload["metric"]
-    curve = _build_curve(doc.payload["curve"], metric, cfg)
-    policy = _policy(cfg, metric.dim)
-    grid = _grid(curve.domain, cfg["samples"])
-    frames = nfmod.frame_field(curve, grid, policy)
+def _cmd_verify(doc: SpecDocument, cfg: dict):
+    curve, policy, frames = _curve_frames(doc, cfg)
     rows = []
     samples = []
     max_cubic = 0.0
@@ -468,25 +445,16 @@ def _cmd_verify(doc: SpecDocument, args) -> int:
             "scalars": list(rep.scalars), "targets": list(rep.targets),
             "deviations": list(rep.deviations),
         })
-    ok = max_cubic <= cfg["tol"] and max_dev <= cfg["tol"]
-    summary = {
-        "pass": ok,
+    return rows, {
+        "pass": max_cubic <= cfg["tol"] and max_dev <= cfg["tol"],
         "max_cubic_residual": max_cubic,
         "max_identity_deviation": max_dev,
         "curvature_constancy": helixmod.constancy_report(samples),
         "tolerances": {"cubic": cfg["tol"], "identity": cfg["tol"]},
     }
-    _emit(_report("verify", cfg, rows, summary), args.out)
-    if args.csv:
-        header = ["t", "h", "k1", "k2", "cubic_residual"]
-        _write_csv(args.csv, header, [
-            [r["t"], r["h"], r["k1"], r["k2"], r["cubic_residual"]] for r in rows
-        ])
-    return 0 if ok else 1
 
 
-def _cmd_submanifold(doc: SpecDocument, args) -> int:
-    cfg = _resolve(doc.config, args, "submanifold")
+def _cmd_submanifold(doc: SpecDocument, cfg: dict):
     F = doc.payload["immersion"]
     rows = []
     max_duality = 0.0
@@ -527,22 +495,17 @@ def _cmd_submanifold(doc: SpecDocument, args) -> int:
             row["diag_D2_norm"] = None
         max_duality = max(max_duality, duality)
         rows.append(row)
-    ok = max_duality <= cfg["tol"]
-    summary = {
-        "pass": ok,
+    return rows, {
+        "pass": max_duality <= cfg["tol"],
         "max_duality_residual": max_duality,
         "tolerances": {"duality": cfg["tol"]},
     }
-    _emit(_report("submanifold", cfg, rows, summary), args.out)
-    return 0 if ok else 1
 
 
-def _cmd_transfer(doc: SpecDocument, args) -> int:
-    cfg = _resolve(doc.config, args, "transfer")
+def _cmd_transfer(doc: SpecDocument, cfg: dict):
     F = doc.payload["immersion"]
     policy = _policy(cfg, F.ambient.dim)
-    spec, domain, step = _build_helix_spec(doc, cfg)
-    grid = _grid(domain, cfg["samples"])
+    spec, grid, step = _build_helix_spec(doc, cfg)
     rep = submanifold.helix_transfer(F, spec, grid, step, policy=policy,
                                      project_every=cfg["project_every"],
                                      drift_limit=cfg["drift_limit"])
@@ -550,9 +513,8 @@ def _cmd_transfer(doc: SpecDocument, args) -> int:
         {"t": rep.times[i], "h": rep.h[i], "k1": rep.k1[i], "k2": rep.k2[i]}
         for i in range(len(rep.times))
     ]
-    ok = all(v <= cfg["tol"] for v in rep.constancy.values())
-    summary = {
-        "pass": ok,
+    return rows, {
+        "pass": all(v <= cfg["tol"] for v in rep.constancy.values()),
         "constancy_deviation": rep.constancy,
         "geodesic_residual_max": rep.geodesic_max,
         "geodesic_residual_samples": list(rep.geodesic_samples),
@@ -560,11 +522,6 @@ def _cmd_transfer(doc: SpecDocument, args) -> int:
         "nullity_residual": rep.nullity_max,
         "tolerances": {"constancy": cfg["tol"]},
     }
-    _emit(_report("transfer", cfg, rows, summary), args.out)
-    if args.csv:
-        _write_csv(args.csv, ["t", "h", "k1", "k2"],
-                   [[r["t"], r["h"], r["k1"], r["k2"]] for r in rows])
-    return 0 if ok else 1
 
 
 _COMMANDS = {
@@ -574,7 +531,6 @@ _COMMANDS = {
     "submanifold": (_cmd_submanifold, "immersion"),
     "transfer": (_cmd_transfer, "transfer"),
 }
-_CSV_COMMANDS = ("frame", "synth", "verify", "transfer")
 
 
 @functools.cache
@@ -593,7 +549,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--project", action="store_true")
         sp.add_argument("--seed-order", dest="seed_order", default=None)
         sp.add_argument("--out", default=None, help="write the JSON report here")
-        if name in _CSV_COMMANDS:
+        if name in _CSV_COLUMNS:
             sp.add_argument("--csv", default=None, help="write a CSV trace here")
     return ap
 
@@ -611,7 +567,14 @@ def run(argv) -> int:
                 f"'{args.command}' needs a {expected_kind!r} document, "
                 f"got {doc.kind!r}"
             )
-        return handler(doc, args)
+        cfg = _resolve(doc.config, args, args.command)
+        rows, summary = handler(doc, cfg)
+        _emit({"format_version": FORMAT_VERSION, "command": args.command,
+               "spec_sha256": doc.sha256, "config": cfg, "rows": rows,
+               "summary": summary}, args.out)
+        if getattr(args, "csv", None):
+            _write_csv(args.csv, _CSV_COLUMNS[args.command], rows)
+        return 0 if summary["pass"] else 1
     except (OSError, ValueError, exprparse.DomainError,
             helixmod.GramDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,7 +101,6 @@ class HelixTrace:
     """Sampled trajectory of the integrated frame system."""
 
     spec: HelixSpec
-    step: float
     times: tuple
     points: tuple
     zetas: tuple
@@ -356,7 +355,7 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
                 shadow = _project_frame(metric, shadow, g)
         record(tb, state, shadow)
     return HelixTrace(
-        spec=spec, step=step, times=tuple(times), points=tuple(points),
+        spec=spec, times=tuple(times), points=tuple(points),
         zetas=tuple(zetas), ns=tuple(ns), ws=tuple(ws),
         gram_drift=tuple(drifts), err_est=tuple(errs),
     )

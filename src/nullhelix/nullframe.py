@@ -73,11 +73,10 @@ class ScreenPolicy:
     ``seeds`` are 0-based coordinate-axis indices tried in order; the first
     axis vector V with |g(zeta, V)| above the seed tolerance is used.  The
     orientation rule makes k1 >= 0 at the first sample where |k1| exceeds
-    ``orient_tol``; between samples, sign flips of W are corrected.
+    GEODESIC_K1_TOL; between samples, sign flips of W are corrected.
     """
 
     seeds: tuple = (2, 0, 1)
-    orient_tol: float = GEODESIC_K1_TOL
 
     @classmethod
     def from_names(cls, names) -> "ScreenPolicy":
@@ -358,17 +357,15 @@ class _FrameJets:
     covariant derivative of the oriented W is ``sign * cov("w")``.
     """
 
-    __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "seed_index", "metric",
-                 "_gamma", "_covs")
+    __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "metric", "_gamma", "_covs")
 
-    def __init__(self, t, pos, zeta, n, w, gmat, seed_index, metric):
+    def __init__(self, t, pos, zeta, n, w, gmat, metric):
         self.t = t
         self.pos = pos
         self.zeta = zeta
         self.n = n
         self.w = w
         self.gmat = gmat
-        self.seed_index = seed_index
         self.metric = metric
         self._gamma = None
         self._covs = {}
@@ -426,9 +423,9 @@ def _build_frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _Fram
     if math.hypot(*map(const_term, zeta)) < 1e-12:
         raise ValueError(f"vanishing tangent at t = {t}")
     where = f"at t = {t}"
-    seed_index, gz, n_vec = null_transversal(gmat, zeta, policy.seed_indices(3), where)
+    _, gz, n_vec = null_transversal(gmat, zeta, policy.seed_indices(3), where)
     w_vec = screen_vector(gmat, gz, n_vec, where)
-    return _FrameJets(t, pos, zeta, n_vec, w_vec, gmat, seed_index, curve.metric)
+    return _FrameJets(t, pos, zeta, n_vec, w_vec, gmat, curve.metric)
 
 
 def build_frame(curve: NullCurve, t: float,
@@ -449,7 +446,7 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None):
     # global orientation: k1 >= 0 at the first generic sample, else W's first
     # significant component positive at the first sample (whose sign is +1)
     k1s = (sign * st.raw_k1() for st, sign in zip(states, signs))
-    orient = (first_generic_sign(k1s, policy.orient_tol)
+    orient = (first_generic_sign(k1s, GEODESIC_K1_TOL)
               or first_generic_sign([const_term(c) for c in states[0].w], 1e-9)
               or 1.0)
     if orient < 0.0:

@@ -74,7 +74,8 @@ def test_load_spec_kinds(tmp_path):
                       ("i.json", SPHERE_DOC), ("t.json", TRANSFER_DOC)]:
         loaded = load_spec(_write(tmp_path, name, doc))
         assert loaded.kind == doc["kind"]
-        assert loaded.config["spec_sha256"]
+        assert len(loaded.sha256) == 64
+        assert "spec_sha256" not in loaded.config
 
 
 def test_load_spec_rejects_unknown_keys(tmp_path):
@@ -287,6 +288,43 @@ def test_synth_report_and_csv(tmp_path):
     assert lines[0] == ("t,x1,x2,x3,zeta1,zeta2,zeta3,n1,n2,n3,"
                         "w1,w2,w3,gram_drift,cubic_residual")
     assert len(lines) == 202
+    # the cubic residual is undefined at the trace's edge samples
+    assert rep["rows"][0]["cubic_residual"] is None
+    assert lines[1].split(",")[-1] == "nan"
+    assert lines[-1].split(",")[-1] == "nan"
+
+
+# README's CSV columns; a vector's components are x1..x3, zeta1..3, n1..3, w1..3
+_FRAME_VECTORS = "x1,x2,x3,zeta1,zeta2,zeta3,n1,n2,n3,w1,w2,w3"
+CSV_CASES = [
+    ("frame", C1_DOC, "9", f"t,{_FRAME_VECTORS},gram_residual,h,k1,k2"),
+    ("verify", C1_DOC, "9", "t,h,k1,k2,cubic_residual"),
+    ("transfer", TRANSFER_DOC, "101", "t,h,k1,k2"),
+]
+
+
+def _csv_cell(row, column):
+    for key, prefix in (("point", "x"), ("zeta", "zeta"), ("n", "n"), ("w", "w")):
+        if column[:-1] == prefix and column[-1] in "123":
+            return row[key][int(column[-1]) - 1]
+    return row[column]
+
+
+@pytest.mark.parametrize("command, doc, samples, header", CSV_CASES,
+                         ids=[case[0] for case in CSV_CASES])
+def test_csv_table_is_the_report_rows(tmp_path, command, doc, samples, header):
+    spec = _write(tmp_path, "doc.json", doc)
+    out = str(tmp_path / "rep.json")
+    csv_path = str(tmp_path / "table.csv")
+    assert run([command, "--spec", spec, "--samples", samples,
+                "--out", out, "--csv", csv_path]) == 0
+    rows = json.loads(open(out).read())["rows"]
+    lines = open(csv_path).read().splitlines()
+    assert lines[0] == header
+    assert len(lines) == len(rows) + 1
+    columns = header.split(",")
+    for row, line in zip(rows, lines[1:]):
+        assert line.split(",") == [repr(float(_csv_cell(row, c))) for c in columns]
 
 
 def test_frame_command(monkeypatch, tmp_path):
@@ -665,10 +703,13 @@ NON_FINITE_REPORT_DOCS = [
 def test_non_finite_report_value_is_named(tmp_path, capsys):
     for k, (command, doc, field) in enumerate(NON_FINITE_REPORT_DOCS):
         spec = _write(tmp_path, f"big{k}.json", doc)
-        assert run([command, "--spec", spec]) == 2
+        csv_path = tmp_path / f"big{k}.csv"
+        csv = ["--csv", str(csv_path)] if command != "submanifold" else []
+        assert run([command, "--spec", spec, *csv]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: report value {field} is not finite\n"
+        assert not csv_path.exists()  # the report is checked before the table
 
 
 @pytest.mark.parametrize("flags, doc", [

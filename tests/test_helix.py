@@ -567,12 +567,11 @@ def test_flipped_frame_leaves_shared_bundle_untouched(c1_curve):
     t = 1.3
     frame = build_frame(c1_curve, t)
     before = _sample_results(c1_curve, frame)
-    # past any k1, orientation falls back to W's first component: here -W
-    flip_policy = nf.ScreenPolicy(orient_tol=10.0)
-    flipped = build_frame(c1_curve, t, flip_policy)
+    # the same bundle key, carried with the opposite orientation of W
+    flipped = dataclasses.replace(frame, w=tuple(-c for c in frame.w))
     assert flipped.w == tuple(-c for c in frame.w)
-    assert curvatures_at(c1_curve, flipped, flip_policy).k1 == -before[0].k1
-    _sample_results(c1_curve, flipped, flip_policy)
+    assert curvatures_at(c1_curve, flipped).k1 == -before[0].k1
+    _sample_results(c1_curve, flipped)
     assert _sample_results(c1_curve, frame) == before
 
 

@@ -1,6 +1,6 @@
 """Source hygiene: every imported name is used, every parameter is read,
-every definition is referenced, and the definitions only tests reference
-are the listed ones."""
+every definition is referenced, every class field is read, and the
+definitions only tests reference are the listed ones."""
 
 from __future__ import annotations
 
@@ -120,6 +120,51 @@ def test_every_definition_is_referenced():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+def _is_record_class(node) -> bool:
+    """A dataclass (bare or called decorator) or a ``NamedTuple`` subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    names = [d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)
+             for d in (*decorators, *node.bases)]
+    return "dataclass" in names or "NamedTuple" in names
+
+
+def class_fields(tree) -> list:
+    """``(line, class, field)`` for each annotated field of a dataclass or
+    ``NamedTuple`` and each ``__slots__`` entry of a class."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        record = _is_record_class(cls)
+        for stmt in cls.body:
+            if (record and isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                out.append((stmt.lineno, cls.name, stmt.target.id))
+            elif (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Tuple)
+                  and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)):
+                out += [(stmt.lineno, cls.name, e.value) for e in stmt.value.elts]
+    return out
+
+
+def attribute_reads(tree) -> set:
+    """Every name read as an attribute (``x.name`` in a load)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(tree, reads) -> list:
+    """Each class field of ``tree`` whose name ``reads`` does not hold."""
+    return [f"line {line}: {cls}.{field}" for line, cls, field in class_fields(tree)
+            if field not in reads]
+
+
+def test_every_class_field_is_read():
+    reads = set().union(*(attribute_reads(_tree(path))
+                          for path in (*PACKAGE, *TESTS, *PERFBENCH)))
+    found = {path.name: unread_fields(_tree(path), reads) for path in PACKAGE}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 # package definitions that only tests name: nabla_B is read by acceptance
 # criterion 6, build_frame by the single-frame tests, and second_fundamental
 # and shape_operator by the tests of the forms the duality residual reads
@@ -173,3 +218,22 @@ def test_the_checks_name_what_they_find():
                         "        return 0\n")
     assert unreferenced_definitions(package, references(users)) == [
         "line 2: gram_residuals"]
+    fields = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Trace:\n"
+        "    times: tuple\n"
+        "    step: float\n"
+        "    LIMIT = 3\n"
+        "class Pair(NamedTuple):\n"
+        "    left: int\n"
+        "    right: int\n"
+        "class Bundle:\n"
+        "    __slots__ = ('t', 'seed_index')\n"
+        "    def __init__(self, t, seed_index):\n"
+        "        self.t = t\n"
+        "        self.seed_index = seed_index\n"
+        "class Plain:\n"
+        "    size: int\n")
+    users = ast.parse("print(trace.times, pair.left, bundle.t)\n")
+    assert unread_fields(fields, attribute_reads(fields) | attribute_reads(users)) == [
+        "line 4: Trace.step", "line 8: Pair.right", "line 10: Bundle.seed_index"]
