@@ -21,6 +21,7 @@ and non-finite results).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -37,7 +38,6 @@ from .nullframe import NullCurve, ScreenPolicy
 FORMAT_VERSION = 2
 
 DEFAULT_TOL = {
-    "frame_gram": 1e-9,
     "frame": 1e-7,  # frame-equation residuals on analytic curves
     "verify": 1e-7,  # identity residuals on analytic curves
     "synth": 1e-6,  # identity residuals on integrated traces
@@ -244,7 +244,9 @@ def _samples_payload(obj, imm_doc) -> list:
 def _resolve(config: dict, args, command: str) -> dict:
     cfg = {
         "tol": DEFAULT_TOL[command],
-        "gram_tol": DEFAULT_TOL["frame_gram"],
+        # frame_field rejects a frame above FRAME_TOL with exit 2 first, so
+        # gram_tol can only tighten frame's Gram check
+        "gram_tol": nfmod.FRAME_TOL,
         "samples": DEFAULT_SAMPLES.get(command, 50),
         "step": None,
         "project_every": 0,
@@ -302,7 +304,11 @@ def _non_finite_path(value, path: str = ""):
     return None
 
 
-def _emit(report: dict, out_path: str | None):
+def _emit(report: dict, out_path: str | None, csv_path: str | None, columns):
+    """Write ``report`` to ``out_path`` (stdout when None) and the ``columns``
+    of its rows to ``csv_path``, if given.  The report is serialised and the
+    CSV opened first, so a non-finite value or a CSV that cannot be opened
+    writes no report."""
     try:
         text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
@@ -310,11 +316,14 @@ def _emit(report: dict, out_path: str | None):
         if path is None:
             raise
         raise ValueError(f"report value {path} is not finite") from None
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(csv_path, "w") if csv_path else contextlib.nullcontext() as table:
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if table:
+            _write_csv(table, columns, report["rows"])
 
 
 # command -> the row keys of its CSV table, in column order
@@ -329,16 +338,14 @@ _VECTOR_COLUMNS = {key: (f"{prefix}1", f"{prefix}2", f"{prefix}3") for key, pref
                    in (("point", "x"), ("zeta", "zeta"), ("n", "n"), ("w", "w"))}
 
 
-def _write_csv(path: str, keys, rows):
-    """The ``keys`` of each row as one line; a vector key spans three
-    columns, and an undefined (None) cell is written as nan."""
-    with open(path, "w") as fh:
-        fh.write(",".join(c for k in keys for c in _VECTOR_COLUMNS.get(k, (k,))) + "\n")
-        for row in rows:
-            cells = (v for k in keys
-                     for v in (row[k] if k in _VECTOR_COLUMNS else [row[k]]))
-            text = ",".join(repr(math.nan if v is None else float(v)) for v in cells)
-            fh.write(text + "\n")
+def _write_csv(fh, keys, rows):
+    """The ``keys`` of each row as one line of the open file ``fh``; a vector
+    key spans three columns, and an undefined (None) cell is written as nan."""
+    fh.write(",".join(c for k in keys for c in _VECTOR_COLUMNS.get(k, (k,))) + "\n")
+    for row in rows:
+        cells = (v for k in keys for v in (row[k] if k in _VECTOR_COLUMNS else [row[k]]))
+        text = ",".join(repr(math.nan if v is None else float(v)) for v in cells)
+        fh.write(text + "\n")
 
 
 def _curve_frames(doc: SpecDocument, cfg: dict):
@@ -571,9 +578,8 @@ def run(argv) -> int:
         rows, summary = handler(doc, cfg)
         _emit({"format_version": FORMAT_VERSION, "command": args.command,
                "spec_sha256": doc.sha256, "config": cfg, "rows": rows,
-               "summary": summary}, args.out)
-        if getattr(args, "csv", None):
-            _write_csv(args.csv, _CSV_COLUMNS[args.command], rows)
+               "summary": summary}, args.out, getattr(args, "csv", None),
+              _CSV_COLUMNS.get(args.command, ()))
         return 0 if summary["pass"] else 1
     except (OSError, ValueError, exprparse.DomainError,
             helixmod.GramDriftError) as exc:

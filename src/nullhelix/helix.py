@@ -9,7 +9,8 @@ system
     dw/dt    = k2 zeta + k1 n - G(x) zeta w
 
 with G the connection coefficients, integrated by classical fixed-step RK4.
-On a chart whose connection pattern is empty (a constant metric) G vanishes,
+On a chart whose connection pattern is empty G vanishes (a constant metric,
+or entries such as ``1 + 0*x3`` whose derivatives are structurally zero),
 and each coordinate column (x_a, zeta_a, n_a, w_a) obeys the same linear
 system y' = A y.  One RK4 step of it is exactly P = I + B + B^2/2 + B^3/6 +
 B^4/24 with B = dt A, so ``_rk4_steps`` applies nsteps of them at once as
@@ -18,7 +19,7 @@ memoized per (h, k1, k2, dt, nsteps).  Every other chart runs one generated
 function per metric, built on its first curved ``_rk4_steps`` and kept on the
 metric: nsteps RK4 steps with the four stages inlined and the state in
 locals, each stage running the metric's own emitted g, det and connection
-lines and summing G over the pattern symbols that have a value.  A
+lines and summing G over the pattern, the symbols those lines give a value.  A
 shadow integration at half step provides a Richardson error estimate per
 sample; its Gram drift and re-projection use ``nullframe``'s frame algebra.
 Residual norms are always coordinate-Euclidean: the indefinite metric can
@@ -170,10 +171,10 @@ def _stage_code(metric, point, out) -> tuple:
     right-hand side into ``out<i>``.
 
     Each connection sum G zeta zeta, G zeta n and G zeta w runs from 0.0
-    over the pattern symbols that have a value, in pattern order, with c =
-    gamma[k][i][j] zeta^i taken once per symbol.  Returns the lines and the
-    names of the 4n right-hand-side components, the first n of which are
-    ``point``'s zeta.
+    over the pattern (the symbols the emitted connection gives a value), in
+    order, with c = gamma[k][i][j] zeta^i taken once per symbol.  Returns
+    the lines and the names of the 4n right-hand-side components, the first
+    n of which are ``point``'s zeta.
     """
     n, code = metric.dim, metric.connection_code
     x, z, nv, w = (point[a * n:(a + 1) * n] for a in range(4))
@@ -188,11 +189,9 @@ def _stage_code(metric, point, out) -> tuple:
     ]
     sums = [[["0.0"] for _ in range(n)] for _ in range(3)]
     for m, (k, i, j) in enumerate(metric.pattern):
-        gamma = code.gamma[k][i][j]
-        if gamma != "0.0":
-            lines.append(f"_c{m} = {gamma} * {z[i]}")
-            for terms, v in zip(sums, (z, nv, w)):
-                terms[k].append(f"_c{m} * {v[j]}")
+        lines.append(f"_c{m} = {code.gamma[k][i][j]} * {z[i]}")
+        for terms, v in zip(sums, (z, nv, w)):
+            terms[k].append(f"_c{m} * {v[j]}")
     minus = [[f" - ({' + '.join(t)})" if len(t) > 1 else "" for t in s] for s in sums]
     lines += [f"{out}{n + k} = h * {z[k]} + k1 * {w[k]}{minus[0][k]}" for k in range(n)]
     lines += [f"{out}{2 * n + k} = nh * {nv[k]} + k2 * {w[k]}{minus[1][k]}"

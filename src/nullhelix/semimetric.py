@@ -24,12 +24,11 @@ point, so the ``DomainError`` names the offending subexpression; that path
 never returns a connection.  The same code lines (``connection_code``) are
 the stages of ``helix``'s one generated RK4 loop per curved metric.
 
-Each metric's ``pattern`` holds the (k, i, j), in lexicographic order, whose
-Christoffel symbol can be nonzero: every k times every live pair (i, j), where
-(i, j) is live if, for some l, g_jl reads x_i, g_il reads x_j or g_ij reads
-x_l.  A flat chart's pattern is empty.  Every symbol outside it is exactly
-zero, and a sum that starts at +0.0 keeps its bits when +-0.0 is added, so
-each contraction sums over the pattern alone.
+Each metric's ``pattern`` holds the (k, i, j), in lexicographic order, to
+which the generated connection (``connection_code``) gives a value; every
+other symbol is the literal 0.0.  An empty pattern is a flat chart, even when
+an entry names a coordinate (``1 + 0*x3``).  A sum that starts at +0.0 keeps
+its bits when +-0.0 is added, so each contraction sums over the pattern alone.
 
 Inner products do the same with g.  Each metric's ``support`` holds the
 (i, j), in row-major order, whose entry tree is not the literal 0 (the
@@ -178,7 +177,7 @@ class ConnectionCode(NamedTuple):
     coordinate ``names``: ``early`` binds the temporaries that g and det read
     and runs before the |det| check, ``late`` the rest.  ``gamma[k][i][j]`` is
     the code of each symbol: a temporary, or "0.0" where it is structurally
-    zero."""
+    zero.  ``pattern`` holds the (k, i, j) with a temporary, in order."""
 
     names: tuple
     early: list
@@ -186,16 +185,17 @@ class ConnectionCode(NamedTuple):
     det: str
     late: list
     gamma: list
+    pattern: tuple
 
 
-def _connection_code(names, entries, dg, pattern) -> ConnectionCode:
+def _connection_code(names, entries, dg) -> ConnectionCode:
     """The code of g, det and gamma for the entry trees ``entries``.
 
     det is ``mat_det``'s expansion and the inverse ``mat_inverse``'s
-    adjugate.  Each gamma[k][i][j] on the pattern is 0.5 * sum over l of
-    ginv[k][l] (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]), both with every
-    product that has a structural-zero factor left out.  ``dg[l][i][j]`` is
-    the tree of d g_ij / d x_l, or None where it is zero.
+    adjugate.  Each gamma[k][i][j] = gamma[k][j][i] (i <= j) is 0.5 * sum
+    over l of ginv[k][l] (dg[i][j][l] + dg[j][i][l] - dg[l][i][j]), both
+    with every product that has a structural-zero factor left out.
+    ``dg[l][i][j]`` is the tree of d g_ij / d x_l, or None where it is zero.
     """
     n = len(names)
     em = codegen.Emitter(names)
@@ -213,15 +213,15 @@ def _connection_code(names, entries, dg, pattern) -> ConnectionCode:
                 cof = em.sub(None, cof)
             inv[j][i] = None if cof is None else em.bind(f"{cof} / det")
     gamma = [[["0.0"] * n for _ in range(n)] for _ in range(n)]
-    for k, i, j in pattern:
-        if j < i:  # filled with (k, j, i), which comes first
-            continue
+    pattern = set()
+    for k, i, j in ((k, i, j) for k in range(n) for i in range(n) for j in range(i, n)):
         acc = None
         for l in range(n):
             inner = em.sub(em.add(d[i][j][l], d[j][i][l]), d[l][i][j])
             acc = em.add(acc, em.mul(inv[k][l], inner))
         if acc is not None:
             gamma[k][i][j] = gamma[k][j][i] = em.bind(f"0.5 * {acc}")
+            pattern |= {(k, i, j), (k, j, i)}
     matrix = "[" + ", ".join("[" + ", ".join(v or "0.0" for v in row) + "]"
                              for row in g) + "]"
     order = {name: k for k, (name, _) in enumerate(em.lines)}
@@ -231,7 +231,7 @@ def _connection_code(names, entries, dg, pattern) -> ConnectionCode:
                           early=[line for early, line in lines if early],
                           matrix=matrix, det=det,
                           late=[line for early, line in lines if not early],
-                          gamma=gamma)
+                          gamma=gamma, pattern=tuple(sorted(pattern)))
 
 
 def _connection_body(code: ConnectionCode) -> list:
@@ -262,12 +262,6 @@ class MetricField:
         self._coord_names = tuple(f"x{i + 1}" for i in range(dim))
         self.support = tuple((i, j) for i in range(dim) for j in range(dim)
                              if not exprparse._is_zero(self.entries[i][j]))
-        reads = [[exprparse.free_variables(e) for e in row] for row in self.entries]
-        x = self._coord_names
-        live = [(i, j) for i in range(dim) for j in range(dim)
-                if reads[i][j] or any(x[i] in reads[j][l] or x[j] in reads[i][l]
-                                      for l in range(dim))]
-        self.pattern = tuple((k, i, j) for k in range(dim) for i, j in live)
 
     @classmethod
     def diag(cls, signs) -> "MetricField":
@@ -362,7 +356,13 @@ class MetricField:
         n = self.dim
         dg = [[[self._derivatives.get((l, i, j)) for j in range(n)] for i in range(n)]
               for l in range(n)]
-        return _connection_code(self._coord_names, self.entries, dg, self.pattern)
+        return _connection_code(self._coord_names, self.entries, dg)
+
+    @cached_property
+    def pattern(self) -> tuple:
+        """The (k, i, j) to which the generated connection gives a value, in
+        lexicographic order; empty on a flat chart (see the module notes)."""
+        return self.connection_code.pattern
 
     @cached_property
     def _generated(self):

@@ -712,6 +712,61 @@ def test_non_finite_report_value_is_named(tmp_path, capsys):
         assert not csv_path.exists()  # the report is checked before the table
 
 
+def test_exit_two_writes_no_report_when_a_file_cannot_be_opened(tmp_path, capsys):
+    """A CSV that cannot be opened leaves no report, on disk or on stdout; a
+    report that cannot be written leaves no CSV rows; a non-finite report
+    writes neither file."""
+    spec = _write(tmp_path, "c1.json", C1_DOC)
+    out = tmp_path / "rep.json"
+    missing_dir = str(tmp_path / "nodir" / "t.csv")
+    assert run(["verify", "--spec", spec, "--samples", "5", "--out", str(out),
+                "--csv", missing_dir]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert run(["verify", "--spec", spec, "--samples", "5", "--csv", missing_dir]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    csv_path = tmp_path / "t.csv"
+    assert run(["verify", "--spec", spec, "--samples", "5",
+                "--out", str(tmp_path / "nodir" / "rep.json"),
+                "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not csv_path.exists() or csv_path.read_text() == ""
+    command, doc, field = NON_FINITE_REPORT_DOCS[1]
+    assert run([command, "--spec", _write(tmp_path, "big.json", doc),
+                "--out", str(out), "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err == f"error: report value {field} is not finite\n"
+    assert not out.exists()
+    assert not csv_path.exists() or csv_path.read_text() == ""
+
+
+def test_gram_tol_can_only_tighten_the_frame_gram_check(tmp_path, capsys):
+    """frame_field rejects a frame above nullframe.FRAME_TOL with exit 2, so
+    a looser gram_tol changes nothing; gram_tol = 0 fails C1 with exit 1."""
+    big = _with(C1_DOC, {"gram_tol": 1e-3, "samples": 5},
+                curve__components=["3000*cos(t)", "3000*sin(t)", "3000*t"],
+                curve__domain=[0.0, 1.0])
+    out = tmp_path / "rep.json"
+    assert run(["frame", "--spec", _write(tmp_path, "big.json", big),
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: frame Gram residual 1.863e-09 exceeds 1e-09 at t = 0.25\n")
+    assert not out.exists()
+    strict = _with(C1_DOC, {"gram_tol": 0})
+    assert run(["frame", "--spec", _write(tmp_path, "strict.json", strict),
+                "--out", str(out)]) == 1
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["tolerances"]["gram"] == 0
+    assert 0.0 < summary["max_gram_residual"] <= 1e-15
+    assert summary["max_frenet_residual"] <= 1e-7
+    # the default is the construction's own threshold
+    default = tmp_path / "default.json"
+    assert run(["frame", "--spec", _write(tmp_path, "c1.json", C1_DOC),
+                "--out", str(default)]) == 0
+    assert json.loads(default.read_text())["config"]["gram_tol"] == nf.FRAME_TOL
+
+
 @pytest.mark.parametrize("flags, doc", [
     (["--seed-order", "e0,e3"], C1_DOC),
     ([], _with(C1_DOC, {"seed_order": ["e0"]})),

@@ -69,7 +69,7 @@ def test_schema_loading():
     f = MetricField.from_dict(
         {"dim": 2, "metric": {"type": "field", "entries": [["1", "0"], ["0", "x1^2"]]}}
     )
-    assert f.pattern == ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))
+    assert f.pattern == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     with pytest.raises(ValueError, match="'signs' length must equal dim"):
         MetricField.from_dict({"dim": 2, "metric": {"type": "diag", "signs": [-1, 1, 1]}})
     with pytest.raises(ValueError):
@@ -88,17 +88,28 @@ CURVED3 = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + x3^2"]]
 CONFORMAL3 = [["-exp(0.4*x3)", "0", "0"], ["0", "-exp(0.4*x3)", "0"],
               ["0", "0", "exp(0.4*x3)"]]
 OFF_DIAGONAL2 = [["1 + x2^2", "x1*x2"], ["x1*x2", "2 + x1^2"]]
-CONFORMAL_LIVE = ((0, 0), (0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
+PSEUDOSPHERE3 = [["-1", "0", "0"], ["0", "-sinh(x1)^2", "0"], ["0", "0", "cosh(x1)^2"]]
+DISGUISED_FLAT3 = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + 0*x3"]]
+# (metric, exact pattern, sampled coordinate range, the pattern symbols whose
+# emitted terms cancel to zero, such as off-diagonal's 0.5 * ginv (x2 + x2 - 2 x2))
 PATTERN_CASES = [
-    (MetricField.diag([-1, -1, 1]), ()),
-    (MetricField.from_texts(3, CURVED3), ((0, 2, 2), (1, 2, 2), (2, 2, 2))),
+    (MetricField.diag([-1, -1, 1]), (), (-1.5, 1.5), set()),
+    (MetricField.from_texts(3, CURVED3), ((2, 2, 2),), (-1.5, 1.5), set()),
     (MetricField.from_texts(3, CONFORMAL3),
-     tuple((k, i, j) for k in range(3) for i, j in CONFORMAL_LIVE)),
+     ((0, 0, 2), (0, 2, 0), (1, 1, 2), (1, 2, 1), (2, 0, 0), (2, 1, 1), (2, 2, 2)),
+     (-1.5, 1.5), set()),
     (MetricField.from_texts(2, OFF_DIAGONAL2),
      ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-      (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))),
+      (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)), (-1.5, 1.5),
+     {(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)}),
+    # det g = sinh(x1)^2 cosh(x1)^2, away from x1 = 0
+    (MetricField.from_texts(3, PSEUDOSPHERE3),
+     ((0, 1, 1), (0, 2, 2), (1, 0, 1), (1, 1, 0), (2, 0, 2), (2, 2, 0)), (0.3, 1.5),
+     set()),
+    (MetricField.from_texts(3, DISGUISED_FLAT3), (), (-1.5, 1.5), set()),
 ]
-PATTERN_IDS = ["flat", "curved", "conformal", "off-diagonal"]
+PATTERN_IDS = ["flat", "curved", "conformal", "off-diagonal", "pseudosphere",
+               "disguised-flat"]
 
 
 def _deriv_part(v):
@@ -135,24 +146,30 @@ def _dense_christoffel(metric, coords):
     return gamma
 
 
-@pytest.mark.parametrize("metric, pattern", PATTERN_CASES, ids=PATTERN_IDS)
-def test_connection_pattern_is_exact(metric, pattern):
+@pytest.mark.parametrize("metric, pattern, span, cancelled", PATTERN_CASES,
+                         ids=PATTERN_IDS)
+def test_connection_pattern_is_exact(metric, pattern, span, cancelled):
+    """Every symbol outside the pattern is zero, and every symbol in it is
+    nonzero at one of the sampled points, unless its terms cancel."""
     assert metric.pattern == pattern
     rng = random.Random(11)
+    nonzero = set()
     for _ in range(4):
-        p = [rng.uniform(-1.5, 1.5) for _ in range(metric.dim)]
+        p = [rng.uniform(*span) for _ in range(metric.dim)]
         gamma, dense = metric.christoffel(p), _dense_christoffel(metric, p)
         for k in range(metric.dim):
             for i in range(metric.dim):
                 for j in range(metric.dim):
                     assert gamma[k][i][j] == dense[k][i][j]
-                    if (k, i, j) not in pattern:
-                        assert gamma[k][i][j] == 0.0
+                    if gamma[k][i][j] != 0.0:
+                        nonzero.add((k, i, j))
+        assert nonzero <= set(pattern)
         a = [rng.uniform(-2.0, 2.0) for _ in range(metric.dim)]
         b = [rng.uniform(-2.0, 2.0) for _ in range(metric.dim)]
         dense_term = [sum(gamma[k][i][j] * a[i] * b[j] for i in range(metric.dim)
                           for j in range(metric.dim)) for k in range(metric.dim)]
         assert semimetric.connection_term(metric, gamma, a, b) == dense_term
+    assert nonzero == set(pattern) - cancelled
 
 
 def test_generated_connection_differentiates_only_along_read_coordinates(monkeypatch):
@@ -181,9 +198,6 @@ def _coefficients(v, n):
     """v's Taylor coefficients padded to n (a float is a constant jet)."""
     c = v.coeffs if isinstance(v, Jet) else (v,)
     return tuple(c) + (0.0,) * (n - len(c))
-
-
-PSEUDOSPHERE3 = [["-1", "0", "0"], ["0", "-sinh(x1)^2", "0"], ["0", "0", "cosh(x1)^2"]]
 
 
 @pytest.mark.parametrize("dim, texts", [
