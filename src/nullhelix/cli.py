@@ -411,23 +411,20 @@ def _cmd_synth(doc: SpecDocument, cfg: dict):
     trace = helixmod.synthesize(spec, grid, step,
                                 project_every=cfg["project_every"],
                                 drift_limit=cfg["drift_limit"])
-    reports = helixmod.identity_reports_from_trace(trace)
-    cubics = {r.t: r.cubic_residual for r in reports if r.cubic_residual is not None}
-    rows = []
-    for i, t in enumerate(trace.times):
-        rows.append({
-            "t": t, "point": list(trace.points[i]), "zeta": list(trace.zetas[i]),
-            "n": list(trace.ns[i]), "w": list(trace.ws[i]),
-            "gram_drift": trace.gram_drift[i], "err_est": trace.err_est[i],
-            "cubic_residual": cubics.get(t),
-        })
-    # the grid check above guarantees at least one cubic residual
-    max_dev = max(max(r.deviations) for r in reports)
+    report = helixmod.identity_reports_from_trace(trace)
+    cubics = dict(zip(*(a.tolist() for a in helixmod.cubic_residuals_from_trace(trace))))
+    columns = (trace.times, trace.points, trace.zetas, trace.ns, trace.ws, trace.gram_drift,
+               trace.err_est)
+    rows = [{"t": t, "point": p, "zeta": z, "n": n, "w": w, "gram_drift": d, "err_est": e,
+             "cubic_residual": cubics.get(t)}
+            for t, p, z, n, w, d, e in zip(*(c.tolist() for c in columns))]
+    # the grid check above guarantees a cubic residual; per-sample maxima first
+    max_dev = max(map(max, zip(*(d.tolist() for d in report.deviations))))
     max_cubic = max(cubics.values())
     return rows, {
         "pass": max_dev <= cfg["tol"] and max_cubic <= cfg["tol"],
-        "max_gram_drift": max(trace.gram_drift),
-        "max_error_estimate": max(trace.err_est),
+        "max_gram_drift": max(row["gram_drift"] for row in rows),
+        "max_error_estimate": max(row["err_est"] for row in rows),
         "max_identity_deviation": max_dev,
         "max_cubic_residual": max_cubic,
         "tolerances": {"identity": cfg["tol"], "cubic": cfg["tol"]},
@@ -516,10 +513,8 @@ def _cmd_transfer(doc: SpecDocument, cfg: dict):
     rep = submanifold.helix_transfer(F, spec, grid, step, policy=policy,
                                      project_every=cfg["project_every"],
                                      drift_limit=cfg["drift_limit"])
-    rows = [
-        {"t": rep.times[i], "h": rep.h[i], "k1": rep.k1[i], "k2": rep.k2[i]}
-        for i in range(len(rep.times))
-    ]
+    rows = [{"t": t, "h": h, "k1": k1, "k2": k2} for t, h, k1, k2
+            in zip(rep.times.tolist(), rep.h.tolist(), rep.k1.tolist(), rep.k2.tolist())]
     return rows, {
         "pass": all(v <= cfg["tol"] for v in rep.constancy.values()),
         "constancy_deviation": rep.constancy,

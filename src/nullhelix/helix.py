@@ -20,20 +20,23 @@ function per metric, built on its first curved ``_rk4_steps`` and kept on the
 metric: nsteps RK4 steps with the four stages inlined and the state in
 locals, each stage running the metric's own emitted g, det and connection
 lines and summing G over the pattern, the symbols those lines give a value.  A
-shadow integration at half step provides a Richardson error estimate per
-sample; its Gram drift and re-projection use ``nullframe``'s frame algebra.
-Residual norms are always coordinate-Euclidean: the indefinite metric can
-annihilate nonzero errors and must not certify smallness.  Trace
-measurements read one memoized decimated view (``HelixTrace.view``) that
-evaluates g and the connection once per sample; transfer's ambient samples
-use the same ``SampledCurve`` class.  Its covariant layers are numpy array
-operations over all samples at once: each stencil term is ``acc += w *
-values[shift]`` from zeros, then ``acc / dt``, then ``+ term`` with the
-connection term summed over the pattern, so every element gets the
-operations, in the order, of a loop over samples.
+shadow integration at half step gives each sample's ``err_est`` = |full -
+half| / 15, the Richardson estimate of the half-step shadow's error; the
+recorded full-step state's error is about 16 times larger.  The Gram drift
+and re-projection use ``nullframe``'s frame algebra.  Residual norms are
+always coordinate-Euclidean: the indefinite metric can annihilate nonzero
+errors and must not certify smallness.
 
-Each identity is one function over floats and jets alike, shared by the jet
-route (curves) and the stencil route (traces): ``cubic_factor`` and
+A trace holds float arrays, one row per sample.  Its measurements read one
+memoized decimated view (``HelixTrace.view``), a ``SampledCurve`` of
+component-major arrays (component i over all samples is one array), as do
+transfer's ambient samples.  Each covariant layer is ``fd_derivative`` plus
+``semimetric.connection_term`` on them: every element gets the operations, in
+the order, of a loop over samples.
+
+Each identity is one function over floats, jets and sample arrays, shared by
+the jet route (curves, per sample) and the stencil route (traces, once on
+arrays, where inf and NaN propagate silently): ``cubic_factor`` and
 ``cubic_residual`` for cov^3 zeta = (h^2 + 2 k1 k2) cov zeta,
 ``_identity_report`` for the four metric scalars g(cov zeta, cov zeta) =
 -k1^2, g(cov N, cov N) = -k2^2, g(cov W, cov W) = 2 k1 k2 and
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,7 +57,8 @@ from .nullframe import (CurvatureSample, NullCurve, NullFrame, ScreenPolicy, euc
                         frame_curvatures, max_gram_residual, screen_projection,
                         transversal, unit_screen, _aligned_frame_jets, _frame_jets)
 from . import codegen
-from .semimetric import DEGENERATE_ALONG, DET_TOL, DegenerateMetricError, MetricField, bilinear
+from .semimetric import (DEGENERATE_ALONG, DET_TOL, DegenerateMetricError, Matrix, MetricField,
+                         bilinear, connection_term)
 
 DRIFT_LIMIT = 1e-4
 SPEC_GRAM_TOL = 1e-10
@@ -97,18 +101,18 @@ class HelixSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value to compare by
 class HelixTrace:
-    """Sampled trajectory of the integrated frame system."""
+    """Sampled trajectory of the integrated frame system, one row per sample."""
 
     spec: HelixSpec
-    times: tuple
-    points: tuple
-    zetas: tuple
-    ns: tuple
-    ws: tuple
-    gram_drift: tuple
-    err_est: tuple
+    times: np.ndarray
+    points: np.ndarray
+    zetas: np.ndarray
+    ns: np.ndarray
+    ws: np.ndarray
+    gram_drift: np.ndarray
+    err_est: np.ndarray
 
     def __len__(self):
         return len(self.times)
@@ -116,10 +120,10 @@ class HelixTrace:
     @cached_property
     def view(self) -> "SampledCurve":
         """The trace decimated to about FD_SPACING, with fields "n" and "w"."""
-        stride, dt = decimation(self.times)
-        return SampledCurve(self.spec.metric, self.times[::stride],
-                            self.points[::stride], self.zetas[::stride], dt,
-                            n=self.ns[::stride], w=self.ws[::stride])
+        stride, dt = decimation(np.asarray(self.times).tolist())
+        times, points, zetas, ns, ws = (np.asarray(rows, dtype=float)[::stride].T for rows in (
+            self.times, self.points, self.zetas, self.ns, self.ws))
+        return SampledCurve(self.spec.metric, times, points, zetas, dt, n=ns, w=ws)
 
 
 _ZERO4 = ((0.0,) * 4,) * 4
@@ -290,7 +294,8 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     ``span / ceil(span / step)`` so samples are hit exactly; more than
     MAX_RK4_STEPS of those steps in all is a ValueError.  ``project_every``
     re-projects N and W every that many integration steps (0 disables).  A
-    half-step shadow integration supplies the per-sample error estimate.
+    half-step shadow gives ``err_est`` = |full - half| / 15, which estimates
+    the shadow's error: the recorded full-step state's is about 16 times that.
     """
     grid = [float(t) for t in grid]
     if len(grid) < 1:
@@ -308,7 +313,7 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     h, k1, k2 = spec.h, spec.k1, spec.k2
     state = list(spec.initial_point) + list(spec.zeta0) + list(spec.n0) + list(spec.w0)
     shadow = list(state)
-    times, points, zetas, ns, ws, drifts, errs = [], [], [], [], [], [], []
+    states, drifts, errs = [], [], []
     steps_done = 0
 
     def record(t, full, half):
@@ -317,11 +322,7 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
             raise GramDriftError(
                 f"Gram drift {drift:.3e} exceeds {drift_limit} at t = {t}", t
             )
-        times.append(t)
-        points.append(tuple(full[0:3]))
-        zetas.append(tuple(full[3:6]))
-        ns.append(tuple(full[6:9]))
-        ws.append(tuple(full[9:12]))
+        states.append(full)
         drifts.append(drift)
         # a product gives inf where ** 2 would raise OverflowError
         errs.append(math.sqrt(sum((a - b) * (a - b) for a, b in zip(full, half))) / 15.0)
@@ -353,10 +354,11 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
                 state = _project_frame(metric, state, g)
                 shadow = _project_frame(metric, shadow, g)
         record(tb, state, shadow)
+    rows = np.array(states)  # point, zeta, N and W of each sample
     return HelixTrace(
-        spec=spec, times=tuple(times), points=tuple(points),
-        zetas=tuple(zetas), ns=tuple(ns), ws=tuple(ws),
-        gram_drift=tuple(drifts), err_est=tuple(errs),
+        spec=spec, times=np.array(grid), points=rows[:, 0:3], zetas=rows[:, 3:6],
+        ns=rows[:, 6:9], ws=rows[:, 9:12], gram_drift=np.array(drifts),
+        err_est=np.array(errs),
     )
 
 
@@ -365,8 +367,8 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Cubic residual (None where a trace's cubic stencils do not reach) plus
-    the four metric scalars against their targets."""
+    """Cubic residual (None on a trace: see ``cubic_residuals_from_trace``) plus
+    the four metric scalars against their targets; floats or sample arrays."""
 
     t: float
     cubic_residual: float
@@ -382,15 +384,15 @@ def cubic_factor(h, k1, k2) -> float:
 
 def cubic_residual(c1, c3, factor) -> float:
     """Euclidean norm of c3 - factor * c1 for cov zeta = c1 and cov^3 zeta = c3,
-    floats or jets (constant terms taken)."""
+    floats, jets (constant terms taken) or sample arrays."""
     return euclid_norm([const_term(b) - factor * const_term(a) for a, b in zip(c1, c3)])
 
 
 def _identity_report(t, g, cz, cn, cw, sample: CurvatureSample,
                      cubic) -> IdentityReport:
     """The four metric scalars g(cov zeta, cov zeta), g(cov N, cov N),
-    g(cov W, cov W) and g(cov zeta, cov N) of floats or jets, against their
-    targets from ``sample``'s (h, k1, k2)."""
+    g(cov W, cov W) and g(cov zeta, cov N) of floats, jets or sample arrays,
+    against their targets from ``sample``'s (h, k1, k2)."""
     scalars = tuple(const_term(bilinear(g, a, b))
                     for a, b in ((cz, cz), (cn, cn), (cw, cw), (cz, cn)))
     h, k1, k2 = sample.h, sample.k1, sample.k2
@@ -426,16 +428,15 @@ def metric_identity_suite(curve: NullCurve, frame: NullFrame,
 
 
 def constancy_report(samples) -> dict:
-    """Max deviation of each curvature function from its first sample."""
-    samples = list(samples)
-    if len(samples) < 2:
+    """Max deviation of each curvature function from its first sample, over a
+    list of samples or a sample of arrays (read as Python floats)."""
+    if isinstance(samples, CurvatureSample):
+        columns = [samples.h.tolist(), samples.k1.tolist(), samples.k2.tolist()]
+    else:
+        columns = [[getattr(s, key) for s in samples] for key in ("h", "k1", "k2")]
+    if len(columns[0]) < 2:
         raise ValueError("constancy needs at least two curvature samples")
-    first = samples[0]
-    return {
-        "h": max(abs(s.h - first.h) for s in samples),
-        "k1": max(abs(s.k1 - first.k1) for s in samples),
-        "k2": max(abs(s.k2 - first.k2) for s in samples),
-    }
+    return {key: max(abs(v - c[0]) for v in c) for key, c in zip(("h", "k1", "k2"), columns)}
 
 
 # -- finite-difference machinery on traces ---------------------------------------
@@ -502,99 +503,95 @@ def fd_derivative(values, dt):
         return acc / dt
 
 
-class SampledCurve:
-    """Curve samples at uniform spacing ``dt``; g and the connection are
-    evaluated at most once per sample, each covariant layer once per field.
+def _middle(x, count: int):
+    """The middle ``count`` samples on ``x``'s last axis (arrays are cut evenly)."""
+    cut = (x.shape[-1] - count) // 2
+    return x[..., cut:cut + count]
 
-    ``fields`` maps a key to a sequence aligned with the samples ("zeta" is
-    the tangent); None marks the end samples a field does not reach, and each
-    covariant layer reaches FD_RADIUS fewer per side.  Holds arrays only,
-    never the trace it came from.
+
+class SampledCurve:
+    """Curve samples at uniform spacing ``dt``, component-major: ``points[i]``
+    and ``fields[key][i]`` are component i over the samples ("zeta" is the
+    tangent; a field may cover fewer).  g, the connection and each covariant
+    layer are computed once, on first use; no reference to the trace is kept.
     """
 
     def __init__(self, metric: MetricField, times, points, zetas, dt, **fields):
         self.metric = metric
-        self.times = times
-        self.points = points
+        self.times = np.asarray(times, dtype=float)
+        self.points = np.asarray(points, dtype=float)
         self.dt = dt
-        self.fields = {"zeta": zetas, **fields}
+        self.fields = {"zeta": np.asarray(zetas, dtype=float), **fields}
         self._covs = {}
-        # g(i) and gamma(i), memoized per sample index
-        self.g = cache(lambda i: metric.matrix_at(points[i]))
-        self.gamma = cache(lambda i: metric.christoffel(list(points[i])))
 
-    def interior(self, layer: int):
-        """Samples reached by layer ``layer`` of a field that reaches them all."""
-        return range(layer * FD_RADIUS, len(self.points) - layer * FD_RADIUS)
+    @cached_property
+    def _g(self):
+        """One ``matrix_at`` per sample, stacked with the sample index last."""
+        mats = [self.metric.matrix_at(p) for p in self.points.T.tolist()]
+        g = np.zeros((self.metric.dim,) * 2 + (len(mats),))
+        for i, j in self.metric.support:
+            g[i, j] = [m[i][j] for m in mats]
+        return g
+
+    @cached_property
+    def _gamma(self):
+        """One ``christoffel`` per sample a covariant layer reaches, stacked."""
+        rows = self.points.T.tolist()
+        conns = [self.metric.christoffel(p) for p in rows[FD_RADIUS:len(rows) - FD_RADIUS]]
+        gamma = np.zeros((self.metric.dim,) * 3 + (len(conns),))
+        for k, i, j in self.metric.pattern:
+            gamma[k, i, j] = [c[k][i][j] for c in conns]
+        return gamma
+
+    def g(self, count: int) -> Matrix:
+        """g at the middle ``count`` samples, a ``Matrix`` of arrays."""
+        return Matrix(list(_middle(self._g, count)), self.metric.support)
 
     def cov(self, key, layer: int = 1):
-        """The ``layer``-fold covariant derivative of ``fields[key]``: the
-        stencil derivative plus the connection term at every reached sample,
-        both array operations over those samples."""
+        """The ``layer``-fold covariant derivative of ``fields[key]`` over the
+        samples its stencil reaches, FD_RADIUS fewer per side per layer."""
         if (key, layer) not in self._covs:
             values = self.fields[key] if layer == 1 else self.cov(key, layer - 1)
-            lo = next((k for k, v in enumerate(values) if v is not None), len(values))
-            out = [None] * len(values)
-            block = np.array(values[lo:len(values) - lo], dtype=float)
-            deriv = fd_derivative(block, self.dt)
-            if len(deriv):
-                rows = range(lo + FD_RADIUS, len(values) - lo - FD_RADIUS)
-                with np.errstate(all="ignore"):
-                    term = self._connection_terms(rows, block[FD_RADIUS:-FD_RADIUS])
-                    out[rows.start:rows.stop] = map(tuple, (deriv + term).tolist())
-            self._covs[(key, layer)] = out
+            deriv = np.reshape(fd_derivative(values.T, self.dt), (-1, len(values))).T
+            count = deriv.shape[-1]
+            with np.errstate(all="ignore"):
+                term = connection_term(self.metric, _middle(self._gamma, count),
+                                       _middle(self.fields["zeta"], count),
+                                       _middle(values, count))
+                self._covs[(key, layer)] = np.array([d + t for d, t in zip(deriv, term)])
         return self._covs[(key, layer)]
 
-    def _connection_terms(self, rows, values):
-        """``connection_term`` at the samples ``rows`` for the field ``values``
-        there: per pattern entry, in order, one array operation over them."""
-        gammas = [self.gamma(i) for i in rows]
-        out = np.zeros(values.shape)
-        if not self.metric.pattern:  # each gamma is the shared zero connection
-            return out
-        gamma = np.array(gammas, dtype=float)
-        zeta = np.array(self.fields["zeta"][rows.start:rows.stop], dtype=float)
-        for k, i, j in self.metric.pattern:
-            out[:, k] = out[:, k] + gamma[:, k, i, j] * zeta[:, i] * values[:, j]
-        return out
 
-
-def extract_curvatures(trace: HelixTrace):
-    """Curvature samples re-measured from a trace by finite differences.
-
-    The traced N and W are used as they are, so the samples test whether the
-    integrated trajectory still satisfies the frame equations with the
-    requested constants.  The trace is decimated to about FD_SPACING first
-    (``HelixTrace.view``).
-    """
+def extract_curvatures(trace: HelixTrace) -> CurvatureSample:
+    """Curvatures re-measured from the trace's view by finite differences, over
+    the samples cov zeta reaches, with the traced N and W as they are."""
     curve = trace.view
-    ns, ws = curve.fields["n"], curve.fields["w"]
     cz, cn = curve.cov("zeta"), curve.cov("n")
-    return [frame_curvatures(curve.times[i], curve.g(i), cz[i], cn[i], ns[i], ws[i])
-            for i in curve.interior(1)]
+    count = cz.shape[-1]
+    with np.errstate(all="ignore"):
+        return frame_curvatures(_middle(curve.times, count), curve.g(count), cz, cn,
+                                _middle(curve.fields["n"], count),
+                                _middle(curve.fields["w"], count))
 
 
 def cubic_residuals_from_trace(trace: HelixTrace):
-    """(t, residual) pairs for the cubic identity, finite-differenced, with
-    the factor from ``trace.spec``.
-
-    Three chained first-derivative stencils run on the trace decimated to
-    about FD_SPACING, so at least CUBIC_MIN_SAMPLES decimated samples are
-    needed for one residual; a shorter trace gives ``[]``.
+    """``(times, residuals)`` arrays of the cubic identity, with the factor
+    from ``trace.spec``.  Its three chained stencils need CUBIC_MIN_SAMPLES
+    decimated samples for one residual; a shorter trace gives empty arrays.
     """
     curve = trace.view
     factor = cubic_factor(trace.spec.h, trace.spec.k1, trace.spec.k2)
     c1, c3 = curve.cov("zeta"), curve.cov("zeta", 3)
-    return [(curve.times[i], cubic_residual(c1[i], c3[i], factor))
-            for i in curve.interior(3)]
+    count = c3.shape[-1]
+    with np.errstate(all="ignore"):
+        return _middle(curve.times, count), cubic_residual(_middle(c1, count), c3, factor)
 
 
-def identity_reports_from_trace(trace: HelixTrace):
-    """Metric-identity reports along a trace, targets from extracted samples."""
+def identity_reports_from_trace(trace: HelixTrace) -> IdentityReport:
+    """The metric-identity report along a trace, one ``IdentityReport`` of
+    arrays with targets from ``extract_curvatures``."""
     curve = trace.view
+    sample = extract_curvatures(trace)
     cz, cn, cw = curve.cov("zeta"), curve.cov("n"), curve.cov("w")
-    samples = extract_curvatures(trace)
-    cubics = dict(cubic_residuals_from_trace(trace))
-    return [_identity_report(sample.t, curve.g(i), cz[i], cn[i], cw[i], sample,
-                             cubics.get(sample.t))
-            for i, sample in zip(curve.interior(1), samples)]
+    with np.errstate(all="ignore"):
+        return _identity_report(sample.t, curve.g(len(sample.t)), cz, cn, cw, sample, None)

@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from operator import add as _add, sub as _sub
 
+from numpy import ndarray
+
 MAX_ORDER = 5
 
 
@@ -198,10 +200,10 @@ def _div_coeffs(a, b):
 
 
 def const_term(x) -> float:
-    """Innermost constant term of a possibly nested jet."""
+    """Innermost constant term of a possibly nested jet; arrays pass through."""
     while isinstance(x, Jet):
         x = x.coeffs[0]
-    return float(x)
+    return x if type(x) is float or isinstance(x, ndarray) else float(x)
 
 
 def dt(x: Jet) -> Jet:

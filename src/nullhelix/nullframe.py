@@ -18,8 +18,9 @@ where cov is the covariant derivative along the curve.  The seed/N step
 rule, the orientation rule (k1 >= 0 at the first generic sample) and the
 curvatures with their geodesic flag (``frame_curvatures``) exist once, here,
 over duck-typed scalars: curves run them on jets, so the construction yields
-the frame's own t-derivatives; helix traces and transfer run them on floats.
-So do the N formula (``transversal``), the screen part of a vector
+the frame's own t-derivatives; transfer runs the seed/N and W steps on floats
+per sample, and traces run ``frame_curvatures`` once on sample arrays.  So do
+the N formula (``transversal``), the screen part of a vector
 (``screen_projection``, scaled by ``unit_screen``) and the six Gram conditions
 (``max_gram_residual``): the frame algebra ``helix`` and ``submanifold`` share.
 A single frame (``build_frame``) is a one-sample ``frame_field``.
@@ -35,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import jets, semimetric
 from .exprparse import eval_jet, parse
@@ -128,9 +131,10 @@ class CurvatureSample:
 def frame_curvatures(t, g, cz, cn, n, w) -> CurvatureSample:
     """(h, k1, k2) = (g(cov zeta, N), -g(cov zeta, W), -g(cov N, W)) at t.
 
-    The vectors are floats or jets (their constant terms are taken); every
-    curve, trace and transfer measurement of the curvatures comes here.  The
-    sample is of geodesic type where |k1| < GEODESIC_K1_TOL.
+    The vectors are floats, jets (their constant terms are taken) or
+    component-major sample arrays (then so is every field of the sample);
+    every curve, trace and transfer measurement of the curvatures comes here.
+    The sample is of geodesic type where |k1| < GEODESIC_K1_TOL.
     """
     k1 = -const_term(bilinear(g, cz, w))
     return CurvatureSample(t=t, h=const_term(bilinear(g, cz, n)), k1=k1,
@@ -509,7 +513,13 @@ def frenet_residuals(curve: NullCurve, frame: NullFrame, sample: CurvatureSample
 
 
 def euclid_norm(vec) -> float:
-    """Coordinate-Euclidean norm; inf where a squared component overflows."""
+    """Coordinate-Euclidean norm; inf where a squared component overflows.
+    Sample arrays square by ``np.float_power``, with the bits of ``** 2``
+    (``arr ** 2`` multiplies, which can differ in the last bit)."""
+    if isinstance(vec[0], np.ndarray):
+        squares = [np.float_power(c, 2) for c in vec]  # ** 2 raises on overflow
+        overflow = sum(np.isinf(s) & np.isfinite(c) for s, c in zip(squares, vec))
+        return np.where(overflow, math.inf, np.sqrt(sum(squares)))
     try:
         return math.sqrt(sum(float(c) ** 2 for c in vec))
     except OverflowError:

@@ -595,14 +595,14 @@ def umbilical_diagnostic(F: Immersion, u, xi_i, xi_j, xi_k):
 # -- helix transfer (ambient curvature measurement) --------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value to compare by
 class TransferReport:
-    """Ambient curvature samples of a pushed-forward intrinsic helix."""
+    """Ambient curvature samples of a pushed-forward intrinsic helix (arrays)."""
 
-    times: tuple
-    h: tuple
-    k1: tuple
-    k2: tuple
+    times: np.ndarray
+    h: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
     constancy: dict
     geodesic_samples: tuple
     geodesic_max: float
@@ -619,17 +619,20 @@ def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
     part degenerates, a seed axis is projected instead.  This W rule is the
     only one for ambient dimensions above 3.  Sign continuity along the
     samples the acceleration reaches is restored by ``continuity_signs``.
+    The seed depends on the data, so this runs per sample on Python floats.
     """
     n = curve.metric.dim
     seed_order = policy.seed_indices(n)
     seed_order += [i for i in range(n) if i not in seed_order]
-    zetas, czetas = curve.fields["zeta"], curve.cov("zeta")
+    czetas = curve.cov("zeta")
+    count = czetas.shape[-1]
+    gs = np.moveaxis(np.array(curve.g(count)), -1, 0).tolist()
+    zetas = helixmod._middle(curve.fields["zeta"], count).T.tolist()
     ns, ws = [], []
-    for k in curve.interior(1):
-        g, z = curve.g(k), zetas[k]
+    for g, z, cand in zip(gs, zetas, czetas.T.tolist()):
+        g = Matrix(g, curve.metric.support)
         _, _, nv = null_transversal(g, z, seed_order, "along the ambient curve")
         w = None
-        cand = czetas[k]
         for attempt in range(n + 1):
             proj, w2 = screen_projection(g, cand, z, nv)
             if w2 > 1e-12:
@@ -639,11 +642,10 @@ def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
             cand = [1.0 if i == nxt else 0.0 for i in range(n)]
         if w is None:
             raise ValueError("no timelike screen direction along the ambient curve")
-        ns.append(tuple(nv))
-        ws.append(tuple(w))
-    ws = [tuple(sign * c for c in w) for sign, w in zip(continuity_signs(ws), ws)]
-    pad = [None] * helixmod.FD_RADIUS
-    return pad + ns + pad, pad + ws + pad
+        ns.append(nv)
+        ws.append(w)
+    ws = [[sign * c for c in w] for sign, w in zip(continuity_signs(ws), ws)]
+    return np.reshape(ns, (-1, n)).T, np.reshape(ws, (-1, n)).T
 
 
 def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
@@ -666,19 +668,16 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     trace = helixmod.synthesize(spec, grid, step, project_every=project_every,
                                 drift_limit=drift_limit)
     iso_max = 0.0
-    for u in trace.points[:: max(1, len(trace.points) // 64)]:
-        gp = _induced(F, u)
-        gh = spec.metric.matrix_at(u)
-        iso_max = max(
-            iso_max,
-            max(abs(gp[i][j] - gh[i][j]) for i in range(3) for j in range(3)),
-        )
+    path = trace.points.tolist()  # Python floats, as the generated functions expect
+    for u in path[:: max(1, len(path) // 64)]:
+        gp, gh = _induced(F, u), spec.metric.matrix_at(u)
+        iso_max = max(iso_max, max(abs(x - y) for a, b in zip(gp, gh) for x, y in zip(a, b)))
     if iso_max > ISOMETRY_TOL:
         raise ValueError(
             f"helix metric disagrees with the pullback by {iso_max:.3e}: "
             "the immersion is not isometric for this chart metric"
         )
-    idx0 = semimetric.metric_index(_induced(F, trace.points[0]))
+    idx0 = semimetric.metric_index(_induced(F, path[0]))
     if idx0 != 2:
         raise ValueError(f"induced metric has index {idx0} along the curve, need 2")
 
@@ -686,31 +685,26 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     # intrinsic trace extraction (stencil noise scales with frame/spacing)
     view = trace.view
     points, zetas = [], []
-    for u, z in zip(view.points, view.fields["zeta"]):
+    for u, z in zip(view.points.T.tolist(), view.fields["zeta"].T.tolist()):
         f, T = F.map_and_tangent(u)
-        points.append(tuple(f))
-        zetas.append(tuple(_push(T, list(z))))
-    curve = helixmod.SampledCurve(F.ambient, view.times, points, zetas, view.dt)
-
-    nullity_max = max(abs(bilinear(curve.g(i), list(z), list(z)))
-                      for i, z in enumerate(zetas))
-
-    cz = curve.cov("zeta")
+        points.append(f)
+        zetas.append(_push(T, z))
+    zeta = np.transpose(zetas)
+    curve = helixmod.SampledCurve(F.ambient, view.times, np.transpose(points), zeta, view.dt)
+    with np.errstate(all="ignore"):  # g before the connection, as a degenerate g names it
+        nullity_max = max(abs(bilinear(curve.g(len(points)), zeta, zeta)).tolist())
     ns, ws = _ambient_frames(curve, policy)
     curve.fields["n"] = ns
     cn = curve.cov("n")
-    samples = [frame_curvatures(curve.times[i], curve.g(i), cz[i], cn[i], ns[i], ws[i])
-               for i in curve.interior(2)]
+    count = cn.shape[-1]
+    t, cz, n, w = (helixmod._middle(x, count)
+                   for x in (curve.times, curve.cov("zeta"), ns, ws))
+    with np.errstate(all="ignore"):
+        samples = frame_curvatures(t, curve.g(count), cz, cn, n, w)
 
-    stride = max(1, len(trace.points) // 32)
-    geo_samples = tuple(
-        geodesic_residual(F, list(u)) for u in trace.points[::stride]
-    )
+    geo_samples = tuple(geodesic_residual(F, u) for u in path[:: max(1, len(path) // 32)])
     return TransferReport(
-        times=tuple(s.t for s in samples),
-        h=tuple(s.h for s in samples),
-        k1=tuple(s.k1 for s in samples),
-        k2=tuple(s.k2 for s in samples),
+        times=samples.t, h=samples.h, k1=samples.k1, k2=samples.k2,
         constancy=helixmod.constancy_report(samples),
         geodesic_samples=geo_samples,
         geodesic_max=max(geo_samples),

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import time
 
+import numpy as np
 import pytest
 
 from nullhelix import helix as hx
@@ -86,8 +87,8 @@ def test_criterion_3_metric_identity_block(flat3, c1_curve, rng):
     for _ in range(20):
         spec = random_helix_spec(rng, flat3)
         trace = hx.synthesize(spec, uniform_grid(0.0, 2.5, 626), step=1e-3)
-        reports = hx.identity_reports_from_trace(trace)
-        worst_synth = max(worst_synth, max(max(r.deviations) for r in reports))
+        report = hx.identity_reports_from_trace(trace)
+        worst_synth = max(worst_synth, np.max(report.deviations))
     elapsed = time.perf_counter() - start
     ok = worst_c1 <= 1e-9 and worst_synth <= 1e-6 and elapsed < 5.0
     _line(3, ok, f"C1 dev {worst_c1:.2e}, synthesized dev {worst_synth:.2e}", elapsed)
@@ -105,8 +106,8 @@ def test_criterion_4_roundtrip_synthesis(flat3, c1_spec, rng):
         spec = random_helix_spec(rng, flat3)
         trace = hx.synthesize(spec, grid, step=1e-3)
         samples = hx.extract_curvatures(trace)
-        dev = max(max(abs(s.h - spec.h), abs(s.k1 - spec.k1), abs(s.k2 - spec.k2))
-                  for s in samples)
+        dev = max(np.max(abs(samples.h - spec.h)), np.max(abs(samples.k1 - spec.k1)),
+                  np.max(abs(samples.k2 - spec.k2)))
         worst = max(worst, dev)
     errors = []
     for step in (0.02, 0.01):
@@ -257,8 +258,7 @@ def test_criterion_8_screen_policy_independence(flat3, c1_curve, rng):
         trace = hx.synthesize(spec, uniform_grid(0.0, 1.0, 501), step=1e-3)
         sa = hx.extract_curvatures(_with_policy_frames(trace, pol_a))
         sb_ = hx.extract_curvatures(_with_policy_frames(trace, pol_b))
-        for x, y in zip(sa, sb_):
-            worst = max(worst, abs(abs(x.k1) - abs(y.k1)))
+        worst = max(worst, np.max(abs(abs(sa.k1) - abs(sb_.k1))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8
     _line(8, ok, f"|k1| policy disagreement {worst:.2e}", elapsed)

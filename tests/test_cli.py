@@ -565,13 +565,28 @@ def test_reports_are_strict_json(tmp_path):
     assert isinstance(cubic[100], float)
 
 
-def test_reports_are_byte_identical(tmp_path):
-    spec = _write(tmp_path, "c1.json", C1_DOC)
-    out_a = str(tmp_path / "a.json")
-    out_b = str(tmp_path / "b.json")
-    assert run(["verify", "--spec", spec, "--out", out_a]) == 0
-    assert run(["verify", "--spec", spec, "--out", out_b]) == 0
-    assert open(out_a, "rb").read() == open(out_b, "rb").read()
+# command -> (document, whether it writes a CSV too)
+BYTE_IDENTITY_DOCS = {"frame": (C1_DOC, False), "verify": (C1_DOC, False),
+                      "synth": (HELIX_DOC, True), "submanifold": (SPHERE_DOC, False),
+                      "transfer": (TRANSFER_DOC, True)}
+
+
+@pytest.mark.parametrize("command", list(BYTE_IDENTITY_DOCS))
+def test_reports_are_byte_identical(tmp_path, command):
+    """Two runs in one process write the same bytes: nothing a run keeps for
+    the process (the flat propagator's cached increments) or for a trace (its
+    decimated view) changes the next run's report or CSV."""
+    doc, csv = BYTE_IDENTITY_DOCS[command]
+    spec = _write(tmp_path, "doc.json", doc)
+    outputs = []
+    for name in ("a", "b"):
+        argv = [command, "--spec", spec, "--out", str(tmp_path / f"{name}.json")]
+        if csv:
+            argv += ["--csv", str(tmp_path / f"{name}.csv")]
+        assert run(argv) == 0
+        outputs.append([(tmp_path / f"{name}.{ext}").read_bytes()
+                        for ext in ("json", "csv")[:1 + csv]])
+    assert outputs[0] == outputs[1]
 
 
 def test_console_entry_point(tmp_path):

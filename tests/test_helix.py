@@ -5,6 +5,7 @@ import struct
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nullhelix import helix as hx
@@ -125,9 +126,9 @@ def test_roundtrip_random_specs(flat3, rng):
         grid = uniform_grid(0.0, 2.0, 2001)
         trace = synthesize(spec, grid, step=1e-3)
         samples = extract_curvatures(trace)
-        assert max(abs(s.h - spec.h) for s in samples) < 1e-6
-        assert max(abs(s.k1 - spec.k1) for s in samples) < 1e-6
-        assert max(abs(s.k2 - spec.k2) for s in samples) < 1e-6
+        assert np.max(abs(samples.h - spec.h)) < 1e-6
+        assert np.max(abs(samples.k1 - spec.k1)) < 1e-6
+        assert np.max(abs(samples.k2 - spec.k2)) < 1e-6
 
 
 def test_cubic_identity_on_circle_helix(c1_curve):
@@ -175,19 +176,19 @@ def test_identity_suite_on_synthesized_trace(flat3):
     spec = HelixSpec(0.3, 1.0, 0.7, (0, 0, 0), (1, 0, 1), (-0.5, 0, 0.5), (0, 1, 0),
                      metric=flat3)
     trace = synthesize(spec, uniform_grid(0.0, 2.0, 1001), step=1e-3)
-    reports = hx.identity_reports_from_trace(trace)
-    assert reports
-    first = reports[0]
-    assert first.targets == pytest.approx((-1.0, -0.49, 1.4, -0.79), abs=1e-9)
-    assert max(max(r.deviations) for r in reports) <= 1e-6
+    report = hx.identity_reports_from_trace(trace)
+    assert len(report.t)
+    first = [target[0] for target in report.targets]
+    assert first == pytest.approx([-1.0, -0.49, 1.4, -0.79], abs=1e-9)
+    assert np.max(report.deviations) <= 1e-6
 
 
 def test_cubic_along_synthesized_traces(flat3, rng):
     for _ in range(3):
         spec = random_helix_spec(rng, flat3)
         trace = synthesize(spec, uniform_grid(0.0, 2.0, 2001), step=1e-3)
-        residuals = hx.cubic_residuals_from_trace(trace)
-        assert max(r for _, r in residuals) <= 1e-6
+        _, residuals = hx.cubic_residuals_from_trace(trace)
+        assert np.max(residuals) <= 1e-6
 
 
 def test_fd_derivative_without_interior_is_empty():
@@ -213,69 +214,183 @@ def _scalar_fd_derivative(values, dt):
     return out
 
 
+def _rows(array):
+    """The per-sample rows of a component-major array, as tuples of floats."""
+    return [tuple(row) for row in np.asarray(array).T.tolist()]
+
+
 def _scalar_cov(curve, key, layer):
-    """``SampledCurve.cov`` as a loop over samples, one connection_term each."""
-    values = curve.fields[key] if layer == 1 else _scalar_cov(curve, key, layer - 1)
-    lo = next((k for k, v in enumerate(values) if v is not None), len(values))
-    out = [None] * len(values)
-    deriv = _scalar_fd_derivative(values[lo:len(values) - lo], curve.dt)
-    for i, dv in enumerate(deriv, lo + hx.FD_RADIUS):
-        term = semimetric.connection_term(curve.metric, curve.gamma(i),
-                                          curve.fields["zeta"][i], values[i])
-        out[i] = tuple(dv[a] + term[a] for a in range(len(dv)))
+    """``SampledCurve.cov`` as a loop over samples, one ``christoffel`` and one
+    ``connection_term`` each: the rows of the samples layer ``layer`` reaches."""
+    values = _rows(curve.fields[key]) if layer == 1 else _scalar_cov(curve, key, layer - 1)
+    points, zetas = _rows(curve.points), _rows(curve.fields["zeta"])
+    first = (len(points) - len(values)) // 2 + hx.FD_RADIUS  # the first sample reached
+    out = []
+    for i, dv in enumerate(_scalar_fd_derivative(values, curve.dt)):
+        gamma = curve.metric.christoffel(list(points[first + i]))
+        term = semimetric.connection_term(curve.metric, gamma, zetas[first + i],
+                                          values[hx.FD_RADIUS + i])
+        out.append(tuple(dv[a] + term[a] for a in range(len(dv))))
     return out
 
 
+def _scalar_measurements(trace):
+    """The trace measurements as loops over samples, each sample's floats
+    through the shared functions: curvature samples, identity reports and
+    (t, cubic residual) pairs."""
+    curve = trace.view
+    r = hx.FD_RADIUS
+    times = curve.times.tolist()
+    points, ns, ws = (_rows(a) for a in (curve.points, curve.fields["n"], curve.fields["w"]))
+    cz, cn, cw = (_scalar_cov(curve, key, 1) for key in ("zeta", "n", "w"))
+    samples, reports = [], []
+    for i, (a, b, c) in enumerate(zip(cz, cn, cw)):
+        g = curve.metric.matrix_at(points[r + i])
+        sample = nf.frame_curvatures(times[r + i], g, a, b, ns[r + i], ws[r + i])
+        samples.append(sample)
+        reports.append(hx._identity_report(sample.t, g, a, b, c, sample, None))
+    factor = hx.cubic_factor(trace.spec.h, trace.spec.k1, trace.spec.k2)
+    cubics = [(times[3 * r + i], hx.cubic_residual(cz[2 * r + i], c3, factor))
+              for i, c3 in enumerate(_scalar_cov(curve, "zeta", 3))]
+    return samples, reports, cubics
+
+
+def _value_bits(values):
+    """``_float_bits`` with every NaN as one: where two NaNs meet, numpy's
+    loops may keep the other operand's sign and payload than Python does, and
+    no report shows either (a NaN in a report is an exit-2 error)."""
+    return _float_bits([math.nan if v != v else v for v in values])
+
+
+def _assert_array_measurements_match(trace):
+    """Curvatures, identity scalars, cubic residuals and the constancy spread
+    on arrays equal the loops over samples bit for bit (NaNs as one)."""
+    samples, reports, cubics = _scalar_measurements(trace)
+    sample = extract_curvatures(trace)
+    for key in ("t", "h", "k1", "k2"):
+        want = [getattr(s, key) for s in samples]
+        assert _value_bits(getattr(sample, key).tolist()) == _value_bits(want)
+    assert sample.geodesic_type.tolist() == [s.geodesic_type for s in samples]
+    report = hx.identity_reports_from_trace(trace)
+    assert _value_bits(report.t.tolist()) == _value_bits([r.t for r in reports])
+    for key in ("scalars", "targets", "deviations"):
+        for q, column in enumerate(getattr(report, key)):
+            want = [getattr(r, key)[q] for r in reports]
+            assert _value_bits(column.tolist()) == _value_bits(want)
+    times, residuals = hx.cubic_residuals_from_trace(trace)
+    assert _value_bits(times.tolist()) == _value_bits([t for t, _ in cubics])
+    assert _value_bits(residuals.tolist()) == _value_bits([c for _, c in cubics])
+    if len(samples) >= 2:
+        spread = hx.constancy_report(sample)
+        for key in ("h", "k1", "k2"):
+            first = getattr(samples[0], key)
+            want = max(abs(getattr(s, key) - first) for s in samples)
+            assert _value_bits([spread[key]]) == _value_bits([want])
+
+
 def _bits(rows):
-    return [None if r is None else struct.pack(f"{len(r)}d", *r) for r in rows]
+    return [struct.pack(f"{len(r)}d", *r) for r in rows]
+
+
+def _chart(g33):
+    return MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", g33]])
 
 
 @pytest.mark.parametrize("samples", [4, 7, 12, 31])
 @pytest.mark.parametrize("chart", ["flat", "curved"])
 def test_array_stencils_equal_the_scalar_loop_bit_for_bit(chart, samples):
-    """Every layer of every field, on a flat chart and on diag(-1, -1, 1 + x3^2)
-    (non-empty pattern), down to sequences shorter than one stencil."""
-    metric = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
-                                        ["0", "0", "1" if chart == "flat" else "1 + x3^2"]])
+    """Every layer of every field, then the measurements on it, on a flat
+    chart and on diag(-1, -1, 1 + x3^2) (non-empty pattern), down to sequences
+    shorter than one stencil."""
+    metric = _chart("1" if chart == "flat" else "1 + x3^2")
     spec = HelixSpec(0.3, 1.0, -0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0),
                      (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=metric)
     trace = synthesize(spec, uniform_grid(0.0, 0.01 * (samples - 1), samples), step=1e-3)
     curve = trace.view
-    assert len(curve.points) == samples and bool(metric.pattern) == (chart == "curved")
+    assert curve.points.shape == (3, samples)
+    assert bool(metric.pattern) == (chart == "curved")
     for key in ("zeta", "n", "w"):
-        values = curve.fields[key]
+        values = _rows(curve.fields[key])
         array = hx.fd_derivative(values, curve.dt)
         assert _bits(array) == _bits(_scalar_fd_derivative(values, curve.dt))
         for layer in (1, 2, 3):
-            assert _bits(curve.cov(key, layer)) == _bits(_scalar_cov(curve, key, layer))
-    assert any(curve.cov("zeta", 3)) == (samples >= hx.CUBIC_MIN_SAMPLES)
+            assert _bits(curve.cov(key, layer).T) == _bits(_scalar_cov(curve, key, layer))
+    assert (curve.cov("zeta", 3).shape[1] > 0) == (samples >= hx.CUBIC_MIN_SAMPLES)
+    _assert_array_measurements_match(trace)
+
+
+def _float_norm(vec):
+    """The Euclidean norm as a loop over Python floats, inf where ** 2 overflows."""
+    try:
+        return math.sqrt(sum(c ** 2 for c in vec))
+    except OverflowError:
+        return math.inf
+
+
+def test_array_cubic_residual_keeps_the_bits_of_float_squares():
+    """Squares on arrays keep the bits of Python's ``** 2`` (on glibc,
+    2.759 ** 2 is 7.612080999999999 while 2.759 * 2.759 is 7.612081), and a
+    sample with a square that overflows is inf, NaN components or not."""
+    rng = random.Random("cubic-squares")
+
+    def component():
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-6, 6)
+
+    pairs = [((0.0, 0.0, 0.0), (2.759, 0.0, 0.0))]
+    pairs += [(tuple(component() for _ in range(3)), tuple(component() for _ in range(3)))
+              for _ in range(2000)]
+    pairs += [((0.0, 0.0, 0.0), c3) for c3 in (
+        (1e200, math.nan, 0.0), (math.nan, 1e200, 0.0), (math.inf, 1e200, 0.0),
+        (1e300, -1e300, 2.0), (math.inf, math.nan, 1.0), (math.nan, 0.0, 0.0))]
+    factor = 0.83
+    c1, c3 = (np.array([pair[k] for pair in pairs]).T for k in (0, 1))
+    with np.errstate(all="ignore"):  # as on the trace route
+        got = hx.cubic_residual(c1, c3, factor)
+    want = [_float_norm([b - factor * a for a, b in zip(*pair)]) for pair in pairs]
+    assert _value_bits(got.tolist()) == _value_bits(want)
 
 
 def test_array_stencil_keeps_non_finite_values_silent():
     """Overflow, inf and NaN propagate as in float arithmetic, bit for bit,
-    and raise no numpy warning (the CLI's stderr carries only its own errors)."""
+    and raise no numpy warning (the CLI's stderr carries only its own errors):
+    through the stencils, and through the curvatures, identity scalars, cubic
+    residuals and constancy spread of a trace holding such values."""
     values = [(1e308 * (-1) ** k, float(k), 0.0) for k in range(9)]
     values[4] = (math.inf, math.nan, -math.inf)
-    metric = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
-                                        ["0", "0", "1 + x3^2"]])
+    metric = _chart("1 + x3^2")
     curve = hx.SampledCurve(metric, [0.1 * k for k in range(9)],
-                            [(0.0, 0.0, 0.1 * k) for k in range(9)], values, 1e-300)
+                            [[0.0] * 9, [0.0] * 9, [0.1 * k for k in range(9)]],
+                            np.transpose(values), 1e-300)
+    spec = HelixSpec(0.3, 1.0, -0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0),
+                     (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=metric)
+    count = 2 * hx.CUBIC_MIN_SAMPLES
+    rng = random.Random("non-finite")
+    wild = (math.inf, -math.inf, math.nan, 1e200, -1e200, 1e308)
+
+    def rows():
+        return np.array([[rng.choice(wild) if rng.random() < 0.2 else rng.uniform(-2, 2)
+                          for _ in range(3)] for _ in range(count)])
+
+    points = np.array([[0.0, 0.0, 0.01 * k] for k in range(count)])
+    trace = hx.HelixTrace(spec, np.array(uniform_grid(0.0, 0.01 * (count - 1), count)),
+                          points, rows(), rows(), rows(), np.zeros(count), np.zeros(count))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         array = hx.fd_derivative(values, 1e-300)
         cov = curve.cov("zeta")
+        _assert_array_measurements_match(trace)
     assert _bits(array) == _bits(_scalar_fd_derivative(values, 1e-300))
-    assert _bits(cov) == _bits(_scalar_cov(curve, "zeta", 1))
+    assert _bits(cov.T) == _bits(_scalar_cov(curve, "zeta", 1))
 
 
 def test_cubic_identity_rejects_short_trace(c1_spec):
     trace = synthesize(c1_spec, uniform_grid(0.0, 0.09, 10), step=1e-3)
-    assert hx.cubic_residuals_from_trace(trace) == []
+    assert [len(a) for a in hx.cubic_residuals_from_trace(trace)] == [0, 0]
     # one sample has no spacing and no interior
     single = synthesize(c1_spec, [0.0], step=1e-3)
-    assert extract_curvatures(single) == []
-    assert hx.cubic_residuals_from_trace(single) == []
-    assert hx.identity_reports_from_trace(single) == []
+    assert len(extract_curvatures(single).t) == 0
+    assert [len(a) for a in hx.cubic_residuals_from_trace(single)] == [0, 0]
+    assert len(hx.identity_reports_from_trace(single).t) == 0
 
 
 def _conformal_metric():
@@ -525,14 +640,24 @@ def test_trace_view_evaluates_each_sample_once(monkeypatch):
     trace = _curved_c1_trace()
     gammas = _count_calls(monkeypatch, "christoffel")
     metrics = _count_calls(monkeypatch, "matrix_at")
-    reports = hx.identity_reports_from_trace(trace)
+    report = hx.identity_reports_from_trace(trace)
+    _, cubic = hx.cubic_residuals_from_trace(trace)
     kept = hx.decimated_count(trace.times)
-    assert len(reports) == kept - 2 * hx.FD_RADIUS
-    assert any(r.cubic_residual is not None for r in reports)
+    assert len(report.t) == kept - 2 * hx.FD_RADIUS
+    assert len(cubic) == kept - 6 * hx.FD_RADIUS > 0
     for calls in (gammas, metrics):
         points = [tuple(p) for p in calls]
         assert 0 < len(points) <= kept
         assert len(set(points)) == len(points)
+
+
+def _result_bits(result):
+    """The bytes of every array in a trace measurement's result, in order."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (list, tuple)):
+        return b"".join(_result_bits(r) for r in result)
+    return b"" if result is None else np.asarray(result, dtype=float).tobytes()
 
 
 def test_trace_view_results_do_not_depend_on_call_order():
@@ -542,11 +667,11 @@ def test_trace_view_results_do_not_depend_on_call_order():
         hx.cubic_residuals_from_trace,
         hx.identity_reports_from_trace,
     )
-    fresh = [f(dataclasses.replace(trace)) for f in functions]
+    fresh = [_result_bits(f(dataclasses.replace(trace))) for f in functions]
     assert all(fresh)
-    driven = [f(trace) for f in reversed(functions)][::-1]
+    driven = [_result_bits(f(trace)) for f in reversed(functions)][::-1]
     assert driven == fresh
-    assert [f(trace) for f in functions] == fresh
+    assert [_result_bits(f(trace)) for f in functions] == fresh
 
 
 def _sample_results(curve, frame, policy=None):
@@ -662,4 +787,4 @@ def test_curved_chart_synthesis_matches_flat_in_disguise():
     assert max(trace.gram_drift) < 1e-8
     samples = extract_curvatures(trace)
     # frame equations hold with the requested constants on the curved chart
-    assert max(abs(s.k1 - 1.0) for s in samples) < 1e-5
+    assert np.max(abs(samples.k1 - 1.0)) < 1e-5

@@ -696,12 +696,12 @@ def test_transfer_identity_immersion(flat3, c1_spec):
     rep = helix_transfer(ident, c1_spec, grid, step=1e-3)
     trace = hx.synthesize(c1_spec, grid, step=1e-3)
     samples = hx.extract_curvatures(trace)
-    by_t = {s.t: s for s in samples}
-    for i, t in enumerate(rep.times):
-        s = by_t[t]
-        assert rep.h[i] == pytest.approx(s.h, abs=1e-10)
-        assert rep.k1[i] == pytest.approx(s.k1, abs=1e-10)
-        assert rep.k2[i] == pytest.approx(s.k2, abs=1e-10)
+    by_t = {t: j for j, t in enumerate(samples.t.tolist())}
+    for i, t in enumerate(rep.times.tolist()):
+        j = by_t[t]
+        assert rep.h[i] == pytest.approx(samples.h[j], abs=1e-10)
+        assert rep.k1[i] == pytest.approx(samples.k1[j], abs=1e-10)
+        assert rep.k2[i] == pytest.approx(samples.k2[j], abs=1e-10)
 
 
 def test_transfer_through_curved_graph(graph_immersion):
