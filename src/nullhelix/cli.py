@@ -35,22 +35,37 @@ from . import nullframe as nfmod
 from . import semimetric, submanifold
 from .nullframe import NullCurve, ScreenPolicy
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-DEFAULT_TOL = {
-    "frame": 1e-7,  # frame-equation residuals on analytic curves
-    "verify": 1e-7,  # identity residuals on analytic curves
-    "synth": 1e-6,  # identity residuals on integrated traces
-    "submanifold": 1e-8,  # duality consistency
-    "transfer": 1e-6,  # ambient curvature constancy
+_SEED_ORDER = ("e3", "e1", "e2")
+# command -> the options it reads and their defaults: the config keys and flags
+# it takes, and its report's config.  frame_field rejects a frame above
+# FRAME_TOL with exit 2 first, so gram_tol can only tighten frame's Gram check.
+_OPTIONS = {
+    "frame": {"tol": 1e-7, "gram_tol": nfmod.FRAME_TOL, "samples": 50,
+              "seed_order": _SEED_ORDER, "quad_step": 1e-3},
+    "synth": {"tol": 1e-6, "samples": 501, "step": None, "project_every": 0,
+              "drift_limit": helixmod.DRIFT_LIMIT},
+    "verify": {"tol": 1e-7, "samples": 50, "seed_order": _SEED_ORDER,
+               "quad_step": 1e-3},
+    "submanifold": {"tol": 1e-8},
+    "transfer": {"tol": 1e-6, "samples": 1001, "step": None, "project_every": 0,
+                 "seed_order": _SEED_ORDER, "drift_limit": helixmod.DRIFT_LIMIT},
 }
-DEFAULT_SAMPLES = {"frame": 50, "verify": 50, "synth": 501, "transfer": 1001}
+# option -> its flag and the flag's argparse keywords
+_FLAGS = {
+    "tol": ("--tol", {"type": float}),
+    "step": ("--step", {"type": float}),
+    "samples": ("--samples", {"type": int}),
+    "project_every": ("--project", {"action": "store_const", "const": 100}),
+    "seed_order": ("--seed-order", {"type": lambda v: [s.strip() for s in v.split(",")]}),
+}
 # the grid is built before any other check, so its length is capped up front
 MAX_SAMPLES = 10 ** 6
 
 
 class SpecError(ValueError):
-    """Spec document failed validation; message names the offending field."""
+    """A flag or spec document failed validation; the message names it."""
 
 
 @dataclass
@@ -242,27 +257,18 @@ def _samples_payload(obj, imm_doc) -> list:
 
 
 def _resolve(config: dict, args, command: str) -> dict:
-    cfg = {
-        "tol": DEFAULT_TOL[command],
-        # frame_field rejects a frame above FRAME_TOL with exit 2 first, so
-        # gram_tol can only tighten frame's Gram check
-        "gram_tol": nfmod.FRAME_TOL,
-        "samples": DEFAULT_SAMPLES.get(command, 50),
-        "step": None,
-        "project_every": 0,
-        "seed_order": ["e3", "e1", "e2"],
-        "quad_step": 1e-3,
-        "drift_limit": helixmod.DRIFT_LIMIT,
-    }
-    cfg.update(config)
-    for key in ("tol", "step", "samples"):
-        value = getattr(args, key)
+    """The command's options: table defaults, then the config, then flags."""
+    options = _OPTIONS[command]
+    unread = sorted(set(config) - set(options))
+    if unread:
+        raise SpecError(f"config has keys '{command}' does not read: {unread}")
+    cfg = {**options, **config}
+    for key, (flag, _) in _FLAGS.items():
+        value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = _checked(value, _CONFIG_RULES[key], f"--{key}")
-    if args.project:
-        cfg["project_every"] = cfg["project_every"] or 100
-    if args.seed_order is not None:
-        cfg["seed_order"] = [s.strip() for s in args.seed_order.split(",")]
+            _checked(value, _CONFIG_RULES[key], flag)
+            # --project keeps a config's own projection interval
+            cfg[key] = (cfg[key] or value) if key == "project_every" else value
     return cfg
 
 
@@ -475,9 +481,7 @@ def _cmd_submanifold(doc: SpecDocument, cfg: dict):
                         duality,
                         submanifold.duality_residual(F, u, coords[a], coords[b], d),
                     )
-        par = max(
-            submanifold.parallel_H_residual(F, u, coords[a]) for a in range(F.m)
-        )
+        par = max(submanifold.parallel_H_residual(F, u, e) for e in coords)
         row = {
             "u": list(u),
             "geodesic_residual": submanifold.geodesic_residual(F, u),
@@ -490,9 +494,7 @@ def _cmd_submanifold(doc: SpecDocument, cfg: dict):
         try:
             xi_i, xi_j, xi_k = submanifold.null_triple(F, u)
             d1, d2 = submanifold.umbilical_diagnostic(F, u, xi_i, xi_j, xi_k)
-            row["diag_D1_minus_H"] = nfmod.euclid_norm(
-                [a - b for a, b in zip(d1, h_vec)]
-            )
+            row["diag_D1_minus_H"] = nfmod.euclid_norm([a - b for a, b in zip(d1, h_vec)])
             row["diag_D2_norm"] = nfmod.euclid_norm(d2)
         except ValueError:
             row["diag_D1_minus_H"] = None
@@ -535,21 +537,26 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for ``run`` to report, instead of exiting."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nullframe",
         description="Null Frenet frames, helix synthesis and submanifold checks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, options in _OPTIONS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--spec", required=True, help="spec document (JSON)")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--step", type=float, default=None)
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--project", action="store_true")
-        sp.add_argument("--seed-order", dest="seed_order", default=None)
+        for key, (flag, kwargs) in _FLAGS.items():
+            if key in options:
+                sp.add_argument(flag, dest=key, default=None, **kwargs)
         sp.add_argument("--out", default=None, help="write the JSON report here")
         if name in _CSV_COLUMNS:
             sp.add_argument("--csv", default=None, help="write a CSV trace here")
@@ -559,16 +566,11 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    handler, expected_kind = _COMMANDS[args.command]
-    try:
+        handler, expected_kind = _COMMANDS[args.command]
         doc = load_spec(args.spec)
         if doc.kind != expected_kind:
-            raise SpecError(
-                f"'{args.command}' needs a {expected_kind!r} document, "
-                f"got {doc.kind!r}"
-            )
+            raise SpecError(f"'{args.command}' needs a {expected_kind!r} document, "
+                            f"got {doc.kind!r}")
         cfg = _resolve(doc.config, args, args.command)
         rows, summary = handler(doc, cfg)
         _emit({"format_version": FORMAT_VERSION, "command": args.command,
@@ -576,6 +578,8 @@ def run(argv) -> int:
                "summary": summary}, args.out, getattr(args, "csv", None),
               _CSV_COLUMNS.get(args.command, ()))
         return 0 if summary["pass"] else 1
+    except SystemExit:  # --help has printed the help
+        return 0
     except (OSError, ValueError, exprparse.DomainError,
             helixmod.GramDriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,7 +183,6 @@ class NullCurve:
                 f"tangent-mode quadrature over [{t0!r}, {t1!r}] at quad_step "
                 f"{self.quad_step!r} needs more than {MAX_QUAD_NODES} nodes"
             )
-        self._pos_cache: dict = {}
         self._node = None  # (k, (t_k, position, tangent)): the furthest node reached
         self._bundles: dict = {}
         p0 = self.position_at(t0)
@@ -229,11 +228,7 @@ class NullCurve:
         if self.mode == "position":
             env = {"t": Jet.variable(float(t), 0)}
             return tuple(const_term(eval_jet(c, env)) for c in self.components)
-        t = float(t)
-        pos = self._pos_cache.get(t)
-        if pos is None:
-            pos = self._pos_cache[t] = self._quadrature(t)
-        return pos
+        return self._quadrature(float(t))
 
     def _quadrature(self, t: float):
         t0, step = self.domain[0], self.quad_step
