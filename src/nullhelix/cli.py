@@ -130,8 +130,9 @@ _CONFIG_RULES = {
     "samples": (lambda v: _is_int(v) and 2 <= v <= MAX_SAMPLES,
                 f"an integer in [2, {MAX_SAMPLES}]"),
     "project_every": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "seed_order": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-                   "a list of strings"),
+    "seed_order": (lambda v: isinstance(v, list) and bool(v)
+                   and all(isinstance(s, str) for s in v),
+                   "a non-empty list of strings"),
     "quad_step": _POSITIVE,
     "drift_limit": _POSITIVE,
 }

@@ -15,7 +15,8 @@ and each coordinate column (x_a, zeta_a, n_a, w_a) obeys the same linear
 system y' = A y.  One RK4 step of it is exactly P = I + B + B^2/2 + B^3/6 +
 B^4/24 with B = dt A, so ``_rk4_steps`` applies nsteps of them at once as
 y + Q y, with the increment Q = P^nsteps - I built by binary powering and
-memoized per (h, k1, k2, dt, nsteps).  Every other chart runs one generated
+memoized per (h, k1, k2, dt, nsteps), written out as straight-line code over
+the 12 state components.  Every other chart runs one generated
 function per metric, built on its first curved ``_rk4_steps`` and kept on the
 metric: nsteps RK4 steps with the four stages inlined and the state in
 locals, each stage running the metric's own emitted g, det and connection
@@ -23,9 +24,14 @@ lines and summing G over the pattern, the symbols those lines give a value.  A
 shadow integration at half step gives each sample's ``err_est`` = |full -
 half| / 15, the Richardson estimate of the half-step shadow's error; the
 recorded full-step state's error is about 16 times larger.  The Gram drift
-and re-projection use ``nullframe``'s frame algebra.  Residual norms are
-always coordinate-Euclidean: the indefinite metric can annihilate nonzero
-errors and must not certify smallness.
+and re-projection use ``nullframe``'s frame algebra.  ``synthesize`` records
+each sample's full- and half-step states and checks them in blocks of
+CHECK_BLOCK samples: the six Gram conditions and the err_est sum run on
+component arrays, in the order and with the bits of a check per sample, and
+errors are raised in sample order (a sample's g read, then its drift; an
+integration error after the checks of the samples before it).  Residual
+norms are always coordinate-Euclidean: the indefinite metric can annihilate
+nonzero errors and must not certify smallness.
 
 A trace holds float arrays, one row per sample.  Its measurements read one
 memoized decimated view (``HelixTrace.view``), a ``SampledCurve`` of
@@ -55,7 +61,8 @@ import numpy as np
 from .jets import const_term
 from .nullframe import (CurvatureSample, NullCurve, NullFrame, ScreenPolicy, euclid_norm,
                         frame_curvatures, max_gram_residual, screen_projection,
-                        transversal, unit_screen, _aligned_frame_jets, _frame_jets)
+                        transversal, unit_screen, _aligned_frame_jets, _frame_jets,
+                        _gram_conditions)
 from . import codegen
 from .semimetric import (DEGENERATE_ALONG, DET_TOL, DegenerateMetricError, Matrix, MetricField,
                          bilinear, connection_term)
@@ -67,6 +74,10 @@ SPEC_GRAM_TOL = 1e-10
 # shadow steps (diag(-1, -1, 1 + x3^2) and the conformal chart on a 2-vCPU
 # host, Python 3.11), so larger runs are rejected up front
 MAX_RK4_STEPS = 10 ** 6
+# samples recorded between two checks of their Gram drift and err_est: an
+# abort integrates at most this many samples past the one that fails, and
+# only this many half-step states are held at a time
+CHECK_BLOCK = 64
 
 
 class GramDriftError(RuntimeError):
@@ -252,13 +263,22 @@ def _rk4_steps(metric, h, k1, k2, state, dt, nsteps):
         # + 0.0 folds -0.0 into 0.0, so the cached Q cannot depend on which
         # signed zero reached it first
         q = _flat_increment(h + 0.0, k1 + 0.0, k2 + 0.0, dt, nsteps)
-        y = [0.0] * 12
-        for a in range(3):
-            col = (state[a], state[3 + a], state[6 + a], state[9 + a])
-            for r, row in enumerate(q):
-                y[3 * r + a] = col[r] + (row[0] * col[0] + row[1] * col[1]
-                                         + row[2] * col[2] + row[3] * col[3])
-        return y
+        (q00, q01, q02, q03), (q10, q11, q12, q13), \
+            (q20, q21, q22, q23), (q30, q31, q32, q33) = q
+        x0, x1, x2, z0, z1, z2, n0, n1, n2, w0, w1, w2 = state
+        # column a is (x_a, zeta_a, n_a, w_a); row r of y + Q y, summed in column order
+        return [x0 + (q00 * x0 + q01 * z0 + q02 * n0 + q03 * w0),
+                x1 + (q00 * x1 + q01 * z1 + q02 * n1 + q03 * w1),
+                x2 + (q00 * x2 + q01 * z2 + q02 * n2 + q03 * w2),
+                z0 + (q10 * x0 + q11 * z0 + q12 * n0 + q13 * w0),
+                z1 + (q10 * x1 + q11 * z1 + q12 * n1 + q13 * w1),
+                z2 + (q10 * x2 + q11 * z2 + q12 * n2 + q13 * w2),
+                n0 + (q20 * x0 + q21 * z0 + q22 * n0 + q23 * w0),
+                n1 + (q20 * x1 + q21 * z1 + q22 * n1 + q23 * w1),
+                n2 + (q20 * x2 + q21 * z2 + q22 * n2 + q23 * w2),
+                w0 + (q30 * x0 + q31 * z0 + q32 * n0 + q33 * w0),
+                w1 + (q30 * x1 + q31 * z1 + q32 * n1 + q33 * w1),
+                w2 + (q30 * x2 + q31 * z2 + q32 * n2 + q33 * w2)]
     # every other chart: the metric's stage loop, generated on first use and
     # kept on the metric instance
     loop = getattr(metric, "_rk4_stage_loop", None)
@@ -280,10 +300,68 @@ def _project_frame(metric: MetricField, state, g=None):
     return state[0:6] + n + unit_screen(w, w2)
 
 
-def _gram_drift(metric: MetricField, state, g=None) -> float:
+def _stacked_g(metric: MetricField, mats):
+    """The matrices ``mats`` of g at successive samples, stacked with the
+    sample index last."""
+    g = np.zeros((metric.dim,) * 2 + (len(mats),))
+    for i, j in metric.support:
+        g[i, j] = [m[i][j] for m in mats]
+    return g
+
+
+def _drifts(g, rows):
+    """``max_gram_residual`` of each state row's frame in g (a matrix of
+    floats, or of arrays over the rows), as an array."""
+    x = rows.T
+    with np.errstate(all="ignore"):
+        conditions = _gram_conditions(g, x[3:6], x[6:9], x[9:12])
+    drift = conditions[0]
+    for b in conditions[1:]:  # Python's max, left to right
+        drift = np.where(b > drift, b, drift)
+    return drift
+
+
+def _check_drifts(drift, times, drift_limit):
+    """GramDriftError at the first sample whose drift is not <= drift_limit
+    (NaN included)."""
+    failed = ~(drift <= drift_limit)
+    if failed.any():
+        i = int(failed.argmax())
+        raise GramDriftError(
+            f"Gram drift {float(drift[i]):.3e} exceeds {drift_limit} at t = {times[i]}",
+            times[i])
+
+
+def _check_block(metric: MetricField, g, block, drift_limit):
+    """``(rows, gram_drift, err_est)`` arrays of recorded samples ``(t, full,
+    half)``, checked in sample order: a curved chart's g (``g`` is None) is
+    read at each sample before that sample's drift is checked, so a failed
+    read or a drift above the limit at an earlier sample raises first.
+
+    ``err_est`` is sqrt(sum of (full - half)^2, component by component) / 15.
+    """
+    times = [t for t, _, _ in block]
+    rows = np.array([full for _, full, _ in block])
     if g is None:
-        g = metric.matrix_at(state[0:3])
-    return max_gram_residual(g, state[3:6], state[6:9], state[9:12])
+        mats = []
+        for point in rows[:, 0:3].tolist():
+            try:
+                mats.append(metric.matrix_at(point))
+            except Exception:
+                # the samples read before this one are checked first
+                g = Matrix(list(_stacked_g(metric, mats)), metric.support)
+                _check_drifts(_drifts(g, rows[:len(mats)]), times, drift_limit)
+                raise
+        g = Matrix(list(_stacked_g(metric, mats)), metric.support)
+    drift = _drifts(g, rows)
+    _check_drifts(drift, times, drift_limit)
+    with np.errstate(all="ignore"):  # a product gives inf where ** 2 would raise
+        diff = rows - np.array([half for _, _, half in block])
+        squares = diff * diff
+        total = squares[:, 0]
+        for c in range(1, squares.shape[1]):
+            total = total + squares[:, c]
+        return rows, drift, np.sqrt(total) / 15.0
 
 
 def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
@@ -296,6 +374,15 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     re-projects N and W every that many integration steps (0 disables).  A
     half-step shadow gives ``err_est`` = |full - half| / 15, which estimates
     the shadow's error: the recorded full-step state's is about 16 times that.
+
+    Samples are recorded as they are integrated and checked in blocks of
+    CHECK_BLOCK (``_check_block``), so an abort integrates at most one block
+    past the sample that fails.  Errors are raised in sample order, as a
+    check of each sample as it is recorded would raise them: per sample, a
+    curved chart's g read, then its Gram drift against ``drift_limit``
+    (GramDriftError); an integration error (a domain error, a degenerate
+    metric, or a projection that loses the screen direction) comes after the
+    checks of every sample recorded before it.
     """
     grid = [float(t) for t in grid]
     if len(grid) < 1:
@@ -313,19 +400,7 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     h, k1, k2 = spec.h, spec.k1, spec.k2
     state = list(spec.initial_point) + list(spec.zeta0) + list(spec.n0) + list(spec.w0)
     shadow = list(state)
-    states, drifts, errs = [], [], []
     steps_done = 0
-
-    def record(t, full, half):
-        drift = _gram_drift(metric, full, g)
-        if not drift <= drift_limit:  # NaN included
-            raise GramDriftError(
-                f"Gram drift {drift:.3e} exceeds {drift_limit} at t = {t}", t
-            )
-        states.append(full)
-        drifts.append(drift)
-        # a product gives inf where ** 2 would raise OverflowError
-        errs.append(math.sqrt(sum((a - b) * (a - b) for a, b in zip(full, half))) / 15.0)
 
     nsubs = []
     for ta, tb in zip(grid, grid[1:]):
@@ -336,29 +411,36 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     if sum(nsubs) > MAX_RK4_STEPS:
         raise ValueError(f"step {step!r} needs {sum(nsubs)} RK4 steps over the grid, "
                          f"more than MAX_RK4_STEPS = {MAX_RK4_STEPS}")
-    record(grid[0], state, shadow)
+    block = [(grid[0], state, shadow)]
+    checked = []
     for ta, tb, nsub in zip(grid, grid[1:], nsubs):
-        span = tb - ta
-        dt = span / nsub
-        done = 0
-        while done < nsub:
-            chunk = nsub - done
-            if project_every:
-                until_proj = project_every - (steps_done % project_every)
-                chunk = min(chunk, until_proj)
-            state = _rk4_steps(metric, h, k1, k2, state, dt, chunk)
-            shadow = _rk4_steps(metric, h, k1, k2, shadow, 0.5 * dt, 2 * chunk)
-            done += chunk
-            steps_done += chunk
-            if project_every and steps_done % project_every == 0:
-                state = _project_frame(metric, state, g)
-                shadow = _project_frame(metric, shadow, g)
-        record(tb, state, shadow)
-    rows = np.array(states)  # point, zeta, N and W of each sample
+        if len(block) == CHECK_BLOCK:
+            checked.append(_check_block(metric, g, block, drift_limit))
+            block = []
+        try:
+            dt = (tb - ta) / nsub
+            done = 0
+            while done < nsub:
+                chunk = nsub - done
+                if project_every:
+                    until_proj = project_every - (steps_done % project_every)
+                    chunk = min(chunk, until_proj)
+                state = _rk4_steps(metric, h, k1, k2, state, dt, chunk)
+                shadow = _rk4_steps(metric, h, k1, k2, shadow, 0.5 * dt, 2 * chunk)
+                done += chunk
+                steps_done += chunk
+                if project_every and steps_done % project_every == 0:
+                    state = _project_frame(metric, state, g)
+                    shadow = _project_frame(metric, shadow, g)
+        except Exception:
+            _check_block(metric, g, block, drift_limit)  # an earlier sample's failure wins
+            raise
+        block.append((tb, state, shadow))
+    checked.append(_check_block(metric, g, block, drift_limit))
+    rows, drifts, errs = (np.concatenate(parts) for parts in zip(*checked))
     return HelixTrace(
         spec=spec, times=np.array(grid), points=rows[:, 0:3], zetas=rows[:, 3:6],
-        ns=rows[:, 6:9], ws=rows[:, 9:12], gram_drift=np.array(drifts),
-        err_est=np.array(errs),
+        ns=rows[:, 6:9], ws=rows[:, 9:12], gram_drift=drifts, err_est=errs,
     )
 
 
@@ -527,11 +609,8 @@ class SampledCurve:
     @cached_property
     def _g(self):
         """One ``matrix_at`` per sample, stacked with the sample index last."""
-        mats = [self.metric.matrix_at(p) for p in self.points.T.tolist()]
-        g = np.zeros((self.metric.dim,) * 2 + (len(mats),))
-        for i, j in self.metric.support:
-            g[i, j] = [m[i][j] for m in mats]
-        return g
+        return _stacked_g(self.metric, [self.metric.matrix_at(p)
+                                        for p in self.points.T.tolist()])
 
     @cached_property
     def _gamma(self):

@@ -22,7 +22,8 @@ the frame's own t-derivatives; transfer runs the seed/N and W steps on floats
 per sample, and traces run ``frame_curvatures`` once on sample arrays.  So do
 the N formula (``transversal``), the screen part of a vector
 (``screen_projection``, scaled by ``unit_screen``) and the six Gram conditions
-(``max_gram_residual``): the frame algebra ``helix`` and ``submanifold`` share.
+(``max_gram_residual``; ``_gram_conditions`` on sample arrays): the frame
+algebra ``helix`` and ``submanifold`` share.
 A single frame (``build_frame``) is a one-sample ``frame_field``.
 Transfer's ambient frames extend the seed order with the unused axes and take
 W from the acceleration's screen part, the only W rule above dimension 3.  A
@@ -97,12 +98,18 @@ class ScreenPolicy:
         return [i for i in self.seeds if i < dim]
 
 
+def _gram_conditions(g, z, n, w) -> tuple:
+    """|.| of g(z, z), g(n, n), g(z, n) - 1, g(n, w), g(z, w) and g(w, w) + 1,
+    in that order, over floats or sample arrays."""
+    return (abs(bilinear(g, z, z)), abs(bilinear(g, n, n)),
+            abs(bilinear(g, z, n) - 1.0), abs(bilinear(g, n, w)),
+            abs(bilinear(g, z, w)), abs(bilinear(g, w, w) + 1.0))
+
+
 def max_gram_residual(g, z, n, w) -> float:
-    """Largest |.| of g(z, z), g(n, n), g(z, n) - 1, g(n, w), g(z, w) and
-    g(w, w) + 1, in that order (so NaN only where g(z, z) is NaN)."""
-    return max(abs(bilinear(g, z, z)), abs(bilinear(g, n, n)),
-               abs(bilinear(g, z, n) - 1.0), abs(bilinear(g, n, w)),
-               abs(bilinear(g, z, w)), abs(bilinear(g, w, w) + 1.0))
+    """Largest of the six Gram conditions, taken in order (so NaN only where
+    g(z, z) is NaN)."""
+    return max(_gram_conditions(g, z, n, w))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -729,6 +730,22 @@ def test_non_finite_report_value_is_named(tmp_path, capsys):
         assert not csv_path.exists()  # the report is checked before the table
 
 
+def test_non_finite_synthesis_raises_no_numpy_warning(tmp_path, capsys):
+    """The Gram drift and err_est of a trace whose values overflow are array
+    arithmetic that warns nothing: stderr holds the one error line."""
+    synth_docs = [(doc, field) for command, doc, field in NON_FINITE_REPORT_DOCS
+                  if command == "synth"]
+    assert synth_docs
+    for k, (doc, field) in enumerate(synth_docs):
+        spec = _write(tmp_path, f"big{k}.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["synth", "--spec", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: report value {field} is not finite\n"
+
+
 def test_exit_two_writes_no_report_when_a_file_cannot_be_opened(tmp_path, capsys):
     """A CSV that cannot be opened leaves no report, on disk or on stdout; a
     report that cannot be written leaves no CSV rows; a non-finite report
@@ -794,6 +811,16 @@ def test_seed_axis_e0_is_rejected(tmp_path, capsys, flags, doc):
     err = capsys.readouterr().err
     assert err.startswith("error: seed order")
     assert "Traceback" not in err
+
+
+def test_empty_seed_order_is_rejected_by_its_rule(tmp_path, capsys):
+    """An empty seed order names the config key, not the curve's first sample."""
+    spec = _write(tmp_path, "c1.json", _with(C1_DOC, {"seed_order": [], "samples": 5}))
+    out = tmp_path / "r.json"
+    assert run(["frame", "--spec", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.seed_order must be a non-empty list of strings, got []\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, doc, seeds, axis, dim", [

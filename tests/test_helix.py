@@ -788,3 +788,247 @@ def test_curved_chart_synthesis_matches_flat_in_disguise():
     samples = extract_curvatures(trace)
     # frame equations hold with the requested constants on the curved chart
     assert np.max(abs(samples.k1 - 1.0)) < 1e-5
+
+
+# -- the block checks of synthesize against the per-sample loop ------------------
+
+
+def _reference_synthesize(spec, grid, step, project_every=0, drift_limit=hx.DRIFT_LIMIT):
+    """``synthesize``'s integration with each sample checked as it is recorded:
+    a curved chart's g read at the sample, its Gram drift, then its err_est.
+    Returns the ``(states, gram_drift, err_est)`` lists or raises as that loop
+    raised."""
+    grid = [float(t) for t in grid]
+    metric = spec.metric
+    g = None if metric.pattern else metric.matrix_at(spec.initial_point)
+    h, k1, k2 = spec.h, spec.k1, spec.k2
+    state = list(spec.initial_point) + list(spec.zeta0) + list(spec.n0) + list(spec.w0)
+    shadow = list(state)
+    states, drifts, errs = [], [], []
+    steps_done = 0
+
+    def record(t, full, half):
+        gm = metric.matrix_at(full[0:3]) if g is None else g
+        drift = nf.max_gram_residual(gm, full[3:6], full[6:9], full[9:12])
+        if not drift <= drift_limit:  # NaN included
+            raise GramDriftError(
+                f"Gram drift {drift:.3e} exceeds {drift_limit} at t = {t}", t
+            )
+        states.append(full)
+        drifts.append(drift)
+        total = 0  # left to right, as sum() adds floats before Python 3.12
+        for a, b in zip(full, half):
+            total = total + (a - b) * (a - b)
+        errs.append(math.sqrt(total) / 15.0)
+
+    record(grid[0], state, shadow)
+    for ta, tb in zip(grid, grid[1:]):
+        nsub = max(1, int(math.ceil((tb - ta) / step - 1e-12)))
+        dt = (tb - ta) / nsub
+        done = 0
+        while done < nsub:
+            chunk = nsub - done
+            if project_every:
+                chunk = min(chunk, project_every - (steps_done % project_every))
+            state = hx._rk4_steps(metric, h, k1, k2, state, dt, chunk)
+            shadow = hx._rk4_steps(metric, h, k1, k2, shadow, 0.5 * dt, 2 * chunk)
+            done += chunk
+            steps_done += chunk
+            if project_every and steps_done % project_every == 0:
+                state = hx._project_frame(metric, state, g)
+                shadow = hx._project_frame(metric, shadow, g)
+        record(tb, state, shadow)
+    return states, drifts, errs
+
+
+def _grid(samples, spacing=0.02):
+    return [spacing * i for i in range(samples)]
+
+
+def _c1_on(metric):
+    """C1's frame at (1, 0, 0), where each chart below has g = diag(-1, -1, 1)."""
+    return HelixSpec(0.0, 1.0, -0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0),
+                     (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=metric)
+
+
+RECORD_CHARTS = {  # spec, project_every, grid spacing (two steps a segment)
+    "flat": (lambda: _c1_on(_chart("1")), 0, 0.02),
+    "flat-projected-3": (lambda: _c1_on(_chart("1")), 3, 0.02),
+    # every component moves, and at this step the full- and half-step states
+    # differ in enough bits that the order of the err_est sum shows
+    "flat-coarse": (lambda: random_helix_spec(random.Random("records"), _chart("1")), 0, 0.3),
+    "curved": (lambda: _c1_on(_chart("1 + x3^2")), 0, 0.02),
+    "conformal": (lambda: _c1_on(_conformal_metric()), 0, 0.02),
+}
+
+
+@pytest.mark.parametrize("samples", [1, 64, 65, 201])
+@pytest.mark.parametrize("chart", list(RECORD_CHARTS))
+def test_block_records_equal_the_per_sample_loop_bitwise(chart, samples):
+    """Block edges fall inside the 65- and 201-sample traces."""
+    make_spec, project_every, spacing = RECORD_CHARTS[chart]
+    spec = make_spec()
+    grid = _grid(samples, spacing)
+    limit = math.inf if chart == "flat-coarse" else hx.DRIFT_LIMIT
+    trace = synthesize(spec, grid, 0.5 * spacing, project_every, limit)
+    states, drifts, errs = _reference_synthesize(spec, grid, 0.5 * spacing, project_every,
+                                                 limit)
+    assert trace.gram_drift.tobytes() == np.array(drifts).tobytes()
+    assert trace.err_est.tobytes() == np.array(errs).tobytes()
+    rows = np.hstack([trace.points, trace.zetas, trace.ns, trace.ws])
+    assert rows.tobytes() == np.array(states).tobytes()
+    assert np.max(trace.err_est) > 0.0 or samples == 1
+
+
+def _raised_by(f, *args, **kwargs):
+    """``(type, message, t)`` of what ``f`` raises; ``t`` only on GramDriftError."""
+    with pytest.raises(Exception) as info:
+        f(*args, **kwargs)
+    return type(info.value), str(info.value), getattr(info.value, "t", None)
+
+
+def _first_failure_after(drifts, start):
+    """A drift limit whose first exceedance lies at or after sample ``start``."""
+    limit = max(drifts[:start])
+    return limit, next(i for i, d in enumerate(drifts) if not d <= limit)
+
+
+def test_drift_failure_in_a_later_block_raises_as_the_loop(c1_spec):
+    grid = _grid(201)
+    _, drifts, _ = _reference_synthesize(c1_spec, grid, 1e-2)
+    limit, first = _first_failure_after(drifts, 100)
+    assert hx.CHECK_BLOCK <= first < 2 * hx.CHECK_BLOCK
+    want = _raised_by(_reference_synthesize, c1_spec, grid, 1e-2, drift_limit=limit)
+    got = _raised_by(synthesize, c1_spec, grid, step=1e-2, drift_limit=limit)
+    assert got == want
+    assert got[0] is GramDriftError and got[2] == grid[first]
+    assert type(got[2]) is float
+
+
+def _failing_at(original, call, error):
+    """``original`` wrapped to raise ``error`` on its ``call``-th call (from 1)."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise error
+        return original(*args)
+
+    return wrapped
+
+
+INTEGRATION_ERRORS = {
+    "domain": ("_rk4_steps", DomainError("log of non-positive value in 'log(x3)'", "log(x3)")),
+    "degenerate": ("_rk4_steps", semimetric.DegenerateMetricError(
+        semimetric.DEGENERATE_ALONG)),
+    "projection": ("_project_frame", GramDriftError(
+        "projection lost the timelike screen direction", math.nan)),
+}
+
+
+@pytest.mark.parametrize("drift_fails_first", [True, False])
+@pytest.mark.parametrize("kind", list(INTEGRATION_ERRORS))
+def test_integration_error_comes_after_the_checks_before_it(monkeypatch, c1_spec, kind,
+                                                            drift_fails_first):
+    """An integration error (injected a few samples after a drift failure, or
+    with no failure before it) raises what the per-sample loop raised."""
+    grid = _grid(201, spacing=0.01)
+    _, drifts, _ = _reference_synthesize(c1_spec, grid, 1e-2, project_every=1)
+    limit, first = _first_failure_after(drifts, 70)
+    if not drift_fails_first:
+        limit = hx.DRIFT_LIMIT
+    name, error = INTEGRATION_ERRORS[kind]
+    # each segment is one step of the full-step run and two of the shadow, in
+    # one call each, then one projection of each: fail in the fourth segment
+    # after the failing sample
+    call = 2 * (first + 3) + 1
+    results = []
+    for f in (_reference_synthesize, synthesize):
+        with monkeypatch.context() as patch:
+            patch.setattr(hx, name, _failing_at(getattr(hx, name), call, error))
+            results.append(_raised_by(f, c1_spec, grid, 1e-2, project_every=1,
+                                      drift_limit=limit))
+    assert results[1][:2] == results[0][:2]
+    assert results[1][2] == results[0][2] or kind == "projection"  # NaN t
+    if drift_fails_first:
+        assert results[1][:3] == (GramDriftError, results[0][1], grid[first])
+    else:
+        assert results[1][:2] == (type(error), str(error))
+
+
+@pytest.mark.parametrize("drift_first", [True, False])
+def test_curved_g_read_comes_before_the_drift_check(monkeypatch, drift_first):
+    """A failed g read at one sample and a drift failure at another: the
+    earlier sample's error wins, as in the per-sample loop."""
+    spec = _c1_on(_chart("1 + x3^2"))
+    grid = _grid(101)
+    states, drifts, _ = _reference_synthesize(spec, grid, 1e-2)
+    limit, first = _first_failure_after(drifts, 20)
+    unreadable = tuple(states[first + 2 if drift_first else first - 2][0:3])
+    original = MetricField.matrix_at
+
+    def matrix_at(self, p):
+        if tuple(p) == unreadable:
+            raise semimetric.DegenerateMetricError(f"metric degenerate at {unreadable}")
+        return original(self, p)
+
+    monkeypatch.setattr(MetricField, "matrix_at", matrix_at)
+    want = _raised_by(_reference_synthesize, spec, grid, 1e-2, drift_limit=limit)
+    assert want[0] is (GramDriftError if drift_first else semimetric.DegenerateMetricError)
+    assert _raised_by(synthesize, spec, grid, step=1e-2, drift_limit=limit) == want
+
+
+def test_an_abort_integrates_at_most_one_block_past_the_failure(monkeypatch, c1_spec):
+    grid = _grid(401)
+    _, drifts, _ = _reference_synthesize(c1_spec, grid, 1e-2)
+    limit, first = _first_failure_after(drifts, 100)
+    calls, blocks = [], []
+    rk4, check = hx._rk4_steps, hx._check_block
+
+    def counted(*args):
+        calls.append(args)
+        return rk4(*args)
+
+    def sized(metric, g, block, drift_limit):
+        blocks.append(len(block))
+        return check(metric, g, block, drift_limit)
+
+    monkeypatch.setattr(hx, "_rk4_steps", counted)
+    monkeypatch.setattr(hx, "_check_block", sized)
+    with pytest.raises(GramDriftError):
+        synthesize(c1_spec, grid, step=1e-2, drift_limit=limit)
+    # two calls per segment: the full step and the half-step shadow
+    assert 2 * first <= len(calls) <= 2 * (first + hx.CHECK_BLOCK - 1)
+    assert max(blocks) <= hx.CHECK_BLOCK
+    blocks.clear()
+    synthesize(c1_spec, grid, step=1e-2)
+    assert sum(blocks) == len(grid) and max(blocks) == hx.CHECK_BLOCK
+
+
+def _column_loop_flat_steps(h, k1, k2, state, dt, nsteps):
+    """The flat propagator as a loop over the three coordinate columns."""
+    q = hx._flat_increment(h + 0.0, k1 + 0.0, k2 + 0.0, dt, nsteps)
+    y = [0.0] * 12
+    for a in range(3):
+        col = (state[a], state[3 + a], state[6 + a], state[9 + a])
+        for r, row in enumerate(q):
+            y[3 * r + a] = col[r] + (row[0] * col[0] + row[1] * col[1]
+                                     + row[2] * col[2] + row[3] * col[3])
+    return y
+
+
+def test_straight_line_flat_propagator_equals_the_column_loop_bitwise(flat3):
+    rng = random.Random("flat-columns")
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e-300)
+
+    def value():
+        return rng.choice(special) if rng.random() < 0.15 else rng.uniform(-3.0, 3.0)
+
+    for _ in range(2000):
+        state = [value() for _ in range(12)]
+        h, k1, k2 = (rng.choice((0.0, -0.0, rng.uniform(-2, 2))) for _ in range(3))
+        dt, nsteps = rng.uniform(1e-3, 0.1), rng.randint(1, 40)
+        got = hx._rk4_steps(flat3, h, k1, k2, state, dt, nsteps)
+        assert _float_bits(got) == _float_bits(
+            _column_loop_flat_steps(h, k1, k2, state, dt, nsteps))

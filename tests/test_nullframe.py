@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from nullhelix import helix as hx
@@ -20,7 +21,7 @@ from nullhelix.nullframe import (
     frame_field,
     frenet_residuals,
 )
-from nullhelix.semimetric import MetricField, bilinear, mat_vec
+from nullhelix.semimetric import Matrix, MetricField, bilinear, mat_vec
 
 from conftest import uniform_grid
 
@@ -410,8 +411,6 @@ def test_frame_algebra_matches_the_inline_formulas_bitwise(chart):
         z, n, w = state[3:6], state[6:9], state[9:12]
         assert _bits(nf.max_gram_residual(g, z, n, w)) == \
             _bits(_inline_gram_residual(g, tuple(z), tuple(n), tuple(w)))
-        assert _bits(hx._gram_drift(metric, state)) == \
-            _bits(_inline_gram_residual(g, tuple(z), tuple(n), tuple(w)))
         assert _bits(nf.max_gram_residual(g, tuple(z), tuple(n), tuple(w))) == \
             _bits(_inline_triple_worst(g, tuple(z), tuple(n), tuple(w)))
         new = _outcome(hx._project_frame, metric, state)
@@ -421,6 +420,14 @@ def test_frame_algebra_matches_the_inline_formulas_bitwise(chart):
             assert _outcome(_shared_ambient_screen, g, tuple(z), n, tuple(cand)) == \
                 _outcome(_inline_ambient_screen, g, tuple(z), n, list(cand))
     assert outcomes == {"ok", "raise"}  # both branches of the projection ran
+    # synthesize's drifts, once on the arrays of every state
+    states = _algebra_states(metric, random.Random(f"frame-algebra-{chart}"))
+    mats = [metric.matrix_at(state[0:3]) for state in states]
+    drifts = hx._drifts(Matrix(list(hx._stacked_g(metric, mats)), metric.support),
+                        np.array(states))
+    assert _bits(drifts.tolist()) == _bits(
+        [_inline_gram_residual(g, tuple(s[3:6]), tuple(s[6:9]), tuple(s[9:12]))
+         for g, s in zip(mats, states)])
 
 
 @pytest.mark.parametrize("chart", list(ALGEBRA_CHARTS))
