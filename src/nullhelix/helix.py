@@ -321,42 +321,26 @@ def _drifts(g, rows):
     return drift
 
 
-def _check_drifts(drift, times, drift_limit):
-    """GramDriftError at the first sample whose drift is not <= drift_limit
-    (NaN included)."""
-    failed = ~(drift <= drift_limit)
-    if failed.any():
-        i = int(failed.argmax())
-        raise GramDriftError(
-            f"Gram drift {float(drift[i]):.3e} exceeds {drift_limit} at t = {times[i]}",
-            times[i])
-
-
 def _check_block(metric: MetricField, g, block, drift_limit):
     """``(rows, gram_drift, err_est)`` arrays of recorded samples ``(t, full,
-    half)``, checked in sample order: a curved chart's g (``g`` is None) is
-    read at each sample before that sample's drift is checked, so a failed
-    read or a drift above the limit at an earlier sample raises first.
+    half, g_t)``, with ``g_t`` the metric read at the sample on a curved chart
+    (``g`` is None) and None on a flat one; GramDriftError at the first sample
+    whose drift is not <= drift_limit (NaN included).
 
     ``err_est`` is sqrt(sum of (full - half)^2, component by component) / 15.
     """
-    times = [t for t, _, _ in block]
-    rows = np.array([full for _, full, _ in block])
+    rows = np.array([full for _, full, _, _ in block])
     if g is None:
-        mats = []
-        for point in rows[:, 0:3].tolist():
-            try:
-                mats.append(metric.matrix_at(point))
-            except Exception:
-                # the samples read before this one are checked first
-                g = Matrix(list(_stacked_g(metric, mats)), metric.support)
-                _check_drifts(_drifts(g, rows[:len(mats)]), times, drift_limit)
-                raise
-        g = Matrix(list(_stacked_g(metric, mats)), metric.support)
+        g = Matrix(list(_stacked_g(metric, [m for _, _, _, m in block])), metric.support)
     drift = _drifts(g, rows)
-    _check_drifts(drift, times, drift_limit)
+    failed = ~(drift <= drift_limit)
+    if failed.any():
+        i = int(failed.argmax())
+        t = block[i][0]
+        raise GramDriftError(
+            f"Gram drift {float(drift[i]):.3e} exceeds {drift_limit} at t = {t}", t)
     with np.errstate(all="ignore"):  # a product gives inf where ** 2 would raise
-        diff = rows - np.array([half for _, _, half in block])
+        diff = rows - np.array([half for _, _, half, _ in block])
         squares = diff * diff
         total = squares[:, 0]
         for c in range(1, squares.shape[1]):
@@ -411,7 +395,8 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     if sum(nsubs) > MAX_RK4_STEPS:
         raise ValueError(f"step {step!r} needs {sum(nsubs)} RK4 steps over the grid, "
                          f"more than MAX_RK4_STEPS = {MAX_RK4_STEPS}")
-    block = [(grid[0], state, shadow)]
+    # a curved chart's g is read at each sample as it is recorded
+    block = [(grid[0], state, shadow, metric.matrix_at(state[0:3]) if g is None else None)]
     checked = []
     for ta, tb, nsub in zip(grid, grid[1:], nsubs):
         if len(block) == CHECK_BLOCK:
@@ -432,10 +417,12 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
                 if project_every and steps_done % project_every == 0:
                     state = _project_frame(metric, state, g)
                     shadow = _project_frame(metric, shadow, g)
+            g_t = metric.matrix_at(state[0:3]) if g is None else None
         except Exception:
-            _check_block(metric, g, block, drift_limit)  # an earlier sample's failure wins
+            if block:  # an earlier sample's drift failure wins
+                _check_block(metric, g, block, drift_limit)
             raise
-        block.append((tb, state, shadow))
+        block.append((tb, state, shadow, g_t))
     checked.append(_check_block(metric, g, block, drift_limit))
     rows, drifts, errs = (np.concatenate(parts) for parts in zip(*checked))
     return HelixTrace(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nullhelix import helix as hx
 from nullhelix import nullframe as nf
 from nullhelix import cli
 from nullhelix.cli import _OPTIONS, SpecError, _parser, load_spec, run
@@ -227,6 +228,31 @@ def test_synth_reaching_a_log_singularity_names_it(tmp_path, capsys):
                                         "w": [-1, 0, 0]},
                        [0.0, 13.0], 10.0, {"samples": 20, "drift_limit": 1e300})
     assert run(["synth", "--spec", _write(tmp_path, "log.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: log of non-positive value in 'log(x3)'\n"
+
+
+def test_synth_leaving_the_domain_at_a_block_edge_names_it(tmp_path, capsys, monkeypatch):
+    # the chart above, run to where the first RK4 stage past x3 = 0 falls in
+    # the segment that ends at sample CHECK_BLOCK, just after the first block
+    # of samples is checked
+    samples, span = hx.CHECK_BLOCK + 1, 1.2775
+    doc = _field_helix([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "log(x3)"]],
+                       [0, 0, math.e], {"zeta": [0, 1, -1], "n": [0, -0.5, -0.5],
+                                        "w": [-1, 0, 0]},
+                       [0.0, span], span / (samples - 1),
+                       {"samples": samples, "drift_limit": 1e300})
+    calls = []
+    rk4 = hx._rk4_steps
+
+    def counted(*args):
+        calls.append(args)
+        return rk4(*args)
+
+    monkeypatch.setattr(hx, "_rk4_steps", counted)
+    assert run(["synth", "--spec", _write(tmp_path, "log.json", doc)]) == 2
+    # two calls a segment, the full step first
+    assert len(calls) == 2 * hx.CHECK_BLOCK - 1
     err = capsys.readouterr().err
     assert err == "error: log of non-positive value in 'log(x3)'\n"
 

@@ -927,45 +927,69 @@ INTEGRATION_ERRORS = {
 }
 
 
+INJECTION_CHARTS = {"flat": lambda: _c1_on(_chart("1")),
+                    "curved": lambda: _c1_on(_chart("1 + x3^2"))}
+# where a failure is injected: a few samples after a drift failure, or at the
+# first sample of the second or third block, integrated right after the block
+# before it is checked
+FAILURE_SAMPLES = ["after-drift", hx.CHECK_BLOCK, 2 * hx.CHECK_BLOCK]
+
+
+def _failure_setup(drifts, at, drift_fails_first):
+    """``(drift_limit, sample)``: the sample to fail at, and a limit that some
+    earlier sample's drift exceeds (or DRIFT_LIMIT when none does)."""
+    # on the curved chart the projected drift peaks near sample 57
+    limit, first = _first_failure_after(drifts, 40)
+    sample = first + 4 if at == "after-drift" else at
+    assert first < sample
+    return (limit if drift_fails_first else hx.DRIFT_LIMIT), sample
+
+
+@pytest.mark.parametrize("at", FAILURE_SAMPLES)
 @pytest.mark.parametrize("drift_fails_first", [True, False])
 @pytest.mark.parametrize("kind", list(INTEGRATION_ERRORS))
-def test_integration_error_comes_after_the_checks_before_it(monkeypatch, c1_spec, kind,
-                                                            drift_fails_first):
-    """An integration error (injected a few samples after a drift failure, or
-    with no failure before it) raises what the per-sample loop raised."""
+@pytest.mark.parametrize("chart", list(INJECTION_CHARTS))
+def test_integration_error_comes_after_the_checks_before_it(monkeypatch, chart, kind,
+                                                            drift_fails_first, at):
+    """An integration error (with a drift failure before it, or none) raises
+    what the per-sample loop raised."""
+    spec = INJECTION_CHARTS[chart]()
     grid = _grid(201, spacing=0.01)
-    _, drifts, _ = _reference_synthesize(c1_spec, grid, 1e-2, project_every=1)
-    limit, first = _first_failure_after(drifts, 70)
-    if not drift_fails_first:
-        limit = hx.DRIFT_LIMIT
+    _, drifts, _ = _reference_synthesize(spec, grid, 1e-2, project_every=1)
+    limit, sample = _failure_setup(drifts, at, drift_fails_first)
     name, error = INTEGRATION_ERRORS[kind]
     # each segment is one step of the full-step run and two of the shadow, in
-    # one call each, then one projection of each: fail in the fourth segment
-    # after the failing sample
-    call = 2 * (first + 3) + 1
+    # one call each, then one projection of each: fail in the segment that
+    # ends at ``sample``
+    call = 2 * (sample - 1) + 1
     results = []
     for f in (_reference_synthesize, synthesize):
         with monkeypatch.context() as patch:
             patch.setattr(hx, name, _failing_at(getattr(hx, name), call, error))
-            results.append(_raised_by(f, c1_spec, grid, 1e-2, project_every=1,
+            results.append(_raised_by(f, spec, grid, 1e-2, project_every=1,
                                       drift_limit=limit))
     assert results[1][:2] == results[0][:2]
     assert results[1][2] == results[0][2] or kind == "projection"  # NaN t
     if drift_fails_first:
-        assert results[1][:3] == (GramDriftError, results[0][1], grid[first])
+        assert results[1][0] is GramDriftError and results[1][2] < grid[sample]
     else:
         assert results[1][:2] == (type(error), str(error))
 
 
-@pytest.mark.parametrize("drift_first", [True, False])
-def test_curved_g_read_comes_before_the_drift_check(monkeypatch, drift_first):
+@pytest.mark.parametrize("at", FAILURE_SAMPLES + ["before-drift"])
+@pytest.mark.parametrize("drift_fails_first", [True, False])
+def test_curved_g_read_comes_before_the_drift_check(monkeypatch, at, drift_fails_first):
     """A failed g read at one sample and a drift failure at another: the
     earlier sample's error wins, as in the per-sample loop."""
     spec = _c1_on(_chart("1 + x3^2"))
-    grid = _grid(101)
+    grid = _grid(201, spacing=0.01)
     states, drifts, _ = _reference_synthesize(spec, grid, 1e-2)
-    limit, first = _first_failure_after(drifts, 20)
-    unreadable = tuple(states[first + 2 if drift_first else first - 2][0:3])
+    if at == "before-drift":
+        limit, first = _first_failure_after(drifts, 20)
+        limit, sample = (limit if drift_fails_first else hx.DRIFT_LIMIT), first - 2
+    else:
+        limit, sample = _failure_setup(drifts, at, drift_fails_first)
+    unreadable = tuple(states[sample][0:3])
     original = MetricField.matrix_at
 
     def matrix_at(self, p):
@@ -975,7 +999,8 @@ def test_curved_g_read_comes_before_the_drift_check(monkeypatch, drift_first):
 
     monkeypatch.setattr(MetricField, "matrix_at", matrix_at)
     want = _raised_by(_reference_synthesize, spec, grid, 1e-2, drift_limit=limit)
-    assert want[0] is (GramDriftError if drift_first else semimetric.DegenerateMetricError)
+    drift_wins = drift_fails_first and at != "before-drift"
+    assert want[0] is (GramDriftError if drift_wins else semimetric.DegenerateMetricError)
     assert _raised_by(synthesize, spec, grid, step=1e-2, drift_limit=limit) == want
 
 
