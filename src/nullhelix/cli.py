@@ -447,12 +447,13 @@ def _cmd_verify(doc: SpecDocument, cfg: dict):
     for fr in frames:
         sample = nfmod.curvatures_at(curve, fr, policy)
         rep = helixmod.metric_identity_suite(curve, fr, sample, policy)
+        cubic = helixmod.cubic_identity_residual(curve, fr, sample, policy)
         samples.append(sample)
-        max_cubic = max(max_cubic, rep.cubic_residual)
+        max_cubic = max(max_cubic, cubic)
         max_dev = max(max_dev, *rep.deviations)
         rows.append({
             "t": fr.t, "h": sample.h, "k1": sample.k1, "k2": sample.k2,
-            "cubic_residual": rep.cubic_residual,
+            "cubic_residual": cubic,
             "scalars": list(rep.scalars), "targets": list(rep.targets),
             "deviations": list(rep.deviations),
         })
@@ -516,8 +517,9 @@ def _cmd_transfer(doc: SpecDocument, cfg: dict):
     rep = submanifold.helix_transfer(F, spec, grid, step, policy=policy,
                                      project_every=cfg["project_every"],
                                      drift_limit=cfg["drift_limit"])
+    c = rep.curvatures
     rows = [{"t": t, "h": h, "k1": k1, "k2": k2} for t, h, k1, k2
-            in zip(rep.times.tolist(), rep.h.tolist(), rep.k1.tolist(), rep.k2.tolist())]
+            in zip(c.t.tolist(), c.h.tolist(), c.k1.tolist(), c.k2.tolist())]
     return rows, {
         "pass": all(v <= cfg["tol"] for v in rep.constancy.values()),
         "constancy_deviation": rep.constancy,

@@ -87,6 +87,8 @@ class Emitter:
         return self.bind(f"{a} + {b}")
 
     def sub(self, a, b):
+        if a == b:  # x - x: identical values share one code string
+            return None
         if b is None:
             return a
         return self.bind(f"-{b}") if a is None else self.bind(f"{a} - {b}")

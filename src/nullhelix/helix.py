@@ -38,7 +38,8 @@ memoized decimated view (``HelixTrace.view``), a ``SampledCurve`` of
 component-major arrays (component i over all samples is one array), as do
 transfer's ambient samples.  Each covariant layer is ``fd_derivative`` plus
 ``semimetric.connection_term`` on them: every element gets the operations, in
-the order, of a loop over samples.
+the order, of a loop over samples.  Every sampled curve's (h, k1, k2) come
+from ``SampledCurve.curvatures``, with its traced (or, in transfer, seed-built) N and W.
 
 Each identity is one function over floats, jets and sample arrays, shared by
 the jet route (curves, per sample) and the stencil route (traces, once on
@@ -436,11 +437,10 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Cubic residual (None on a trace: see ``cubic_residuals_from_trace``) plus
-    the four metric scalars against their targets; floats or sample arrays."""
+    """The four metric scalars against their targets, floats or sample arrays
+    (the cubic identity: ``cubic_identity_residual``, ``cubic_residuals_from_trace``)."""
 
     t: float
-    cubic_residual: float
     scalars: tuple
     targets: tuple
     deviations: tuple
@@ -457,8 +457,7 @@ def cubic_residual(c1, c3, factor) -> float:
     return euclid_norm([const_term(b) - factor * const_term(a) for a, b in zip(c1, c3)])
 
 
-def _identity_report(t, g, cz, cn, cw, sample: CurvatureSample,
-                     cubic) -> IdentityReport:
+def _identity_report(t, g, cz, cn, cw, sample: CurvatureSample) -> IdentityReport:
     """The four metric scalars g(cov zeta, cov zeta), g(cov N, cov N),
     g(cov W, cov W) and g(cov zeta, cov N) of floats, jets or sample arrays,
     against their targets from ``sample``'s (h, k1, k2)."""
@@ -467,8 +466,7 @@ def _identity_report(t, g, cz, cn, cw, sample: CurvatureSample,
     h, k1, k2 = sample.h, sample.k1, sample.k2
     targets = (-k1 * k1, -k2 * k2, 2.0 * k1 * k2, -h * h - k1 * k2)
     deviations = tuple(abs(s - t_) for s, t_ in zip(scalars, targets))
-    return IdentityReport(t=t, cubic_residual=cubic, scalars=scalars,
-                          targets=targets, deviations=deviations)
+    return IdentityReport(t=t, scalars=scalars, targets=targets, deviations=deviations)
 
 
 def cubic_identity_residual(curve: NullCurve, frame: NullFrame,
@@ -492,8 +490,7 @@ def metric_identity_suite(curve: NullCurve, frame: NullFrame,
     fj, sign = _aligned_frame_jets(curve, frame, policy)
     cz, cn = fj.cov("zeta"), fj.cov("n")
     cw = [sign * c for c in fj.cov("w")]
-    cubic = cubic_identity_residual(curve, frame, sample, policy)
-    return _identity_report(frame.t, fj.gmat, cz, cn, cw, sample, cubic)
+    return _identity_report(frame.t, fj.gmat, cz, cn, cw, sample)
 
 
 def constancy_report(samples) -> dict:
@@ -627,17 +624,21 @@ class SampledCurve:
                 self._covs[(key, layer)] = np.array([d + t for d, t in zip(deriv, term)])
         return self._covs[(key, layer)]
 
+    def curvatures(self) -> CurvatureSample:
+        """(h, k1, k2) by ``frame_curvatures`` over the samples cov N reaches, with
+        the fields "n" and "w" as they are: the one alignment of sampled curvatures."""
+        cz, cn = self.cov("zeta"), self.cov("n")
+        count = cn.shape[-1]
+        t, cz, n, w = (_middle(x, count)
+                       for x in (self.times, cz, self.fields["n"], self.fields["w"]))
+        with np.errstate(all="ignore"):
+            return frame_curvatures(t, self.g(count), cz, cn, n, w)
+
 
 def extract_curvatures(trace: HelixTrace) -> CurvatureSample:
-    """Curvatures re-measured from the trace's view by finite differences, over
-    the samples cov zeta reaches, with the traced N and W as they are."""
-    curve = trace.view
-    cz, cn = curve.cov("zeta"), curve.cov("n")
-    count = cz.shape[-1]
-    with np.errstate(all="ignore"):
-        return frame_curvatures(_middle(curve.times, count), curve.g(count), cz, cn,
-                                _middle(curve.fields["n"], count),
-                                _middle(curve.fields["w"], count))
+    """Curvatures re-measured from the trace's view by finite differences, with
+    the traced N and W as they are."""
+    return trace.view.curvatures()
 
 
 def cubic_residuals_from_trace(trace: HelixTrace):
@@ -660,4 +661,4 @@ def identity_reports_from_trace(trace: HelixTrace) -> IdentityReport:
     sample = extract_curvatures(trace)
     cz, cn, cw = curve.cov("zeta"), curve.cov("n"), curve.cov("w")
     with np.errstate(all="ignore"):
-        return _identity_report(sample.t, curve.g(len(sample.t)), cz, cn, cw, sample, None)
+        return _identity_report(sample.t, curve.g(len(sample.t)), cz, cn, cw, sample)

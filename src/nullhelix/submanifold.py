@@ -46,7 +46,7 @@ from . import codegen, exprparse, jets, semimetric
 from . import helix as helixmod
 from .exprparse import parse
 from .jets import Jet, const_term
-from .nullframe import (ScreenPolicy, continuity_signs, euclid_norm, frame_curvatures,
+from .nullframe import (CurvatureSample, ScreenPolicy, continuity_signs, euclid_norm,
                         max_gram_residual, null_transversal, screen_projection,
                         unit_screen)
 from .semimetric import (Matrix, MetricField, bilinear, connection_term, mat_det,
@@ -597,12 +597,10 @@ def umbilical_diagnostic(F: Immersion, u, xi_i, xi_j, xi_k):
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value to compare by
 class TransferReport:
-    """Ambient curvature samples of a pushed-forward intrinsic helix (arrays)."""
+    """A pushed-forward helix measured in the ambient chart: its curvatures (arrays,
+    seed-built N and W) and their spread, and the geodesic, isometry and nullity checks."""
 
-    times: np.ndarray
-    h: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
+    curvatures: CurvatureSample
     constancy: dict
     geodesic_samples: tuple
     geodesic_max: float
@@ -693,18 +691,12 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     curve = helixmod.SampledCurve(F.ambient, view.times, np.transpose(points), zeta, view.dt)
     with np.errstate(all="ignore"):  # g before the connection, as a degenerate g names it
         nullity_max = max(abs(bilinear(curve.g(len(points)), zeta, zeta)).tolist())
-    ns, ws = _ambient_frames(curve, policy)
-    curve.fields["n"] = ns
-    cn = curve.cov("n")
-    count = cn.shape[-1]
-    t, cz, n, w = (helixmod._middle(x, count)
-                   for x in (curve.times, curve.cov("zeta"), ns, ws))
-    with np.errstate(all="ignore"):
-        samples = frame_curvatures(t, curve.g(count), cz, cn, n, w)
+    curve.fields["n"], curve.fields["w"] = _ambient_frames(curve, policy)
+    samples = curve.curvatures()
 
     geo_samples = tuple(geodesic_residual(F, u) for u in path[:: max(1, len(path) // 32)])
     return TransferReport(
-        times=samples.t, h=samples.h, k1=samples.k1, k2=samples.k2,
+        curvatures=samples,
         constancy=helixmod.constancy_report(samples),
         geodesic_samples=geo_samples,
         geodesic_max=max(geo_samples),

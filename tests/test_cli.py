@@ -873,6 +873,19 @@ def test_transfer_seeds_may_use_the_ambient_axis(tmp_path):
     assert json.loads(open(out).read())["config"]["seed_order"][0] == "e4"
 
 
+def test_transfer_of_a_null_geodesic_takes_w_from_a_seed_axis(tmp_path):
+    """A null geodesic's acceleration has no screen part, so each ambient W is
+    a seed axis projected into the screen; the curvatures still read 0."""
+    helix = {**HELIX_DOC["helix"], "h": 0.0, "k1": 0.0, "k2": 0.0,
+             "initial_point": [0, 0, 0], "domain": [0.0, 1.0]}
+    spec = _write(tmp_path, "geodesic.json", {**TRANSFER_DOC, "helix": helix})
+    out = str(tmp_path / "r.json")
+    assert run(["transfer", "--spec", spec, "--samples", "201", "--out", out]) == 0
+    rows = json.loads(open(out).read())["rows"]
+    assert rows
+    assert all(abs(row[key]) <= 1e-12 for row in rows for key in ("h", "k1", "k2"))
+
+
 @pytest.mark.parametrize("command", [
     "verify --tol -1", "verify --tol nan", "verify --tol inf", "frame --samples 1",
     "frame --samples 1000000000000", "verify --samples 1000001",

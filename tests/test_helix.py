@@ -248,7 +248,7 @@ def _scalar_measurements(trace):
         g = curve.metric.matrix_at(points[r + i])
         sample = nf.frame_curvatures(times[r + i], g, a, b, ns[r + i], ws[r + i])
         samples.append(sample)
-        reports.append(hx._identity_report(sample.t, g, a, b, c, sample, None))
+        reports.append(hx._identity_report(sample.t, g, a, b, c, sample))
     factor = hx.cubic_factor(trace.spec.h, trace.spec.k1, trace.spec.k2)
     cubics = [(times[3 * r + i], hx.cubic_residual(cz[2 * r + i], c3, factor))
               for i, c3 in enumerate(_scalar_cov(curve, "zeta", 3))]

@@ -91,7 +91,10 @@ OFF_DIAGONAL2 = [["1 + x2^2", "x1*x2"], ["x1*x2", "2 + x1^2"]]
 PSEUDOSPHERE3 = [["-1", "0", "0"], ["0", "-sinh(x1)^2", "0"], ["0", "0", "cosh(x1)^2"]]
 DISGUISED_FLAT3 = [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + 0*x3"]]
 # (metric, exact pattern, sampled coordinate range, the pattern symbols whose
-# emitted terms cancel to zero, such as off-diagonal's 0.5 * ginv (x2 + x2 - 2 x2))
+# emitted terms cancel to zero).  Off-diagonal's dg[i][j][l] + dg[j][i][l] -
+# dg[l][i][j] is x2 + x2 - (x2 + x2) for four (k, i, j); the emitter binds
+# both sides to one temporary, so that difference is a structural zero and
+# the four symbols are left out of the pattern.
 PATTERN_CASES = [
     (MetricField.diag([-1, -1, 1]), (), (-1.5, 1.5), set()),
     (MetricField.from_texts(3, CURVED3), ((2, 2, 2),), (-1.5, 1.5), set()),
@@ -99,9 +102,7 @@ PATTERN_CASES = [
      ((0, 0, 2), (0, 2, 0), (1, 1, 2), (1, 2, 1), (2, 0, 0), (2, 1, 1), (2, 2, 2)),
      (-1.5, 1.5), set()),
     (MetricField.from_texts(2, OFF_DIAGONAL2),
-     ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-      (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)), (-1.5, 1.5),
-     {(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)}),
+     ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)), (-1.5, 1.5), set()),
     # det g = sinh(x1)^2 cosh(x1)^2, away from x1 = 0
     (MetricField.from_texts(3, PSEUDOSPHERE3),
      ((0, 1, 1), (0, 2, 2), (1, 0, 1), (1, 1, 0), (2, 0, 2), (2, 2, 0)), (0.3, 1.5),

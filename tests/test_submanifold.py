@@ -445,6 +445,52 @@ def test_umbilical_diagnostic_pseudosphere(pseudosphere):
     assert euclid_norm(d2) <= 1e-10
 
 
+# -- conformally flat ambients (docs/conformal_umbilic.md) ----------------------------
+
+PSEUDOSPHERE_MAP = ["sinh(u1)*cos(u2)", "sinh(u1)*sin(u2)",
+                    "cosh(u1)*cos(u3)", "cosh(u1)*sin(u3)"]
+# phi's text in x1..x4 and its (constant) gradient
+CONFORMAL_PHIS = [("0.4*x3", (0.0, 0.0, 0.4, 0.0)),
+                  ("0.3*x1 + 0.2*x4", (0.3, 0.0, 0.0, 0.2))]
+
+
+def _conformal_amb4(phi: str) -> MetricField:
+    """e^{2 phi} diag(-1, -1, 1, 1)."""
+    factor = f"exp(2*({phi}))"
+    return MetricField.from_texts(4, [[("-" if i < 2 else "") + factor if i == j else "0"
+                                       for j in range(4)] for i in range(4)])
+
+
+@pytest.mark.parametrize("phi, grad", CONFORMAL_PHIS, ids=["x3", "x1-x4"])
+def test_pseudosphere_stays_umbilical_in_a_conformal_ambient(rng, phi, grad):
+    """B~ = g~ H~ with H~ = -e^{-2 phi} (1 + x^l d_l phi) x, and the Weingarten
+    and Gauss computations agree: the ambient connection terms at work."""
+    F = Immersion.from_texts(3, _conformal_amb4(phi), PSEUDOSPHERE_MAP)
+    coords = [[1.0 if b == a else 0.0 for b in range(3)] for a in range(3)]
+    for _ in range(12):
+        u = [rng.uniform(0.3, 1.5), rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]
+        x, _ = F.map_and_tangent(u)
+        slope = sum(a * b for a, b in zip(grad, x))  # x^l d_l phi, and phi itself
+        expected = [-math.exp(-2.0 * slope) * (1.0 + slope) * c for c in x]
+        assert umbilical_residual(F, u) <= 1e-12
+        h = mean_curvature(F, u)
+        assert euclid_norm([a - b for a, b in zip(h, expected)]) \
+            <= 1e-12 * euclid_norm(expected)
+        assert len(normal_basis(F, u)) == 1
+        assert max(duality_residual(F, u, a, b, 0) for a in coords for b in coords) \
+            <= 1e-10
+
+
+@pytest.mark.parametrize("phi", [phi for phi, _ in CONFORMAL_PHIS], ids=["x3", "x1-x4"])
+def test_graph_is_not_umbilical_in_a_conformal_ambient(rng, phi):
+    """The control: its B(E3, E3) falls like e^{-2 phi} (1 + u3^2)^(-3/2), so
+    it is sampled where |u3| <= 0.5."""
+    F = Immersion.from_texts(3, _conformal_amb4(phi), ["u1", "u2", "u3", "u3^2/2"])
+    for _ in range(12):
+        u = [rng.uniform(0.3, 1.5), rng.uniform(-3.0, 3.0), rng.uniform(-0.5, 0.5)]
+        assert umbilical_residual(F, u) > 0.1
+
+
 def test_umbilical_diagnostic_slice(slice_immersion):
     u = [0.5, -0.5, 1.0]
     xi_i, xi_j, xi_k = null_triple(slice_immersion, u)
@@ -682,9 +728,9 @@ def test_transfer_through_slice(slice_immersion, c1_spec):
     grid = uniform_grid(0.0, 2.0, 2001)
     rep = helix_transfer(slice_immersion, c1_spec, grid, step=1e-3)
     assert max(rep.constancy.values()) <= 1e-6
-    assert rep.h[0] == pytest.approx(0.0, abs=1e-9)
-    assert rep.k1[0] == pytest.approx(1.0, abs=1e-9)
-    assert rep.k2[0] == pytest.approx(-0.5, abs=1e-9)
+    assert rep.curvatures.h[0] == pytest.approx(0.0, abs=1e-9)
+    assert rep.curvatures.k1[0] == pytest.approx(1.0, abs=1e-9)
+    assert rep.curvatures.k2[0] == pytest.approx(-0.5, abs=1e-9)
     assert rep.geodesic_max <= 1e-12
     assert rep.nullity_max <= 1e-10
     assert rep.isometry_max == 0.0
@@ -697,11 +743,11 @@ def test_transfer_identity_immersion(flat3, c1_spec):
     trace = hx.synthesize(c1_spec, grid, step=1e-3)
     samples = hx.extract_curvatures(trace)
     by_t = {t: j for j, t in enumerate(samples.t.tolist())}
-    for i, t in enumerate(rep.times.tolist()):
+    for i, t in enumerate(rep.curvatures.t.tolist()):
         j = by_t[t]
-        assert rep.h[i] == pytest.approx(samples.h[j], abs=1e-10)
-        assert rep.k1[i] == pytest.approx(samples.k1[j], abs=1e-10)
-        assert rep.k2[i] == pytest.approx(samples.k2[j], abs=1e-10)
+        assert rep.curvatures.h[i] == pytest.approx(samples.h[j], abs=1e-10)
+        assert rep.curvatures.k1[i] == pytest.approx(samples.k1[j], abs=1e-10)
+        assert rep.curvatures.k2[i] == pytest.approx(samples.k2[j], abs=1e-10)
 
 
 def test_transfer_through_curved_graph(graph_immersion):
