@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from operator import add as _add, sub as _sub
 
-from numpy import ndarray
+from numpy import array, full_like, ndarray
 
 MAX_ORDER = 5
 
@@ -222,12 +222,23 @@ def antiderivative(x: Jet, c0) -> Jet:
     return _new((c0,) + tuple([c[k] / (k + 1) for k in range(len(c))]))
 
 
-# -- elementary functions (float or Jet argument) ---------------------------
+# -- elementary functions (float, float array or Jet argument) --------------
+
+
+def _mapped(f, x: ndarray) -> ndarray:
+    """``f``, a ``math`` function, of each element of a float array: libm's
+    bits, where numpy's own exp, log, sinh and cosh can differ in the last
+    one.  A domain error or overflow raises ``math``'s own error.  Where a
+    jet takes sin with cos (sinh with cosh), an array takes only the one
+    asked for: each pair raises on the same inputs."""
+    return array(list(map(f, x.tolist())))
 
 
 def exp(x):
     if isinstance(x, (int, float)):
         return math.exp(x)
+    if isinstance(x, ndarray):
+        return _mapped(math.exp, x)
     a = x.coeffs
     out = [exp(a[0])]
     for k in range(1, len(a)):
@@ -243,6 +254,8 @@ def log(x):
         if x <= 0.0:
             raise ValueError("log of non-positive value")
         return math.log(x)
+    if isinstance(x, ndarray):
+        return _mapped(math.log, x)
     a = x.coeffs
     if const_term(a[0]) <= 0.0:
         raise ValueError("log of non-positive value")
@@ -260,6 +273,8 @@ def sqrt(x):
         if x < 0.0:
             raise ValueError("sqrt of negative value")
         return math.sqrt(x)
+    if isinstance(x, ndarray):
+        return _mapped(math.sqrt, x)
     a = x.coeffs
     c0 = const_term(a[0])
     if c0 < 0.0:
@@ -316,32 +331,44 @@ def _sinhcosh(x: Jet):
 def sin(x):
     if isinstance(x, (int, float)):
         return math.sin(x)
+    if isinstance(x, ndarray):
+        return _mapped(math.sin, x)
     return _sincos(x)[0]
 
 
 def cos(x):
     if isinstance(x, (int, float)):
         return math.cos(x)
+    if isinstance(x, ndarray):
+        return _mapped(math.cos, x)
     return _sincos(x)[1]
 
 
 def sinh(x):
     if isinstance(x, (int, float)):
         return math.sinh(x)
+    if isinstance(x, ndarray):
+        return _mapped(math.sinh, x)
     return _sinhcosh(x)[0]
 
 
 def cosh(x):
     if isinstance(x, (int, float)):
         return math.cosh(x)
+    if isinstance(x, ndarray):
+        return _mapped(math.cosh, x)
     return _sinhcosh(x)[1]
 
 
 def powi(x, n: int):
     """Integer power by left-to-right square-and-multiply (negative via
-    reciprocal): about 2 log2(n) products, so x^3 is (x * x) * x."""
+    reciprocal): about 2 log2(n) products, so x^3 is (x * x) * x.  A float
+    array takes the same products and 1.0 / x^-n elementwise, the bits of an
+    order-0 jet; its zero divisors follow numpy's error state."""
     if isinstance(x, (int, float)):
         return float(x) ** n
+    if isinstance(x, ndarray) and n <= 0:
+        return full_like(x, 1.0) if n == 0 else 1.0 / powi(x, -n)
     if n <= 0:
         one = _new((1.0,) + (0.0,) * x.order)
         return one if n == 0 else one / powi(x, -n)

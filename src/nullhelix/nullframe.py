@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets, semimetric
-from .exprparse import eval_jet, parse
+from . import exprparse, jets, semimetric
+from .exprparse import DomainError, Expr, eval_jet, free_variables, parse
 from .jets import Jet, const_term
 from .semimetric import MetricField, bilinear, mat_vec, metric_index
 
@@ -49,9 +49,11 @@ NULL_TOL = 1e-8
 SEED_TOL = 1e-8
 FRAME_TOL = 1e-9
 GEODESIC_K1_TOL = 1e-9
-# tangent-mode quadrature keeps only its furthest node, so its time (not its
-# memory) grows with (t1 - t0) / quad_step; longer domains are rejected first
+# tangent-mode quadrature keeps only its furthest node and one block of at
+# most QUAD_BLOCK nodes, so its time (not its memory) grows with
+# (t1 - t0) / quad_step; longer domains are rejected first
 MAX_QUAD_NODES = 10 ** 6
+QUAD_BLOCK = 256
 
 
 class NotNullError(ValueError):
@@ -160,6 +162,15 @@ class NullCurve:
     t0.  The node sequence is deterministic, so a position depends on t alone,
     not on which parameters were queried before.
 
+    The march takes blocks of at most QUAD_BLOCK nodes, each evaluated on
+    arrays in one pass (``_array_block``) with the float operations of the
+    per-node step (``_simpson``), so every node is bitwise the one the
+    per-node loop gives.  A block whose pass raises, or meets a non-finite
+    value (which sets a numpy flag that raises), is run again per node,
+    which raises the per-node error at the same node (or gives the same
+    non-finite values).  Nodes past the one asked for are never evaluated,
+    and at most one block is held in memory.
+
     Frame bundles (see ``_frame_jets``) are memoized on the curve per
     parameter value and screen seed order.
     """
@@ -191,6 +202,9 @@ class NullCurve:
                 f"{self.quad_step!r} needs more than {MAX_QUAD_NODES} nodes"
             )
         self._node = None  # (k, (t_k, position, tangent)): the furthest node reached
+        # numpy divides an infinite constant by zero without a flag, where the
+        # per-node step raises: a tree holding one marches per node
+        self._arrays = all(map(_finite_constants, self.components))
         self._bundles: dict = {}
         p0 = self.position_at(t0)
         index = metric_index(metric.matrix_at(p0))
@@ -245,11 +259,50 @@ class NullCurve:
         else:
             i, node = 0, (t0, self.initial, self._zeta_value(t0))
         while i < k:
-            i += 1
-            node = self._simpson(node, t0 + i * step)
+            j = min(i + QUAD_BLOCK, k)
+            node = self._block(node, i, j)
+            i = j
         if self._node is None or self._node[0] < i:
             self._node = (i, node)
         return node[1] if t == node[0] else self._simpson(node, t)[1]
+
+    def _block(self, node, i: int, j: int):
+        """Node j from ``node``, node i: on arrays, else per node."""
+        if self._arrays:
+            try:
+                return self._array_block(node, i, j)
+            except Exception:  # replayed per node, which raises its own error
+                pass
+        t0, step = self.domain[0], self.quad_step
+        for m in range(i + 1, j + 1):
+            node = self._simpson(node, t0 + m * step)
+        return node
+
+    def _array_block(self, node, i: int, j: int):
+        """The Simpson steps from ``node``, node i, to node j in one pass:
+        the tangent at node i, the later nodes and the midpoints (at node i
+        the stored tangent's bits), then the positions as a left-to-right
+        cumulative sum.
+
+        Any numpy floating-point flag raises.  With t and every constant
+        subtree finite, and the ``math`` functions raising rather than
+        returning inf, each non-finite value sets a flag."""
+        t0, step = self.domain[0], self.quad_step
+        n = j - i
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            times = np.concatenate(([node[0]], t0 + np.arange(i + 1, j + 1) * step))
+            ta, tb = times[:-1], times[1:]
+            dt = tb - ta
+            env = {"t": np.concatenate((times, ta + 0.5 * dt))}
+            z = np.empty((3, 2 * n + 1))
+            for row, comp in zip(z, self.components):
+                row[...] = exprparse._eval(comp, env)  # a constant broadcasts
+            za, zb, zm = z[:, :n], z[:, 1:n + 1], z[:, n + 1:]
+            steps = np.empty((3, n + 1))
+            steps[:, 0] = node[1]
+            steps[:, 1:] = dt * (za + 4.0 * zm + zb) / 6.0
+            pos = steps.cumsum(axis=1)[:, -1]
+        return float(tb[-1]), tuple(pos.tolist()), z[:, n].tolist()
 
     def _simpson(self, node, t: float):
         """One Simpson step from ``node`` to t, as a (t, position, tangent) node."""
@@ -264,6 +317,17 @@ class NullCurve:
     def _zeta_value(self, t: float):
         env = {"t": Jet.variable(t, 0)}
         return [const_term(eval_jet(c, env)) for c in self.components]
+
+
+def _finite_constants(node: Expr) -> bool:
+    """Whether every subtree that reads no variable, such as ``1e999`` or
+    ``1e300 * 1e300``, evaluates to a finite float."""
+    if not free_variables(node):
+        try:
+            return math.isfinite(exprparse._eval(node, {}))
+        except DomainError:
+            return False
+    return all(_finite_constants(v) for v in vars(node).values() if isinstance(v, Expr))
 
 
 # -- frame construction ---------------------------------------------------------

@@ -703,6 +703,29 @@ def test_malformed_values_are_usage_errors(tmp_path, capsys, command, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    (_with(C1_DOC, kind="surface"), "unknown document kind 'surface'"),
+    (_with(C1_DOC, curve__mode="arc"),
+     "curve.mode must be 'position' or 'tangent', got 'arc'"),
+    (_with(C1_DOC, curve__components=["t", "t"]),
+     "curve.components must be 3 expression strings"),
+    (_with(C1_DOC, curve__components="t"), "curve.components must be 3 expression strings"),
+    (_with(C1_DOC, curve__components=["t", "t", 1]),
+     "curve.components must be 3 expression strings"),
+    (_with(C1_DOC, curve__initial=[0.0, 0.0, 0.0]),
+     "curve.initial is only valid in tangent mode"),
+    (_with(C1_DOC, curve__mode="tangent"), "curve.initial is required in tangent mode"),
+], ids=["kind", "mode", "two-components", "components-string", "component-number",
+        "initial-in-position-mode", "tangent-without-initial"])
+def test_curve_document_checks_name_their_field(tmp_path, capsys, doc, message):
+    spec = _write(tmp_path, "bad.json", doc)
+    with pytest.raises(SpecError) as exc:
+        load_spec(spec)
+    assert str(exc.value) == message
+    assert run(["frame", "--spec", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("part, value, message", [
     ("intrinsic_dim", True, "'intrinsic_dim' must be an integer"),
     ("intrinsic_dim", "2", "'intrinsic_dim' must be an integer"),
@@ -770,6 +793,29 @@ def test_non_finite_synthesis_raises_no_numpy_warning(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: report value {field} is not finite\n"
+
+
+@pytest.mark.parametrize("command", ["frame", "verify"])
+@pytest.mark.parametrize("text, message", [
+    ("1 + 0*log(0.6 - t)", "log of non-positive value in 'log(0.6 - t)'"),
+    ("1/(t - 0.75)", "division by zero constant term in '1 / (t - 0.75)'"),
+    ("exp(1000*t^3)", "result overflows a float in 'exp(1000 * t^3)'"),
+], ids=["log", "zero-divisor", "overflow"])
+def test_tangent_quadrature_error_is_one_line_without_numpy_warnings(
+        tmp_path, capsys, command, text, message):
+    """The null tangent (f, 0, f) fails inside the quadrature's array block,
+    which is replayed per node: the error is the per-node one, and numpy
+    warns nothing."""
+    spec = _write(tmp_path, "q.json", _with(TANGENT_DOC, curve__components=[text, "0", text],
+                                            curve__domain=[0.0, 1.0],
+                                            curve__initial=[0.0, 0.0, 0.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--spec", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_exit_two_writes_no_report_when_a_file_cannot_be_opened(tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,3 +238,45 @@ def test_scalar_mixing():
     assert (1 - x).coeffs == (-1.0, -1.0, 0.0, 0.0)
     assert (x / 2).coeffs == (1.0, 0.5, 0.0, 0.0)
     assert (6.0 / x).coeffs[0] == pytest.approx(3.0)
+
+
+# -- float arrays: the bits of an order-0 jet at each element
+
+
+def _order0(fn, v, *args):
+    return fn(Jet((v,)), *args).coeffs[0]
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "sqrt", "sin", "cos", "sinh", "cosh"])
+def test_array_argument_is_the_order0_jet_bitwise(name):
+    """numpy's exp, log, sinh and cosh differ from libm in the last bit on
+    part of their inputs; an array maps the ``math`` function instead."""
+    fn = getattr(jets, name)
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, 4000)
+    if name in ("log", "sqrt"):
+        x = np.abs(x) + 1e-3
+    got = fn(x)
+    assert isinstance(got, np.ndarray)
+    assert [v.hex() for v in got.tolist()] == [_order0(fn, v).hex() for v in x.tolist()]
+
+
+@pytest.mark.parametrize("n", [-3, -1, 0, 1, 2, 3, 5])
+def test_array_powi_is_the_order0_jet_bitwise(n):
+    x = np.random.default_rng(6).uniform(-3.0, 3.0, 4000)
+    got = jets.powi(x, n)
+    assert [v.hex() for v in got.tolist()] == \
+        [_order0(jets.powi, v, n).hex() for v in x.tolist()]
+
+
+def test_array_errors_are_raised_not_masked():
+    """A domain error or overflow on an array raises ``math``'s error; a zero
+    divisor of a negative power follows numpy's error state."""
+    for fn, bad in ((jets.log, 0.0), (jets.sqrt, -1.0), (jets.sin, math.inf)):
+        with pytest.raises(ValueError, match="math domain error"):
+            fn(np.array([1.0, bad]))
+    for fn in (jets.exp, jets.sinh, jets.cosh):
+        with pytest.raises(OverflowError):
+            fn(np.array([1.0, 1000.0]))
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            jets.powi(np.array([1.0, 0.0]), -2)

@@ -8,6 +8,7 @@ import pytest
 
 from nullhelix import helix as hx
 from nullhelix import nullframe as nf
+from nullhelix.exprparse import eval_jet
 from nullhelix.helix import GramDriftError
 from nullhelix.jets import Jet, const_term
 from nullhelix.nullframe import (
@@ -257,6 +258,135 @@ def test_tangent_mode_quadrature_keeps_one_node(flat3):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# -- tangent-mode quadrature in array blocks, bit for bit against the per-node march
+
+
+def _node_tangent(curve, t):
+    env = {"t": Jet.variable(t, 0)}
+    return [const_term(eval_jet(c, env)) for c in curve.components]
+
+
+def _simpson_step(curve, node, t):
+    ta, pos, za = node
+    dt = t - ta
+    zm, zb = _node_tangent(curve, ta + 0.5 * dt), _node_tangent(curve, t)
+    return t, tuple(pos[i] + dt * (za[i] + 4.0 * zm[i] + zb[i]) / 6.0
+                    for i in range(3)), zb
+
+
+class _PerNodeMarch:
+    """The tangent-mode quadrature one Simpson step per node, on order-0 jets
+    through ``eval_jet``, keeping every node it reaches."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        t0 = curve.domain[0]
+        self.nodes = [(t0, curve.initial, _node_tangent(curve, t0))]
+
+    def position_at(self, t):
+        t0, step = self.curve.domain[0], self.curve.quad_step
+        k = max(0, int(math.floor((t - t0) / step)))
+        while len(self.nodes) <= k:
+            self.nodes.append(_simpson_step(self.curve, self.nodes[-1],
+                                            t0 + len(self.nodes) * step))
+        node = self.nodes[k]
+        return node[1] if t == node[0] else _simpson_step(self.curve, node, t)[1]
+
+
+# between them every function and operator of the grammar, powers n < 0,
+# n = 0 and n > 1, and a constant component; several QUAD_BLOCKs long
+GRAMMAR_TANGENTS = [
+    (["sin(t) * cosh(0.5*t) - exp(-t) / sqrt(1 + t^2)",
+      "log(2 + t)^(-2) + sinh(t) * cos(3*t)^3 - (1 + t)^0", "-0.75"],
+     (0.1, -0.2, 0.3), (0.0, 1.3), 1e-3),
+    (["-t^5 / (3 + t)", "1.5", "cos(t)^(-1) - sqrt(t + 4) * exp(t/3)"],
+     (1.0, 0.0, -1.0), (-0.4, 1.1), 7e-4),
+]
+
+
+@pytest.mark.parametrize("texts, initial, domain, quad_step", GRAMMAR_TANGENTS)
+def test_tangent_mode_block_march_is_the_per_node_march_bitwise(flat3, rng, texts,
+                                                                initial, domain, quad_step):
+    def curve():
+        return NullCurve.tangent(flat3, texts, initial, domain, quad_step=quad_step)
+
+    t0, t1 = domain
+    assert (t1 - t0) / quad_step > 3 * nf.QUAD_BLOCK
+    ks = [0, 1, nf.QUAD_BLOCK - 1, nf.QUAD_BLOCK, nf.QUAD_BLOCK + 1,
+          2 * nf.QUAD_BLOCK, 3 * nf.QUAD_BLOCK + 5]
+    on_nodes = [t0 + k * quad_step for k in ks]
+    ts = (on_nodes + [t + 0.37 * quad_step for t in on_nodes]
+          + [math.nextafter(t, t1) for t in on_nodes[1:]]
+          + [rng.uniform(t0, t1) for _ in range(16)] + [t1])
+    rng.shuffle(ts)
+    reference, marched = _PerNodeMarch(curve()), curve()
+    for t in ts:
+        expected = _bits(reference.position_at(t))
+        assert _bits(marched.position_at(t)) == expected
+        assert _bits(curve().position_at(t)) == expected
+
+
+@pytest.mark.parametrize("text, before, at, message", [
+    ("1 + 0*log(0.6 - t)", 0.55, 0.8, "log of non-positive value in 'log(0.6 - t)'"),
+    ("1/(t - 0.75)", 0.7, 0.8, "division by zero constant term in '1 / (t - 0.75)'"),
+    # numpy's 1/0 is inf, and 1/inf a finite 0: the zero divisor must raise
+    ("1/(1/(t - 0.75))", 0.7, 0.8,
+     "division by zero constant term in '1 / (t - 0.75)'"),
+    ("exp(1000*t^3)", 0.85, 0.95, "result overflows a float in 'exp(1000 * t^3)'"),
+    # numpy divides inf by zero without a flag: such a tree marches per node
+    ("1/(1e999/(t - 0.75))", 0.7, 0.8,
+     "division by zero constant term in '1e999 / (t - 0.75)'"),
+    ("1/(1e300*1e300/(t - 0.75))", 0.7, 0.8,
+     "division by zero constant term in '1e300 * 1e300 / (t - 0.75)'"),
+], ids=["log", "zero-divisor", "zero-divisor-inverted", "overflow",
+        "infinite-literal", "infinite-constant"])
+def test_tangent_mode_quadrature_errors_are_the_per_node_ones(flat3, text, before, at,
+                                                              message):
+    def curve():
+        return NullCurve.tangent(flat3, [text, "1", "0"], (0.0, 0.0, 0.0), (0.0, 1.0))
+
+    assert 750 * 1e-3 == 0.75  # the zero divisor falls on a node
+    reference, marched = _PerNodeMarch(curve()), curve()
+    assert _bits(marched.position_at(before)) == _bits(reference.position_at(before))
+    failure = ("raise", "DomainError", message)
+    assert _outcome(reference.position_at, at) == failure
+    assert _outcome(marched.position_at, at) == failure
+    assert _outcome(curve().position_at, at) == failure
+    assert _bits(marched.position_at(before)) == _bits(reference.position_at(before))
+
+
+@pytest.mark.parametrize("text", [
+    "t*1e300*1e300", "t*1e300*1e300 - t*1e300*1e300",
+    # inf only at node QUAD_BLOCK, the last of the first block: the next
+    # block evaluates that tangent again, which raises, and runs per node
+    "1e300 * (1e10 * exp(-1e8*(t - 0.256)^2))",
+], ids=["inf", "nan", "inf-at-a-block-edge"])
+def test_tangent_mode_quadrature_keeps_non_finite_nodes(flat3, text):
+    """Float arithmetic that overflows raises nothing per node: the positions
+    are the per-node march's inf and NaN."""
+    def curve():
+        return NullCurve.tangent(flat3, [text, "1", "0"], (0.0, 0.0, 0.0), (0.0, 1.0))
+
+    reference, marched = _PerNodeMarch(curve()), curve()
+    for t in (0.0, 0.5, 0.9, 1.0):
+        expected = _bits(reference.position_at(t))
+        assert _bits(marched.position_at(t)) == expected
+    assert not math.isfinite(marched.position_at(1.0)[0])
+
+
+def test_screen_vector_rejects_a_spacelike_screen():
+    euclid = Matrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ScreenSignatureError) as exc:
+        nf.screen_vector(euclid, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "at t = 0.5")
+    assert str(exc.value) == ("screen complement not timelike at t = 0.5: "
+                              "metric is not index 2")
+
+
+def test_euclid_norm_is_inf_where_a_square_overflows():
+    assert nf.euclid_norm((1e200, 1.0, 0.0)) == math.inf
+    assert nf.euclid_norm((3.0, 4.0, 0.0)) == 5.0
 
 
 def test_policy_names_roundtrip():

@@ -79,6 +79,30 @@ def test_schema_loading():
                                "extra": 1})
 
 
+@pytest.mark.parametrize("dim, rows", [
+    (3, [["1", "0", "0"], ["0", "1", "0"]]),
+    (2, [["1", "0", "0"], ["0", "1"]]),
+], ids=["too-few-rows", "ragged-row"])
+def test_entries_must_form_a_square_matrix(dim, rows):
+    with pytest.raises(ValueError) as exc:
+        MetricField.from_texts(dim, rows)
+    assert str(exc.value) == "entries must form a dim x dim matrix"
+
+
+@pytest.mark.parametrize("metric, message", [
+    ({"type": "diag", "signs": [-1, -1, 1], "entries": []},
+     "diag metric takes exactly 'type' and 'signs'"),
+    ({"type": "diag"}, "diag metric takes exactly 'type' and 'signs'"),
+    ({"type": "field", "entries": [["1"]], "signs": [1]},
+     "field metric takes exactly 'type' and 'entries'"),
+    ({"type": "field"}, "field metric takes exactly 'type' and 'entries'"),
+], ids=["diag-extra", "diag-missing", "field-extra", "field-missing"])
+def test_metric_type_key_sets(metric, message):
+    with pytest.raises(ValueError) as exc:
+        MetricField.from_dict({"dim": 3, "metric": metric})
+    assert str(exc.value) == message
+
+
 def test_christoffel_constant_metric_is_exactly_zero(flat3):
     ce = flat3.christoffel([0.3, -1.2, 9.9])
     assert all(v == 0.0 for plane in ce for row in plane for v in row)

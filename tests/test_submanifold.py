@@ -759,8 +759,62 @@ def test_transfer_through_curved_graph(graph_immersion):
     assert rep.geodesic_max > 0.1
 
 
+def test_transfer_needs_a_three_dimensional_intrinsic_chart(amb4, c1_spec):
+    surface = Immersion.from_texts(2, amb4, ["u1", "u2", "0", "0"])
+    with pytest.raises(ValueError) as exc:
+        helix_transfer(surface, c1_spec, uniform_grid(0.0, 1.0, 101), step=1e-2)
+    assert str(exc.value) == "helix transfer needs a 3-dimensional intrinsic chart"
+
+
+def test_transfer_rejects_an_induced_metric_of_index_3():
+    """diag(-1, -1, -e) is within ISOMETRY_TOL of the helix chart's
+    diag(-1, -1, e), which has index 2, for e = 2^-24; its index is 3."""
+    e, s = 2.0 ** -24, 2.0 ** -12  # s^2 = e, so every frame entry is exact
+    chart = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
+                                       ["0", "0", repr(e)]])
+    # zeta = (0, s, 1) and N = (0, -s, 1) / (2 e) are null with g(zeta, N) = 1
+    spec = hx.HelixSpec(0.0, 0.0, 0.0, (0.0, 0.0, 0.0), (0.0, s, 1.0),
+                        (0.0, -s / (2 * e), 1.0 / (2 * e)), (1.0, 0.0, 0.0),
+                        metric=chart)
+    squeezed = Immersion.from_texts(3, MetricField.diag([-1, -1, -1, 1]),
+                                    ["u1", "u2", f"{s!r}*u3", "0"])
+    with pytest.raises(ValueError) as exc:
+        helix_transfer(squeezed, spec, uniform_grid(0.0, 1.0, 101), step=1e-2)
+    assert str(exc.value) == "induced metric has index 3 along the curve, need 2"
+
+
 def test_transfer_rejects_non_isometric_chart(graph_immersion, flat3, c1_spec):
     # flat chart metric does not match the graph pullback
     with pytest.raises(ValueError, match="isometric"):
         helix_transfer(graph_immersion, c1_spec, uniform_grid(0.0, 1.0, 501),
                        step=2e-3)
+
+
+# -- input checks of the immersion and its tangent frame -------------------------
+
+
+@pytest.mark.parametrize("m, ambient, texts, message", [
+    (0, MetricField.diag([-1, 1, 1]), [], "intrinsic dimension must be 1, 2 or 3"),
+    (4, MetricField.diag([-1, -1, 1, 1]), ["u1", "u2", "u3", "u4"],
+     "intrinsic dimension must be 1, 2 or 3"),
+    (3, MetricField.from_texts(2, [["1", "0"], ["0", "1"]]), ["u1", "u2"],
+     "intrinsic dimension exceeds the ambient dimension"),
+    (2, MetricField.diag([-1, 1, 1]), ["u1", "u2"],
+     "map needs one component per ambient coordinate"),
+], ids=["zero", "four", "above-ambient", "short-map"])
+def test_immersion_dimension_checks(m, ambient, texts, message):
+    with pytest.raises(ValueError) as exc:
+        Immersion(m, ambient, [exprparse.parse(s) for s in texts])
+    assert str(exc.value) == message
+
+
+def test_null_tangent_plane_has_no_orthonormal_frame():
+    """(u1, u1, u2) in diag(-1, 1, 1) has rank-2 differential and the
+    degenerate induced metric diag(0, 1)."""
+    F = Immersion.from_texts(2, MetricField.diag([-1, 1, 1]), ["u1", "u1", "u2"])
+    for measure in (mean_curvature, null_triple):
+        with pytest.raises(sb.semimetric.DegenerateMetricError) as exc:
+            measure(F, [0.1, 0.2])
+        assert str(exc.value) == ("tangent frame cannot be orthonormalized "
+                                  "(degenerate or null pivots)")
+
