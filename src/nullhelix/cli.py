@@ -373,25 +373,30 @@ def _curve_frames(doc: SpecDocument, cfg: dict):
 # -- subcommands ------------------------------------------------------------------
 
 
+def _rows(*columns):
+    """The samples of sample-array columns, one tuple of Python values per
+    sample; a column that is a tuple of component arrays (a vector) gives
+    each sample a list."""
+    return zip(*([list(v) for v in zip(*(a.tolist() for a in c))] if isinstance(c, tuple)
+                 else c.tolist() for c in columns))
+
+
 def _cmd_frame(doc: SpecDocument, cfg: dict):
     curve, policy, frames = _curve_frames(doc, cfg)
-    rows = []
-    max_gram = 0.0
-    max_resid = 0.0
-    for fr in frames:
-        sample = nfmod.curvatures_at(curve, fr, policy)
-        r1, r2, r3 = nfmod.frenet_residuals(curve, fr, sample, policy)
-        resids = (nfmod.euclid_norm(r1), nfmod.euclid_norm(r2), nfmod.euclid_norm(r3))
-        max_gram = max(max_gram, fr.gram_residual)
-        max_resid = max(max_resid, *resids)
-        rows.append({
-            "t": fr.t, "point": list(fr.point), "zeta": list(fr.zeta),
-            "n": list(fr.n), "w": list(fr.w),
-            "h": sample.h, "k1": sample.k1, "k2": sample.k2,
-            "geodesic_type": sample.geodesic_type,
-            "null_residual": fr.null_residual, "gram_residual": fr.gram_residual,
-            "frenet_residuals": list(resids),
-        })
+    sample = nfmod.curvatures_at(curve, frames, policy)
+    resids = tuple(map(nfmod.euclid_norm,
+                       nfmod.frenet_residuals(curve, frames, sample, policy)))
+    rows = [{
+        "t": t, "point": p, "zeta": z, "n": n, "w": w, "h": h, "k1": k1, "k2": k2,
+        "geodesic_type": geo, "null_residual": null, "gram_residual": gram,
+        "frenet_residuals": r,
+    } for t, p, z, n, w, h, k1, k2, geo, null, gram, r in _rows(
+        frames.t, frames.point, frames.zeta, frames.n, frames.w, sample.h, sample.k1,
+        sample.k2, sample.geodesic_type, frames.null_residual, frames.gram_residual,
+        resids)]
+    # left-to-right maxima from 0.0, as a loop over the rows takes them
+    max_gram = max([0.0, *(row["gram_residual"] for row in rows)])
+    max_resid = max([0.0, *(r for row in rows for r in row["frenet_residuals"])])
     return rows, {
         "pass": max_gram <= cfg["gram_tol"] and max_resid <= cfg["tol"],
         "max_gram_residual": max_gram,
@@ -440,28 +445,23 @@ def _cmd_synth(doc: SpecDocument, cfg: dict):
 
 def _cmd_verify(doc: SpecDocument, cfg: dict):
     curve, policy, frames = _curve_frames(doc, cfg)
-    rows = []
-    samples = []
-    max_cubic = 0.0
-    max_dev = 0.0
-    for fr in frames:
-        sample = nfmod.curvatures_at(curve, fr, policy)
-        rep = helixmod.metric_identity_suite(curve, fr, sample, policy)
-        cubic = helixmod.cubic_identity_residual(curve, fr, sample, policy)
-        samples.append(sample)
-        max_cubic = max(max_cubic, cubic)
-        max_dev = max(max_dev, *rep.deviations)
-        rows.append({
-            "t": fr.t, "h": sample.h, "k1": sample.k1, "k2": sample.k2,
-            "cubic_residual": cubic,
-            "scalars": list(rep.scalars), "targets": list(rep.targets),
-            "deviations": list(rep.deviations),
-        })
+    sample = nfmod.curvatures_at(curve, frames, policy)
+    rep = helixmod.metric_identity_suite(curve, frames, sample, policy)
+    cubics = helixmod.cubic_identity_residual(curve, frames, sample, policy)
+    rows = [{
+        "t": t, "h": h, "k1": k1, "k2": k2, "cubic_residual": cubic,
+        "scalars": scalars, "targets": targets, "deviations": deviations,
+    } for t, h, k1, k2, cubic, scalars, targets, deviations in _rows(
+        frames.t, sample.h, sample.k1, sample.k2, cubics, rep.scalars, rep.targets,
+        rep.deviations)]
+    # left-to-right maxima from 0.0, as a loop over the rows takes them
+    max_cubic = max([0.0, *(row["cubic_residual"] for row in rows)])
+    max_dev = max([0.0, *(d for row in rows for d in row["deviations"])])
     return rows, {
         "pass": max_cubic <= cfg["tol"] and max_dev <= cfg["tol"],
         "max_cubic_residual": max_cubic,
         "max_identity_deviation": max_dev,
-        "curvature_constancy": helixmod.constancy_report(samples),
+        "curvature_constancy": helixmod.constancy_report(sample),
         "tolerances": {"cubic": cfg["tol"], "identity": cfg["tol"]},
     }
 

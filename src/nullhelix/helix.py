@@ -29,9 +29,10 @@ each sample's full- and half-step states and checks them in blocks of
 CHECK_BLOCK samples: the six Gram conditions and the err_est sum run on
 component arrays, in the order and with the bits of a check per sample, and
 errors are raised in sample order (a sample's g read, then its drift; an
-integration error after the checks of the samples before it).  Residual
-norms are always coordinate-Euclidean: the indefinite metric can annihilate
-nonzero errors and must not certify smallness.
+integration error after the checks of the samples before it).  The trace
+keeps the g read at each sample on a curved chart, and its view reads no g
+again.  Residual norms are always coordinate-Euclidean: the indefinite
+metric can annihilate nonzero errors and must not certify smallness.
 
 A trace holds float arrays, one row per sample.  Its measurements read one
 memoized decimated view (``HelixTrace.view``), a ``SampledCurve`` of
@@ -42,9 +43,10 @@ the order, of a loop over samples.  Every sampled curve's (h, k1, k2) come
 from ``SampledCurve.curvatures``, with its traced (or, in transfer, seed-built) N and W.
 
 Each identity is one function over floats, jets and sample arrays, shared by
-the jet route (curves, per sample) and the stencil route (traces, once on
-arrays, where inf and NaN propagate silently): ``cubic_factor`` and
-``cubic_residual`` for cov^3 zeta = (h^2 + 2 k1 k2) cov zeta,
+the jet route (curves, once on a frame bundle's sample arrays) and the
+stencil route (traces, once on arrays, where inf and NaN propagate
+silently): ``cubic_factor`` and ``cubic_residual`` for cov^3 zeta =
+(h^2 + 2 k1 k2) cov zeta,
 ``_identity_report`` for the four metric scalars g(cov zeta, cov zeta) =
 -k1^2, g(cov N, cov N) = -k2^2, g(cov W, cov W) = 2 k1 k2 and
 g(cov zeta, cov N) = -h^2 - k1 k2, and ``constancy_report`` for the spread of
@@ -62,8 +64,7 @@ import numpy as np
 from .jets import const_term
 from .nullframe import (CurvatureSample, NullCurve, NullFrame, ScreenPolicy, euclid_norm,
                         frame_curvatures, max_gram_residual, screen_projection,
-                        transversal, unit_screen, _aligned_frame_jets, _frame_jets,
-                        _gram_conditions)
+                        transversal, unit_screen, _on_bundle)
 from . import codegen
 from .semimetric import (DEGENERATE_ALONG, DET_TOL, DegenerateMetricError, Matrix, MetricField,
                          bilinear, connection_term)
@@ -125,6 +126,9 @@ class HelixTrace:
     ws: np.ndarray
     gram_drift: np.ndarray
     err_est: np.ndarray
+    # g read at each sample on a curved chart, stacked with the sample index
+    # last (``_stacked_g``); None on a flat one
+    g: np.ndarray | None = None
 
     def __len__(self):
         return len(self.times)
@@ -135,7 +139,8 @@ class HelixTrace:
         stride, dt = decimation(np.asarray(self.times).tolist())
         times, points, zetas, ns, ws = (np.asarray(rows, dtype=float)[::stride].T for rows in (
             self.times, self.points, self.zetas, self.ns, self.ws))
-        return SampledCurve(self.spec.metric, times, points, zetas, dt, n=ns, w=ws)
+        g = None if self.g is None else self.g[..., ::stride]
+        return SampledCurve(self.spec.metric, times, points, zetas, dt, g=g, n=ns, w=ws)
 
 
 _ZERO4 = ((0.0,) * 4,) * 4
@@ -315,24 +320,23 @@ def _drifts(g, rows):
     floats, or of arrays over the rows), as an array."""
     x = rows.T
     with np.errstate(all="ignore"):
-        conditions = _gram_conditions(g, x[3:6], x[6:9], x[9:12])
-    drift = conditions[0]
-    for b in conditions[1:]:  # Python's max, left to right
-        drift = np.where(b > drift, b, drift)
-    return drift
+        return max_gram_residual(g, x[3:6], x[6:9], x[9:12])
 
 
 def _check_block(metric: MetricField, g, block, drift_limit):
-    """``(rows, gram_drift, err_est)`` arrays of recorded samples ``(t, full,
-    half, g_t)``, with ``g_t`` the metric read at the sample on a curved chart
-    (``g`` is None) and None on a flat one; GramDriftError at the first sample
-    whose drift is not <= drift_limit (NaN included).
+    """``(rows, gram_drift, err_est, g_block)`` arrays of recorded samples
+    ``(t, full, half, g_t)``, with ``g_t`` the metric read at the sample on a
+    curved chart (``g`` is None; ``g_block`` stacks them) and None on a flat
+    one (so is ``g_block``); GramDriftError at the first sample whose drift
+    is not <= drift_limit (NaN included).
 
     ``err_est`` is sqrt(sum of (full - half)^2, component by component) / 15.
     """
     rows = np.array([full for _, full, _, _ in block])
+    g_block = None
     if g is None:
-        g = Matrix(list(_stacked_g(metric, [m for _, _, _, m in block])), metric.support)
+        g_block = _stacked_g(metric, [m for _, _, _, m in block])
+        g = Matrix(list(g_block), metric.support)
     drift = _drifts(g, rows)
     failed = ~(drift <= drift_limit)
     if failed.any():
@@ -346,7 +350,7 @@ def _check_block(metric: MetricField, g, block, drift_limit):
         total = squares[:, 0]
         for c in range(1, squares.shape[1]):
             total = total + squares[:, c]
-        return rows, drift, np.sqrt(total) / 15.0
+        return rows, drift, np.sqrt(total) / 15.0, g_block
 
 
 def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
@@ -425,10 +429,12 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
             raise
         block.append((tb, state, shadow, g_t))
     checked.append(_check_block(metric, g, block, drift_limit))
-    rows, drifts, errs = (np.concatenate(parts) for parts in zip(*checked))
+    rows, drifts, errs, g_blocks = zip(*checked)
+    rows, drifts, errs = map(np.concatenate, (rows, drifts, errs))
     return HelixTrace(
         spec=spec, times=np.array(grid), points=rows[:, 0:3], zetas=rows[:, 3:6],
         ns=rows[:, 6:9], ws=rows[:, 9:12], gram_drift=drifts, err_est=errs,
+        g=None if g is not None else np.concatenate(g_blocks, axis=-1),
     )
 
 
@@ -472,12 +478,16 @@ def _identity_report(t, g, cz, cn, cw, sample: CurvatureSample) -> IdentityRepor
 def cubic_identity_residual(curve: NullCurve, frame: NullFrame,
                             sample: CurvatureSample,
                             policy: ScreenPolicy | None = None) -> float:
-    """Euclidean norm of cov^3 zeta - (h^2 + 2 k1 k2) cov zeta at ``frame.t``,
-    from the curve's exact frame jets, with h, k1, k2 taken from ``sample``.
-    A synthesized trace takes the stencil route, ``cubic_residuals_from_trace``.
+    """Euclidean norm of cov^3 zeta - (h^2 + 2 k1 k2) cov zeta at ``frame.t``
+    (an array over a frame of sample arrays), from the curve's exact frame
+    jets, with h, k1, k2 taken from ``sample``.  A synthesized trace takes
+    the stencil route, ``cubic_residuals_from_trace``.
     """
+    return _on_bundle(curve, frame.t, policy, _cubic, sample)
+
+
+def _cubic(fj, sample: CurvatureSample):
     factor = cubic_factor(sample.h, sample.k1, sample.k2)
-    fj = _frame_jets(curve, frame.t, policy or ScreenPolicy())
     return cubic_residual(fj.cov("zeta"), fj.cov("zeta", 3), factor)
 
 
@@ -485,9 +495,12 @@ def metric_identity_suite(curve: NullCurve, frame: NullFrame,
                           sample: CurvatureSample,
                           policy: ScreenPolicy | None = None) -> IdentityReport:
     """The four frame-equation metric scalars, their targets, and deviations
-    at frame.t."""
-    policy = policy or ScreenPolicy()
-    fj, sign = _aligned_frame_jets(curve, frame, policy)
+    at frame.t (arrays over a frame of sample arrays)."""
+    return _on_bundle(curve, frame.t, policy, _identities, frame, sample)
+
+
+def _identities(fj, frame: NullFrame, sample: CurvatureSample) -> IdentityReport:
+    sign = fj.aligned(frame.w)
     cz, cn = fj.cov("zeta"), fj.cov("n")
     cw = [sign * c for c in fj.cov("w")]
     return _identity_report(frame.t, fj.gmat, cz, cn, cw, sample)
@@ -582,17 +595,22 @@ class SampledCurve:
     layer are computed once, on first use; no reference to the trace is kept.
     """
 
-    def __init__(self, metric: MetricField, times, points, zetas, dt, **fields):
+    def __init__(self, metric: MetricField, times, points, zetas, dt, g=None, **fields):
         self.metric = metric
         self.times = np.asarray(times, dtype=float)
         self.points = np.asarray(points, dtype=float)
         self.dt = dt
         self.fields = {"zeta": np.asarray(zetas, dtype=float), **fields}
+        self._read_g = g
         self._covs = {}
 
     @cached_property
     def _g(self):
-        """One ``matrix_at`` per sample, stacked with the sample index last."""
+        """g at each sample, stacked with the sample index last: ``g`` as
+        given (the one a trace read while it integrated), else one
+        ``matrix_at`` per sample."""
+        if self._read_g is not None:
+            return self._read_g
         return _stacked_g(self.metric, [self.metric.matrix_at(p)
                                         for p in self.points.T.tolist()])
 

@@ -8,7 +8,12 @@ multiplies coefficient k + 1 by k + 1.
 Coefficients are usually floats, but they may themselves be jets: nesting
 one parameter inside another is how the rest of the package obtains spatial
 partial derivatives of composed fields (a first-order jet seeded in one
-coordinate whose coefficients are jets in another parameter).  The code below
+coordinate whose coefficients are jets in another parameter).  They may also
+be float arrays over samples, one element per sample (a curve's frame bundle
+over its grid): the elementwise operations are the per-sample float ones, and
+the elementary functions map libm over the elements (``_mapped``).  A check on
+a constant term (``failing``) then fails where it fails at any sample, and
+raises PerSampleCheck, for the caller to replay per sample.  The code below
 therefore only assumes ring arithmetic on coefficients.
 
 The product is the inner loop of every curve frame, so it is written out as
@@ -37,10 +42,33 @@ from numpy import array, full_like, ndarray
 MAX_ORDER = 5
 
 
+class PerSampleCheck(Exception):
+    """A check on sample arrays fails at some sample: only a replay per sample
+    can say at which one, and with what error."""
+
+
+def failing(test) -> bool:
+    """Whether a check raises: ``test`` itself where it is a bool (one
+    sample), and for a bool array over samples False where no sample fails
+    it, else PerSampleCheck, before any message naming one sample is built."""
+    if not isinstance(test, ndarray):
+        return test
+    if test.any():
+        raise PerSampleCheck
+    return False
+
+
 class Jet:
-    """Truncated Taylor series: ``coeffs[k]`` is the k-th derivative over k!."""
+    """Truncated Taylor series: ``coeffs[k]`` is the k-th derivative over k!.
+
+    A float array is a scalar to a jet (each coefficient times the array,
+    elementwise), in either operand order: ``__array_ufunc__ = None`` makes
+    numpy hand ``array * jet`` to the jet rather than build an object array
+    of jets, one per element.
+    """
 
     __slots__ = ("coeffs",)
+    __array_ufunc__ = None
 
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
@@ -50,7 +78,7 @@ class Jet:
 
     @classmethod
     def constant(cls, value, order: int) -> "Jet":
-        zero = 0.0 if isinstance(value, (int, float)) else value * 0.0
+        zero = 0.0 if isinstance(value, (int, float, ndarray)) else value * 0.0
         return cls((value,) + (zero,) * order)
 
     @classmethod
@@ -58,8 +86,8 @@ class Jet:
         """Seed jet for an independent variable: value + 1*eps."""
         if order == 0:
             return cls((value,))
-        zero = 0.0 if isinstance(value, (int, float)) else value * 0.0
-        one = 1.0 if isinstance(value, (int, float)) else zero + 1.0
+        zero = 0.0 if isinstance(value, (int, float, ndarray)) else value * 0.0
+        one = 1.0 if isinstance(value, (int, float, ndarray)) else zero + 1.0
         return cls((value, one) + (zero,) * (order - 1))
 
     @property
@@ -85,7 +113,7 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return _new(tuple(map(_add, self.coeffs, other.coeffs)))
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float, ndarray)):
             return _new((self.coeffs[0] + other,) + self.coeffs[1:])
         return NotImplemented
 
@@ -97,7 +125,7 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             return _new(tuple(map(_sub, self.coeffs, other.coeffs)))
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float, ndarray)):
             return _new((self.coeffs[0] - other,) + self.coeffs[1:])
         return NotImplemented
 
@@ -109,7 +137,7 @@ class Jet:
             a, b = self.coeffs, other.coeffs
             na, nb = len(a), len(b)
             return _new(_MUL[na if na <= nb else nb](a, b))
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float, ndarray)):
             return _new(tuple([c * other for c in self.coeffs]))
         return NotImplemented
 
@@ -118,12 +146,12 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return _new(_div_coeffs(self.coeffs, other.coeffs))
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float, ndarray)):
             return _new(tuple([c / other for c in self.coeffs]))
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float, ndarray)):
             return Jet.constant(other, self.order) / self
         return NotImplemented
 
@@ -188,7 +216,7 @@ _MUL = (None, _mul1, _mul2, _mul3, _mul4, _mul5, _mul6)
 
 def _div_coeffs(a, b):
     b0 = b[0]
-    if const_term(b0) == 0.0:
+    if failing(const_term(b0) == 0.0):
         raise ZeroDivisionError("division by zero constant term")
     out = []
     for k in range(min(len(a), len(b))):
@@ -257,7 +285,7 @@ def log(x):
     if isinstance(x, ndarray):
         return _mapped(math.log, x)
     a = x.coeffs
-    if const_term(a[0]) <= 0.0:
+    if failing(const_term(a[0]) <= 0.0):
         raise ValueError("log of non-positive value")
     out = [log(a[0])]
     for k in range(1, len(a)):
@@ -277,9 +305,9 @@ def sqrt(x):
         return _mapped(math.sqrt, x)
     a = x.coeffs
     c0 = const_term(a[0])
-    if c0 < 0.0:
+    if failing(c0 < 0.0):
         raise ValueError("sqrt of negative value")
-    if c0 == 0.0 and len(a) > 1:
+    if len(a) > 1 and failing(c0 == 0.0):
         raise ValueError("sqrt of zero has no truncated series")
     out = [sqrt(a[0])]
     for k in range(1, len(a)):
@@ -293,10 +321,12 @@ def sqrt(x):
 def _sincos(x: Jet):
     a = x.coeffs
     a0 = a[0]
-    if isinstance(a0, Jet):
+    if type(a0) is float or not isinstance(a0, (Jet, ndarray)):
+        s0, c0 = math.sin(a0), math.cos(a0)
+    elif isinstance(a0, Jet):
         s0, c0 = _sincos(a0)
     else:
-        s0, c0 = math.sin(a0), math.cos(a0)
+        s0, c0 = _mapped(math.sin, a0), _mapped(math.cos, a0)
     s, c = [s0], [c0]
     for k in range(1, len(a)):
         accs = 1 * a[1] * c[k - 1]
@@ -312,10 +342,12 @@ def _sincos(x: Jet):
 def _sinhcosh(x: Jet):
     a = x.coeffs
     a0 = a[0]
-    if isinstance(a0, Jet):
+    if type(a0) is float or not isinstance(a0, (Jet, ndarray)):
+        s0, c0 = math.sinh(a0), math.cosh(a0)
+    elif isinstance(a0, Jet):
         s0, c0 = _sinhcosh(a0)
     else:
-        s0, c0 = math.sinh(a0), math.cosh(a0)
+        s0, c0 = _mapped(math.sinh, a0), _mapped(math.cosh, a0)
     s, c = [s0], [c0]
     for k in range(1, len(a)):
         accs = 1 * a[1] * c[k - 1]

@@ -22,28 +22,38 @@ the frame's own t-derivatives; transfer runs the seed/N and W steps on floats
 per sample, and traces run ``frame_curvatures`` once on sample arrays.  So do
 the N formula (``transversal``), the screen part of a vector
 (``screen_projection``, scaled by ``unit_screen``) and the six Gram conditions
-(``max_gram_residual``; ``_gram_conditions`` on sample arrays): the frame
-algebra ``helix`` and ``submanifold`` share.
-A single frame (``build_frame``) is a one-sample ``frame_field``.
+(``max_gram_residual``, also on sample arrays): the frame algebra ``helix``
+and ``submanifold`` share.
 Transfer's ambient frames extend the seed order with the unused axes and take
-W from the acceleration's screen part, the only W rule above dimension 3.  A
-curve keeps one frame bundle (``_FrameJets``) per t and seed order, computing
-g (``matrix_at``, on jets), the connection and each covariant derivative once.
-Each ``NullFrame`` carries its ``gram_residual`` and its ``null_residual``
-|g(zeta, zeta)|, both read off one float g at the sample's point.
+W from the acceleration's screen part, the only W rule above dimension 3.
+
+A curve's frames come from one frame bundle (``_FrameJets``) per grid and seed
+order, built with t bound to the float array of grid times, so that every jet
+coefficient is a sample array; it computes g (``matrix_at``, on jets), the
+connection and each covariant derivative once.  ``frame_field`` returns one
+``NullFrame`` of sample arrays, and ``curvatures_at``, ``frenet_residuals``
+and ``helix``'s identity suite measure it in one pass each.  Every stage runs
+on the arrays under numpy flags that raise; where it raises anything, or a
+flag, it runs again per sample through the same functions on float t
+(``_on_samples``), which raises the per-sample error at its sample, in the
+order of a loop over samples.  The same functions at one float t measure a
+single frame, ``frame_field(curve, [t])[0]``.  Each ``NullFrame`` carries its
+``gram_residual`` and its ``null_residual`` |g(zeta, zeta)|, both read off
+one float g at the sample's point.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprparse, jets, semimetric
-from .exprparse import DomainError, Expr, eval_jet, free_variables, parse
+from .exprparse import DomainError, Expr, Var, eval_jet, parse
 from .jets import Jet, const_term
-from .semimetric import MetricField, bilinear, mat_vec, metric_index
+from .semimetric import Matrix, MetricField, bilinear, mat_vec, metric_index
 
 NULL_TOL = 1e-8
 SEED_TOL = 1e-8
@@ -110,14 +120,26 @@ def _gram_conditions(g, z, n, w) -> tuple:
 
 def max_gram_residual(g, z, n, w) -> float:
     """Largest of the six Gram conditions, taken in order (so NaN only where
-    g(z, z) is NaN)."""
-    return max(_gram_conditions(g, z, n, w))
+    g(z, z) is NaN): Python's ``max``, which on sample arrays is taken left
+    to right per element."""
+    conditions = _gram_conditions(g, z, n, w)
+    if not isinstance(conditions[0], np.ndarray):
+        return max(conditions)
+    largest = conditions[0]
+    for c in conditions[1:]:
+        largest = np.where(c > largest, c, largest)
+    return largest
 
 
 @dataclass(frozen=True)
 class NullFrame:
     """Frame sample: two null directions, the unit timelike screen vector,
-    their ``max_gram_residual`` in g at the point and |g(zeta, zeta)| there."""
+    their ``max_gram_residual`` in g at the point and |g(zeta, zeta)| there.
+
+    The fields are floats at one sample, or sample arrays over a grid (as
+    ``frame_field`` gives them; a vector is then a tuple of component
+    arrays), and ``frame[i]`` is sample i's frame.
+    """
 
     t: float
     point: tuple
@@ -126,6 +148,9 @@ class NullFrame:
     w: tuple
     gram_residual: float
     null_residual: float
+
+    def __getitem__(self, i: int) -> "NullFrame":
+        return _sample(self, i)
 
 
 @dataclass(frozen=True)
@@ -171,8 +196,9 @@ class NullCurve:
     non-finite values).  Nodes past the one asked for are never evaluated,
     and at most one block is held in memory.
 
-    Frame bundles (see ``_frame_jets``) are memoized on the curve per
-    parameter value and screen seed order.
+    The curve keeps the frame bundle (see ``_frame_jets``) of the last grid
+    and screen seed order it was framed on: ``frame_field`` builds it, and
+    the measurements on its frames read it.
     """
 
     def __init__(self, metric: MetricField, mode: str, components, domain,
@@ -205,7 +231,7 @@ class NullCurve:
         # numpy divides an infinite constant by zero without a flag, where the
         # per-node step raises: a tree holding one marches per node
         self._arrays = all(map(_finite_constants, self.components))
-        self._bundles: dict = {}
+        self._bundle = None  # (grid and seed order, _FrameJets)
         p0 = self.position_at(t0)
         index = metric_index(metric.matrix_at(p0))
         if index != 2:
@@ -222,25 +248,34 @@ class NullCurve:
         return cls(metric, "tangent", comps, domain, initial=initial,
                    quad_step=quad_step)
 
-    def _check_t(self, t: float):
+    def _check_t(self, t):
+        """ValueError where t (a float, or at any sample, a float array) is
+        outside the domain or NaN."""
         t0, t1 = self.domain
-        if not (t0 - 1e-12 <= t <= t1 + 1e-12):
+        if jets.failing((t < t0 - 1e-12) | (t > t1 + 1e-12) | (t != t)):
             raise ValueError(f"parameter {t} outside curve domain [{t0}, {t1}]")
 
-    def zeta_jets(self, t: float, order: int):
+    def zeta_jets(self, t, order: int):
+        """Tangent jets at t, a float or a float array of grid times (then
+        each coefficient is a sample array, or a float shared by all)."""
         self._check_t(t)
         if self.mode == "tangent":
-            env = {"t": Jet.variable(float(t), order)}
+            env = {"t": Jet.variable(_time(t), order)}
             return [eval_jet(c, env) for c in self.components]
-        env = {"t": Jet.variable(float(t), order + 1)}
+        env = {"t": Jet.variable(_time(t), order + 1)}
         return [jets.dt(eval_jet(c, env)) for c in self.components]
 
-    def position_jets(self, t: float, order: int):
+    def position_jets(self, t, order: int):
+        """Position jets at t, a float or a float array of grid times; in
+        tangent mode the quadrature marches once through the grid times."""
         self._check_t(t)
         if self.mode == "position":
-            env = {"t": Jet.variable(float(t), order)}
+            env = {"t": Jet.variable(_time(t), order)}
             return [eval_jet(c, env) for c in self.components]
-        base = self.position_at(t)
+        if isinstance(t, np.ndarray):
+            base = np.array([self.position_at(s) for s in t.tolist()]).T
+        else:
+            base = self.position_at(t)
         zeta = self.zeta_jets(t, order - 1)
         return [jets.antiderivative(z, p) for z, p in zip(zeta, base)]
 
@@ -319,15 +354,38 @@ class NullCurve:
         return [const_term(eval_jet(c, env)) for c in self.components]
 
 
+def _time(t):
+    """t as a float, or a float array of grid times as it is."""
+    return t if isinstance(t, np.ndarray) else float(t)
+
+
 def _finite_constants(node: Expr) -> bool:
     """Whether every subtree that reads no variable, such as ``1e999`` or
-    ``1e300 * 1e300``, evaluates to a finite float."""
-    if not free_variables(node):
-        try:
-            return math.isfinite(exprparse._eval(node, {}))
-        except DomainError:
-            return False
-    return all(_finite_constants(v) for v in vars(node).values() if isinstance(v, Expr))
+    ``1e300 * 1e300``, evaluates to a finite float (each largest such
+    subtree is evaluated)."""
+    reads, finite = _scan_constants(node)
+    return finite if reads else _finite_value(node)
+
+
+def _scan_constants(node: Expr):
+    """``(reads, finite)``: whether ``node`` reads a variable, and if it
+    does, whether each largest subtree of it that reads none is finite; one
+    pass over the tree."""
+    if isinstance(node, Var):
+        return True, True
+    children = [v for v in vars(node).values() if isinstance(v, Expr)]
+    scans = [_scan_constants(c) for c in children]
+    if not any(reads for reads, _ in scans):
+        return False, None
+    return True, all(finite if reads else _finite_value(c)
+                     for c, (reads, finite) in zip(children, scans))
+
+
+def _finite_value(node: Expr) -> bool:
+    try:
+        return math.isfinite(exprparse._eval(node, {}))
+    except DomainError:
+        return False
 
 
 # -- frame construction ---------------------------------------------------------
@@ -350,10 +408,13 @@ SCREEN_TOL = 1e-18
 def null_transversal(g, zeta, seeds, where: str):
     """``(i, g.zeta, N)`` for the first seed axis e_i in ``seeds`` with
     |g(zeta, e_i)| > SEED_TOL, in any dimension; ``where`` locates the sample
-    in the error message."""
+    in the error message.  Over sample arrays, see ``_seeds_per_sample``."""
     gz = mat_vec(g, zeta)
     for idx in seeds:
-        if abs(const_term(gz[idx])) > SEED_TOL:
+        usable = abs(const_term(gz[idx])) > SEED_TOL
+        if isinstance(usable, np.ndarray):
+            return _seeds_per_sample(g, zeta, gz, seeds, where)
+        if usable:
             break
     else:
         raise NoUsableSeedError(
@@ -361,6 +422,27 @@ def null_transversal(g, zeta, seeds, where: str):
         )
     axis = [1.0 if i == idx else 0.0 for i in range(len(zeta))]
     return idx, gz, transversal(g, zeta, axis, gz[idx])
+
+
+def _seeds_per_sample(g, zeta, gz, seeds, where: str):
+    """``null_transversal`` over sample arrays: each sample takes its own
+    first usable seed.  Where that is one seed for all, i is an int and N is
+    built as at one sample; else i is an array, and the axis (entries
+    exactly 1.0 and 0.0) and phi = g(zeta, e_i) are selected per sample."""
+    usable = [abs(const_term(gz[i])) > SEED_TOL for i in seeds]
+    idx = np.select(usable, seeds, -1)
+    if jets.failing(idx == -1):
+        raise NoUsableSeedError(
+            f"no policy seed with |g(zeta, e_i)| > {SEED_TOL} {where}"
+        )
+    if (idx == idx[0]).all():
+        idx = int(idx[0])
+        axis = [1.0 if i == idx else 0.0 for i in range(len(zeta))]
+        return idx, gz, transversal(g, zeta, axis, gz[idx])
+    axis = [np.where(idx == i, 1.0, 0.0) for i in range(len(zeta))]
+    chosen = [idx == i for i in seeds]
+    phi = Jet([np.select(chosen, c) for c in zip(*(gz[i].coeffs for i in seeds))])
+    return idx, gz, transversal(g, zeta, axis, phi)
 
 
 def transversal(g, zeta, v, phi):
@@ -375,7 +457,7 @@ def screen_vector(g, gz, n_vec, where: str):
     """The 3D screen vector W: g.zeta x g.N, normalised to g(W, W) = -1."""
     w_raw = _cross(gz, mat_vec(g, n_vec))
     w2 = -bilinear(g, w_raw, w_raw)
-    if const_term(w2) <= SCREEN_TOL:
+    if jets.failing(const_term(w2) <= SCREEN_TOL):
         raise ScreenSignatureError(
             f"screen complement not timelike {where}: metric is not index 2"
         )
@@ -397,13 +479,24 @@ def unit_screen(proj, w2):
     return [c * scale for c in proj]
 
 
-def continuity_signs(ws):
-    """Per-sample signs, starting at +1, that undo W's flips between neighbours."""
+def _dot(a, b):
+    """The coordinate dot product of two vectors, summed from 0 in order."""
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _flip_signs(dots) -> list:
+    """Signs, starting at +1, that flip where a neighbours' dot product is not
+    >= 0."""
     signs = [1.0]
-    for prev, cur in zip(ws, ws[1:]):
-        dot = sum(const_term(a) * const_term(b) for a, b in zip(prev, cur))
+    for dot in dots:
         signs.append(signs[-1] if dot >= 0.0 else -signs[-1])
     return signs
+
+
+def continuity_signs(ws):
+    """Per-sample signs, starting at +1, that undo W's flips between neighbours."""
+    return _flip_signs(_dot(map(const_term, prev), map(const_term, cur))
+                       for prev, cur in zip(ws, ws[1:]))
 
 
 def first_generic_sign(values, tol: float):
@@ -418,18 +511,92 @@ def first_generic_sign(values, tol: float):
     return None
 
 
-class _FrameJets:
-    """Jet-valued frame data at one parameter value (internal).
+# -- frame bundles over sample arrays ------------------------------------------
 
-    ``w`` is the screen vector as constructed, before orientation: the bundle
-    is shared by every caller at this parameter value, so each caller carries
+
+def _sample(x, i: int):
+    """Sample i of a value over sample arrays: an array's element i as a
+    Python scalar; jets, matrices, tuples, lists, records and bundles part by
+    part; anything else (a float shared by every sample) as it is."""
+    if isinstance(x, np.ndarray):
+        return x[i].item()
+    if isinstance(x, Jet):
+        return Jet([_sample(c, i) for c in x.coeffs])
+    if isinstance(x, Matrix):
+        return Matrix([_sample(row, i) for row in x], x.support)
+    if isinstance(x, (list, tuple)):
+        return type(x)(_sample(c, i) for c in x)
+    if isinstance(x, _FrameJets):
+        return x.sample(i)
+    if dataclasses.is_dataclass(x):
+        return type(x)(*(_sample(getattr(x, f.name), i) for f in dataclasses.fields(x)))
+    return x
+
+
+def _stacked(values: list):
+    """Per-sample values of one structure as one value over sample arrays,
+    undoing ``_sample``."""
+    first = values[0]
+    if isinstance(first, Jet):
+        return Jet([_stacked(c) for c in zip(*(v.coeffs for v in values))])
+    if isinstance(first, Matrix):
+        return Matrix([_stacked(rows) for rows in zip(*values)], first.support)
+    if isinstance(first, (list, tuple)):
+        return type(first)(_stacked(c) for c in zip(*values))
+    if dataclasses.is_dataclass(first):
+        return type(first)(*(_stacked([getattr(v, f.name) for v in values])
+                             for f in dataclasses.fields(first)))
+    return np.array(values)
+
+
+def _spread(x, size: int):
+    """``x`` with each float or bool in it (one value that every sample
+    shares) made a sample array of ``size``; jets are left as they are."""
+    if isinstance(x, (float, bool)):
+        return np.full(size, x)
+    if isinstance(x, (list, tuple)):
+        return type(x)(_spread(c, size) for c in x)
+    if dataclasses.is_dataclass(x):
+        return type(x)(*(_spread(getattr(x, f.name), size) for f in dataclasses.fields(x)))
+    return x
+
+
+def _on_samples(size: int, arrays: bool, fn, *args):
+    """``fn(*args)`` over sample arrays of ``size`` samples, in one pass when
+    ``arrays`` is true.  Where that pass raises anything, or sets a numpy
+    flag, and where ``arrays`` is false, ``fn`` runs on each sample in turn
+    (``_sample`` of every argument) and the results are stacked: that run
+    raises the per-sample error at its sample.
+
+    With t and every constant subtree finite, and the ``math`` functions
+    raising rather than returning inf, each non-finite value sets a flag.
+    An underflow raises no Python error and gives IEEE's bits either way, so
+    it does not count."""
+    if arrays:
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return fn(*args)
+        except Exception:  # replayed per sample, which raises its own error
+            pass
+    return _stacked([fn(*(_sample(a, i) for a in args)) for i in range(size)])
+
+
+class _FrameJets:
+    """Jet-valued frame data of a curve (internal), at one float t or over a
+    grid: then t is the float array of grid times, and each jet coefficient
+    a sample array (or a float that every sample shares).
+
+    Each stage (``staged``) runs once over the grid's arrays, and per sample
+    where that pass fails, so an error is the per-sample one.  ``w`` is the
+    screen vector as constructed, before orientation: each caller carries
     its own orientation sign.  Flipping a jet's sign is exact, so the
     covariant derivative of the oriented W is ``sign * cov("w")``.
     """
 
-    __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "metric", "_gamma", "_covs")
+    __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "metric", "arrays", "_gamma",
+                 "_covs")
 
-    def __init__(self, t, pos, zeta, n, w, gmat, metric):
+    def __init__(self, t, pos, zeta, n, w, gmat, metric, arrays):
         self.t = t
         self.pos = pos
         self.zeta = zeta
@@ -437,8 +604,30 @@ class _FrameJets:
         self.w = w
         self.gmat = gmat
         self.metric = metric
+        self.arrays = arrays  # whether stages may run on arrays (``_on_samples``)
         self._gamma = None
         self._covs = {}
+
+    def staged(self, fn, *args):
+        """``fn(self, *args)``: directly at one t, by ``_on_samples`` over a
+        grid."""
+        if not isinstance(self.t, np.ndarray):
+            return fn(self, *args)
+        return _on_samples(len(self.t), self.arrays, fn, self, *args)
+
+    def sample(self, i: int) -> "_FrameJets":
+        """The bundle at sample i, with the connection and layers so far."""
+        fj = _FrameJets(self.t[i].item(), *(_sample(x, i) for x in (
+            self.pos, self.zeta, self.n, self.w, self.gmat)), self.metric, self.arrays)
+        fj._gamma = _sample(self._gamma, i)
+        fj._covs = {key: _sample(v, i) for key, v in self._covs.items()}
+        return fj
+
+    def gamma(self):
+        """The connection at the truncated positions, computed once."""
+        if self._gamma is None:
+            self._gamma = self.staged(_connection)
+        return self._gamma
 
     def cov(self, field: str, times: int = 1):
         """``times``-fold covariant derivative of "zeta", "n" or "w" along the
@@ -446,19 +635,16 @@ class _FrameJets:
         key = (field, times)
         out = self._covs.get(key)
         if out is None:
-            if self._gamma is None:
-                self._gamma = self.metric.christoffel(
-                    [p.truncated(p.order - 1) for p in self.pos])
             inner = getattr(self, field) if times == 1 else self.cov(field, times - 1)
-            out = self._covs[key] = semimetric.covariant_jets(
-                self.pos, inner, self.metric, self._gamma)
+            out = self._covs[key] = self.staged(_cov_layer, inner, self.gamma())
         return out
 
-    def raw_k1(self) -> float:
+    def raw_k1(self):
         """k1 of the unoriented frame."""
         return -const_term(bilinear(self.gmat, self.cov("zeta"), self.w))
 
-    def frame(self, sign: float) -> NullFrame:
+    def frame(self, sign) -> NullFrame:
+        """The frame with W times ``sign``, its residuals read off float g."""
         point = tuple(const_term(c) for c in self.pos)
         zeta = tuple(const_term(c) for c in self.zeta)
         n = tuple(const_term(c) for c in self.n)
@@ -467,99 +653,174 @@ class _FrameJets:
         return NullFrame(self.t, point, zeta, n, w, max_gram_residual(g, zeta, n, w),
                          abs(bilinear(g, zeta, zeta)))
 
+    def aligned(self, w):
+        """+1.0 or -1.0 (per sample) orienting this bundle's W like ``w``."""
+        same = _dot(map(const_term, self.w), w) >= 0.0
+        if isinstance(same, np.ndarray):
+            return np.where(same, 1.0, -1.0)
+        return 1.0 if same else -1.0
+
+
+def _connection(fj: _FrameJets):
+    return fj.metric.christoffel([p.truncated(p.order - 1) for p in fj.pos])
+
+
+def _cov_layer(fj: _FrameJets, inner, gamma):
+    return semimetric.covariant_jets(fj.pos, inner, fj.metric, gamma)
+
+
+def _signed_k1(fj: _FrameJets, sign):
+    return sign * fj.raw_k1()
+
 
 # Jet order of a bundle's positions: each covariant derivative drops one
 # order, so order 4 leaves exactly the constant term of cov^3 zeta.
 BUNDLE_ORDER = 4
 
 
-def _frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _FrameJets:
-    """The curve's frame bundle at t, built once per (t, seed order)."""
-    key = (t, policy.seeds)
-    fj = curve._bundles.get(key)
-    if fj is None:
-        fj = curve._bundles[key] = _build_frame_jets(curve, t, policy)
-    return fj
+def _frame_jets(curve: NullCurve, t, policy: ScreenPolicy) -> _FrameJets:
+    """The curve's frame bundle at t, a float or a float array of grid times;
+    the curve keeps the last one built, per (t, seed order)."""
+    key = (t.tobytes() if isinstance(t, np.ndarray) else t, policy.seeds)
+    if curve._bundle is None or curve._bundle[0] != key:
+        curve._bundle = (key, _build_frame_jets(curve, t, policy))
+    return curve._bundle[1]
 
 
-def _build_frame_jets(curve: NullCurve, t: float, policy: ScreenPolicy) -> _FrameJets:
+def _metric_trees(metric: MetricField):
+    """The entry trees of g and of its first derivatives."""
+    return (*(e for row in metric.entries for e in row), *metric._derivatives.values())
+
+
+def _build_frame_jets(curve: NullCurve, t, policy: ScreenPolicy) -> _FrameJets:
+    """The bundle at t: at a float directly, over a grid by ``_on_samples``.
+    A grid whose curve or metric holds a non-finite constant runs per sample
+    (numpy divides an infinite constant by zero without a flag)."""
+    arrays = curve._arrays and all(map(_finite_constants, _metric_trees(curve.metric)))
+    if isinstance(t, np.ndarray):
+        fields = _on_samples(len(t), arrays, lambda s: _bundle_fields(curve, s, policy), t)
+    else:
+        fields = _bundle_fields(curve, t, policy)
+    return _FrameJets(t, *fields, curve.metric, arrays)
+
+
+def _bundle_fields(curve: NullCurve, t, policy: ScreenPolicy):
+    """``(pos, zeta, N, W, g)`` jets at t, with each check on the constant
+    terms (on arrays: ``jets.failing``)."""
     order = BUNDLE_ORDER
     pos = curve.position_jets(t, order)
     zeta = [jets.dt(p) for p in pos]
     gmat = curve.metric.matrix_at([p.truncated(order - 1) for p in pos])
     zz = const_term(bilinear(gmat, zeta, zeta))
-    if abs(zz) > NULL_TOL:
+    if jets.failing(abs(zz) > NULL_TOL):
         raise NotNullError(f"g(zeta, zeta) = {zz:.3e} at t = {t}: curve not null")
-    if math.hypot(*map(const_term, zeta)) < 1e-12:
+    if jets.failing(_tangent_size(zeta) < 1e-12):
         raise ValueError(f"vanishing tangent at t = {t}")
     where = f"at t = {t}"
     _, gz, n_vec = null_transversal(gmat, zeta, policy.seed_indices(3), where)
     w_vec = screen_vector(gmat, gz, n_vec, where)
-    return _FrameJets(t, pos, zeta, n_vec, w_vec, gmat, curve.metric)
+    return pos, zeta, n_vec, w_vec, gmat
 
 
-def build_frame(curve: NullCurve, t: float,
-                policy: ScreenPolicy | None = None) -> NullFrame:
-    """Construct the frame at one parameter value (deterministic per policy)."""
-    return frame_field(curve, [t], policy)[0]
+def _tangent_size(zeta):
+    """``math.hypot`` of the tangent's constant terms, per sample on arrays."""
+    c = [const_term(z) for z in zeta]
+    if not any(isinstance(x, np.ndarray) for x in c):
+        return math.hypot(*c)
+    return np.array([math.hypot(*v)
+                     for v in zip(*(x.tolist() for x in np.broadcast_arrays(*c)))])
 
 
-def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None):
-    """Per-sample frames with sign-continuity correction along the grid; a
-    Gram residual above FRAME_TOL at any sample is a ValueError."""
+def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None) -> NullFrame:
+    """The frames at the grid times, as one ``NullFrame`` of sample arrays
+    (``frames[i]`` is sample i's), with sign-continuity correction along the
+    grid; a Gram residual above FRAME_TOL at any sample is a ValueError.
+
+    The curve's bundle over the grid is built once, and each stage runs on
+    its arrays (``_FrameJets.staged``), so errors come as a loop over
+    samples raises them: every bundle, then the orientation (k1 read as far
+    as its rule reads), the frames' float g, continuity and the Gram check.
+    """
     policy = policy or ScreenPolicy()
-    grid = list(grid)
-    if not grid:
-        return []
-    states = [_frame_jets(curve, t, policy) for t in grid]
-    signs = continuity_signs([st.w for st in states])
+    times = np.array(grid, dtype=float)
+    size = len(times)
+    if not size:
+        return NullFrame(times, (times,) * 3, (times,) * 3, (times,) * 3, (times,) * 3,
+                         times, times)
+    fj = _frame_jets(curve, times, policy)
+    w0 = _spread([const_term(c) for c in fj.w], size)
+    signs = np.array(_flip_signs(_neighbour_dots(fj, w0)))
     # global orientation: k1 >= 0 at the first generic sample, else W's first
     # significant component positive at the first sample (whose sign is +1)
-    k1s = (sign * st.raw_k1() for st, sign in zip(states, signs))
+    try:
+        k1s = _spread(fj.staged(_signed_k1, signs), size).tolist()
+    except Exception:  # read per sample, and only as far as the rule reads
+        k1s = (sign * fj.sample(i).raw_k1() for i, sign in enumerate(signs.tolist()))
     orient = (first_generic_sign(k1s, GEODESIC_K1_TOL)
-              or first_generic_sign([const_term(c) for c in states[0].w], 1e-9)
+              or first_generic_sign([_sample(c, 0) for c in w0], 1e-9)
               or 1.0)
     if orient < 0.0:
-        signs = [-sign for sign in signs]
-    frames = [st.frame(sign) for st, sign in zip(states, signs)]
-    for a, b in zip(frames, frames[1:]):
-        if sum(x * y for x, y in zip(a.w, b.w)) <= 0.0:
-            raise FrameDiscontinuityError(
-                f"screen direction jumps between t = {a.t} and t = {b.t}"
-            )
-    for fr in frames:
-        if fr.gram_residual > FRAME_TOL:
-            raise ValueError(f"frame Gram residual {fr.gram_residual:.3e} exceeds "
-                             f"{FRAME_TOL} at t = {fr.t}")
+        signs = -signs
+    frames = _spread(fj.staged(_FrameJets.frame, signs), size)
+    t, grams = times.tolist(), frames.gram_residual.tolist()
+    jumps = np.flatnonzero(np.array(_neighbour_dots(fj, frames.w)) <= 0.0)
+    if jumps.size:
+        i = int(jumps[0])
+        raise FrameDiscontinuityError(
+            f"screen direction jumps between t = {t[i]} and t = {t[i + 1]}"
+        )
+    for gram, ti in zip(grams, t):
+        if gram > FRAME_TOL:
+            raise ValueError(f"frame Gram residual {gram:.3e} exceeds {FRAME_TOL} "
+                             f"at t = {ti}")
     return frames
 
 
-def _aligned_frame_jets(curve: NullCurve, frame: NullFrame, policy: ScreenPolicy):
-    """The curve's bundle at frame.t and the sign orienting its W like frame.w."""
-    fj = _frame_jets(curve, frame.t, policy)
-    dot = sum(const_term(a) * b for a, b in zip(fj.w, frame.w))
-    return fj, (1.0 if dot >= 0.0 else -1.0)
+def _neighbour_dots(fj: _FrameJets, w) -> list:
+    """The dot products of the vector ``w`` (component arrays over the grid)
+    at neighbouring samples, in order."""
+    size = len(fj.t) - 1
+    if not size:
+        return []
+    return _on_samples(size, fj.arrays, _dot, [c[:-1] for c in w],
+                       [c[1:] for c in w]).tolist()
+
+
+def _on_bundle(curve: NullCurve, t, policy: ScreenPolicy | None, fn, *args):
+    """``fn(bundle, *args)`` on the curve's bundle at t (one float, or the
+    grid times of a frame over sample arrays) as a stage of it; over a grid,
+    each float in the result is spread over the samples."""
+    out = _frame_jets(curve, t, policy or ScreenPolicy()).staged(fn, *args)
+    return _spread(out, len(t)) if isinstance(t, np.ndarray) else out
 
 
 def curvatures_at(curve: NullCurve, frame: NullFrame,
                   policy: ScreenPolicy | None = None) -> CurvatureSample:
-    """Curvature functions (h, k1, k2) of the frame at frame.t."""
-    policy = policy or ScreenPolicy()
-    fj, sign = _aligned_frame_jets(curve, frame, policy)
+    """Curvature functions (h, k1, k2) of the frame at frame.t (arrays over
+    a frame of sample arrays)."""
+    return _on_bundle(curve, frame.t, policy, _curvatures, frame)
+
+
+def _curvatures(fj: _FrameJets, frame: NullFrame) -> CurvatureSample:
+    sign = fj.aligned(frame.w)
     return frame_curvatures(frame.t, fj.gmat, fj.cov("zeta"), fj.cov("n"), fj.n,
                             [sign * c for c in fj.w])
 
 
 def frenet_residuals(curve: NullCurve, frame: NullFrame, sample: CurvatureSample,
                      policy: ScreenPolicy | None = None):
-    """Coordinate components of the three frame-equation residuals at frame.t.
+    """Coordinate components of the three frame-equation residuals at frame.t
+    (arrays over a frame of sample arrays).
 
     The derivative terms come from the smooth policy-built frame field (a
     single frame sample cannot be differentiated); the algebraic terms use the
     given frame's vectors, so a corrupted frame shows up in the residuals.
     """
-    policy = policy or ScreenPolicy()
-    fj, sign = _aligned_frame_jets(curve, frame, policy)
+    return _on_bundle(curve, frame.t, policy, _frenet, frame, sample)
+
+
+def _frenet(fj: _FrameJets, frame: NullFrame, sample: CurvatureSample):
+    sign = fj.aligned(frame.w)
     cz, cn = fj.cov("zeta"), fj.cov("n")
     cw = [sign * c for c in fj.cov("w")]
     h, k1, k2 = sample.h, sample.k1, sample.k2
@@ -581,11 +842,13 @@ def frenet_residuals(curve: NullCurve, frame: NullFrame, sample: CurvatureSample
 def euclid_norm(vec) -> float:
     """Coordinate-Euclidean norm; inf where a squared component overflows.
     Sample arrays square by ``np.float_power``, with the bits of ``** 2``
-    (``arr ** 2`` multiplies, which can differ in the last bit)."""
+    (``arr ** 2`` multiplies, which can differ in the last bit), and give
+    each sample's float norm, so numpy's flags are ignored."""
     if isinstance(vec[0], np.ndarray):
-        squares = [np.float_power(c, 2) for c in vec]  # ** 2 raises on overflow
-        overflow = sum(np.isinf(s) & np.isfinite(c) for s, c in zip(squares, vec))
-        return np.where(overflow, math.inf, np.sqrt(sum(squares)))
+        with np.errstate(all="ignore"):
+            squares = [np.float_power(c, 2) for c in vec]  # ** 2 raises on overflow
+            overflow = sum(np.isinf(s) & np.isfinite(c) for s, c in zip(squares, vec))
+            return np.where(overflow, math.inf, np.sqrt(sum(squares)))
     try:
         return math.sqrt(sum(float(c) ** 2 for c in vec))
     except OverflowError:

@@ -15,9 +15,11 @@ derivatives in it are ``exprparse.derivative`` trees, taken once, never
 finite differences; the determinant and the adjugate inverse are
 ``mat_det`` and ``mat_inverse`` unrolled in the same association, with
 every product that has a structurally zero factor left out.  The function
-takes floats and (nested) jets alike, and so does ``matrix_at``, the one
-reader of g (frame bundles and submanifold points included), which checks
-|det g| > DET_TOL on the constant term at every point.  When the function
+takes floats and (nested) jets alike, and sample arrays (coordinates or jet
+coefficients), and so does ``matrix_at``, the one reader of g (frame bundles
+and submanifold points included), which checks |det g| > DET_TOL on the
+constant term at every point (on arrays, at every sample, by
+``jets.failing``; so does the connection).  When the function
 raises (a domain, division or overflow error), the entries and then the
 derivative trees are evaluated again with ``exprparse._eval`` at the same
 point, so the ``DomainError`` names the offending subexpression; that path
@@ -242,7 +244,7 @@ def _connection_body(code: ConnectionCode) -> list:
         *code.early,
         f"g = {code.matrix}",
         f"det = {code.det}",
-        f"if not connection or abs(jets.const_term(det)) <= {DET_TOL!r}:",
+        f"if not connection or jets.failing(abs(jets.const_term(det)) <= {DET_TOL!r}):",
         "    return g, det, None",
         *code.late,
         f"return g, det, {codegen.nested(code.gamma)}",
@@ -374,14 +376,16 @@ class MetricField:
                                 ("connection",), body, trees)
 
     def matrix_at(self, p):
-        """g at float or (nested) jet coordinates, as a ``Matrix`` carrying
-        ``support``; DegenerateMetricError where the constant term of det g is
-        within DET_TOL of zero."""
+        """g at float, (nested) jet or sample-array coordinates, as a
+        ``Matrix`` carrying ``support``; DegenerateMetricError where the
+        constant term of det g is within DET_TOL of zero (on sample arrays,
+        ``jets.failing``'s PerSampleCheck where it is at any sample)."""
         if len(p) != self.dim:
             raise ValueError(f"point has {len(p)} coordinates, chart has {self.dim}")
         g, det, _ = self._generated(
-            *[c if isinstance(c, Jet) else float(c) for c in p], False)
-        if abs(const_term(det)) <= DET_TOL:
+            *[c if type(c) is float or isinstance(c, (Jet, np.ndarray)) else float(c)
+              for c in p], False)
+        if jets.failing(abs(const_term(det)) <= DET_TOL):
             raise DegenerateMetricError(
                 f"metric degenerate at {tuple(const_term(c) for c in p)}: "
                 f"|det| = {abs(const_term(det)):.3e}"

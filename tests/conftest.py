@@ -1,11 +1,15 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from nullhelix import helix as helixmod
-from nullhelix.exprparse import FUNCTIONS, BinOp, Call, Neg, Num, Pow, Var
+from nullhelix import nullframe as nf
+from nullhelix.exprparse import FUNCTIONS, BinOp, Call, DomainError, Neg, Num, Pow, Var
+from nullhelix.jets import const_term
 from nullhelix.nullframe import (NullCurve, ScreenPolicy, continuity_signs, null_transversal,
                                  screen_vector)
 from nullhelix.semimetric import MetricField, bilinear, mat_vec
@@ -145,3 +149,133 @@ def uniform_grid(t0: float, t1: float, n: int):
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+# -- the per-sample loop that frame bundles over sample arrays must reproduce
+
+
+def reference_frames(curve: NullCurve, grid, policy=None):
+    """The frames along ``grid`` as a loop over samples builds them: one
+    bundle at each float t, then continuity, the orientation (k1 read only
+    as far as its rule reads), the frames and their checks, raising the
+    errors with their texts in that order."""
+    policy = policy or ScreenPolicy()
+    states = [nf._build_frame_jets(curve, t, policy) for t in grid]
+    signs = continuity_signs([st.w for st in states])
+    k1s = (sign * st.raw_k1() for st, sign in zip(states, signs))
+    orient = (nf.first_generic_sign(k1s, nf.GEODESIC_K1_TOL)
+              or nf.first_generic_sign([const_term(c) for c in states[0].w], 1e-9)
+              or 1.0)
+    if orient < 0.0:
+        signs = [-sign for sign in signs]
+    frames = [st.frame(sign) for st, sign in zip(states, signs)]
+    for a, b in zip(frames, frames[1:]):
+        if sum(x * y for x, y in zip(a.w, b.w)) <= 0.0:
+            raise nf.FrameDiscontinuityError(
+                f"screen direction jumps between t = {a.t} and t = {b.t}")
+    for fr in frames:
+        if fr.gram_residual > nf.FRAME_TOL:
+            raise ValueError(f"frame Gram residual {fr.gram_residual:.3e} exceeds "
+                             f"{nf.FRAME_TOL} at t = {fr.t}")
+    return frames
+
+
+def measures(curve: NullCurve, frame, policy=None):
+    """(h, k1, k2), the Frenet residuals, the identity report and the cubic
+    residual of ``frame``: one sample's, or a frame of sample arrays'."""
+    cs = nf.curvatures_at(curve, frame, policy)
+    return (cs, nf.frenet_residuals(curve, frame, cs, policy),
+            helixmod.metric_identity_suite(curve, frame, cs, policy),
+            helixmod.cubic_identity_residual(curve, frame, cs, policy))
+
+
+def reference_run(curve: NullCurve, grid, policy=None):
+    """``reference_frames`` and each frame's ``measures``, sample by sample:
+    ``frame`` and ``verify``'s loop before frame bundles took arrays."""
+    frames = reference_frames(curve, grid, policy)
+    return [(fr, *measures(curve, fr, policy)) for fr in frames]
+
+
+def array_run(curve: NullCurve, grid, policy=None):
+    """``frame_field`` and its ``measures`` over sample arrays, as sample i's
+    results for each i."""
+    frames = nf.frame_field(curve, grid, policy)
+    results = (frames, *measures(curve, frames, policy))
+    return [nf._sample(results, i) for i in range(len(grid))]
+
+
+def value_bits(value):
+    """Floats as hex (NaN equal to NaN, -0.0 apart from 0.0), bools as
+    themselves, records, tuples and lists part by part; any other type (an
+    array element not turned into a Python float) fails."""
+    if dataclasses.is_dataclass(value):
+        return [value_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return [value_bits(v) for v in value]
+    if type(value) is bool:
+        return value
+    assert type(value) is float, value
+    return value.hex()
+
+
+def outcome(fn, *args):
+    """``("ok", value_bits of fn's result)``, or ``(type, message)`` of the
+    error it raised."""
+    try:
+        return ("ok", value_bits(fn(*args)))
+    except Exception as exc:  # noqa: BLE001 - every error type is compared
+        return (type(exc), str(exc))
+
+
+# -- failures injected at one sample, per sample on floats and arrays alike
+
+
+def _bump(tm):
+    """x3 of C1 with a bump that makes zeta non-null at t = tm alone: its
+    slope there is 1.001, and 1 to within 1e-170 at 0.1 or more from tm."""
+    return f"t + 0.001*(t - {tm!r})*exp(-(100*(t - {tm!r}))^2)"
+
+
+def _where(hit, value, other):
+    return np.where(hit, value, other) if isinstance(hit, np.ndarray) else \
+        (value if hit else other)
+
+
+def inject(monkeypatch, kind: str, tm: float):
+    """The curve on which ``kind`` fails at t = tm alone (for C1's x3 = t),
+    after patching what the injection needs; the patches act per sample on
+    floats and on sample arrays alike."""
+    metric, texts = MetricField.diag([-1, -1, 1]), ["cos(t)", "sin(t)", "t"]
+    if kind == "not null":
+        texts[2] = _bump(tm)
+    elif kind == "domain":
+        texts[2] = f"t + 0*log((t - {tm!r})^2)"
+    elif kind == "degenerate":
+        f = f"(x3 - {tm!r})^2"
+        metric = MetricField.from_texts(3, [[f"-{f}", "0", "0"], ["0", f"-{f}", "0"],
+                                            ["0", "0", f]])
+    elif kind == "christoffel":
+        christoffel = MetricField.christoffel
+
+        def failing(self, coords):
+            if np.any(const_term(coords[2]) == tm):
+                raise DomainError("injected connection failure", f"x3 = {tm!r}")
+            return christoffel(self, coords)
+
+        monkeypatch.setattr(MetricField, "christoffel", failing)
+    else:
+        frame = nf._FrameJets.frame
+
+        def injected(self, sign):
+            fr = frame(self, sign)
+            hit = const_term(self.pos[2]) == tm
+            if kind == "gram":
+                return dataclasses.replace(
+                    fr, gram_residual=_where(hit, 1e-6, fr.gram_residual))
+            return dataclasses.replace(fr, w=tuple(_where(hit, -c, c) for c in fr.w))
+
+        monkeypatch.setattr(nf._FrameJets, "frame", injected)
+    return metric, texts
+
+
+INJECTED = ("not null", "domain", "degenerate", "christoffel", "gram", "discontinuity")

@@ -16,7 +16,7 @@ import pytest
 from nullhelix import helix as hx
 from nullhelix import nullframe as nf
 from nullhelix import submanifold as sb
-from nullhelix.nullframe import NullCurve, ScreenPolicy, build_frame, curvatures_at
+from nullhelix.nullframe import NullCurve, ScreenPolicy, curvatures_at, frame_field
 from nullhelix.semimetric import MetricField
 from nullhelix.submanifold import Immersion
 
@@ -56,13 +56,13 @@ def test_criterion_2_cubic_identity(flat3, c1_curve):
     start = time.perf_counter()
     worst = 0.0
     for t in uniform_grid(0.1, TWO_PI - 0.1, 12):
-        fr = build_frame(c1_curve, t)
+        fr = frame_field(c1_curve, [t])[0]
         cs = curvatures_at(c1_curve, fr)
         assert cs.h ** 2 + 2.0 * cs.k1 * cs.k2 == pytest.approx(-1.0, abs=1e-10)
         worst = max(worst, hx.cubic_identity_residual(c1_curve, fr, cs))
     nonhelix = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"],
                                  (0, 0, 0), (0.0, 3.0))
-    fr = build_frame(nonhelix, 1.0)
+    fr = frame_field(nonhelix, [1.0])[0]
     cs = curvatures_at(nonhelix, fr)
     nh = hx.cubic_identity_residual(nonhelix, fr, cs)
     elapsed = time.perf_counter() - start
@@ -78,7 +78,7 @@ def test_criterion_3_metric_identity_block(flat3, c1_curve, rng):
     start = time.perf_counter()
     worst_c1 = 0.0
     for t in uniform_grid(0.2, TWO_PI - 0.2, 10):
-        fr = build_frame(c1_curve, t)
+        fr = frame_field(c1_curve, [t])[0]
         cs = curvatures_at(c1_curve, fr)
         rep = hx.metric_identity_suite(c1_curve, fr, cs)
         assert rep.scalars == pytest.approx((-1.0, -0.25, -1.0, 0.5), abs=1e-9)
@@ -248,8 +248,8 @@ def test_criterion_8_screen_policy_independence(flat3, c1_curve, rng):
     pol_b = ScreenPolicy.from_names("e1,e3,e2")
     worst = 0.0
     for t in uniform_grid(0.0, TWO_PI, 20):
-        fa = build_frame(c1_curve, t, pol_a)
-        fb = build_frame(c1_curve, t, pol_b)
+        fa = frame_field(c1_curve, [t], pol_a)[0]
+        fb = frame_field(c1_curve, [t], pol_b)[0]
         ka = curvatures_at(c1_curve, fa, pol_a)
         kb = curvatures_at(c1_curve, fb, pol_b)
         worst = max(worst, abs(abs(ka.k1) - abs(kb.k1)))

@@ -21,7 +21,7 @@ from nullhelix.exprparse import BinOp, Var, to_text
 from nullhelix.jets import Jet
 from nullhelix.semimetric import MetricField
 
-from conftest import expr_trees, flat_null_frame
+from conftest import INJECTED, expr_trees, flat_null_frame, inject, reference_run
 
 FLAT3 = {"dim": 3, "metric": {"type": "diag", "signs": [-1, -1, 1]}}
 AMB4 = {"dim": 4, "metric": {"type": "diag", "signs": [-1, -1, 1, 1]}}
@@ -357,8 +357,9 @@ def test_csv_table_is_the_report_rows(tmp_path, command, doc, samples, header):
 
 
 def test_frame_command(monkeypatch, tmp_path):
-    """The report reads the Gram residual ``frame_field`` checked each frame
-    with: one Gram check per sample."""
+    """The report reads the Gram residual ``frame_field`` checked the frames
+    with: one Gram check over the grid's sample arrays, which gives each
+    sample the bits of a check at that sample alone."""
     calls = []
     gram = nf.max_gram_residual
 
@@ -374,20 +375,24 @@ def test_frame_command(monkeypatch, tmp_path):
     rep = json.loads(open(out).read())
     assert len(rep["rows"]) == 25
     assert rep["summary"]["max_gram_residual"] <= 1e-9
-    assert len(calls) == 25
-    assert [r["gram_residual"] for r in rep["rows"]] == [gram(*a) for a in calls]
+    assert len(calls) == 1
+    grams = [r["gram_residual"] for r in rep["rows"]]
+    assert grams == gram(*calls[0]).tolist()
+    flat = MetricField.diag([-1, -1, 1])
+    assert grams == [gram(flat.matrix_at(r["point"]), r["zeta"], r["n"], r["w"])
+                     for r in rep["rows"]]
 
 
 def test_frame_reads_float_g_once_per_sample(tmp_path, monkeypatch):
-    """Past the curve's index check at t0, ``frame --samples 25`` reads g at a
-    float point once per sample: each frame's Gram and null residuals share
-    it."""
+    """Past the curve's index check at t0, ``frame --samples 25`` reads g at
+    the samples' float points once, on their component arrays: each frame's
+    Gram and null residuals share it."""
     points = []
     matrix_at = MetricField.matrix_at
 
     def counted(self, p):
         if not any(isinstance(c, Jet) for c in p):
-            points.append(tuple(p))
+            points.append(p)
         return matrix_at(self, p)
 
     monkeypatch.setattr(MetricField, "matrix_at", counted)
@@ -396,8 +401,10 @@ def test_frame_reads_float_g_once_per_sample(tmp_path, monkeypatch):
     assert run(["frame", "--spec", spec, "--samples", "25", "--out", out]) == 0
     rows = json.loads(open(out).read())["rows"]
     assert len(rows) == 25
-    assert points[1:] == [tuple(r["point"]) for r in rows]
-    assert points[0] == points[1]  # t0 is the first sample
+    assert len(points) == 2
+    assert [list(p) for p in zip(*(c.tolist() for c in points[1]))] == \
+        [r["point"] for r in rows]
+    assert tuple(points[0]) == tuple(rows[0]["point"])  # t0 is the first sample
 
 
 def test_frame_seed_order_flag(tmp_path):
@@ -1333,3 +1340,95 @@ def test_any_immersion_block_gives_a_contract_exit_code(doc):
     if code != 2:
         report = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert report["summary"]["pass"] == (code == 0)
+
+
+# -- frame and verify over sample arrays against the per-sample loop
+
+
+def _reference_report_rows(command, doc):
+    """The rows ``command`` wrote when it looped over the samples."""
+    c = doc["curve"]
+    metric = MetricField.from_dict(doc["metric"])
+    if c["mode"] == "position":
+        curve = nf.NullCurve.position(metric, c["components"], c["domain"])
+    else:
+        curve = nf.NullCurve.tangent(metric, c["components"], c["initial"], c["domain"])
+    grid = cli._grid(curve.domain, doc.get("config", {}).get("samples", 50))
+    rows = []
+    for fr, cs, resid, rep, cubic in reference_run(curve, grid):
+        if command == "frame":
+            rows.append({
+                "t": fr.t, "point": list(fr.point), "zeta": list(fr.zeta),
+                "n": list(fr.n), "w": list(fr.w), "h": cs.h, "k1": cs.k1, "k2": cs.k2,
+                "geodesic_type": cs.geodesic_type, "null_residual": fr.null_residual,
+                "gram_residual": fr.gram_residual,
+                "frenet_residuals": [nf.euclid_norm(r) for r in resid]})
+        else:
+            rows.append({
+                "t": fr.t, "h": cs.h, "k1": cs.k1, "k2": cs.k2, "cubic_residual": cubic,
+                "scalars": list(rep.scalars), "targets": list(rep.targets),
+                "deviations": list(rep.deviations)})
+    return rows
+
+
+ARRAY_DOCS = {
+    "c1": _with(C1_DOC, {"samples": 30}),
+    "conformal": _with(C1_DOC, {"samples": 23}, metric={"dim": 3, "metric": {
+        "type": "field", "entries": [["-exp(0.3*x3)", "0", "0"], ["0", "-exp(0.3*x3)", "0"],
+                                     ["0", "0", "exp(0.3*x3)"]]}}),
+    "tangent": _with(C1_DOC, {"samples": 12}, curve={
+        "mode": "tangent", "components": ["cos(t^2)", "sin(t^2)", "1"],
+        "initial": [0, 0, 0], "domain": [0.5, 2.0]}),
+    "two samples": _with(C1_DOC, {"samples": 2}),
+}
+
+
+@pytest.mark.parametrize("command", ["frame", "verify"])
+@pytest.mark.parametrize("name", list(ARRAY_DOCS))
+def test_report_rows_are_the_per_sample_loop_rows(tmp_path, command, name):
+    doc = ARRAY_DOCS[name]
+    out = tmp_path / "rep.json"
+    assert run([command, "--spec", _write(tmp_path, "doc.json", doc),
+                "--out", str(out)]) in (0, 1)
+    report = json.loads(out.read_text())
+    want = _reference_report_rows(command, doc)
+    assert json.dumps(report["rows"], sort_keys=True) == json.dumps(want, sort_keys=True)
+    # the summary's maxima, taken row by row from 0.0 as the loop took them
+    summary = {}
+    for row in want:
+        for key, values in (("max_gram_residual", [row.get("gram_residual")]),
+                            ("max_frenet_residual", row.get("frenet_residuals", [])),
+                            ("max_cubic_residual", [row.get("cubic_residual")]),
+                            ("max_identity_deviation", row.get("deviations", []))):
+            if values and values[0] is not None:
+                summary[key] = max(summary.get(key, 0.0), *values)
+    assert {key: report["summary"][key] for key in summary} == summary
+
+
+@pytest.mark.parametrize("command", ["frame", "verify"])
+@pytest.mark.parametrize("where", [0, 5, 10])
+@pytest.mark.parametrize("kind", INJECTED)
+def test_injected_failure_exits_2_with_the_per_sample_error(
+        tmp_path, monkeypatch, capsys, command, kind, where):
+    """A failure at the first, a middle or the last of 11 samples exits 2
+    with one ``error:`` line, the text the per-sample loop raises (the curve
+    itself fails first where its own check meets t0), and no numpy warning."""
+    grid = cli._grid((0.5, 3.0), 11)
+    metric, texts = inject(monkeypatch, kind, grid[where])
+    doc = _with(C1_DOC, {"samples": 11}, curve__components=texts,
+                curve__domain=[0.5, 3.0])
+    doc["metric"] = {"dim": 3, "metric": {"type": "field", "entries": [
+        [to_text(metric.entries[i][j]) for j in range(3)] for i in range(3)]}}
+    with pytest.raises((ValueError, ArithmeticError)) as error:
+        reference_run(nf.NullCurve.position(metric, texts, (0.5, 3.0)), grid)
+    expected = f"error: {error.value}\n"
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([command, "--spec", _write(tmp_path, "doc.json", doc),
+                    "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == expected
+    assert repr(grid[where]) in expected
+    assert not out.exists()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

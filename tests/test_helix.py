@@ -22,10 +22,11 @@ from nullhelix.helix import (
     synthesize,
 )
 from nullhelix.jets import const_term
-from nullhelix.nullframe import NullCurve, build_frame, curvatures_at, frame_field
+from nullhelix.nullframe import NullCurve, curvatures_at, frame_field
 from nullhelix.semimetric import MetricField
 
-from conftest import policy_frames, random_helix_spec, uniform_grid
+from conftest import (inject, measures, outcome, policy_frames, random_helix_spec,
+                      reference_frames, uniform_grid, value_bits)
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,7 +134,7 @@ def test_roundtrip_random_specs(flat3, rng):
 
 def test_cubic_identity_on_circle_helix(c1_curve):
     for t in (0.3, 2.0, 4.7):
-        fr = build_frame(c1_curve, t)
+        fr = frame_field(c1_curve, [t])[0]
         cs = curvatures_at(c1_curve, fr)
         assert cs.h ** 2 + 2 * cs.k1 * cs.k2 == pytest.approx(-1.0, abs=1e-12)
         assert cubic_identity_residual(c1_curve, fr, cs) <= 1e-8
@@ -141,21 +142,21 @@ def test_cubic_identity_on_circle_helix(c1_curve):
 
 def test_cubic_identity_rejects_non_helix(flat3):
     c = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0), (0.0, 3.0))
-    fr = build_frame(c, 1.0)
+    fr = frame_field(c, [1.0])[0]
     cs = curvatures_at(c, fr)
     assert cubic_identity_residual(c, fr, cs) > 0.01
 
 
 def test_cubic_identity_geodesic_exact_zero(flat3):
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
-    fr = build_frame(line, 1.0)
+    fr = frame_field(line, [1.0])[0]
     cs = curvatures_at(line, fr)
     assert cubic_identity_residual(line, fr, cs) == 0.0
 
 
 def test_metric_identity_suite_circle(c1_curve):
     t = 2.2
-    fr = build_frame(c1_curve, t)
+    fr = frame_field(c1_curve, [t])[0]
     cs = curvatures_at(c1_curve, fr)
     rep = metric_identity_suite(c1_curve, fr, cs)
     assert rep.scalars == pytest.approx((-1.0, -0.25, -1.0, 0.5), abs=1e-9)
@@ -165,7 +166,7 @@ def test_metric_identity_suite_circle(c1_curve):
 
 def test_metric_identity_suite_geodesic(flat3):
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
-    fr = build_frame(line, 1.0)
+    fr = frame_field(line, [1.0])[0]
     cs = curvatures_at(line, fr)
     rep = metric_identity_suite(line, fr, cs)
     assert rep.scalars == (0.0, 0.0, 0.0, 0.0)
@@ -413,17 +414,22 @@ def _count_calls(monkeypatch, name):
 
 
 def test_one_christoffel_evaluation_per_frame_bundle(monkeypatch):
+    """One connection per bundle: over the grid's sample arrays for the
+    frames ``frame_field`` gives, at one t for a single frame."""
     curve = NullCurve.position(_conformal_metric(), ["cos(t)", "sin(t)", "t"],
                                (0.0, TWO_PI))
     calls = _count_calls(monkeypatch, "christoffel")
-    t = 0.7
-    frame = build_frame(curve, t)
-    cs = curvatures_at(curve, frame)
-    nf.frenet_residuals(curve, frame, cs)
-    metric_identity_suite(curve, frame, cs)
-    cubic_identity_residual(curve, frame, cs)
-    assert len(curve._bundles) == 1
-    assert len(calls) == 1
+    grid = uniform_grid(0.0, TWO_PI, 12)
+    frames = frame_field(curve, grid)
+    for frame, key in ((frames, np.array(grid).tobytes()), (frames[7], grid[7])):
+        cs = curvatures_at(curve, frame)
+        nf.frenet_residuals(curve, frame, cs)
+        metric_identity_suite(curve, frame, cs)
+        cubic_identity_residual(curve, frame, cs)
+        assert curve._bundle[0] == (key, nf.ScreenPolicy().seeds)
+        assert len(calls) == 1
+        assert [const_term(c) for c in calls.pop()] == \
+            [const_term(c) for c in curve._bundle[1].pos]
 
 
 def _disguised_flat():
@@ -645,10 +651,15 @@ def test_trace_view_evaluates_each_sample_once(monkeypatch):
     kept = hx.decimated_count(trace.times)
     assert len(report.t) == kept - 2 * hx.FD_RADIUS
     assert len(cubic) == kept - 6 * hx.FD_RADIUS > 0
-    for calls in (gammas, metrics):
-        points = [tuple(p) for p in calls]
-        assert 0 < len(points) <= kept
-        assert len(set(points)) == len(points)
+    points = [tuple(p) for p in gammas]
+    assert 0 < len(points) <= kept
+    assert len(set(points)) == len(points)
+    # g comes from the reads synthesize made at each sample, bit for bit
+    assert metrics == []
+    view = trace.view
+    read = [view.metric.matrix_at(p) for p in view.points.T.tolist()]
+    assert len(metrics) == kept
+    assert view._g.tobytes() == hx._stacked_g(view.metric, read).tobytes()
 
 
 def _result_bits(result):
@@ -688,7 +699,7 @@ def test_memoized_bundles_match_a_fresh_curve(flat3, conformal):
     texts = ["cos(t)", "sin(t)", "t"]
     served = NullCurve.position(metric, texts, (0.0, TWO_PI))
     frames = frame_field(served, uniform_grid(0.0, TWO_PI, 12))
-    for fr in frames[::3]:
+    for fr in (frames[i] for i in range(0, 12, 3)):
         fresh = NullCurve.position(metric, texts, (0.0, TWO_PI))
         first = _sample_results(served, fr)
         assert first == _sample_results(fresh, fr)
@@ -697,7 +708,7 @@ def test_memoized_bundles_match_a_fresh_curve(flat3, conformal):
 
 def test_flipped_frame_leaves_shared_bundle_untouched(c1_curve):
     t = 1.3
-    frame = build_frame(c1_curve, t)
+    frame = frame_field(c1_curve, [t])[0]
     before = _sample_results(c1_curve, frame)
     # the same bundle key, carried with the opposite orientation of W
     flipped = dataclasses.replace(frame, w=tuple(-c for c in frame.w))
@@ -715,7 +726,9 @@ def test_reseeded_trace_frames_match_curve_frame_jets(flat3, conformal):
     metric = _conformal_metric() if conformal else flat3
     curve = NullCurve.position(metric, ["cos(t)", "sin(t)", "t"], (0.0, TWO_PI))
     policy = nf.ScreenPolicy()
-    bundles = [nf._frame_jets(curve, t, policy) for t in uniform_grid(0.0, TWO_PI, 25)]
+    grid = np.array(uniform_grid(0.0, TWO_PI, 25))
+    bundle = nf._frame_jets(curve, grid, policy)
+    bundles = [bundle.sample(i) for i in range(len(grid))]
     points = [tuple(const_term(c) for c in fj.pos) for fj in bundles]
     zetas = [tuple(const_term(c) for c in fj.zeta) for fj in bundles]
     ns, ws = policy_frames(metric, points, zetas, policy)
@@ -1057,3 +1070,44 @@ def test_straight_line_flat_propagator_equals_the_column_loop_bitwise(flat3):
         got = hx._rk4_steps(flat3, h, k1, k2, state, dt, nsteps)
         assert _float_bits(got) == _float_bits(
             _column_loop_flat_steps(h, k1, k2, state, dt, nsteps))
+
+
+# -- the verify suite over sample arrays against the per-sample loop
+
+
+@pytest.mark.parametrize("chart", ["flat", "exp(0.4*x3)", "exp(-0.7*x3)", "tangent"])
+def test_identity_suite_on_arrays_matches_the_per_sample_loop(flat3, chart):
+    """The identity scalars, targets and deviations and the cubic residual
+    over a frame of sample arrays are, sample by sample, bitwise those of
+    the per-sample loop."""
+    if chart == "tangent":
+        curve = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0), (0.1, 3.0))
+        grid = uniform_grid(0.5, 2.0, 20)
+    else:
+        metric = flat3 if chart == "flat" else MetricField.from_texts(
+            3, [[f"-{chart}", "0", "0"], ["0", f"-{chart}", "0"], ["0", "0", chart]])
+        curve = NullCurve.position(metric, ["cos(t)", "sin(t)", "t"], (0.0, TWO_PI))
+        grid = uniform_grid(0.0, TWO_PI, 24)
+    frames = frame_field(curve, grid)
+    _, _, report, cubic = measures(curve, frames)
+    for i, fr in enumerate(reference_frames(curve, grid)):
+        _, _, want_report, want_cubic = measures(curve, fr)
+        assert value_bits(nf._sample(report, i)) == value_bits(want_report)
+        assert cubic[i].item().hex() == want_cubic.hex()
+
+
+@pytest.mark.parametrize("where", [0, 4, 8])
+def test_connection_failure_in_the_verify_suite_is_the_per_sample_error(monkeypatch, where):
+    """A connection that fails at one sample fails the suite there, with the
+    per-sample error, whichever stage first reads it."""
+    grid = uniform_grid(0.5, 3.0, 9)
+    metric, texts = inject(monkeypatch, "christoffel", grid[where])
+    curve = NullCurve.position(metric, texts, (0.0, TWO_PI))
+    error = (DomainError, f"injected connection failure in 'x3 = {grid[where]!r}'")
+    if where == 0:  # the orientation reads k1 at the first sample
+        assert outcome(frame_field, curve, grid) == error
+        return
+    frames = frame_field(curve, grid)
+    cs = nf.CurvatureSample(frames.t, *(np.full(len(grid), v) for v in (0.0, 1.0, -0.5)))
+    for suite in (metric_identity_suite, cubic_identity_residual):
+        assert outcome(suite, curve, frames, cs) == error

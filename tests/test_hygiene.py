@@ -166,10 +166,9 @@ def test_every_class_field_is_read():
 
 
 # package definitions that only tests name: nabla_B is read by acceptance
-# criterion 6, build_frame by the single-frame tests, and second_fundamental
-# and shape_operator by the tests of the forms the duality residual reads
-# from the point bundle
-TEST_ONLY = {"build_frame", "nabla_B", "second_fundamental", "shape_operator"}
+# criterion 6, and second_fundamental and shape_operator by the tests of the
+# forms the duality residual reads from the point bundle
+TEST_ONLY = {"nabla_B", "second_fundamental", "shape_operator"}
 
 
 def test_test_only_definitions_are_listed():

@@ -280,3 +280,46 @@ def test_array_errors_are_raised_not_masked():
     with np.errstate(divide="raise"):
         with pytest.raises(FloatingPointError):
             jets.powi(np.array([1.0, 0.0]), -2)
+
+
+# -- float arrays as scalars to jets
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_float_arrays_are_scalars_to_jets_in_either_order(op):
+    """``jet op array`` and ``array op jet`` give a Jet (never numpy's object
+    array of jets) whose coefficients are, element by element, bitwise the
+    float jet's with that element."""
+    apply = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+             "*": lambda a, b: a * b, "/": lambda a, b: a / b}[op]
+    rng = random.Random(f"array-scalar-{op}")
+    size = 5
+    coeffs = [np.array([rng.uniform(-2.0, 2.0) for _ in range(size)]) for _ in range(3)]
+    coeffs.append(0.75)  # a coefficient every sample shares
+    jet = Jet(coeffs)
+    array = np.array([rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)) for _ in range(size)])
+    for left, right in ((jet, array), (array, jet)):
+        out = apply(left, right)
+        assert type(out) is Jet
+        for i in range(size):
+            at_i = Jet([c[i].item() if isinstance(c, np.ndarray) else c for c in coeffs])
+            x = array[i].item()
+            want = apply(at_i, x) if left is jet else apply(x, at_i)
+            got = [c[i].item() if isinstance(c, np.ndarray) else c for c in out.coeffs]
+            assert [c.hex() for c in got] == [float(c).hex() for c in want.coeffs]
+
+
+def test_constant_term_checks_on_arrays_fail_where_any_sample_fails():
+    """On sample arrays a constant-term check raises PerSampleCheck where it
+    fails at any sample, so the caller replays per sample; it passes where
+    it fails at none."""
+    ok = Jet([np.array([1.0, 4.0]), 1.0])
+    assert [c.tolist() for c in jets.sqrt(ok).coeffs] == \
+        [[jets.sqrt(Jet([x, 1.0])).coeffs[k] for x in (1.0, 4.0)] for k in range(2)]
+    zero, negative = Jet([np.array([1.0, 0.0]), 1.0]), Jet([np.array([-1.0, 4.0]), 1.0])
+    for fn, bad in ((jets.sqrt, zero), (jets.sqrt, negative), (jets.log, zero),
+                    (jets.log, negative), (lambda j: 1.0 / j, zero)):
+        with pytest.raises(jets.PerSampleCheck):
+            fn(bad)
+    assert jets.failing(False) is False and jets.failing(True) is True
+    assert jets.failing(np.array([False, False])) is False

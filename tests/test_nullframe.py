@@ -17,14 +17,14 @@ from nullhelix.nullframe import (
     NullCurve,
     ScreenPolicy,
     ScreenSignatureError,
-    build_frame,
     curvatures_at,
     frame_field,
     frenet_residuals,
 )
 from nullhelix.semimetric import Matrix, MetricField, bilinear, mat_vec
 
-from conftest import uniform_grid
+from conftest import (INJECTED, array_run, inject, outcome, reference_frames, reference_run,
+                      uniform_grid, value_bits)
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,7 +41,7 @@ def test_null_residual_examples(flat3, c1_curve):
     for fr in frame_field(c1_curve, [0.0, 1.0, 5.5]):
         assert fr.null_residual <= 1e-12
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
-    assert build_frame(line, 2.0).null_residual <= 1e-15
+    assert frame_field(line, [2.0])[0].null_residual <= 1e-15
 
 
 def test_null_residual_matches_a_fresh_evaluation_bitwise(flat3, c1_curve):
@@ -63,7 +63,7 @@ def test_null_residual_matches_a_fresh_evaluation_bitwise(flat3, c1_curve):
 def test_c1_frame_closed_form(c1_curve):
     # hand-derived oracle: N = (sin t/2, -cos t/2, 1/2), W = (-cos t, -sin t, 0)
     for t in (0.0, 0.7, 2.9, 5.8):
-        fr = build_frame(c1_curve, t)
+        fr = frame_field(c1_curve, [t])[0]
         assert fr.n == pytest.approx((math.sin(t) / 2, -math.cos(t) / 2, 0.5), abs=1e-12)
         assert fr.w == pytest.approx((-math.cos(t), -math.sin(t), 0.0), abs=1e-12)
         assert fr.gram_residual <= 1e-9
@@ -71,7 +71,7 @@ def test_c1_frame_closed_form(c1_curve):
 
 def test_straight_null_line_frame(flat3):
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
-    fr = build_frame(line, 1.0)
+    fr = frame_field(line, [1.0])[0]
     assert fr.zeta == (1.0, 0.0, 1.0)
     assert fr.n == pytest.approx((-0.5, 0.0, 0.5))
     assert abs(fr.w[1]) == pytest.approx(1.0)  # (0, +-1, 0) by orientation rule
@@ -82,12 +82,12 @@ def test_straight_null_line_frame(flat3):
 def test_spacelike_curve_rejected(flat3):
     c = NullCurve.position(flat3, ["0", "0", "t"], (0.0, 1.0))
     with pytest.raises(NotNullError):
-        build_frame(c, 0.5)
+        frame_field(c, [0.5])[0]
 
 
 def test_c1_curvatures(c1_curve):
     for t in (0.0, 1.3, 4.4):
-        fr = build_frame(c1_curve, t)
+        fr = frame_field(c1_curve, [t])[0]
         cs = curvatures_at(c1_curve, fr)
         assert cs.h == pytest.approx(0.0, abs=1e-12)
         assert cs.k1 == pytest.approx(1.0, abs=1e-12)
@@ -97,7 +97,7 @@ def test_c1_curvatures(c1_curve):
 
 def test_geodesic_curvatures(flat3):
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
-    fr = build_frame(line, 2.0)
+    fr = frame_field(line, [2.0])[0]
     cs = curvatures_at(line, fr)
     assert (cs.h, cs.k1, cs.k2) == (0.0, 0.0, 0.0)
     assert cs.geodesic_type
@@ -106,14 +106,14 @@ def test_geodesic_curvatures(flat3):
 def test_tangent_mode_nonconstant_k1(flat3):
     c = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0), (0.0, 3.0))
     for t in (0.6, 1.0, 1.7):
-        fr = build_frame(c, t)
+        fr = frame_field(c, [t])[0]
         cs = curvatures_at(c, fr)
         assert cs.k1 == pytest.approx(2.0 * abs(t), abs=1e-9)
 
 
 def test_frenet_residuals_c1(c1_curve):
     for t in (0.0, 2.0, 5.1):
-        fr = build_frame(c1_curve, t)
+        fr = frame_field(c1_curve, [t])[0]
         cs = curvatures_at(c1_curve, fr)
         r1, r2, r3 = frenet_residuals(c1_curve, fr, cs)
         assert nf.euclid_norm(r1) <= 1e-9
@@ -124,7 +124,7 @@ def test_frenet_residuals_c1(c1_curve):
 def test_corrupted_frame_residual(c1_curve):
     """Scaling W by 2 shifts the first residual by |k1| = 1 (linearity)."""
     t = 1.0
-    fr = build_frame(c1_curve, t)
+    fr = frame_field(c1_curve, [t])[0]
     bad = dataclasses.replace(fr, w=tuple(2.0 * c for c in fr.w))
     cs = curvatures_at(c1_curve, fr)
     r1, _, _ = frenet_residuals(c1_curve, bad, cs)
@@ -133,7 +133,7 @@ def test_corrupted_frame_residual(c1_curve):
 
 def test_frame_field_c1(flat3, c1_curve):
     grid = uniform_grid(0.0, TWO_PI, 100)
-    frames = frame_field(c1_curve, grid)
+    frames = list(frame_field(c1_curve, grid))
     assert len(frames) == 100
     for fr in frames:
         assert fr.gram_residual == \
@@ -146,9 +146,10 @@ def test_frame_field_c1(flat3, c1_curve):
 
 def test_frame_field_single_and_empty(c1_curve):
     single = frame_field(c1_curve, [1.0])
-    assert len(single) == 1
-    assert single[0] == build_frame(c1_curve, 1.0)
-    assert frame_field(c1_curve, []) == []
+    assert len(single.t) == 1
+    assert list(single) == [frame_field(c1_curve, [1.0])[0]]
+    assert type(single[0].t) is float and type(single[0].w[0]) is float
+    assert list(frame_field(c1_curve, [])) == []
 
 
 def test_pairing_derivative_vanishes_along_field(flat3, c1_curve):
@@ -172,7 +173,7 @@ def test_k1_magnitude_is_screen_free(flat3, c1_curve):
     ]
     for curve in curves:
         for t in (0.5, 1.2, 2.4):
-            fr = build_frame(curve, t)
+            fr = frame_field(curve, [t])[0]
             cs = curvatures_at(curve, fr)
             pos = curve.position_jets(t, 4)
             zeta = [nf.jets.dt(p) for p in pos]
@@ -187,8 +188,8 @@ def test_screen_independence_of_k1(c1_curve):
     pol_a = ScreenPolicy.from_names("e3,e1,e2")
     pol_b = ScreenPolicy.from_names("e1,e3,e2")
     for t in (0.4, 1.9, 3.0):
-        fa = build_frame(c1_curve, t, pol_a)
-        fb = build_frame(c1_curve, t, pol_b)
+        fa = frame_field(c1_curve, [t], pol_a)[0]
+        fb = frame_field(c1_curve, [t], pol_b)[0]
         ka = curvatures_at(c1_curve, fa, pol_a)
         kb = curvatures_at(c1_curve, fb, pol_b)
         assert ka.k1 ** 2 == pytest.approx(kb.k1 ** 2, abs=1e-8)
@@ -198,7 +199,7 @@ def test_no_usable_seed(flat3):
     # tangent (1, 0, 1) is g-orthogonal to e2 only; restrict the policy to e2
     line = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 5.0))
     with pytest.raises(NoUsableSeedError):
-        build_frame(line, 1.0, ScreenPolicy(seeds=(1,)))
+        frame_field(line, [1.0], ScreenPolicy(seeds=(1,)))
 
 
 def test_wrong_signature_rejected():
@@ -212,7 +213,7 @@ def test_domain_validation(flat3):
         NullCurve.position(flat3, ["t", "0", "t"], (2.0, 1.0))
     c = NullCurve.position(flat3, ["t", "0", "t"], (0.0, 1.0))
     with pytest.raises(ValueError, match="outside curve domain"):
-        build_frame(c, 3.0)
+        frame_field(c, [3.0])[0]
     with pytest.raises(ValueError):
         NullCurve.tangent(flat3, ["1", "0", "1"], None, (0.0, 1.0))
     for quad_step in (0.0, -0.1, math.nan):
@@ -576,3 +577,174 @@ def test_null_transversal_on_jets_matches_the_inline_formula_bitwise(chart):
         zeta = [0.5, bad, 0.25]
         assert _bits(nf.null_transversal(g, zeta, (2, 0, 1), "here")) == \
             _bits(_inline_null_transversal(g, zeta, (2, 0, 1)))
+
+
+# -- frame bundles over sample arrays against the per-sample loop, bit for bit
+
+FLAT = MetricField.diag([-1, -1, 1])
+# a chart where g(zeta, e1) = (t - 1)^2 vanishes at t = 1: the e1-first policy
+# switches seed axis there, and the frames stay continuous
+OFF_DIAGONAL = MetricField.from_texts(3, [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]])
+C1_TEXTS = ["cos(t)", "sin(t)", "t"]
+
+
+def _conformal_by(e):
+    return MetricField.from_texts(3, [[f"-({e})", "0", "0"], ["0", f"-({e})", "0"],
+                                      ["0", "0", e]])
+
+
+def _conformal(c):
+    return _conformal_by(f"exp({c}*x3)")
+
+
+def _switching_curve():
+    return NullCurve.position(OFF_DIAGONAL, ["t", "(t - 1)^3/3", "(t - 1)^2/sqrt(2)"],
+                              (0.0, 2.0))
+
+
+# name -> (curve, grid, policy)
+ARRAY_CASES = {
+    "c1": lambda: (NullCurve.position(FLAT, C1_TEXTS, (0.0, TWO_PI)),
+                   uniform_grid(0.0, TWO_PI, 30), None),
+    "conformal +0.4": lambda: (NullCurve.position(_conformal(0.4), C1_TEXTS, (0.0, TWO_PI)),
+                               uniform_grid(0.0, TWO_PI, 30), None),
+    "conformal -0.7": lambda: (NullCurve.position(_conformal(-0.7), C1_TEXTS,
+                                                  (0.0, TWO_PI)),
+                               uniform_grid(0.2, 5.0, 17), None),
+    "tangent": lambda: (NullCurve.tangent(FLAT, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0),
+                                          (0.1, 3.0)), uniform_grid(0.5, 2.0, 25), None),
+    # sinh and cosh map libm over arrays, where numpy's can differ in the last bit
+    "cosh chart": lambda: (NullCurve.position(_conformal_by("cosh(0.3*x3) + sinh(0.3*x3)^2"),
+                                              C1_TEXTS, (0.0, TWO_PI)),
+                           uniform_grid(0.0, TWO_PI, 13), None),
+    "vanishing tangent": lambda: (NullCurve.position(FLAT, ["t^2", "0", "t^2"], (-1.0, 1.0)),
+                                  uniform_grid(-1.0, 1.0, 5), None),
+    "one sample": lambda: (NullCurve.position(FLAT, C1_TEXTS, (0.0, TWO_PI)), [1.0], None),
+    "two samples": lambda: (NullCurve.position(_conformal(0.4), C1_TEXTS, (0.0, TWO_PI)),
+                            [0.5, 2.5], None),
+    "seed switch": lambda: (_switching_curve(), uniform_grid(0.5, 1.5, 9),
+                            ScreenPolicy(seeds=(0, 2, 1))),
+    "seed switch jumps": lambda: (_switching_curve(), uniform_grid(0.5, 1.5, 9),
+                                  ScreenPolicy(seeds=(2, 0, 1))),
+    # products overflow: numpy flags them, so every stage runs per sample
+    "overflow": lambda: (NullCurve.position(FLAT, ["1e200*cos(t)", "1e200*sin(t)",
+                                                   "1e200*t"], (0.0, 1.0)),
+                         uniform_grid(0.0, 1.0, 5), None),
+    # an infinite constant keeps every stage per sample from the start
+    "non-finite constant": lambda: (NullCurve.position(FLAT, ["cos(t)", "sin(t)",
+                                                              "t + 0*1e999"], (0.0, 1.0)),
+                                    uniform_grid(0.0, 1.0, 5), None),
+}
+
+
+@pytest.mark.parametrize("case", list(ARRAY_CASES))
+def test_frames_and_measures_on_arrays_match_the_per_sample_loop(case):
+    """Frame rows, (h, k1, k2) and the Frenet residuals (and the identities
+    and cubic residual) of ``frame_field`` over sample arrays are, sample by
+    sample, bitwise those of the per-sample loop, or both raise one error."""
+    curve, grid, policy = ARRAY_CASES[case]()
+    got = outcome(array_run, curve, grid, policy)
+    assert got == outcome(reference_run, curve, grid, policy)
+    assert got[:1] == ("ok",) or got == {
+        "seed switch jumps": (nf.FrameDiscontinuityError,
+                              "screen direction jumps between t = 0.875 and t = 1.0"),
+        "vanishing tangent": (ValueError, "vanishing tangent at t = 0.0")}[case]
+
+
+def _jet_bits(jets_):
+    return [[float(c).hex() for c in jet.coeffs] for jet in jets_]
+
+
+@pytest.mark.parametrize("case", [c for c in ARRAY_CASES
+                                  if c not in ("non-finite constant", "vanishing tangent")])
+def test_bundle_over_a_grid_matches_the_bundles_per_t(case):
+    """zeta, N, W and the layers cov zeta, cov N, cov W and cov^3 zeta of
+    the one bundle over the grid are bitwise the per-t bundles'."""
+    curve, grid, policy = ARRAY_CASES[case]()
+    policy = policy or ScreenPolicy()
+    bundle = nf._frame_jets(curve, np.array(grid), policy)
+    layers = [("zeta", 1), ("n", 1), ("w", 1), ("zeta", 3)]
+    for i, t in enumerate(grid):
+        single = nf._build_frame_jets(curve, t, policy)
+        at_i = bundle.sample(i)
+        for a, b in ((at_i, single),):
+            assert _jet_bits(a.pos) == _jet_bits(b.pos)
+            for field in ("zeta", "n", "w"):
+                assert _jet_bits(getattr(a, field)) == _jet_bits(getattr(b, field))
+    for field, times in layers:
+        arrays = bundle.cov(field, times)
+        for i, t in enumerate(grid):
+            single = nf._build_frame_jets(curve, t, policy)
+            assert _jet_bits(nf._sample(arrays, i)) == _jet_bits(single.cov(field, times))
+
+
+def test_seed_axis_is_selected_per_sample():
+    curve, grid, policy = ARRAY_CASES["seed switch"]()
+    bundle = nf._frame_jets(curve, np.array(grid), policy)
+    idx, _, _ = nf.null_transversal(bundle.gmat, bundle.zeta, policy.seeds, "here")
+    assert idx.tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0]
+    frames = frame_field(curve, grid, policy)
+    assert [value_bits(fr) for fr in frames] == \
+        [value_bits(fr) for fr in reference_frames(curve, grid, policy)]
+
+
+@pytest.mark.parametrize("case", ["c1", "conformal +0.4", "tangent", "seed switch",
+                                  "overflow", "non-finite constant"])
+def test_each_stage_runs_once_on_arrays_unless_it_must_replay(monkeypatch, case):
+    """The bundle is built in one array pass (one ``position_jets`` call at
+    the grid times), unless a numpy flag or a non-finite constant sends it
+    per sample: then once per sample more, or once per sample only."""
+    curve, grid, policy = ARRAY_CASES[case]()
+    calls = []
+    position_jets = NullCurve.position_jets
+
+    def counted(self, t, order):
+        calls.append(t)
+        return position_jets(self, t, order)
+
+    monkeypatch.setattr(NullCurve, "position_jets", counted)
+    try:
+        array_run(curve, grid, policy)
+    except ValueError:
+        pass
+    arrays = [c for c in calls if isinstance(c, np.ndarray)]
+    floats = [c for c in calls if not isinstance(c, np.ndarray)]
+    assert len(arrays) == (0 if case == "non-finite constant" else 1)
+    assert floats == ([] if len(arrays) and case != "overflow" else grid)
+
+
+INJECTED_ERRORS = {"not null": NotNullError, "domain": nf.DomainError,
+                   "degenerate": nf.semimetric.DegenerateMetricError,
+                   "christoffel": nf.DomainError, "gram": ValueError,
+                   "discontinuity": nf.FrameDiscontinuityError}
+
+
+@pytest.mark.parametrize("where", [0, 5, 10])
+@pytest.mark.parametrize("kind", INJECTED)
+def test_injected_failure_raises_the_per_sample_error(monkeypatch, kind, where):
+    """A failure at the first, a middle or the last sample of the grid
+    raises what the per-sample loop raises: type, text and sample."""
+    grid = uniform_grid(0.5, 3.0, 11)
+    metric, texts = inject(monkeypatch, kind, grid[where])
+    curve = NullCurve.position(metric, texts, (0.0, TWO_PI))
+    got = outcome(array_run, curve, grid)
+    assert got == outcome(reference_run, curve, grid)
+    assert got[0] is INJECTED_ERRORS[kind]
+    assert repr(grid[where]) in got[1]
+
+
+@pytest.mark.parametrize("first, second", [(("christoffel", 2), ("gram", 7)),
+                                           (("christoffel", 0), ("gram", 5)),
+                                           (("christoffel", 7), ("discontinuity", 2)),
+                                           (("degenerate", 7), ("christoffel", 2)),
+                                           (("not null", 9), ("gram", 1))])
+def test_failures_of_two_stages_raise_in_the_per_sample_order(monkeypatch, first, second):
+    """Across stages the first error is the per-sample loop's: every bundle,
+    then the orientation, the frames, and only then the measurements."""
+    grid = uniform_grid(0.5, 3.0, 11)
+    metric, texts = inject(monkeypatch, first[0], grid[first[1]])
+    inject(monkeypatch, second[0], grid[second[1]])
+    curve = NullCurve.position(metric, texts, (0.0, TWO_PI))
+    got = outcome(array_run, curve, grid)
+    assert got == outcome(reference_run, curve, grid)
+    assert got[0] != "ok"
