@@ -145,7 +145,9 @@ def compiled(name: str, variables, extra, body, trees):
     An error in the body makes the function evaluate ``trees`` in order with
     ``exprparse._eval``, with ``variables`` bound to its arguments, so the
     first tree that fails raises its ``DomainError``; when none fails, the
-    original error is raised.
+    original error is raised.  Its ``arrays`` attribute tells whether it may
+    run on sample arrays: no tree holds a non-finite constant
+    (``exprparse._finite_constants``).
     """
     def replay(error, values):
         env = dict(zip(variables, values))
@@ -153,4 +155,6 @@ def compiled(name: str, variables, extra, body, trees):
             exprparse._eval(node, env)
         raise error
 
-    return function(name, (*variables, *extra), body, replay, variables)
+    fn = function(name, (*variables, *extra), body, replay, variables)
+    fn.arrays = exprparse._finite_constants(trees)
+    return fn

@@ -357,6 +357,36 @@ def _eval(node: Expr, env: dict):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _finite_constants(trees: tuple) -> bool:
+    """Whether every subtree of ``trees`` that reads no variable, such as
+    ``1e999`` or ``1e300 * 1e300``, evaluates to a finite float (each largest
+    such subtree is evaluated).  Only such trees run on sample arrays: numpy
+    divides an infinite constant by zero without a flag, where a float raises."""
+    return all(finite if reads else _finite_value(node)
+               for node, (reads, finite) in zip(trees, map(_scan_constants, trees)))
+
+
+def _scan_constants(node: Expr):
+    """``(reads, finite)``: whether ``node`` reads a variable, and if it
+    does, whether each largest subtree of it that reads none is finite; one
+    pass over the tree."""
+    if isinstance(node, Var):
+        return True, True
+    children = [v for v in vars(node).values() if isinstance(v, Expr)]
+    scans = [_scan_constants(c) for c in children]
+    if not any(reads for reads, _ in scans):
+        return False, None
+    return True, all(finite if reads else _finite_value(c)
+                     for c, (reads, finite) in zip(children, scans))
+
+
+def _finite_value(node: Expr) -> bool:
+    try:
+        return math.isfinite(_eval(node, {}))
+    except DomainError:
+        return False
+
+
 # -- symbolic first derivatives -------------------------------------------------
 
 _ZERO = Num(0.0, "0")

@@ -29,18 +29,19 @@ each sample's full- and half-step states and checks them in blocks of
 CHECK_BLOCK samples: the six Gram conditions and the err_est sum run on
 component arrays, in the order and with the bits of a check per sample, and
 errors are raised in sample order (a sample's g read, then its drift; an
-integration error after the checks of the samples before it).  The trace
-keeps the g read at each sample on a curved chart, and its view reads no g
-again.  Residual norms are always coordinate-Euclidean: the indefinite
-metric can annihilate nonzero errors and must not certify smallness.
+integration error after the checks of the samples before it).  Residual
+norms are always coordinate-Euclidean: the indefinite metric can annihilate
+nonzero errors and must not certify smallness.
 
 A trace holds float arrays, one row per sample.  Its measurements read one
 memoized decimated view (``HelixTrace.view``), a ``SampledCurve`` of
 component-major arrays (component i over all samples is one array), as do
-transfer's ambient samples.  Each covariant layer is ``fd_derivative`` plus
-``semimetric.connection_term`` on them: every element gets the operations, in
-the order, of a loop over samples.  Every sampled curve's (h, k1, k2) come
-from ``SampledCurve.curvatures``, with its traced (or, in transfer, seed-built) N and W.
+transfer's ambient samples; it reads g and the connection once each, on its
+sample arrays, and no g per sample.  Each covariant layer is
+``fd_derivative`` plus ``semimetric.connection_term`` on them: every element
+gets the operations, in the order, of a loop over samples.  Every sampled
+curve's (h, k1, k2) come from ``SampledCurve.curvatures``, with its traced
+(or, in transfer, seed-built) N and W.
 
 Each identity is one function over floats, jets and sample arrays, shared by
 the jet route (curves, once on a frame bundle's sample arrays) and the
@@ -64,7 +65,7 @@ import numpy as np
 from .jets import const_term
 from .nullframe import (CurvatureSample, NullCurve, NullFrame, ScreenPolicy, euclid_norm,
                         frame_curvatures, max_gram_residual, screen_projection,
-                        transversal, unit_screen, _on_bundle)
+                        transversal, unit_screen, _on_bundle, _on_samples, _stacked)
 from . import codegen
 from .semimetric import (DEGENERATE_ALONG, DET_TOL, DegenerateMetricError, Matrix, MetricField,
                          bilinear, connection_term)
@@ -126,9 +127,6 @@ class HelixTrace:
     ws: np.ndarray
     gram_drift: np.ndarray
     err_est: np.ndarray
-    # g read at each sample on a curved chart, stacked with the sample index
-    # last (``_stacked_g``); None on a flat one
-    g: np.ndarray | None = None
 
     def __len__(self):
         return len(self.times)
@@ -139,8 +137,7 @@ class HelixTrace:
         stride, dt = decimation(np.asarray(self.times).tolist())
         times, points, zetas, ns, ws = (np.asarray(rows, dtype=float)[::stride].T for rows in (
             self.times, self.points, self.zetas, self.ns, self.ws))
-        g = None if self.g is None else self.g[..., ::stride]
-        return SampledCurve(self.spec.metric, times, points, zetas, dt, g=g, n=ns, w=ws)
+        return SampledCurve(self.spec.metric, times, points, zetas, dt, n=ns, w=ws)
 
 
 _ZERO4 = ((0.0,) * 4,) * 4
@@ -306,15 +303,6 @@ def _project_frame(metric: MetricField, state, g=None):
     return state[0:6] + n + unit_screen(w, w2)
 
 
-def _stacked_g(metric: MetricField, mats):
-    """The matrices ``mats`` of g at successive samples, stacked with the
-    sample index last."""
-    g = np.zeros((metric.dim,) * 2 + (len(mats),))
-    for i, j in metric.support:
-        g[i, j] = [m[i][j] for m in mats]
-    return g
-
-
 def _drifts(g, rows):
     """``max_gram_residual`` of each state row's frame in g (a matrix of
     floats, or of arrays over the rows), as an array."""
@@ -323,20 +311,17 @@ def _drifts(g, rows):
         return max_gram_residual(g, x[3:6], x[6:9], x[9:12])
 
 
-def _check_block(metric: MetricField, g, block, drift_limit):
-    """``(rows, gram_drift, err_est, g_block)`` arrays of recorded samples
+def _check_block(g, block, drift_limit):
+    """``(rows, gram_drift, err_est)`` arrays of recorded samples
     ``(t, full, half, g_t)``, with ``g_t`` the metric read at the sample on a
-    curved chart (``g`` is None; ``g_block`` stacks them) and None on a flat
-    one (so is ``g_block``); GramDriftError at the first sample whose drift
-    is not <= drift_limit (NaN included).
+    curved chart (``g`` is None) and None on a flat one; GramDriftError at
+    the first sample whose drift is not <= drift_limit (NaN included).
 
     ``err_est`` is sqrt(sum of (full - half)^2, component by component) / 15.
     """
     rows = np.array([full for _, full, _, _ in block])
-    g_block = None
     if g is None:
-        g_block = _stacked_g(metric, [m for _, _, _, m in block])
-        g = Matrix(list(g_block), metric.support)
+        g = _stacked([m for _, _, _, m in block])
     drift = _drifts(g, rows)
     failed = ~(drift <= drift_limit)
     if failed.any():
@@ -350,7 +335,7 @@ def _check_block(metric: MetricField, g, block, drift_limit):
         total = squares[:, 0]
         for c in range(1, squares.shape[1]):
             total = total + squares[:, c]
-        return rows, drift, np.sqrt(total) / 15.0, g_block
+        return rows, drift, np.sqrt(total) / 15.0
 
 
 def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
@@ -405,7 +390,7 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     checked = []
     for ta, tb, nsub in zip(grid, grid[1:], nsubs):
         if len(block) == CHECK_BLOCK:
-            checked.append(_check_block(metric, g, block, drift_limit))
+            checked.append(_check_block(g, block, drift_limit))
             block = []
         try:
             dt = (tb - ta) / nsub
@@ -425,16 +410,14 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
             g_t = metric.matrix_at(state[0:3]) if g is None else None
         except Exception:
             if block:  # an earlier sample's drift failure wins
-                _check_block(metric, g, block, drift_limit)
+                _check_block(g, block, drift_limit)
             raise
         block.append((tb, state, shadow, g_t))
-    checked.append(_check_block(metric, g, block, drift_limit))
-    rows, drifts, errs, g_blocks = zip(*checked)
-    rows, drifts, errs = map(np.concatenate, (rows, drifts, errs))
+    checked.append(_check_block(g, block, drift_limit))
+    rows, drifts, errs = map(np.concatenate, zip(*checked))
     return HelixTrace(
         spec=spec, times=np.array(grid), points=rows[:, 0:3], zetas=rows[:, 3:6],
         ns=rows[:, 6:9], ws=rows[:, 9:12], gram_drift=drifts, err_est=errs,
-        g=None if g is not None else np.concatenate(g_blocks, axis=-1),
     )
 
 
@@ -583,9 +566,23 @@ def fd_derivative(values, dt):
 
 
 def _middle(x, count: int):
-    """The middle ``count`` samples on ``x``'s last axis (arrays are cut evenly)."""
+    """The middle ``count`` samples of each array in ``x``, through lists and
+    tuples (arrays are cut evenly); a float, shared by every sample, is kept."""
+    if isinstance(x, (list, tuple)):
+        return type(x)(_middle(c, count) for c in x)
+    if not isinstance(x, np.ndarray):
+        return x
     cut = (x.shape[-1] - count) // 2
     return x[..., cut:cut + count]
+
+
+def _on_points(arrays: bool, fn, points, *args):
+    """``fn(points, *args)`` at component-major sample points, by
+    ``nullframe._on_samples``: on the arrays where ``arrays`` (no tree that
+    ``fn`` evaluates holds a non-finite constant) and every point is finite,
+    as numpy gives inf or NaN without a flag where a float there raises."""
+    arrays = arrays and bool(np.isfinite(points).all())
+    return _on_samples(points.shape[-1], arrays, fn, list(points), *args)
 
 
 class SampledCurve:
@@ -593,40 +590,34 @@ class SampledCurve:
     and ``fields[key][i]`` are component i over the samples ("zeta" is the
     tangent; a field may cover fewer).  g, the connection and each covariant
     layer are computed once, on first use; no reference to the trace is kept.
+    g is one ``matrix_at`` call on every sample, and the connection one
+    ``christoffel`` call on those a covariant layer reaches (``_on_points``),
+    so an error is the one a loop over samples raises, at its sample.
     """
 
-    def __init__(self, metric: MetricField, times, points, zetas, dt, g=None, **fields):
+    def __init__(self, metric: MetricField, times, points, zetas, dt, **fields):
         self.metric = metric
         self.times = np.asarray(times, dtype=float)
         self.points = np.asarray(points, dtype=float)
         self.dt = dt
         self.fields = {"zeta": np.asarray(zetas, dtype=float), **fields}
-        self._read_g = g
         self._covs = {}
 
     @cached_property
-    def _g(self):
-        """g at each sample, stacked with the sample index last: ``g`` as
-        given (the one a trace read while it integrated), else one
-        ``matrix_at`` per sample."""
-        if self._read_g is not None:
-            return self._read_g
-        return _stacked_g(self.metric, [self.metric.matrix_at(p)
-                                        for p in self.points.T.tolist()])
+    def _g(self) -> Matrix:
+        """g at each sample."""
+        return _on_points(self.metric._generated.arrays, self.metric.matrix_at, self.points)
 
     @cached_property
     def _gamma(self):
-        """One ``christoffel`` per sample a covariant layer reaches, stacked."""
-        rows = self.points.T.tolist()
-        conns = [self.metric.christoffel(p) for p in rows[FD_RADIUS:len(rows) - FD_RADIUS]]
-        gamma = np.zeros((self.metric.dim,) * 3 + (len(conns),))
-        for k, i, j in self.metric.pattern:
-            gamma[k, i, j] = [c[k][i][j] for c in conns]
-        return gamma
+        """The connection at each sample a covariant layer reaches."""
+        reached = self.points[:, FD_RADIUS:self.points.shape[-1] - FD_RADIUS]
+        return _on_points(self.metric._generated.arrays, self.metric.christoffel, reached)
 
     def g(self, count: int) -> Matrix:
-        """g at the middle ``count`` samples, a ``Matrix`` of arrays."""
-        return Matrix(list(_middle(self._g, count)), self.metric.support)
+        """g at the middle ``count`` samples, a ``Matrix`` of arrays (or of
+        floats every sample shares)."""
+        return Matrix(_middle(list(self._g), count), self._g.support)
 
     def cov(self, key, layer: int = 1):
         """The ``layer``-fold covariant derivative of ``fields[key]`` over the
@@ -635,6 +626,9 @@ class SampledCurve:
             values = self.fields[key] if layer == 1 else self.cov(key, layer - 1)
             deriv = np.reshape(fd_derivative(values.T, self.dt), (-1, len(values))).T
             count = deriv.shape[-1]
+            if not count:  # no sample reached, so no connection read
+                self._covs[(key, layer)] = deriv
+                return deriv
             with np.errstate(all="ignore"):
                 term = connection_term(self.metric, _middle(self._gamma, count),
                                        _middle(self.fields["zeta"], count),

@@ -10,11 +10,12 @@ one parameter inside another is how the rest of the package obtains spatial
 partial derivatives of composed fields (a first-order jet seeded in one
 coordinate whose coefficients are jets in another parameter).  They may also
 be float arrays over samples, one element per sample (a curve's frame bundle
-over its grid): the elementwise operations are the per-sample float ones, and
-the elementary functions map libm over the elements (``_mapped``).  A check on
-a constant term (``failing``) then fails where it fails at any sample, and
-raises PerSampleCheck, for the caller to replay per sample.  The code below
-therefore only assumes ring arithmetic on coefficients.
+over its grid): the elementwise operations are the per-sample float ones, the
+elementary functions map libm over the elements (``_mapped``) and ``powi``
+takes each element's float ``**``.  A check on a constant term (``failing``)
+then fails where it fails at any sample, and raises PerSampleCheck, for the
+caller to replay per sample.  The code below therefore only assumes ring
+arithmetic on coefficients.
 
 The product is the inner loop of every curve frame, so it is written out as
 one kernel per coefficient count: ``_MUL[n]`` convolves the first n
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from operator import add as _add, sub as _sub
 
-from numpy import array, full_like, ndarray
+from numpy import array, ndarray
 
 MAX_ORDER = 5
 
@@ -393,14 +394,15 @@ def cosh(x):
 
 
 def powi(x, n: int):
-    """Integer power by left-to-right square-and-multiply (negative via
-    reciprocal): about 2 log2(n) products, so x^3 is (x * x) * x.  A float
-    array takes the same products and 1.0 / x^-n elementwise, the bits of an
-    order-0 jet; its zero divisors follow numpy's error state."""
+    """Integer power x^n.  A float takes Python's ``**``, and a float array
+    each element's ``**``, so an array has the bits, and raises the errors
+    (0.0 to a negative power, an overflow), of its floats.  A jet takes
+    left-to-right square-and-multiply (negative via reciprocal): about
+    2 log2(n) products, so x^3 is (x * x) * x."""
     if isinstance(x, (int, float)):
         return float(x) ** n
-    if isinstance(x, ndarray) and n <= 0:
-        return full_like(x, 1.0) if n == 0 else 1.0 / powi(x, -n)
+    if isinstance(x, ndarray):
+        return array([v ** n for v in x.tolist()], dtype=float)
     if n <= 0:
         one = _new((1.0,) + (0.0,) * x.order)
         return one if n == 0 else one / powi(x, -n)

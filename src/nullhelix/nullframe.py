@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprparse, jets, semimetric
-from .exprparse import DomainError, Expr, Var, eval_jet, parse
+from .exprparse import eval_jet, parse
 from .jets import Jet, const_term
 from .semimetric import Matrix, MetricField, bilinear, mat_vec, metric_index
 
@@ -228,9 +228,8 @@ class NullCurve:
                 f"{self.quad_step!r} needs more than {MAX_QUAD_NODES} nodes"
             )
         self._node = None  # (k, (t_k, position, tangent)): the furthest node reached
-        # numpy divides an infinite constant by zero without a flag, where the
-        # per-node step raises: a tree holding one marches per node
-        self._arrays = all(map(_finite_constants, self.components))
+        # a tree with a non-finite constant marches per node
+        self._arrays = exprparse._finite_constants(self.components)
         self._bundle = None  # (grid and seed order, _FrameJets)
         p0 = self.position_at(t0)
         index = metric_index(metric.matrix_at(p0))
@@ -316,8 +315,9 @@ class NullCurve:
     def _array_block(self, node, i: int, j: int):
         """The Simpson steps from ``node``, node i, to node j in one pass:
         the tangent at node i, the later nodes and the midpoints (at node i
-        the stored tangent's bits), then the positions as a left-to-right
-        cumulative sum.
+        the stored tangent's bits), each an order-0 jet over the node times
+        as ``_zeta_value`` takes one per node, then the positions as a
+        left-to-right cumulative sum.
 
         Any numpy floating-point flag raises.  With t and every constant
         subtree finite, and the ``math`` functions raising rather than
@@ -328,10 +328,10 @@ class NullCurve:
             times = np.concatenate(([node[0]], t0 + np.arange(i + 1, j + 1) * step))
             ta, tb = times[:-1], times[1:]
             dt = tb - ta
-            env = {"t": np.concatenate((times, ta + 0.5 * dt))}
+            env = {"t": Jet.variable(np.concatenate((times, ta + 0.5 * dt)), 0)}
             z = np.empty((3, 2 * n + 1))
             for row, comp in zip(z, self.components):
-                row[...] = exprparse._eval(comp, env)  # a constant broadcasts
+                row[...] = const_term(eval_jet(comp, env))  # a constant broadcasts
             za, zb, zm = z[:, :n], z[:, 1:n + 1], z[:, n + 1:]
             steps = np.empty((3, n + 1))
             steps[:, 0] = node[1]
@@ -357,35 +357,6 @@ class NullCurve:
 def _time(t):
     """t as a float, or a float array of grid times as it is."""
     return t if isinstance(t, np.ndarray) else float(t)
-
-
-def _finite_constants(node: Expr) -> bool:
-    """Whether every subtree that reads no variable, such as ``1e999`` or
-    ``1e300 * 1e300``, evaluates to a finite float (each largest such
-    subtree is evaluated)."""
-    reads, finite = _scan_constants(node)
-    return finite if reads else _finite_value(node)
-
-
-def _scan_constants(node: Expr):
-    """``(reads, finite)``: whether ``node`` reads a variable, and if it
-    does, whether each largest subtree of it that reads none is finite; one
-    pass over the tree."""
-    if isinstance(node, Var):
-        return True, True
-    children = [v for v in vars(node).values() if isinstance(v, Expr)]
-    scans = [_scan_constants(c) for c in children]
-    if not any(reads for reads, _ in scans):
-        return False, None
-    return True, all(finite if reads else _finite_value(c)
-                     for c, (reads, finite) in zip(children, scans))
-
-
-def _finite_value(node: Expr) -> bool:
-    try:
-        return math.isfinite(exprparse._eval(node, {}))
-    except DomainError:
-        return False
 
 
 # -- frame construction ---------------------------------------------------------
@@ -687,16 +658,11 @@ def _frame_jets(curve: NullCurve, t, policy: ScreenPolicy) -> _FrameJets:
     return curve._bundle[1]
 
 
-def _metric_trees(metric: MetricField):
-    """The entry trees of g and of its first derivatives."""
-    return (*(e for row in metric.entries for e in row), *metric._derivatives.values())
-
-
 def _build_frame_jets(curve: NullCurve, t, policy: ScreenPolicy) -> _FrameJets:
     """The bundle at t: at a float directly, over a grid by ``_on_samples``.
     A grid whose curve or metric holds a non-finite constant runs per sample
-    (numpy divides an infinite constant by zero without a flag)."""
-    arrays = curve._arrays and all(map(_finite_constants, _metric_trees(curve.metric)))
+    (``exprparse._finite_constants``)."""
+    arrays = curve._arrays and curve.metric._generated.arrays
     if isinstance(t, np.ndarray):
         fields = _on_samples(len(t), arrays, lambda s: _bundle_fields(curve, s, policy), t)
     else:

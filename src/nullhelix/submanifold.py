@@ -48,7 +48,7 @@ from .exprparse import parse
 from .jets import Jet, const_term
 from .nullframe import (CurvatureSample, ScreenPolicy, continuity_signs, euclid_norm,
                         max_gram_residual, null_transversal, screen_projection,
-                        unit_screen)
+                        unit_screen, _spread)
 from .semimetric import (Matrix, MetricField, bilinear, connection_term, mat_det,
                          mat_inverse, mat_vec)
 
@@ -608,6 +608,12 @@ class TransferReport:
     nullity_max: float
 
 
+def _pushed(u, z, F: Immersion):
+    """``(f(u), df(z))``: a point of the pushed-forward curve and its tangent."""
+    f, T = F.map_and_tangent(u)
+    return f, _push(T, z)
+
+
 def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
     """Seed-built transversal and first-normal screen direction per sample.
 
@@ -624,7 +630,8 @@ def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
     seed_order += [i for i in range(n) if i not in seed_order]
     czetas = curve.cov("zeta")
     count = czetas.shape[-1]
-    gs = np.moveaxis(np.array(curve.g(count)), -1, 0).tolist()
+    gs = np.moveaxis([[np.broadcast_to(x, count) for x in row] for row in curve.g(count)],
+                     -1, 0).tolist()
     zetas = helixmod._middle(curve.fields["zeta"], count).T.tolist()
     ns, ws = [], []
     for g, z, cand in zip(gs, zetas, czetas.T.tolist()):
@@ -682,15 +689,12 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     # the ambient frames are measured at the same decimated spacing as the
     # intrinsic trace extraction (stencil noise scales with frame/spacing)
     view = trace.view
-    points, zetas = [], []
-    for u, z in zip(view.points.T.tolist(), view.fields["zeta"].T.tolist()):
-        f, T = F.map_and_tangent(u)
-        points.append(f)
-        zetas.append(_push(T, z))
-    zeta = np.transpose(zetas)
-    curve = helixmod.SampledCurve(F.ambient, view.times, np.transpose(points), zeta, view.dt)
+    size = len(view.times)
+    points, zeta = _spread(helixmod._on_points(F._generated.arrays, _pushed, view.points,
+                                               list(view.fields["zeta"]), F), size)
+    curve = helixmod.SampledCurve(F.ambient, view.times, points, zeta, view.dt)
     with np.errstate(all="ignore"):  # g before the connection, as a degenerate g names it
-        nullity_max = max(abs(bilinear(curve.g(len(points)), zeta, zeta)).tolist())
+        nullity_max = max(abs(bilinear(curve.g(size), zeta, zeta)).tolist())
     curve.fields["n"], curve.fields["w"] = _ambient_frames(curve, policy)
     samples = curve.curvatures()
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -1432,3 +1433,80 @@ def test_injected_failure_exits_2_with_the_per_sample_error(
     assert repr(grid[where]) in expected
     assert not out.exists()
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def _transfer_view_points(samples: int):
+    """The decimated intrinsic points (rows) at which ``transfer`` pushes
+    TRANSFER_DOC's helix forward over ``samples`` grid samples."""
+    spec, frame = HELIX_DOC["helix"], HELIX_DOC["helix"]["initial_frame"]
+    helix = hx.HelixSpec(spec["h"], spec["k1"], spec["k2"], spec["initial_point"],
+                         frame["zeta"], frame["n"], frame["w"], MetricField.diag([-1, -1, 1]))
+    trace = hx.synthesize(helix, cli._grid(spec["domain"], samples), spec["step"])
+    return trace.view.points.T.tolist()
+
+
+def _transfer_injected(kind: str, u):
+    """TRANSFER_DOC with ``kind`` failing at the intrinsic point u alone, and
+    the error a loop over the pushed-forward samples raises there."""
+    x1, x2, x3 = u
+    entries = [["-1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "1", "0"],
+               ["0", "0", "0", "1"]]
+    immersion = {**TRANSFER_DOC["immersion"],
+                 "ambient": {"dim": 4, "metric": {"type": "field", "entries": entries}}}
+    if kind == "degenerate":  # |det| is 1e8 * (x3 - u3)^2, 1e4 one sample away
+        entries[3][3] = f"1e8*(x3 - {x3!r})^2"
+        error = f"metric degenerate at {(x1, x2, x3, 0.0)}: |det| = 0.000e+00"
+    elif kind == "domain":
+        immersion["map"] = ["u1", "u2", "u3", f"0*log((u3 - {x3!r})^2)"]
+        error = f"log of non-positive value in 'log((u3 - {x3!r})^2)'"
+    elif kind == "infinite map constant":  # 0 elsewhere, with a zero tangent
+        immersion["map"] = ["u1", "u2", "u3", f"1/(1e999/(u3 - {x3!r}))*0"]
+        error = f"float division by zero in '1e999 / (u3 - {x3!r})'"
+    else:  # 1 elsewhere; numpy divides its infinity by zero without a flag
+        entries[3][3] = f"1 + 1/(1e999/(x3 - {x3!r}))"
+        error = f"float division by zero in '1e999 / (x3 - {x3!r})'"
+    return {**TRANSFER_DOC, "immersion": immersion}, f"error: {error}\n"
+
+
+@pytest.mark.parametrize("where", [0, 100, 200])
+@pytest.mark.parametrize("kind", ["degenerate", "domain", "infinite map constant",
+                                  "infinite metric constant"])
+def test_transfer_failure_at_one_sample_exits_2_with_the_per_sample_error(
+        tmp_path, capsys, kind, where):
+    """A degenerate ambient metric, a domain error or an infinite constant in
+    the immersion, or an infinite constant in an ambient entry, at the first,
+    a middle or the last of 201 pushed-forward samples, exits 2 with the
+    error a loop over samples raises there, and no numpy warning.  Only the first sample is one of the
+    isometry check's, so the others fail where the pushed-forward curve
+    reads f, T and g on its sample arrays."""
+    doc, expected = _transfer_injected(kind, _transfer_view_points(1001)[where])
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["transfer", "--spec", _write(tmp_path, "doc.json", doc),
+                    "--samples", "1001", "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (2, expected)
+    assert not out.exists()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_frame_summary_reads_the_third_frenet_residual(tmp_path, monkeypatch):
+    """C1 has h = 0, so moving the frame's N moves only r3 = cov W - k2 zeta
+    - k1 N: ``frame`` then fails on r3 alone and reports its norm."""
+    frenet = nf.frenet_residuals
+
+    def moved_n(curve, frame, sample, policy=None):
+        moved = dataclasses.replace(frame, n=tuple(c + 1e-3 for c in frame.n))
+        return frenet(curve, moved, sample, policy)
+
+    monkeypatch.setattr(nf, "frenet_residuals", moved_n)
+    out = tmp_path / "rep.json"
+    assert run(["frame", "--spec", _write(tmp_path, "c1.json", C1_DOC),
+                "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    tol = report["summary"]["tolerances"]["frenet"]
+    norms = [row["frenet_residuals"] for row in report["rows"]]
+    assert max(max(r1, r2) for r1, r2, _ in norms) <= tol
+    r3 = max(r for _, _, r in norms)
+    assert r3 > tol
+    assert report["summary"]["max_frenet_residual"] == r3

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 import struct
 import warnings
 from fractions import Fraction
@@ -384,6 +385,25 @@ def test_array_stencil_keeps_non_finite_values_silent():
     assert _bits(cov.T) == _bits(_scalar_cov(curve, "zeta", 1))
 
 
+def test_sampled_curve_reads_g_per_sample_at_a_non_finite_point():
+    """numpy divides infinity by zero without a flag, where a float raises:
+    a sampled curve with an infinite point reads g and the connection per
+    sample, and raises the error a loop over samples raises."""
+    metric = _chart("1 + 1/(x3/exp(-x3))")
+    x3 = [0.5 + 0.1 * k for k in range(9)]
+    x3[4] = math.inf
+    rows = [(0.0, 0.0, x) for x in x3]
+    want = "float division by zero in 'x3 / exp(-x3)'"
+    for read in (lambda c: c.g(9), lambda c: c.cov("zeta")):
+        curve = hx.SampledCurve(metric, [0.1 * k for k in range(9)], np.transpose(rows),
+                                np.ones((3, 9)), 0.1)
+        with pytest.raises(DomainError) as error:
+            read(curve)
+        assert str(error.value) == want
+    with pytest.raises(DomainError, match=re.escape(want)):
+        [metric.matrix_at(p) for p in rows]
+
+
 def test_cubic_identity_rejects_short_trace(c1_spec):
     trace = synthesize(c1_spec, uniform_grid(0.0, 0.09, 10), step=1e-3)
     assert [len(a) for a in hx.cubic_residuals_from_trace(trace)] == [0, 0]
@@ -642,24 +662,40 @@ def _curved_c1_trace():
     return synthesize(spec, uniform_grid(0.0, 0.3, 31), step=1e-3)
 
 
-def test_trace_view_evaluates_each_sample_once(monkeypatch):
-    trace = _curved_c1_trace()
-    gammas = _count_calls(monkeypatch, "christoffel")
-    metrics = _count_calls(monkeypatch, "matrix_at")
-    report = hx.identity_reports_from_trace(trace)
-    _, cubic = hx.cubic_residuals_from_trace(trace)
-    kept = hx.decimated_count(trace.times)
-    assert len(report.t) == kept - 2 * hx.FD_RADIUS
-    assert len(cubic) == kept - 6 * hx.FD_RADIUS > 0
-    points = [tuple(p) for p in gammas]
-    assert 0 < len(points) <= kept
-    assert len(set(points)) == len(points)
-    # g comes from the reads synthesize made at each sample, bit for bit
-    assert metrics == []
-    view = trace.view
-    read = [view.metric.matrix_at(p) for p in view.points.T.tolist()]
-    assert len(metrics) == kept
-    assert view._g.tobytes() == hx._stacked_g(view.metric, read).tobytes()
+def _entry_bits(value):
+    """The bits of a float, or of each value in nested rows of floats."""
+    if isinstance(value, (list, tuple)):
+        return [_entry_bits(v) for v in value]
+    return struct.pack("<d", value)
+
+
+def test_trace_view_evaluates_each_sample_once(monkeypatch, c1_spec):
+    """A view, on a curved or a flat chart, reads g with one ``matrix_at``
+    over all its samples and the connection with one ``christoffel`` over
+    the samples a covariant layer reaches, each sample bitwise the reads
+    of a loop over samples."""
+    grid = uniform_grid(0.0, 0.3, 31)
+    for trace in (_curved_c1_trace(), synthesize(c1_spec, grid, step=1e-3)):
+        gammas = _count_calls(monkeypatch, "christoffel")
+        metrics = _count_calls(monkeypatch, "matrix_at")
+        report = hx.identity_reports_from_trace(trace)
+        _, cubic = hx.cubic_residuals_from_trace(trace)
+        kept = hx.decimated_count(trace.times)
+        assert len(report.t) == kept - 2 * hx.FD_RADIUS
+        assert len(cubic) == kept - 6 * hx.FD_RADIUS > 0
+        assert len(metrics) == len(gammas) == 1
+        view = trace.view
+        points = view.points.T.tolist()
+        reached = points[hx.FD_RADIUS:kept - hx.FD_RADIUS]
+        assert _entry_bits(np.transpose(metrics[0]).tolist()) == _entry_bits(points)
+        assert _entry_bits(np.transpose(gammas[0]).tolist()) == _entry_bits(reached)
+        for i, p in enumerate(points):
+            assert _entry_bits(nf._sample(view._g, i)) == \
+                _entry_bits(view.metric.matrix_at(p))
+        for i, p in enumerate(reached):
+            assert _entry_bits(nf._sample(view._gamma, i)) == \
+                _entry_bits(view.metric.christoffel(p))
+        monkeypatch.undo()
 
 
 def _result_bits(result):
@@ -1028,9 +1064,9 @@ def test_an_abort_integrates_at_most_one_block_past_the_failure(monkeypatch, c1_
         calls.append(args)
         return rk4(*args)
 
-    def sized(metric, g, block, drift_limit):
+    def sized(g, block, drift_limit):
         blocks.append(len(block))
-        return check(metric, g, block, drift_limit)
+        return check(g, block, drift_limit)
 
     monkeypatch.setattr(hx, "_rk4_steps", counted)
     monkeypatch.setattr(hx, "_check_block", sized)

@@ -240,11 +240,12 @@ def test_scalar_mixing():
     assert (6.0 / x).coeffs[0] == pytest.approx(3.0)
 
 
-# -- float arrays: the bits of an order-0 jet at each element
+# -- float arrays: each element with the bits of its float (for the elementary
+# functions, of an order-0 jet)
 
 
-def _order0(fn, v, *args):
-    return fn(Jet((v,)), *args).coeffs[0]
+def _order0(fn, v):
+    return fn(Jet((v,))).coeffs[0]
 
 
 @pytest.mark.parametrize("name", ["exp", "log", "sqrt", "sin", "cos", "sinh", "cosh"])
@@ -262,24 +263,35 @@ def test_array_argument_is_the_order0_jet_bitwise(name):
 
 @pytest.mark.parametrize("n", [-3, -1, 0, 1, 2, 3, 5])
 def test_array_powi_is_the_order0_jet_bitwise(n):
+    """An array takes each element's float ``**``, as a float does; a jet's
+    square-and-multiply products can differ in the last bit."""
     x = np.random.default_rng(6).uniform(-3.0, 3.0, 4000)
     got = jets.powi(x, n)
-    assert [v.hex() for v in got.tolist()] == \
-        [_order0(jets.powi, v, n).hex() for v in x.tolist()]
+    assert isinstance(got, np.ndarray) and got.dtype == float
+    assert [v.hex() for v in got.tolist()] == [(v ** n).hex() for v in x.tolist()]
+    assert [jets.powi(v, n).hex() for v in x.tolist()] == [(v ** n).hex() for v in x.tolist()]
+    edge = np.array([math.nan, math.inf, -0.0])
+    if n >= 0:
+        assert [v.hex() for v in jets.powi(edge, n).tolist()] == \
+            [(v ** n).hex() for v in edge.tolist()]
 
 
 def test_array_errors_are_raised_not_masked():
-    """A domain error or overflow on an array raises ``math``'s error; a zero
-    divisor of a negative power follows numpy's error state."""
+    """A domain error or overflow on an array raises ``math``'s error, and a
+    zero divisor of a negative power the float's ZeroDivisionError, whatever
+    numpy's error state."""
     for fn, bad in ((jets.log, 0.0), (jets.sqrt, -1.0), (jets.sin, math.inf)):
         with pytest.raises(ValueError, match="math domain error"):
             fn(np.array([1.0, bad]))
     for fn in (jets.exp, jets.sinh, jets.cosh):
         with pytest.raises(OverflowError):
             fn(np.array([1.0, 1000.0]))
-    with np.errstate(divide="raise"):
-        with pytest.raises(FloatingPointError):
-            jets.powi(np.array([1.0, 0.0]), -2)
+    for state in ("ignore", "raise"):
+        with np.errstate(all=state):
+            with pytest.raises(ZeroDivisionError, match="negative power"):
+                jets.powi(np.array([1.0, 0.0]), -2)
+            with pytest.raises(OverflowError):
+                jets.powi(np.array([1.0, 1e200]), 2)
 
 
 # -- float arrays as scalars to jets

@@ -8,7 +8,7 @@ import pytest
 
 from nullhelix import helix as hx
 from nullhelix import nullframe as nf
-from nullhelix.exprparse import eval_jet
+from nullhelix.exprparse import DomainError, eval_jet
 from nullhelix.helix import GramDriftError
 from nullhelix.jets import Jet, const_term
 from nullhelix.nullframe import (
@@ -554,8 +554,7 @@ def test_frame_algebra_matches_the_inline_formulas_bitwise(chart):
     # synthesize's drifts, once on the arrays of every state
     states = _algebra_states(metric, random.Random(f"frame-algebra-{chart}"))
     mats = [metric.matrix_at(state[0:3]) for state in states]
-    drifts = hx._drifts(Matrix(list(hx._stacked_g(metric, mats)), metric.support),
-                        np.array(states))
+    drifts = hx._drifts(nf._stacked(mats), np.array(states))
     assert _bits(drifts.tolist()) == _bits(
         [_inline_gram_residual(g, tuple(s[3:6]), tuple(s[6:9]), tuple(s[9:12]))
          for g, s in zip(mats, states)])
@@ -651,6 +650,25 @@ def test_frames_and_measures_on_arrays_match_the_per_sample_loop(case):
         "vanishing tangent": (ValueError, "vanishing tangent at t = 0.0")}[case]
 
 
+# conformal factors with powers, which a frame's float g takes per sample by
+# Python's ``**``: square-and-multiply products give other last bits at some
+# of the 400 samples of C1 on [0, 2] for x1^3 and x1^-2
+POWER_CHARTS = {"x1^3": "1 + 0.3*x1^3", "x3^2": "1 + 0.3*x3^2",
+                "x1^-2": "1 + 0.3*(2 + x1)^-2"}
+
+
+@pytest.mark.parametrize("chart", list(POWER_CHARTS))
+def test_frames_on_power_charts_match_the_per_sample_loop(chart):
+    """A power takes each element's ``**`` on a sample array, as on a float,
+    so the frames' null and Gram residuals and every measure over the grid
+    are bitwise the per-sample loop's."""
+    curve = NullCurve.position(_conformal_by(POWER_CHARTS[chart]), C1_TEXTS, (0.0, 2.0))
+    grid = uniform_grid(0.0, 2.0, 400)
+    got = outcome(array_run, curve, grid)
+    assert got[0] == "ok"
+    assert got == outcome(reference_run, curve, grid)
+
+
 def _jet_bits(jets_):
     return [[float(c).hex() for c in jet.coeffs] for jet in jets_]
 
@@ -713,9 +731,9 @@ def test_each_stage_runs_once_on_arrays_unless_it_must_replay(monkeypatch, case)
     assert floats == ([] if len(arrays) and case != "overflow" else grid)
 
 
-INJECTED_ERRORS = {"not null": NotNullError, "domain": nf.DomainError,
+INJECTED_ERRORS = {"not null": NotNullError, "domain": DomainError,
                    "degenerate": nf.semimetric.DegenerateMetricError,
-                   "christoffel": nf.DomainError, "gram": ValueError,
+                   "christoffel": DomainError, "gram": ValueError,
                    "discontinuity": nf.FrameDiscontinuityError}
 
 
