@@ -26,12 +26,12 @@ half| / 15, the Richardson estimate of the half-step shadow's error; the
 recorded full-step state's error is about 16 times larger.  The Gram drift
 and re-projection use ``nullframe``'s frame algebra.  ``synthesize`` records
 each sample's full- and half-step states and checks them in blocks of
-CHECK_BLOCK samples: the six Gram conditions and the err_est sum run on
-component arrays, in the order and with the bits of a check per sample, and
-errors are raised in sample order (a sample's g read, then its drift; an
-integration error after the checks of the samples before it).  Residual
-norms are always coordinate-Euclidean: the indefinite metric can annihilate
-nonzero errors and must not certify smallness.
+CHECK_BLOCK samples: a curved chart's g read, the six Gram conditions and the
+err_est sum run on component arrays, in the order and with the bits of a
+check per sample, and errors are raised in sample order (a sample's g read,
+then its drift; an integration error after the checks of the samples before
+it).  Residual norms are always coordinate-Euclidean: the indefinite metric
+can annihilate nonzero errors and must not certify smallness.
 
 A trace holds float arrays, one row per sample.  Its measurements read one
 memoized decimated view (``HelixTrace.view``), a ``SampledCurve`` of
@@ -62,10 +62,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import jets
 from .jets import const_term
 from .nullframe import (CurvatureSample, NullCurve, NullFrame, ScreenPolicy, euclid_norm,
                         frame_curvatures, max_gram_residual, screen_projection,
-                        transversal, unit_screen, _on_bundle, _on_samples, _stacked)
+                        transversal, unit_screen, _on_bundle, _on_samples)
 from . import codegen
 from .semimetric import (DEGENERATE_ALONG, DET_TOL, DegenerateMetricError, Matrix, MetricField,
                          bilinear, connection_term)
@@ -303,34 +304,33 @@ def _project_frame(metric: MetricField, state, g=None):
     return state[0:6] + n + unit_screen(w, w2)
 
 
-def _drifts(g, rows):
-    """``max_gram_residual`` of each state row's frame in g (a matrix of
-    floats, or of arrays over the rows), as an array."""
-    x = rows.T
-    with np.errstate(all="ignore"):
-        return max_gram_residual(g, x[3:6], x[6:9], x[9:12])
+def _drift(state, t, metric, g, drift_limit):
+    """``max_gram_residual`` of the frame in ``state`` (12 floats, or 12
+    sample arrays) in g, read at the state's point where ``g`` is None (a
+    curved chart); GramDriftError where it is not <= drift_limit (NaN
+    included)."""
+    if g is None:
+        g = metric.matrix_at(state[0:3])
+    drift = max_gram_residual(g, state[3:6], state[6:9], state[9:12])
+    if jets.failing((drift > drift_limit) | (drift != drift)):
+        raise GramDriftError(f"Gram drift {drift:.3e} exceeds {drift_limit} at t = {t}", t)
+    return drift
 
 
-def _check_block(g, block, drift_limit):
+def _check_block(metric, g, block, drift_limit):
     """``(rows, gram_drift, err_est)`` arrays of recorded samples
-    ``(t, full, half, g_t)``, with ``g_t`` the metric read at the sample on a
-    curved chart (``g`` is None) and None on a flat one; GramDriftError at
-    the first sample whose drift is not <= drift_limit (NaN included).
+    ``(t, full, half)``: ``_drift`` once over the block's component arrays,
+    and per sample where that fails, so the first sample whose g read or
+    drift fails raises.
 
     ``err_est`` is sqrt(sum of (full - half)^2, component by component) / 15.
     """
-    rows = np.array([full for _, full, _, _ in block])
-    if g is None:
-        g = _stacked([m for _, _, _, m in block])
-    drift = _drifts(g, rows)
-    failed = ~(drift <= drift_limit)
-    if failed.any():
-        i = int(failed.argmax())
-        t = block[i][0]
-        raise GramDriftError(
-            f"Gram drift {float(drift[i]):.3e} exceeds {drift_limit} at t = {t}", t)
+    rows = np.array([full for _, full, _ in block])
+    times = np.array([t for t, _, _ in block])
+    drift = _on_points(metric._generated.arrays, _drift, rows.T, times, metric, g,
+                       drift_limit)
     with np.errstate(all="ignore"):  # a product gives inf where ** 2 would raise
-        diff = rows - np.array([half for _, _, half, _ in block])
+        diff = rows - np.array([half for _, _, half in block])
         squares = diff * diff
         total = squares[:, 0]
         for c in range(1, squares.shape[1]):
@@ -351,9 +351,10 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
 
     Samples are recorded as they are integrated and checked in blocks of
     CHECK_BLOCK (``_check_block``), so an abort integrates at most one block
-    past the sample that fails.  Errors are raised in sample order, as a
-    check of each sample as it is recorded would raise them: per sample, a
-    curved chart's g read, then its Gram drift against ``drift_limit``
+    past the sample that fails.  A curved chart's g is read there, once on
+    the block's arrays.  Errors are raised in sample order, as a check of
+    each sample as it is recorded would raise them: per sample, a curved
+    chart's g read, then its Gram drift against ``drift_limit``
     (GramDriftError); an integration error (a domain error, a degenerate
     metric, or a projection that loses the screen direction) comes after the
     checks of every sample recorded before it.
@@ -385,12 +386,11 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
     if sum(nsubs) > MAX_RK4_STEPS:
         raise ValueError(f"step {step!r} needs {sum(nsubs)} RK4 steps over the grid, "
                          f"more than MAX_RK4_STEPS = {MAX_RK4_STEPS}")
-    # a curved chart's g is read at each sample as it is recorded
-    block = [(grid[0], state, shadow, metric.matrix_at(state[0:3]) if g is None else None)]
+    block = [(grid[0], state, shadow)]
     checked = []
     for ta, tb, nsub in zip(grid, grid[1:], nsubs):
         if len(block) == CHECK_BLOCK:
-            checked.append(_check_block(g, block, drift_limit))
+            checked.append(_check_block(metric, g, block, drift_limit))
             block = []
         try:
             dt = (tb - ta) / nsub
@@ -407,13 +407,12 @@ def synthesize(spec: HelixSpec, grid, step: float, project_every: int = 0,
                 if project_every and steps_done % project_every == 0:
                     state = _project_frame(metric, state, g)
                     shadow = _project_frame(metric, shadow, g)
-            g_t = metric.matrix_at(state[0:3]) if g is None else None
         except Exception:
-            if block:  # an earlier sample's drift failure wins
-                _check_block(g, block, drift_limit)
+            if block:  # an earlier sample's g read or drift failure wins
+                _check_block(metric, g, block, drift_limit)
             raise
-        block.append((tb, state, shadow, g_t))
-    checked.append(_check_block(g, block, drift_limit))
+        block.append((tb, state, shadow))
+    checked.append(_check_block(metric, g, block, drift_limit))
     rows, drifts, errs = map(np.concatenate, zip(*checked))
     return HelixTrace(
         spec=spec, times=np.array(grid), points=rows[:, 0:3], zetas=rows[:, 3:6],

@@ -18,12 +18,13 @@ where cov is the covariant derivative along the curve.  The seed/N step
 rule, the orientation rule (k1 >= 0 at the first generic sample) and the
 curvatures with their geodesic flag (``frame_curvatures``) exist once, here,
 over duck-typed scalars: curves run them on jets, so the construction yields
-the frame's own t-derivatives; transfer runs the seed/N and W steps on floats
-per sample, and traces run ``frame_curvatures`` once on sample arrays.  So do
-the N formula (``transversal``), the screen part of a vector
-(``screen_projection``, scaled by ``unit_screen``) and the six Gram conditions
-(``max_gram_residual``, also on sample arrays): the frame algebra ``helix``
-and ``submanifold`` share.
+the frame's own t-derivatives; transfer runs the seed/N and W steps, and
+traces ``frame_curvatures``, once on sample arrays.  So do the N formula
+(``transversal``), the screen part of a vector (``screen_projection``, scaled
+by ``unit_screen``) and the six Gram conditions (``max_gram_residual``): the
+frame algebra ``helix`` and ``submanifold`` share.  Each sample may take its
+own seed (``_seeds_per_sample``), and W's sign is made continuous by one rule
+over sample arrays (``_neighbour_dots``, then ``_flip_signs``).
 Transfer's ambient frames extend the seed order with the unused axes and take
 W from the acceleration's screen part, the only W rule above dimension 3.
 
@@ -384,7 +385,7 @@ def null_transversal(g, zeta, seeds, where: str):
     for idx in seeds:
         usable = abs(const_term(gz[idx])) > SEED_TOL
         if isinstance(usable, np.ndarray):
-            return _seeds_per_sample(g, zeta, gz, seeds, where)
+            return _seeds_per_sample(g, zeta, gz, seeds)
         if usable:
             break
     else:
@@ -395,24 +396,24 @@ def null_transversal(g, zeta, seeds, where: str):
     return idx, gz, transversal(g, zeta, axis, gz[idx])
 
 
-def _seeds_per_sample(g, zeta, gz, seeds, where: str):
+def _seeds_per_sample(g, zeta, gz, seeds):
     """``null_transversal`` over sample arrays: each sample takes its own
     first usable seed.  Where that is one seed for all, i is an int and N is
     built as at one sample; else i is an array, and the axis (entries
     exactly 1.0 and 0.0) and phi = g(zeta, e_i) are selected per sample."""
     usable = [abs(const_term(gz[i])) > SEED_TOL for i in seeds]
     idx = np.select(usable, seeds, -1)
-    if jets.failing(idx == -1):
-        raise NoUsableSeedError(
-            f"no policy seed with |g(zeta, e_i)| > {SEED_TOL} {where}"
-        )
+    jets.failing(idx == -1)  # the replay per sample raises NoUsableSeedError
     if (idx == idx[0]).all():
         idx = int(idx[0])
         axis = [1.0 if i == idx else 0.0 for i in range(len(zeta))]
         return idx, gz, transversal(g, zeta, axis, gz[idx])
     axis = [np.where(idx == i, 1.0, 0.0) for i in range(len(zeta))]
     chosen = [idx == i for i in seeds]
-    phi = Jet([np.select(chosen, c) for c in zip(*(gz[i].coeffs for i in seeds))])
+    if isinstance(gz[seeds[0]], Jet):
+        phi = Jet([np.select(chosen, c) for c in zip(*(gz[i].coeffs for i in seeds))])
+    else:
+        phi = np.select(chosen, [gz[i] for i in seeds])
     return idx, gz, transversal(g, zeta, axis, phi)
 
 
@@ -445,8 +446,9 @@ def screen_projection(g, v, zeta, n):
 
 
 def unit_screen(proj, w2):
-    """``proj`` scaled to g(W, W) = -1, given w2 = -g(proj, proj)."""
-    scale = 1.0 / math.sqrt(w2)
+    """``proj`` scaled to g(W, W) = -1, given w2 = -g(proj, proj) (floats or
+    sample arrays)."""
+    scale = 1.0 / jets.sqrt(w2)
     return [c * scale for c in proj]
 
 
@@ -462,12 +464,6 @@ def _flip_signs(dots) -> list:
     for dot in dots:
         signs.append(signs[-1] if dot >= 0.0 else -signs[-1])
     return signs
-
-
-def continuity_signs(ws):
-    """Per-sample signs, starting at +1, that undo W's flips between neighbours."""
-    return _flip_signs(_dot(map(const_term, prev), map(const_term, cur))
-                       for prev, cur in zip(ws, ws[1:]))
 
 
 def first_generic_sign(values, tol: float):
@@ -715,7 +711,7 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None) -> N
                          times, times)
     fj = _frame_jets(curve, times, policy)
     w0 = _spread([const_term(c) for c in fj.w], size)
-    signs = np.array(_flip_signs(_neighbour_dots(fj, w0)))
+    signs = np.array(_flip_signs(_neighbour_dots(w0, fj.arrays)))
     # global orientation: k1 >= 0 at the first generic sample, else W's first
     # significant component positive at the first sample (whose sign is +1)
     try:
@@ -729,7 +725,7 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None) -> N
         signs = -signs
     frames = _spread(fj.staged(_FrameJets.frame, signs), size)
     t, grams = times.tolist(), frames.gram_residual.tolist()
-    jumps = np.flatnonzero(np.array(_neighbour_dots(fj, frames.w)) <= 0.0)
+    jumps = np.flatnonzero(np.array(_neighbour_dots(frames.w, fj.arrays)) <= 0.0)
     if jumps.size:
         i = int(jumps[0])
         raise FrameDiscontinuityError(
@@ -742,13 +738,13 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None) -> N
     return frames
 
 
-def _neighbour_dots(fj: _FrameJets, w) -> list:
-    """The dot products of the vector ``w`` (component arrays over the grid)
-    at neighbouring samples, in order."""
-    size = len(fj.t) - 1
+def _neighbour_dots(w, arrays: bool) -> list:
+    """The dot products of the vector ``w`` (component arrays over the
+    samples) at neighbouring samples, in order, by ``_on_samples``."""
+    size = len(w[0]) - 1
     if not size:
         return []
-    return _on_samples(size, fj.arrays, _dot, [c[:-1] for c in w],
+    return _on_samples(size, arrays, _dot, [c[:-1] for c in w],
                        [c[1:] for c in w]).tolist()
 
 

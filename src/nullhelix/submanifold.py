@@ -46,9 +46,9 @@ from . import codegen, exprparse, jets, semimetric
 from . import helix as helixmod
 from .exprparse import parse
 from .jets import Jet, const_term
-from .nullframe import (CurvatureSample, ScreenPolicy, continuity_signs, euclid_norm,
-                        max_gram_residual, null_transversal, screen_projection,
-                        unit_screen, _spread)
+from .nullframe import (CurvatureSample, ScreenPolicy, euclid_norm, max_gram_residual,
+                        null_transversal, screen_projection, unit_screen, _flip_signs,
+                        _neighbour_dots, _on_samples, _spread)
 from .semimetric import (Matrix, MetricField, bilinear, connection_term, mat_det,
                          mat_inverse, mat_vec)
 
@@ -615,42 +615,44 @@ def _pushed(u, z, F: Immersion):
 
 
 def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
-    """Seed-built transversal and first-normal screen direction per sample.
+    """Seed-built transversal and first-normal screen direction, as
+    component-major arrays over the samples the acceleration reaches.
 
-    N is ``nullframe.null_transversal`` over the policy seeds followed by the
-    axes the policy leaves out.  W is the screen projection of the
-    acceleration, normalised to g(W, W) = -1; where the acceleration's screen
-    part degenerates, a seed axis is projected instead.  This W rule is the
-    only one for ambient dimensions above 3.  Sign continuity along the
-    samples the acceleration reaches is restored by ``continuity_signs``.
-    The seed depends on the data, so this runs per sample on Python floats.
+    ``_ambient_frame`` runs once on the sample arrays, and per sample where
+    that fails (``nullframe._on_samples``).  W's sign is then made
+    continuous along the samples by ``frame_field``'s rule.
     """
     n = curve.metric.dim
-    seed_order = policy.seed_indices(n)
-    seed_order += [i for i in range(n) if i not in seed_order]
-    czetas = curve.cov("zeta")
-    count = czetas.shape[-1]
-    gs = np.moveaxis([[np.broadcast_to(x, count) for x in row] for row in curve.g(count)],
-                     -1, 0).tolist()
-    zetas = helixmod._middle(curve.fields["zeta"], count).T.tolist()
-    ns, ws = [], []
-    for g, z, cand in zip(gs, zetas, czetas.T.tolist()):
-        g = Matrix(g, curve.metric.support)
-        _, _, nv = null_transversal(g, z, seed_order, "along the ambient curve")
-        w = None
-        for attempt in range(n + 1):
-            proj, w2 = screen_projection(g, cand, z, nv)
-            if w2 > 1e-12:
-                w = unit_screen(proj, w2)
-                break
-            nxt = seed_order[attempt % len(seed_order)]
-            cand = [1.0 if i == nxt else 0.0 for i in range(n)]
-        if w is None:
-            raise ValueError("no timelike screen direction along the ambient curve")
-        ns.append(nv)
-        ws.append(w)
-    ws = [[sign * c for c in w] for sign, w in zip(continuity_signs(ws), ws)]
-    return np.reshape(ns, (-1, n)).T, np.reshape(ws, (-1, n)).T
+    seeds = policy.seed_indices(n)
+    seeds += [i for i in range(n) if i not in seeds]
+    cand = curve.cov("zeta")
+    count = cand.shape[-1]
+    zeta = helixmod._middle(curve.fields["zeta"], count)
+    ns, ws = map(np.array, _on_samples(count, True, _ambient_frame, curve.g(count),
+                                       list(zeta), list(cand), seeds))
+    return ns, np.array(_flip_signs(_neighbour_dots(ws, True))) * ws
+
+
+def _ambient_frame(g, z, cand, seeds):
+    """``(N, W)`` at a sample (floats) or over sample arrays.
+
+    N is ``nullframe.null_transversal`` over ``seeds``: the policy seeds
+    followed by the axes the policy leaves out.  W is the screen projection
+    of the candidate ``cand`` (the acceleration), normalised to
+    g(W, W) = -1; where its screen part degenerates, the seed axes are
+    projected in turn (over arrays: where it does at any sample, the replay
+    per sample does so).  This W rule is the only one for ambient dimensions
+    above 3.
+    """
+    n = len(z)
+    _, _, nv = null_transversal(g, z, seeds, "along the ambient curve")
+    for attempt in range(n + 1):
+        proj, w2 = screen_projection(g, cand, z, nv)
+        if not jets.failing((w2 <= 1e-12) | (w2 != w2)):
+            return nv, unit_screen(proj, w2)
+        nxt = seeds[attempt % len(seeds)]
+        cand = [1.0 if i == nxt else 0.0 for i in range(n)]
+    raise ValueError("no timelike screen direction along the ambient curve")
 
 
 def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,

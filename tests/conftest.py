@@ -10,9 +10,9 @@ from nullhelix import helix as helixmod
 from nullhelix import nullframe as nf
 from nullhelix.exprparse import FUNCTIONS, BinOp, Call, DomainError, Neg, Num, Pow, Var
 from nullhelix.jets import const_term
-from nullhelix.nullframe import (NullCurve, ScreenPolicy, continuity_signs, null_transversal,
+from nullhelix.nullframe import (NullCurve, ScreenPolicy, null_transversal, screen_projection,
                                  screen_vector)
-from nullhelix.semimetric import MetricField, bilinear, mat_vec
+from nullhelix.semimetric import Matrix, MetricField, bilinear, mat_vec
 from nullhelix.submanifold import Immersion
 
 TWO_PI = 2.0 * math.pi
@@ -110,6 +110,51 @@ def flat_null_frame(metric: MetricField, zeta, seed_index: int = 2, flip: bool =
     sgn = -1.0 if flip else 1.0
     w = [sgn * scale * c for c in w]
     return tuple(n), tuple(w)
+
+
+def continuity_signs(ws):
+    """Per-sample signs, starting at +1, that undo W's flips between
+    neighbours: each flips where the dot product of W (constant terms) at a
+    sample and at the one before it, summed in order, is not >= 0."""
+    signs = [1.0]
+    for prev, cur in zip(ws, ws[1:]):
+        dot = sum(const_term(a) * const_term(b) for a, b in zip(prev, cur))
+        signs.append(signs[-1] if dot >= 0.0 else -signs[-1])
+    return signs
+
+
+def reference_ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
+    """Transfer's ambient N and W as a loop over samples on Python floats
+    builds them, raising each error at its sample: N from the policy seeds
+    and then the unused axes, W from the acceleration's screen part (or the
+    seed axes' in turn), then ``continuity_signs``."""
+    n = curve.metric.dim
+    seed_order = policy.seed_indices(n)
+    seed_order += [i for i in range(n) if i not in seed_order]
+    czetas = curve.cov("zeta")
+    count = czetas.shape[-1]
+    gs = np.moveaxis([[np.broadcast_to(x, count) for x in row] for row in curve.g(count)],
+                     -1, 0).tolist()
+    zetas = helixmod._middle(curve.fields["zeta"], count).T.tolist()
+    ns, ws = [], []
+    for g, z, cand in zip(gs, zetas, czetas.T.tolist()):
+        g = Matrix(g, curve.metric.support)
+        _, _, nv = null_transversal(g, z, seed_order, "along the ambient curve")
+        w = None
+        for attempt in range(n + 1):
+            proj, w2 = screen_projection(g, cand, z, nv)
+            if w2 > 1e-12:
+                scale = 1.0 / math.sqrt(w2)
+                w = [c * scale for c in proj]
+                break
+            nxt = seed_order[attempt % len(seed_order)]
+            cand = [1.0 if i == nxt else 0.0 for i in range(n)]
+        if w is None:
+            raise ValueError("no timelike screen direction along the ambient curve")
+        ns.append(nv)
+        ws.append(w)
+    ws = [[sign * c for c in w] for sign, w in zip(continuity_signs(ws), ws)]
+    return np.reshape(ns, (-1, n)).T, np.reshape(ws, (-1, n)).T
 
 
 def policy_frames(metric: MetricField, points, zetas, policy: ScreenPolicy):

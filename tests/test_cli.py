@@ -10,6 +10,7 @@ import tempfile
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from nullhelix import helix as hx
 from nullhelix import nullframe as nf
 from nullhelix import cli
+from nullhelix import submanifold as sb
 from nullhelix.cli import _OPTIONS, SpecError, _parser, load_spec, run
 from nullhelix.exprparse import BinOp, Var, to_text
 from nullhelix.jets import Jet
@@ -1435,14 +1437,29 @@ def test_injected_failure_exits_2_with_the_per_sample_error(
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
-def _transfer_view_points(samples: int):
-    """The decimated intrinsic points (rows) at which ``transfer`` pushes
+def _transfer_view(samples: int) -> hx.SampledCurve:
+    """The decimated intrinsic samples at which ``transfer`` pushes
     TRANSFER_DOC's helix forward over ``samples`` grid samples."""
     spec, frame = HELIX_DOC["helix"], HELIX_DOC["helix"]["initial_frame"]
     helix = hx.HelixSpec(spec["h"], spec["k1"], spec["k2"], spec["initial_point"],
                          frame["zeta"], frame["n"], frame["w"], MetricField.diag([-1, -1, 1]))
-    trace = hx.synthesize(helix, cli._grid(spec["domain"], samples), spec["step"])
-    return trace.view.points.T.tolist()
+    return hx.synthesize(helix, cli._grid(spec["domain"], samples), spec["step"]).view
+
+
+def _spacelike_screen_at(monkeypatch, zeta):
+    """Transfer's ambient frame made to fail at the sample whose (slice-pushed)
+    tangent starts with ``zeta`` alone: there every candidate's screen part
+    is spacelike, on floats and on sample arrays alike."""
+    projection = sb.screen_projection
+
+    def spacelike(g, v, z, n):
+        proj, w2 = projection(g, v, z, n)
+        hit = (z[0] == zeta[0]) & (z[1] == zeta[1]) & (z[2] == zeta[2])
+        if isinstance(hit, np.ndarray):
+            return proj, np.where(hit, -1.0, w2)
+        return proj, -1.0 if hit else w2
+
+    monkeypatch.setattr(sb, "screen_projection", spacelike)
 
 
 def _transfer_injected(kind: str, u):
@@ -1470,16 +1487,26 @@ def _transfer_injected(kind: str, u):
 
 @pytest.mark.parametrize("where", [0, 100, 200])
 @pytest.mark.parametrize("kind", ["degenerate", "domain", "infinite map constant",
-                                  "infinite metric constant"])
+                                  "infinite metric constant", "ambient frame"])
 def test_transfer_failure_at_one_sample_exits_2_with_the_per_sample_error(
-        tmp_path, capsys, kind, where):
+        tmp_path, capsys, monkeypatch, kind, where):
     """A degenerate ambient metric, a domain error or an infinite constant in
     the immersion, or an infinite constant in an ambient entry, at the first,
     a middle or the last of 201 pushed-forward samples, exits 2 with the
     error a loop over samples raises there, and no numpy warning.  Only the first sample is one of the
     isometry check's, so the others fail where the pushed-forward curve
-    reads f, T and g on its sample arrays."""
-    doc, expected = _transfer_injected(kind, _transfer_view_points(1001)[where])
+    reads f, T and g on its sample arrays.  A failure inside the ambient
+    frame (no timelike screen direction) at the first, a middle or the last
+    sample it is built on, those the acceleration reaches, fails the same
+    way where the frame's array pass is replayed per sample."""
+    view = _transfer_view(1001)
+    if kind == "ambient frame":
+        at = min(max(where, hx.FD_RADIUS), len(view.times) - 1 - hx.FD_RADIUS)
+        _spacelike_screen_at(monkeypatch, view.fields["zeta"][:, at].tolist())
+        doc, expected = TRANSFER_DOC, \
+            "error: no timelike screen direction along the ambient curve\n"
+    else:
+        doc, expected = _transfer_injected(kind, view.points[:, where].tolist())
     out = tmp_path / "rep.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

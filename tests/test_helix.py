@@ -11,7 +11,7 @@ import pytest
 
 from nullhelix import helix as hx
 from nullhelix import nullframe as nf
-from nullhelix import semimetric
+from nullhelix import jets, semimetric
 from nullhelix.exprparse import DomainError
 from nullhelix.helix import (
     GramDriftError,
@@ -26,8 +26,8 @@ from nullhelix.jets import const_term
 from nullhelix.nullframe import NullCurve, curvatures_at, frame_field
 from nullhelix.semimetric import MetricField
 
-from conftest import (inject, measures, outcome, policy_frames, random_helix_spec,
-                      reference_frames, uniform_grid, value_bits)
+from conftest import (continuity_signs, inject, measures, outcome, policy_frames,
+                      random_helix_spec, reference_frames, uniform_grid, value_bits)
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,10 +63,19 @@ def test_synthesize_argument_errors(c1_spec):
         synthesize(c1_spec, [0.0, 1.0], step=-1e-3)
     with pytest.raises(ValueError, match="increasing"):
         synthesize(c1_spec, [0.0, 1.0, 0.5], step=1e-3)
+    with pytest.raises(ValueError) as info:
+        synthesize(c1_spec, [], step=1e-3)
+    assert str(info.value) == "grid must contain at least one sample"
     # a negative project_every used to make the RK4 chunk negative: no end
     for project_every in (-3, -1, 2.5, True, "100"):
         with pytest.raises(ValueError, match="project_every"):
             synthesize(c1_spec, [0.0, 0.1], step=1e-2, project_every=project_every)
+
+
+def test_decimation_rejects_a_non_uniform_grid():
+    with pytest.raises(ValueError) as info:
+        hx.decimation([0.0, 0.01, 0.03])
+    assert str(info.value) == "finite-difference extraction needs a uniform grid"
 
 
 def test_synthesize_rejects_a_step_too_small_for_its_segment(c1_spec):
@@ -768,7 +777,7 @@ def test_reseeded_trace_frames_match_curve_frame_jets(flat3, conformal):
     points = [tuple(const_term(c) for c in fj.pos) for fj in bundles]
     zetas = [tuple(const_term(c) for c in fj.zeta) for fj in bundles]
     ns, ws = policy_frames(metric, points, zetas, policy)
-    signs = nf.continuity_signs([fj.w for fj in bundles])
+    signs = continuity_signs([fj.w for fj in bundles])
     for fj, sign, n, w in zip(bundles, signs, ns, ws):
         assert n == pytest.approx(tuple(const_term(c) for c in fj.n), abs=1e-12)
         assert w == pytest.approx(tuple(sign * const_term(c) for c in fj.w), abs=1e-12)
@@ -1042,7 +1051,9 @@ def test_curved_g_read_comes_before_the_drift_check(monkeypatch, at, drift_fails
     original = MetricField.matrix_at
 
     def matrix_at(self, p):
-        if tuple(p) == unreadable:
+        # on sample arrays, as the det check: PerSampleCheck where any sample fails
+        hit = (p[0] == unreadable[0]) & (p[1] == unreadable[1]) & (p[2] == unreadable[2])
+        if jets.failing(hit):
             raise semimetric.DegenerateMetricError(f"metric degenerate at {unreadable}")
         return original(self, p)
 
@@ -1064,9 +1075,9 @@ def test_an_abort_integrates_at_most_one_block_past_the_failure(monkeypatch, c1_
         calls.append(args)
         return rk4(*args)
 
-    def sized(g, block, drift_limit):
+    def sized(metric, g, block, drift_limit):
         blocks.append(len(block))
-        return check(g, block, drift_limit)
+        return check(metric, g, block, drift_limit)
 
     monkeypatch.setattr(hx, "_rk4_steps", counted)
     monkeypatch.setattr(hx, "_check_block", sized)
@@ -1078,6 +1089,27 @@ def test_an_abort_integrates_at_most_one_block_past_the_failure(monkeypatch, c1_
     blocks.clear()
     synthesize(c1_spec, grid, step=1e-2)
     assert sum(blocks) == len(grid) and max(blocks) == hx.CHECK_BLOCK
+
+
+@pytest.mark.parametrize("chart", ["curved", "conformal"])
+def test_curved_synthesis_reads_g_once_per_block(monkeypatch, chart):
+    """Where nothing fails, a curved chart's g is read by one array
+    ``matrix_at`` call per block and at no single sample, and each drift is
+    the per-sample loop's, bit for bit."""
+    make_spec, _, spacing = RECORD_CHARTS[chart]
+    spec = make_spec()
+    grid = _grid(201, spacing)
+    original, calls = MetricField.matrix_at, []
+
+    def matrix_at(self, p):
+        calls.append(isinstance(p[0], np.ndarray))
+        return original(self, p)
+
+    monkeypatch.setattr(MetricField, "matrix_at", matrix_at)
+    trace = synthesize(spec, grid, 0.5 * spacing)
+    assert calls == [True] * math.ceil(len(grid) / hx.CHECK_BLOCK)
+    _, drifts, _ = _reference_synthesize(spec, grid, 0.5 * spacing)
+    assert trace.gram_drift.tobytes() == np.array(drifts).tobytes()
 
 
 def _column_loop_flat_steps(h, k1, k2, state, dt, nsteps):

@@ -551,13 +551,22 @@ def test_frame_algebra_matches_the_inline_formulas_bitwise(chart):
             assert _outcome(_shared_ambient_screen, g, tuple(z), n, tuple(cand)) == \
                 _outcome(_inline_ambient_screen, g, tuple(z), n, list(cand))
     assert outcomes == {"ok", "raise"}  # both branches of the projection ran
-    # synthesize's drifts, once on the arrays of every state
+    # synthesize's block check of every state, its g read on the states' arrays:
+    # the drifts, or the first NaN drift's GramDriftError, of a loop over states
     states = _algebra_states(metric, random.Random(f"frame-algebra-{chart}"))
-    mats = [metric.matrix_at(state[0:3]) for state in states]
-    drifts = hx._drifts(nf._stacked(mats), np.array(states))
-    assert _bits(drifts.tolist()) == _bits(
-        [_inline_gram_residual(g, tuple(s[3:6]), tuple(s[6:9]), tuple(s[9:12]))
-         for g, s in zip(mats, states)])
+    want = [_inline_gram_residual(metric.matrix_at(s[0:3]), tuple(s[3:6]), tuple(s[6:9]),
+                                  tuple(s[9:12])) for s in states]
+    for keep in ([all(map(math.isfinite, s)) for s in states],  # one pass on the arrays
+                 [d == d for d in want]):  # per state, as some state is not finite
+        block = [(0.5, s, s) for s, k in zip(states, keep) if k]
+        _, drifts, _ = hx._check_block(metric, None, block, math.inf)
+        assert _bits(drifts.tolist()) == _bits([d for d, k in zip(want, keep) if k])
+    first = next(i for i, d in enumerate(want) if d != d)
+    with pytest.raises(GramDriftError) as info:
+        hx._check_block(metric, None, [(float(i), s, s) for i, s in enumerate(states)],
+                        math.inf)
+    assert (str(info.value), info.value.t) == \
+        (f"Gram drift nan exceeds inf at t = {float(first)}", float(first))
 
 
 @pytest.mark.parametrize("chart", list(ALGEBRA_CHARTS))

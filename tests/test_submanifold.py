@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from nullhelix import cli, exprparse
 from nullhelix import helix as hx
+from nullhelix import nullframe as nf
 from nullhelix import submanifold as sb
 from nullhelix.jets import Jet, const_term
-from nullhelix.nullframe import euclid_norm
+from nullhelix.nullframe import NullCurve, curvatures_at, euclid_norm, frame_field
 from nullhelix.semimetric import MetricField, bilinear, full_support
 from nullhelix.submanifold import (
     DegenerateNormalError,
@@ -35,7 +36,7 @@ from nullhelix.submanifold import (
     umbilical_residual,
 )
 
-from conftest import expr_trees, uniform_grid
+from conftest import expr_trees, reference_ambient_frames, uniform_grid
 
 # closed-form induced metrics of the conftest immersions: independent oracles
 # for the connection that submanifold reads off the Gauss formula
@@ -788,6 +789,124 @@ def test_transfer_rejects_non_isometric_chart(graph_immersion, flat3, c1_spec):
     with pytest.raises(ValueError, match="isometric"):
         helix_transfer(graph_immersion, c1_spec, uniform_grid(0.0, 1.0, 501),
                        step=2e-3)
+
+
+# -- transfer's ambient frames against the loop over samples ----------------------
+
+
+def _frame_bits(frames):
+    return [(a.shape, a.tobytes()) for a in frames]
+
+
+def _transfer_frames(monkeypatch, *args):
+    """``helix_transfer(*args)``, with its ambient N and W checked bit for bit
+    against ``reference_ambient_frames`` on the same curve; returns them and
+    the number of ``_ambient_frame`` calls (1 for one pass on the arrays)."""
+    frames, frame, built, calls = sb._ambient_frames, sb._ambient_frame, [], []
+
+    def checked(curve, policy):
+        got = frames(curve, policy)
+        assert _frame_bits(got) == _frame_bits(reference_ambient_frames(curve, policy))
+        built.append(got)
+        return got
+
+    def counted(*args):
+        calls.append(args)
+        return frame(*args)
+
+    monkeypatch.setattr(sb, "_ambient_frames", checked)
+    monkeypatch.setattr(sb, "_ambient_frame", counted)
+    helix_transfer(*args)
+    assert len(built) == 1
+    return built[0], len(calls)
+
+
+def _pseudosphere_spec():
+    """The helix through (0.7, 0, 0) along (0, coth 0.7, 1) on S^3_2's chart,
+    with the frame and curvatures ``frame`` measures there."""
+    curve = NullCurve.position(PSEUDOSPHERE_METRIC, ["0.7", "cosh(0.7)/sinh(0.7)*t", "t"],
+                               (0.0, 1.0))
+    frames = frame_field(curve, [0.0])
+    cs, fr = curvatures_at(curve, frames), frames[0]
+    return hx.HelixSpec(float(cs.h[0]), float(cs.k1[0]), float(cs.k2[0]), fr.point,
+                        fr.zeta, fr.n, fr.w, metric=PSEUDOSPHERE_METRIC)
+
+
+def _graph_spec():
+    return hx.HelixSpec(0.0, 1.0, -0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0),
+                        (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=GRAPH_METRIC)
+
+
+@pytest.mark.parametrize("immersion, make_spec, step", [
+    ("slice_immersion", lambda request: request.getfixturevalue("c1_spec"), 1e-3),
+    ("graph_immersion", lambda request: _graph_spec(), 2e-3),
+    ("pseudosphere", lambda request: _pseudosphere_spec(), 1e-3),
+], ids=["slice", "graph", "pseudosphere"])
+def test_ambient_frames_equal_the_loop_over_samples_bitwise(monkeypatch, request,
+                                                            immersion, make_spec, step):
+    F = request.getfixturevalue(immersion)
+    (ns, ws), calls = _transfer_frames(monkeypatch, F, make_spec(request),
+                                       uniform_grid(0.0, 1.0, 201), step)
+    assert ns.shape == ws.shape == (4, 95)
+    assert calls == 1  # one pass on the arrays, no replay per sample
+
+
+def test_ambient_frames_take_each_samples_first_usable_seed(monkeypatch, amb4):
+    """With seeds e1, e2, e3 along (cos t, sin t, t, 0), g(zeta, e1) = sin t
+    vanishes at t = 0 alone, so that sample takes e2: one pass on the arrays
+    selects the seed per sample, bit for bit as the loop over samples."""
+    times = np.array([0.01 * (i - 30) for i in range(61)])
+    points = np.array([np.cos(times), np.sin(times), times, 0.0 * times])
+    zetas = np.array([-np.sin(times), np.cos(times), 1.0 + 0.0 * times, 0.0 * times])
+    curve = hx.SampledCurve(amb4, times, points, zetas, 0.01)
+    per_sample, chosen = nf._seeds_per_sample, []
+
+    def spy(*args):
+        out = per_sample(*args)
+        chosen.append(out[0])
+        return out
+
+    monkeypatch.setattr(nf, "_seeds_per_sample", spy)
+    policy = nf.ScreenPolicy(seeds=(0, 1, 2))
+    got = sb._ambient_frames(curve, policy)
+    assert len(chosen) == 1  # no replay per sample
+    assert chosen[0].tolist() == [0] * 27 + [1] + [0] * 27
+    assert _frame_bits(got) == _frame_bits(reference_ambient_frames(curve, policy))
+
+
+def test_ambient_frames_keep_w_continuous_where_the_acceleration_reverses(monkeypatch,
+                                                                          amb4):
+    """Along zeta = (cos t^2, sin t^2, 1, 0) the acceleration
+    2t (-sin t^2, cos t^2, 0, 0) reverses at t = 0, so W's raw sign flips
+    there and the continuity rule flips it back, bit for bit as the loop
+    over samples."""
+    times = np.array([0.01 * (i - 30) for i in range(61)])
+    zetas = np.array([np.cos(times * times), np.sin(times * times), 1.0 + 0.0 * times,
+                      0.0 * times])
+    curve = hx.SampledCurve(amb4, times, 0.0 * zetas, zetas, 0.01)
+    flip_signs, signs = sb._flip_signs, []
+
+    def spy(dots):
+        signs.extend(flip_signs(dots))
+        return list(signs)
+
+    monkeypatch.setattr(sb, "_flip_signs", spy)
+    got = sb._ambient_frames(curve, nf.ScreenPolicy())
+    assert _frame_bits(got) == _frame_bits(reference_ambient_frames(curve, nf.ScreenPolicy()))
+    assert signs[0] == 1.0 and -1.0 in signs
+
+
+def test_ambient_frames_of_a_null_geodesic_fall_back_to_a_seed_axis(monkeypatch,
+                                                                     slice_immersion,
+                                                                     flat3):
+    """k1 = 0: the acceleration has no screen part, so each sample projects
+    the seed axes in turn (e3, whose screen part vanishes too, then e1)."""
+    spec = hx.HelixSpec(0.0, 0.0, -0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0),
+                        (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=flat3)
+    (_, ws), calls = _transfer_frames(monkeypatch, slice_immersion, spec,
+                                      uniform_grid(0.0, 1.0, 201), 1e-3)
+    assert calls == 1 + ws.shape[1]  # the array pass, then the replay per sample
+    assert np.array_equal(np.abs(ws), [[1.0] * ws.shape[1]] + [[0.0] * ws.shape[1]] * 3)
 
 
 # -- input checks of the immersion and its tangent frame -------------------------
