@@ -15,6 +15,10 @@ with ``ast``, of which no line ran, and the number of them.  Docstrings,
 Code that a test runs in a subprocess, such as the console entry point, is
 not traced, so its statements can be listed although they ran.  The exit
 code is pytest's.  Tracing makes the suite run several times slower.
+
+Unless the arguments give ``--hypothesis-seed``, it passes
+``--hypothesis-seed=0``, so two runs of one tree draw the same examples
+and list the same statements.
 """
 
 from __future__ import annotations
@@ -57,6 +61,14 @@ def never_ran(source: str, ran) -> list:
             if not any(line in ran for line in range(first, last + 1))]
 
 
+def pytest_args(argv) -> list:
+    """``argv``, with ``--hypothesis-seed=0`` added unless it gives a seed."""
+    args = list(argv)
+    if not any(a.split("=")[0] == "--hypothesis-seed" for a in args):
+        args.append("--hypothesis-seed=0")
+    return args
+
+
 def main(argv) -> int:
     src = str(ROOT / "src")  # for this process and the subprocesses of tests
     sys.path.insert(0, src)
@@ -86,7 +98,7 @@ def main(argv) -> int:
 
     sys.settrace(tracer)
     try:
-        code = pytest.main(list(argv))
+        code = pytest.main(pytest_args(argv))
     finally:
         sys.settrace(None)
     total = 0

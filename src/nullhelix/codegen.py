@@ -9,15 +9,19 @@ grammar's function names.  ``compiled`` turns such a body into a function.
 When the function raises (a domain, division or overflow error), the trees
 it was generated from are evaluated again with ``exprparse._eval`` at the
 same point, so the ``DomainError`` names the offending subexpression; that
-path never returns a value.  ``function`` is the same wrapper with the
-replay left to the caller: a metric's RK4 stage loop (``helix``) replays
-its connection at the failing stage's coordinates.
+path never returns a value.  On sample arrays, a compiled function refuses
+to run (``jets.PerSampleCheck``) where numpy could pass silently where a
+float raises.  ``function`` is the same wrapper with the replay left to the
+caller: a metric's RK4 stage loop (``helix``) replays its connection at the
+failing stage's coordinates.
 """
 
 from __future__ import annotations
 
 import math
 import re
+
+import numpy as np
 
 from . import exprparse, jets
 
@@ -145,9 +149,9 @@ def compiled(name: str, variables, extra, body, trees):
     An error in the body makes the function evaluate ``trees`` in order with
     ``exprparse._eval``, with ``variables`` bound to its arguments, so the
     first tree that fails raises its ``DomainError``; when none fails, the
-    original error is raised.  Its ``arrays`` attribute tells whether it may
-    run on sample arrays: no tree holds a non-finite constant
-    (``exprparse._finite_constants``).
+    original error is raised.  Given sample arrays, it raises
+    ``jets.PerSampleCheck``, for the caller to run it per sample, where numpy
+    could give a value without a flag where a float raises (``_refused``).
     """
     def replay(error, values):
         env = dict(zip(variables, values))
@@ -155,6 +159,20 @@ def compiled(name: str, variables, extra, body, trees):
             exprparse._eval(node, env)
         raise error
 
-    fn = function(name, (*variables, *extra), body, replay, variables)
-    fn.arrays = exprparse._finite_constants(trees)
-    return fn
+    check = (f"if _refused(({''.join(f'{v}, ' for v in variables)}), "
+             f"{exprparse._finite_constants(trees)}): raise jets.PerSampleCheck")
+    return function(name, (*variables, *extra), [check, *body], replay, variables,
+                    {"_refused": _refused})
+
+
+def _refused(values, finite: bool) -> bool:
+    """Whether ``values`` hold a plain sample array with inf or NaN, or, where
+    ``finite`` is false (a tree holds a non-finite constant, which numpy
+    divides by zero without a flag), any sample array, also in a jet."""
+    for x in values:
+        if isinstance(x, np.ndarray):
+            if not finite or not np.isfinite(x).all():
+                return True
+        elif not finite and isinstance(x, jets.Jet) and _refused(x.coeffs, False):
+            return True
+    return False

@@ -452,14 +452,6 @@ def _div(a: Expr, b: Expr) -> Expr:
     return _folded(BinOp("/", a, b))
 
 
-def _pow(base: Expr, exponent: int) -> Expr:
-    if exponent == 0:
-        return _ONE
-    if exponent == 1:
-        return base
-    return _folded(Pow(base, exponent))
-
-
 #: Largest |n| whose u^n is differentiated through ``powi``'s own products;
 #: those trees hold about n copies of u, so larger powers take n u^(n-1) du.
 MIRRORED_POWER = 16
@@ -510,7 +502,7 @@ def _forward(node: Expr, var: str):
         u, du = _forward(node.base, var)
         if abs(n) <= MIRRORED_POWER:
             return _powi_jet(u, du, n)
-        return Pow(u, n), _mul(_mul(Num(float(n), str(n)), _pow(u, n - 1)), du)
+        return Pow(u, n), _mul(_mul(Num(float(n), str(n)), _folded(Pow(u, n - 1))), du)
     if isinstance(node, Call):
         u, du = _forward(node.arg, var)
         value = node if u is node.arg else Call(node.func, u)

@@ -327,8 +327,7 @@ def _check_block(metric, g, block, drift_limit):
     """
     rows = np.array([full for _, full, _ in block])
     times = np.array([t for t, _, _ in block])
-    drift = _on_points(metric._generated.arrays, _drift, rows.T, times, metric, g,
-                       drift_limit)
+    drift = _on_samples(len(times), _drift, list(rows.T), times, metric, g, drift_limit)
     with np.errstate(all="ignore"):  # a product gives inf where ** 2 would raise
         diff = rows - np.array([half for _, _, half in block])
         squares = diff * diff
@@ -575,23 +574,16 @@ def _middle(x, count: int):
     return x[..., cut:cut + count]
 
 
-def _on_points(arrays: bool, fn, points, *args):
-    """``fn(points, *args)`` at component-major sample points, by
-    ``nullframe._on_samples``: on the arrays where ``arrays`` (no tree that
-    ``fn`` evaluates holds a non-finite constant) and every point is finite,
-    as numpy gives inf or NaN without a flag where a float there raises."""
-    arrays = arrays and bool(np.isfinite(points).all())
-    return _on_samples(points.shape[-1], arrays, fn, list(points), *args)
-
-
 class SampledCurve:
     """Curve samples at uniform spacing ``dt``, component-major: ``points[i]``
     and ``fields[key][i]`` are component i over the samples ("zeta" is the
     tangent; a field may cover fewer).  g, the connection and each covariant
     layer are computed once, on first use; no reference to the trace is kept.
     g is one ``matrix_at`` call on every sample, and the connection one
-    ``christoffel`` call on those a covariant layer reaches (``_on_points``),
-    so an error is the one a loop over samples raises, at its sample.
+    ``christoffel`` call on those a covariant layer reaches, each by
+    ``nullframe._on_samples``, so an error is the one a loop over samples
+    raises, at its sample (the generated function refuses a point that is
+    not finite, or a tree with a non-finite constant, on arrays).
     """
 
     def __init__(self, metric: MetricField, times, points, zetas, dt, **fields):
@@ -605,13 +597,13 @@ class SampledCurve:
     @cached_property
     def _g(self) -> Matrix:
         """g at each sample."""
-        return _on_points(self.metric._generated.arrays, self.metric.matrix_at, self.points)
+        return _on_samples(self.points.shape[-1], self.metric.matrix_at, list(self.points))
 
     @cached_property
     def _gamma(self):
         """The connection at each sample a covariant layer reaches."""
         reached = self.points[:, FD_RADIUS:self.points.shape[-1] - FD_RADIUS]
-        return _on_points(self.metric._generated.arrays, self.metric.christoffel, reached)
+        return _on_samples(reached.shape[-1], self.metric.christoffel, list(reached))
 
     def g(self, count: int) -> Matrix:
         """g at the middle ``count`` samples, a ``Matrix`` of arrays (or of

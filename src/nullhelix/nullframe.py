@@ -37,8 +37,9 @@ and ``helix``'s identity suite measure it in one pass each.  Every stage runs
 on the arrays under numpy flags that raise; where it raises anything, or a
 flag, it runs again per sample through the same functions on float t
 (``_on_samples``), which raises the per-sample error at its sample, in the
-order of a loop over samples.  The same functions at one float t measure a
-single frame, ``frame_field(curve, [t])[0]``.  Each ``NullFrame`` carries its
+order of a loop over samples; a tree evaluator refuses arrays where numpy
+could pass silently where a float raises (``jets.PerSampleCheck``).  The
+same functions at one float t measure a single frame, ``frame_field(curve, [t])[0]``.  Each ``NullFrame`` carries its
 ``gram_residual`` and its ``null_residual`` |g(zeta, zeta)|, both read off
 one float g at the sample's point.
 """
@@ -60,7 +61,7 @@ NULL_TOL = 1e-8
 SEED_TOL = 1e-8
 FRAME_TOL = 1e-9
 GEODESIC_K1_TOL = 1e-9
-# tangent-mode quadrature keeps only its furthest node and one block of at
+# tangent-mode quadrature keeps only its last t's node and one block of at
 # most QUAD_BLOCK nodes, so its time (not its memory) grows with
 # (t1 - t0) / quad_step; longer domains are rejected first
 MAX_QUAD_NODES = 10 ** 6
@@ -184,18 +185,18 @@ class NullCurve:
     ``tangent`` mode stores the tangent components and recovers positions by
     quadrature from an initial point: Simpson steps between the fixed nodes
     ``t0 + k * quad_step``, then one partial Simpson step from the last node to
-    t.  Only the furthest node reached is kept; an earlier t marches again from
-    t0.  The node sequence is deterministic, so a position depends on t alone,
+    t.  Only the node below the last t asked for is kept: a later t marches on
+    from it, an earlier one again from t0, so a sweep over increasing times
+    (a grid, or its replay per sample) marches once.  The node sequence is deterministic, so a position depends on t alone,
     not on which parameters were queried before.
 
-    The march takes blocks of at most QUAD_BLOCK nodes, each evaluated on
-    arrays in one pass (``_array_block``) with the float operations of the
-    per-node step (``_simpson``), so every node is bitwise the one the
-    per-node loop gives.  A block whose pass raises, or meets a non-finite
-    value (which sets a numpy flag that raises), is run again per node,
-    which raises the per-node error at the same node (or gives the same
-    non-finite values).  Nodes past the one asked for are never evaluated,
-    and at most one block is held in memory.
+    The march takes blocks of at most QUAD_BLOCK nodes (``_block``), each
+    with the float operations of the per-node step (``_simpson``) and its
+    tangents from one ``_on_samples`` pass, so every node is bitwise the one
+    the per-node loop gives, or raises its error at the same node.  Nodes
+    past the one asked for are never evaluated, and at most one block is
+    held in memory.  On an array of times, a curve whose trees hold a
+    non-finite constant raises PerSampleCheck (``_env``).
 
     The curve keeps the frame bundle (see ``_frame_jets``) of the last grid
     and screen seed order it was framed on: ``frame_field`` builds it, and
@@ -228,9 +229,8 @@ class NullCurve:
                 f"tangent-mode quadrature over [{t0!r}, {t1!r}] at quad_step "
                 f"{self.quad_step!r} needs more than {MAX_QUAD_NODES} nodes"
             )
-        self._node = None  # (k, (t_k, position, tangent)): the furthest node reached
-        # a tree with a non-finite constant marches per node
-        self._arrays = exprparse._finite_constants(self.components)
+        self._node = None  # (k, (t_k, position, tangent)): the node below the last t
+        self._finite = exprparse._finite_constants(self.components)
         self._bundle = None  # (grid and seed order, _FrameJets)
         p0 = self.position_at(t0)
         index = metric_index(metric.matrix_at(p0))
@@ -255,14 +255,23 @@ class NullCurve:
         if jets.failing((t < t0 - 1e-12) | (t > t1 + 1e-12) | (t != t)):
             raise ValueError(f"parameter {t} outside curve domain [{t0}, {t1}]")
 
+    def _env(self, t, order: int) -> dict:
+        """t as an order-``order`` jet variable, at a float or a float array
+        of grid times; on an array, PerSampleCheck where a tree holds a
+        non-finite constant (see ``codegen._refused``)."""
+        if not isinstance(t, np.ndarray):
+            t = float(t)
+        elif not self._finite:
+            raise jets.PerSampleCheck
+        return {"t": Jet.variable(t, order)}
+
     def zeta_jets(self, t, order: int):
-        """Tangent jets at t, a float or a float array of grid times (then
-        each coefficient is a sample array, or a float shared by all)."""
+        """Tangent jets at t, a float or a float array of grid times."""
         self._check_t(t)
         if self.mode == "tangent":
-            env = {"t": Jet.variable(_time(t), order)}
+            env = self._env(t, order)
             return [eval_jet(c, env) for c in self.components]
-        env = {"t": Jet.variable(_time(t), order + 1)}
+        env = self._env(t, order + 1)
         return [jets.dt(eval_jet(c, env)) for c in self.components]
 
     def position_jets(self, t, order: int):
@@ -270,19 +279,20 @@ class NullCurve:
         tangent mode the quadrature marches once through the grid times."""
         self._check_t(t)
         if self.mode == "position":
-            env = {"t": Jet.variable(_time(t), order)}
+            env = self._env(t, order)
             return [eval_jet(c, env) for c in self.components]
-        if isinstance(t, np.ndarray):
+        if isinstance(t, np.ndarray):  # the tangent first, as it may refuse arrays
+            zeta = self.zeta_jets(t, order - 1)
             base = np.array([self.position_at(s) for s in t.tolist()]).T
         else:
             base = self.position_at(t)
-        zeta = self.zeta_jets(t, order - 1)
+            zeta = self.zeta_jets(t, order - 1)
         return [jets.antiderivative(z, p) for z, p in zip(zeta, base)]
 
     def position_at(self, t: float):
         self._check_t(t)
         if self.mode == "position":
-            env = {"t": Jet.variable(float(t), 0)}
+            env = self._env(t, 0)
             return tuple(const_term(eval_jet(c, env)) for c in self.components)
         return self._quadrature(float(t))
 
@@ -297,48 +307,34 @@ class NullCurve:
             j = min(i + QUAD_BLOCK, k)
             node = self._block(node, i, j)
             i = j
-        if self._node is None or self._node[0] < i:
-            self._node = (i, node)
+        self._node = (i, node)
         return node[1] if t == node[0] else self._simpson(node, t)[1]
 
     def _block(self, node, i: int, j: int):
-        """Node j from ``node``, node i: on arrays, else per node."""
-        if self._arrays:
-            try:
-                return self._array_block(node, i, j)
-            except Exception:  # replayed per node, which raises its own error
-                pass
-        t0, step = self.domain[0], self.quad_step
-        for m in range(i + 1, j + 1):
-            node = self._simpson(node, t0 + m * step)
-        return node
-
-    def _array_block(self, node, i: int, j: int):
-        """The Simpson steps from ``node``, node i, to node j in one pass:
-        the tangent at node i, the later nodes and the midpoints (at node i
-        the stored tangent's bits), each an order-0 jet over the node times
-        as ``_zeta_value`` takes one per node, then the positions as a
-        left-to-right cumulative sum.
-
-        Any numpy floating-point flag raises.  With t and every constant
-        subtree finite, and the ``math`` functions raising rather than
-        returning inf, each non-finite value sets a flag."""
+        """Node j from ``node``, node i: the tangent at each later midpoint
+        and node, in the per-node order (midpoint, then node), in one
+        ``_on_samples`` pass, then the Simpson steps with the float
+        operations of ``_simpson`` and the positions as one left-to-right
+        cumulative sum (where float arithmetic gives inf or NaN, so does
+        numpy's)."""
         t0, step = self.domain[0], self.quad_step
         n = j - i
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            times = np.concatenate(([node[0]], t0 + np.arange(i + 1, j + 1) * step))
-            ta, tb = times[:-1], times[1:]
-            dt = tb - ta
-            env = {"t": Jet.variable(np.concatenate((times, ta + 0.5 * dt)), 0)}
-            z = np.empty((3, 2 * n + 1))
-            for row, comp in zip(z, self.components):
-                row[...] = const_term(eval_jet(comp, env))  # a constant broadcasts
-            za, zb, zm = z[:, :n], z[:, 1:n + 1], z[:, n + 1:]
+        tb = t0 + np.arange(i + 1, j + 1) * step
+        ta = np.concatenate(([node[0]], tb[:-1]))
+        dt = tb - ta
+        times = np.empty(2 * n)
+        times[0::2], times[1::2] = ta + 0.5 * dt, tb
+        # z[:, 0::2]: the tangent at nodes i .. j (node i's stored); z[:, 1::2]: midpoints
+        z = np.empty((3, 2 * n + 1))
+        z[:, 0] = node[2]
+        for row, c in zip(z, _on_samples(2 * n, self._zeta_value, times)):
+            row[1:] = c  # a constant broadcasts
+        with np.errstate(all="ignore"):
             steps = np.empty((3, n + 1))
             steps[:, 0] = node[1]
-            steps[:, 1:] = dt * (za + 4.0 * zm + zb) / 6.0
+            steps[:, 1:] = dt * (z[:, 0:-1:2] + 4.0 * z[:, 1::2] + z[:, 2::2]) / 6.0
             pos = steps.cumsum(axis=1)[:, -1]
-        return float(tb[-1]), tuple(pos.tolist()), z[:, n].tolist()
+        return float(tb[-1]), tuple(pos.tolist()), z[:, -1].tolist()
 
     def _simpson(self, node, t: float):
         """One Simpson step from ``node`` to t, as a (t, position, tangent) node."""
@@ -350,14 +346,9 @@ class NullCurve:
             pos[i] + dt * (za[i] + 4.0 * zm[i] + zb[i]) / 6.0 for i in range(3)
         ), zb
 
-    def _zeta_value(self, t: float):
-        env = {"t": Jet.variable(t, 0)}
+    def _zeta_value(self, t):
+        env = self._env(t, 0)
         return [const_term(eval_jet(c, env)) for c in self.components]
-
-
-def _time(t):
-    """t as a float, or a float array of grid times as it is."""
-    return t if isinstance(t, np.ndarray) else float(t)
 
 
 # -- frame construction ---------------------------------------------------------
@@ -528,23 +519,23 @@ def _spread(x, size: int):
     return x
 
 
-def _on_samples(size: int, arrays: bool, fn, *args):
-    """``fn(*args)`` over sample arrays of ``size`` samples, in one pass when
-    ``arrays`` is true.  Where that pass raises anything, or sets a numpy
-    flag, and where ``arrays`` is false, ``fn`` runs on each sample in turn
-    (``_sample`` of every argument) and the results are stacked: that run
-    raises the per-sample error at its sample.
+def _on_samples(size: int, fn, *args):
+    """``fn(*args)`` over sample arrays of ``size`` samples, in one pass.
+    Where that pass raises anything, or sets a numpy flag, ``fn`` runs on
+    each sample in turn (``_sample`` of every argument) and the results are
+    stacked: that run raises the per-sample error at its sample.
 
     With t and every constant subtree finite, and the ``math`` functions
     raising rather than returning inf, each non-finite value sets a flag.
-    An underflow raises no Python error and gives IEEE's bits either way, so
-    it does not count."""
-    if arrays:
-        try:
-            with np.errstate(all="raise", under="ignore"):
-                return fn(*args)
-        except Exception:  # replayed per sample, which raises its own error
-            pass
+    Where that does not hold, the tree evaluators refuse arrays with
+    PerSampleCheck: a curve's (``NullCurve._env``) and a generated
+    function's (``codegen.compiled``).  An underflow raises no Python error
+    and gives IEEE's bits either way, so it does not count."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return fn(*args)
+    except Exception:  # replayed per sample, which raises its own error
+        pass
     return _stacked([fn(*(_sample(a, i) for a in args)) for i in range(size)])
 
 
@@ -560,10 +551,9 @@ class _FrameJets:
     covariant derivative of the oriented W is ``sign * cov("w")``.
     """
 
-    __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "metric", "arrays", "_gamma",
-                 "_covs")
+    __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "metric", "_gamma", "_covs")
 
-    def __init__(self, t, pos, zeta, n, w, gmat, metric, arrays):
+    def __init__(self, t, pos, zeta, n, w, gmat, metric):
         self.t = t
         self.pos = pos
         self.zeta = zeta
@@ -571,7 +561,6 @@ class _FrameJets:
         self.w = w
         self.gmat = gmat
         self.metric = metric
-        self.arrays = arrays  # whether stages may run on arrays (``_on_samples``)
         self._gamma = None
         self._covs = {}
 
@@ -580,12 +569,12 @@ class _FrameJets:
         grid."""
         if not isinstance(self.t, np.ndarray):
             return fn(self, *args)
-        return _on_samples(len(self.t), self.arrays, fn, self, *args)
+        return _on_samples(len(self.t), fn, self, *args)
 
     def sample(self, i: int) -> "_FrameJets":
         """The bundle at sample i, with the connection and layers so far."""
         fj = _FrameJets(self.t[i].item(), *(_sample(x, i) for x in (
-            self.pos, self.zeta, self.n, self.w, self.gmat)), self.metric, self.arrays)
+            self.pos, self.zeta, self.n, self.w, self.gmat)), self.metric)
         fj._gamma = _sample(self._gamma, i)
         fj._covs = {key: _sample(v, i) for key, v in self._covs.items()}
         return fj
@@ -655,15 +644,12 @@ def _frame_jets(curve: NullCurve, t, policy: ScreenPolicy) -> _FrameJets:
 
 
 def _build_frame_jets(curve: NullCurve, t, policy: ScreenPolicy) -> _FrameJets:
-    """The bundle at t: at a float directly, over a grid by ``_on_samples``.
-    A grid whose curve or metric holds a non-finite constant runs per sample
-    (``exprparse._finite_constants``)."""
-    arrays = curve._arrays and curve.metric._generated.arrays
+    """The bundle at t: at a float directly, over a grid by ``_on_samples``."""
     if isinstance(t, np.ndarray):
-        fields = _on_samples(len(t), arrays, lambda s: _bundle_fields(curve, s, policy), t)
+        fields = _on_samples(len(t), lambda s: _bundle_fields(curve, s, policy), t)
     else:
         fields = _bundle_fields(curve, t, policy)
-    return _FrameJets(t, *fields, curve.metric, arrays)
+    return _FrameJets(t, *fields, curve.metric)
 
 
 def _bundle_fields(curve: NullCurve, t, policy: ScreenPolicy):
@@ -711,7 +697,7 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None) -> N
                          times, times)
     fj = _frame_jets(curve, times, policy)
     w0 = _spread([const_term(c) for c in fj.w], size)
-    signs = np.array(_flip_signs(_neighbour_dots(w0, fj.arrays)))
+    signs = np.array(_flip_signs(_neighbour_dots(w0)))
     # global orientation: k1 >= 0 at the first generic sample, else W's first
     # significant component positive at the first sample (whose sign is +1)
     try:
@@ -725,7 +711,7 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None) -> N
         signs = -signs
     frames = _spread(fj.staged(_FrameJets.frame, signs), size)
     t, grams = times.tolist(), frames.gram_residual.tolist()
-    jumps = np.flatnonzero(np.array(_neighbour_dots(frames.w, fj.arrays)) <= 0.0)
+    jumps = np.flatnonzero(np.array(_neighbour_dots(frames.w)) <= 0.0)
     if jumps.size:
         i = int(jumps[0])
         raise FrameDiscontinuityError(
@@ -738,14 +724,13 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None) -> N
     return frames
 
 
-def _neighbour_dots(w, arrays: bool) -> list:
+def _neighbour_dots(w) -> list:
     """The dot products of the vector ``w`` (component arrays over the
     samples) at neighbouring samples, in order, by ``_on_samples``."""
     size = len(w[0]) - 1
     if not size:
         return []
-    return _on_samples(size, arrays, _dot, [c[:-1] for c in w],
-                       [c[1:] for c in w]).tolist()
+    return _on_samples(size, _dot, [c[:-1] for c in w], [c[1:] for c in w]).tolist()
 
 
 def _on_bundle(curve: NullCurve, t, policy: ScreenPolicy | None, fn, *args):

@@ -628,9 +628,9 @@ def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
     cand = curve.cov("zeta")
     count = cand.shape[-1]
     zeta = helixmod._middle(curve.fields["zeta"], count)
-    ns, ws = map(np.array, _on_samples(count, True, _ambient_frame, curve.g(count),
+    ns, ws = map(np.array, _on_samples(count, _ambient_frame, curve.g(count),
                                        list(zeta), list(cand), seeds))
-    return ns, np.array(_flip_signs(_neighbour_dots(ws, True))) * ws
+    return ns, np.array(_flip_signs(_neighbour_dots(ws))) * ws
 
 
 def _ambient_frame(g, z, cand, seeds):
@@ -692,8 +692,8 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     # intrinsic trace extraction (stencil noise scales with frame/spacing)
     view = trace.view
     size = len(view.times)
-    points, zeta = _spread(helixmod._on_points(F._generated.arrays, _pushed, view.points,
-                                               list(view.fields["zeta"]), F), size)
+    points, zeta = _spread(_on_samples(size, _pushed, list(view.points),
+                                       list(view.fields["zeta"]), F), size)
     curve = helixmod.SampledCurve(F.ambient, view.times, points, zeta, view.dt)
     with np.errstate(all="ignore"):  # g before the connection, as a degenerate g names it
         nullity_max = max(abs(bilinear(curve.g(size), zeta, zeta)).tolist())

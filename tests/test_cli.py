@@ -461,6 +461,41 @@ def test_submanifold_csv_is_usage_error(tmp_path, capsys):
         assert args.csv == "t.csv"
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _with_curve(**fields):
+    return {**C1_DOC, "curve": {**C1_DOC["curve"], **fields}}
+
+
+# name -> (command, document, message): input checks, each before any report
+INPUT_CHECKS = {
+    "curve not an object": ("verify", {**C1_DOC, "curve": []},
+                            "curve must be a JSON object"),
+    "no curve": ("verify", _without(C1_DOC, "curve"), "document missing keys: ['curve']"),
+    "short domain": ("verify", _with_curve(domain=[0]),
+                     "curve.domain must be a list of 2 numbers"),
+    "no kind": ("verify", {}, "document must be an object with a 'kind' field"),
+    "no samples": ("submanifold", {**SPHERE_DOC, "samples": []},
+                   "samples must be a non-empty list of chart points"),
+    "infinite differential": ("submanifold", {
+        "kind": "immersion",
+        "immersion": {"intrinsic_dim": 3, "ambient": AMB4,
+                      "map": ["u1", "u2", "u3", "u1*u1*1e300*1e300"]},
+        "samples": [[1.0, 0.5, 0.2]]}, "differential is not finite at (1.0, 0.5, 0.2)"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_check_exits_2_without_a_report(tmp_path, capsys, case):
+    command, doc, message = INPUT_CHECKS[case]
+    out = tmp_path / "rep.json"
+    assert run([command, "--spec", _write(tmp_path, "bad.json", doc), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 EUCLID3 = {"dim": 3, "metric": {"type": "diag", "signs": [1, 1, 1]}}
 
 

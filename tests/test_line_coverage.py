@@ -49,3 +49,12 @@ def test_a_statement_ran_when_any_of_its_lines_did():
     assert never_ran(SOURCE, set()) == [8, 12, 13, 16, 18, 19, 21]
     # the second line of the split assignment and the raise's message line
     assert never_ran(SOURCE, {8, 12, 14, 17, 18, 19}) == [21]
+
+
+def test_hypothesis_draws_are_seeded_unless_the_caller_seeds_them():
+    pytest_args = _script().pytest_args
+    assert pytest_args([]) == ["--hypothesis-seed=0"]
+    assert pytest_args(["-q", "tests/test_jets.py"]) == \
+        ["-q", "tests/test_jets.py", "--hypothesis-seed=0"]
+    assert pytest_args(["--hypothesis-seed=7", "-q"]) == ["--hypothesis-seed=7", "-q"]
+    assert pytest_args(["--hypothesis-seed", "7"]) == ["--hypothesis-seed", "7"]

@@ -10,7 +10,7 @@ from nullhelix import helix as hx
 from nullhelix import nullframe as nf
 from nullhelix.exprparse import DomainError, eval_jet
 from nullhelix.helix import GramDriftError
-from nullhelix.jets import Jet, const_term
+from nullhelix.jets import Jet, PerSampleCheck, const_term
 from nullhelix.nullframe import (
     NoUsableSeedError,
     NotNullError,
@@ -360,8 +360,8 @@ def test_tangent_mode_quadrature_errors_are_the_per_node_ones(flat3, text, befor
 
 @pytest.mark.parametrize("text", [
     "t*1e300*1e300", "t*1e300*1e300 - t*1e300*1e300",
-    # inf only at node QUAD_BLOCK, the last of the first block: the next
-    # block evaluates that tangent again, which raises, and runs per node
+    # inf only at node QUAD_BLOCK, the last of the first block: its pass
+    # runs per node, and the next block starts from that stored tangent
     "1e300 * (1e10 * exp(-1e8*(t - 0.256)^2))",
 ], ids=["inf", "nan", "inf-at-a-block-edge"])
 def test_tangent_mode_quadrature_keeps_non_finite_nodes(flat3, text):
@@ -720,24 +720,154 @@ def test_seed_axis_is_selected_per_sample():
 def test_each_stage_runs_once_on_arrays_unless_it_must_replay(monkeypatch, case):
     """The bundle is built in one array pass (one ``position_jets`` call at
     the grid times), unless a numpy flag or a non-finite constant sends it
-    per sample: then once per sample more, or once per sample only."""
+    per sample: then once per sample more.  A curve whose trees hold a
+    non-finite constant refuses arrays inside that call, so no tree of it
+    is evaluated on arrays (no ``eval_jet`` call binds t to an array)."""
     curve, grid, policy = ARRAY_CASES[case]()
-    calls = []
+    calls, bound = [], []
     position_jets = NullCurve.position_jets
 
     def counted(self, t, order):
         calls.append(t)
         return position_jets(self, t, order)
 
+    def traced(node, env):
+        bound.append(isinstance(const_term(env["t"]), np.ndarray))
+        return eval_jet(node, env)
+
     monkeypatch.setattr(NullCurve, "position_jets", counted)
+    monkeypatch.setattr(nf, "eval_jet", traced)
     try:
         array_run(curve, grid, policy)
     except ValueError:
         pass
     arrays = [c for c in calls if isinstance(c, np.ndarray)]
     floats = [c for c in calls if not isinstance(c, np.ndarray)]
-    assert len(arrays) == (0 if case == "non-finite constant" else 1)
-    assert floats == ([] if len(arrays) and case != "overflow" else grid)
+    assert len(arrays) == 1
+    assert floats == (grid if case in ("overflow", "non-finite constant") else [])
+    assert any(bound) == (case != "non-finite constant")
+
+
+# -- the tree evaluators refuse sample arrays where numpy may differ from floats
+
+NONFINITE_TEXT = "1 + x3^2/1e999"  # 1e999 is inf, so x3^2/1e999 is 0.0 at a float
+
+
+def _plain(x):
+    """Jets as their coefficients and arrays as lists, part by part."""
+    if isinstance(x, Jet):
+        return [_plain(c) for c in x.coeffs]
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [_plain(c) for c in x]
+    return x
+
+
+def _sample_outcomes(size, fn, *args):
+    """The outcomes, sample by sample, of ``_on_samples`` and of the loop
+    over samples."""
+    def on_samples():
+        out = nf._on_samples(size, fn, *args)
+        return [_plain(nf._sample(out, i)) for i in range(size)]
+
+    def loop():
+        return [_plain(fn(*(nf._sample(a, i) for a in args))) for i in range(size)]
+
+    return outcome(on_samples), outcome(loop)
+
+
+def _refusal_cases():
+    """name -> (function, sample arrays it refuses): a tree with a non-finite
+    constant (any arrays), and finite trees given a point with inf or NaN."""
+    from nullhelix.submanifold import Immersion
+
+    nonfinite = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
+                                           ["0", "0", NONFINITE_TEXT]])
+    chart = _conformal(0.4)
+    finite = [np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.0, -1.0]),
+              np.array([0.25, 1.0, 2.0])]
+    bad = [np.array([0.1, 0.2, 0.3]), np.array([0.5, math.inf, -1.0]),
+           np.array([0.25, 1.0, math.nan])]
+    jet_point = [Jet([c, 1.0, 0.5]) for c in finite]
+    amb4 = MetricField.diag([-1, -1, 1, 1])
+    curve = NullCurve.position(FLAT, ["cos(t)", "sin(t)", "t + 0*1e999"], (0.0, 1.0))
+    tangent = NullCurve.tangent(FLAT, ["cos(t)", "sin(t)", "1 + 0*1e999"], (0, 0, 0),
+                                (0.0, 1.0))
+    times = np.array([0.0, 0.5, 1.0])
+    return {
+        "matrix_at, constant": (nonfinite.matrix_at, finite),
+        "matrix_at on jets, constant": (nonfinite.matrix_at, jet_point),
+        "christoffel, constant": (nonfinite.christoffel, finite),
+        "christoffel on jets, constant": (nonfinite.christoffel, jet_point),
+        "map_and_tangent, constant": (Immersion.from_texts(
+            3, amb4, ["u1", "u2", "u3", NONFINITE_TEXT.replace("x", "u")]).map_and_tangent,
+            finite),
+        "zeta_jets, constant": (lambda t: curve.zeta_jets(t, 2), times),
+        "position_jets, constant": (lambda t: curve.position_jets(t, 2), times),
+        "tangent position_jets, constant": (lambda t: tangent.position_jets(t, 2), times),
+        "matrix_at, point": (chart.matrix_at, bad),
+        "christoffel, point": (chart.christoffel, bad),
+        "map_and_tangent, point": (Immersion.from_texts(
+            3, amb4, ["u1", "u2", "u3", "exp(u3)"]).map_and_tangent, bad),
+        "zeta_jets, point": (lambda t: curve.zeta_jets(t, 2),
+                             np.array([0.0, math.nan, 1.0])),
+        "position_jets, point": (lambda t: curve.position_jets(t, 2),
+                                 np.array([0.0, math.inf, 1.0])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refusal_cases()))
+def test_tree_evaluators_refuse_sample_arrays(case):
+    """Each raises PerSampleCheck on the sample arrays, and ``_on_samples``
+    then gives the loop over samples' bits, or raises its error."""
+    fn, arrays = _refusal_cases()[case]
+    with pytest.raises(PerSampleCheck):
+        fn(arrays)
+    got, want = _sample_outcomes(3, fn, arrays)
+    assert got == want
+
+
+def test_a_division_by_zero_past_an_infinite_point_is_the_per_sample_error():
+    """At x3 = inf and x1 = 0, numpy's inf / 0 is inf without a flag, where
+    a float raises: the refusal keeps the loop's DomainError."""
+    chart = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
+                                       ["0", "0", "2 + x3/x1"]])
+    points = [np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([0.5, math.inf])]
+    got, want = _sample_outcomes(2, chart.matrix_at, points)
+    assert got == want
+    assert got[0] is DomainError
+
+
+def test_a_replay_per_sample_marches_the_quadrature_once_more(monkeypatch):
+    """The chart refuses arrays, so the bundle's array pass over the grid is
+    run again per sample: each march goes on from the last t's node, so the
+    replay marches the nodes once more, not once per sample from t0."""
+    metric = MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
+                                        ["0", "0", NONFINITE_TEXT]])
+    curve = NullCurve.tangent(metric, ["cos(t)", "sin(t)", "1"], (0, 0, 0), (0.0, 2.0))
+    grid = uniform_grid(0.1, 1.9, 20)
+    marched = []
+    block = NullCurve._block
+
+    def counted(self, node, i, j):
+        marched.append(j - i)
+        return block(self, node, i, j)
+
+    monkeypatch.setattr(NullCurve, "_block", counted)
+    frames = frame_field(curve, grid)
+    assert 0 < sum(marched) <= 2 * math.floor(grid[-1] / curve.quad_step)
+    assert [value_bits(fr) for fr in frames] == \
+        [value_bits(fr) for fr in reference_frames(curve, grid)]
+
+
+def test_finite_trees_on_finite_arrays_run_in_one_pass():
+    chart = _conformal(0.4)
+    points = [np.array([0.1, 0.5]), np.array([0.2, 0.0]), np.array([0.3, -1.0])]
+    for fn in (chart.matrix_at, chart.christoffel):
+        fn(points)  # not refused
+        got, want = _sample_outcomes(2, fn, points)
+        assert got == want and got[0] == "ok"
 
 
 INJECTED_ERRORS = {"not null": NotNullError, "domain": DomainError,

@@ -70,6 +70,14 @@ def test_rank_deficiency(amb4):
         normal_basis(bad, [0.5, 1.0])
 
 
+def test_a_differential_that_is_not_finite_is_named(amb4):
+    # d/du1 of u1*u1*1e300*1e300 overflows to inf at u1 = 1, so T has no rank
+    F = Immersion.from_texts(3, amb4, ["u1", "u2", "u3", "u1*u1*1e300*1e300"])
+    assert sb._at(F, [1.0, 0.5, 0.2]).rank is None
+    with pytest.raises(ValueError, match=r"^differential is not finite at \(1.0, 0.5, 0.2\)$"):
+        normal_basis(F, [1.0, 0.5, 0.2])
+
+
 def test_normal_basis_slice(slice_immersion):
     nb = normal_basis(slice_immersion, [0.0, 0.0, 0.0])
     assert nb.vectors == ((0.0, 0.0, 0.0, 1.0),)
