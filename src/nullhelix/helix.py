@@ -487,13 +487,10 @@ def _identities(fj, frame: NullFrame, sample: CurvatureSample) -> IdentityReport
     return _identity_report(frame.t, fj.gmat, cz, cn, cw, sample)
 
 
-def constancy_report(samples) -> dict:
+def constancy_report(sample: CurvatureSample) -> dict:
     """Max deviation of each curvature function from its first sample, over a
-    list of samples or a sample of arrays (read as Python floats)."""
-    if isinstance(samples, CurvatureSample):
-        columns = [samples.h.tolist(), samples.k1.tolist(), samples.k2.tolist()]
-    else:
-        columns = [[getattr(s, key) for s in samples] for key in ("h", "k1", "k2")]
+    sample of arrays (read as Python floats)."""
+    columns = [sample.h.tolist(), sample.k1.tolist(), sample.k2.tolist()]
     if len(columns[0]) < 2:
         raise ValueError("constancy needs at least two curvature samples")
     return {key: max(abs(v - c[0]) for v in c) for key, c in zip(("h", "k1", "k2"), columns)}

@@ -38,10 +38,12 @@ on the arrays under numpy flags that raise; where it raises anything, or a
 flag, it runs again per sample through the same functions on float t
 (``_on_samples``), which raises the per-sample error at its sample, in the
 order of a loop over samples; a tree evaluator refuses arrays where numpy
-could pass silently where a float raises (``jets.PerSampleCheck``).  The
-same functions at one float t measure a single frame, ``frame_field(curve, [t])[0]``.  Each ``NullFrame`` carries its
-``gram_residual`` and its ``null_residual`` |g(zeta, zeta)|, both read off
-one float g at the sample's point.
+could pass silently where a float raises (``jets.PerSampleCheck``).  A
+tangent-mode curve's base points over the grid come from one quadrature
+march (``NullCurve._quadrature``).  The same functions at one float t
+measure a single frame, ``frame_field(curve, [t])[0]``.  Each ``NullFrame``
+carries its ``gram_residual`` and its ``null_residual`` |g(zeta, zeta)|,
+both read off one float g at the sample's point.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ NULL_TOL = 1e-8
 SEED_TOL = 1e-8
 FRAME_TOL = 1e-9
 GEODESIC_K1_TOL = 1e-9
-# tangent-mode quadrature keeps only its last t's node and one block of at
-# most QUAD_BLOCK nodes, so its time (not its memory) grows with
+# tangent-mode quadrature keeps only its largest t's node and one block of
+# at most QUAD_BLOCK nodes, so its time (not its memory) grows with
 # (t1 - t0) / quad_step; longer domains are rejected first
 MAX_QUAD_NODES = 10 ** 6
 QUAD_BLOCK = 256
@@ -184,19 +186,21 @@ class NullCurve:
     ``position`` mode stores the coordinate components as expressions in t;
     ``tangent`` mode stores the tangent components and recovers positions by
     quadrature from an initial point: Simpson steps between the fixed nodes
-    ``t0 + k * quad_step``, then one partial Simpson step from the last node to
-    t.  Only the node below the last t asked for is kept: a later t marches on
-    from it, an earlier one again from t0, so a sweep over increasing times
-    (a grid, or its replay per sample) marches once.  The node sequence is deterministic, so a position depends on t alone,
-    not on which parameters were queried before.
+    ``t0 + k * quad_step``, then one partial Simpson step from each time's
+    node to the time.  The times of a grid march once, to the node below the
+    largest; one t is a grid of one.  Only that node is kept: a later t
+    marches on from it, an earlier one again from t0, so a replay per sample
+    over increasing times marches once more.  The node sequence is
+    deterministic, so a position depends on t alone.
 
-    The march takes blocks of at most QUAD_BLOCK nodes (``_block``), each
-    with the float operations of the per-node step (``_simpson``) and its
-    tangents from one ``_on_samples`` pass, so every node is bitwise the one
-    the per-node loop gives, or raises its error at the same node.  Nodes
-    past the one asked for are never evaluated, and at most one block is
-    held in memory.  On an array of times, a curve whose trees hold a
-    non-finite constant raises PerSampleCheck (``_env``).
+    The march takes blocks of at most QUAD_BLOCK nodes (``_block``).  The
+    tangents of a block, and of the partial steps, come from one
+    ``_on_samples`` pass (``_tangents``), and every step has the float
+    operations of one Simpson step, so each node is bitwise the one the
+    per-node loop gives, or raises its error at the same node.  Nodes past
+    the largest time are never evaluated, and at most one block is held in
+    memory.  On an array of times, a curve whose trees hold a non-finite
+    constant raises PerSampleCheck (``_env``).
 
     The curve keeps the frame bundle (see ``_frame_jets``) of the last grid
     and screen seed order it was framed on: ``frame_field`` builds it, and
@@ -229,7 +233,7 @@ class NullCurve:
                 f"tangent-mode quadrature over [{t0!r}, {t1!r}] at quad_step "
                 f"{self.quad_step!r} needs more than {MAX_QUAD_NODES} nodes"
             )
-        self._node = None  # (k, (t_k, position, tangent)): the node below the last t
+        self._node = None  # (k, [t_k, *position, *tangent]) below the last call's largest t
         self._finite = exprparse._finite_constants(self.components)
         self._bundle = None  # (grid and seed order, _FrameJets)
         p0 = self.position_at(t0)
@@ -283,7 +287,7 @@ class NullCurve:
             return [eval_jet(c, env) for c in self.components]
         if isinstance(t, np.ndarray):  # the tangent first, as it may refuse arrays
             zeta = self.zeta_jets(t, order - 1)
-            base = np.array([self.position_at(s) for s in t.tolist()]).T
+            base = self._quadrature(t)
         else:
             base = self.position_at(t)
             zeta = self.zeta_jets(t, order - 1)
@@ -294,61 +298,64 @@ class NullCurve:
         if self.mode == "position":
             env = self._env(t, 0)
             return tuple(const_term(eval_jet(c, env)) for c in self.components)
-        return self._quadrature(float(t))
+        return tuple(self._quadrature(np.array([float(t)]))[:, 0].tolist())
 
-    def _quadrature(self, t: float):
+    @np.errstate(all="ignore")  # inf and NaN as float arithmetic gives them
+    def _quadrature(self, times):
+        """Positions, as component rows, at a float array of times in any
+        order: one march to the node below the largest time, keeping each
+        time's node from the block arrays, then one partial Simpson step from
+        its node to each time that is not on it."""
         t0, step = self.domain[0], self.quad_step
-        k = max(0, int(math.floor((t - t0) / step)))
-        if self._node is not None and self._node[0] <= k:
+        ks = np.maximum(0, np.floor((times - t0) / step)).astype(int)
+        last = int(ks.max(initial=0))  # initial: an empty grid marches no node
+        if self._node is not None and self._node[0] <= ks.min(initial=last):
             i, node = self._node
         else:
-            i, node = 0, (t0, self.initial, self._zeta_value(t0))
-        while i < k:
-            j = min(i + QUAD_BLOCK, k)
-            node = self._block(node, i, j)
-            i = j
+            i, node = 0, np.array([t0, *self.initial, *self._zeta_value(t0)])
+        nodes = np.repeat(node[:, None], len(times), axis=1)  # t, position, tangent
+        while i < last:
+            j = min(i + QUAD_BLOCK, last)
+            block = self._block(node, i, j)
+            here = (ks > i) & (ks <= j)
+            nodes[:, here] = block[:, ks[here] - i - 1]
+            i, node = j, block[:, -1].copy()
         self._node = (i, node)
-        return node[1] if t == node[0] else self._simpson(node, t)[1]
+        off = times != nodes[0]
+        if off.any():
+            ta, tb = nodes[0, off], times[off]
+            nodes[1:4, off] += _simpson_steps(ta, tb, nodes[4:, off], *self._tangents(ta, tb))
+        return nodes[1:4]
 
     def _block(self, node, i: int, j: int):
-        """Node j from ``node``, node i: the tangent at each later midpoint
-        and node, in the per-node order (midpoint, then node), in one
-        ``_on_samples`` pass, then the Simpson steps with the float
-        operations of ``_simpson`` and the positions as one left-to-right
-        cumulative sum (where float arithmetic gives inf or NaN, so does
-        numpy's)."""
-        t0, step = self.domain[0], self.quad_step
-        n = j - i
-        tb = t0 + np.arange(i + 1, j + 1) * step
+        """Nodes i + 1 .. j from ``node``, node i, as (t, position, tangent)
+        columns; the positions are one left-to-right cumulative sum."""
+        tb = self.domain[0] + np.arange(i + 1, j + 1) * self.quad_step
         ta = np.concatenate(([node[0]], tb[:-1]))
-        dt = tb - ta
-        times = np.empty(2 * n)
-        times[0::2], times[1::2] = ta + 0.5 * dt, tb
-        # z[:, 0::2]: the tangent at nodes i .. j (node i's stored); z[:, 1::2]: midpoints
-        z = np.empty((3, 2 * n + 1))
-        z[:, 0] = node[2]
-        for row, c in zip(z, _on_samples(2 * n, self._zeta_value, times)):
-            row[1:] = c  # a constant broadcasts
-        with np.errstate(all="ignore"):
-            steps = np.empty((3, n + 1))
-            steps[:, 0] = node[1]
-            steps[:, 1:] = dt * (z[:, 0:-1:2] + 4.0 * z[:, 1::2] + z[:, 2::2]) / 6.0
-            pos = steps.cumsum(axis=1)[:, -1]
-        return float(tb[-1]), tuple(pos.tolist()), z[:, -1].tolist()
+        zm, zb = self._tangents(ta, tb)
+        za = np.concatenate((node[4:, None], zb[:, :-1]), axis=1)
+        steps = np.concatenate((node[1:4, None], _simpson_steps(ta, tb, za, zm, zb)), axis=1)
+        return np.concatenate(([tb], steps.cumsum(axis=1)[:, 1:], zb))
 
-    def _simpson(self, node, t: float):
-        """One Simpson step from ``node`` to t, as a (t, position, tangent) node."""
-        ta, pos, za = node
-        dt = t - ta
-        zm = self._zeta_value(ta + 0.5 * dt)
-        zb = self._zeta_value(t)
-        return t, tuple(
-            pos[i] + dt * (za[i] + 4.0 * zm[i] + zb[i]) / 6.0 for i in range(3)
-        ), zb
+    def _tangents(self, ta, tb):
+        """The tangent at the midpoint of each Simpson step [ta, tb], then at
+        tb, from one ``_on_samples`` pass in that order, as component rows."""
+        times = np.empty(2 * len(tb))
+        times[0::2], times[1::2] = ta + 0.5 * (tb - ta), tb
+        z = np.empty((3, len(times)))
+        for row, c in zip(z, _on_samples(len(times), self._zeta_value, times)):
+            row[:] = c  # a constant broadcasts
+        return z[:, 0::2], z[:, 1::2]
 
     def _zeta_value(self, t):
         env = self._env(t, 0)
         return [const_term(eval_jet(c, env)) for c in self.components]
+
+
+def _simpson_steps(ta, tb, za, zm, zb):
+    """The position increments of Simpson steps [ta, tb], with the float
+    operations of one step."""
+    return (tb - ta) * (za + 4.0 * zm + zb) / 6.0
 
 
 # -- frame construction ---------------------------------------------------------

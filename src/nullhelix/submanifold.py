@@ -480,11 +480,6 @@ def _shape_value(pt: _Point, a: int, y):
     return [-c for c in _tangential_coords(pt, wein)]
 
 
-def shape_operator(F: Immersion, u, a: int, X):
-    """A^{N_a}(X): minus the tangential part of the normal field's derivative."""
-    return tuple(const_term(c) for c in _shape_value(_at(F, u), a, list(X)))
-
-
 def duality_residual(F: Immersion, u, X, Y, a: int) -> float:
     """|g(A(X), Y) - g~(B(X, Y), N_a)|: the two computations must agree."""
     normal_basis(F, u)  # checks the rank, both metrics and the normal space at u

@@ -449,6 +449,41 @@ def test_submanifold_command(tmp_path):
     assert rep["summary"]["max_duality_residual"] <= 1e-8
 
 
+# the pseudosphere S^3_2 in the conformally flat e^{2 phi} diag(-1, -1, 1, 1),
+# phi = 0.4 x3: the submanifold forms read the ambient connection
+CONFORMAL_FACTOR = "exp(2*(0.4*x3))"
+CONFORMAL_PSEUDOSPHERE_DOC = {
+    "kind": "immersion",
+    "immersion": {"intrinsic_dim": 3,
+                  "ambient": {"dim": 4, "metric": {"type": "field", "entries": [
+                      [("-" if i < 2 else "") + CONFORMAL_FACTOR if i == j else "0"
+                       for j in range(4)] for i in range(4)]}},
+                  "map": ["sinh(u1)*cos(u2)", "sinh(u1)*sin(u2)",
+                          "cosh(u1)*cos(u3)", "cosh(u1)*sin(u3)"]},
+    "samples": [[0.4, 0.3, -1.2], [1.1, -2.0, 0.7], [1.4, 2.5, 2.9]],
+}
+
+
+def test_submanifold_command_in_a_curved_ambient(tmp_path):
+    """S^3_2 stays umbilical, with H~ = -e^{-2 phi} (1 + phi) x (Law 2 of
+    docs/conformal_umbilic.md, phi linear), through the command."""
+    spec = _write(tmp_path, "s.json", CONFORMAL_PSEUDOSPHERE_DOC)
+    out = str(tmp_path / "rep.json")
+    assert run(["submanifold", "--spec", spec, "--out", out]) == 0
+    rep = json.loads(open(out).read())
+    assert len(rep["rows"]) == 3
+    for row in rep["rows"]:
+        u1, u2, u3 = row["u"]
+        x = [math.sinh(u1) * math.cos(u2), math.sinh(u1) * math.sin(u2),
+             math.cosh(u1) * math.cos(u3), math.cosh(u1) * math.sin(u3)]
+        phi = 0.4 * x[2]
+        expected = [-math.exp(-2.0 * phi) * (1.0 + phi) * c for c in x]
+        assert row["umbilical_residual"] <= 1e-12
+        assert nf.euclid_norm([a - b for a, b in zip(row["mean_curvature"], expected)]) \
+            <= 1e-12 * nf.euclid_norm(expected)
+    assert rep["summary"]["max_duality_residual"] <= rep["config"]["tol"]
+
+
 def test_submanifold_csv_is_usage_error(tmp_path, capsys):
     # submanifold writes no CSV table, so it takes no --csv
     spec = _write(tmp_path, "s.json", SPHERE_DOC)
@@ -1528,12 +1563,13 @@ def test_transfer_failure_at_one_sample_exits_2_with_the_per_sample_error(
     """A degenerate ambient metric, a domain error or an infinite constant in
     the immersion, or an infinite constant in an ambient entry, at the first,
     a middle or the last of 201 pushed-forward samples, exits 2 with the
-    error a loop over samples raises there, and no numpy warning.  Only the first sample is one of the
-    isometry check's, so the others fail where the pushed-forward curve
-    reads f, T and g on its sample arrays.  A failure inside the ambient
-    frame (no timelike screen direction) at the first, a middle or the last
-    sample it is built on, those the acceleration reaches, fails the same
-    way where the frame's array pass is replayed per sample."""
+    error a loop over samples raises there, and no numpy warning.  Only the
+    first sample is one of the isometry check's, so the others fail where
+    the pushed-forward curve reads f, T and g on its sample arrays.  A
+    failure inside the ambient frame (no timelike screen direction) at the
+    first, a middle or the last sample it is built on, those the
+    acceleration reaches, fails the same way where the frame's array pass is
+    replayed per sample."""
     view = _transfer_view(1001)
     if kind == "ambient frame":
         at = min(max(where, hx.FD_RADIUS), len(view.times) - 1 - hx.FD_RADIUS)

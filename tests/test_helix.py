@@ -785,18 +785,16 @@ def test_reseeded_trace_frames_match_curve_frame_jets(flat3, conformal):
 
 def test_constancy_report(c1_curve, flat3):
     frames = frame_field(c1_curve, uniform_grid(0.0, TWO_PI, 50))
-    samples = [curvatures_at(c1_curve, f) for f in frames]
-    rep = constancy_report(samples)
+    rep = constancy_report(curvatures_at(c1_curve, frames))
     assert rep["h"] <= 1e-9 and rep["k1"] <= 1e-9 and rep["k2"] <= 1e-9
     c = NullCurve.tangent(flat3, ["cos(t^2)", "sin(t^2)", "1"], (0, 0, 0), (0.1, 3.0))
     frames = frame_field(c, uniform_grid(0.5, 2.0, 40))
-    samples = [curvatures_at(c, f) for f in frames]
-    rep = constancy_report(samples)
+    rep = constancy_report(curvatures_at(c, frames))
     assert rep["k1"] == pytest.approx(3.0, abs=1e-6)
     with pytest.raises(ValueError):
-        constancy_report(samples[:1])
+        constancy_report(curvatures_at(c, frame_field(c, [0.5])))
     with pytest.raises(ValueError):
-        constancy_report([])
+        constancy_report(curvatures_at(c, frame_field(c, [])))
 
 
 def test_frames_reconstructible_along_synthesized_traces(flat3, rng):

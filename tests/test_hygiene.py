@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used, every parameter is read,
-every definition is referenced, every class field is read, and the
-definitions only tests reference are the listed ones."""
+every definition is referenced, every class field is read, the definitions
+only tests reference are the listed ones, and no line of the package, the
+tests or the scripts is longer than MAX_COLUMNS."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "nullhelix").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+MAX_COLUMNS = 100
 
 
 @cache
@@ -165,10 +168,9 @@ def test_every_class_field_is_read():
     assert {k: v for k, v in found.items() if v} == {}
 
 
-# package definitions that only tests name: nabla_B is read by acceptance
-# criterion 6, and second_fundamental and shape_operator by the tests of the
-# forms the duality residual reads from the point bundle
-TEST_ONLY = {"nabla_B", "second_fundamental", "shape_operator"}
+# package definitions that only tests name: acceptance criterion 6 reads
+# both of them
+TEST_ONLY = {"nabla_B", "second_fundamental"}
 
 
 def test_test_only_definitions_are_listed():
@@ -176,6 +178,18 @@ def test_test_only_definitions_are_listed():
     found = {entry.split(": ")[1] for path in PACKAGE
              for entry in unreferenced_definitions(_tree(path), counts)}
     assert found == TEST_ONLY
+
+
+def long_lines(text: str) -> list:
+    """``line N: C columns`` for each line longer than MAX_COLUMNS."""
+    return [f"line {i}: {len(line)} columns"
+            for i, line in enumerate(text.splitlines(), 1) if len(line) > MAX_COLUMNS]
+
+
+def test_no_line_is_longer_than_100_columns():
+    found = {path.relative_to(ROOT).as_posix(): long_lines(path.read_text())
+             for path in (*PACKAGE, *TESTS, *SCRIPTS)}
+    assert {k: v for k, v in found.items() if v} == {}
 
 
 def test_the_checks_name_what_they_find():
@@ -191,6 +205,7 @@ def test_the_checks_name_what_they_find():
         "    return bilinear(g, x, x) + len(rest) + len(kw)\n"
         "h = lambda i, j: i\n")
     assert unused_imports(tree) == ["line 2: os", "line 3: full_support"]
+    assert long_lines("x" * 100 + "\n" + "y" * 101 + "\n") == ["line 2: 101 columns"]
     assert unread_parameters(tree) == ["line 8: f.tol", "line 8: f.t",
                                        "line 10: <lambda>.j"]
     package = ast.parse(

@@ -10,7 +10,7 @@ from nullhelix import helix as hx
 from nullhelix import nullframe as nf
 from nullhelix.exprparse import DomainError, eval_jet
 from nullhelix.helix import GramDriftError
-from nullhelix.jets import Jet, PerSampleCheck, const_term
+from nullhelix.jets import Jet, PerSampleCheck, antiderivative, const_term
 from nullhelix.nullframe import (
     NoUsableSeedError,
     NotNullError,
@@ -356,6 +356,9 @@ def test_tangent_mode_quadrature_errors_are_the_per_node_ones(flat3, text, befor
     assert _outcome(marched.position_at, at) == failure
     assert _outcome(curve().position_at, at) == failure
     assert _bits(marched.position_at(before)) == _bits(reference.position_at(before))
+    got, want = _sample_outcomes(3, lambda t: marched.position_jets(t, 2),
+                                 np.array([before, at, 0.1]))
+    assert got == want == (DomainError, message)
 
 
 @pytest.mark.parametrize("text", [
@@ -375,6 +378,62 @@ def test_tangent_mode_quadrature_keeps_non_finite_nodes(flat3, text):
         expected = _bits(reference.position_at(t))
         assert _bits(marched.position_at(t)) == expected
     assert not math.isfinite(marched.position_at(1.0)[0])
+    grid = np.array([0.9, 0.0, 1.0, 0.5])
+    got, want = _sample_outcomes(4, lambda t: marched.position_jets(t, 2), grid)
+    assert got == want
+    assert [[c[0] for c in sample] for sample in got[1]] == \
+        [value_bits(reference.position_at(t)) for t in grid.tolist()]
+
+
+@pytest.mark.parametrize("texts, initial, domain, quad_step", GRAMMAR_TANGENTS)
+def test_position_jets_on_a_grid_are_the_per_node_march_bitwise(flat3, rng, texts,
+                                                                initial, domain, quad_step):
+    """Grid times unsorted and repeated, on nodes, next to them and at both
+    domain ends, through one march: each sample's position jet is the
+    per-node march's position and the tangent's jet at that float t."""
+    def curve():
+        return NullCurve.tangent(flat3, texts, initial, domain, quad_step=quad_step)
+
+    t0, t1 = domain
+    on_nodes = [t0 + k * quad_step for k in (1, nf.QUAD_BLOCK, 2 * nf.QUAD_BLOCK + 1,
+                                             3 * nf.QUAD_BLOCK + 5)]
+    times = (on_nodes + [math.nextafter(t, t1) for t in on_nodes]
+             + [math.nextafter(t, t0) for t in on_nodes]
+             + [rng.uniform(t0, t1) for _ in range(8)] + [t0, t1])
+    times += times[::3]
+    rng.shuffle(times)
+    assert max(times) - min(times) > 3 * nf.QUAD_BLOCK * quad_step
+    got = curve().position_jets(np.array(times), 2)
+    reference = _PerNodeMarch(curve())
+    for i, t in enumerate(times):
+        want = [antiderivative(z, p)
+                for z, p in zip(curve().zeta_jets(t, 1), reference.position_at(t))]
+        assert _bits(nf._sample(got, i)) == _bits(want)
+
+
+def test_a_tangent_grid_is_marched_once_without_position_at(monkeypatch, flat3):
+    """The frames on a tangent-mode grid read their base points from one
+    march: ``position_at`` runs once, from ``__init__``, and ``_block`` once
+    per QUAD_BLOCK nodes up to the node below the last grid time."""
+    calls = []
+    position_at, block = NullCurve.position_at, NullCurve._block
+
+    def counted_position_at(self, t):
+        calls.append("position_at")
+        return position_at(self, t)
+
+    def counted_block(self, node, i, j):
+        calls.append("_block")
+        return block(self, node, i, j)
+
+    monkeypatch.setattr(NullCurve, "position_at", counted_position_at)
+    monkeypatch.setattr(NullCurve, "_block", counted_block)
+    curve = NullCurve.tangent(flat3, ["cos(t)", "sin(t)", "1"], (0, 0, 0), (0.0, 2.0))
+    grid = uniform_grid(0.1, 1.9, 30)
+    frame_field(curve, grid)
+    nodes = math.floor(grid[-1] / curve.quad_step)
+    assert calls.count("position_at") == 1
+    assert calls.count("_block") == math.ceil(nodes / nf.QUAD_BLOCK)
 
 
 def test_screen_vector_rejects_a_spacelike_screen():

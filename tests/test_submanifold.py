@@ -31,7 +31,6 @@ from nullhelix.submanifold import (
     null_triple,
     parallel_H_residual,
     second_fundamental,
-    shape_operator,
     umbilical_diagnostic,
     umbilical_residual,
 )
@@ -294,10 +293,10 @@ def test_b_symmetry_random(graph_immersion, rng):
 def test_shape_operator_examples(sphere2, slice_immersion):
     u = [math.pi / 2, 0.0]
     x = (0.5, 0.0)
-    a = shape_operator(sphere2, u, 0, x)
+    a = sb._shape_value(sb._at(sphere2, u), 0, list(x))
     # outward normal: A(X) = -X / r = -X / 2 (consistent with duality)
     assert a == pytest.approx((-0.25, 0.0), abs=1e-12)
-    assert shape_operator(slice_immersion, [0, 0, 0], 0, (1, 0, 0)) == \
+    assert sb._shape_value(sb._at(slice_immersion, [0, 0, 0]), 0, [1, 0, 0]) == \
         pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
 
 
@@ -550,7 +549,6 @@ def _public_calls(F, u):
         ("induced_metric", lambda: induced_metric(F, u)),
         ("normal_basis", lambda: normal_basis(F, u)),
         ("second_fundamental", lambda: second_fundamental(F, u, x, y)),
-        ("shape_operator", lambda: shape_operator(F, u, 0, x)),
         ("duality_residual", lambda: duality_residual(F, u, x, y, 0)),
         ("mean_curvature", lambda: mean_curvature(F, u)),
         ("umbilical_residual", lambda: umbilical_residual(F, u)),
