@@ -4,7 +4,7 @@ trees compare with ``diff -r``.
 
 Usage, from the root of the tree to report on:
 
-    python3 scripts/report_tree.py OUT_DIR [--seeds 7 8]
+    python3 scripts/report_tree.py OUT_DIR [--seeds 7 8] [--digests FILE]
 
 It imports the tree's ``src`` and its ``perfbench/workloads.py`` (read, not
 written: no bytecode is cached), then runs each document of each workload,
@@ -21,18 +21,32 @@ script from both roots and diff the two directories:
     (cd ../parent && python3 "$OLDPWD/scripts/report_tree.py" ../reports-parent)
     python3 scripts/report_tree.py ../reports-change
     diff -r ../reports-parent ../reports-change
+
+``--digests FILE`` also writes the sha256 of every file written, with the
+seeds and the environment the bits depend on (Python, numpy, and the
+platform with its C library, whose libm the elementary functions call).
+``tests/test_report_tree.py`` compares the tree's files at seeds 7, 8 and 9
+with ``tests/data/report_digests.json``; a change that means to alter report
+bytes rewrites that file:
+
+    python3 scripts/report_tree.py ../reports --seeds 7 8 9 \\
+        --digests tests/data/report_digests.json
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy
 
 
 def load_workloads(root: Path):
@@ -68,10 +82,24 @@ def write_tree(cli, workloads, seeds) -> int:
     return count
 
 
+def environment() -> dict:
+    """What a report's bits depend on beside the tree."""
+    libc = "".join(platform.libc_ver())
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "platform": f"{sys.platform}-{platform.machine()}-{libc}"}
+
+
+def digests(out_dir: Path) -> dict:
+    """File name -> sha256 of each file in ``out_dir``."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.iterdir())}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out_dir", type=Path)
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 8])
+    ap.add_argument("--digests", type=Path, help="write the files' sha256 here")
     args = ap.parse_args(argv)
 
     sys.dont_write_bytecode = True
@@ -80,10 +108,16 @@ def main(argv=None) -> int:
     from nullhelix import cli
 
     workloads = load_workloads(root)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    os.chdir(args.out_dir)
+    out_dir = args.out_dir.resolve()
+    record_file = args.digests and args.digests.resolve()  # before the chdir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)
     count = write_tree(cli, workloads, args.seeds)
     print(f"{count} documents from {root} into {args.out_dir}")
+    if record_file:
+        record = {"environment": environment(), "seeds": args.seeds,
+                  "files": digests(out_dir)}
+        record_file.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 
 

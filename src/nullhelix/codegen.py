@@ -168,10 +168,11 @@ def compiled(name: str, variables, extra, body, trees):
 def _refused(values, finite: bool) -> bool:
     """Whether ``values`` hold a plain sample array with inf or NaN, or, where
     ``finite`` is false (a tree holds a non-finite constant, which numpy
-    divides by zero without a flag), any sample array, also in a jet."""
+    divides by zero without a flag), any sample array, also in a jet.  An
+    empty array hides no float error, so it is never refused."""
     for x in values:
         if isinstance(x, np.ndarray):
-            if not finite or not np.isfinite(x).all():
+            if x.size and (not finite or not np.isfinite(x).all()):
                 return True
         elif not finite and isinstance(x, jets.Jet) and _refused(x.coeffs, False):
             return True

@@ -5,17 +5,19 @@ the evaluation point; coefficient ``k`` equals the k-th derivative divided by
 ``k!``, so multiplication is a plain coefficient convolution, and ``dt``
 multiplies coefficient k + 1 by k + 1.
 
-Coefficients are usually floats, but they may themselves be jets: nesting
-one parameter inside another is how the rest of the package obtains spatial
-partial derivatives of composed fields (a first-order jet seeded in one
-coordinate whose coefficients are jets in another parameter).  They may also
-be float arrays over samples, one element per sample (a curve's frame bundle
-over its grid): the elementwise operations are the per-sample float ones, the
-elementary functions map libm over the elements (``_mapped``) and ``powi``
-takes each element's float ``**``.  A check on a constant term (``failing``)
-then fails where it fails at any sample, and raises PerSampleCheck, for the
-caller to replay per sample.  The code below therefore only assumes ring
-arithmetic on coefficients.
+Coefficients are floats, or float arrays over samples, one element per
+sample (a curve's frame bundle over its grid): the elementwise operations are
+the per-sample float ones, the elementary functions map libm over the
+elements (``_mapped``) and ``powi`` takes each element's float ``**``.  A
+check on a constant term (``failing``) then fails where it fails at any
+sample, and raises PerSampleCheck, for the caller to replay per sample; a
+branch (``agreed``) is taken where every sample takes it, and raises
+PerSampleCheck where the samples split.  The package takes spatial partial
+derivatives from generated derivative trees (``codegen``) and order-1 jet
+rays.  Coefficients may also be jets themselves, one parameter nested inside
+another, which gives mixed partials of composed fields: the tests use that
+as the reference for the generated code.  The code below therefore only
+assumes ring arithmetic on coefficients.
 
 The product is the inner loop of every curve frame, so it is written out as
 one kernel per coefficient count: ``_MUL[n]`` convolves the first n
@@ -59,6 +61,20 @@ def failing(test) -> bool:
     return False
 
 
+def agreed(test) -> bool:
+    """Whether to take a branch: ``test`` itself where it is a bool (one
+    sample), and for a bool array over samples True where every sample takes
+    it (also where there is none), False where none does, else
+    PerSampleCheck, for the caller to replay per sample."""
+    if not isinstance(test, ndarray):
+        return test
+    if test.all():
+        return True
+    if test.any():
+        raise PerSampleCheck
+    return False
+
+
 class Jet:
     """Truncated Taylor series: ``coeffs[k]`` is the k-th derivative over k!.
 
@@ -96,8 +112,6 @@ class Jet:
         return len(self.coeffs) - 1
 
     def truncated(self, order: int) -> "Jet":
-        if order >= self.order:
-            return self
         return _new(self.coeffs[: order + 1])
 
     def __repr__(self):
@@ -105,9 +119,6 @@ class Jet:
 
     def __eq__(self, other):
         return isinstance(other, Jet) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     # -- ring operations ----------------------------------------------------
 

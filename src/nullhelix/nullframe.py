@@ -22,9 +22,11 @@ the frame's own t-derivatives; transfer runs the seed/N and W steps, and
 traces ``frame_curvatures``, once on sample arrays.  So do the N formula
 (``transversal``), the screen part of a vector (``screen_projection``, scaled
 by ``unit_screen``) and the six Gram conditions (``max_gram_residual``): the
-frame algebra ``helix`` and ``submanifold`` share.  Each sample may take its
-own seed (``_seeds_per_sample``), and W's sign is made continuous by one rule
-over sample arrays (``_neighbour_dots``, then ``_flip_signs``).
+frame algebra ``helix`` and ``submanifold`` share.  On sample arrays a
+branch, such as the seed axis, is taken where every sample takes it and
+replayed per sample where they split (``jets.agreed``), and W's sign is made
+continuous by one rule over sample arrays (``_neighbour_dots``, then
+``_flip_signs``).
 Transfer's ambient frames extend the seed order with the unused axes and take
 W from the acceleration's screen part, the only W rule above dimension 3.
 
@@ -261,11 +263,11 @@ class NullCurve:
 
     def _env(self, t, order: int) -> dict:
         """t as an order-``order`` jet variable, at a float or a float array
-        of grid times; on an array, PerSampleCheck where a tree holds a
-        non-finite constant (see ``codegen._refused``)."""
+        of grid times; on a non-empty array, PerSampleCheck where a tree
+        holds a non-finite constant (see ``codegen._refused``)."""
         if not isinstance(t, np.ndarray):
             t = float(t)
-        elif not self._finite:
+        elif not self._finite and t.size:
             raise jets.PerSampleCheck
         return {"t": Jet.variable(t, order)}
 
@@ -378,13 +380,13 @@ SCREEN_TOL = 1e-18
 def null_transversal(g, zeta, seeds, where: str):
     """``(i, g.zeta, N)`` for the first seed axis e_i in ``seeds`` with
     |g(zeta, e_i)| > SEED_TOL, in any dimension; ``where`` locates the sample
-    in the error message.  Over sample arrays, see ``_seeds_per_sample``."""
+    in the error message.  Over sample arrays the seed is one for all
+    samples: an axis is taken or skipped where every sample agrees
+    (``jets.agreed``), and PerSampleCheck raised where they split, for the
+    caller to replay per sample."""
     gz = mat_vec(g, zeta)
     for idx in seeds:
-        usable = abs(const_term(gz[idx])) > SEED_TOL
-        if isinstance(usable, np.ndarray):
-            return _seeds_per_sample(g, zeta, gz, seeds)
-        if usable:
+        if jets.agreed(abs(const_term(gz[idx])) > SEED_TOL):
             break
     else:
         raise NoUsableSeedError(
@@ -392,27 +394,6 @@ def null_transversal(g, zeta, seeds, where: str):
         )
     axis = [1.0 if i == idx else 0.0 for i in range(len(zeta))]
     return idx, gz, transversal(g, zeta, axis, gz[idx])
-
-
-def _seeds_per_sample(g, zeta, gz, seeds):
-    """``null_transversal`` over sample arrays: each sample takes its own
-    first usable seed.  Where that is one seed for all, i is an int and N is
-    built as at one sample; else i is an array, and the axis (entries
-    exactly 1.0 and 0.0) and phi = g(zeta, e_i) are selected per sample."""
-    usable = [abs(const_term(gz[i])) > SEED_TOL for i in seeds]
-    idx = np.select(usable, seeds, -1)
-    jets.failing(idx == -1)  # the replay per sample raises NoUsableSeedError
-    if (idx == idx[0]).all():
-        idx = int(idx[0])
-        axis = [1.0 if i == idx else 0.0 for i in range(len(zeta))]
-        return idx, gz, transversal(g, zeta, axis, gz[idx])
-    axis = [np.where(idx == i, 1.0, 0.0) for i in range(len(zeta))]
-    chosen = [idx == i for i in seeds]
-    if isinstance(gz[seeds[0]], Jet):
-        phi = Jet([np.select(chosen, c) for c in zip(*(gz[i].coeffs for i in seeds))])
-    else:
-        phi = np.select(chosen, [gz[i] for i in seeds])
-    return idx, gz, transversal(g, zeta, axis, phi)
 
 
 def transversal(g, zeta, v, phi):

@@ -634,16 +634,17 @@ def _ambient_frame(g, z, cand, seeds):
     N is ``nullframe.null_transversal`` over ``seeds``: the policy seeds
     followed by the axes the policy leaves out.  W is the screen projection
     of the candidate ``cand`` (the acceleration), normalised to
-    g(W, W) = -1; where its screen part degenerates, the seed axes are
-    projected in turn (over arrays: where it does at any sample, the replay
-    per sample does so).  This W rule is the only one for ambient dimensions
-    above 3.
+    g(W, W) = -1; where its screen part degenerates (or is NaN), the seed
+    axes are projected in turn.  Over sample arrays a candidate is taken or
+    passed over where every sample agrees (``jets.agreed``), and
+    PerSampleCheck raised where they split, for the caller to replay per
+    sample.  This W rule is the only one for ambient dimensions above 3.
     """
     n = len(z)
     _, _, nv = null_transversal(g, z, seeds, "along the ambient curve")
     for attempt in range(n + 1):
         proj, w2 = screen_projection(g, cand, z, nv)
-        if not jets.failing((w2 <= 1e-12) | (w2 != w2)):
+        if jets.agreed(w2 > 1e-12):
             return nv, unit_screen(proj, w2)
         nxt = seeds[attempt % len(seeds)]
         cand = [1.0 if i == nxt else 0.0 for i in range(n)]

@@ -335,3 +335,15 @@ def test_constant_term_checks_on_arrays_fail_where_any_sample_fails():
             fn(bad)
     assert jets.failing(False) is False and jets.failing(True) is True
     assert jets.failing(np.array([False, False])) is False
+
+
+def test_branches_on_arrays_are_taken_where_every_sample_agrees():
+    """``agreed`` passes a bool through; on sample arrays it is True where
+    every sample takes the branch (also where there is no sample), False
+    where none does, and raises PerSampleCheck where the samples split."""
+    assert jets.agreed(True) is True and jets.agreed(False) is False
+    assert jets.agreed(np.array([True, True])) is True
+    assert jets.agreed(np.array([False, False])) is False
+    assert jets.agreed(np.array([], dtype=bool)) is True
+    with pytest.raises(jets.PerSampleCheck):
+        jets.agreed(np.array([False, True]))

@@ -765,10 +765,16 @@ def test_bundle_over_a_grid_matches_the_bundles_per_t(case):
 
 
 def test_seed_axis_is_selected_per_sample():
+    """g(zeta, e1) vanishes at t = 1.0 alone, so the samples split on e1: the
+    array pass raises PerSampleCheck, and the replay per sample takes each
+    sample's own first usable seed, bit for bit as the loop over samples."""
     curve, grid, policy = ARRAY_CASES["seed switch"]()
     bundle = nf._frame_jets(curve, np.array(grid), policy)
-    idx, _, _ = nf.null_transversal(bundle.gmat, bundle.zeta, policy.seeds, "here")
-    assert idx.tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 0]
+    with pytest.raises(PerSampleCheck):
+        nf.null_transversal(bundle.gmat, bundle.zeta, policy.seeds, "here")
+    idx = [nf.null_transversal(nf._sample(bundle.gmat, i), nf._sample(bundle.zeta, i),
+                               policy.seeds, "here")[0] for i in range(len(grid))]
+    assert idx == [0, 0, 0, 0, 1, 0, 0, 0, 0]
     frames = frame_field(curve, grid, policy)
     assert [value_bits(fr) for fr in frames] == \
         [value_bits(fr) for fr in reference_frames(curve, grid, policy)]
@@ -778,8 +784,9 @@ def test_seed_axis_is_selected_per_sample():
                                   "overflow", "non-finite constant"])
 def test_each_stage_runs_once_on_arrays_unless_it_must_replay(monkeypatch, case):
     """The bundle is built in one array pass (one ``position_jets`` call at
-    the grid times), unless a numpy flag or a non-finite constant sends it
-    per sample: then once per sample more.  A curve whose trees hold a
+    the grid times), unless a numpy flag, a non-finite constant or samples
+    that split on the seed axis send it per sample: then once per sample
+    more.  A curve whose trees hold a
     non-finite constant refuses arrays inside that call, so no tree of it
     is evaluated on arrays (no ``eval_jet`` call binds t to an array)."""
     curve, grid, policy = ARRAY_CASES[case]()
@@ -803,7 +810,8 @@ def test_each_stage_runs_once_on_arrays_unless_it_must_replay(monkeypatch, case)
     arrays = [c for c in calls if isinstance(c, np.ndarray)]
     floats = [c for c in calls if not isinstance(c, np.ndarray)]
     assert len(arrays) == 1
-    assert floats == (grid if case in ("overflow", "non-finite constant") else [])
+    assert floats == (grid if case in ("overflow", "non-finite constant", "seed switch")
+                      else [])
     assert any(bound) == (case != "non-finite constant")
 
 
@@ -885,6 +893,33 @@ def test_tree_evaluators_refuse_sample_arrays(case):
         fn(arrays)
     got, want = _sample_outcomes(3, fn, arrays)
     assert got == want
+
+
+EMPTY_GRID_CURVES = {
+    "finite": lambda: NullCurve.position(FLAT, ["cos(t)", "sin(t)", "t"], (0.0, 1.0)),
+    "non-finite constant": lambda: NullCurve.position(
+        FLAT, ["cos(t)", "sin(t)", "t + 0*1e999"], (0.0, 1.0)),
+    "tangent, non-finite constant": lambda: NullCurve.tangent(
+        FLAT, ["cos(t)", "sin(t)", "1 + 0*1e999"], (0, 0, 0), (0.0, 1.0)),
+    "non-finite metric": lambda: NullCurve.position(
+        MetricField.from_texts(3, [["-1", "0", "0"], ["0", "-1", "0"],
+                                   ["0", "0", NONFINITE_TEXT]]),
+        ["cos(t)", "sin(t)", "t"], (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_GRID_CURVES))
+def test_an_empty_grid_gives_empty_measures(case):
+    """An empty sample array hides no float error, so no tree evaluator
+    refuses it: the curvatures and Frenet residuals of an empty frame are
+    empty arrays, also where the curve or chart holds a non-finite
+    constant."""
+    curve = EMPTY_GRID_CURVES[case]()
+    frames = frame_field(curve, [])
+    sample = curvatures_at(curve, frames)
+    assert [getattr(sample, f.name).shape for f in dataclasses.fields(sample)] == [(0,)] * 5
+    residuals = frenet_residuals(curve, frames, sample)
+    assert [c.shape for r in residuals for c in r] == [(0,)] * 9
 
 
 def test_a_division_by_zero_past_an_infinite_point_is_the_per_sample_error():

@@ -14,7 +14,7 @@ from nullhelix import cli, exprparse
 from nullhelix import helix as hx
 from nullhelix import nullframe as nf
 from nullhelix import submanifold as sb
-from nullhelix.jets import Jet, const_term
+from nullhelix.jets import Jet, PerSampleCheck, const_term
 from nullhelix.nullframe import NullCurve, curvatures_at, euclid_norm, frame_field
 from nullhelix.semimetric import MetricField, bilinear, full_support
 from nullhelix.submanifold import (
@@ -859,24 +859,28 @@ def test_ambient_frames_equal_the_loop_over_samples_bitwise(monkeypatch, request
 
 def test_ambient_frames_take_each_samples_first_usable_seed(monkeypatch, amb4):
     """With seeds e1, e2, e3 along (cos t, sin t, t, 0), g(zeta, e1) = sin t
-    vanishes at t = 0 alone, so that sample takes e2: one pass on the arrays
-    selects the seed per sample, bit for bit as the loop over samples."""
+    vanishes at t = 0 alone, so the samples split on e1: the array pass
+    raises PerSampleCheck, and the replay per sample takes e2 at that sample
+    and e1 elsewhere, bit for bit as the loop over samples."""
     times = np.array([0.01 * (i - 30) for i in range(61)])
     points = np.array([np.cos(times), np.sin(times), times, 0.0 * times])
     zetas = np.array([-np.sin(times), np.cos(times), 1.0 + 0.0 * times, 0.0 * times])
     curve = hx.SampledCurve(amb4, times, points, zetas, 0.01)
-    per_sample, chosen = nf._seeds_per_sample, []
+    transversal, chosen = sb.null_transversal, []
 
     def spy(*args):
-        out = per_sample(*args)
+        try:
+            out = transversal(*args)
+        except PerSampleCheck:
+            chosen.append("split")
+            raise
         chosen.append(out[0])
         return out
 
-    monkeypatch.setattr(nf, "_seeds_per_sample", spy)
+    monkeypatch.setattr(sb, "null_transversal", spy)
     policy = nf.ScreenPolicy(seeds=(0, 1, 2))
     got = sb._ambient_frames(curve, policy)
-    assert len(chosen) == 1  # no replay per sample
-    assert chosen[0].tolist() == [0] * 27 + [1] + [0] * 27
+    assert chosen == ["split"] + [0] * 27 + [1] + [0] * 27
     assert _frame_bits(got) == _frame_bits(reference_ambient_frames(curve, policy))
 
 
@@ -905,13 +909,14 @@ def test_ambient_frames_keep_w_continuous_where_the_acceleration_reverses(monkey
 def test_ambient_frames_of_a_null_geodesic_fall_back_to_a_seed_axis(monkeypatch,
                                                                      slice_immersion,
                                                                      flat3):
-    """k1 = 0: the acceleration has no screen part, so each sample projects
-    the seed axes in turn (e3, whose screen part vanishes too, then e1)."""
+    """k1 = 0: the acceleration has no screen part at any sample, so the one
+    pass on the arrays projects the seed axes in turn (e3, whose screen part
+    vanishes too, then e1)."""
     spec = hx.HelixSpec(0.0, 0.0, -0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 1.0),
                         (0.0, -0.5, 0.5), (-1.0, 0.0, 0.0), metric=flat3)
     (_, ws), calls = _transfer_frames(monkeypatch, slice_immersion, spec,
                                       uniform_grid(0.0, 1.0, 201), 1e-3)
-    assert calls == 1 + ws.shape[1]  # the array pass, then the replay per sample
+    assert calls == 1  # every sample falls back alike, so no replay per sample
     assert np.array_equal(np.abs(ws), [[1.0] * ws.shape[1]] + [[0.0] * ws.shape[1]] * 3)
 
 
