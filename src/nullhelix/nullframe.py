@@ -124,17 +124,23 @@ def _gram_conditions(g, z, n, w) -> tuple:
             abs(bilinear(g, z, w)), abs(bilinear(g, w, w) + 1.0))
 
 
+def largest(values):
+    """Python's ``max`` of ``values``, taken left to right: a later value
+    replaces the largest so far only where it is greater, so a NaN counts
+    only in first place.  Where any value is a sample array, the same rule
+    runs per element."""
+    if not any(isinstance(v, np.ndarray) for v in values):
+        return max(values)
+    acc = values[0]
+    for v in values[1:]:
+        acc = np.where(v > acc, v, acc)
+    return acc
+
+
 def max_gram_residual(g, z, n, w) -> float:
     """Largest of the six Gram conditions, taken in order (so NaN only where
-    g(z, z) is NaN): Python's ``max``, which on sample arrays is taken left
-    to right per element."""
-    conditions = _gram_conditions(g, z, n, w)
-    if not isinstance(conditions[0], np.ndarray):
-        return max(conditions)
-    largest = conditions[0]
-    for c in conditions[1:]:
-        largest = np.where(c > largest, c, largest)
-    return largest
+    g(z, z) is NaN), over floats or sample arrays (``largest``)."""
+    return largest(_gram_conditions(g, z, n, w))
 
 
 @dataclass(frozen=True)
@@ -652,7 +658,8 @@ def _bundle_fields(curve: NullCurve, t, policy: ScreenPolicy):
         raise NotNullError(f"g(zeta, zeta) = {zz:.3e} at t = {t}: curve not null")
     if jets.failing(_tangent_size(zeta) < 1e-12):
         raise ValueError(f"vanishing tangent at t = {t}")
-    where = f"at t = {t}"
+    # an array pass's error is never read: its replay per sample raises its own
+    where = "" if isinstance(t, np.ndarray) else f"at t = {t}"
     _, gz, n_vec = null_transversal(gmat, zeta, policy.seed_indices(3), where)
     w_vec = screen_vector(gmat, gz, n_vec, where)
     return pos, zeta, n_vec, w_vec, gmat

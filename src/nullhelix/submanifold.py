@@ -13,13 +13,17 @@ so evaluating along a jet-seeded ray yields the derivative of the
 construction itself -- that is how the normal fields' derivatives and the
 covariant derivatives of B and of H are obtained without finite differences.
 
-All forms read one memoized bundle per chart point and per jet ray
-(``_Point``): f(u), T, S, the ambient metric and connection, the induced
-metric and its inverse, the +-1 normals, the orthonormal tangent frame, the
-rank check of T, B on the frame pairs and H, each computed once, on first
-use, and each shape-operator value once per argument.  H reads only the
-frame diagonal of B, so a jet ray that only needs H never evaluates an
-off-diagonal pair.
+All forms read one bundle per chart point and per jet ray (``_Point``):
+f(u), T, S, the ambient metric and connection, the induced metric and its
+inverse, the +-1 normals, the orthonormal tangent frame, the rank check of
+T, B on the frame pairs and H, each computed once, on first use, and each
+shape-operator value once per argument.  H reads only the frame diagonal of
+B, so a jet ray that only needs H never evaluates an off-diagonal pair.
+Bundles at float points and at jet rays over them are memoized on the
+immersion.  A bundle may also hold sample arrays, one per coordinate, for
+one pass over many points (``nullframe._on_samples``), as
+``helix_transfer``'s isometry and geodesic checks do; such a bundle's pivot
+tests are ``jets.agreed``'s, and a failing pass replays per point.
 
 f, T and S come from two Python functions per immersion, generated on first
 use by ``codegen`` (the generator a metric's connection uses) from the
@@ -46,9 +50,9 @@ from . import codegen, exprparse, jets, semimetric
 from . import helix as helixmod
 from .exprparse import parse
 from .jets import Jet, const_term
-from .nullframe import (CurvatureSample, ScreenPolicy, euclid_norm, max_gram_residual,
-                        null_transversal, screen_projection, unit_screen, _flip_signs,
-                        _neighbour_dots, _on_samples, _spread)
+from .nullframe import (CurvatureSample, ScreenPolicy, euclid_norm, largest,
+                        max_gram_residual, null_transversal, screen_projection, unit_screen,
+                        _flip_signs, _neighbour_dots, _on_samples, _sample, _spread)
 from .semimetric import (Matrix, MetricField, bilinear, connection_term, mat_det,
                          mat_inverse, mat_vec)
 
@@ -173,7 +177,9 @@ def _unit_basis(g, count: int, tol: float, project=list):
     """+-1 Gram-Schmidt in g over the projected coordinate axes, in order:
     up to ``count`` (vector, g(vector, vector))
     pairs, skipping vanishing or null remainders; pivots use constant parts,
-    so a jet ray keeps its base's."""
+    so a jet ray keeps its base's.  Over sample arrays each pivot test is
+    ``jets.agreed``'s: an axis is taken or skipped, and a sign chosen, where
+    every sample agrees, and PerSampleCheck raised where they split."""
     accepted = []
     for c in range(len(g)):
         if len(accepted) == count:
@@ -184,22 +190,23 @@ def _unit_basis(g, count: int, tol: float, project=list):
             r = [r[k] - sign * proj * vec[k] for k in range(len(r))]
         # x * x gives inf where x ** 2 would raise OverflowError
         size = sum(x * x for x in map(const_term, r))
-        if size <= 1e-18:
+        if jets.agreed(size <= 1e-18):
             continue  # the axis lies in the span already handled
         nu = bilinear(g, r, r)
         nu0 = const_term(nu)
-        if abs(nu0) <= tol * max(1.0, size):
+        if jets.agreed(abs(nu0) <= tol * largest([1.0, size])):
             continue  # null remainder: unusable for a +-1 basis
-        sign = 1.0 if nu0 > 0.0 else -1.0
+        sign = 1.0 if jets.agreed(nu0 > 0.0) else -1.0
         scale = jets.sqrt(sign * nu)
         accepted.append((tuple(x / scale for x in r), sign))
     return accepted
 
 
 class _Point:
-    """Pointwise data of an immersion at u (floats, or jets along a ray), each
-    piece computed on first use.  Bundles are shared: nothing read from one is
-    written to, and public functions return copies."""
+    """Pointwise data of an immersion at u (floats, jets along a ray, or
+    sample arrays, one per coordinate), each piece computed on first use.
+    Bundles are shared: nothing read from one is written to, and public
+    functions return copies."""
 
     def __init__(self, F: Immersion, u):
         # weak: F holds its bundles, so a strong reference back would make a
@@ -247,7 +254,7 @@ class _Point:
     def g_inv(self):
         """Inverse of ``g``; raises DegenerateMetricError where g is degenerate."""
         det = mat_det(self.g)
-        if abs(const_term(det)) <= semimetric.DET_TOL:
+        if jets.failing(abs(const_term(det)) <= semimetric.DET_TOL):
             raise semimetric.DegenerateMetricError(
                 "induced metric degenerate; tangent projection undefined"
             )
@@ -352,7 +359,9 @@ def _point(F: Immersion, u) -> _Point:
 
 
 def _at(F: Immersion, u) -> _Point:
-    """The bundle at the float point u."""
+    """The bundle at the float point u, or a fresh one over sample arrays."""
+    if any(isinstance(c, np.ndarray) for c in u):
+        return _Point(F, u)
     return _point(F, [float(c) for c in u])
 
 
@@ -367,7 +376,8 @@ def _checked(F: Immersion, u) -> _Point:
 
 
 def _induced(F: Immersion, u):
-    """The bundle's induced metric at the float point u, once it is nondegenerate."""
+    """The bundle's induced metric at the float point u (or over sample
+    arrays), once it is nondegenerate."""
     pt = _at(F, u)
     pt.g_inv  # raises DegenerateMetricError on a degenerate induced metric
     return pt.g
@@ -511,11 +521,11 @@ def umbilical_residual(F: Immersion, u) -> float:
 
 
 def geodesic_residual(F: Immersion, u) -> float:
-    """max over frame pairs of ||B(E_i, E_j)||; zero iff totally geodesic at u."""
-    worst = 0.0
-    for b in _at(F, u).b_frame.values():
-        worst = max(worst, euclid_norm([const_term(c) for c in b]))
-    return worst
+    """max over frame pairs of ||B(E_i, E_j)||, from 0.0 in frame-pair order;
+    zero iff totally geodesic at u.  Over sample arrays, each sample's value
+    (``largest``)."""
+    norms = [euclid_norm([const_term(c) for c in b]) for b in _at(F, u).b_frame.values()]
+    return largest([0.0, *norms])
 
 
 def parallel_H_residual(F: Immersion, u, X) -> float:
@@ -651,6 +661,21 @@ def _ambient_frame(g, z, cand, seeds):
     raise ValueError("no timelike screen direction along the ambient curve")
 
 
+def _on_trace_points(path: np.ndarray, per: int, fn, *args):
+    """``fn(*args, u)`` at every ``len(path) // per``-th row u of ``path``,
+    from the first: one pass on the rows' component arrays, replayed per row
+    where it fails, with each float in the result spread over the rows."""
+    u = list(path[:: max(1, len(path) // per)].T)
+    return _spread(_on_samples(len(u[0]), fn, *args, u), len(u[0]))
+
+
+def _isometry_gap(F: Immersion, metric: MetricField, u):
+    """``(g, gap)`` at u (floats or sample arrays): the induced metric g, then
+    the chart metric, and the largest entrywise |g - chart|, row-major."""
+    gp, gh = _induced(F, u), metric.matrix_at(u)
+    return gp, largest([abs(x - y) for a, b in zip(gp, gh) for x, y in zip(a, b)])
+
+
 def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
                    policy: ScreenPolicy | None = None, project_every: int = 0,
                    drift_limit: float = helixmod.DRIFT_LIMIT) -> TransferReport:
@@ -662,6 +687,11 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     screen policy, and the per-sample ambient curvature functions plus the
     immersion's geodesic residual are reported.  ``project_every`` and
     ``drift_limit`` go to ``helix.synthesize``.
+
+    Isometry is checked at every ``len // 64``-th trace point, and the
+    geodesic residual read at every ``len // 32``-th, each as one pass over
+    the points' sample arrays (``_on_trace_points``); the index check reads
+    the first point's g from the isometry pass.
     """
     policy = policy or ScreenPolicy()
     if F.m != 3:
@@ -670,17 +700,15 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     helixmod.require_stencil_samples("transfer", grid, "two", TRANSFER_MIN_SAMPLES)
     trace = helixmod.synthesize(spec, grid, step, project_every=project_every,
                                 drift_limit=drift_limit)
-    iso_max = 0.0
-    path = trace.points.tolist()  # Python floats, as the generated functions expect
-    for u in path[:: max(1, len(path) // 64)]:
-        gp, gh = _induced(F, u), spec.metric.matrix_at(u)
-        iso_max = max(iso_max, max(abs(x - y) for a, b in zip(gp, gh) for x, y in zip(a, b)))
+    path = np.asarray(trace.points)
+    g, gaps = _on_trace_points(path, 64, _isometry_gap, F, spec.metric)
+    iso_max = max([0.0, *gaps.tolist()])
     if iso_max > ISOMETRY_TOL:
         raise ValueError(
             f"helix metric disagrees with the pullback by {iso_max:.3e}: "
             "the immersion is not isometric for this chart metric"
         )
-    idx0 = semimetric.metric_index(_induced(F, path[0]))
+    idx0 = semimetric.metric_index(_sample(g, 0))
     if idx0 != 2:
         raise ValueError(f"induced metric has index {idx0} along the curve, need 2")
 
@@ -696,7 +724,7 @@ def helix_transfer(F: Immersion, spec: helixmod.HelixSpec, grid, step: float,
     curve.fields["n"], curve.fields["w"] = _ambient_frames(curve, policy)
     samples = curve.curvatures()
 
-    geo_samples = tuple(geodesic_residual(F, u) for u in path[:: max(1, len(path) // 32)])
+    geo_samples = tuple(_on_trace_points(path, 32, geodesic_residual, F).tolist())
     return TransferReport(
         curvatures=samples,
         constancy=helixmod.constancy_report(samples),

@@ -1555,17 +1555,21 @@ def _transfer_injected(kind: str, u):
     return {**TRANSFER_DOC, "immersion": immersion}, f"error: {error}\n"
 
 
-@pytest.mark.parametrize("where", [0, 100, 200])
+# view sample 93 is trace sample 465 of 1001, where the isometry check's
+# stride (1001 // 64 = 15) and the geodesic check's (1001 // 32 = 31) meet
+@pytest.mark.parametrize("where", [0, 93, 100, 200])
 @pytest.mark.parametrize("kind", ["degenerate", "domain", "infinite map constant",
                                   "infinite metric constant", "ambient frame"])
 def test_transfer_failure_at_one_sample_exits_2_with_the_per_sample_error(
         tmp_path, capsys, monkeypatch, kind, where):
     """A degenerate ambient metric, a domain error or an infinite constant in
     the immersion, or an infinite constant in an ambient entry, at the first,
-    a middle or the last of 201 pushed-forward samples, exits 2 with the
-    error a loop over samples raises there, and no numpy warning.  Only the
-    first sample is one of the isometry check's, so the others fail where
-    the pushed-forward curve reads f, T and g on its sample arrays.  A
+    two middle or the last of 201 pushed-forward samples, exits 2 with the
+    error a loop over samples raises there, and no numpy warning.  The first
+    and sample 93 (trace sample 465) are points of the isometry check's
+    array pass, which then replays per sample and fails there; the others
+    fail where the pushed-forward curve reads f, T and g on its sample
+    arrays.  A
     failure inside the ambient frame (no timelike screen direction) at the
     first, a middle or the last sample it is built on, those the
     acceleration reaches, fails the same way where the frame's array pass is

@@ -920,6 +920,86 @@ def test_ambient_frames_of_a_null_geodesic_fall_back_to_a_seed_axis(monkeypatch,
     assert np.array_equal(np.abs(ws), [[1.0] * ws.shape[1]] + [[0.0] * ws.shape[1]] * 3)
 
 
+# -- transfer's isometry and geodesic checks against the loop over points ---------
+
+
+def _packed(x) -> bytes:
+    """The bits of every float in a nested structure of lists and tuples, in order."""
+    if isinstance(x, (list, tuple)):
+        return b"".join(_packed(c) for c in x)
+    return struct.pack("d", x)
+
+
+def _pointwise_checks(F, spec, grid, step):
+    """The induced g and the largest |g - chart| at each isometry point, and
+    the geodesic residual at each geodesic point, from a loop over the trace
+    points (Python floats) with bundles of a fresh immersion."""
+    fresh = Immersion(F.m, F.ambient, F.components)
+    path = hx.synthesize(spec, grid, step).points.tolist()
+    gs, gaps = [], []
+    for u in path[:: max(1, len(path) // 64)]:
+        gp, gh = sb._induced(fresh, u), spec.metric.matrix_at(u)
+        gs.append(gp)
+        gaps.append(max(abs(x - y) for a, b in zip(gp, gh) for x, y in zip(a, b)))
+    geo = [_pairwise_geodesic(sb._at(fresh, u)) for u in path[:: max(1, len(path) // 32)]]
+    return gs, gaps, geo
+
+
+@pytest.mark.parametrize("immersion, make_spec, step, replayed", [
+    ("slice_immersion", lambda request: request.getfixturevalue("c1_spec"), 1e-3, False),
+    ("graph_immersion", lambda request: _graph_spec(), 2e-3, True),
+], ids=["slice", "graph"])
+def test_transfer_checks_equal_the_loop_over_points_bitwise(monkeypatch, request, immersion,
+                                                            make_spec, step, replayed):
+    """The isometry gaps and the induced g come from one array pass, and the
+    geodesic residuals from one more, bit for bit as the loop over points.
+    The graph's first geodesic point sits at u3 = 0, where the normal is e4
+    rather than e3's normal part, so that pass splits and replays per point."""
+    F, spec, grid = request.getfixturevalue(immersion), make_spec(request), \
+        uniform_grid(0.0, 1.0, 201)
+    gs, gaps, geo = _pointwise_checks(F, spec, grid, step)
+    gap, residual, passes, calls = sb._isometry_gap, sb.geodesic_residual, [], []
+
+    def gap_pass(*args):
+        passes.append(gap(*args))
+        return passes[-1]
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(sb, "_isometry_gap", gap_pass)
+    monkeypatch.setattr(sb, "geodesic_residual", counted)
+    rep = helix_transfer(F, spec, grid, step)
+    assert len(passes) == 1  # one pass, no replay per point
+    g, got = nf._spread(passes[0], len(gaps))
+    assert _packed(got.tolist()) == _packed(gaps)
+    assert [_packed(nf._sample(g, i)) for i in range(len(gs))] == list(map(_packed, gs))
+    assert rep.isometry_max == max([0.0, *gaps])
+    assert _packed(rep.geodesic_samples) == _packed(geo)
+    assert len(calls) == (1 + len(geo) if replayed else 1)
+
+
+def test_unit_basis_on_sample_arrays_takes_each_samples_basis_or_splits(graph_immersion):
+    """On the graph the normal is e3's normal part, which vanishes at u3 = 0
+    alone (e4's is taken there).  Over sample arrays whose samples all take
+    e3, the normals and the tangent frame are each sample's, bit for bit;
+    with u3 = 0 beside u3 = 0.3 the samples split on e3, and PerSampleCheck
+    is raised for the caller to replay per sample."""
+    F = graph_immersion
+    fresh = Immersion(F.m, F.ambient, F.components)
+    points = [[0.1, -0.2, 0.3], [0.4, 0.5, -0.7], [-1.0, 2.0, 1.5]]
+    pt = sb._at(F, [np.array(c) for c in zip(*points)])
+    for i, u in enumerate(points):
+        ref = sb._at(fresh, u)
+        assert _packed(nf._sample(pt.normals, i)) == _packed(ref.normals)
+        assert _packed(nf._sample(pt.frame, i)) == _packed(ref.frame)
+    split = sb._at(F, [np.array([0.1, 0.1]), np.array([0.2, 0.2]), np.array([0.0, 0.3])])
+    with pytest.raises(PerSampleCheck):
+        split.normals
+    assert _packed(sb._at(fresh, [0.1, 0.2, 0.0]).normals[0][0]) == _packed((0.0,) * 3 + (1.0,))
+
+
 # -- input checks of the immersion and its tangent frame -------------------------
 
 
