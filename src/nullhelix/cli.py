@@ -470,6 +470,7 @@ def _cmd_submanifold(doc: SpecDocument, cfg: dict):
     F = doc.payload["immersion"]
     rows = []
     max_duality = 0.0
+    submanifold.axis_derivatives(F, doc.payload["samples"])
     for u in doc.payload["samples"]:
         u = list(u)
         basis = submanifold.normal_basis(F, u)  # names a rank drop first

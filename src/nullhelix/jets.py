@@ -14,7 +14,10 @@ sample, and raises PerSampleCheck, for the caller to replay per sample; a
 branch (``agreed``) is taken where every sample takes it, and raises
 PerSampleCheck where the samples split.  The package takes spatial partial
 derivatives from generated derivative trees (``codegen``) and order-1 jet
-rays.  Coefficients may also be jets themselves, one parameter nested inside
+rays; a ray's base and slope may both be sample arrays, one element per
+pair of a point and a direction (``submanifold.axis_derivatives``), each
+with the bits of that point's float ray along that direction.
+Coefficients may also be jets themselves, one parameter nested inside
 another, which gives mixed partials of composed fields: the tests use that
 as the reference for the generated code.  The code below therefore only
 assumes ring arithmetic on coefficients.

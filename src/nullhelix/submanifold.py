@@ -17,20 +17,26 @@ All forms read one bundle per chart point and per jet ray (``_Point``):
 f(u), T, S, the ambient metric and connection, the induced metric and its
 inverse, the +-1 normals, the orthonormal tangent frame, the rank check of
 T, B on the frame pairs and H, each computed once, on first use, and each
-shape-operator value once per argument.  H reads only the frame diagonal of
-B, so a jet ray that only needs H never evaluates an off-diagonal pair.
-Bundles at float points and at jet rays over them are memoized on the
-immersion.  A bundle may also hold sample arrays, one per coordinate, for
-one pass over many points (``nullframe._on_samples``), as
-``helix_transfer``'s isometry and geodesic checks do; such a bundle's pivot
-tests are ``jets.agreed``'s, and a failing pass replays per point.
+shape-operator value and normal-bundle derivative of H once per argument.
+H reads only the frame diagonal of B, so a jet ray that only needs H never
+evaluates an off-diagonal pair.  Bundles at float points are memoized on the
+immersion, and the bundle on each jet ray on its base bundle (``ray``), by
+the bytes of the ray's slope.  A bundle may also hold sample arrays, one per
+coordinate, for one pass over many points; such a bundle's pivot tests are
+``jets.agreed``'s.  ``helix_transfer``'s isometry and geodesic checks run so
+(``nullframe._on_samples``), replayed per point where the pass fails.  So
+does ``axis_derivatives``, the ``submanifold`` command's one pass over
+lanes, a lane per pair of a point and a coordinate axis: its one jet ray has
+lane arrays for both base and slope, and it fills each float point's shape
+and normal-bundle memos along the axes, or, where it fails, nothing.
 
 f, T and S come from two Python functions per immersion, generated on first
 use by ``codegen`` (the generator a metric's connection uses) from the
 components and their ``exprparse.derivative`` trees in u1..um:
 T[a][k] = d f_k / d u_a from the first function, and
 S[a][b][k] = d T[a][k] / d u_b from the second, so a pass that needs only f
-and T does not evaluate S.  Both take floats and order-1 jet rays alike.
+and T does not evaluate S.  Both take floats, sample arrays and order-1 jet
+rays over either alike.
 When one raises, the components and then its derivative trees are
 evaluated again with ``exprparse._eval``, so the ``DomainError`` names the
 subexpression.
@@ -73,6 +79,14 @@ def _slope(v):
     return v.coeffs[1] if isinstance(v, Jet) else 0.0
 
 
+def _bytes(x) -> bytes:
+    """A memo key for x, floats or sample arrays (one per coordinate): their
+    bytes, so -0.0 and 0.0 stay apart."""
+    if isinstance(x[0], np.ndarray):
+        return b"".join(c.tobytes() for c in x)
+    return struct.pack(f"{len(x)}d", *x)
+
+
 class RankDeficiencyError(ValueError):
     """The differential of the immersion drops rank at the point."""
 
@@ -95,7 +109,7 @@ class Immersion:
         if len(self.components) != ambient.dim:
             raise ValueError("map needs one component per ambient coordinate")
         self._uvars = tuple(f"u{i + 1}" for i in range(intrinsic_dim))
-        self._points: dict = {}  # memo key -> _Point, see _point
+        self._points: dict = {}  # bytes of a float point -> its _Point, see _point
 
     @classmethod
     def from_texts(cls, intrinsic_dim: int, ambient: MetricField, texts) -> "Immersion":
@@ -214,6 +228,8 @@ class _Point:
         self._F = weakref.ref(F)
         self.u = list(u)
         self._shapes: dict = {}  # (a, bytes of x) -> A^{N_a}(x), see shape
+        self._perp_H: dict = {}  # bytes of x -> nabla-perp_x H, see perp_H
+        self._rays: dict = {}  # bytes of x -> the bundle on the ray along x
 
     @property
     def F(self) -> Immersion:
@@ -320,13 +336,30 @@ class _Point:
                 acc[k] = acc[k] + sign * b[k]
         return [c / float(self.F.m) for c in acc]
 
+    def ray(self, x) -> "_Point":
+        """The bundle on the order-1 jet ray through u along x, built once per
+        x (floats, or sample arrays beside arrays in u)."""
+        key = _bytes(x)
+        pt = self._rays.get(key)
+        if pt is None:
+            pt = self._rays[key] = _Point(self.F, [Jet((b, s)) for b, s in zip(self.u, x)])
+        return pt
+
     def shape(self, a: int, x):
         """A^{N_a}(x) at float x, computed once per (a, x): the duality loop
         reads each A(e_i) for every e_j."""
-        key = (a, struct.pack(f"{len(x)}d", *x))
+        key = (a, _bytes(x))
         val = self._shapes.get(key)
         if val is None:
             val = self._shapes[key] = _shape_value(self, a, x)
+        return val
+
+    def perp_H(self, x):
+        """The normal-bundle derivative of H along float x, computed once per x."""
+        key = _bytes(x)
+        val = self._perp_H.get(key)
+        if val is None:
+            val = self._perp_H[key] = _perp_derivative(self, x, lambda q: q.H)
         return val
 
     @cached_property
@@ -344,14 +377,8 @@ class _Point:
 
 
 def _point(F: Immersion, u) -> _Point:
-    """The bundle at u, memoized on F at float points and first-order jet rays
-    over floats, keyed by the floats' bytes (so -0.0 and 0.0 stay apart)."""
-    flat = u
-    if all(type(c) is Jet and len(c.coeffs) == 2 for c in u):
-        flat = [v for c in u for v in c.coeffs]
-    if len(u) != F.m or not all(type(v) is float for v in flat):
-        return _Point(F, u)
-    key = struct.pack(f"{len(flat)}d", *flat)
+    """The bundle at the float point u, memoized on F by the floats' bytes."""
+    key = _bytes(u)
     pt = F._points.get(key)
     if pt is None:
         pt = F._points[key] = _Point(F, u)
@@ -449,7 +476,7 @@ def _ambient_derivative(pt: _Point, x, field):
     """Ambient covariant derivative along intrinsic x of an ambient-valued
     field, a map from bundles to duck components: its slope on the jet ray
     through pt along x plus the connection term at its base value."""
-    vals = field(_point(pt.F, [Jet((pt.u[b], x[b])) for b in range(len(pt.u))]))
+    vals = field(pt.ray(x))
     base = [c.coeffs[0] if isinstance(c, Jet) else c for c in vals]
     gam = pt.gamma_term(lambda: (_push(pt.T, x), base))
     return [_slope(vals[k]) + gam[k] for k in range(pt.F.ambient.dim)]
@@ -465,8 +492,9 @@ def _gauss(pt: _Point, x, y):
     components): df(nabla_x y) + B(x, y) by the Gauss formula."""
     m, n = pt.F.m, pt.F.ambient.dim
     S = pt.S
+    xy = [[x[a] * y[b] for b in range(m)] for a in range(m)]
     deriv = [
-        sum(x[a] * y[b] * S[a][b][k] for a in range(m) for b in range(m))
+        sum(xy[a][b] * S[a][b][k] for a in range(m) for b in range(m))
         for k in range(n)
     ]
     gam = pt.gamma_term(lambda: (_push(pt.T, x), _push(pt.T, y)))
@@ -530,8 +558,40 @@ def geodesic_residual(F: Immersion, u) -> float:
 
 def parallel_H_residual(F: Immersion, u, X) -> float:
     """Norm of the normal-bundle derivative of H in direction X."""
-    val = _perp_derivative(_at(F, u), list(X), lambda q: q.H)
+    val = _at(F, u).perp_H([float(c) for c in X])
     return euclid_norm([const_term(c) for c in val])
+
+
+def axis_derivatives(F: Immersion, samples) -> None:
+    """Fill every float point's ``shape`` and ``perp_H`` memos along the
+    coordinate axes, A^{N_d}(e_j) for every unit normal d and nabla-perp_{e_j} H,
+    in one pass over lanes: lane i * m + j holds point i and axis e_j.  The
+    pass reads one bundle over the lane arrays (each point's u repeated m
+    times) and its one jet ray along the axes, whose slopes are lane arrays
+    too; per lane it does the float operations of that point's ray along e_j.
+    Where the pass raises anything or sets a numpy flag, or a coordinate is
+    not finite (a float can raise where an array passes silently), it fills
+    nothing, and each point builds its own rays on first use."""
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            points = np.array(samples, dtype=float).reshape(len(samples), F.m)
+            if not np.isfinite(points).all():
+                return
+            axes = np.eye(F.m)
+            lanes = _Point(F, list(np.repeat(points, F.m, axis=0).T))
+            slopes = list(np.tile(axes, (len(points), 1)).T)
+            shapes = [_shape_value(lanes, d, slopes) for d in range(len(lanes.normals))]
+            perp = _perp_derivative(lanes, slopes, lambda q: q.H)
+    except Exception:  # each point differentiates on its own, and raises its own error
+        return
+    keys = [_bytes(x) for x in axes.tolist()]
+    for i, u in enumerate(points.tolist()):
+        pt = _point(F, u)
+        for j, key in enumerate(keys):
+            lane = i * F.m + j
+            for d, shape in enumerate(shapes):
+                pt._shapes[(d, key)] = _sample(shape, lane)
+            pt._perp_H[key] = _sample(perp, lane)
 
 
 # -- covariant derivative of B ---------------------------------------------------

@@ -347,3 +347,42 @@ def test_branches_on_arrays_are_taken_where_every_sample_agrees():
     assert jets.agreed(np.array([], dtype=bool)) is True
     with pytest.raises(jets.PerSampleCheck):
         jets.agreed(np.array([False, True]))
+
+
+# -- jet rays over lanes: a float or array base with an array slope
+
+_RAY_OPS = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+    "powi": lambda a, b: jets.powi(a, 3) * jets.powi(b, -2),
+    "sqrt": lambda a, b: jets.sqrt(a), "exp": lambda a, b: jets.exp(b),
+    "log": lambda a, b: jets.log(a), "sin": lambda a, b: jets.sin(b),
+    "cos": lambda a, b: jets.cos(b), "sinh": lambda a, b: jets.sinh(a),
+    "cosh": lambda a, b: jets.cosh(b),
+}
+
+
+def _lane(jet, i):
+    return [c[i].item() if isinstance(c, np.ndarray) else c for c in jet.coeffs]
+
+
+@pytest.mark.parametrize("op", list(_RAY_OPS))
+@pytest.mark.parametrize("array_base", [False, True], ids=["float-base", "array-base"])
+def test_an_order1_ray_with_an_array_slope_has_each_float_rays_bits(op, array_base):
+    """An order-1 jet whose slope is a sample array (and whose base is a float
+    or a sample array) gives, element by element, the bits of the float jet
+    with that element: the submanifold command's lane pass relies on it."""
+    rng = random.Random(f"array-slope-{op}-{array_base}")
+    size = 7
+    bases = [[rng.uniform(0.3, 2.5) for _ in range(size)] for _ in range(2)]
+    if not array_base:
+        bases = [[row[0]] * size for row in bases]
+    slopes = [[rng.choice((0.0, 1.0, -0.0, rng.uniform(-2.0, 2.0))) for _ in range(size)]
+              for _ in range(2)]
+    lanes = [Jet((np.array(b) if array_base else b[0], np.array(s)))
+             for b, s in zip(bases, slopes)]
+    out = _RAY_OPS[op](*lanes)
+    assert type(out) is Jet and isinstance(out.coeffs[1], np.ndarray)
+    for i in range(size):
+        want = _RAY_OPS[op](*(Jet((b[i], s[i])) for b, s in zip(bases, slopes)))
+        assert [float(c).hex() for c in _lane(out, i)] == [c.hex() for c in want.coeffs]

@@ -688,17 +688,18 @@ SPHERE_DOC = {
 
 
 @pytest.mark.parametrize("doc, float_b, ray_b, diagnosed, shapes", [
-    (PSEUDOSPHERE_DOC, 18, 9, True, 3),
-    (SPHERE_DOC, 7, 4, False, 2),
+    (PSEUDOSPHERE_DOC, 18, 3, True, 1),
+    (SPHERE_DOC, 7, 2, False, 1),
 ], ids=["pseudosphere", "sphere"])
 def test_submanifold_command_checks_rank_and_frame_pairs_once_per_sample(
         monkeypatch, tmp_path, doc, float_b, ray_b, diagnosed, shapes):
     """Per sample of the ``submanifold`` command: one SVD rank check; B at the
     float point on the m(m+1)/2 frame pairs, the m^2 coordinate pairs of the
-    duality loop and, with a null triple, its 3 pairs; B on the frame
-    diagonal of each of the m jet rays that differentiate H; and one
-    Weingarten derivative per axis and unit normal, A^{N_d}(e_a), which the
-    duality loop reads for every e_b."""
+    duality loop and, with a null triple, its 3 pairs.  Per document, on the
+    one lane ray of ``axis_derivatives`` (every sample and axis): B on the m
+    frame-diagonal pairs that H reads, and one Weingarten derivative per
+    unit normal, A^{N_d}(e_a) for every lane, which the duality loop reads
+    for every e_b."""
     counts = {"rank": 0, "float": 0, "ray": 0, "shape": 0}
     matrix_rank, b_value, shape_value = (np.linalg.matrix_rank, sb._b_value,
                                          sb._shape_value)
@@ -725,7 +726,100 @@ def test_submanifold_command_checks_rank_and_frame_pairs_once_per_sample(
     assert [row["diag_D2_norm"] is not None for row in rows] == [diagnosed] * len(rows)
     samples = len(doc["samples"])
     assert counts == {"rank": samples, "float": float_b * samples,
-                      "ray": ray_b * samples, "shape": shapes * samples}
+                      "ray": ray_b, "shape": shapes}
+
+
+# -- every axis derivative of a document in one lane pass -------------------------
+
+CONFORMAL_PSEUDOSPHERE = Immersion.from_texts(3, _conformal_amb4("0.4*x3"), PSEUDOSPHERE_MAP)
+LANE_CASES = [
+    ("sphere2", [(0.5, 2.6), (-3.0, 3.0)]),
+    ("pseudosphere", [(0.3, 1.5), (-3.0, 3.0), (-3.0, 3.0)]),
+    ("graph_immersion", [(-2.0, 2.0), (-2.0, 2.0), (0.1, 2.0)]),  # u3 = 0 splits the normals
+    ("conformal_pseudosphere", [(0.3, 1.5), (-3.0, 3.0), (-3.0, 3.0)]),
+]
+
+
+def _axis_loop(F, u):
+    """The reference: per axis e_j, A^{N_d}(e_j) for every unit normal d and
+    nabla-perp_{e_j} H, each on the float point's own jet ray along e_j."""
+    pt = sb._point(F, u)
+    axes = [[1.0 if b == a else 0.0 for b in range(F.m)] for a in range(F.m)]
+    shapes = {(d, struct.pack(f"{F.m}d", *x)): sb._shape_value(pt, d, x)
+              for x in axes for d in range(F.ambient.dim - F.m)}
+    perp = {struct.pack(f"{F.m}d", *x): sb._perp_derivative(pt, x, lambda q: q.H)
+            for x in axes}
+    return shapes, perp
+
+
+def _memo_bits(memo):
+    return {k: struct.pack(f"{len(v)}d", *v) for k, v in memo.items()}
+
+
+@pytest.mark.parametrize("name, box", LANE_CASES, ids=[name for name, _ in LANE_CASES])
+def test_the_lane_pass_keeps_the_per_axis_loops_bits(request, rng, name, box):
+    """``axis_derivatives`` fills every float point's Weingarten and
+    nabla-perp H memos with the bits of the per-point, per-axis loop, and
+    builds no per-point ray (the conformal ambient reads the array gamma
+    term); a fresh immersion for each side."""
+    F = CONFORMAL_PSEUDOSPHERE if name == "conformal_pseudosphere" \
+        else request.getfixturevalue(name)
+    points = [[rng.uniform(lo, hi) for lo, hi in box] for _ in range(5)]
+    lanes = Immersion(F.m, F.ambient, F.components)
+    sb.axis_derivatives(lanes, points)
+    loop = Immersion(F.m, F.ambient, F.components)
+    for u in points:
+        pt = sb._point(lanes, u)
+        shapes, perp = _axis_loop(loop, u)
+        assert pt._rays == {}
+        assert _memo_bits(pt._shapes) == _memo_bits(shapes), (name, u)
+        assert _memo_bits(pt._perp_H) == _memo_bits(perp), (name, u)
+        assert all(type(c) is float for v in pt._shapes.values() for c in v)
+
+
+GRAPH_DOC = {
+    "kind": "immersion",
+    "immersion": {"intrinsic_dim": 3,
+                  "ambient": {"dim": 4, "metric": {"type": "diag", "signs": [-1, -1, 1, 1]}},
+                  "map": ["u1", "u2", "u3", "u3^2/2"]},
+    "samples": [[0.2, -0.4, 1.0], [0.5, 0.3, 0.0], [-0.7, 1.1, -0.6]],
+}
+SPHERE_POLE_DOC = {**SPHERE_DOC, "samples": [[1.2, 0.4], [0.0, 1.0], [0.9, 2.0]]}
+CONFORMAL_DOC = {**PSEUDOSPHERE_DOC, "immersion": {
+    **PSEUDOSPHERE_DOC["immersion"],
+    "ambient": {"dim": 4, "metric": {"type": "field", "entries": [
+        [("-" if i < 2 else "") + "exp(2*(0.4*x3))" if i == j else "0" for j in range(4)]
+        for i in range(4)]}}}}
+
+
+def _command_outcome(tmp_path, capsys, doc):
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(doc))
+    out.unlink(missing_ok=True)
+    code = cli.run(["submanifold", "--spec", str(spec), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, filled, code", [
+    (PSEUDOSPHERE_DOC, True, 0), (SPHERE_DOC, True, 0), (CONFORMAL_DOC, True, 0),
+    (GRAPH_DOC, False, 0), (SPHERE_POLE_DOC, False, 2),
+], ids=["pseudosphere", "sphere", "conformal", "graph-at-u3-0", "sphere-pole"])
+def test_the_submanifold_command_reports_the_per_axis_loops_bytes(
+        monkeypatch, tmp_path, capsys, doc, filled, code):
+    """The command's report bytes, or its exit code and stderr, equal those of
+    the per-point loop (the lane pass made a no-op).  The graph's point at
+    u3 = 0 splits the normals' pivot tests, and the sphere's second point
+    sits at a pole where the induced metric degenerates: there the pass
+    fills nothing, and the loop names the rank drop at the second point."""
+    F = Immersion.from_dict(doc["immersion"])
+    sb.axis_derivatives(F, doc["samples"])
+    assert bool(F._points) == filled
+    lanes = _command_outcome(tmp_path, capsys, doc)
+    monkeypatch.setattr(sb, "axis_derivatives", lambda F, samples: None)
+    assert lanes == _command_outcome(tmp_path, capsys, doc)
+    assert lanes[0] == code
+    if code == 2:
+        assert lanes[2] == "error: differential has rank < 2 at (0.0, 1.0)\n"
 
 
 # -- helix transfer -------------------------------------------------------------------
