@@ -471,19 +471,14 @@ def _cmd_submanifold(doc: SpecDocument, cfg: dict):
     rows = []
     max_duality = 0.0
     submanifold.axis_derivatives(F, doc.payload["samples"])
+    coords = [[1.0 if b == a else 0.0 for b in range(F.m)] for a in range(F.m)]
     for u in doc.payload["samples"]:
         u = list(u)
         basis = submanifold.normal_basis(F, u)  # names a rank drop first
         h_vec = submanifold.mean_curvature(F, u)
-        duality = 0.0
-        coords = [[1.0 if b == a else 0.0 for b in range(F.m)] for a in range(F.m)]
-        for a in range(F.m):
-            for b in range(F.m):
-                for d in range(len(basis)):
-                    duality = max(
-                        duality,
-                        submanifold.duality_residual(F, u, coords[a], coords[b], d),
-                    )
+        # a left-to-right maximum from 0.0, as a loop over the pairs takes it
+        duality = max([0.0, *(submanifold.duality_residual(F, u, x, y, d)
+                              for x in coords for y in coords for d in range(len(basis)))])
         par = max(submanifold.parallel_H_residual(F, u, e) for e in coords)
         row = {
             "u": list(u),

@@ -22,15 +22,18 @@ another, which gives mixed partials of composed fields: the tests use that
 as the reference for the generated code.  The code below therefore only
 assumes ring arithmetic on coefficients.
 
-The product is the inner loop of every curve frame, so it is written out as
-one kernel per coefficient count: ``_MUL[n]`` convolves the first n
-coefficients of two jets, for n = 1 .. MAX_ORDER + 1, and ``Jet.__mul__``
-picks the kernel by the shorter operand.  Coefficient k is
-``a[0]*b[k] + a[1]*b[k-1] + ... + a[k]*b[0]``, added left to right like
-``sum(a[i] * b[k - i] for i in range(k + 1))``.  That ``sum`` starts from the
-integer 0, so the two differ at most in the sign of a zero (``0 + -0.0`` is
-``0.0``).  Sums, differences and quotients of two jets also keep the shorter
-length (``map`` over two tuples stops at the shorter one).
+The product is the inner loop of every curve frame, so it is written out
+without a loop, one kernel per coefficient count: ``_MUL[n]`` convolves the
+first n coefficients of two jets, for n = 1 .. MAX_ORDER + 1, and
+``Jet.__mul__`` picks the kernel by the shorter operand.  One template
+(``_kernel``) writes every kernel at import: coefficient k is
+``a[0]*b[k] + a[1]*b[k-1] + ... + a[k]*b[0]``, added left to right (a loop
+over the terms measured slower per product, also on sample arrays).  Unlike
+``sum``, which starts from the integer 0, that keeps the sign of a zero.
+Sums, differences and quotients of two jets also keep the shorter length
+(``map`` over two tuples stops at the shorter one).  The series of exp, of
+sin with cos and of sinh with cosh share one sum (``_chain``), and the two
+pairs one recurrence (``_pair``).
 
 Results built in this module skip the length check of ``Jet.__init__``
 (``_new``): every operation keeps or shortens operands that were checked when
@@ -186,47 +189,17 @@ def _new(coeffs: tuple) -> Jet:
 # -- product kernels: _MUL[n] convolves the first n coefficients -------------
 
 
-def _mul1(a, b):
-    return (a[0] * b[0],)
+def _kernel(n: int):
+    """``_mul<n>(a, b)``, written out: coefficient k is
+    ``a[0] * b[k] + a[1] * b[k - 1] + ... + a[k] * b[0]``, added left to right."""
+    terms = (" + ".join(f"a[{i}] * b[{k - i}]" for i in range(k + 1)) for k in range(n))
+    source = f"def _mul{n}(a, b): return ({''.join(f'{term}, ' for term in terms)})"
+    scope = {}
+    exec(compile(source, f"<_mul{n}>", "exec"), scope)
+    return scope[f"_mul{n}"]
 
 
-def _mul2(a, b):
-    return (a[0] * b[0],
-            a[0] * b[1] + a[1] * b[0])
-
-
-def _mul3(a, b):
-    return (a[0] * b[0],
-            a[0] * b[1] + a[1] * b[0],
-            a[0] * b[2] + a[1] * b[1] + a[2] * b[0])
-
-
-def _mul4(a, b):
-    return (a[0] * b[0],
-            a[0] * b[1] + a[1] * b[0],
-            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0])
-
-
-def _mul5(a, b):
-    return (a[0] * b[0],
-            a[0] * b[1] + a[1] * b[0],
-            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
-            a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0])
-
-
-def _mul6(a, b):
-    return (a[0] * b[0],
-            a[0] * b[1] + a[1] * b[0],
-            a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-            a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
-            a[0] * b[4] + a[1] * b[3] + a[2] * b[2] + a[3] * b[1] + a[4] * b[0],
-            a[0] * b[5] + a[1] * b[4] + a[2] * b[3] + a[3] * b[2] + a[4] * b[1]
-            + a[5] * b[0])
-
-
-_MUL = (None, _mul1, _mul2, _mul3, _mul4, _mul5, _mul6)
+_MUL = (None, *map(_kernel, range(1, MAX_ORDER + 2)))
 
 
 def _div_coeffs(a, b):
@@ -285,11 +258,18 @@ def exp(x):
     a = x.coeffs
     out = [exp(a[0])]
     for k in range(1, len(a)):
-        acc = 1 * a[1] * out[k - 1]
-        for j in range(2, k + 1):
-            acc = acc + j * a[j] * out[k - j]
-        out.append(acc / k)
+        out.append(_chain(a, out, k) / k)
     return _new(tuple(out))
+
+
+def _chain(a, v, k: int):
+    """``1*a[1]*v[k-1] + 2*a[2]*v[k-2] + ... + k*a[k]*v[0]``, added left to
+    right: k times coefficient k of y where y' = x' u, for x on ``a`` and u
+    on ``v``."""
+    acc = 1 * a[1] * v[k - 1]
+    for j in range(2, k + 1):
+        acc = acc + j * a[j] * v[k - j]
+    return acc
 
 
 def log(x):
@@ -333,45 +313,22 @@ def sqrt(x):
     return _new(tuple(out))
 
 
-def _sincos(x: Jet):
+def _pair(x: Jet, f, g, sign: float):
+    """``(f(x), g(x))`` for sin and cos (``sign`` -1.0) or sinh and cosh
+    (+1.0), which satisfy f' = g and g' = sign * f."""
     a = x.coeffs
     a0 = a[0]
     if type(a0) is float or not isinstance(a0, (Jet, ndarray)):
-        s0, c0 = math.sin(a0), math.cos(a0)
+        s0, c0 = f(a0), g(a0)
     elif isinstance(a0, Jet):
-        s0, c0 = _sincos(a0)
+        s0, c0 = _pair(a0, f, g, sign)
     else:
-        s0, c0 = _mapped(math.sin, a0), _mapped(math.cos, a0)
+        s0, c0 = _mapped(f, a0), _mapped(g, a0)
     s, c = [s0], [c0]
     for k in range(1, len(a)):
-        accs = 1 * a[1] * c[k - 1]
-        accc = 1 * a[1] * s[k - 1]
-        for j in range(2, k + 1):
-            accs = accs + j * a[j] * c[k - j]
-            accc = accc + j * a[j] * s[k - j]
+        accs, accc = _chain(a, c, k), _chain(a, s, k)
         s.append(accs / k)
-        c.append(-accc / k)
-    return _new(tuple(s)), _new(tuple(c))
-
-
-def _sinhcosh(x: Jet):
-    a = x.coeffs
-    a0 = a[0]
-    if type(a0) is float or not isinstance(a0, (Jet, ndarray)):
-        s0, c0 = math.sinh(a0), math.cosh(a0)
-    elif isinstance(a0, Jet):
-        s0, c0 = _sinhcosh(a0)
-    else:
-        s0, c0 = _mapped(math.sinh, a0), _mapped(math.cosh, a0)
-    s, c = [s0], [c0]
-    for k in range(1, len(a)):
-        accs = 1 * a[1] * c[k - 1]
-        accc = 1 * a[1] * s[k - 1]
-        for j in range(2, k + 1):
-            accs = accs + j * a[j] * c[k - j]
-            accc = accc + j * a[j] * s[k - j]
-        s.append(accs / k)
-        c.append(accc / k)
+        c.append((-accc if sign < 0.0 else accc) / k)
     return _new(tuple(s)), _new(tuple(c))
 
 
@@ -380,7 +337,7 @@ def sin(x):
         return math.sin(x)
     if isinstance(x, ndarray):
         return _mapped(math.sin, x)
-    return _sincos(x)[0]
+    return _pair(x, math.sin, math.cos, -1.0)[0]
 
 
 def cos(x):
@@ -388,7 +345,7 @@ def cos(x):
         return math.cos(x)
     if isinstance(x, ndarray):
         return _mapped(math.cos, x)
-    return _sincos(x)[1]
+    return _pair(x, math.sin, math.cos, -1.0)[1]
 
 
 def sinh(x):
@@ -396,7 +353,7 @@ def sinh(x):
         return math.sinh(x)
     if isinstance(x, ndarray):
         return _mapped(math.sinh, x)
-    return _sinhcosh(x)[0]
+    return _pair(x, math.sinh, math.cosh, 1.0)[0]
 
 
 def cosh(x):
@@ -404,7 +361,7 @@ def cosh(x):
         return math.cosh(x)
     if isinstance(x, ndarray):
         return _mapped(math.cosh, x)
-    return _sinhcosh(x)[1]
+    return _pair(x, math.sinh, math.cosh, 1.0)[1]
 
 
 def powi(x, n: int):

@@ -350,9 +350,7 @@ class NullCurve:
         tb, from one ``_on_samples`` pass in that order, as component rows."""
         times = np.empty(2 * len(tb))
         times[0::2], times[1::2] = ta + 0.5 * (tb - ta), tb
-        z = np.empty((3, len(times)))
-        for row, c in zip(z, _on_samples(len(times), self._zeta_value, times)):
-            row[:] = c  # a constant broadcasts
+        z = np.array(_spread(_on_samples(len(times), self._zeta_value, times), len(times)))
         return z[:, 0::2], z[:, 1::2]
 
     def _zeta_value(self, t):
@@ -468,8 +466,9 @@ def first_generic_sign(values, tol: float):
 
 def _sample(x, i: int):
     """Sample i of a value over sample arrays: an array's element i as a
-    Python scalar; jets, matrices, tuples, lists, records and bundles part by
-    part; anything else (a float shared by every sample) as it is."""
+    Python scalar; jets, matrices, tuples, lists, dicts' values and records
+    (bundles too) part by part; anything else (a float shared by every
+    sample) as it is."""
     if isinstance(x, np.ndarray):
         return x[i].item()
     if isinstance(x, Jet):
@@ -478,8 +477,8 @@ def _sample(x, i: int):
         return Matrix([_sample(row, i) for row in x], x.support)
     if isinstance(x, (list, tuple)):
         return type(x)(_sample(c, i) for c in x)
-    if isinstance(x, _FrameJets):
-        return x.sample(i)
+    if isinstance(x, dict):
+        return {key: _sample(v, i) for key, v in x.items()}
     if dataclasses.is_dataclass(x):
         return type(x)(*(_sample(getattr(x, f.name), i) for f in dataclasses.fields(x)))
     return x
@@ -533,6 +532,7 @@ def _on_samples(size: int, fn, *args):
     return _stacked([fn(*(_sample(a, i) for a in args)) for i in range(size)])
 
 
+@dataclass(eq=False)
 class _FrameJets:
     """Jet-valued frame data of a curve (internal), at one float t or over a
     grid: then t is the float array of grid times, and each jet coefficient
@@ -545,18 +545,15 @@ class _FrameJets:
     covariant derivative of the oriented W is ``sign * cov("w")``.
     """
 
-    __slots__ = ("t", "pos", "zeta", "n", "w", "gmat", "metric", "_gamma", "_covs")
-
-    def __init__(self, t, pos, zeta, n, w, gmat, metric):
-        self.t = t
-        self.pos = pos
-        self.zeta = zeta
-        self.n = n
-        self.w = w
-        self.gmat = gmat
-        self.metric = metric
-        self._gamma = None
-        self._covs = {}
+    t: float | np.ndarray
+    pos: list
+    zeta: list
+    n: list
+    w: list
+    gmat: Matrix
+    metric: MetricField
+    _gamma: object = None
+    _covs: dict = dataclasses.field(default_factory=dict)
 
     def staged(self, fn, *args):
         """``fn(self, *args)``: directly at one t, by ``_on_samples`` over a
@@ -564,14 +561,6 @@ class _FrameJets:
         if not isinstance(self.t, np.ndarray):
             return fn(self, *args)
         return _on_samples(len(self.t), fn, self, *args)
-
-    def sample(self, i: int) -> "_FrameJets":
-        """The bundle at sample i, with the connection and layers so far."""
-        fj = _FrameJets(self.t[i].item(), *(_sample(x, i) for x in (
-            self.pos, self.zeta, self.n, self.w, self.gmat)), self.metric)
-        fj._gamma = _sample(self._gamma, i)
-        fj._covs = {key: _sample(v, i) for key, v in self._covs.items()}
-        return fj
 
     def gamma(self):
         """The connection at the truncated positions, computed once."""
@@ -656,22 +645,13 @@ def _bundle_fields(curve: NullCurve, t, policy: ScreenPolicy):
     zz = const_term(bilinear(gmat, zeta, zeta))
     if jets.failing(abs(zz) > NULL_TOL):
         raise NotNullError(f"g(zeta, zeta) = {zz:.3e} at t = {t}: curve not null")
-    if jets.failing(_tangent_size(zeta) < 1e-12):
+    if jets.failing(euclid_norm([const_term(z) for z in zeta]) < 1e-12):
         raise ValueError(f"vanishing tangent at t = {t}")
     # an array pass's error is never read: its replay per sample raises its own
     where = "" if isinstance(t, np.ndarray) else f"at t = {t}"
     _, gz, n_vec = null_transversal(gmat, zeta, policy.seed_indices(3), where)
     w_vec = screen_vector(gmat, gz, n_vec, where)
     return pos, zeta, n_vec, w_vec, gmat
-
-
-def _tangent_size(zeta):
-    """``math.hypot`` of the tangent's constant terms, per sample on arrays."""
-    c = [const_term(z) for z in zeta]
-    if not any(isinstance(x, np.ndarray) for x in c):
-        return math.hypot(*c)
-    return np.array([math.hypot(*v)
-                     for v in zip(*(x.tolist() for x in np.broadcast_arrays(*c)))])
 
 
 def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None) -> NullFrame:
@@ -698,7 +678,7 @@ def frame_field(curve: NullCurve, grid, policy: ScreenPolicy | None = None) -> N
     try:
         k1s = _spread(fj.staged(_signed_k1, signs), size).tolist()
     except Exception:  # read per sample, and only as far as the rule reads
-        k1s = (sign * fj.sample(i).raw_k1() for i, sign in enumerate(signs.tolist()))
+        k1s = (sign * _sample(fj, i).raw_k1() for i, sign in enumerate(signs.tolist()))
     orient = (first_generic_sign(k1s, GEODESIC_K1_TOL)
               or first_generic_sign([_sample(c, 0) for c in w0], 1e-9)
               or 1.0)
@@ -786,7 +766,7 @@ def euclid_norm(vec) -> float:
     Sample arrays square by ``np.float_power``, with the bits of ``** 2``
     (``arr ** 2`` multiplies, which can differ in the last bit), and give
     each sample's float norm, so numpy's flags are ignored."""
-    if isinstance(vec[0], np.ndarray):
+    if any(isinstance(c, np.ndarray) for c in vec):
         with np.errstate(all="ignore"):
             squares = [np.float_power(c, 2) for c in vec]  # ** 2 raises on overflow
             overflow = sum(np.isinf(s) & np.isfinite(c) for s, c in zip(squares, vec))

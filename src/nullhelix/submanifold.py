@@ -569,14 +569,14 @@ def axis_derivatives(F: Immersion, samples) -> None:
     pass reads one bundle over the lane arrays (each point's u repeated m
     times) and its one jet ray along the axes, whose slopes are lane arrays
     too; per lane it does the float operations of that point's ray along e_j.
-    Where the pass raises anything or sets a numpy flag, or a coordinate is
-    not finite (a float can raise where an array passes silently), it fills
-    nothing, and each point builds its own rays on first use."""
+    Where the pass raises anything or sets a numpy flag, it fills nothing,
+    and each point builds its own rays on first use: a coordinate that is not
+    finite is one such case, since the generated code refuses it on arrays
+    (``codegen.compiled``), where a float can raise and an array pass
+    silently."""
     try:
         with np.errstate(all="raise", under="ignore"):
             points = np.array(samples, dtype=float).reshape(len(samples), F.m)
-            if not np.isfinite(points).all():
-                return
             axes = np.eye(F.m)
             lanes = _Point(F, list(np.repeat(points, F.m, axis=0).T))
             slopes = list(np.tile(axes, (len(points), 1)).T)

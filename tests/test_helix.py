@@ -773,7 +773,7 @@ def test_reseeded_trace_frames_match_curve_frame_jets(flat3, conformal):
     policy = nf.ScreenPolicy()
     grid = np.array(uniform_grid(0.0, TWO_PI, 25))
     bundle = nf._frame_jets(curve, grid, policy)
-    bundles = [bundle.sample(i) for i in range(len(grid))]
+    bundles = [nf._sample(bundle, i) for i in range(len(grid))]
     points = [tuple(const_term(c) for c in fj.pos) for fj in bundles]
     zetas = [tuple(const_term(c) for c in fj.zeta) for fj in bundles]
     ns, ws = policy_frames(metric, points, zetas, policy)

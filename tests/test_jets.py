@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -112,6 +113,122 @@ def test_ring_operations_match_the_generic_ones_at_every_length_pair(la, lb, nes
             if nested:
                 for c in result.coeffs:
                     _assert_shape(c, 2)
+
+
+# The written-out references for the product kernels and the series
+# recurrences: the product adds a[0]*b[k] + a[1]*b[k-1] + ... left to right,
+# and sin/cos, sinh/cosh and exp are the recurrences as each was once written
+# on its own.  Results are compared as packed bytes, so a zero's sign counts.
+
+
+def _bits(x) -> bytes:
+    if isinstance(x, Jet):
+        return b"J" + b"".join(map(_bits, x.coeffs)) + b"/"
+    if isinstance(x, np.ndarray):
+        return b"A" + x.tobytes()
+    return b"F" + struct.pack("d", x)
+
+
+def _product_reference(a, b):
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = a[0] * b[k]
+        for i in range(1, k + 1):
+            acc = acc + a[i] * b[k - i]
+        out.append(acc)
+    return tuple(out)
+
+
+def _sincos_reference(x):
+    a = x.coeffs
+    a0 = a[0]
+    if isinstance(a0, Jet):
+        s0, c0 = _sincos_reference(a0)
+    else:
+        s0, c0 = jets.sin(a0), jets.cos(a0)
+    s, c = [s0], [c0]
+    for k in range(1, len(a)):
+        accs = 1 * a[1] * c[k - 1]
+        accc = 1 * a[1] * s[k - 1]
+        for j in range(2, k + 1):
+            accs = accs + j * a[j] * c[k - j]
+            accc = accc + j * a[j] * s[k - j]
+        s.append(accs / k)
+        c.append(-accc / k)
+    return Jet(s), Jet(c)
+
+
+def _sinhcosh_reference(x):
+    a = x.coeffs
+    a0 = a[0]
+    if isinstance(a0, Jet):
+        s0, c0 = _sinhcosh_reference(a0)
+    else:
+        s0, c0 = jets.sinh(a0), jets.cosh(a0)
+    s, c = [s0], [c0]
+    for k in range(1, len(a)):
+        accs = 1 * a[1] * c[k - 1]
+        accc = 1 * a[1] * s[k - 1]
+        for j in range(2, k + 1):
+            accs = accs + j * a[j] * c[k - j]
+            accc = accc + j * a[j] * s[k - j]
+        s.append(accs / k)
+        c.append(accc / k)
+    return Jet(s), Jet(c)
+
+
+def _exp_reference(x):
+    if not isinstance(x, Jet):
+        return jets.exp(x)
+    a = x.coeffs
+    out = [_exp_reference(a[0])]
+    for k in range(1, len(a)):
+        acc = 1 * a[1] * out[k - 1]
+        for j in range(2, k + 1):
+            acc = acc + j * a[j] * out[k - j]
+        out.append(acc / k)
+    return Jet(out)
+
+
+_SERIES_REFERENCES = {
+    "exp": _exp_reference,
+    "sin": lambda x: _sincos_reference(x)[0], "cos": lambda x: _sincos_reference(x)[1],
+    "sinh": lambda x: _sinhcosh_reference(x)[0],
+    "cosh": lambda x: _sinhcosh_reference(x)[1],
+}
+_KINDS = ["float", "array", "nested"]
+
+
+def _coefficients(rng, n, kind):
+    """n coefficients as ``_draw`` gives them, or 30-sample arrays of them."""
+    if kind == "array":
+        return tuple(np.array(_draw(rng, 30, False)) for _ in range(n))
+    return _draw(rng, n, kind == "nested")
+
+
+@pytest.mark.parametrize("la, lb", itertools.product(range(1, jets.MAX_ORDER + 2),
+                                                     repeat=2))
+@pytest.mark.parametrize("kind", _KINDS)
+def test_products_have_the_left_to_right_sums_bits_at_every_length_pair(la, lb, kind):
+    rng = random.Random(f"product-{la}-{lb}-{kind}")
+    for _ in range(10):
+        a, b = _coefficients(rng, la, kind), _coefficients(rng, lb, kind)
+        for x, y in ((a, b), (b, a)):
+            got = Jet(x) * Jet(y)
+            _assert_shape(got, min(la, lb))
+            assert _bits(got) == _bits(Jet(_product_reference(x, y)))
+
+
+@pytest.mark.parametrize("name", list(_SERIES_REFERENCES))
+@pytest.mark.parametrize("kind", _KINDS)
+def test_series_have_the_separate_recurrences_bits_at_every_order(name, kind):
+    rng = random.Random(f"series-{name}-{kind}")
+    for order in range(jets.MAX_ORDER + 1):
+        for _ in range(10):
+            x = Jet(_coefficients(rng, order + 1, kind))
+            got = getattr(jets, name)(x)
+            _assert_shape(got, order + 1)
+            assert _bits(got) == _bits(_SERIES_REFERENCES[name](x)), (name, order)
 
 
 @given(coeff_lists)
@@ -371,18 +488,23 @@ def _lane(jet, i):
 def test_an_order1_ray_with_an_array_slope_has_each_float_rays_bits(op, array_base):
     """An order-1 jet whose slope is a sample array (and whose base is a float
     or a sample array) gives, element by element, the bits of the float jet
-    with that element: the submanifold command's lane pass relies on it."""
+    with that element: the submanifold command's lane pass relies on it.  So
+    does a jet of any order 0-5 whose higher coefficients are arrays."""
     rng = random.Random(f"array-slope-{op}-{array_base}")
     size = 7
-    bases = [[rng.uniform(0.3, 2.5) for _ in range(size)] for _ in range(2)]
-    if not array_base:
-        bases = [[row[0]] * size for row in bases]
-    slopes = [[rng.choice((0.0, 1.0, -0.0, rng.uniform(-2.0, 2.0))) for _ in range(size)]
-              for _ in range(2)]
-    lanes = [Jet((np.array(b) if array_base else b[0], np.array(s)))
-             for b, s in zip(bases, slopes)]
-    out = _RAY_OPS[op](*lanes)
-    assert type(out) is Jet and isinstance(out.coeffs[1], np.ndarray)
-    for i in range(size):
-        want = _RAY_OPS[op](*(Jet((b[i], s[i])) for b, s in zip(bases, slopes)))
-        assert [float(c).hex() for c in _lane(out, i)] == [c.hex() for c in want.coeffs]
+    for order in range(jets.MAX_ORDER + 1):
+        bases = [[rng.uniform(0.3, 2.5) for _ in range(size)] for _ in range(2)]
+        if not array_base:
+            bases = [[row[0]] * size for row in bases]
+        slopes = [[[rng.choice((0.0, 1.0, -0.0, rng.uniform(-2.0, 2.0))) for _ in range(size)]
+                   for _ in range(order)] for _ in range(2)]
+        lanes = [Jet((np.array(b) if array_base else b[0], *map(np.array, s)))
+                 for b, s in zip(bases, slopes)]
+        out = _RAY_OPS[op](*lanes)
+        assert type(out) is Jet and len(out.coeffs) == order + 1
+        assert all(isinstance(c, np.ndarray) for c in out.coeffs[1:])
+        for i in range(size):
+            want = _RAY_OPS[op](*(Jet((b[i], *(c[i] for c in s)))
+                                  for b, s in zip(bases, slopes)))
+            assert [float(c).hex() for c in _lane(out, i)] == \
+                [c.hex() for c in want.coeffs], (op, order)

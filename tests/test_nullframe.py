@@ -449,6 +449,21 @@ def test_euclid_norm_is_inf_where_a_square_overflows():
     assert nf.euclid_norm((3.0, 4.0, 0.0)) == 5.0
 
 
+def test_euclid_norm_of_sample_arrays_is_each_samples_float_norm():
+    """Any array component, not only the first, makes the norm a sample
+    array, with each sample's float bits (inf where a square overflows)."""
+    rng = random.Random(12)
+    columns = [[0.0, 1e200, -0.0] + [rng.uniform(-3.0, 3.0) for _ in range(5)]
+               for _ in range(2)]
+    for vec in ((0.0, *map(np.array, columns)), (np.array(columns[0]), 0.0, columns[1][2]),
+                (2.5, np.array(columns[1]), -1.0)):
+        got = nf.euclid_norm(vec)
+        assert isinstance(got, np.ndarray)
+        want = [nf.euclid_norm([c[i].item() if isinstance(c, np.ndarray) else c
+                                for c in vec]) for i in range(len(got))]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
 def test_policy_names_roundtrip():
     pol = ScreenPolicy.from_names("e1,e3,e2")
     assert pol.seeds == (0, 2, 1)
@@ -752,7 +767,7 @@ def test_bundle_over_a_grid_matches_the_bundles_per_t(case):
     layers = [("zeta", 1), ("n", 1), ("w", 1), ("zeta", 3)]
     for i, t in enumerate(grid):
         single = nf._build_frame_jets(curve, t, policy)
-        at_i = bundle.sample(i)
+        at_i = nf._sample(bundle, i)
         for a, b in ((at_i, single),):
             assert _jet_bits(a.pos) == _jet_bits(b.pos)
             for field in ("zeta", "n", "w"):

@@ -777,6 +777,20 @@ def test_the_lane_pass_keeps_the_per_axis_loops_bits(request, rng, name, box):
         assert all(type(c) is float for v in pt._shapes.values() for c in v)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["sphere2", "graph_immersion"])
+def test_the_lane_pass_fills_nothing_where_a_coordinate_is_not_finite(request, name, bad):
+    """A sample point with a non-finite coordinate leaves every memo empty:
+    the generated code refuses such a lane array, which a polynomial map
+    such as the graph's would carry through without a numpy flag."""
+    F = request.getfixturevalue(name)
+    points = [[0.7] * F.m, [0.9] * F.m]
+    points[1][-1] = bad
+    lanes = Immersion(F.m, F.ambient, F.components)
+    sb.axis_derivatives(lanes, points)
+    assert lanes._points == {}
+
+
 GRAPH_DOC = {
     "kind": "immersion",
     "immersion": {"intrinsic_dim": 3,
