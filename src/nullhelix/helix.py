@@ -20,7 +20,9 @@ the 12 state components.  Every other chart runs one generated
 function per metric, built on its first curved ``_rk4_steps`` and kept on the
 metric: nsteps RK4 steps with the four stages inlined and the state in
 locals, each stage running the metric's own emitted g, det and connection
-lines and summing G over the pattern, the symbols those lines give a value.  A
+lines and summing G over the pattern, the symbols those lines give a value.
+The loop runs on floats alone, so its powers are float ``**`` in place of
+those lines' ``jets.powi``: the same bits and errors without the call.  A
 shadow integration at half step gives each sample's ``err_est`` = |full -
 half| / 15, the Richardson estimate of the half-step shadow's error; the
 recorded full-step state's error is about 16 times larger.  The Gram drift
@@ -57,6 +59,7 @@ g(cov zeta, cov N) = -h^2 - k1 k2, and ``constancy_report`` for the spread of
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -184,14 +187,21 @@ def _flat_increment(h, k1, k2, dt, nsteps):
     return out
 
 
+# ``jets.powi(base, n)`` in a connection line; base is a name or a literal
+_POWI = re.compile(r"jets\.powi\(([^,]+), (-?\d+)\)")
+
+
 def _stage_code(metric, point, out) -> tuple:
     """One RK4 stage at the state named ``point``: the metric's own g, det
     and connection lines at its coordinates, then the frame system's
     right-hand side into ``out<i>``.
 
-    Each connection sum G zeta zeta, G zeta n and G zeta w runs from 0.0
-    over the pattern (the symbols the emitted connection gives a value), in
-    order, with c = gamma[k][i][j] zeta^i taken once per symbol.  Returns
+    The connection lines take a power as ``base ** n``, which is
+    ``jets.powi``'s float path: the loop sees floats alone (``HelixSpec``
+    coerces the state).  Each connection sum G zeta zeta, G zeta n and
+    G zeta w runs from 0.0 over the pattern (the symbols the emitted
+    connection gives a value), in order, with c = gamma[k][i][j] zeta^i
+    taken once per symbol.  Returns
     the lines and the names of the 4n right-hand-side components, the first
     n of which are ``point``'s zeta.
     """
@@ -199,13 +209,13 @@ def _stage_code(metric, point, out) -> tuple:
     x, z, nv, w = (point[a * n:(a + 1) * n] for a in range(4))
     lines = [f"{name} = {value}" for name, value in zip(code.names, x)
              if name != value]
-    lines += [
+    lines += [_POWI.sub(r"\1 ** \2", line) for line in [
         *code.early,
         f"det = {code.det}",
         f"if abs(det) <= {DET_TOL!r}:",
         f"    raise DegenerateMetricError({DEGENERATE_ALONG!r})",
         *code.late,
-    ]
+    ]]
     sums = [[["0.0"] for _ in range(n)] for _ in range(3)]
     for m, (k, i, j) in enumerate(metric.pattern):
         lines.append(f"_c{m} = {code.gamma[k][i][j]} * {z[i]}")

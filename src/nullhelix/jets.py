@@ -12,7 +12,8 @@ elements (``_mapped``) and ``powi`` takes each element's float ``**``.  A
 check on a constant term (``failing``) then fails where it fails at any
 sample, and raises PerSampleCheck, for the caller to replay per sample; a
 branch (``agreed``) is taken where every sample takes it, and raises
-PerSampleCheck where the samples split.  The package takes spatial partial
+PerSampleCheck with its test array where the samples split, for the caller
+to run each side of the split as one group.  The package takes spatial partial
 derivatives from generated derivative trees (``codegen``) and order-1 jet
 rays; a ray's base and slope may both be sample arrays, one element per
 pair of a point and a direction (``submanifold.axis_derivatives``), each
@@ -52,8 +53,15 @@ MAX_ORDER = 5
 
 
 class PerSampleCheck(Exception):
-    """A check on sample arrays fails at some sample: only a replay per sample
-    can say at which one, and with what error."""
+    """A check on sample arrays fails at some sample, or a branch splits them.
+    ``test`` is None where only a replay per sample can say at which sample,
+    and with what error (``failing``); for a split (``agreed``) it is the
+    branch's bool test array, True at the samples that take the branch, so
+    the caller may run the two groups apart."""
+
+    def __init__(self, test=None):
+        super().__init__()
+        self.test = test
 
 
 def failing(test) -> bool:
@@ -71,13 +79,14 @@ def agreed(test) -> bool:
     """Whether to take a branch: ``test`` itself where it is a bool (one
     sample), and for a bool array over samples True where every sample takes
     it (also where there is none), False where none does, else
-    PerSampleCheck, for the caller to replay per sample."""
+    PerSampleCheck carrying ``test``, for the caller to run the samples
+    that take the branch and the rest as two groups."""
     if not isinstance(test, ndarray):
         return test
     if test.all():
         return True
     if test.any():
-        raise PerSampleCheck
+        raise PerSampleCheck(test)
     return False
 
 

@@ -23,8 +23,9 @@ traces ``frame_curvatures``, once on sample arrays.  So do the N formula
 (``transversal``), the screen part of a vector (``screen_projection``, scaled
 by ``unit_screen``) and the six Gram conditions (``max_gram_residual``): the
 frame algebra ``helix`` and ``submanifold`` share.  On sample arrays a
-branch, such as the seed axis, is taken where every sample takes it and
-replayed per sample where they split (``jets.agreed``), and W's sign is made
+branch, such as the seed axis, is taken where every sample takes it, and
+where they split (``jets.agreed``) the samples that take it and the rest
+run as two array passes, and W's sign is made
 continuous by one rule over sample arrays (``_neighbour_dots``, then
 ``_flip_signs``).
 Transfer's ambient frames extend the seed order with the unused axes and take
@@ -36,10 +37,12 @@ coefficient is a sample array; it computes g (``matrix_at``, on jets), the
 connection and each covariant derivative once.  ``frame_field`` returns one
 ``NullFrame`` of sample arrays, and ``curvatures_at``, ``frenet_residuals``
 and ``helix``'s identity suite measure it in one pass each.  Every stage runs
-on the arrays under numpy flags that raise; where it raises anything, or a
-flag, it runs again per sample through the same functions on float t
-(``_on_samples``), which raises the per-sample error at its sample, in the
-order of a loop over samples; a tree evaluator refuses arrays where numpy
+on the arrays under numpy flags that raise (``_on_samples``); where the
+samples split on a branch, it runs once on each group of the split, and
+the results are scattered back into sample order; where it (or a group
+pass) raises anything else, or a flag, it runs again per sample through the
+same functions on float t, which raises the per-sample error at its sample,
+in the order of a loop over samples; a tree evaluator refuses arrays where numpy
 could pass silently where a float raises (``jets.PerSampleCheck``).  A
 tangent-mode curve's base points over the grid come from one quadrature
 march (``NullCurve._quadrature``).  The same functions at one float t
@@ -387,7 +390,7 @@ def null_transversal(g, zeta, seeds, where: str):
     in the error message.  Over sample arrays the seed is one for all
     samples: an axis is taken or skipped where every sample agrees
     (``jets.agreed``), and PerSampleCheck raised where they split, for the
-    caller to replay per sample."""
+    caller to run each side of the split apart."""
     gz = mat_vec(g, zeta)
     for idx in seeds:
         if jets.agreed(abs(const_term(gz[idx])) > SEED_TOL):
@@ -464,13 +467,14 @@ def first_generic_sign(values, tol: float):
 # -- frame bundles over sample arrays ------------------------------------------
 
 
-def _sample(x, i: int):
-    """Sample i of a value over sample arrays: an array's element i as a
-    Python scalar; jets, matrices, tuples, lists, dicts' values and records
-    (bundles too) part by part; anything else (a float shared by every
-    sample) as it is."""
+def _sample(x, i):
+    """Sample i of a value over sample arrays, or with ``i`` a bool array
+    over the samples, the group of samples it selects: an array's element i
+    as a Python scalar (its elements at the mask as an array); jets,
+    matrices, tuples, lists, dicts' values and records (bundles too) part by
+    part; anything else (a float shared by every sample) as it is."""
     if isinstance(x, np.ndarray):
-        return x[i].item()
+        return x[i] if isinstance(i, np.ndarray) else x[i].item()
     if isinstance(x, Jet):
         return Jet([_sample(c, i) for c in x.coeffs])
     if isinstance(x, Matrix):
@@ -484,20 +488,35 @@ def _sample(x, i: int):
     return x
 
 
-def _stacked(values: list):
+def _stacked(values: list, leaf=np.array):
     """Per-sample values of one structure as one value over sample arrays,
-    undoing ``_sample``."""
+    undoing ``_sample``: jets, matrices, tuples, lists and records part by
+    part, and ``leaf`` of the values at each other place."""
     first = values[0]
     if isinstance(first, Jet):
-        return Jet([_stacked(c) for c in zip(*(v.coeffs for v in values))])
+        return Jet([_stacked(c, leaf) for c in zip(*(v.coeffs for v in values))])
     if isinstance(first, Matrix):
-        return Matrix([_stacked(rows) for rows in zip(*values)], first.support)
+        return Matrix([_stacked(rows, leaf) for rows in zip(*values)], first.support)
     if isinstance(first, (list, tuple)):
-        return type(first)(_stacked(c) for c in zip(*values))
+        return type(first)(_stacked(c, leaf) for c in zip(*values))
     if dataclasses.is_dataclass(first):
-        return type(first)(*(_stacked([getattr(v, f.name) for v in values])
+        return type(first)(*(_stacked([getattr(v, f.name) for v in values], leaf)
                              for f in dataclasses.fields(first)))
-    return np.array(values)
+    return leaf(values)
+
+
+def _scattered(mask, taken, rest):
+    """The values of two groups of samples, ``taken`` over the samples where
+    ``mask`` holds and ``rest`` over the others, as one value in sample
+    order, part by part as ``_stacked`` goes: a float or bool that a whole
+    group shares is spread over that group, with ``_stacked``'s dtype."""
+    def leaf(parts):
+        taken, rest = map(np.asarray, parts)
+        out = np.empty(mask.shape, np.result_type(taken.dtype, rest.dtype))
+        out[mask], out[~mask] = taken, rest
+        return out
+
+    return _stacked([taken, rest], leaf)
 
 
 def _spread(x, size: int):
@@ -514,9 +533,16 @@ def _spread(x, size: int):
 
 def _on_samples(size: int, fn, *args):
     """``fn(*args)`` over sample arrays of ``size`` samples, in one pass.
-    Where that pass raises anything, or sets a numpy flag, ``fn`` runs on
-    each sample in turn (``_sample`` of every argument) and the results are
-    stacked: that run raises the per-sample error at its sample.
+    Where the samples split on a branch (``jets.agreed``'s PerSampleCheck
+    with a bool test of shape ``(size,)``), ``fn`` runs once more on the
+    samples that take it and once on the rest (``_sample`` of every argument
+    with the test, then its negation), and the two results are scattered
+    back into sample order (``_scattered``).  Where the first pass raises
+    anything else, or sets a numpy flag, or a group pass does either, ``fn``
+    runs on each sample in turn (``_sample`` of every argument) and the
+    results are stacked: that run raises the per-sample error at its
+    sample.  A group pass that splits again is replayed so too: the samples
+    are partitioned once per pass.
 
     With t and every constant subtree finite, and the ``math`` functions
     raising rather than returning inf, each non-finite value sets a flag.
@@ -527,8 +553,18 @@ def _on_samples(size: int, fn, *args):
     try:
         with np.errstate(all="raise", under="ignore"):
             return fn(*args)
+    except jets.PerSampleCheck as check:
+        split = check.test
     except Exception:  # replayed per sample, which raises its own error
-        pass
+        split = None
+    if split is not None and split.shape == (size,):
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                taken = fn(*(_sample(a, split) for a in args))
+                rest = fn(*(_sample(a, ~split) for a in args))
+            return _scattered(split, taken, rest)
+        except Exception:  # replayed per sample, which raises its own error
+            pass
     return _stacked([fn(*(_sample(a, i) for a in args)) for i in range(size)])
 
 

@@ -24,7 +24,8 @@ immersion, and the bundle on each jet ray on its base bundle (``ray``), by
 the bytes of the ray's slope.  A bundle may also hold sample arrays, one per
 coordinate, for one pass over many points; such a bundle's pivot tests are
 ``jets.agreed``'s.  ``helix_transfer``'s isometry and geodesic checks run so
-(``nullframe._on_samples``), replayed per point where the pass fails.  So
+(``nullframe._on_samples``): where the points split on a pivot, as two
+passes, one per side of the split, and per point where a pass fails.  So
 does ``axis_derivatives``, the ``submanifold`` command's one pass over
 lanes, a lane per pair of a point and a coordinate axis: its one jet ray has
 lane arrays for both base and slope, and it fills each float point's shape
@@ -193,7 +194,8 @@ def _unit_basis(g, count: int, tol: float, project=list):
     pairs, skipping vanishing or null remainders; pivots use constant parts,
     so a jet ray keeps its base's.  Over sample arrays each pivot test is
     ``jets.agreed``'s: an axis is taken or skipped, and a sign chosen, where
-    every sample agrees, and PerSampleCheck raised where they split."""
+    every sample agrees, and PerSampleCheck raised where they split, for the
+    caller to run each side of the split apart."""
     accepted = []
     for c in range(len(g)):
         if len(accepted) == count:
@@ -683,8 +685,9 @@ def _ambient_frames(curve: helixmod.SampledCurve, policy: ScreenPolicy):
     """Seed-built transversal and first-normal screen direction, as
     component-major arrays over the samples the acceleration reaches.
 
-    ``_ambient_frame`` runs once on the sample arrays, and per sample where
-    that fails (``nullframe._on_samples``).  W's sign is then made
+    ``_ambient_frame`` runs once on the sample arrays, once on each side
+    where the samples split on a seed or candidate, and per sample where a
+    pass fails (``nullframe._on_samples``).  W's sign is then made
     continuous along the samples by ``frame_field``'s rule.
     """
     n = curve.metric.dim
@@ -707,8 +710,8 @@ def _ambient_frame(g, z, cand, seeds):
     g(W, W) = -1; where its screen part degenerates (or is NaN), the seed
     axes are projected in turn.  Over sample arrays a candidate is taken or
     passed over where every sample agrees (``jets.agreed``), and
-    PerSampleCheck raised where they split, for the caller to replay per
-    sample.  This W rule is the only one for ambient dimensions above 3.
+    PerSampleCheck raised where they split, for the caller to run each side
+    of the split apart.  This W rule is the only one for ambient dimensions above 3.
     """
     n = len(z)
     _, _, nv = null_transversal(g, z, seeds, "along the ambient curve")
@@ -723,8 +726,9 @@ def _ambient_frame(g, z, cand, seeds):
 
 def _on_trace_points(path: np.ndarray, per: int, fn, *args):
     """``fn(*args, u)`` at every ``len(path) // per``-th row u of ``path``,
-    from the first: one pass on the rows' component arrays, replayed per row
-    where it fails, with each float in the result spread over the rows."""
+    from the first: one pass on the rows' component arrays (two more where
+    the rows split on a pivot, per row where a pass fails), with each float
+    in the result spread over the rows."""
     u = list(path[:: max(1, len(path) // per)].T)
     return _spread(_on_samples(len(u[0]), fn, *args, u), len(u[0]))
 

@@ -235,6 +235,29 @@ def test_synth_reaching_a_log_singularity_names_it(tmp_path, capsys):
     assert err == "error: log of non-positive value in 'log(x3)'\n"
 
 
+@pytest.mark.parametrize("entries, point, domain, step, samples, message", [
+    # from x3 = e (where 1e-300 * x3^400 is below half an ulp of 1) up past
+    # x3 = 10^(308.25/400), where x3^400 overflows
+    ([["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1 + 1e-300*x3^400"]],
+     [0, 0, math.e], [0.0, 13.0], 10.0, 20, "result overflows a float in 'x3^400'"),
+    # from x3 = -0.25 with zeta_3 = 1 and dt = 0.5, the first step's second
+    # stage sits at x3 = -0.25 + 0.25 = 0.0 exactly
+    ([["-1 - (x3 + 0.25)^2*x3^-2", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+     [0, 0, -0.25], [0.0, 9.0], 0.5, 19,
+     "0.0 cannot be raised to a negative power in 'x3^(-2)'"),
+], ids=["overflow", "zero-to-negative"])
+def test_synth_power_failing_in_the_stage_loop_names_it(tmp_path, capsys, entries, point,
+                                                        domain, step, samples, message):
+    """A power raises inside the generated RK4 stage loop, which takes it as
+    float ``**``: the replay of the connection names it, as it names
+    ``jets.powi``'s error."""
+    doc = _field_helix(entries, point, {"zeta": [0, 1, 1], "n": [0, -0.5, 0.5],
+                                        "w": [-1, 0, 0]},
+                       domain, step, {"samples": samples, "drift_limit": 1e300})
+    assert run(["synth", "--spec", _write(tmp_path, "power.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_synth_leaving_the_domain_at_a_block_edge_names_it(tmp_path, capsys, monkeypatch):
     # the chart above, run to where the first RK4 stage past x3 = 0 falls in
     # the segment that ends at sample CHECK_BLOCK, just after the first block

@@ -570,6 +570,16 @@ def test_generated_stage_loop_equals_the_reference_loop_bitwise(chart):
                 assert _float_bits(got) == _float_bits(want)
 
 
+@pytest.mark.parametrize("chart", ["curved", "pseudosphere", "dense"])
+def test_generated_stage_loop_calls_no_powi(chart):
+    """The connection lines take powers by ``jets.powi``; the stage loop,
+    which runs on floats alone, takes them as float ``**``."""
+    metric = MetricField.from_texts(3, STAGE_LOOP_CHARTS[chart][0])
+    code = metric.connection_code
+    assert any("jets.powi(" in line for line in code.early + code.late)
+    assert "powi" not in hx._emit_stage_loop(metric).__code__.co_names
+
+
 def _raised(f, *args):
     with pytest.raises(Exception) as info:
         f(*args)

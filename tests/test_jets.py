@@ -448,8 +448,9 @@ def test_constant_term_checks_on_arrays_fail_where_any_sample_fails():
     zero, negative = Jet([np.array([1.0, 0.0]), 1.0]), Jet([np.array([-1.0, 4.0]), 1.0])
     for fn, bad in ((jets.sqrt, zero), (jets.sqrt, negative), (jets.log, zero),
                     (jets.log, negative), (lambda j: 1.0 / j, zero)):
-        with pytest.raises(jets.PerSampleCheck):
+        with pytest.raises(jets.PerSampleCheck) as info:
             fn(bad)
+        assert info.value.test is None  # no split to run as groups
     assert jets.failing(False) is False and jets.failing(True) is True
     assert jets.failing(np.array([False, False])) is False
 
@@ -457,13 +458,16 @@ def test_constant_term_checks_on_arrays_fail_where_any_sample_fails():
 def test_branches_on_arrays_are_taken_where_every_sample_agrees():
     """``agreed`` passes a bool through; on sample arrays it is True where
     every sample takes the branch (also where there is no sample), False
-    where none does, and raises PerSampleCheck where the samples split."""
+    where none does, and raises PerSampleCheck carrying its test where the
+    samples split."""
     assert jets.agreed(True) is True and jets.agreed(False) is False
     assert jets.agreed(np.array([True, True])) is True
     assert jets.agreed(np.array([False, False])) is False
     assert jets.agreed(np.array([], dtype=bool)) is True
-    with pytest.raises(jets.PerSampleCheck):
-        jets.agreed(np.array([False, True]))
+    split = np.array([False, True])
+    with pytest.raises(jets.PerSampleCheck) as info:
+        jets.agreed(split)
+    assert info.value.test is split
 
 
 # -- jet rays over lanes: a float or array base with an array slope

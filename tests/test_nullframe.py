@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nullhelix import helix as hx
+from nullhelix import jets
 from nullhelix import nullframe as nf
 from nullhelix.exprparse import DomainError, eval_jet
 from nullhelix.helix import GramDriftError
@@ -799,9 +800,10 @@ def test_seed_axis_is_selected_per_sample():
                                   "overflow", "non-finite constant"])
 def test_each_stage_runs_once_on_arrays_unless_it_must_replay(monkeypatch, case):
     """The bundle is built in one array pass (one ``position_jets`` call at
-    the grid times), unless a numpy flag, a non-finite constant or samples
-    that split on the seed axis send it per sample: then once per sample
-    more.  A curve whose trees hold a
+    the grid times), unless a numpy flag or a non-finite constant sends it
+    per sample: then once per sample more.  Samples that split on the seed
+    axis take two more array passes, one per side of the split, and no float
+    one.  A curve whose trees hold a
     non-finite constant refuses arrays inside that call, so no tree of it
     is evaluated on arrays (no ``eval_jet`` call binds t to an array)."""
     curve, grid, policy = ARRAY_CASES[case]()
@@ -824,10 +826,132 @@ def test_each_stage_runs_once_on_arrays_unless_it_must_replay(monkeypatch, case)
         pass
     arrays = [c for c in calls if isinstance(c, np.ndarray)]
     floats = [c for c in calls if not isinstance(c, np.ndarray)]
-    assert len(arrays) == 1
-    assert floats == (grid if case in ("overflow", "non-finite constant", "seed switch")
-                      else [])
+    assert len(arrays) == (3 if case == "seed switch" else 1)
+    assert floats == (grid if case in ("overflow", "non-finite constant") else [])
     assert any(bound) == (case != "non-finite constant")
+
+
+# -- a split on a branch runs its two groups as array passes
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    jet: Jet
+    below: object
+
+
+def _branching(x, pair):
+    """Each structure ``_stacked`` handles, after a branch on x > 0 that the
+    samples may split on: where it is taken, a float the group shares (2.0),
+    a bool test for ``mark`` and, past x = 2.5, a ValueError; elsewhere -x,
+    1 / x (a numpy flag at x = 0), a float ``mark`` and, below x = -1, a
+    ValueError."""
+    a, b = pair
+    if jets.agreed(x > 0.0):
+        if jets.failing(x > 2.5):
+            raise ValueError(f"x = {x} above 2.5")
+        scale, mark = 2.0, x > 1.0
+    else:
+        if jets.failing(x < -1.0):
+            raise ValueError(f"x = {x} below -1")
+        scale = mark = -x + 1.0 / x
+    jet = Jet([x, scale * a, b])
+    return Matrix([[x, scale], [a, b]], ((0, 0), (1, 1))), [jet, (scale, mark)], \
+        _Record(jet, x < -0.5)
+
+
+def _layout(x):
+    """Types, dtypes and bytes of a value over sample arrays, part by part."""
+    if isinstance(x, Jet):
+        return ("Jet", [_layout(c) for c in x.coeffs])
+    if isinstance(x, Matrix):
+        return ("Matrix", x.support, [_layout(row) for row in x])
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, [_layout(c) for c in x])
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, [_layout(getattr(x, f.name)) for f in dataclasses.fields(x)])
+    return (x.dtype.str, x.shape, x.tobytes())
+
+
+def _counted_runs(fn, x, *args):
+    """The outcomes of ``_on_samples`` and of the loop over samples, and the
+    argument sizes ``_on_samples`` called ``fn`` with ("float" for one sample)."""
+    calls = []
+
+    def counted(x, *rest):
+        calls.append(len(x) if isinstance(x, np.ndarray) else "float")
+        return fn(x, *rest)
+
+    def run(call):
+        try:
+            return "ok", _layout(call())
+        except Exception as exc:  # noqa: BLE001 - every error type is compared
+            return type(exc), str(exc)
+
+    size = len(x)
+    got = run(lambda: nf._on_samples(size, counted, x, *args))
+    want = run(lambda: nf._stacked([fn(*(nf._sample(a, i) for a in (x, *args)))
+                                    for i in range(size)]))
+    return got, want, calls
+
+
+@pytest.mark.parametrize("x, passes", [
+    ([0.5, -0.75, 2.0, -0.25, 1.5], [5, 3, 2]),
+    ([-0.75, 0.5, -0.25, -0.5], [4, 1, 3]),
+], ids=["split", "one taken"])
+def test_a_split_runs_each_group_once_as_arrays(x, passes):
+    """Where the samples split on x > 0, one pass over those that take the
+    branch and one over the rest give the loop's structure, dtypes and bits,
+    a float that one group shares and bool tests included; no sample runs
+    alone."""
+    x = np.array(x)
+    pair = [np.linspace(-1.0, 1.0, len(x)), 0.25]
+    got, want, calls = _counted_runs(_branching, x, pair)
+    assert got[0] == "ok"
+    assert got == want
+    assert calls == passes
+
+
+@pytest.mark.parametrize("x, first", [
+    ([0.5, 3.0, -0.75, -2.0], "x = 3.0 above 2.5"),
+    ([0.5, -2.0, 3.0, -0.75], "x = -2.0 below -1"),
+    ([-0.75, 0.5, -2.0], "x = -2.0 below -1"),
+    ([0.5, -0.5, 0.0, 1.5], "float division by zero"),
+], ids=["first group", "second group first", "second group only", "numpy flag"])
+def test_a_failing_group_pass_is_replayed_per_sample(x, first):
+    """Where a group pass raises, or sets a numpy flag, every sample runs
+    alone, so the error is the loop's, at its first failing sample, also
+    where that sample is in the group that runs second while the first
+    group fails too."""
+    x = np.array(x)
+    got, want, calls = _counted_runs(_branching, x, [x, 0.25])
+    assert got == want
+    assert got[1] == first
+    assert calls[0] == len(x) and "float" in calls
+
+
+def _split_elsewhere(x):
+    """A split on a test over each sample twice, so of the wrong shape."""
+    return 1.0 if jets.agreed(np.repeat(x, 2) > 0.0) else -1.0
+
+
+def _failing_check(x):
+    if jets.failing(x > 2.5):
+        raise ValueError(f"x = {x} above 2.5")
+    return x
+
+
+@pytest.mark.parametrize("fn, x", [
+    (_split_elsewhere, [0.5, -0.5, 1.0]),
+    (_failing_check, [0.5, 3.0, 1.0]),
+], ids=["mask of another shape", "failing"])
+def test_other_per_sample_checks_replay_per_sample(fn, x):
+    """A split test that is not one bool per sample, and a ``jets.failing``
+    check, send the pass per sample, with the loop's outcome."""
+    got, want, calls = _counted_runs(fn, np.array(x))
+    assert got == want
+    assert calls[0] == len(x) and calls[1:] == ["float"] * (len(calls) - 1)
+    assert len(calls) == 1 + (len(x) if fn is _split_elsewhere else 2)
 
 
 # -- the tree evaluators refuse sample arrays where numpy may differ from floats

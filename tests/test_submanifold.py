@@ -968,8 +968,8 @@ def test_ambient_frames_equal_the_loop_over_samples_bitwise(monkeypatch, request
 def test_ambient_frames_take_each_samples_first_usable_seed(monkeypatch, amb4):
     """With seeds e1, e2, e3 along (cos t, sin t, t, 0), g(zeta, e1) = sin t
     vanishes at t = 0 alone, so the samples split on e1: the array pass
-    raises PerSampleCheck, and the replay per sample takes e2 at that sample
-    and e1 elsewhere, bit for bit as the loop over samples."""
+    raises PerSampleCheck, and one pass over the other samples takes e1 and
+    one over that sample e2, bit for bit as the loop over samples."""
     times = np.array([0.01 * (i - 30) for i in range(61)])
     points = np.array([np.cos(times), np.sin(times), times, 0.0 * times])
     zetas = np.array([-np.sin(times), np.cos(times), 1.0 + 0.0 * times, 0.0 * times])
@@ -988,7 +988,7 @@ def test_ambient_frames_take_each_samples_first_usable_seed(monkeypatch, amb4):
     monkeypatch.setattr(sb, "null_transversal", spy)
     policy = nf.ScreenPolicy(seeds=(0, 1, 2))
     got = sb._ambient_frames(curve, policy)
-    assert chosen == ["split"] + [0] * 27 + [1] + [0] * 27
+    assert chosen == ["split", 0, 1]
     assert _frame_bits(got) == _frame_bits(reference_ambient_frames(curve, policy))
 
 
@@ -1053,16 +1053,17 @@ def _pointwise_checks(F, spec, grid, step):
     return gs, gaps, geo
 
 
-@pytest.mark.parametrize("immersion, make_spec, step, replayed", [
+@pytest.mark.parametrize("immersion, make_spec, step, split", [
     ("slice_immersion", lambda request: request.getfixturevalue("c1_spec"), 1e-3, False),
     ("graph_immersion", lambda request: _graph_spec(), 2e-3, True),
 ], ids=["slice", "graph"])
 def test_transfer_checks_equal_the_loop_over_points_bitwise(monkeypatch, request, immersion,
-                                                            make_spec, step, replayed):
+                                                            make_spec, step, split):
     """The isometry gaps and the induced g come from one array pass, and the
     geodesic residuals from one more, bit for bit as the loop over points.
     The graph's first geodesic point sits at u3 = 0, where the normal is e4
-    rather than e3's normal part, so that pass splits and replays per point."""
+    rather than e3's normal part, so that pass splits, and one more pass runs
+    over the points past it and one over that point."""
     F, spec, grid = request.getfixturevalue(immersion), make_spec(request), \
         uniform_grid(0.0, 1.0, 201)
     gs, gaps, geo = _pointwise_checks(F, spec, grid, step)
@@ -1085,7 +1086,7 @@ def test_transfer_checks_equal_the_loop_over_points_bitwise(monkeypatch, request
     assert [_packed(nf._sample(g, i)) for i in range(len(gs))] == list(map(_packed, gs))
     assert rep.isometry_max == max([0.0, *gaps])
     assert _packed(rep.geodesic_samples) == _packed(geo)
-    assert len(calls) == (1 + len(geo) if replayed else 1)
+    assert len(calls) == (3 if split else 1)
 
 
 def test_unit_basis_on_sample_arrays_takes_each_samples_basis_or_splits(graph_immersion):
